@@ -215,38 +215,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _serve_config(args: argparse.Namespace):
-    """The shared ``serve``/``cluster`` system configuration.
-
-    Every worker process derives identical key material from the
-    deterministic ``cluster-seed-<seed>`` master seed, and opens the
-    requested client namespaces so signatures from clients it has never
-    met still verify (see ``KeyRegistry.open_namespace``).
-    """
-    from repro.core.config import make_system
-
-    config = make_system(
-        args.f,
-        scheme=args.scheme,
-        seed=b"cluster-seed-%d" % args.seed,
-        strong=(args.variant == "strong"),
-    )
-    for prefix in args.open_namespace or ["client:"]:
-        config.registry.open_namespace(prefix)
-    return config
-
-
-def _serve_replica_cls(variant: str):
-    from repro.core.fast_replica import FastBftBcReplica
-    from repro.core.replica import BftBcReplica, OptimizedBftBcReplica
-
-    if variant == "optimized":
-        return OptimizedBftBcReplica
-    if variant == "fastpath":
-        return FastBftBcReplica
-    return BftBcReplica
-
-
 def _parse_ports(port: str, count: int) -> list[int]:
     """``--port`` accepts one value or a comma list matching the node ids.
 
@@ -273,9 +241,15 @@ def cmd_serve(args: argparse.Namespace) -> int:
     import json
 
     from repro.cluster.process import replica_data_dir
+    from repro.cluster.spec import DeploymentSpec
+    from repro.core.config import Variant
     from repro.net.asyncio_transport import ReplicaServer
 
-    config = _serve_config(args)
+    # Every worker process builds the deployment's one configuration, so
+    # key material and admitted client namespaces agree fleet-wide.
+    config = DeploymentSpec(
+        f=args.f, variant=args.variant, scheme=args.scheme, seed=args.seed
+    ).make_config(args.open_namespace or ["client:"])
     unknown = [
         node_id
         for node_id in args.node_ids
@@ -293,7 +267,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 1
-    replica_cls = _serve_replica_cls(args.variant)
+    replica_cls = Variant.coerce(args.variant).replica_cls
 
     def peer_addrs() -> "dict[str, tuple[str, int]]":
         """The cluster address book, re-read from the orchestrator's state

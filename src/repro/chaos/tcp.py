@@ -30,15 +30,8 @@ from typing import Any, Optional
 
 from repro.chaos.oracles import OracleVerdict, run_oracle_battery
 from repro.chaos.plan import EpisodePlan
-from repro.core.client import (
-    BftBcClient,
-    FastBftBcClient,
-    OptimizedBftBcClient,
-    StrongBftBcClient,
-)
-from repro.core.config import SystemConfig, make_system
-from repro.core.fast_replica import FastBftBcReplica
-from repro.core.replica import BftBcReplica, OptimizedBftBcReplica
+from repro.core.config import SystemConfig, Variant, make_system
+from repro.core.replica import BftBcReplica
 from repro.errors import OperationFailedError
 from repro.net.asyncio_transport import AsyncClient, ReplicaServer
 from repro.net.chaos_proxy import ChaosProxy, ProxyProfile
@@ -50,19 +43,6 @@ __all__ = [
     "run_tcp_episode",
     "run_tcp_campaign",
 ]
-
-_REPLICA_CLS = {
-    "base": BftBcReplica,
-    "optimized": OptimizedBftBcReplica,
-    "strong": BftBcReplica,
-    "fastpath": FastBftBcReplica,
-}
-_CLIENT_CLS = {
-    "base": BftBcClient,
-    "optimized": OptimizedBftBcClient,
-    "strong": StrongBftBcClient,
-    "fastpath": FastBftBcClient,
-}
 
 
 @dataclass
@@ -294,12 +274,7 @@ async def _corruption_chaos(
                     stable = False
             if replica.quarantined:
                 stable = False
-                sends = (
-                    replica.repair_retransmit()
-                    if replica.repair.active
-                    else replica.begin_repair()
-                )
-                await server.repair_pull(sends, addrs)
+                await server.repair_pull(addrs)
         if stable:
             return
 
@@ -308,13 +283,12 @@ async def _run_episode(
     config: TcpChaosConfig, variant: str, data_dir: Path
 ) -> TcpEpisodeResult:
     rng = random.Random(f"chaos-tcp/{config.seed}/{variant}")
+    kind = Variant.coerce(variant)
     system = make_system(
-        config.f,
-        seed=b"tcp-chaos-%d" % config.seed,
-        strong=(variant == "strong"),
+        config.f, seed=b"tcp-chaos-%d" % config.seed, strong=kind.strong
     )
-    replica_cls = _REPLICA_CLS[variant]
-    client_cls = _CLIENT_CLS[variant]
+    replica_cls = kind.replica_cls
+    client_cls = kind.client_cls
 
     servers: dict[str, ReplicaServer] = {}
     proxies: dict[str, ChaosProxy] = {}

@@ -29,15 +29,7 @@ from typing import Any, Optional, Sequence
 
 from repro.cluster.process import ProcessCluster, replica_data_dir
 from repro.cluster.spec import DeploymentSpec
-from repro.core.client import (
-    BftBcClient,
-    FastBftBcClient,
-    OptimizedBftBcClient,
-    StrongBftBcClient,
-)
-from repro.core.config import SystemConfig, make_system
-from repro.core.fast_replica import FastBftBcReplica
-from repro.core.replica import BftBcReplica, OptimizedBftBcReplica
+from repro.core.config import Variant
 from repro.core.verification import VerificationStats
 from repro.errors import QuorumConfigError
 from repro.net.mux import OpRecord, PipelinedClient
@@ -49,29 +41,7 @@ __all__ = [
     "TcpDeployment",
     "ProcessDeployment",
     "deploy",
-    "variant_replica_cls",
-    "variant_client_cls",
 ]
-
-
-def variant_replica_cls(variant: str) -> type[BftBcReplica]:
-    """The replica class a protocol variant runs (shared by sim/serve/deploy)."""
-    if variant == "optimized":
-        return OptimizedBftBcReplica
-    if variant == "fastpath":
-        return FastBftBcReplica
-    return BftBcReplica
-
-
-def variant_client_cls(variant: str) -> type[BftBcClient]:
-    """The client class a protocol variant runs."""
-    if variant == "optimized":
-        return OptimizedBftBcClient
-    if variant == "fastpath":
-        return FastBftBcClient
-    if variant == "strong":
-        return StrongBftBcClient
-    return BftBcClient
 
 
 class Deployment:
@@ -79,6 +49,18 @@ class Deployment:
 
     def __init__(self, spec: DeploymentSpec) -> None:
         self.spec = spec
+        self._temp_dir: Optional[str] = None
+
+    def _data_dir(self, prefix: str) -> str:
+        """``spec.data_dir``, or a temporary one this handle owns."""
+        if self.spec.data_dir is not None:
+            return self.spec.data_dir
+        self._temp_dir = tempfile.mkdtemp(prefix=prefix)
+        return self._temp_dir
+
+    def _remove_temp_dir(self) -> None:
+        if self._temp_dir is not None:
+            shutil.rmtree(self._temp_dir, ignore_errors=True)
 
     # -- uniform surface -----------------------------------------------------
 
@@ -134,13 +116,8 @@ class SimDeployment(Deployment):
         )
         if spec.instrumentation:
             options["instrumentation"] = Instrumentation()
-        self._owns_dir = False
         if spec.store == "file":
-            data_dir = spec.data_dir
-            if data_dir is None:
-                data_dir = tempfile.mkdtemp(prefix="repro-sim-")
-                self._owns_dir = True
-            self._data_dir = data_dir
+            data_dir = self._data_dir("repro-sim-")
             options["store_factory"] = lambda node_id: FileLogStore(
                 Path(data_dir) / node_id.replace(":", "_"), fsync=spec.fsync
             )
@@ -195,8 +172,7 @@ class SimDeployment(Deployment):
         return None if verifier is None else verifier.stats
 
     def close(self) -> None:
-        if self._owns_dir:
-            shutil.rmtree(self._data_dir, ignore_errors=True)
+        self._remove_temp_dir()
 
 
 class _LoopThread:
@@ -218,53 +194,69 @@ class _LoopThread:
         self.loop.close()
 
 
-def _pipeline_clients(
-    spec: DeploymentSpec, config: SystemConfig
-) -> list[BftBcClient]:
-    client_cls = variant_client_cls(str(spec.variant))
-    clients = []
-    for i in range(spec.pipeline):
-        node_id = f"client:pipe{i}"
-        config.registry.register(node_id)
-        clients.append(client_cls(node_id, config))
-    return clients
+class _SocketDeployment(Deployment):
+    """What the real transports share: the spec's configuration, a loop
+    thread, and one pipelined client over the replicas' addresses."""
+
+    def __init__(self, spec: DeploymentSpec) -> None:
+        super().__init__(spec)
+        # Every party mirrors the same configuration — deterministic key
+        # derivation from the shared master seed is what makes signatures
+        # verify across process boundaries.
+        self.config = spec.make_config()
+        self._loop = _LoopThread()
+        self.addrs: dict[str, tuple[str, int]] = {}
+
+    def _connect(self) -> None:
+        """Dial ``self.addrs`` with ``spec.pipeline`` logical clients."""
+        client_cls = Variant.coerce(self.spec.variant).client_cls
+        self._pipe = PipelinedClient(
+            [
+                client_cls(f"client:pipe{i}", self.config)
+                for i in range(self.spec.pipeline)
+            ],
+            self.addrs,
+            verifier=self.config.verifier if self.spec.batch_verify else None,
+        )
+        self._loop.run(self._pipe.connect())
+
+    def run_script(
+        self, script: Sequence[tuple[str, Any]]
+    ) -> list[OpRecord]:
+        records = self._loop.run(self._pipe.run_script(list(script)))
+        return sorted(records, key=lambda record: record.index)
+
+    def _stop_hosts(self) -> None:
+        """Stop the replicas this handle stood up (servers or workers)."""
+        raise NotImplementedError
+
+    def close(self) -> None:
+        self._loop.run(self._pipe.close())
+        self._stop_hosts()
+        self._loop.stop()
+        self._remove_temp_dir()
 
 
-class TcpDeployment(Deployment):
+class TcpDeployment(_SocketDeployment):
     """In-process asyncio servers over loopback, one per replica."""
 
     def __init__(self, spec: DeploymentSpec) -> None:
         super().__init__(spec)
         from repro.net.asyncio_transport import ReplicaServer
 
-        self.config = make_system(
-            spec.f,
-            scheme=spec.scheme,
-            seed=spec.master_seed,
-            strong=(str(spec.variant) == "strong"),
-        )
-        self.config.registry.open_namespace("client:")
         self.instrumentation = (
             Instrumentation() if spec.instrumentation else None
         )
         if self.instrumentation is not None:
             assert self.config.verifier is not None
             self.instrumentation.attach_verification(self.config.verifier.stats)
-        replica_cls = variant_replica_cls(str(spec.variant))
-        self._owns_dir = False
-        data_dir = spec.data_dir
-        if spec.store == "file" and data_dir is None:
-            data_dir = tempfile.mkdtemp(prefix="repro-tcp-")
-            self._owns_dir = True
-        self._data_dir = data_dir
-        self._loop = _LoopThread()
+        replica_cls = Variant.coerce(spec.variant).replica_cls
+        data_dir = self._data_dir("repro-tcp-") if spec.store == "file" else None
         self.servers: list[ReplicaServer] = []
-        self.addrs: dict[str, tuple[str, int]] = {}
 
         async def start() -> None:
             for node_id in self.config.quorums.replica_ids:
-                if spec.store == "file":
-                    assert data_dir is not None
+                if data_dir is not None:
                     server = ReplicaServer.durable(
                         node_id,
                         self.config,
@@ -285,23 +277,11 @@ class TcpDeployment(Deployment):
                         host=spec.host,
                         batch_verify=spec.batch_verify,
                     )
-                host, port = await server.start()
+                self.addrs[node_id] = await server.start()
                 self.servers.append(server)
-                self.addrs[node_id] = (host, port)
 
         self._loop.run(start())
-        self._pipe = PipelinedClient(
-            _pipeline_clients(spec, self.config),
-            self.addrs,
-            verifier=self.config.verifier if spec.batch_verify else None,
-        )
-        self._loop.run(self._pipe.connect())
-
-    def run_script(
-        self, script: Sequence[tuple[str, Any]]
-    ) -> list[OpRecord]:
-        records = self._loop.run(self._pipe.run_script(list(script)))
-        return sorted(records, key=lambda record: record.index)
+        self._connect()
 
     def fingerprints(self) -> dict[str, str]:
         return {
@@ -313,66 +293,35 @@ class TcpDeployment(Deployment):
         verifier = self.config.verifier
         return None if verifier is None else verifier.stats
 
-    def close(self) -> None:
-        async def teardown() -> None:
-            await self._pipe.close()
+    def _stop_hosts(self) -> None:
+        async def stop() -> None:
             for server in self.servers:
                 await server.stop()
 
-        self._loop.run(teardown())
-        self._loop.stop()
-        if self._owns_dir and self._data_dir is not None:
-            shutil.rmtree(self._data_dir, ignore_errors=True)
+        self._loop.run(stop())
 
 
-class ProcessDeployment(Deployment):
+class ProcessDeployment(_SocketDeployment):
     """One OS process per worker: the real multi-core cluster."""
 
     def __init__(
         self, spec: DeploymentSpec, *, auto_restart: bool = False
     ) -> None:
         super().__init__(spec)
-        self._owns_dir = False
-        data_dir = spec.data_dir
-        if data_dir is None:
-            data_dir = tempfile.mkdtemp(prefix="repro-cluster-")
-            self._owns_dir = True
-        self._data_dir = data_dir
         self.cluster = ProcessCluster(
             f=spec.f,
             seed=spec.seed,
             variant=str(spec.variant),
             scheme=spec.scheme,
-            data_dir=data_dir,
+            data_dir=self._data_dir("repro-cluster-"),
             host=spec.host,
             fsync=spec.fsync,
             workers=spec.workers,
             auto_restart=auto_restart,
         )
-        self.addrs = self.cluster.start()
-        # The client side mirrors the workers' configuration exactly —
-        # deterministic key derivation from the shared master seed is what
-        # makes signatures verify across process boundaries.
-        self.config = make_system(
-            spec.f,
-            scheme=spec.scheme,
-            seed=spec.master_seed,
-            strong=(str(spec.variant) == "strong"),
-        )
-        self._loop = _LoopThread()
-        self._pipe = PipelinedClient(
-            _pipeline_clients(spec, self.config),
-            self.addrs,
-            verifier=self.config.verifier if spec.batch_verify else None,
-        )
-        self._loop.run(self._pipe.connect())
         self._stopped = False
-
-    def run_script(
-        self, script: Sequence[tuple[str, Any]]
-    ) -> list[OpRecord]:
-        records = self._loop.run(self._pipe.run_script(list(script)))
-        return sorted(records, key=lambda record: record.index)
+        self.addrs = self.cluster.start()
+        self._connect()
 
     def stop_workers(self) -> None:
         """Terminate the worker fleet (idempotent); connections drop."""
@@ -380,28 +329,24 @@ class ProcessDeployment(Deployment):
             self.cluster.stop()
             self._stopped = True
 
+    _stop_hosts = stop_workers
+
     def fingerprints(self) -> dict[str, str]:
         """Recover each worker's journal offline and digest its state.
 
         Stops the fleet first: a fingerprint of a live, mid-operation
-        replica is not meaningful.  The recovery pass builds the exact
-        configuration the worker ran and replays snapshot + WAL, so the
-        digest reflects precisely what durably survived.
+        replica is not meaningful.  The recovery pass replays snapshot +
+        WAL under the configuration the workers ran, so the digest
+        reflects precisely what durably survived.
         """
         self.stop_workers()
         from repro.storage import FileLogStore
 
-        replica_cls = variant_replica_cls(str(self.spec.variant))
+        replica_cls = Variant.coerce(self.spec.variant).replica_cls
+        config = self.spec.make_config()
         digests: dict[str, str] = {}
         for worker in self.cluster.workers:
             for node_id in worker.node_ids:
-                config = make_system(
-                    self.spec.f,
-                    scheme=self.spec.scheme,
-                    seed=self.spec.master_seed,
-                    strong=(str(self.spec.variant) == "strong"),
-                )
-                config.registry.open_namespace("client:")
                 store = FileLogStore(
                     replica_data_dir(
                         worker.data_dir, worker.node_ids, node_id
@@ -412,16 +357,6 @@ class ProcessDeployment(Deployment):
                 replica.recover()
                 digests[node_id] = replica.state_fingerprint()
         return digests
-
-    def close(self) -> None:
-        async def teardown() -> None:
-            await self._pipe.close()
-
-        self._loop.run(teardown())
-        self._loop.stop()
-        self.stop_workers()
-        if self._owns_dir:
-            shutil.rmtree(self._data_dir, ignore_errors=True)
 
 
 def deploy(spec: DeploymentSpec, **kwargs: Any) -> Deployment:

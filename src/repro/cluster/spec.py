@@ -13,9 +13,9 @@ offline fingerprint recovery pass) agree on signatures.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Optional
+from typing import Any, Optional, Sequence
 
-from repro.core.config import Variant
+from repro.core.config import SystemConfig, Variant, make_system
 from repro.errors import QuorumConfigError
 
 __all__ = ["DeploymentSpec"]
@@ -105,6 +105,27 @@ class DeploymentSpec:
     def master_seed(self) -> bytes:
         """The deterministic key-derivation seed every transport shares."""
         return b"cluster-seed-%d" % self.seed
+
+    def make_config(
+        self, namespaces: Sequence[str] = ("client:",)
+    ) -> SystemConfig:
+        """The configuration every party of this deployment builds.
+
+        Servers, worker processes, the client side and the offline
+        recovery pass all derive identical key material from
+        :attr:`master_seed`, and admit the given client-id namespaces
+        wholesale so signatures from clients they have never met still
+        verify (see ``KeyRegistry.open_namespace``).
+        """
+        config = make_system(
+            self.f,
+            scheme=self.scheme,
+            seed=self.master_seed,
+            strong=Variant.coerce(self.variant).strong,
+        )
+        for prefix in namespaces:
+            config.registry.open_namespace(prefix)
+        return config
 
     def with_(self, **overrides: Any) -> "DeploymentSpec":
         """A copy with the given fields replaced (sweep ergonomics)."""

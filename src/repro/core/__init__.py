@@ -62,7 +62,7 @@ from repro.core.multiobject import (
 )
 from repro.core.operations import Operation, ReadOperation, Send, WriteOperation
 from repro.core.optimized_operations import OptimizedWriteOperation
-from repro.core.phases import QuorumRound, ReplyCollector
+from repro.core.phases import QuorumRound
 from repro.core.quorum import QuorumSystem, client_id, replica_id
 from repro.core.replica import BftBcReplica, OptimizedBftBcReplica, PlistEntry
 from repro.core.strong_operations import StrongWriteOperation
@@ -103,7 +103,6 @@ __all__ = [
     "FastWriteOperation",
     "FastReadOperation",
     "QuorumRound",
-    "ReplyCollector",
     "Verifier",
     "VerificationStats",
     "Send",

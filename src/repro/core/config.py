@@ -164,6 +164,40 @@ class Variant(str, enum.Enum):
     def __str__(self) -> str:
         return self.value
 
+    # The variant registry: the one place a variant name turns into the
+    # classes that run it.  Imports are late because ``client`` and
+    # ``replica`` import this module.
+
+    @property
+    def strong(self) -> bool:
+        """The ``strong=`` flag :func:`make_system` takes for this variant."""
+        return self is Variant.STRONG
+
+    @property
+    def replica_cls(self) -> type:
+        """The replica class hosting this variant (§7 reuses the base one)."""
+        from repro.core.fast_replica import FastBftBcReplica
+        from repro.core.replica import BftBcReplica, OptimizedBftBcReplica
+
+        return {
+            Variant.BASE: BftBcReplica,
+            Variant.OPTIMIZED: OptimizedBftBcReplica,
+            Variant.STRONG: BftBcReplica,
+            Variant.FASTPATH: FastBftBcReplica,
+        }[self]
+
+    @property
+    def client_cls(self) -> type:
+        """The client class speaking this variant."""
+        from repro.core import client
+
+        return {
+            Variant.BASE: client.BftBcClient,
+            Variant.OPTIMIZED: client.OptimizedBftBcClient,
+            Variant.STRONG: client.StrongBftBcClient,
+            Variant.FASTPATH: client.FastBftBcClient,
+        }[self]
+
     @classmethod
     def coerce(cls, value: Union[str, "Variant"]) -> "Variant":
         """Normalise a variant name; raises ``QuorumConfigError`` if unknown."""

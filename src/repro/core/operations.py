@@ -29,7 +29,7 @@ from repro.core.messages import (
     WriteReply,
     WriteRequest,
 )
-from repro.core.phases import QuorumRound, ReplyCollector, Send
+from repro.core.phases import QuorumRound, Send
 from repro.core.statements import (
     prepare_reply_statement,
     prepare_request_statement,
@@ -46,7 +46,6 @@ from repro.obs.spans import NULL_SPAN
 
 __all__ = [
     "Send",
-    "ReplyCollector",
     "Operation",
     "WriteOperation",
     "ReadOperation",

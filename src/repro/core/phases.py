@@ -25,7 +25,7 @@ from repro.obs.spans import NULL_SPAN, SpanHandle
 if TYPE_CHECKING:  # avoid an import cycle: config imports nothing from here
     from repro.core.config import SystemConfig
 
-__all__ = ["Send", "QuorumRound", "ReplyCollector"]
+__all__ = ["Send", "QuorumRound"]
 
 Validator = Callable[[str, Message], Optional[Any]]
 
@@ -157,15 +157,3 @@ class QuorumRound:
         return tuple(
             r for r in self._config.quorums.replica_ids if r not in self.replies
         )
-
-
-class ReplyCollector(QuorumRound):
-    """Backwards-compatible collector facade over :class:`QuorumRound`.
-
-    The original seed code exposed a bare collector (no send side); some
-    tests and baseline protocols still construct one directly.  It is now a
-    thin alias so every variant shares the same one-vote-per-replica guard.
-    """
-
-    def __init__(self, config: "SystemConfig", validator: Validator) -> None:
-        super().__init__(config, None, validator)

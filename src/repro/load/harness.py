@@ -41,18 +41,10 @@ from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 from repro.analysis.costs import CostModel
-from repro.core.client import (
-    BftBcClient,
-    FastBftBcClient,
-    OptimizedBftBcClient,
-    StrongBftBcClient,
-)
 from repro.core.config import NamespaceWriters, SystemConfig, Variant, make_system
-from repro.core.fast_replica import FastBftBcReplica
 from repro.core.messages import Message
 from repro.core.multiobject import MultiObjectClient, MultiObjectReplica
 from repro.core.persistence import ClientStateBudget
-from repro.core.replica import BftBcReplica, OptimizedBftBcReplica
 from repro.errors import SimulationError
 from repro.load.generator import Arrival, OpenLoopGenerator
 from repro.load.profile import (
@@ -67,25 +59,13 @@ from repro.obs.histograms import LatencyHistogram
 from repro.obs.instrumentation import Instrumentation
 from repro.sim.scheduler import Scheduler
 
-__all__ = ["SimLoadOptions", "SimLoadHarness", "run_open_loop", "judge_slos"]
-
-
-def _replica_class(variant: Variant) -> type[BftBcReplica]:
-    if variant == "optimized":
-        return OptimizedBftBcReplica
-    if variant == "fastpath":
-        return FastBftBcReplica
-    return BftBcReplica
-
-
-def _client_class(variant: Variant) -> type[BftBcClient]:
-    if variant == "optimized":
-        return OptimizedBftBcClient
-    if variant == "fastpath":
-        return FastBftBcClient
-    if variant == "strong":
-        return StrongBftBcClient
-    return BftBcClient
+__all__ = [
+    "SimLoadOptions",
+    "SimLoadHarness",
+    "LoadTally",
+    "run_open_loop",
+    "judge_slos",
+]
 
 
 def judge_slos(
@@ -131,6 +111,85 @@ def judge_slos(
     return tuple(verdicts)
 
 
+class LoadTally:
+    """What a load run counts, and the :class:`LoadReport` built from it.
+
+    Shared by the simulator harness and the TCP runner: distinct
+    identities are counted exactly in a bitmap (one bit per universe
+    slot), completions feed the per-kind latency histograms and a
+    completion-order digest, and :meth:`report` judges the SLOs.
+    """
+
+    def __init__(self, profile: LoadProfile) -> None:
+        self.profile = profile
+        self.arrivals = 0
+        self.completed = 0
+        self.write_hist = LatencyHistogram()
+        self.read_hist = LatencyHistogram()
+        self._seen = bytearray((profile.identities + 7) // 8)
+        self._digest = hashlib.sha256()
+
+    def arrive(self, arrival: Arrival) -> None:
+        self.arrivals += 1
+        slot = int(arrival.client[len(self.profile.namespace):])
+        self._seen[slot >> 3] |= 1 << (slot & 7)
+
+    def complete(self, arrival: Arrival, latency: float, line: str) -> None:
+        """Count one finished operation; ``line`` is its digest record."""
+        self.completed += 1
+        hist = self.write_hist if arrival.kind == "write" else self.read_hist
+        hist.record(latency)
+        self._digest.update(line.encode())
+
+    def report(
+        self,
+        *,
+        slos: tuple[SloTarget, ...],
+        elapsed: float,
+        identity: dict[str, int],
+        predicted_capacity: float = float("inf"),
+    ) -> LoadReport:
+        duration = self.profile.duration
+        offered = self.arrivals / duration if duration else 0.0
+        completion = self.completed / self.arrivals if self.arrivals else 1.0
+
+        def q(hist: LatencyHistogram, quantile: float) -> float:
+            return hist.quantile(quantile) if hist.count else 0.0
+
+        return LoadReport(
+            offered_rate=offered,
+            duration=duration,
+            arrivals=self.arrivals,
+            completed=self.completed,
+            failed=self.arrivals - self.completed,
+            distinct_identities=bin(
+                int.from_bytes(bytes(self._seen), "big")
+            ).count("1"),
+            elapsed=elapsed,
+            achieved_throughput=self.completed / elapsed if elapsed > 0 else 0.0,
+            write_p50=q(self.write_hist, 0.50),
+            write_p95=q(self.write_hist, 0.95),
+            write_p99=q(self.write_hist, 0.99),
+            read_p50=q(self.read_hist, 0.50),
+            read_p95=q(self.read_hist, 0.95),
+            read_p99=q(self.read_hist, 0.99),
+            ops_digest=self._digest.hexdigest(),
+            predicted_capacity=predicted_capacity,
+            utilization=(
+                offered / predicted_capacity
+                if predicted_capacity != float("inf")
+                else 0.0
+            ),
+            identity=identity,
+            slos=judge_slos(
+                slos,
+                write_hist=self.write_hist,
+                read_hist=self.read_hist,
+                completion_fraction=completion,
+            ),
+        )
+
+
 @dataclass
 class SimLoadOptions:
     """Deployment knobs for one simulated load run."""
@@ -164,7 +223,7 @@ class _LoadReplicaNode:
     def __init__(self, harness: "SimLoadHarness", node_id: str) -> None:
         self.harness = harness
         self.replica = MultiObjectReplica(
-            node_id, harness.config, _replica_class(harness.options.variant)
+            node_id, harness.config, harness.options.variant.replica_cls
         )
         self.node_id = node_id
         self._busy_until = 0.0
@@ -201,7 +260,7 @@ class _ClientDriver:
         self.harness = harness
         self.identity = identity
         self.client = MultiObjectClient(
-            identity, harness.config, _client_class(harness.options.variant)
+            identity, harness.config, harness.client_cls
         )
         self.pending: deque[Arrival] = deque()
         self.current: Optional[Arrival] = None
@@ -267,7 +326,7 @@ class SimLoadHarness:
             self.options.f,
             scheme=self.options.scheme,
             seed=b"load-seed-%d" % profile.seed,
-            strong=(self.options.variant == "strong"),
+            strong=self.options.variant.strong,
             client_state_budget=self.options.budget,
             secret_cache=self.options.secret_cache,
             authorized_writers=NamespaceWriters(profile.namespace),
@@ -298,13 +357,10 @@ class SimLoadHarness:
             profile
         ).arrivals()
         self._exhausted = False
-        self._seen = bytearray((profile.identities + 7) // 8)
-        self._digest = hashlib.sha256()
-        self.arrivals = 0
-        self.completed = 0
+        #: Looked up once: a driver is built per identity activation.
+        self.client_cls = self.options.variant.client_cls
+        self.tally = LoadTally(profile)
         self.driver_activations = 0
-        self.write_hist = LatencyHistogram()
-        self.read_hist = LatencyHistogram()
 
     # -- arrival injection -------------------------------------------------
 
@@ -316,9 +372,7 @@ class SimLoadHarness:
         self.scheduler.call_at(arrival.at, lambda: self._inject(arrival))
 
     def _inject(self, arrival: Arrival) -> None:
-        self.arrivals += 1
-        slot = int(arrival.client[len(self.profile.namespace):])
-        self._seen[slot >> 3] |= 1 << (slot & 7)
+        self.tally.arrive(arrival)
         driver = self._drivers.get(arrival.client)
         if driver is None:
             driver = _ClientDriver(self, arrival.client)
@@ -330,17 +384,13 @@ class SimLoadHarness:
     # -- completion / parking ----------------------------------------------
 
     def _complete(self, arrival: Arrival, result: object) -> None:
-        self.completed += 1
         latency = self.scheduler.now - arrival.at
-        if arrival.kind == "write":
-            self.write_hist.record(latency)
-            self.instrumentation.observe("load.write", latency)
-        else:
-            self.read_hist.record(latency)
-            self.instrumentation.observe("load.read", latency)
-        self._digest.update(
+        self.instrumentation.observe(f"load.{arrival.kind}", latency)
+        self.tally.complete(
+            arrival,
+            latency,
             f"{arrival.index}|{arrival.client}|{arrival.obj}|"
-            f"{arrival.kind}|{result!r}\n".encode()
+            f"{arrival.kind}|{result!r}\n",
         )
 
     def _park(self, driver: _ClientDriver) -> None:
@@ -359,9 +409,6 @@ class SimLoadHarness:
     @property
     def active_drivers(self) -> int:
         return len(self._drivers)
-
-    def distinct_identities(self) -> int:
-        return bin(int.from_bytes(bytes(self._seen), "big")).count("1")
 
     def client_state_totals(self) -> dict[str, int]:
         """Resident/spilled counts and spill/rehydrate totals, all replicas."""
@@ -446,62 +493,20 @@ class SimLoadHarness:
             max_events=max_events,
             stop_when=lambda: self._exhausted and not self._drivers,
         )
-        elapsed = self.scheduler.now - started
-        failed = self.arrivals - self.completed
-        offered = (
-            self.arrivals / self.profile.duration
-            if self.profile.duration
-            else 0.0
-        )
-        model = CostModel(self.config.quorums)
-        variant_name = self.options.variant.value
         predicted = (
-            model.open_loop_capacity(
+            CostModel(self.config.quorums).open_loop_capacity(
                 self.options.service_delay,
-                variant_name,
+                self.options.variant.value,
                 write_fraction=self.profile.write_fraction,
             )
             if self.options.service_delay > 0
             else float("inf")
         )
-        utilization = (
-            offered / predicted if predicted != float("inf") else 0.0
-        )
-        completion = (
-            self.completed / self.arrivals if self.arrivals else 1.0
-        )
-        verdicts = judge_slos(
-            self.options.slos,
-            write_hist=self.write_hist,
-            read_hist=self.read_hist,
-            completion_fraction=completion,
-        )
-
-        def q(hist: LatencyHistogram, quantile: float) -> float:
-            return hist.quantile(quantile) if hist.count else 0.0
-
-        return LoadReport(
-            offered_rate=offered,
-            duration=self.profile.duration,
-            arrivals=self.arrivals,
-            completed=self.completed,
-            failed=failed,
-            distinct_identities=self.distinct_identities(),
-            elapsed=elapsed,
-            achieved_throughput=(
-                self.completed / elapsed if elapsed > 0 else 0.0
-            ),
-            write_p50=q(self.write_hist, 0.50),
-            write_p95=q(self.write_hist, 0.95),
-            write_p99=q(self.write_hist, 0.99),
-            read_p50=q(self.read_hist, 0.50),
-            read_p95=q(self.read_hist, 0.95),
-            read_p99=q(self.read_hist, 0.99),
-            ops_digest=self._digest.hexdigest(),
-            predicted_capacity=predicted,
-            utilization=utilization,
+        return self.tally.report(
+            slos=self.options.slos,
+            elapsed=self.scheduler.now - started,
             identity=self.identity_accounting(),
-            slos=verdicts,
+            predicted_capacity=predicted,
         )
 
 

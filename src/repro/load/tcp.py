@@ -4,14 +4,18 @@ The deterministic simulator answers the capacity and differential questions;
 this module answers "does the same open-loop schedule survive contact with a
 real event loop, real sockets, and wall-clock time".  It hosts one 3f+1
 group of :class:`~repro.net.asyncio_transport.ReplicaServer` listeners and
-fires the profile's arrival schedule at it, one transient
-:class:`~repro.net.asyncio_transport.AsyncClient` per operation.
+fires the profile's arrival schedule at it over one shared
+:class:`~repro.net.mux.MuxEndpoint`, dialled before the clock starts: each
+arrival's identity is registered on the endpoint for the life of its
+operation and released afterwards, so the run measures the protocol, not
+``connect()``.
 
 Open-loop discipline is kept: the dispatcher sleeps until each scheduled
-arrival and spawns the operation *without awaiting it*.  A semaphore bounds
-concurrent sockets (the OS fd budget, not the workload, demands it) and the
-wait for a slot counts toward measured latency, exactly like client-side
-queueing in the sim harness.
+arrival and spawns the operation *without awaiting it*.  A semaphore caps
+the operations in flight and the wait for a slot counts toward measured
+latency, exactly like client-side queueing in the sim harness.  The
+protocol forbids one identity overlapping its own operations, so a
+returning identity queues behind its previous arrival.
 
 The TCP transport hosts a single object per listener, so ``arrival.obj`` is
 ignored here — every operation targets the one shared register.  Identity
@@ -23,19 +27,19 @@ wholesale through the registry namespace.  Use modest identity counts
 from __future__ import annotations
 
 import asyncio
-import hashlib
 from typing import Optional
 
-from repro.core.config import NamespaceWriters, SystemConfig, make_system
+from repro.core.config import NamespaceWriters, SystemConfig, Variant, make_system
 from repro.core.persistence import ClientStateBudget
 from repro.load.generator import Arrival, OpenLoopGenerator
 from repro.load.profile import DEFAULT_SLOS, LoadProfile, LoadReport, SloTarget
-from repro.load.harness import _client_class, _replica_class, judge_slos
-from repro.net.asyncio_transport import AsyncClient, ReplicaServer
-from repro.obs.histograms import LatencyHistogram
-from repro.core.config import Variant
+from repro.load.harness import LoadTally
+from repro.net.asyncio_transport import ReplicaServer
+from repro.net.mux import MuxEndpoint, drive
 
 __all__ = ["run_tcp_load"]
+
+RETRANSMIT_INTERVAL = 0.2
 
 
 async def _run_tcp_load(
@@ -65,18 +69,16 @@ async def _run_tcp_load(
             f,
             scheme=scheme,
             seed=seed,
-            strong=(variant == "strong"),
+            strong=variant.strong,
             client_state_budget=budget,
             authorized_writers=NamespaceWriters(profile.namespace),
         )
     config.registry.open_namespace(profile.namespace)
-    replica_cls = _replica_class(variant)
-    client_cls = _client_class(variant)
     servers = (
         []
         if external
         else [
-            ReplicaServer(replica_cls(node_id, config))
+            ReplicaServer(variant.replica_cls(node_id, config))
             for node_id in config.quorums.replica_ids
         ]
     )
@@ -85,41 +87,46 @@ async def _run_tcp_load(
             server.replica.node_id: await server.start() for server in servers
         }
     assert addrs is not None
+    endpoint = MuxEndpoint(addrs)
+    await endpoint.reconnect_broken()
 
     loop = asyncio.get_running_loop()
     started = loop.time()
     semaphore = asyncio.Semaphore(max_concurrency)
-    write_hist = LatencyHistogram()
-    read_hist = LatencyHistogram()
-    digest = hashlib.sha256()
-    seen = bytearray((profile.identities + 7) // 8)
-    counters = {"arrivals": 0, "completed": 0, "failed": 0}
+    turns: dict[str, asyncio.Lock] = {}
+    tally = LoadTally(profile)
 
     async def run_op(arrival: Arrival) -> None:
-        scheduled = started + arrival.at
-        async with semaphore:
-            endpoint = AsyncClient(
-                client_cls(arrival.client, config),
-                addrs,
-                op_timeout=op_timeout,
+        turn = turns.setdefault(arrival.client, asyncio.Lock())
+        async with turn, semaphore:
+            client = variant.client_cls(arrival.client, config)
+            sends = (
+                client.begin_write(f"v{arrival.index}")
+                if arrival.kind == "write"
+                else client.begin_read()
             )
+            inbox = endpoint.register(arrival.client)
             try:
-                await endpoint.connect()
-                if arrival.kind == "write":
-                    result = await endpoint.write(f"v{arrival.index}")
-                else:
-                    result = await endpoint.read()
+                await drive(
+                    endpoint,
+                    arrival.client,
+                    inbox,
+                    sends,
+                    done=lambda: not client.busy,
+                    deliver=client.deliver,
+                    retransmit=client.retransmit,
+                    interval=RETRANSMIT_INTERVAL,
+                    timeout=op_timeout,
+                )
             except Exception:
-                counters["failed"] += 1
-                return
+                return  # counted: failed = arrivals - completed
             finally:
-                await endpoint.close()
-        latency = loop.time() - scheduled
-        (write_hist if arrival.kind == "write" else read_hist).record(latency)
-        counters["completed"] += 1
-        digest.update(
+                endpoint.unregister(arrival.client)
+        tally.complete(
+            arrival,
+            loop.time() - (started + arrival.at),
             f"{arrival.index}|{arrival.client}|{arrival.kind}|"
-            f"{result!r}\n".encode()
+            f"{client.op.result!r}\n",
         )
 
     tasks: list[asyncio.Task] = []
@@ -127,53 +134,22 @@ async def _run_tcp_load(
         delay = started + arrival.at - loop.time()
         if delay > 0:
             await asyncio.sleep(delay)
-        counters["arrivals"] += 1
-        slot = int(arrival.client[len(profile.namespace):])
-        seen[slot >> 3] |= 1 << (slot & 7)
+        tally.arrive(arrival)
         tasks.append(asyncio.create_task(run_op(arrival)))
     if tasks:
         await asyncio.gather(*tasks, return_exceptions=True)
+    await endpoint.close()
     for server in servers:
         await server.stop()
 
-    elapsed = loop.time() - started
-    arrivals = counters["arrivals"]
-    completed = counters["completed"]
-    completion = completed / arrivals if arrivals else 1.0
-    verdicts = judge_slos(
-        slos,
-        write_hist=write_hist,
-        read_hist=read_hist,
-        completion_fraction=completion,
-    )
-
-    def q(hist: LatencyHistogram, quantile: float) -> float:
-        return hist.quantile(quantile) if hist.count else 0.0
-
-    return LoadReport(
-        offered_rate=arrivals / profile.duration if profile.duration else 0.0,
-        duration=profile.duration,
-        arrivals=arrivals,
-        completed=completed,
-        failed=arrivals - completed,
-        distinct_identities=bin(int.from_bytes(bytes(seen), "big")).count("1"),
-        elapsed=elapsed,
-        achieved_throughput=completed / elapsed if elapsed > 0 else 0.0,
-        write_p50=q(write_hist, 0.50),
-        write_p95=q(write_hist, 0.95),
-        write_p99=q(write_hist, 0.99),
-        read_p50=q(read_hist, 0.50),
-        read_p95=q(read_hist, 0.95),
-        read_p99=q(read_hist, 0.99),
-        ops_digest=digest.hexdigest(),
-        predicted_capacity=float("inf"),
-        utilization=0.0,
+    return tally.report(
+        slos=slos,
+        elapsed=loop.time() - started,
         identity={
             "registry_resident": config.registry.resident_secrets,
             "registry_derivations": config.registry.stats.derivations,
             "registry_evictions": config.registry.stats.evictions,
         },
-        slos=verdicts,
     )
 
 

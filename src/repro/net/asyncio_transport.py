@@ -8,9 +8,10 @@ run here over real sockets:
   ``await write(value)`` / ``await read()``, driving the sans-I/O client
   with real timers for retransmission.
 
-Framing is the length-prefixed canonical codec; each frame carries an
-envelope ``{"src": <node-id>, "msg": <message wire dict>}``.  The transport
-tolerates connection loss: sends to broken connections are dropped and the
+The wire format is :mod:`repro.net.envelope`; the client side is one
+logical client on its own :class:`~repro.net.mux.MuxEndpoint`, driven by
+the shared :func:`~repro.net.mux.drive` loop.  The transport tolerates
+connection loss: sends to broken connections are dropped and the
 protocol's retransmission recovers, matching the §2 fair-loss model.
 """
 
@@ -23,53 +24,22 @@ from typing import Any, Callable, Optional, Union
 from repro.core.batching import expand_message
 from repro.core.client import BftBcClient
 from repro.core.config import SystemConfig
-from repro.core.messages import Message, message_from_wire, message_wire_bytes
+from repro.core.messages import Message
 from repro.core.operations import Send
 from repro.core.replica import BftBcReplica
-from repro.encoding import FrameDecoder, canonical_decode, canonical_encode, encode_frame
-from repro.errors import EncodingError, NetworkError, OperationFailedError, ProtocolError
+from repro.encoding import FrameDecoder
+from repro.errors import EncodingError, OperationFailedError, ProtocolError
+from repro.net.envelope import decode_envelope, encode_envelope
+from repro.net.mux import MuxEndpoint, PipelinedClient, drive
 from repro.obs.instrumentation import Instrumentation
 from repro.storage import FileLogStore
 
 __all__ = ["ReplicaServer", "AsyncClient"]
 
-
-def _encode_envelope(
-    src: str, message: Message, dst: Optional[str] = None
-) -> bytes:
-    # The canonical format is self-delimiting, so the envelope dict
-    # ``{"msg": ..., "src": ...}`` (keys in canonical sorted order) can be
-    # assembled around the message's cached bytes without re-encoding it.
-    # ``dst`` is the optional demultiplexing tag for shared connections
-    # (``repro.net.mux``): replica replies name the logical client they
-    # answer.  Key order stays canonical ("dst" < "msg" < "src"), and the
-    # dst-less envelope is byte-identical to the historical two-key form.
-    body = (
-        b"u3:msg"
-        + message_wire_bytes(message)
-        + b"u3:src"
-        + canonical_encode(src)
-        + b"e"
-    )
-    if dst is None:
-        return encode_frame(b"d" + body)
-    return encode_frame(b"du3:dst" + canonical_encode(dst) + body)
-
-
-def _decode_envelope(payload: bytes) -> tuple[str, Message]:
-    src, message, _ = _decode_envelope_dst(payload)
-    return src, message
-
-
-def _decode_envelope_dst(payload: bytes) -> tuple[str, Message, Optional[str]]:
-    """Decode an envelope keeping its demux tag (``None`` when untagged)."""
-    wire = canonical_decode(payload)
-    if not isinstance(wire, dict) or "src" not in wire or "msg" not in wire:
-        raise EncodingError(f"malformed envelope: {wire!r}")
-    dst = wire.get("dst")
-    if dst is not None and not isinstance(dst, str):
-        raise EncodingError(f"malformed envelope dst: {wire!r}")
-    return wire["src"], message_from_wire(wire["msg"]), dst
+#: Quiet interval and overall budget of one repair pull; the next audit
+#: tick starts another, so a loss here only costs latency.
+REPAIR_RETRANSMIT = 0.5
+REPAIR_TIMEOUT = 2.0
 
 
 class ReplicaServer:
@@ -139,43 +109,44 @@ class ReplicaServer:
         self.host, self.port = sockname[0], sockname[1]
         return self.host, self.port
 
-    async def repair_pull(
-        self, sends: list[Send], addrs: dict[str, tuple[str, int]]
-    ) -> None:
-        """Deliver repair pulls over real sockets and feed the replies back.
+    async def repair_pull(self, addrs: dict[str, tuple[str, int]]) -> None:
+        """Begin (or continue) the quarantined replica's repair over sockets.
 
-        One short-lived connection per peer: write the REPAIR-REQ envelope,
-        read until the REPAIR-REPLY lands or a timeout/connection error
-        ends the attempt — the next audit tick retransmits to unanswered
-        peers, so losses here only cost latency (fair-loss, like every
-        other message).
+        One short-lived endpoint registered under the replica's own id:
+        the peers' REPAIR-REPLY frames come back tagged for it and go
+        through ``replica.handle`` until the replica leaves quarantine or
+        the budget runs out — the next audit tick retransmits to
+        unanswered peers, so losses here only cost latency (fair-loss,
+        like every other message).
         """
         replica = self.replica
-        for send in sends:
-            addr = addrs.get(send.dest)
-            if addr is None:
-                continue
-            try:
-                reader, writer = await asyncio.open_connection(*addr)
-            except OSError:
-                continue
-            try:
-                writer.write(_encode_envelope(replica.node_id, send.message))
-                await writer.drain()
-                decoder = FrameDecoder()
-                answered = False
-                while not answered:
-                    chunk = await asyncio.wait_for(reader.read(65536), 2.0)
-                    if not chunk:
-                        break
-                    for payload in decoder.feed(chunk):
-                        src, message = _decode_envelope(payload)
-                        replica.handle(src, message)
-                        answered = True
-            except (OSError, asyncio.TimeoutError, EncodingError, ProtocolError):
-                pass
-            finally:
-                writer.close()
+        sends = (
+            replica.repair_retransmit()
+            if replica.repair.active
+            else replica.begin_repair()
+        )
+
+        def deliver(src: str, message: Message) -> list[Send]:
+            replica.handle(src, message)
+            return []
+
+        endpoint = MuxEndpoint(addrs)
+        try:
+            await drive(
+                endpoint,
+                replica.node_id,
+                endpoint.register(replica.node_id),
+                sends,
+                done=lambda: not replica.quarantined,
+                deliver=deliver,
+                retransmit=replica.repair_retransmit,
+                interval=REPAIR_RETRANSMIT,
+                timeout=REPAIR_TIMEOUT,
+            )
+        except OperationFailedError:
+            pass
+        finally:
+            await endpoint.close()
 
     async def stabilization_loop(
         self,
@@ -200,12 +171,7 @@ class ReplicaServer:
                 if not replica.quarantined:
                     replica.self_audit()
                 if replica.quarantined:
-                    sends = (
-                        replica.repair_retransmit()
-                        if replica.repair.active
-                        else replica.begin_repair()
-                    )
-                    await self.repair_pull(sends, peer_addrs())
+                    await self.repair_pull(peer_addrs())
             except asyncio.CancelledError:
                 raise
             except Exception:
@@ -258,25 +224,25 @@ class ReplicaServer:
         tagged ``dst=<request src>`` so a multiplexer on the far end can
         route it to the right logical client; plain clients ignore the tag.
         """
-        frames: list[tuple[str, Message]] = []
+        frames: list[tuple[str, Message, Optional[str]]] = []
         for payload in payloads:
             try:
-                frames.append(_decode_envelope(payload))
+                frames.append(decode_envelope(payload))
             except (EncodingError, ProtocolError):
                 continue  # corrupted or malformed input is silently discarded
         if self.batch_verify and len(frames) > 1:
             prevalidate = getattr(self.replica, "prevalidate", None)
             if prevalidate is not None:
                 inners: list[Message] = []
-                for _, message in frames:
+                for _, message, _ in frames:
                     inners.extend(expand_message(message))
                 prevalidate(inners)
         wrote = False
-        for src, message in frames:
+        for src, message, _ in frames:
             reply = self.replica.handle(src, message)
             if reply is not None:
                 writer.write(
-                    _encode_envelope(self.replica.node_id, reply, dst=src)
+                    encode_envelope(self.replica.node_id, reply, dst=src)
                 )
                 wrote = True
         if wrote:
@@ -286,10 +252,8 @@ class ReplicaServer:
 class AsyncClient:
     """Async facade over a sans-I/O client, for real-network deployments.
 
-    Kept as the thin low-level wiring; new code should prefer
-    ``repro.cluster.deploy(DeploymentSpec(transport="tcp"))``, which adds
-    connection multiplexing, pipelining, and reply-burst batch
-    verification on top of the same machinery.
+    One logical client on its own endpoint: a :class:`PipelinedClient` of
+    window one.  ``repro.cluster.deploy`` runs wider windows.
     """
 
     def __init__(
@@ -301,139 +265,29 @@ class AsyncClient:
         op_timeout: float = 30.0,
     ) -> None:
         self.client = client
-        self.replica_addrs = dict(replica_addrs)
-        self.retransmit_interval = retransmit_interval
-        self.op_timeout = op_timeout
-        self._writers: dict[str, asyncio.StreamWriter] = {}
-        self._reader_tasks: list[asyncio.Task] = []
-        self._inbox: asyncio.Queue[tuple[str, Message]] = asyncio.Queue()
-        #: Successful re-dials of previously broken replica connections
-        #: (via either the retransmission timer or the lazy send path).
-        self.reconnects = 0
-        self._ever_connected: set[str] = set()
+        self._pipe = PipelinedClient(
+            [client],
+            replica_addrs,
+            retransmit_interval=retransmit_interval,
+            op_timeout=op_timeout,
+        )
+
+    @property
+    def reconnects(self) -> int:
+        """Successful re-dials of previously broken replica connections."""
+        return self._pipe.endpoint.reconnects
 
     async def connect(self) -> None:
         """Open a connection to every reachable replica."""
-        for node_id, (host, port) in self.replica_addrs.items():
-            await self._try_connect(node_id, host, port)
-        if not self._writers:
-            raise NetworkError("could not connect to any replica")
-
-    async def _try_connect(self, node_id: str, host: str, port: int) -> bool:
-        try:
-            reader, writer = await asyncio.open_connection(host, port)
-        except OSError:
-            return False
-        self._writers[node_id] = writer
-        if node_id in self._ever_connected:
-            self.reconnects += 1
-        self._ever_connected.add(node_id)
-        task = asyncio.create_task(self._read_loop(node_id, reader, writer))
-        self._reader_tasks.append(task)
-        return True
-
-    async def _read_loop(
-        self,
-        node_id: str,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-    ) -> None:
-        decoder = FrameDecoder()
-        try:
-            while True:
-                chunk = await reader.read(65536)
-                if not chunk:
-                    break
-                for payload in decoder.feed(chunk):
-                    try:
-                        src, message = _decode_envelope(payload)
-                    except (EncodingError, ProtocolError):
-                        continue
-                    await self._inbox.put((src, message))
-        except (ConnectionError, EncodingError):
-            pass
-        finally:
-            # Only clear the slot if a re-dial hasn't already replaced it.
-            if self._writers.get(node_id) is writer:
-                self._writers.pop(node_id, None)
+        await self._pipe.connect()
 
     async def close(self) -> None:
-        for task in self._reader_tasks:
-            task.cancel()
-        for writer in list(self._writers.values()):
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, asyncio.CancelledError):
-                pass
-        self._writers.clear()
-        self._reader_tasks.clear()
-
-    # -- operations ----------------------------------------------------------
+        await self._pipe.close()
 
     async def write(self, value: Any) -> Any:
         """Perform one write; returns the committed timestamp."""
-        return await self._run_op(self.client.begin_write(value))
+        return await self._pipe.write(value)
 
     async def read(self) -> Any:
         """Perform one read; returns the value."""
-        return await self._run_op(self.client.begin_read())
-
-    async def _run_op(self, initial_sends: list[Send]) -> Any:
-        await self._send_all(initial_sends)
-        deadline = asyncio.get_running_loop().time() + self.op_timeout
-        while self.client.busy:
-            remaining = deadline - asyncio.get_running_loop().time()
-            if remaining <= 0:
-                raise OperationFailedError(
-                    f"operation timed out after {self.op_timeout}s"
-                )
-            timeout = min(self.retransmit_interval, remaining)
-            try:
-                src, message = await asyncio.wait_for(
-                    self._inbox.get(), timeout=timeout
-                )
-            except asyncio.TimeoutError:
-                # A quiet interval is when broken connections matter: without
-                # a live socket the retransmission below would be a no-op
-                # against a restarted replica, so re-dial first.
-                await self._reconnect_broken()
-                await self._send_all(self.client.retransmit())
-                continue
-            await self._send_all(self.client.deliver(src, message))
-        assert self.client.op is not None
-        return self.client.op.result
-
-    async def _reconnect_broken(self) -> None:
-        """Re-dial every replica whose connection is missing or half-dead.
-
-        Runs on the retransmission timer: a replica that crashed and came
-        back (e.g. a durable server restarted on its data directory) left a
-        closed or closing writer behind, and only a fresh connection lets
-        the retransmitted round reach it.
-        """
-        for node_id, (host, port) in self.replica_addrs.items():
-            writer = self._writers.get(node_id)
-            if writer is not None and not writer.is_closing():
-                continue
-            if writer is not None:
-                self._writers.pop(node_id, None)
-                writer.close()
-            await self._try_connect(node_id, host, port)
-
-    async def _send_all(self, sends: list[Send]) -> None:
-        for send in sends:
-            writer = self._writers.get(send.dest)
-            if writer is None or writer.is_closing():
-                # Lazily reconnect; a failure is just message loss.
-                addr = self.replica_addrs.get(send.dest)
-                if addr is None or not await self._try_connect(send.dest, *addr):
-                    continue
-                writer = self._writers[send.dest]
-            try:
-                writer.write(
-                    _encode_envelope(self.client.node_id, send.message)
-                )
-                await writer.drain()
-            except (OSError, RuntimeError):
-                self._writers.pop(send.dest, None)
+        return await self._pipe.read()

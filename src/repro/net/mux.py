@@ -24,16 +24,16 @@ from __future__ import annotations
 
 import asyncio
 from dataclasses import dataclass
-from typing import Any, Iterable, Optional, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from repro.core.batching import prevalidate_batch
 from repro.core.client import BftBcClient
 from repro.core.operations import Send
 from repro.encoding import FrameDecoder
 from repro.errors import EncodingError, NetworkError, OperationFailedError, ProtocolError
-from repro.net.asyncio_transport import _decode_envelope_dst, _encode_envelope
+from repro.net.envelope import decode_envelope, encode_envelope
 
-__all__ = ["MuxEndpoint", "PipelinedClient", "OpRecord"]
+__all__ = ["MuxEndpoint", "drive", "PipelinedClient", "OpRecord"]
 
 
 class MuxEndpoint:
@@ -43,7 +43,9 @@ class MuxEndpoint:
         self.replica_addrs = dict(replica_addrs)
         self._writers: dict[str, asyncio.StreamWriter] = {}
         self._locks: dict[str, asyncio.Lock] = {}
-        self._reader_tasks: list[asyncio.Task] = []
+        #: Live read loops only: a finished task drops itself, so an
+        #: endpoint behind a flapping link does not grow per re-dial.
+        self._reader_tasks: set[asyncio.Task] = set()
         self._inboxes: dict[str, asyncio.Queue] = {}
         #: Successful re-dials of previously broken replica connections.
         self.reconnects = 0
@@ -59,10 +61,13 @@ class MuxEndpoint:
         self._inboxes[client_id] = queue
         return queue
 
+    def unregister(self, client_id: str) -> None:
+        """Release a logical client id; later replies to it are unroutable."""
+        self._inboxes.pop(client_id, None)
+
     async def connect(self) -> None:
         """Open the shared connection to every reachable replica."""
-        for node_id, (host, port) in self.replica_addrs.items():
-            await self._try_connect(node_id, host, port)
+        await self.reconnect_broken()
         if not self._writers:
             raise NetworkError("could not connect to any replica")
 
@@ -72,12 +77,12 @@ class MuxEndpoint:
         except OSError:
             return False
         self._writers[node_id] = writer
-        self._locks.setdefault(node_id, asyncio.Lock())
         if node_id in self._ever_connected:
             self.reconnects += 1
         self._ever_connected.add(node_id)
         task = asyncio.create_task(self._read_loop(node_id, reader, writer))
-        self._reader_tasks.append(task)
+        self._reader_tasks.add(task)
+        task.add_done_callback(self._reader_tasks.discard)
         return True
 
     async def _read_loop(
@@ -94,10 +99,10 @@ class MuxEndpoint:
                     break
                 for payload in decoder.feed(chunk):
                     try:
-                        src, message, dst = _decode_envelope_dst(payload)
+                        src, message, dst = decode_envelope(payload)
                     except (EncodingError, ProtocolError):
                         continue
-                    queue = self._route(dst)
+                    queue = self._inboxes.get(dst)
                     if queue is None:
                         self.unroutable += 1
                         continue
@@ -107,21 +112,6 @@ class MuxEndpoint:
         finally:
             if self._writers.get(node_id) is writer:
                 self._writers.pop(node_id, None)
-
-    def _route(self, dst: Optional[str]) -> Optional[asyncio.Queue]:
-        """The inbox a reply belongs to.
-
-        An untagged reply (a pre-demux server) is only routable when a
-        single logical client is registered — with several, delivering it
-        to all of them would hand k-1 clients a frame they must discard on
-        signature/nonce grounds, so it is dropped and retransmission
-        recovers against an upgraded server.
-        """
-        if dst is not None:
-            return self._inboxes.get(dst)
-        if len(self._inboxes) == 1:
-            return next(iter(self._inboxes.values()))
-        return None
 
     async def reconnect_broken(self) -> None:
         """Re-dial every replica whose shared connection is missing or dead."""
@@ -154,13 +144,13 @@ class MuxEndpoint:
                         continue
                     writer = self._writers[send.dest]
                 try:
-                    writer.write(_encode_envelope(client_id, send.message))
+                    writer.write(encode_envelope(client_id, send.message))
                     await writer.drain()
                 except (OSError, RuntimeError):
                     self._writers.pop(send.dest, None)
 
     async def close(self) -> None:
-        for task in self._reader_tasks:
+        for task in list(self._reader_tasks):
             task.cancel()
         for writer in list(self._writers.values()):
             writer.close()
@@ -169,7 +159,64 @@ class MuxEndpoint:
             except (ConnectionError, asyncio.CancelledError):
                 pass
         self._writers.clear()
-        self._reader_tasks.clear()
+
+
+async def drive(
+    endpoint: MuxEndpoint,
+    node_id: str,
+    inbox: "asyncio.Queue[tuple[str, Any]]",
+    initial_sends: Iterable[Send],
+    *,
+    done: Callable[[], bool],
+    deliver: Callable[[str, Any], Iterable[Send]],
+    retransmit: Callable[[], Iterable[Send]],
+    interval: float,
+    timeout: float,
+    verifier: Any = None,
+) -> None:
+    """Run one sans-I/O round trip over sockets: the paper's §3 pattern.
+
+    Send ``initial_sends``, feed every reply routed to ``inbox`` through
+    ``deliver`` (sending whatever it returns) until ``done()``.  A quiet
+    ``interval`` is when broken connections matter — without a live socket
+    the retransmission would be a no-op against a restarted replica — so
+    the endpoint re-dials first and then ``retransmit()`` goes out.  Raises
+    :class:`~repro.errors.OperationFailedError` after ``timeout`` seconds.
+
+    Every client-side role (core clients, the shard router, the
+    reconfigurator, a joining replica's state transfer, quarantine repair)
+    is driven by this one loop.  When ``verifier`` is set, each drained
+    burst of replies is prevalidated as one amortized ``verify_batch``
+    pass; the per-reply checks inside ``deliver`` then hit the
+    verification memo for free.
+    """
+    await endpoint.send(node_id, initial_sends)
+    loop = asyncio.get_running_loop()
+    deadline = loop.time() + timeout
+    while not done():
+        remaining = deadline - loop.time()
+        if remaining <= 0:
+            raise OperationFailedError(f"operation timed out after {timeout}s")
+        try:
+            src, message = await asyncio.wait_for(
+                inbox.get(), timeout=min(interval, remaining)
+            )
+        except asyncio.TimeoutError:
+            await endpoint.reconnect_broken()
+            await endpoint.send(node_id, retransmit())
+            continue
+        # A quorum's replies land nearly simultaneously; drain whatever
+        # else has already arrived and verify the burst in one pass.
+        batch = [(src, message)]
+        while True:
+            try:
+                batch.append(inbox.get_nowait())
+            except asyncio.QueueEmpty:
+                break
+        if verifier is not None and len(batch) > 1:
+            prevalidate_batch(verifier, [reply for _, reply in batch])
+        for src, message in batch:
+            await endpoint.send(node_id, deliver(src, message))
 
 
 @dataclass
@@ -213,9 +260,7 @@ class PipelinedClient:
         self.clients = list(clients)
         self.retransmit_interval = retransmit_interval
         self.op_timeout = op_timeout
-        #: When set, each drained burst of replies is prevalidated as one
-        #: amortized ``verify_batch`` pass; the per-reply checks inside
-        #: ``client.deliver`` then hit the verification memo for free.
+        #: Reply-burst prevalidation, see :func:`drive`.
         self.verifier = verifier
         self.endpoint = MuxEndpoint(replica_addrs)
         self._inboxes = {
@@ -276,40 +321,17 @@ class PipelinedClient:
             sends = client.begin_read()
         else:
             raise ValueError(f"unknown op kind {kind!r}")
-        await self.endpoint.send(client.node_id, sends)
-        inbox = self._inboxes[client.node_id]
-        loop = asyncio.get_running_loop()
-        deadline = loop.time() + self.op_timeout
-        while client.busy:
-            remaining = deadline - loop.time()
-            if remaining <= 0:
-                raise OperationFailedError(
-                    f"operation timed out after {self.op_timeout}s"
-                )
-            timeout = min(self.retransmit_interval, remaining)
-            try:
-                src, message = await asyncio.wait_for(
-                    inbox.get(), timeout=timeout
-                )
-            except asyncio.TimeoutError:
-                await self.endpoint.reconnect_broken()
-                await self.endpoint.send(client.node_id, client.retransmit())
-                continue
-            # A quorum's replies land nearly simultaneously; drain whatever
-            # else has already arrived and verify the burst in one pass.
-            batch = [(src, message)]
-            while True:
-                try:
-                    batch.append(inbox.get_nowait())
-                except asyncio.QueueEmpty:
-                    break
-            if self.verifier is not None and len(batch) > 1:
-                prevalidate_batch(
-                    self.verifier, [reply for _, reply in batch]
-                )
-            for src, message in batch:
-                await self.endpoint.send(
-                    client.node_id, client.deliver(src, message)
-                )
+        await drive(
+            self.endpoint,
+            client.node_id,
+            self._inboxes[client.node_id],
+            sends,
+            done=lambda: not client.busy,
+            deliver=client.deliver,
+            retransmit=client.retransmit,
+            interval=self.retransmit_interval,
+            timeout=self.op_timeout,
+            verifier=self.verifier,
+        )
         assert client.op is not None
         return client.op.result

@@ -16,24 +16,21 @@ three additions:
   operational flows — a joining replica's state transfer from 2f+1 old
   members, and the sign/install epoch change — against live servers.
 
-Connection handling is inherited wholesale: frames to broken connections
+Connection handling is inherited wholesale: each role registers under its
+own node id on a :class:`~repro.net.mux.MuxEndpoint` and is driven by the
+shared :func:`~repro.net.mux.drive` loop, so frames to broken connections
 are dropped and retransmission recovers, per the §2 fair-loss model.
 """
 
 from __future__ import annotations
 
-import asyncio
-from typing import Any, Optional
+from typing import Any
 
 from repro.core.messages import Message
 from repro.core.operations import Send
-from repro.encoding import FrameDecoder
-from repro.errors import EncodingError, NetworkError, OperationFailedError, ProtocolError
-from repro.net.asyncio_transport import (
-    ReplicaServer,
-    _decode_envelope,
-    _encode_envelope,
-)
+from repro.errors import NetworkError, OperationFailedError
+from repro.net.asyncio_transport import ReplicaServer
+from repro.net.mux import MuxEndpoint, drive
 from repro.shard.reconfig import Reconfigurator
 from repro.shard.replica import ShardReplica
 from repro.shard.router import ShardRouter
@@ -71,80 +68,6 @@ class ShardReplicaServer(ReplicaServer):
         return self.replica.epoch  # type: ignore[attr-defined]
 
 
-class _SocketPool:
-    """Dial-on-demand connections with a shared inbox, used by every
-    client-side shard role (router, reconfigurator, bootstrap driver)."""
-
-    def __init__(self, node_id: str, addrs: dict[str, tuple[str, int]]) -> None:
-        self.node_id = node_id
-        self.addrs = dict(addrs)
-        self._writers: dict[str, asyncio.StreamWriter] = {}
-        self._reader_tasks: list[asyncio.Task] = []
-        self.inbox: asyncio.Queue[tuple[str, Message]] = asyncio.Queue()
-
-    async def _try_connect(self, node_id: str) -> bool:
-        addr = self.addrs.get(node_id)
-        if addr is None:
-            return False
-        try:
-            reader, writer = await asyncio.open_connection(*addr)
-        except OSError:
-            return False
-        self._writers[node_id] = writer
-        task = asyncio.create_task(self._read_loop(node_id, reader, writer))
-        self._reader_tasks.append(task)
-        return True
-
-    async def _read_loop(
-        self,
-        node_id: str,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-    ) -> None:
-        decoder = FrameDecoder()
-        try:
-            while True:
-                chunk = await reader.read(65536)
-                if not chunk:
-                    break
-                for payload in decoder.feed(chunk):
-                    try:
-                        src, message = _decode_envelope(payload)
-                    except (EncodingError, ProtocolError):
-                        continue
-                    await self.inbox.put((src, message))
-        except (ConnectionError, EncodingError):
-            pass
-        finally:
-            if self._writers.get(node_id) is writer:
-                self._writers.pop(node_id, None)
-
-    async def send_all(self, sends: list[Send]) -> None:
-        for send in sends:
-            writer = self._writers.get(send.dest)
-            if writer is None or writer.is_closing():
-                if not await self._try_connect(send.dest):
-                    continue  # unreachable peer: message loss, not an error
-                writer = self._writers[send.dest]
-            try:
-                writer.write(_encode_envelope(self.node_id, send.message))
-                await writer.drain()
-            except (OSError, RuntimeError):
-                self._writers.pop(send.dest, None)
-
-    async def close(self) -> None:
-        for task in self._reader_tasks:
-            task.cancel()
-        for writer in list(self._writers.values()):
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, asyncio.CancelledError):
-                pass
-        self._writers.clear()
-        self._reader_tasks.clear()
-
-
 class AsyncShardRouter:
     """Async facade over a :class:`~repro.shard.router.ShardRouter`.
 
@@ -165,7 +88,8 @@ class AsyncShardRouter:
         self.router = router
         self.retransmit_interval = retransmit_interval
         self.op_timeout = op_timeout
-        self._pool = _SocketPool(router.node_id, addrs)
+        self._endpoint = MuxEndpoint(addrs)
+        self._inbox = self._endpoint.register(router.node_id)
 
     async def write(self, obj: str, value: Any) -> Any:
         """Perform one write on ``obj``; returns the committed timestamp."""
@@ -176,29 +100,22 @@ class AsyncShardRouter:
         return await self._run_op(obj, self.router.begin_read(obj))
 
     async def close(self) -> None:
-        await self._pool.close()
+        await self._endpoint.close()
 
     async def _run_op(self, obj: str, initial_sends: list[Send]) -> Any:
-        await self._pool.send_all(initial_sends)
-        loop = asyncio.get_running_loop()
-        deadline = loop.time() + self.op_timeout
-        while self.router.busy(obj):
-            remaining = deadline - loop.time()
-            if remaining <= 0:
-                raise OperationFailedError(
-                    f"operation on {obj!r} timed out after {self.op_timeout}s"
-                )
-            timeout = min(self.retransmit_interval, remaining)
-            try:
-                src, message = await asyncio.wait_for(
-                    self._pool.inbox.get(), timeout=timeout
-                )
-            except asyncio.TimeoutError:
-                # Covers lost frames AND stalled refreshes: retransmit()
-                # re-issues both protocol phases and directory fetches.
-                await self._pool.send_all(self.router.retransmit())
-                continue
-            await self._pool.send_all(self.router.deliver(src, message))
+        # ``retransmit`` covers lost frames AND stalled refreshes: it
+        # re-issues both protocol phases and directory fetches.
+        await drive(
+            self._endpoint,
+            self.router.node_id,
+            self._inbox,
+            initial_sends,
+            done=lambda: not self.router.busy(obj),
+            deliver=self.router.deliver,
+            retransmit=self.router.retransmit,
+            interval=self.retransmit_interval,
+            timeout=self.op_timeout,
+        )
         return self.router.result(obj)
 
 
@@ -214,38 +131,33 @@ class AsyncReconfigurator:
     ) -> None:
         self.reconfigurator = reconfigurator
         self.retransmit_interval = retransmit_interval
-        self._pool = _SocketPool(reconfigurator.node_id, addrs)
+        self._endpoint = MuxEndpoint(addrs)
+        self._inbox = self._endpoint.register(reconfigurator.node_id)
 
     async def replace(
         self, remove: str, add: str, *, timeout: float = 30.0
     ) -> None:
         """Drive the sign + install phases to completion (or time out)."""
-        await self._pool.send_all(
-            self.reconfigurator.begin_replace(remove, add)
-        )
-        loop = asyncio.get_running_loop()
-        deadline = loop.time() + timeout
+        reconfigurator = self.reconfigurator
         try:
-            while not self.reconfigurator.done:
-                remaining = deadline - loop.time()
-                if remaining <= 0:
-                    raise OperationFailedError(
-                        f"reconfiguration stuck in phase "
-                        f"{self.reconfigurator.phase!r} after {timeout}s"
-                    )
-                try:
-                    src, message = await asyncio.wait_for(
-                        self._pool.inbox.get(),
-                        timeout=min(self.retransmit_interval, remaining),
-                    )
-                except asyncio.TimeoutError:
-                    await self._pool.send_all(self.reconfigurator.retransmit())
-                    continue
-                await self._pool.send_all(
-                    self.reconfigurator.deliver(src, message)
-                )
+            await drive(
+                self._endpoint,
+                reconfigurator.node_id,
+                self._inbox,
+                reconfigurator.begin_replace(remove, add),
+                done=lambda: reconfigurator.done,
+                deliver=reconfigurator.deliver,
+                retransmit=reconfigurator.retransmit,
+                interval=self.retransmit_interval,
+                timeout=timeout,
+            )
+        except OperationFailedError:
+            raise OperationFailedError(
+                f"reconfiguration stuck in phase "
+                f"{reconfigurator.phase!r} after {timeout}s"
+            ) from None
         finally:
-            await self._pool.close()
+            await self._endpoint.close()
 
 
 async def bootstrap_over_tcp(
@@ -264,28 +176,28 @@ async def bootstrap_over_tcp(
     """
     if replica.ready:
         return
-    pool = _SocketPool(replica.node_id, addrs)
+
+    def deliver(src: str, message: Message) -> list[Send]:
+        reply = replica.handle(src, message)
+        return [] if reply is None else [Send(dest=src, message=reply)]
+
+    endpoint = MuxEndpoint(addrs)
     try:
-        await pool.send_all(replica.begin_bootstrap())
-        loop = asyncio.get_running_loop()
-        deadline = loop.time() + timeout
-        while not replica.ready:
-            remaining = deadline - loop.time()
-            if remaining <= 0:
-                raise NetworkError(
-                    f"state transfer for {replica.node_id!r} incomplete "
-                    f"after {timeout}s"
-                )
-            try:
-                src, message = await asyncio.wait_for(
-                    pool.inbox.get(),
-                    timeout=min(retransmit_interval, remaining),
-                )
-            except asyncio.TimeoutError:
-                await pool.send_all(replica.bootstrap_retransmit())
-                continue
-            reply = replica.handle(src, message)
-            if reply is not None:
-                await pool.send_all([Send(dest=src, message=reply)])
+        await drive(
+            endpoint,
+            replica.node_id,
+            endpoint.register(replica.node_id),
+            replica.begin_bootstrap(),
+            done=lambda: replica.ready,
+            deliver=deliver,
+            retransmit=replica.bootstrap_retransmit,
+            interval=retransmit_interval,
+            timeout=timeout,
+        )
+    except OperationFailedError:
+        raise NetworkError(
+            f"state transfer for {replica.node_id!r} incomplete "
+            f"after {timeout}s"
+        ) from None
     finally:
-        await pool.close()
+        await endpoint.close()

@@ -10,7 +10,6 @@ wire fast path's encode-cache and batching counters (E15).
 from __future__ import annotations
 
 import math
-import warnings
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from typing import Optional
@@ -71,11 +70,9 @@ def _percentile(ordered: list[float], q: float) -> float:
 class MetricsCollector:
     """Accumulates operation samples for one simulation run.
 
-    Stats sources (verification, wire cache, batching, storage) live on the
-    collector's :class:`~repro.obs.Instrumentation` handle; the old
-    ``attach_*`` methods survive as deprecated shims that delegate there —
-    and, unlike the historical behaviour, a second attach now raises instead
-    of silently discarding the first source's counters.
+    Stats sources (verification, wire cache, batching, storage) are
+    attached through, and read back from, the collector's
+    :class:`~repro.obs.Instrumentation` handle.
     """
 
     samples: list[OperationSample] = field(default_factory=list)
@@ -107,35 +104,6 @@ class MetricsCollector:
 
     def record(self, sample: OperationSample) -> None:
         self.samples.append(sample)
-
-    def _deprecated_attach(self, name: str) -> None:
-        warnings.warn(
-            f"MetricsCollector.attach_{name} is deprecated; attach sources "
-            f"through the Instrumentation handle instead "
-            f"(metrics.instrumentation.attach_{name})",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-
-    def attach_verification(self, stats: VerificationStats) -> None:
-        """Deprecated shim; raises on double attach (see class docstring)."""
-        self._deprecated_attach("verification")
-        self.instrumentation.attach_verification(stats)
-
-    def attach_wire_cache(self, stats: WireCacheStats) -> None:
-        """Deprecated shim; raises on double attach (see class docstring)."""
-        self._deprecated_attach("wire_cache")
-        self.instrumentation.attach_wire_cache(stats)
-
-    def attach_batching(self, stats: BatchStats) -> None:
-        """Deprecated shim; raises on double attach (see class docstring)."""
-        self._deprecated_attach("batching")
-        self.instrumentation.attach_batching(stats)
-
-    def attach_storage(self, stats_by_replica: dict[str, StorageStats]) -> None:
-        """Deprecated shim; raises on per-replica double attach."""
-        self._deprecated_attach("storage")
-        self.instrumentation.attach_storage(stats_by_replica)
 
     def verification_hit_rate(self) -> float:
         """Signature-memo hit rate of the attached verifier (0 when absent)."""

@@ -17,7 +17,7 @@ from repro.core.batching import (
     expand_message,
     prevalidate_batch,
 )
-from repro.core.client import BftBcClient, OptimizedBftBcClient
+from repro.core.client import BftBcClient
 from repro.core.messages import Message, message_wire_bytes
 from repro.core.operations import Send
 from repro.core.replica import BftBcReplica
@@ -362,9 +362,7 @@ class ClientNode:
             value = op.result if op.op_name == "read" else None
             self.recorder.record_response(self.node_id, value)
         if self.metrics is not None:
-            fast = isinstance(self.client, OptimizedBftBcClient) and getattr(
-                op, "fast_path", False
-            )
+            fast = getattr(op, "fast_path", False)
             self.metrics.record(
                 OperationSample(
                     client=self.node_id,

@@ -13,17 +13,10 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 from repro.core.batching import BatchCoalescer, BatchStats
-from repro.core.client import (
-    BftBcClient,
-    FastBftBcClient,
-    OptimizedBftBcClient,
-    StrongBftBcClient,
-)
 from repro.core.config import SystemConfig, Variant, make_system
 from repro.core.persistence import ClientStateBudget
 from repro.core.messages import wire_cache_stats
-from repro.core.fast_replica import FastBftBcReplica
-from repro.core.replica import BftBcReplica, OptimizedBftBcReplica
+from repro.core.replica import BftBcReplica
 from repro.net.simnet import LinkProfile, SimNetwork
 from repro.obs.instrumentation import Instrumentation
 from repro.sim.faults import FaultSchedule
@@ -112,7 +105,7 @@ class Cluster:
             options.f,
             scheme=options.scheme,
             seed=b"cluster-seed-%d" % options.seed,
-            strong=(options.variant == "strong"),
+            strong=options.variant.strong,
             background_signing=options.background_signing,
             gc_plist=options.gc_plist,
             strict_stop=options.strict_stop,
@@ -159,24 +152,8 @@ class Cluster:
 
     # -- construction ------------------------------------------------------------
 
-    def _replica_class(self) -> type[BftBcReplica]:
-        if self.options.variant == "optimized":
-            return OptimizedBftBcReplica
-        if self.options.variant == "fastpath":
-            return FastBftBcReplica
-        return BftBcReplica
-
-    def _client_class(self) -> type[BftBcClient]:
-        if self.options.variant == "optimized":
-            return OptimizedBftBcClient
-        if self.options.variant == "fastpath":
-            return FastBftBcClient
-        if self.options.variant == "strong":
-            return StrongBftBcClient
-        return BftBcClient
-
     def _build_replicas(self) -> None:
-        replica_cls = self._replica_class()
+        replica_cls = self.options.variant.replica_cls
         storage_stats = {}
         client_state_stats = {}
         stabilization_stats = {}
@@ -214,7 +191,7 @@ class Cluster:
 
     def add_client(self, name: str) -> ClientNode:
         """Create a correct client of the cluster's variant."""
-        client = self._client_class()(
+        client = self.options.variant.client_cls(
             f"client:{name}", self.config, instrumentation=self.instrumentation
         )
         node = ClientNode(

@@ -25,10 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Sequence
 
-from repro.core.client import BftBcClient, OptimizedBftBcClient
 from repro.core.config import SystemConfig, Variant, make_system
 from repro.core.messages import Message
-from repro.core.replica import BftBcReplica, OptimizedBftBcReplica
 from repro.errors import OperationFailedError, SimulationError
 from repro.net.simnet import LinkProfile, SimNetwork
 from repro.shard.directory import ShardConfig, ShardDirectory
@@ -52,6 +50,12 @@ __all__ = [
 ]
 
 RETRANSMIT_INTERVAL = 0.05
+
+#: The variants a shard group hosts.  The shard template is not built
+#: ``strong``, and a joining replica's state transfer validates candidates
+#: with the shared scheme only, which refuses ``fastpath``'s
+#: non-transferable proof certificates — so both are refused up front.
+SHARD_VARIANTS = (Variant.BASE, Variant.OPTIMIZED)
 
 
 @dataclass
@@ -80,6 +84,11 @@ class ShardClusterOptions:
             self.variant = Variant.coerce(self.variant)
         except Exception:
             raise SimulationError(f"unknown variant {self.variant!r}") from None
+        if self.variant not in SHARD_VARIANTS:
+            raise SimulationError(
+                f"variant {self.variant.value!r} is not hosted by the shard "
+                f"layer; expected one of {tuple(v.value for v in SHARD_VARIANTS)}"
+            )
         if self.shards < 1:
             raise SimulationError(f"need at least one shard, got {self.shards}")
 
@@ -393,16 +402,6 @@ class ShardCluster:
 
     # -- construction ------------------------------------------------------
 
-    def _replica_class(self) -> type[BftBcReplica]:
-        if self.options.variant == "optimized":
-            return OptimizedBftBcReplica
-        return BftBcReplica
-
-    def _client_class(self) -> type[BftBcClient]:
-        if self.options.variant == "optimized":
-            return OptimizedBftBcClient
-        return BftBcClient
-
     def _fresh_directory(self) -> ShardDirectory:
         """A fresh verified directory caught up to the installed chain."""
         directory = ShardDirectory(self.genesis, self.template.scheme)
@@ -426,7 +425,7 @@ class ShardCluster:
             shard,
             self._fresh_directory(),
             self.template,
-            replica_cls=self._replica_class(),
+            replica_cls=self.options.variant.replica_cls,
             store_factory=store_factory,
             clock=lambda: self.scheduler.now,
             handoff=self.options.handoff,
@@ -455,7 +454,7 @@ class ShardCluster:
             self.ring,
             self._fresh_directory(),
             self.template,
-            client_cls=self._client_class(),
+            client_cls=self.options.variant.client_cls,
         )
         node = ShardRouterNode(
             router,

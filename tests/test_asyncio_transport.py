@@ -159,7 +159,7 @@ class TestTcpRobustness:
 class TestEnvelopeSplice:
     """The framing layer splices cached message bytes into its envelope.
 
-    ``_encode_envelope`` builds ``{"msg": <message>, "src": <src>}`` by byte
+    ``encode_envelope`` builds ``{"msg": <message>, "src": <src>}`` by byte
     concatenation (the canonical encoding is self-delimiting and dict keys
     sort "msg" < "src"), reusing the message's encode-once bytes.  It must
     be indistinguishable from encoding the whole envelope from scratch.
@@ -168,10 +168,10 @@ class TestEnvelopeSplice:
     def test_splice_equals_fresh_full_encode(self):
         from repro.core.messages import ReadTsRequest, message_to_wire
         from repro.encoding import canonical_decode, canonical_encode
-        from repro.net.asyncio_transport import _encode_envelope
+        from repro.net.envelope import encode_envelope
 
         message = ReadTsRequest(nonce=b"splice-test")
-        spliced = _encode_envelope("client:a", message)
+        spliced = encode_envelope("client:a", message)
         fresh = canonical_encode(
             {"msg": message_to_wire(message), "src": "client:a"}
         )

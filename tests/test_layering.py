@@ -22,6 +22,41 @@ def test_layering_clean():
     assert check_layering.find_violations() == []
 
 
+def test_no_duplicate_dial_sites_or_variant_dispatch():
+    assert check_layering.find_duplication() == []
+
+
+def test_checker_flags_a_second_dial_site_and_a_variant_dispatch(tmp_path):
+    """The two duplication rules: only ``net.mux`` dials, and only
+    ``core``/``byzantine``/the facade name the concrete variant classes —
+    anywhere else may subclass them but not pick between them."""
+    (tmp_path / "repro" / "net").mkdir(parents=True)
+    (tmp_path / "repro" / "load").mkdir()
+    (tmp_path / "repro" / "core").mkdir()
+    (tmp_path / "repro" / "net" / "mux.py").write_text(
+        "import asyncio\nasync def dial():\n    await asyncio.open_connection()\n"
+    )
+    (tmp_path / "repro" / "net" / "pool.py").write_text(
+        "import asyncio\nasync def dial():\n    await asyncio.open_connection()\n"
+    )
+    (tmp_path / "repro" / "core" / "config.py").write_text(
+        "from repro.core.client import FastBftBcClient\nTABLE = [FastBftBcClient]\n"
+    )
+    (tmp_path / "repro" / "load" / "ok.py").write_text(
+        "from repro.core.client import OptimizedBftBcClient\n"
+        "class Mine(OptimizedBftBcClient):\n    pass\n"
+    )
+    (tmp_path / "repro" / "load" / "bad.py").write_text(
+        "from repro.core import client\n"
+        "CLS = {'strong': client.StrongBftBcClient}\n"
+    )
+    found = check_layering.find_duplication(tmp_path)
+    assert [(module, line) for module, line, _ in found] == [
+        ("repro.load.bad", 2),
+        ("repro.net.pool", 3),
+    ]
+
+
 def test_checker_cli_passes():
     result = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "check_layering.py")],

@@ -8,8 +8,8 @@ Covers the redesigned single-entry instrumentation API:
 * latency histogram algebra — merge/percentile properties (hypothesis);
 * exporters — JSON-lines spans and Prometheus-style text;
 * the null fast path — disabled instrumentation allocates nothing;
-* the legacy ``MetricsCollector.attach_*`` shims — deprecation plus the
-  double-attach regression (previously a silent overwrite).
+* the ``Instrumentation.attach_*`` double-attach guard (previously a
+  silent overwrite).
 """
 
 from __future__ import annotations
@@ -276,42 +276,46 @@ class TestNullFastPath:
         assert NULL_SPAN.closed
 
 
-class TestLegacyAttachShims:
-    def test_attach_warns_deprecated(self):
+class TestAttachGuards:
+    """Stats sources attach through the Instrumentation handle only (the
+    ``MetricsCollector.attach_*`` delegates are gone); a second attach
+    raises instead of silently discarding the first source's counters."""
+
+    def test_collector_reads_what_its_handle_attached(self):
         collector = MetricsCollector()
-        with pytest.warns(DeprecationWarning):
-            collector.attach_verification(object())
+        stats = object()
+        collector.instrumentation.attach_verification(stats)
+        assert collector.verification is stats
+        assert not hasattr(collector, "attach_verification")
 
     def test_double_attach_raises_instead_of_overwriting(self):
         collector = MetricsCollector()
         first = object()
-        with pytest.warns(DeprecationWarning):
-            collector.attach_verification(first)
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ObservabilityError):
-                collector.attach_verification(object())
+        collector.instrumentation.attach_verification(first)
+        with pytest.raises(ObservabilityError):
+            collector.instrumentation.attach_verification(object())
         assert collector.verification is first
 
     def test_double_attach_guard_covers_every_source(self):
-        collector = MetricsCollector()
+        instr = Instrumentation.off()
         attachers = [
-            collector.attach_wire_cache,
-            collector.attach_batching,
+            instr.attach_wire_cache,
+            instr.attach_batching,
+            instr.attach_keys,
+            instr.attach_sessions,
         ]
         for attach in attachers:
-            with pytest.warns(DeprecationWarning):
-                attach(object())
-            with pytest.warns(DeprecationWarning):
-                with pytest.raises(ObservabilityError):
-                    attach(object())
-
-    def test_storage_attach_guards_per_replica(self):
-        collector = MetricsCollector()
-        with pytest.warns(DeprecationWarning):
-            collector.attach_storage({"replica:0": object()})
-        with pytest.warns(DeprecationWarning):
+            attach(object())
             with pytest.raises(ObservabilityError):
-                collector.attach_storage({"replica:0": object()})
+                attach(object())
+
+    def test_per_replica_attach_guards_per_replica(self):
+        instr = Instrumentation.off()
+        for attach in (instr.attach_storage, instr.attach_client_state):
+            attach({"replica:0": object()})
+            attach({"replica:1": object()})
+            with pytest.raises(ObservabilityError):
+                attach({"replica:0": object()})
 
 
 class TestRecorderBounds:

@@ -6,7 +6,6 @@ import pytest
 
 from repro.core import make_system
 from repro.core.messages import ReadTsRequest
-from repro.core.operations import ReplyCollector
 from repro.core.phases import QuorumRound
 
 
@@ -18,15 +17,20 @@ def config():
 MSG = ReadTsRequest(nonce=b"\x01" * 16)
 
 
+def collect(config, validator):
+    """A bare collector: a round with no request side."""
+    return QuorumRound(config, None, validator)
+
+
 class TestReplyCollector:
     def test_accepts_valid_reply(self, config):
-        collector = ReplyCollector(config, lambda s, m: m)
+        collector = collect(config, lambda s, m: m)
         assert collector.add("replica:0", MSG)
         assert collector.count == 1
         assert collector.responders() == {"replica:0"}
 
     def test_rejects_duplicate_sender(self, config):
-        collector = ReplyCollector(config, lambda s, m: m)
+        collector = collect(config, lambda s, m: m)
         assert collector.add("replica:0", MSG)
         assert not collector.add("replica:0", MSG)
         assert collector.count == 1
@@ -34,19 +38,19 @@ class TestReplyCollector:
     def test_first_reply_per_sender_wins(self, config):
         """A Byzantine replica cannot revise its vote within a phase."""
         seen = []
-        collector = ReplyCollector(config, lambda s, m: (s, len(seen)))
+        collector = collect(config, lambda s, m: (s, len(seen)))
         collector.add("replica:0", MSG)
         collector.add("replica:0", MSG)
         assert collector.replies["replica:0"] == ("replica:0", 0)
 
     def test_rejects_non_replicas(self, config):
-        collector = ReplyCollector(config, lambda s, m: m)
+        collector = collect(config, lambda s, m: m)
         assert not collector.add("client:mallory", MSG)
         assert not collector.add("replica:99", MSG)
         assert collector.count == 0
 
     def test_validator_rejection(self, config):
-        collector = ReplyCollector(config, lambda s, m: None)
+        collector = collect(config, lambda s, m: None)
         assert not collector.add("replica:0", MSG)
         # A later valid reply from the same sender is still accepted: the
         # invalid one did not consume the sender's slot.
@@ -54,7 +58,7 @@ class TestReplyCollector:
         assert collector.add("replica:0", MSG)
 
     def test_quorum_threshold(self, config):
-        collector = ReplyCollector(config, lambda s, m: m)
+        collector = collect(config, lambda s, m: m)
         for index in range(2):
             collector.add(f"replica:{index}", MSG)
         assert not collector.have_quorum
@@ -62,20 +66,25 @@ class TestReplyCollector:
         assert collector.have_quorum
 
     def test_missing_lists_non_responders(self, config):
-        collector = ReplyCollector(config, lambda s, m: m)
+        collector = collect(config, lambda s, m: m)
         collector.add("replica:1", MSG)
         assert collector.missing() == ("replica:0", "replica:2", "replica:3")
 
     def test_validator_return_value_stored(self, config):
-        collector = ReplyCollector(config, lambda s, m: ("derived", s))
+        collector = collect(config, lambda s, m: ("derived", s))
         collector.add("replica:2", MSG)
         assert collector.replies["replica:2"] == ("derived", "replica:2")
 
 
 class TestQuorumRound:
-    def test_collector_is_a_quorum_round(self, config):
+    def test_collector_alias_is_gone(self, config):
         """One shared implementation (one-vote guard lives in one place)."""
-        assert issubclass(ReplyCollector, QuorumRound)
+        import repro.core
+        import repro.core.operations
+        import repro.core.phases
+
+        for module in (repro.core, repro.core.operations, repro.core.phases):
+            assert not hasattr(module, "ReplyCollector")
 
     def test_begin_targets_all_replicas(self, config):
         round_ = QuorumRound(config, MSG, lambda s, m: m)

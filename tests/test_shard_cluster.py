@@ -44,6 +44,12 @@ class TestOptions:
         with pytest.raises(SimulationError):
             ShardClusterOptions(variant="nope")
 
+    @pytest.mark.parametrize("variant", ["strong", "fastpath"])
+    def test_rejects_variants_the_shard_layer_does_not_host(self, variant):
+        """These used to pass validation and silently run the base classes."""
+        with pytest.raises(SimulationError, match="not hosted"):
+            ShardClusterOptions(variant=variant)
+
     def test_build_rejects_options_plus_overrides(self):
         with pytest.raises(SimulationError):
             build_shard_cluster(ShardClusterOptions(), shards=3)

@@ -113,9 +113,12 @@ def test_client_redials_replica_that_was_down_at_connect(tmp_path):
             await client.write(("v", i))
         # The replica was never connected, so this dial is a first connect,
         # not a "reconnect" — but it must now hold a live socket and have
-        # taken part in the later writes.
+        # taken part in the later writes: with another replica down, a
+        # write completes only if the reborn one is in its quorum.
         assert reborn.replica.stats.handled
-        assert victim in client._writers
+        assert client.reconnects == 0
+        await servers["replica:0"].stop()
+        await client.write(("v", 6))
 
         await stop_all(servers, client)
 

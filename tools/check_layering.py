@@ -31,6 +31,14 @@ source file under ``src/repro`` with :mod:`ast` — including imports inside
 ``TYPE_CHECKING`` blocks and function bodies, so lazy imports cannot hide a
 cycle-in-waiting.
 
+Two further rules keep deleted duplication from growing back
+(:func:`find_duplication`): the TCP client stack lives in one module, so
+``asyncio.open_connection`` may be called only from ``repro.net.mux`` (and
+the chaos proxy's upstream leg); and the variant-to-class mapping lives on
+``repro.core.config.Variant``, so outside ``repro.core``, ``repro.byzantine``
+and the ``repro`` facade the concrete variant classes may be named only as
+base classes, never in a dispatch.
+
 Run:  python tools/check_layering.py   (exits 1 and lists violations)
 The tier-1 test ``tests/test_layering.py`` runs this on every suite run.
 """
@@ -68,6 +76,26 @@ LAYERS: dict[str, int] = {
     "repro.cluster": 5,
     "repro": 5,
 }
+
+
+#: The only modules that may open a client-side TCP connection.
+DIAL_SITES = frozenset({"repro.net.mux", "repro.net.chaos_proxy"})
+
+#: Concrete variant classes; ``Variant.replica_cls`` / ``.client_cls`` is the
+#: one place a variant name turns into one of them.
+VARIANT_CLASSES = frozenset(
+    {
+        "OptimizedBftBcReplica",
+        "FastBftBcReplica",
+        "OptimizedBftBcClient",
+        "FastBftBcClient",
+        "StrongBftBcClient",
+    }
+)
+
+
+def _may_name_variant_classes(module: str) -> bool:
+    return module == "repro" or module.startswith(("repro.core", "repro.byzantine"))
 
 
 def layer_of(module: str) -> int | None:
@@ -131,12 +159,50 @@ def find_violations(src: pathlib.Path = SRC) -> list[tuple[str, str, int, int]]:
     return violations
 
 
+def find_duplication(src: pathlib.Path = SRC) -> list[tuple[str, int, str]]:
+    """Scan the tree for regrown duplicates; return (module, line, what)."""
+    found: list[tuple[str, int, str]] = []
+    for path in sorted(src.rglob("*.py")):
+        module = module_name_for(path, src)
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        bases = {
+            id(base)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef)
+            for base in node.bases
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            else:
+                continue
+            if name == "open_connection" and module not in DIAL_SITES:
+                found.append((module, node.lineno, "dials outside repro.net.mux"))
+            elif (
+                name in VARIANT_CLASSES
+                and id(node) not in bases
+                and not _may_name_variant_classes(module)
+            ):
+                found.append(
+                    (module, node.lineno, f"names {name}; use the Variant registry")
+                )
+    return found
+
+
 def main() -> int:
     violations = find_violations()
+    duplication = find_duplication()
     if violations:
         print("layering violations (importer -> imported, layers):")
         for importer, imported, il, tl in violations:
             print(f"  {importer} (L{il}) -> {imported} (L{tl})")
+    if duplication:
+        print("duplication the variant registry / the one endpoint replaced:")
+        for module, line, what in duplication:
+            print(f"  {module}:{line} {what}")
+    if violations or duplication:
         return 1
     print("layering ok")
     return 0

@@ -107,8 +107,17 @@ def run_smoke(
             replica_data_dir(cvictim.data_dir, cvictim.node_ids, corrupt_node)
         )
         wal = cdir / "wal.bin"
+        if not wal.read_bytes():
+            # A snapshot compaction just emptied the journal; one more
+            # write gives every replica a record to corrupt.
+            dep.write("smoke-journal")
+            time.sleep(0.5)
         raw = wal.read_bytes()
         assert raw, f"{corrupt_node} journalled nothing to corrupt"
+        # A periodic snapshot may already exist, so "repaired" below means
+        # the snapshot the repair installs *replaced* what was there.
+        snapshot = cdir / "snapshot.bin"
+        stale = snapshot.read_bytes() if snapshot.exists() else None
         # Flip one byte in the middle of the first record's *sealed
         # payload* — guaranteed to fail the integrity tag (a flip in a
         # frame header could masquerade as a torn tail instead).
@@ -136,7 +145,7 @@ def run_smoke(
         # evidence: the quarantine artifact and the repair-written snapshot.
         while True:
             quarantined = list(cdir.glob("wal.quarantine.*.bin"))
-            repaired = (cdir / "snapshot.bin").exists()
+            repaired = snapshot.exists() and snapshot.read_bytes() != stale
             if quarantined and repaired:
                 break
             assert time.monotonic() < deadline, (

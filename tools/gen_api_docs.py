@@ -72,6 +72,7 @@ MODULES = [
     "repro.storage.filelog",
     "repro.net.simnet",
     "repro.net.asyncio_transport",
+    "repro.net.envelope",
     "repro.net.mux",
     "repro.net.chaos_proxy",
     "repro.net.shard_transport",
