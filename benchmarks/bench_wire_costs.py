@@ -36,7 +36,7 @@ from repro.core.messages import (
 from repro.core.multiobject import MultiObjectClient, MultiObjectReplica
 from repro.encoding import encode_stats, reset_interning, set_interning_enabled
 from repro.net.simnet import SimNetwork
-from repro.sim import MultiObjectClientNode, MultiObjectReplicaNode, Scheduler
+from repro.sim import MultiObjectClientNode, ReplicaHost, Scheduler
 
 from benchmarks.conftest import run_once
 
@@ -79,7 +79,7 @@ def _multi_object_run(*, batching: bool) -> tuple[int, BatchStats, int]:
     scheduler = Scheduler()
     network = SimNetwork(scheduler, seed=1401)
     for rid in config.quorums.replica_ids:
-        MultiObjectReplicaNode(MultiObjectReplica(rid, config), network)
+        ReplicaHost(MultiObjectReplica(rid, config), network)
     client = MultiObjectClient("client:bench", config)
     stats = BatchStats()
     node = MultiObjectClientNode(

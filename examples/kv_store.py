@@ -20,6 +20,7 @@ from repro import (
     MultiObjectReplica,
     OptimizedBftBcClient,
     OptimizedBftBcReplica,
+    ReplicaHost,
     Scheduler,
     SimNetwork,
     make_system,
@@ -36,13 +37,7 @@ def build_kv_cluster(f: int = 1, seed: int = 11):
     for rid in config.quorums.replica_ids:
         replica = MultiObjectReplica(rid, config, replica_cls=OptimizedBftBcReplica)
         replicas[rid] = replica
-
-        def handler(src, msg, r=replica):
-            reply = r.handle(src, msg)
-            if reply is not None:
-                network.send(r.node_id, src, reply)
-
-        network.register(rid, handler)
+        ReplicaHost(replica, network)
     return config, scheduler, network, replicas
 
 

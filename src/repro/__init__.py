@@ -128,6 +128,7 @@ from repro.sim import (
     MessageTrace,
     MetricsCollector,
     MultiObjectClientNode,
+    ReplicaHost,
     Scheduler,
     ShardCluster,
     ShardClusterOptions,
@@ -218,6 +219,7 @@ __all__ = [
     "MetricsCollector",
     "MessageTrace",
     "MultiObjectClientNode",
+    "ReplicaHost",
     "write_script",
     "read_script",
     "value_for",

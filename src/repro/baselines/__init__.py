@@ -21,11 +21,7 @@ from repro.baselines.phalanx import (
     PhalanxReplica,
     PhalanxWriteOperation,
 )
-from repro.baselines.runner import (
-    BaselineCluster,
-    build_bqs_cluster,
-    build_phalanx_cluster,
-)
+from repro.baselines.runner import build_bqs_cluster, build_phalanx_cluster
 
 __all__ = [
     "BqsReplica",
@@ -37,7 +33,6 @@ __all__ = [
     "PhalanxWriteOperation",
     "PhalanxReadOperation",
     "NULL_READ",
-    "BaselineCluster",
     "build_bqs_cluster",
     "build_phalanx_cluster",
 ]

@@ -1,146 +1,25 @@
 """Cluster builders for the baseline protocols.
 
-These mirror :class:`repro.sim.runner.Cluster` so that experiments can run
-identical workloads against BFT-BC, BQS, and Phalanx and compare the results
-(experiments E7/E8).
+The baselines run on the same :class:`repro.sim.runner.Cluster` as BFT-BC —
+same scheduler loop, replica host and retransmitting client driver — handed
+their own :class:`~repro.core.config.SystemConfig` and state machines, so
+experiments can run identical workloads against BFT-BC, BQS, and Phalanx and
+compare the results (experiments E7/E8).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 from repro.baselines.bqs import BqsClient, BqsReplica
 from repro.baselines.phalanx import PhalanxClient, PhalanxReplica
-from repro.core.batching import BatchCoalescer, BatchStats
 from repro.core.config import SystemConfig, make_system
 from repro.core.quorum import QuorumSystem
-from repro.net.simnet import LinkProfile, SimNetwork
+from repro.net.simnet import LinkProfile
 from repro.obs.instrumentation import Instrumentation
-from repro.sim.metrics import MetricsCollector
-from repro.sim.nodes import ClientNode, ScriptStep
-from repro.sim.recorder import HistoryRecorder
-from repro.sim.scheduler import Scheduler
-from repro.errors import OperationFailedError
+from repro.sim.runner import Cluster, ClusterOptions
 
-__all__ = ["BaselineCluster", "build_bqs_cluster", "build_phalanx_cluster"]
-
-
-class _BaselineReplicaNode:
-    def __init__(self, replica, network: SimNetwork) -> None:
-        self.replica = replica
-        self.network = network
-        network.register(replica.node_id, self._on_message)
-
-    def _on_message(self, src, message) -> None:
-        reply = self.replica.handle(src, message)
-        if reply is not None:
-            self.network.send(self.replica.node_id, src, reply)
-
-
-class BaselineCluster:
-    """A simulated deployment of a baseline protocol."""
-
-    def __init__(
-        self,
-        config: SystemConfig,
-        replica_cls: Callable[[str, SystemConfig], object],
-        client_cls: Callable[[str, SystemConfig], object],
-        *,
-        profile: Optional[LinkProfile] = None,
-        seed: int = 0,
-        retransmit_interval: float = 0.05,
-        batching: bool = False,
-        replica_overrides: Optional[dict[int, Callable]] = None,
-        instrumentation: Optional[Instrumentation] = None,
-    ) -> None:
-        self.config = config
-        self.scheduler = Scheduler()
-        self.network = SimNetwork(self.scheduler, profile=profile, seed=seed)
-        self.recorder = HistoryRecorder(self.scheduler)
-        self.instrumentation = instrumentation or Instrumentation.off()
-        self.instrumentation.bind_clock(lambda: self.scheduler.now)
-        self.metrics = MetricsCollector(instrumentation=self.instrumentation)
-        #: As in :class:`repro.sim.runner.Cluster`: single-object clients
-        #: never share a destination within a round, so the coalescer is a
-        #: pass-through here (the differential tests pin this byte for byte).
-        self.batch_stats: Optional[BatchStats] = BatchStats() if batching else None
-        if self.batch_stats is not None:
-            self.instrumentation.attach_batching(self.batch_stats)
-        self._client_cls = client_cls
-        self._retransmit_interval = retransmit_interval
-        self.replicas: dict[str, object] = {}
-        self.clients: dict[str, ClientNode] = {}
-        self._extra_done_checks: list[Callable[[], bool]] = []
-        overrides = replica_overrides or {}
-        for index, node_id in enumerate(config.quorums.replica_ids):
-            factory = overrides.get(index, replica_cls)
-            replica = factory(node_id, config)
-            self.replicas[node_id] = replica
-            _BaselineReplicaNode(replica, self.network)
-
-    def add_client(self, name: str) -> ClientNode:
-        client = self._client_cls(
-            f"client:{name}", self.config, instrumentation=self.instrumentation
-        )
-        node = ClientNode(
-            client,  # type: ignore[arg-type]  (duck-typed client interface)
-            self.network,
-            self.scheduler,
-            recorder=self.recorder,
-            metrics=self.metrics,
-            retransmit_interval=self._retransmit_interval,
-            coalescer=(
-                BatchCoalescer(self.batch_stats)
-                if self.batch_stats is not None
-                else None
-            ),
-        )
-        self.clients[client.node_id] = node
-        return node
-
-    def run_scripts(
-        self,
-        scripts: dict[str, Sequence[ScriptStep]],
-        *,
-        think_time: float = 0.0,
-        stagger: float = 0.0,
-        max_time: float = 300.0,
-    ) -> None:
-        for index, (name, script) in enumerate(scripts.items()):
-            node = self.clients.get(f"client:{name}") or self.add_client(name)
-            node.run_script(script, think_time=think_time, start_delay=index * stagger)
-        self.run(max_time=max_time)
-
-    def add_done_check(self, check: Callable[[], bool]) -> None:
-        """Register an extra completion condition (Byzantine actors use this)."""
-        self._extra_done_checks.append(check)
-
-    def _all_done(self) -> bool:
-        if not all(n.done for n in self.clients.values()):
-            return False
-        return all(check() for check in self._extra_done_checks)
-
-    def run(self, *, max_time: float = 300.0, max_events: int = 5_000_000) -> None:
-        self.scheduler.run(
-            until=self.scheduler.now + max_time,
-            max_events=max_events,
-            stop_when=self._all_done,
-        )
-        if not self._all_done():
-            busy = [n for n, node in self.clients.items() if not node.done]
-            raise OperationFailedError(
-                f"baseline workload incomplete after {max_time}s; busy: {busy}"
-            )
-
-    def settle(self, duration: float = 1.0) -> None:
-        self.scheduler.run(until=self.scheduler.now + duration)
-
-    @property
-    def history(self):
-        return self.recorder.history
-
-    def client(self, name: str) -> ClientNode:
-        return self.clients[f"client:{name}"]
+__all__ = ["build_bqs_cluster", "build_phalanx_cluster"]
 
 
 def build_bqs_cluster(
@@ -153,22 +32,24 @@ def build_bqs_cluster(
     batching: bool = False,
     replica_overrides: Optional[dict[int, Callable]] = None,
     instrumentation: Optional[Instrumentation] = None,
-) -> BaselineCluster:
+) -> Cluster:
     """A BQS register deployment: 3f+1 replicas, quorums of 2f+1."""
     config = make_system(f, scheme=scheme, seed=b"bqs-seed-%d" % seed)
 
     def client_cls(node_id: str, cfg: SystemConfig, **kwargs) -> BqsClient:
         return BqsClient(node_id, cfg, write_back=write_back, **kwargs)
 
-    return BaselineCluster(
-        config,
-        BqsReplica,
-        client_cls,
-        profile=profile,
+    options = ClusterOptions(
+        f=f,
+        scheme=scheme,
         seed=seed,
+        profile=profile or LinkProfile.reliable(),
         batching=batching,
-        replica_overrides=replica_overrides,
+        replica_overrides=replica_overrides or {},
         instrumentation=instrumentation,
+    )
+    return Cluster(
+        options, config=config, replica_factory=BqsReplica, client_factory=client_cls
     )
 
 
@@ -180,7 +61,7 @@ def build_phalanx_cluster(
     profile: Optional[LinkProfile] = None,
     replica_overrides: Optional[dict[int, Callable]] = None,
     instrumentation: Optional[Instrumentation] = None,
-) -> BaselineCluster:
+) -> Cluster:
     """A Phalanx deployment: 4f+1 replicas, quorums of 3f+1."""
     config = make_system(
         f,
@@ -188,12 +69,17 @@ def build_phalanx_cluster(
         seed=b"phalanx-seed-%d" % seed,
         quorums=QuorumSystem.phalanx(f),
     )
-    return BaselineCluster(
-        config,
-        PhalanxReplica,
-        PhalanxClient,
-        profile=profile,
+    options = ClusterOptions(
+        f=f,
+        scheme=scheme,
         seed=seed,
-        replica_overrides=replica_overrides,
+        profile=profile or LinkProfile.reliable(),
+        replica_overrides=replica_overrides or {},
         instrumentation=instrumentation,
+    )
+    return Cluster(
+        options,
+        config=config,
+        replica_factory=PhalanxReplica,
+        client_factory=PhalanxClient,
     )

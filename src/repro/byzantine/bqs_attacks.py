@@ -29,7 +29,7 @@ ATTEMPT_TIMEOUT = 2.0
 
 
 class _BqsActor:
-    """Raw actor for a :class:`~repro.baselines.runner.BaselineCluster`."""
+    """Raw actor for a BQS :class:`~repro.sim.runner.Cluster`."""
 
     def __init__(self, cluster, name: str) -> None:
         self.cluster = cluster

@@ -35,7 +35,7 @@ ATTEMPT_TIMEOUT = 2.0
 
 
 class _PhalanxActor:
-    """Raw actor for a Phalanx BaselineCluster."""
+    """Raw actor for a Phalanx :class:`~repro.sim.runner.Cluster`."""
 
     def __init__(self, cluster, name: str) -> None:
         self.cluster = cluster

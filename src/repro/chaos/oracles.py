@@ -37,7 +37,7 @@ as its reduction target.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Any, Mapping, Optional
 
 from repro.chaos.plan import EpisodePlan
 from repro.spec.bft_linearizability import (
@@ -107,18 +107,7 @@ def run_oracle_battery(
     byzantine = frozenset(
         f"replica:{index}" for index in plan.byzantine_replicas
     )
-    verdicts: dict[str, OracleVerdict] = {}
-
-    verdicts["no-exception"] = OracleVerdict(
-        "no-exception",
-        error_kind != "exception",
-        error if error_kind == "exception" else "",
-    )
-    verdicts["liveness"] = OracleVerdict(
-        "liveness",
-        error_kind != "liveness",
-        error if error_kind == "liveness" else "",
-    )
+    verdicts = _error_verdicts(error_kind, error)
 
     result = check_bft_linearizable(
         cluster.history, max_b=plan.max_b, bad_clients=set(bad_clients)
@@ -150,22 +139,42 @@ def run_oracle_battery(
         "lemma1", report.ok, "; ".join(report.violations)
     )
 
-    verdicts["recovery-fingerprint"] = _check_recovery(cluster, byzantine)
-    verdicts["wal-integrity"] = _check_wal(cluster, plan, byzantine)
+    correct = {
+        node_id: replica
+        for node_id, replica in sorted(cluster.replicas.items())
+        if node_id not in byzantine
+    }
+    verdicts["recovery-fingerprint"] = _check_recovery(correct)
+    # Volatile episodes have no durable store to load twice.
+    verdicts["wal-integrity"] = (
+        _check_wal(correct)
+        if plan.store == "filelog"
+        else OracleVerdict("wal-integrity", True, "not a durable episode")
+    )
     verdicts["stabilization"] = _check_stabilization(cluster, plan, byzantine)
     return verdicts
 
 
-def _check_recovery(cluster: "Cluster", byzantine: frozenset[str]) -> OracleVerdict:
-    """A twin recovered from each correct replica's store must match it."""
+def _error_verdicts(
+    error_kind: Optional[str], error: str
+) -> dict[str, OracleVerdict]:
+    """``no-exception`` and ``liveness``, judged from how the run ended."""
+    return {
+        name: OracleVerdict(
+            name, error_kind != kind, error if error_kind == kind else ""
+        )
+        for name, kind in (("no-exception", "exception"), ("liveness", "liveness"))
+    }
+
+
+def _check_recovery(replicas: Mapping[str, Any]) -> OracleVerdict:
+    """A twin recovered from each labelled replica's store must match it."""
     mismatched = []
-    for node_id, replica in sorted(cluster.replicas.items()):
-        if node_id in byzantine:
-            continue
-        twin = type(replica)(node_id, replica.config, store=replica.store)
+    for label, replica in replicas.items():
+        twin = type(replica)(replica.node_id, replica.config, store=replica.store)
         twin.recover()
         if twin.state_fingerprint() != replica.state_fingerprint():
-            mismatched.append(node_id)
+            mismatched.append(label)
     return OracleVerdict(
         "recovery-fingerprint",
         not mismatched,
@@ -175,20 +184,14 @@ def _check_recovery(cluster: "Cluster", byzantine: frozenset[str]) -> OracleVerd
     )
 
 
-def _check_wal(
-    cluster: "Cluster", plan: EpisodePlan, byzantine: frozenset[str]
-) -> OracleVerdict:
-    """Durable stores must load idempotently (volatile episodes pass)."""
-    if plan.store != "filelog":
-        return OracleVerdict("wal-integrity", True, "not a durable episode")
+def _check_wal(replicas: Mapping[str, Any]) -> OracleVerdict:
+    """Every labelled replica's store must load idempotently."""
     unstable = []
-    for node_id, replica in sorted(cluster.replicas.items()):
-        if node_id in byzantine:
-            continue
+    for label, replica in replicas.items():
         first = replica.store.load()
         second = replica.store.load()
         if first != second:
-            unstable.append(node_id)
+            unstable.append(label)
     return OracleVerdict(
         "wal-integrity",
         not unstable,
@@ -274,7 +277,7 @@ def check_epoch_agreement(cluster: "ShardCluster") -> OracleVerdict:
         members = cluster.directory.config(shard).members
         for member in members:
             node = cluster.replica_nodes.get(member)
-            if node is None or node.crashed:
+            if node is None or node.down:
                 continue
             replica = node.replica
             if not replica.ready:
@@ -301,7 +304,7 @@ def check_epoch_agreement(cluster: "ShardCluster") -> OracleVerdict:
             if (
                 replica.shard == shard
                 and node_id not in members
-                and not node.crashed
+                and not node.down
                 and not replica.retired
             ):
                 problems.append(f"replaced member {node_id} never retired")

@@ -28,6 +28,9 @@ from typing import Any, Optional
 from repro.chaos.oracles import (
     SHARD_ORACLES,
     OracleVerdict,
+    _check_recovery,
+    _check_wal,
+    _error_verdicts,
     check_epoch_agreement,
 )
 from repro.chaos.plan import MAX_B, build_schedule
@@ -179,13 +182,13 @@ def run_shard_episode(plan: ShardEpisodePlan) -> ShardEpisodeResult:
         "ops": cluster.total_ops(),
         "epochs": {s: cluster.directory.epoch(s) for s in cluster.shard_ids},
         "epoch_changes": sum(
-            n.epoch_changes for n in cluster.routers.values()
+            n.client.epoch_changes for n in cluster.routers.values()
         ),
         "refreshes": sum(
-            n.router.refreshes for n in cluster.routers.values()
+            n.client.refreshes for n in cluster.routers.values()
         ),
         "stale_replies": sum(
-            n.router.stale_replies for n in cluster.routers.values()
+            n.client.stale_replies for n in cluster.routers.values()
         ),
     }
     return ShardEpisodeResult(plan=plan, verdicts=verdicts, stats=stats)
@@ -206,17 +209,7 @@ def _run_shard_oracle_battery(
     ``lurking-bound`` oracle passes vacuously and ``bft-linearizable``
     runs with an empty bad-client set.
     """
-    verdicts: dict[str, OracleVerdict] = {}
-    verdicts["no-exception"] = OracleVerdict(
-        "no-exception",
-        error_kind != "exception",
-        error if error_kind == "exception" else "",
-    )
-    verdicts["liveness"] = OracleVerdict(
-        "liveness",
-        error_kind != "liveness",
-        error if error_kind == "liveness" else "",
-    )
+    verdicts = _error_verdicts(error_kind, error)
 
     bad_objs = []
     histories = cluster.merged_histories()
@@ -232,8 +225,9 @@ def _run_shard_oracle_battery(
     )
 
     lemma_violations: list[str] = []
-    fingerprint_bad: list[str] = []
-    wal_bad: list[str] = []
+    #: Every live, ready member's per-object state machine, labelled
+    #: ``shard/obj/node`` — what the single-group oracles judge.
+    states_by_label: dict[str, Any] = {}
     max_prepared = 2 if str(plan.variant) == "optimized" else 1
     for shard in cluster.shard_ids:
         members = [r for r in cluster.live_members(shard) if r.ready]
@@ -254,38 +248,17 @@ def _run_shard_oracle_battery(
                     f"{shard}/{obj}: {v}" for v in report.violations
                 )
             for state in states:
-                twin = type(state)(
-                    state.node_id, state.config, store=state.store
-                )
-                twin.recover()
-                if twin.state_fingerprint() != state.state_fingerprint():
-                    fingerprint_bad.append(f"{shard}/{obj}/{state.node_id}")
-                if state.store.load() != state.store.load():
-                    wal_bad.append(f"{shard}/{obj}/{state.node_id}")
+                states_by_label[f"{shard}/{obj}/{state.node_id}"] = state
     verdicts["lemma1"] = OracleVerdict(
         "lemma1", not lemma_violations, "; ".join(lemma_violations)
     )
-    verdicts["recovery-fingerprint"] = OracleVerdict(
-        "recovery-fingerprint",
-        not fingerprint_bad,
-        "" if not fingerprint_bad else (
-            "recovered twin diverges at " + ", ".join(fingerprint_bad)
-        ),
-    )
-    verdicts["wal-integrity"] = OracleVerdict(
-        "wal-integrity",
-        not wal_bad,
-        "" if not wal_bad else ("non-idempotent load at " + ", ".join(wal_bad)),
-    )
+    verdicts["recovery-fingerprint"] = _check_recovery(states_by_label)
+    verdicts["wal-integrity"] = _check_wal(states_by_label)
     # Shard plans schedule no state-corruption faults (the adversary here
     # is reconfiguration), so stabilization reduces to "nobody quarantined".
     quarantined = [
-        f"{shard}/{obj}/{state.node_id}"
-        for shard in cluster.shard_ids
-        for member in cluster.live_members(shard)
-        if member.ready
-        for obj in sorted(member.inner.objects)
-        for state in (member.inner.object_state(obj),)
+        label
+        for label, state in states_by_label.items()
         if getattr(state, "quarantined", False)
     ]
     verdicts["stabilization"] = OracleVerdict(

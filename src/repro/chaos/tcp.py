@@ -35,6 +35,7 @@ from repro.core.replica import BftBcReplica
 from repro.errors import OperationFailedError
 from repro.net.asyncio_transport import AsyncClient, ReplicaServer
 from repro.net.chaos_proxy import ChaosProxy, ProxyProfile
+from repro.sim.nodes import flip_wal_byte
 from repro.spec.histories import History, Invocation, Response
 
 __all__ = [
@@ -212,24 +213,6 @@ async def _crash_restart(
     servers[victim] = reborn
 
 
-def _flip_wal_byte(replica: BftBcReplica, rng: random.Random) -> bool:
-    """XOR one byte of the replica's on-disk WAL; False when there is no
-    WAL byte to damage yet."""
-    path = getattr(replica.store, "wal_path", None)
-    if path is None or not path.exists():
-        return False
-    size = path.stat().st_size
-    if size == 0:
-        return False
-    offset = rng.randrange(size)
-    with open(path, "r+b") as fh:
-        fh.seek(offset)
-        original = fh.read(1)
-        fh.seek(offset)
-        fh.write(bytes([original[0] ^ 0x80]))
-    return True
-
-
 async def _corruption_chaos(
     servers: dict[str, ReplicaServer],
     victim: str,
@@ -256,7 +239,7 @@ async def _corruption_chaos(
     loop = asyncio.get_running_loop()
     deadline = loop.time() + config.stabilize_timeout
     while loop.time() < deadline:
-        if _flip_wal_byte(servers[victim].replica, rng):
+        if flip_wal_byte(servers[victim].replica.store, rng.randrange, 0x80):
             injected.append({"op": "wal_bitflip", "time": 0.0, "node": victim})
             break
         await asyncio.sleep(config.audit_interval)

@@ -21,9 +21,10 @@ design:
   injection schedules only the next one), so the scheduler holds O(active
   operations) timers, not O(total arrivals).
 
-Replicas are single-server queues: with ``service_delay > 0`` each inbound
-frame occupies the replica for that much virtual time, so measured capacity
-can be cross-checked against
+Replicas sit on the shared :class:`~repro.sim.nodes.ReplicaHost`: with
+``service_delay > 0`` each inbound frame occupies the replica for that much
+virtual time (a single-server queue), so measured capacity can be
+cross-checked against
 :meth:`~repro.analysis.costs.CostModel.open_loop_capacity`.
 
 The report's ``ops_digest`` hashes (index, client, object, kind, result) in
@@ -45,7 +46,7 @@ from repro.core.config import NamespaceWriters, SystemConfig, Variant, make_syst
 from repro.core.messages import Message
 from repro.core.multiobject import MultiObjectClient, MultiObjectReplica
 from repro.core.persistence import ClientStateBudget
-from repro.errors import SimulationError
+from repro.errors import OperationFailedError, SimulationError
 from repro.load.generator import Arrival, OpenLoopGenerator
 from repro.load.profile import (
     DEFAULT_SLOS,
@@ -54,10 +55,12 @@ from repro.load.profile import (
     SloTarget,
     SloVerdict,
 )
-from repro.net.simnet import LinkProfile, SimNetwork
+from repro.net.simnet import LinkProfile
 from repro.obs.histograms import LatencyHistogram
 from repro.obs.instrumentation import Instrumentation
-from repro.sim.scheduler import Scheduler
+from repro.sim.nodes import ReplicaHost
+from repro.sim.runner import SimHarness
+from repro.sim.scheduler import EventHandle
 
 __all__ = [
     "SimLoadOptions",
@@ -217,36 +220,6 @@ class SimLoadOptions:
         self.variant = Variant.coerce(self.variant)
 
 
-class _LoadReplicaNode:
-    """One replica endpoint: a single-server queue over a multi-object host."""
-
-    def __init__(self, harness: "SimLoadHarness", node_id: str) -> None:
-        self.harness = harness
-        self.replica = MultiObjectReplica(
-            node_id, harness.config, harness.options.variant.replica_cls
-        )
-        self.node_id = node_id
-        self._busy_until = 0.0
-        harness.network.register(node_id, self._on_message)
-
-    def _on_message(self, src: str, message: Message) -> None:
-        if self.harness.options.service_delay <= 0:
-            self._process(src, message)
-            return
-        # Single-server queue: each frame occupies the replica for
-        # ``service_delay`` of virtual time, starting when the CPU frees up.
-        start = max(self.harness.scheduler.now, self._busy_until)
-        self._busy_until = start + self.harness.options.service_delay
-        self.harness.scheduler.call_at(
-            self._busy_until, lambda: self._process(src, message)
-        )
-
-    def _process(self, src: str, message: Message) -> None:
-        reply = self.replica.handle(src, message)
-        if reply is not None:
-            self.harness.network.send(self.node_id, src, reply)
-
-
 class _ClientDriver:
     """A transient endpoint for one identity while it has work.
 
@@ -264,6 +237,7 @@ class _ClientDriver:
         )
         self.pending: deque[Arrival] = deque()
         self.current: Optional[Arrival] = None
+        self._retransmit_handle: Optional[EventHandle] = None
         # Restore the identity's write certificates from its last
         # incarnation.  A real client retains its certs across idle
         # periods; without them nothing ever piggybacks a write cert back
@@ -286,23 +260,27 @@ class _ClientDriver:
         else:
             sends = self.client.begin_read(arrival.obj)
         self._send_all(sends)
-        self.harness.scheduler.call_later(
+        self._arm_retransmit()
+
+    def _arm_retransmit(self) -> None:
+        self._retransmit_handle = self.harness.scheduler.call_later(
             self.harness.options.retransmit_interval, self._retransmit_tick
         )
 
     def _retransmit_tick(self) -> None:
-        if self.current is None:
-            return
         self._send_all(self.client.retransmit())
-        self.harness.scheduler.call_later(
-            self.harness.options.retransmit_interval, self._retransmit_tick
-        )
+        self._arm_retransmit()
 
     def _on_message(self, src: str, message: Message) -> None:
         self._send_all(self.client.deliver(src, message))
         arrival = self.current
         if arrival is not None and not self.client.busy(arrival.obj):
             self.current = None
+            # One live timer per driver: the finished operation's chain
+            # must not go on retransmitting whatever runs next.
+            assert self._retransmit_handle is not None
+            self._retransmit_handle.cancel()
+            self._retransmit_handle = None
             self.harness._complete(arrival, self.client.result(arrival.obj))
             if self.pending:
                 self._next()
@@ -314,7 +292,7 @@ class _ClientDriver:
             self.harness.network.send(self.identity, send.dest, send.message)
 
 
-class SimLoadHarness:
+class SimLoadHarness(SimHarness):
     """One open-loop run: profile in, :class:`LoadReport` out."""
 
     def __init__(
@@ -335,19 +313,27 @@ class SimLoadHarness:
         # under the namespace is known to the registry, secrets derive
         # lazily into the bounded cache on first use.
         self.config.registry.open_namespace(profile.namespace)
-        self.scheduler = Scheduler()
-        self.network = SimNetwork(
-            self.scheduler, profile=self.options.link, seed=profile.seed
+        super().__init__(
+            profile=self.options.link,
+            seed=profile.seed,
+            instrumentation=self.options.instrumentation
+            or Instrumentation(enabled=True),
         )
-        self.instrumentation = self.options.instrumentation or Instrumentation(
-            enabled=True
-        )
-        self.instrumentation.bind_clock(lambda: self.scheduler.now)
         self.replicas = [
-            _LoadReplicaNode(self, node_id)
+            ReplicaHost(
+                MultiObjectReplica(
+                    node_id, self.config, self.options.variant.replica_cls
+                ),
+                self.network,
+                self.scheduler,
+                service_delay=self.options.service_delay,
+            )
             for node_id in self.config.quorums.replica_ids
         ]
-        self._drivers: dict[str, _ClientDriver] = {}
+        #: Identities with work right now (transient, see the module
+        #: docstring) — not the base's long-lived script drivers.
+        self._active: dict[str, _ClientDriver] = {}
+        self.add_done_check(lambda: self._exhausted and not self._active)
         # Client-side keepsakes: each identity's latest write certificate
         # per object, carried across driver incarnations (see
         # :class:`_ClientDriver`).  A few frozen signatures per writing
@@ -373,10 +359,10 @@ class SimLoadHarness:
 
     def _inject(self, arrival: Arrival) -> None:
         self.tally.arrive(arrival)
-        driver = self._drivers.get(arrival.client)
+        driver = self._active.get(arrival.client)
         if driver is None:
             driver = _ClientDriver(self, arrival.client)
-            self._drivers[arrival.client] = driver
+            self._active[arrival.client] = driver
             self.driver_activations += 1
         driver.submit(arrival)
         self._schedule_next_arrival()
@@ -402,13 +388,13 @@ class SimLoadHarness:
         if certs:
             self._cert_wallet[driver.identity] = certs
         self.network.unregister(driver.identity)
-        del self._drivers[driver.identity]
+        del self._active[driver.identity]
 
     # -- accounting --------------------------------------------------------
 
     @property
     def active_drivers(self) -> int:
-        return len(self._drivers)
+        return len(self._active)
 
     def client_state_totals(self) -> dict[str, int]:
         """Resident/spilled counts and spill/rehydrate totals, all replicas."""
@@ -484,15 +470,16 @@ class SimLoadHarness:
 
     # -- execution ---------------------------------------------------------
 
-    def run(self, *, max_events: int = 50_000_000) -> LoadReport:
+    def run(self, *, max_events: int = 50_000_000) -> LoadReport:  # type: ignore[override]
         started = self.scheduler.now
         self._schedule_next_arrival()
-        deadline = started + self.profile.duration + self.options.drain
-        self.scheduler.run(
-            until=deadline,
-            max_events=max_events,
-            stop_when=lambda: self._exhausted and not self._drivers,
-        )
+        try:
+            super().run(
+                max_time=self.profile.duration + self.options.drain,
+                max_events=max_events,
+            )
+        except OperationFailedError:
+            pass  # an undrained backlog is data: the report counts it failed
         predicted = (
             CostModel(self.config.quorums).open_loop_capacity(
                 self.options.service_delay,

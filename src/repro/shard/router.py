@@ -23,7 +23,7 @@ one-prepared-write-per-client rule.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
 from repro.core.client import BftBcClient
 from repro.core.config import SystemConfig
@@ -58,10 +58,9 @@ class ShardRouter:
         self._client_cls = client_cls
         self._clients: dict[str, MultiObjectClient] = {}
         self._refreshing: set[str] = set()
-        #: Called with the shard id after every epoch advance, once the
-        #: shard's client has been migrated — an observation hook for
-        #: drivers (the migration itself already resumes in-flight work).
-        self.on_epoch_change: Optional[Callable[[str], None]] = None
+        #: Epoch advances after which a shard's client was migrated (the
+        #: migration itself resumes in-flight work; drivers need no hook).
+        self.epoch_changes = 0
         self.refreshes = 0
         self.stale_replies = 0
 
@@ -177,8 +176,7 @@ class ShardRouter:
         else:
             client.update_quorums(self.directory.quorums(shard))
             client.epoch = self.directory.epoch(shard)
-        if self.on_epoch_change is not None:
-            self.on_epoch_change(shard)
+        self.epoch_changes += 1
         # Push the current phase of every in-flight operation out under the
         # new epoch tag immediately rather than waiting a retransmit tick.
         return self.shard_client(shard).retransmit()

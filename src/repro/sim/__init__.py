@@ -8,19 +8,20 @@ example, and benchmark.
 from repro.sim.explorer import ExplorationResult, ScheduleExplorer
 from repro.sim.faults import ClusterFaultAction, FaultAction, FaultSchedule
 from repro.sim.metrics import MetricsCollector, OperationSample, Summary
-from repro.sim.multi_node import (
-    MultiObjectClientNode,
-    MultiObjectReplicaNode,
-    MultiScriptStep,
-)
-from repro.sim.nodes import ClientNode, ReplicaNode, ScriptStep
+from repro.sim.multi_node import MultiObjectClientNode, MultiScriptStep
+from repro.sim.nodes import ClientNode, ReplicaHost, ReplicaNode, ScriptStep
 from repro.sim.recorder import HistoryRecorder
-from repro.sim.runner import Cluster, ClusterOptions, VARIANTS, build_cluster
+from repro.sim.runner import (
+    Cluster,
+    ClusterOptions,
+    SimHarness,
+    VARIANTS,
+    build_cluster,
+)
 from repro.sim.scheduler import EventHandle, Scheduler
 from repro.sim.shard_cluster import (
     ShardCluster,
     ShardClusterOptions,
-    ShardRouterNode,
     build_shard_cluster,
 )
 from repro.sim.tracing import MessageTrace, TraceEvent
@@ -38,10 +39,10 @@ __all__ = [
     "EventHandle",
     "SimulationError",
     "ClientNode",
+    "ReplicaHost",
     "ReplicaNode",
     "ScriptStep",
     "MultiObjectClientNode",
-    "MultiObjectReplicaNode",
     "MultiScriptStep",
     "HistoryRecorder",
     "MetricsCollector",
@@ -52,12 +53,12 @@ __all__ = [
     "ClusterFaultAction",
     "ShardCluster",
     "ShardClusterOptions",
-    "ShardRouterNode",
     "build_shard_cluster",
     "ScheduleExplorer",
     "ExplorationResult",
     "MessageTrace",
     "TraceEvent",
+    "SimHarness",
     "Cluster",
     "ClusterOptions",
     "build_cluster",

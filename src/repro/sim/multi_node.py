@@ -1,28 +1,30 @@
 """Simulator adapter for multi-object clients.
 
-Drives a :class:`~repro.core.multiobject.MultiObjectClient` through a script
-of ``(obj, kind, value)`` steps.  Steps on different objects are issued
-concurrently up to ``max_in_flight``; per-object operations remain
-sequential, matching the §4.1 model.
+Drives a :class:`~repro.core.multiobject.MultiObjectClient` — or a
+:class:`~repro.shard.router.ShardRouter`, which exposes the same per-object
+surface and migrates in-flight operations across epoch changes itself —
+through a script of ``(obj, kind, value)`` steps.  Steps on different
+objects are issued concurrently up to ``max_in_flight``; per-object
+operations remain sequential, matching the §4.1 model.
 """
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any, Optional, Sequence, Union
 
 from repro.core.batching import BatchCoalescer, BatchStats
-from repro.core.multiobject import MultiObjectClient, MultiObjectReplica
+from repro.core.multiobject import MultiObjectClient
 from repro.core.messages import Message
 from repro.net.simnet import SimNetwork
+from repro.shard.router import ShardRouter
+from repro.sim.nodes import DEFAULT_RETRANSMIT_INTERVAL
 from repro.sim.scheduler import EventHandle, Scheduler
 from repro.spec.histories import History, Invocation, Response
 
-__all__ = ["MultiObjectClientNode", "MultiObjectReplicaNode", "MultiScriptStep"]
+__all__ = ["MultiObjectClientNode", "MultiScriptStep"]
 
 #: ``(object id, "read" | "write", value-or-None)``
 MultiScriptStep = tuple[str, str, Any]
-
-RETRANSMIT_INTERVAL = 0.05
 
 
 class MultiObjectClientNode:
@@ -30,18 +32,20 @@ class MultiObjectClientNode:
 
     def __init__(
         self,
-        client: MultiObjectClient,
+        client: Union[MultiObjectClient, ShardRouter],
         network: SimNetwork,
         scheduler: Scheduler,
         *,
         max_in_flight: int = 4,
         record_history: bool = False,
         coalescer: Optional[BatchCoalescer] = None,
+        retransmit_interval: float = DEFAULT_RETRANSMIT_INTERVAL,
     ) -> None:
         self.client = client
         self.network = network
         self.scheduler = scheduler
         self.max_in_flight = max_in_flight
+        self.retransmit_interval = retransmit_interval
         #: Cross-object batching layer: when set, each send round (dispatch,
         #: delivery follow-ups, retransmission sweep) emits at most one wire
         #: frame per destination.
@@ -62,7 +66,7 @@ class MultiObjectClientNode:
     def node_id(self) -> str:
         return self.client.node_id
 
-    def run_script(self, script: list[MultiScriptStep]) -> None:
+    def run_script(self, script: Sequence[MultiScriptStep]) -> None:
         self._pending = list(script)
         self.done = not self._pending
         if self._pending:
@@ -135,7 +139,7 @@ class MultiObjectClientNode:
 
     def _arm_retransmit(self) -> None:
         self._retransmit_handle = self.scheduler.call_later(
-            RETRANSMIT_INTERVAL, self._retransmit
+            self.retransmit_interval, self._retransmit
         )
 
     def _retransmit(self) -> None:
@@ -153,27 +157,3 @@ class MultiObjectClientNode:
     def batch_stats(self) -> Optional[BatchStats]:
         """Coalescing counters, when batching is enabled."""
         return None if self.coalescer is None else self.coalescer.stats
-
-
-class MultiObjectReplicaNode:
-    """Wires a :class:`MultiObjectReplica` into the simulated network.
-
-    The replica itself is batch-aware: a :class:`BatchEnvelope` of object
-    messages is unpacked, handled in order, and answered with at most one
-    reply frame, so the reply fan-in is coalesced symmetrically with the
-    client's request fan-out.
-    """
-
-    def __init__(self, replica: MultiObjectReplica, network: SimNetwork) -> None:
-        self.replica = replica
-        self.network = network
-        network.register(replica.node_id, self._on_message)
-
-    def _on_message(self, src: str, message: Message) -> None:
-        reply = self.replica.handle(src, message)
-        if reply is not None:
-            self.network.send(self.replica.node_id, src, reply)
-
-    @property
-    def node_id(self) -> str:
-        return self.replica.node_id

@@ -1,9 +1,12 @@
 """Adapters that attach sans-I/O protocol state machines to the simulator.
 
-:class:`ReplicaNode` is trivial — replicas are reactive.  :class:`ClientNode`
-drives a client through a scripted sequence of operations, manages the
-retransmission timer (the protocol's only liveness mechanism), records
-history events, and reports per-operation metrics.
+:class:`ReplicaHost` is the one way a reactive ``handle(src, msg) -> reply``
+state machine sits on the simulated network — BFT-BC, baseline, multi-object
+and shard replicas alike; :class:`ReplicaNode` adds what only a BFT-BC
+replica has (batches, signing cost, a durable store to crash and corrupt).
+:class:`ClientNode` drives a client through a scripted sequence of
+operations, manages the retransmission timer (the protocol's only liveness
+mechanism), records history events, and reports per-operation metrics.
 """
 
 from __future__ import annotations
@@ -27,7 +30,14 @@ from repro.sim.metrics import MetricsCollector, OperationSample
 from repro.sim.recorder import HistoryRecorder
 from repro.sim.scheduler import EventHandle, Scheduler
 
-__all__ = ["ReplicaNode", "ClientNode", "ScriptStep"]
+__all__ = [
+    "ReplicaHost",
+    "ReplicaNode",
+    "ClientNode",
+    "ScriptStep",
+    "DEFAULT_RETRANSMIT_INTERVAL",
+    "flip_wal_byte",
+]
 
 #: One scripted operation: ``("write", value)`` or ``("read", None)``.
 ScriptStep = tuple[str, Any]
@@ -36,8 +46,90 @@ ScriptStep = tuple[str, Any]
 DEFAULT_RETRANSMIT_INTERVAL = 0.05
 
 
-class ReplicaNode:
-    """Wires a replica state machine into the simulated network.
+def flip_wal_byte(
+    store: Any, offset_of: Callable[[int], int], flip: int
+) -> bool:
+    """XOR one byte of ``store``'s on-disk WAL at ``offset_of(size)``.
+
+    Returns False when there is no WAL byte to damage (a volatile store, or
+    nothing appended yet).
+    """
+    path = getattr(store, "wal_path", None)
+    if path is None or not path.exists():
+        return False
+    size = path.stat().st_size
+    if size == 0:
+        return False
+    offset = offset_of(size)
+    with open(path, "r+b") as fh:
+        fh.seek(offset)
+        original = fh.read(1)
+        fh.seek(offset)
+        fh.write(bytes([original[0] ^ flip]))
+    return True
+
+
+class ReplicaHost:
+    """Wires a reactive state machine into the simulated network.
+
+    Anything with a ``node_id`` and ``handle(src, message) -> reply | None``
+    is hosted the same way: the reply goes back to the sender and nowhere
+    else (§2: replicas never talk to each other).
+
+    With ``service_delay > 0`` the host is a single-server queue: each
+    received frame occupies the replica for that much virtual time, so
+    throughput is capacity-limited — the effect E19 and E21 measure.
+    """
+
+    def __init__(
+        self,
+        replica: Any,
+        network: SimNetwork,
+        scheduler: Optional[Scheduler] = None,
+        *,
+        service_delay: float = 0.0,
+    ) -> None:
+        self.replica = replica
+        self.network = network
+        self.scheduler = scheduler
+        self.service_delay = service_delay
+        #: True while crashed: queued frames are dropped unprocessed.
+        self.down = False
+        self._busy_until = 0.0
+        network.register(replica.node_id, self._on_message)
+
+    @property
+    def node_id(self) -> str:
+        return self.replica.node_id
+
+    def crash(self) -> None:
+        """Stop the node: the network stops delivering to and from it."""
+        self.down = True
+        self.network.crash(self.node_id)
+
+    def _on_message(self, src: str, message: Message) -> None:
+        if self.service_delay <= 0:
+            self._process(src, message)
+            return
+        # Single-server queue: each frame occupies the replica for
+        # ``service_delay`` of virtual time, starting when the CPU frees up.
+        assert self.scheduler is not None
+        start = max(self.scheduler.now, self._busy_until)
+        self._busy_until = start + self.service_delay
+        self.scheduler.call_at(
+            self._busy_until, lambda: self._process(src, message)
+        )
+
+    def _process(self, src: str, message: Message) -> None:
+        if self.down:
+            return
+        reply = self.replica.handle(src, message)
+        if reply is not None:
+            self.network.send(self.node_id, src, reply)
+
+
+class ReplicaNode(ReplicaHost):
+    """Hosts a BFT-BC replica: batches, signing cost, crash/restart, audits.
 
     ``sign_delay`` models the CPU cost of one *foreground* public-key
     signature as virtual time: the reply is held back by
@@ -45,6 +137,8 @@ class ReplicaNode:
     Background signatures (§3.3.2) are free by construction — that is the
     point of the optimization, and experiment E4 measures it.
     """
+
+    replica: BftBcReplica
 
     def __init__(
         self,
@@ -55,9 +149,7 @@ class ReplicaNode:
         sign_delay: float = 0.0,
         replica_factory: Optional[Callable[[], BftBcReplica]] = None,
     ) -> None:
-        self.replica = replica
-        self.network = network
-        self.scheduler = scheduler
+        super().__init__(replica, network, scheduler)
         self.sign_delay = sign_delay
         #: Rebuilds a fresh (state-machine-only) replica on restart; the
         #: default works for any replica whose constructor is
@@ -72,11 +164,8 @@ class ReplicaNode:
         )
         self.crashes = 0
         self.restarts = 0
-        #: True while crashed (no audits run — the process is dead).
-        self.down = False
         #: Corruption injections performed against this node (chaos).
         self.corruptions = 0
-        network.register(replica.node_id, self._on_message)
 
     # -- crash / restart ----------------------------------------------------
 
@@ -84,11 +173,11 @@ class ReplicaNode:
         """Simulate a process crash: the network stops delivering to this
         node and the replica's store loses whatever a power cut would
         (everything for :class:`~repro.storage.MemoryStore`, the un-fsynced
-        WAL tail for :class:`~repro.storage.FileLogStore`)."""
-        self.network.crash(self.node_id)
+        WAL tail for :class:`~repro.storage.FileLogStore`).  No audits run
+        while down — the process is dead."""
+        super().crash()
         self.replica.store.crash()
         self.crashes += 1
-        self.down = True
 
     def restart(self) -> None:
         """Bring the replica back: a *fresh* state machine is built around
@@ -111,19 +200,12 @@ class ReplicaNode:
         when a self-audit or restart replays the log and the record's
         integrity seal fails.
         """
-        path = getattr(self.replica.store, "wal_path", None)
-        if path is None or not path.exists():
-            return
-        size = path.stat().st_size
-        if size == 0:
-            return
-        offset = min(int(size * position), size - 1)
-        with open(path, "r+b") as fh:
-            fh.seek(offset)
-            original = fh.read(1)
-            fh.seek(offset)
-            fh.write(bytes([original[0] ^ flip]))
-        self.corruptions += 1
+        if flip_wal_byte(
+            self.replica.store,
+            lambda size: min(int(size * position), size - 1),
+            flip,
+        ):
+            self.corruptions += 1
 
     def corrupt_snapshot(self, *, keep: float = 0.5) -> None:
         """Truncate the on-disk snapshot (no-op on a volatile store).
@@ -195,8 +277,10 @@ class ReplicaNode:
                 self.network.send(self.node_id, send.dest, send.message)
         return clean
 
-    def _on_message(self, src: str, message: Message) -> None:
+    def _process(self, src: str, message: Message) -> None:
         """Handle one frame; a batch is unpacked and answered as one frame."""
+        if self.down:
+            return
         before = self.replica.stats.foreground_signs
         inners = expand_message(message)
         if len(inners) > 1:
@@ -229,10 +313,6 @@ class ReplicaNode:
             )
         else:
             self.network.send(self.replica.node_id, src, reply)
-
-    @property
-    def node_id(self) -> str:
-        return self.replica.node_id
 
 
 class ClientNode:

@@ -1,5 +1,10 @@
 """Cluster construction and experiment execution.
 
+:class:`SimHarness` is the one simulated run loop: it owns the scheduler, the
+network and the registry of script drivers, and every simulator-side harness
+(:class:`Cluster` here, the shard cluster, the open-loop load harness) is
+built on it, so they all share one ``run`` / ``settle``.
+
 :func:`build_cluster` assembles a full deployment — quorum system, keys,
 replicas (optionally substituting Byzantine ones), simulated network,
 recorder, metrics — for any of the three protocol variants.  Experiments then
@@ -10,30 +15,99 @@ and run the deterministic scheduler until the workloads complete.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from repro.core.batching import BatchCoalescer, BatchStats
 from repro.core.config import SystemConfig, Variant, make_system
 from repro.core.persistence import ClientStateBudget
 from repro.core.messages import wire_cache_stats
-from repro.core.replica import BftBcReplica
 from repro.net.simnet import LinkProfile, SimNetwork
 from repro.obs.instrumentation import Instrumentation
 from repro.sim.faults import FaultSchedule
 from repro.sim.metrics import MetricsCollector
-from repro.sim.nodes import ClientNode, ReplicaNode, ScriptStep
+from repro.sim.nodes import ClientNode, ReplicaHost, ReplicaNode, ScriptStep
 from repro.sim.recorder import HistoryRecorder
 from repro.sim.scheduler import Scheduler
 from repro.spec.histories import History
 from repro.storage import ReplicaStore
 from repro.errors import OperationFailedError, SimulationError
 
-__all__ = ["ClusterOptions", "Cluster", "build_cluster", "VARIANTS"]
+__all__ = ["SimHarness", "ClusterOptions", "Cluster", "build_cluster", "VARIANTS"]
 
 #: Supported protocol variant names (the values of :class:`Variant`).
 VARIANTS = tuple(v.value for v in Variant)
 
-ReplicaFactory = Callable[[str, SystemConfig], BftBcReplica]
+ReplicaFactory = Callable[[str, SystemConfig], Any]
+
+
+class SimHarness:
+    """The one simulated run loop every harness is built on.
+
+    Owns the virtual-time scheduler, the simulated network, the
+    instrumentation clock binding and the completion registry: script
+    drivers (anything with ``node_id`` and ``done``) plus extra done-checks.
+    :meth:`run` advances virtual time until all of them report done.
+    """
+
+    def __init__(
+        self,
+        *,
+        profile: Optional[LinkProfile],
+        seed: int,
+        instrumentation: Optional[Instrumentation] = None,
+    ) -> None:
+        self.scheduler = Scheduler()
+        self.network = SimNetwork(self.scheduler, profile=profile, seed=seed)
+        #: The run's observability handle; spans and histograms use the
+        #: scheduler's virtual clock unless the caller bound another.
+        self.instrumentation = instrumentation or Instrumentation.off()
+        self.instrumentation.bind_clock(lambda: self.scheduler.now)
+        self._drivers: list[Any] = []
+        self._extra_done_checks: list[Callable[[], bool]] = []
+
+    def _track(self, driver: Any) -> Any:
+        """Register a script driver whose ``done`` gates :meth:`run`."""
+        self._drivers.append(driver)
+        return driver
+
+    def add_done_check(self, check: Callable[[], bool]) -> None:
+        """Register an extra completion condition (Byzantine actors use this)."""
+        self._extra_done_checks.append(check)
+
+    def _all_done(self) -> bool:
+        if not all(driver.done for driver in self._drivers):
+            return False
+        return all(check() for check in self._extra_done_checks)
+
+    def run(self, *, max_time: float = 300.0, max_events: int = 5_000_000) -> None:
+        """Run until every driver (and extra check) reports done.
+
+        Raises:
+            OperationFailedError: if the virtual-time or event budget is
+                exhausted first — i.e. liveness failed under this schedule.
+        """
+        self.scheduler.run(
+            until=self.scheduler.now + max_time,
+            max_events=max_events,
+            stop_when=self._all_done,
+        )
+        if not self._all_done():
+            busy = [d.node_id for d in self._drivers if not d.done]
+            raise OperationFailedError(
+                f"workload incomplete after {max_time}s virtual time; "
+                f"busy: {busy}"
+            )
+
+    def settle(self, duration: float = 1.0) -> None:
+        """Advance virtual time by ``duration`` (processing pending events).
+
+        A sentinel no-op event pins the end time: the scheduler clock only
+        moves when events fire, so an empty queue would otherwise leave
+        ``now`` — and clock-based handoff windows — frozen.
+        """
+        deadline = self.scheduler.now + duration
+        self.scheduler.call_at(deadline, lambda: None)
+        self.scheduler.run(until=deadline)
 
 
 @dataclass
@@ -96,12 +170,27 @@ class ClusterOptions:
             ) from None
 
 
-class Cluster:
-    """A fully wired simulated deployment."""
+class Cluster(SimHarness):
+    """A fully wired simulated deployment.
 
-    def __init__(self, options: ClusterOptions) -> None:
+    By default the options' variant decides everything.  A caller hosting
+    another protocol's state machines on the same harness (the BQS and
+    Phalanx baselines) hands in an explicit ``config`` plus
+    ``replica_factory(node_id, config)`` and ``client_factory(node_id,
+    config, instrumentation=...)``; such replicas are plain reactive state
+    machines, hosted without the BFT-BC store and signing extras.
+    """
+
+    def __init__(
+        self,
+        options: ClusterOptions,
+        *,
+        config: Optional[SystemConfig] = None,
+        replica_factory: Optional[ReplicaFactory] = None,
+        client_factory: Optional[Callable[..., Any]] = None,
+    ) -> None:
         self.options = options
-        self.config = make_system(
+        self.config = config or make_system(
             options.f,
             scheme=options.scheme,
             seed=b"cluster-seed-%d" % options.seed,
@@ -114,15 +203,12 @@ class Cluster:
             verification_cache=options.verification_cache,
             client_state_budget=options.client_state_budget,
         )
-        self.scheduler = Scheduler()
-        self.network = SimNetwork(
-            self.scheduler, profile=options.profile, seed=options.seed
+        super().__init__(
+            profile=options.profile,
+            seed=options.seed,
+            instrumentation=options.instrumentation,
         )
         self.recorder = HistoryRecorder(self.scheduler)
-        #: The run's observability handle; spans and histograms use the
-        #: scheduler's virtual clock unless the caller bound another.
-        self.instrumentation = options.instrumentation or Instrumentation.off()
-        self.instrumentation.bind_clock(lambda: self.scheduler.now)
         self.metrics = MetricsCollector(instrumentation=self.instrumentation)
         assert self.config.verifier is not None
         self.instrumentation.attach_verification(self.config.verifier.stats)
@@ -136,13 +222,20 @@ class Cluster:
         )
         if self.batch_stats is not None:
             self.instrumentation.attach_batching(self.batch_stats)
-        self.replica_nodes: dict[str, ReplicaNode] = {}
+        self._client_factory = client_factory or options.variant.client_cls
+        self.replica_nodes: dict[str, ReplicaHost] = {}
         self.clients: dict[str, ClientNode] = {}
-        self._extra_done_checks: list[Callable[[], bool]] = []
-        self._build_replicas()
+        if replica_factory is None:
+            self._build_replicas()
+        else:
+            for index, node_id in enumerate(self.config.quorums.replica_ids):
+                factory = options.replica_overrides.get(index, replica_factory)
+                self.replica_nodes[node_id] = ReplicaHost(
+                    factory(node_id, self.config), self.network
+                )
 
     @property
-    def replicas(self) -> dict[str, BftBcReplica]:
+    def replicas(self) -> dict[str, Any]:
         """Live replica state machines, by node id.
 
         A property over the nodes because a crash/restart fault swaps the
@@ -191,7 +284,7 @@ class Cluster:
 
     def add_client(self, name: str) -> ClientNode:
         """Create a correct client of the cluster's variant."""
-        client = self.options.variant.client_cls(
+        client = self._client_factory(
             f"client:{name}", self.config, instrumentation=self.instrumentation
         )
         node = ClientNode(
@@ -210,12 +303,8 @@ class Cluster:
                 else None
             ),
         )
-        self.clients[client.node_id] = node
+        self.clients[client.node_id] = self._track(node)
         return node
-
-    def add_done_check(self, check: Callable[[], bool]) -> None:
-        """Register an extra completion condition (Byzantine actors use this)."""
-        self._extra_done_checks.append(check)
 
     # -- execution ------------------------------------------------------------------
 
@@ -241,34 +330,6 @@ class Cluster:
                 script, think_time=think_time, start_delay=index * stagger
             )
         self.run(max_time=max_time)
-
-    def _all_done(self) -> bool:
-        if not all(node.done for node in self.clients.values()):
-            return False
-        return all(check() for check in self._extra_done_checks)
-
-    def run(self, *, max_time: float = 300.0, max_events: int = 5_000_000) -> None:
-        """Run until every client script (and extra check) completes.
-
-        Raises:
-            OperationFailedError: if the virtual-time or event budget is
-                exhausted first — i.e. liveness failed under this schedule.
-        """
-        self.scheduler.run(
-            until=self.scheduler.now + max_time,
-            max_events=max_events,
-            stop_when=self._all_done,
-        )
-        if not self._all_done():
-            busy = [n for n, node in self.clients.items() if not node.done]
-            raise OperationFailedError(
-                f"workload incomplete after {max_time}s virtual time; "
-                f"busy clients: {busy}"
-            )
-
-    def settle(self, duration: float = 1.0) -> None:
-        """Let in-flight messages drain for ``duration`` of virtual time."""
-        self.scheduler.run(until=self.scheduler.now + duration)
 
     # -- administrative actions -------------------------------------------------
 

@@ -4,7 +4,9 @@ Generalises :mod:`repro.sim.multi_node` from one replica group to many:
 ``shards`` independent 3f+1 groups share one :class:`SimNetwork` and one
 virtual clock, objects are placed by a consistent-hash ring, and clients
 are :class:`~repro.shard.router.ShardRouter` instances driven through
-``(obj, kind, value)`` scripts by :class:`ShardRouterNode`.
+``(obj, kind, value)`` scripts by the same
+:class:`~repro.sim.multi_node.MultiObjectClientNode` that drives a
+single-group multi-object client.
 
 The harness also owns the *operational* side that no protocol role can:
 :meth:`ShardCluster.start_reconfiguration` spawns a joining replica node
@@ -14,20 +16,20 @@ membership, and lets the epoch install race whatever client traffic is in
 flight — exactly the scenario the chaos layer's epoch-agreement oracle
 judges.
 
-Replica nodes take an optional ``service_delay``: each received frame
-occupies the replica for that much virtual time (a single-server queue),
-so aggregate throughput is capacity-limited per group and grows with the
-number of shards — the effect benchmark E19 measures.
+Replica hosts take the options' ``service_delay`` (the single-server queue
+of :class:`~repro.sim.nodes.ReplicaHost`), so aggregate throughput is
+capacity-limited per group and grows with the number of shards — the
+effect benchmark E19 measures.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from repro.core.config import SystemConfig, Variant, make_system
 from repro.core.messages import Message
-from repro.errors import OperationFailedError, SimulationError
+from repro.errors import SimulationError
 from repro.net.simnet import LinkProfile, SimNetwork
 from repro.shard.directory import ShardConfig, ShardDirectory
 from repro.shard.reconfig import Reconfigurator
@@ -35,21 +37,20 @@ from repro.shard.replica import ShardReplica
 from repro.shard.ring import HashRing
 from repro.shard.router import ShardRouter
 from repro.sim.faults import FaultSchedule
-from repro.sim.multi_node import MultiScriptStep
-from repro.sim.scheduler import EventHandle, Scheduler
-from repro.spec.histories import History, Invocation, Response
+from repro.sim.multi_node import MultiObjectClientNode, MultiScriptStep
+from repro.sim.nodes import DEFAULT_RETRANSMIT_INTERVAL, ReplicaHost
+from repro.sim.runner import SimHarness
+from repro.sim.scheduler import Scheduler
+from repro.spec.histories import History
 from repro.storage import ReplicaStore
 
 __all__ = [
     "ShardClusterOptions",
     "ShardCluster",
     "ShardReplicaNode",
-    "ShardRouterNode",
     "ReconfiguratorNode",
     "build_shard_cluster",
 ]
-
-RETRANSMIT_INTERVAL = 0.05
 
 #: The variants a shard group hosts.  The shard template is not built
 #: ``strong``, and a joining replica's state transfer validates candidates
@@ -74,7 +75,7 @@ class ShardClusterOptions:
     #: Virtual-time service cost per frame at a replica (0 = infinitely
     #: fast replicas; set > 0 to model per-group capacity).
     service_delay: float = 0.0
-    retransmit_interval: float = RETRANSMIT_INTERVAL
+    retransmit_interval: float = DEFAULT_RETRANSMIT_INTERVAL
     #: ``(node_id, obj) -> ReplicaStore`` for durable per-object state;
     #: ``None`` keeps the in-memory default.
     store_factory: Optional[Callable[[str, str], ReplicaStore]] = None
@@ -101,8 +102,12 @@ def member_id(shard_index: int, replica_index: int) -> str:
     return f"replica:s{shard_index}n{replica_index}"
 
 
-class ShardReplicaNode:
-    """Wires one :class:`ShardReplica` into the simulated network."""
+class ShardReplicaNode(ReplicaHost):
+    """Hosts one :class:`ShardReplica`; a joining one also drives its
+    bootstrap (state transfer from the old members) until it is ready."""
+
+    replica: ShardReplica
+    scheduler: Scheduler
 
     def __init__(
         self,
@@ -111,55 +116,17 @@ class ShardReplicaNode:
         scheduler: Scheduler,
         *,
         service_delay: float = 0.0,
-        retransmit_interval: float = RETRANSMIT_INTERVAL,
+        retransmit_interval: float = DEFAULT_RETRANSMIT_INTERVAL,
     ) -> None:
-        self.replica = replica
-        self.network = network
-        self.scheduler = scheduler
-        self.service_delay = service_delay
+        super().__init__(replica, network, scheduler, service_delay=service_delay)
         self.retransmit_interval = retransmit_interval
-        self.crashed = False
-        self._busy_until = 0.0
-        network.register(replica.node_id, self._on_message)
-
-    @property
-    def node_id(self) -> str:
-        return self.replica.node_id
-
-    def _on_message(self, src: str, message: Message) -> None:
-        if self.crashed:
-            return
-        if self.service_delay <= 0:
-            self._process(src, message)
-            return
-        # Single-server queue: each frame occupies the replica for
-        # ``service_delay`` of virtual time, starting when the CPU frees up.
-        start = max(self.scheduler.now, self._busy_until)
-        self._busy_until = start + self.service_delay
-        self.scheduler.call_at(
-            self._busy_until, lambda: self._process(src, message)
-        )
-
-    def _process(self, src: str, message: Message) -> None:
-        if self.crashed:
-            return
-        reply = self.replica.handle(src, message)
-        if reply is not None:
-            self.network.send(self.node_id, src, reply)
-
-    def crash(self) -> None:
-        """Stop the node for good (the replace-a-dead-replica scenario)."""
-        self.crashed = True
-        self.network.crash(self.node_id)
-
-    # -- bootstrap (joining replicas only) ---------------------------------
 
     def start_bootstrap(self) -> None:
         self._send_all(self.replica.begin_bootstrap())
         self.scheduler.call_later(self.retransmit_interval, self._boot_tick)
 
     def _boot_tick(self) -> None:
-        if self.crashed or self.replica.ready:
+        if self.down or self.replica.ready:
             return
         self._send_all(self.replica.bootstrap_retransmit())
         self.scheduler.call_later(self.retransmit_interval, self._boot_tick)
@@ -167,137 +134,6 @@ class ShardReplicaNode:
     def _send_all(self, sends) -> None:
         for send in sends:
             self.network.send(self.node_id, send.dest, send.message)
-
-
-class ShardRouterNode:
-    """Drives a :class:`ShardRouter` through a multi-object script.
-
-    The same contract as
-    :class:`~repro.sim.multi_node.MultiObjectClientNode`; epoch changes
-    need no driver support (the router migrates in-flight operations
-    itself), so the node merely counts them for the episode stats.
-    """
-
-    def __init__(
-        self,
-        router: ShardRouter,
-        network: SimNetwork,
-        scheduler: Scheduler,
-        *,
-        max_in_flight: int = 4,
-        record_history: bool = False,
-        retransmit_interval: float = RETRANSMIT_INTERVAL,
-    ) -> None:
-        self.router = router
-        self.network = network
-        self.scheduler = scheduler
-        self.max_in_flight = max_in_flight
-        self.retransmit_interval = retransmit_interval
-        self.results: list[tuple[MultiScriptStep, Any]] = []
-        self.done = True
-        self.histories: dict[str, History] = {}
-        self.epoch_changes = 0
-        self._record = record_history
-        self._pending: list[MultiScriptStep] = []
-        self._in_flight: dict[str, MultiScriptStep] = {}
-        self._retransmit_handle: Optional[EventHandle] = None
-        router.on_epoch_change = self._on_epoch_change
-        network.register(router.node_id, self._on_message)
-
-    @property
-    def node_id(self) -> str:
-        return self.router.node_id
-
-    def run_script(self, script: Sequence[MultiScriptStep]) -> None:
-        self._pending = list(script)
-        self.done = not self._pending
-        if self._pending:
-            self.scheduler.call_later(0.0, self._dispatch)
-            self._arm_retransmit()
-
-    # -- scheduling --------------------------------------------------------
-
-    def _begin(self, step: MultiScriptStep) -> list:
-        obj, kind, value = step
-        if kind == "write":
-            return self.router.begin_write(obj, value)
-        if kind == "read":
-            return self.router.begin_read(obj)
-        raise ValueError(f"unknown step kind {kind!r}")
-
-    def _dispatch(self) -> None:
-        round_sends = []
-        index = 0
-        while (
-            index < len(self._pending)
-            and len(self._in_flight) < self.max_in_flight
-        ):
-            obj, kind, value = self._pending[index]
-            if obj in self._in_flight:
-                index += 1
-                continue
-            step = self._pending.pop(index)
-            self._in_flight[obj] = step
-            if self._record:
-                self.histories.setdefault(obj, History()).append(
-                    Invocation(
-                        client=self.node_id,
-                        obj=obj,
-                        op=kind,
-                        arg=value,
-                        time=self.scheduler.now,
-                    )
-                )
-            round_sends.extend(self._begin(step))
-        self._send_all(round_sends)
-
-    def _on_epoch_change(self, shard: str) -> None:
-        self.epoch_changes += 1
-
-    def _on_message(self, src: str, message: Message) -> None:
-        self._send_all(self.router.deliver(src, message))
-        completed = [
-            obj for obj in list(self._in_flight) if not self.router.busy(obj)
-        ]
-        for obj in completed:
-            step = self._in_flight.pop(obj)
-            result = self.router.result(obj)
-            self.results.append((step, result))
-            if self._record:
-                value = result if step[1] == "read" else None
-                self.histories.setdefault(obj, History()).append(
-                    Response(
-                        client=self.node_id,
-                        obj=obj,
-                        value=value,
-                        time=self.scheduler.now,
-                    )
-                )
-        if completed:
-            self._dispatch()
-        if not self._pending and not self._in_flight:
-            self.done = True
-            self._cancel_retransmit()
-
-    def _send_all(self, sends) -> None:
-        for send in sends:
-            self.network.send(self.node_id, send.dest, send.message)
-
-    def _arm_retransmit(self) -> None:
-        self._retransmit_handle = self.scheduler.call_later(
-            self.retransmit_interval, self._retransmit
-        )
-
-    def _retransmit(self) -> None:
-        if self.done:
-            return
-        self._send_all(self.router.retransmit())
-        self._arm_retransmit()
-
-    def _cancel_retransmit(self) -> None:
-        if self._retransmit_handle is not None:
-            self._retransmit_handle.cancel()
-            self._retransmit_handle = None
 
 
 class ReconfiguratorNode:
@@ -317,7 +153,7 @@ class ReconfiguratorNode:
         remove: str,
         add: str,
         joiner: Optional[ShardReplicaNode] = None,
-        retransmit_interval: float = RETRANSMIT_INTERVAL,
+        retransmit_interval: float = DEFAULT_RETRANSMIT_INTERVAL,
     ) -> None:
         self.reconfigurator = reconfigurator
         self.network = network
@@ -359,15 +195,12 @@ class ReconfiguratorNode:
             self.network.send(self.node_id, send.dest, send.message)
 
 
-class ShardCluster:
+class ShardCluster(SimHarness):
     """A fully wired sharded deployment on the deterministic simulator."""
 
     def __init__(self, options: ShardClusterOptions) -> None:
+        super().__init__(profile=options.profile, seed=options.seed)
         self.options = options
-        self.scheduler = Scheduler()
-        self.network = SimNetwork(
-            self.scheduler, profile=options.profile, seed=options.seed
-        )
         #: Template carrying the shared PKI, scheme, and protocol flags;
         #: every role derives its per-shard config from this via
         #: ``dataclasses.replace``.
@@ -393,7 +226,7 @@ class ShardCluster:
         #: through it, so it always holds the newest installed chain.
         self.directory = ShardDirectory(genesis, self.template.scheme)
         self.replica_nodes: dict[str, ShardReplicaNode] = {}
-        self.routers: dict[str, ShardRouterNode] = {}
+        self.routers: dict[str, MultiObjectClientNode] = {}
         self.reconfigurations: list[ReconfiguratorNode] = []
         self._reconfig_count = 0
         for shard, config in genesis.items():
@@ -447,7 +280,7 @@ class ShardCluster:
         *,
         max_in_flight: int = 4,
         record_history: bool = True,
-    ) -> ShardRouterNode:
+    ) -> MultiObjectClientNode:
         self.template.registry.register(f"client:{name}")
         router = ShardRouter(
             f"client:{name}",
@@ -456,7 +289,7 @@ class ShardCluster:
             self.template,
             client_cls=self.options.variant.client_cls,
         )
-        node = ShardRouterNode(
+        node = MultiObjectClientNode(
             router,
             self.network,
             self.scheduler,
@@ -464,7 +297,7 @@ class ShardCluster:
             record_history=record_history,
             retransmit_interval=self.options.retransmit_interval,
         )
-        self.routers[router.node_id] = node
+        self.routers[router.node_id] = self._track(node)
         return node
 
     # -- reconfiguration ---------------------------------------------------
@@ -500,7 +333,7 @@ class ShardCluster:
             joiner=joiner,
             retransmit_interval=self.options.retransmit_interval,
         )
-        self.reconfigurations.append(node)
+        self.reconfigurations.append(self._track(node))
         node.start()
         return node
 
@@ -525,46 +358,6 @@ class ShardCluster:
             node.run_script(script)
         self.run(max_time=max_time)
 
-    def _all_done(self) -> bool:
-        return all(node.done for node in self.routers.values()) and all(
-            node.done for node in self.reconfigurations
-        )
-
-    def run(self, *, max_time: float = 300.0, max_events: int = 5_000_000) -> None:
-        """Run until every script and reconfiguration completes.
-
-        Raises:
-            OperationFailedError: when the time or event budget runs out
-                first — liveness failed under this schedule.
-        """
-        self.scheduler.run(
-            until=self.scheduler.now + max_time,
-            max_events=max_events,
-            stop_when=self._all_done,
-        )
-        if not self._all_done():
-            busy = [n for n, node in self.routers.items() if not node.done]
-            stuck = [
-                f"{node.node_id}({node.reconfigurator.phase})"
-                for node in self.reconfigurations
-                if not node.done
-            ]
-            raise OperationFailedError(
-                f"shard workload incomplete after {max_time}s virtual time; "
-                f"busy routers: {busy}; stuck reconfigurations: {stuck}"
-            )
-
-    def settle(self, duration: float = 1.0) -> None:
-        """Advance virtual time by ``duration`` (processing pending events).
-
-        A sentinel no-op event pins the end time: the scheduler clock only
-        moves when events fire, so an empty queue would otherwise leave
-        ``now`` — and clock-based handoff windows — frozen.
-        """
-        deadline = self.scheduler.now + duration
-        self.scheduler.call_at(deadline, lambda: None)
-        self.scheduler.run(until=deadline)
-
     # -- results -----------------------------------------------------------
 
     def merged_histories(self) -> dict[str, History]:
@@ -586,7 +379,7 @@ class ShardCluster:
             self.replica_nodes[member].replica
             for member in self.directory.config(shard).members
             if member in self.replica_nodes
-            and not self.replica_nodes[member].crashed
+            and not self.replica_nodes[member].down
         ]
 
     def total_ops(self) -> int:

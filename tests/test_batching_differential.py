@@ -27,7 +27,7 @@ from repro.core.multiobject import MultiObjectClient, MultiObjectReplica
 from repro.net.simnet import LinkProfile, SimNetwork
 from repro.sim import (
     MultiObjectClientNode,
-    MultiObjectReplicaNode,
+    ReplicaHost,
     Scheduler,
     build_cluster,
 )
@@ -120,7 +120,7 @@ class TestMultiObjectOutcomes:
             for rid in config.quorums.replica_ids
         }
         for replica in replicas.values():
-            MultiObjectReplicaNode(replica, network)
+            ReplicaHost(replica, network)
         client = MultiObjectClient("client:m", config)
         node = MultiObjectClientNode(
             client,

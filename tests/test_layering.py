@@ -57,6 +57,24 @@ def test_checker_flags_a_second_dial_site_and_a_variant_dispatch(tmp_path):
     ]
 
 
+def test_checker_flags_a_second_sim_loop(tmp_path):
+    """Only ``sim.runner`` builds a scheduler and a network; naming the
+    classes (annotations, imports) stays free everywhere."""
+    (tmp_path / "repro" / "sim").mkdir(parents=True)
+    (tmp_path / "repro" / "load").mkdir()
+    build = "s = Scheduler()\nn = simnet.SimNetwork(s)\n"
+    (tmp_path / "repro" / "sim" / "runner.py").write_text(build)
+    (tmp_path / "repro" / "sim" / "nodes.py").write_text(
+        "def host(network: SimNetwork, scheduler: Scheduler): ...\n"
+    )
+    (tmp_path / "repro" / "load" / "harness.py").write_text(build)
+    found = check_layering.find_duplication(tmp_path)
+    assert [(module, line) for module, line, _ in found] == [
+        ("repro.load.harness", 1),
+        ("repro.load.harness", 2),
+    ]
+
+
 def test_checker_cli_passes():
     result = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "check_layering.py")],

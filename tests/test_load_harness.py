@@ -18,6 +18,7 @@ from repro.load import (
     run_open_loop,
     run_tcp_load,
 )
+from repro.net.simnet import LinkProfile
 from repro.obs import LatencyHistogram
 
 
@@ -121,6 +122,50 @@ class TestSimHarness:
         assert all(node == per_node[0] for node in per_node)
         assert harness.tracked_entries() > 0
         assert harness.active_drivers == 0  # everyone parked after drain
+
+
+class TestRetransmitTimer:
+    def test_one_live_timer_per_driver_and_one_sweep_per_operation(self):
+        """One identity running queued writes back to back: each finished
+        operation's timer chain used to live on, so every tick of every
+        stale chain retransmitted the *current* operation (1128 messages
+        for these 12 writes; 384 with the chain cancelled on completion)."""
+        profile = LoadProfile(
+            rate=50,
+            duration=0.2,
+            identities=1,
+            objects=1,
+            write_fraction=1.0,
+            identity_policy="uniform",
+        )
+        harness = SimLoadHarness(
+            profile,
+            SimLoadOptions(
+                # Three 0.12 s round trips outlast one 0.25 s timer period.
+                link=LinkProfile(min_delay=0.06, max_delay=0.06),
+                retransmit_interval=0.25,
+            ),
+        )
+        worst = 0
+
+        def sample_live_timers(*_event) -> None:
+            nonlocal worst
+            live = sum(
+                1
+                for event in harness.scheduler._queue
+                if not event.cancelled
+                and getattr(event.action, "__name__", "") == "_retransmit_tick"
+            )
+            worst = max(worst, live)
+
+        harness.network.tap = sample_live_timers  # runs on every send/delivery
+        report = harness.run()
+        assert report.completed == report.arrivals == 12
+        assert worst == 1  # a single identity: a single driver
+        n = harness.config.quorums.n
+        # 3 phases x (request + reply) x n replicas, plus one n-message
+        # retransmission sweep (and its n replies) per operation.
+        assert harness.network.stats.messages_sent <= (6 * n + 2 * n) * 12
 
 
 class TestBudgetDifferential:

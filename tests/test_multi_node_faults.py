@@ -14,8 +14,7 @@ import pytest
 
 from repro.core import MultiObjectClient, MultiObjectReplica, make_system
 from repro.net.simnet import LinkProfile, SimNetwork
-from repro.sim import MultiObjectClientNode, Scheduler
-from repro.sim.multi_node import MultiObjectReplicaNode
+from repro.sim import MultiObjectClientNode, ReplicaHost, Scheduler
 from repro.spec import History, check_bft_linearizable
 
 
@@ -33,7 +32,7 @@ def build_group(group: str, network: SimNetwork, *, f: int = 1, seed: bytes):
     nodes = {}
     for rid in quorums.replica_ids:
         replica = MultiObjectReplica(rid, config)
-        nodes[rid] = MultiObjectReplicaNode(replica, network)
+        nodes[rid] = ReplicaHost(replica, network)
     return config, nodes
 
 

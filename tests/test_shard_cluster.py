@@ -231,8 +231,8 @@ class TestClosedFormCosts:
         kinds = cluster.network.stats.sent_by_kind
         fetch_sent = kinds.get("DIR-REQ", 0) + kinds.get("DIR-REPLY", 0)
         assert fetch_sent == model.directory_fetch_messages()
-        assert node.router.refreshes == 1
-        assert node.router.epoch(target) == 1
+        assert node.client.refreshes == 1
+        assert node.client.epoch(target) == 1
 
 
 class TestCapacityModel:

@@ -31,13 +31,15 @@ source file under ``src/repro`` with :mod:`ast` — including imports inside
 ``TYPE_CHECKING`` blocks and function bodies, so lazy imports cannot hide a
 cycle-in-waiting.
 
-Two further rules keep deleted duplication from growing back
+Three further rules keep deleted duplication from growing back
 (:func:`find_duplication`): the TCP client stack lives in one module, so
 ``asyncio.open_connection`` may be called only from ``repro.net.mux`` (and
-the chaos proxy's upstream leg); and the variant-to-class mapping lives on
+the chaos proxy's upstream leg); the variant-to-class mapping lives on
 ``repro.core.config.Variant``, so outside ``repro.core``, ``repro.byzantine``
 and the ``repro`` facade the concrete variant classes may be named only as
-base classes, never in a dispatch.
+base classes, never in a dispatch; and the simulated run loop lives on
+``repro.sim.runner.SimHarness``, so ``Scheduler(`` and ``SimNetwork(`` may
+be constructed only in ``repro.sim.runner``.
 
 Run:  python tools/check_layering.py   (exits 1 and lists violations)
 The tier-1 test ``tests/test_layering.py`` runs this on every suite run.
@@ -92,6 +94,12 @@ VARIANT_CLASSES = frozenset(
         "StrongBftBcClient",
     }
 )
+
+
+#: A harness that builds its own scheduler and network grows its own
+#: run / settle / done-check loop next; build on ``SimHarness`` instead.
+SIM_LOOP_CLASSES = frozenset({"Scheduler", "SimNetwork"})
+SIM_LOOP_SITE = "repro.sim.runner"
 
 
 def _may_name_variant_classes(module: str) -> bool:
@@ -172,6 +180,12 @@ def find_duplication(src: pathlib.Path = SRC) -> list[tuple[str, int, str]]:
             for base in node.bases
         }
         for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and module != SIM_LOOP_SITE:
+                callee = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if callee in SIM_LOOP_CLASSES:
+                    found.append(
+                        (module, node.lineno, f"constructs {callee} outside SimHarness")
+                    )
             if isinstance(node, ast.Name):
                 name = node.id
             elif isinstance(node, ast.Attribute):
@@ -199,7 +213,7 @@ def main() -> int:
         for importer, imported, il, tl in violations:
             print(f"  {importer} (L{il}) -> {imported} (L{tl})")
     if duplication:
-        print("duplication the variant registry / the one endpoint replaced:")
+        print("duplication the variant registry / one endpoint / one harness replaced:")
         for module, line, what in duplication:
             print(f"  {module}:{line} {what}")
     if violations or duplication:
