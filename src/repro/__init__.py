@@ -49,7 +49,6 @@ from repro.chaos import (
     generate_plan,
     minimize_episode,
     replay_artifact,
-    replay_shard_artifact,
     run_campaign,
     run_episode,
     run_shard_episode,
@@ -261,7 +260,6 @@ __all__ = [
     "run_shard_episode",
     "minimize_episode",
     "replay_artifact",
-    "replay_shard_artifact",
     # correctness
     "History",
     "check_register_linearizable",

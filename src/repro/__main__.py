@@ -430,11 +430,40 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     return 0
 
 
+def _replay(args: argparse.Namespace) -> int:
+    """``chaos replay`` and ``shard replay``: either kind of artifact."""
+    import json
+
+    from repro.chaos import replay_artifact
+
+    outcome = replay_artifact(args.artifact)
+    actual = outcome.actual
+    if args.json:
+        print(json.dumps(
+            {
+                "note": outcome.note,
+                "expected": dict(sorted(outcome.expected.items())),
+                "actual": dict(sorted(actual.items())),
+                "matches": outcome.matches,
+            },
+            indent=2, sort_keys=True,
+        ))
+    else:
+        if outcome.note:
+            print(f"note: {outcome.note}")
+        for name in sorted(outcome.expected):
+            expected, got = outcome.expected[name], actual.get(name)
+            marker = "ok" if got == expected else "MISMATCH"
+            print(f"{name}: expected {expected}, got {got} [{marker}]")
+        print("replay matches" if outcome.matches else "replay DIVERGED")
+    return 0 if outcome.matches else 1
+
+
 def cmd_chaos(args: argparse.Namespace) -> int:
     import json
 
     from repro.analysis import format_campaign
-    from repro.chaos import CampaignConfig, replay_artifact, run_campaign
+    from repro.chaos import CampaignConfig, run_campaign
     from repro.chaos.tcp import TcpChaosConfig, run_tcp_campaign
 
     if args.chaos_command == "run":
@@ -457,39 +486,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         return 0 if not summary["violations"] else 1
 
     if args.chaos_command == "replay":
-        # Shard artifacts replay through their own engine; dispatch on the
-        # format tag so either kind works from this entry point.
-        from repro.chaos.shard import SHARD_ARTIFACT_FORMAT, replay_shard_artifact
-
-        with open(args.artifact, encoding="utf-8") as handle:
-            artifact_format = json.load(handle).get("format")
-        if artifact_format == SHARD_ARTIFACT_FORMAT:
-            outcome = replay_shard_artifact(args.artifact)
-        else:
-            outcome = replay_artifact(args.artifact)
-        actual = outcome.actual
-        if args.json:
-            print(
-                json.dumps(
-                    {
-                        "note": outcome.note,
-                        "expected": dict(sorted(outcome.expected.items())),
-                        "actual": dict(sorted(actual.items())),
-                        "matches": outcome.matches,
-                    },
-                    indent=2,
-                    sort_keys=True,
-                )
-            )
-        else:
-            if outcome.note:
-                print(f"note: {outcome.note}")
-            for name in sorted(outcome.expected):
-                expected, got = outcome.expected[name], actual.get(name)
-                marker = "ok" if got == expected else "MISMATCH"
-                print(f"{name}: expected {expected}, got {got} [{marker}]")
-            print("replay matches" if outcome.matches else "replay DIVERGED")
-        return 0 if outcome.matches else 1
+        return _replay(args)
 
     summary = run_tcp_campaign(TcpChaosConfig(seed=args.seed, f=args.f))
     if args.json:
@@ -546,11 +543,7 @@ def cmd_storage(args: argparse.Namespace) -> int:
 def cmd_shard(args: argparse.Namespace) -> int:
     import json
 
-    from repro.chaos.shard import (
-        ShardEpisodePlan,
-        replay_shard_artifact,
-        run_shard_episode,
-    )
+    from repro.chaos.shard import ShardEpisodePlan, run_shard_episode
     from repro.sim.shard_cluster import build_shard_cluster, member_id
 
     if args.shard_command == "demo":
@@ -618,27 +611,7 @@ def cmd_shard(args: argparse.Namespace) -> int:
             print(f"stats: {result.stats}")
         return 0 if result.ok else 1
 
-    outcome = replay_shard_artifact(args.artifact)
-    actual = outcome.actual
-    if args.json:
-        print(json.dumps(
-            {
-                "note": outcome.note,
-                "expected": dict(sorted(outcome.expected.items())),
-                "actual": dict(sorted(actual.items())),
-                "matches": outcome.matches,
-            },
-            indent=2, sort_keys=True,
-        ))
-    else:
-        if outcome.note:
-            print(f"note: {outcome.note}")
-        for name in sorted(outcome.expected):
-            expected, got = outcome.expected[name], actual.get(name)
-            marker = "ok" if got == expected else "MISMATCH"
-            print(f"{name}: expected {expected}, got {got} [{marker}]")
-        print("replay matches" if outcome.matches else "replay DIVERGED")
-    return 0 if outcome.matches else 1
+    return _replay(args)
 
 
 def cmd_load(args: argparse.Namespace) -> int:

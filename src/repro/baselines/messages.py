@@ -1,7 +1,8 @@
 """Wire messages for the baseline protocols (BQS [9] and Phalanx [10]).
 
 Registered in the same message registry as the core protocol, with distinct
-kind tags, so they flow through the same simulated network and transports.
+kind tags, so they flow through the same simulated network and transports;
+declared with the same field types, so the same derived codec carries them.
 """
 
 from __future__ import annotations
@@ -9,7 +10,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, ClassVar, Optional
 
-from repro.core.messages import Message, register_message
+from repro.core.messages import (
+    BYTES,
+    SIGNATURE,
+    TIMESTAMP,
+    VALUE,
+    Message,
+    optional,
+    register_message,
+    tuple_of,
+    wire_field,
+)
 from repro.core.timestamp import Timestamp
 from repro.crypto.signatures import Signature
 
@@ -31,14 +42,6 @@ __all__ = [
 ]
 
 
-def _sig(wire: Any) -> Signature:
-    return Signature.from_wire(wire)
-
-
-def _opt_sig(wire: Any) -> Optional[Signature]:
-    return None if wire is None else Signature.from_wire(wire)
-
-
 # ---------------------------------------------------------------------------
 # BQS (Malkhi-Reiter basic register; §3.1 of the ICDCS paper)
 # ---------------------------------------------------------------------------
@@ -48,38 +51,16 @@ def _opt_sig(wire: Any) -> Optional[Signature]:
 @dataclass(frozen=True)
 class BqsReadTsRequest(Message):
     KIND: ClassVar[str] = "BQS-READ-TS"
-    nonce: bytes
-
-    def to_wire(self) -> dict[str, Any]:
-        return {"nonce": self.nonce}
-
-    @classmethod
-    def from_wire(cls, wire: dict[str, Any]) -> "BqsReadTsRequest":
-        return cls(nonce=wire["nonce"])
+    nonce: bytes = wire_field("nonce", BYTES)
 
 
 @register_message
 @dataclass(frozen=True)
 class BqsReadTsReply(Message):
     KIND: ClassVar[str] = "BQS-READ-TS-REPLY"
-    ts: Timestamp
-    nonce: bytes
-    signature: Signature
-
-    def to_wire(self) -> dict[str, Any]:
-        return {
-            "ts": self.ts.to_wire(),
-            "nonce": self.nonce,
-            "sig": self.signature.to_wire(),
-        }
-
-    @classmethod
-    def from_wire(cls, wire: dict[str, Any]) -> "BqsReadTsReply":
-        return cls(
-            ts=Timestamp.from_wire(wire["ts"]),
-            nonce=wire["nonce"],
-            signature=_sig(wire["sig"]),
-        )
+    ts: Timestamp = wire_field("ts", TIMESTAMP)
+    nonce: bytes = wire_field("nonce", BYTES)
+    signature: Signature = wire_field("sig", SIGNATURE)
 
 
 @register_message
@@ -88,53 +69,24 @@ class BqsWriteRequest(Message):
     """Store ``(value, ts)``; ``writer_sig`` authenticates value+timestamp."""
 
     KIND: ClassVar[str] = "BQS-WRITE"
-    value: Any
-    ts: Timestamp
-    writer_sig: Signature
-
-    def to_wire(self) -> dict[str, Any]:
-        return {
-            "value": self.value,
-            "ts": self.ts.to_wire(),
-            "wsig": self.writer_sig.to_wire(),
-        }
-
-    @classmethod
-    def from_wire(cls, wire: dict[str, Any]) -> "BqsWriteRequest":
-        return cls(
-            value=wire["value"],
-            ts=Timestamp.from_wire(wire["ts"]),
-            writer_sig=_sig(wire["wsig"]),
-        )
+    value: Any = wire_field("value", VALUE)
+    ts: Timestamp = wire_field("ts", TIMESTAMP)
+    writer_sig: Signature = wire_field("wsig", SIGNATURE)
 
 
 @register_message
 @dataclass(frozen=True)
 class BqsWriteReply(Message):
     KIND: ClassVar[str] = "BQS-WRITE-REPLY"
-    ts: Timestamp
-    signature: Signature
-
-    def to_wire(self) -> dict[str, Any]:
-        return {"ts": self.ts.to_wire(), "sig": self.signature.to_wire()}
-
-    @classmethod
-    def from_wire(cls, wire: dict[str, Any]) -> "BqsWriteReply":
-        return cls(ts=Timestamp.from_wire(wire["ts"]), signature=_sig(wire["sig"]))
+    ts: Timestamp = wire_field("ts", TIMESTAMP)
+    signature: Signature = wire_field("sig", SIGNATURE)
 
 
 @register_message
 @dataclass(frozen=True)
 class BqsReadRequest(Message):
     KIND: ClassVar[str] = "BQS-READ"
-    nonce: bytes
-
-    def to_wire(self) -> dict[str, Any]:
-        return {"nonce": self.nonce}
-
-    @classmethod
-    def from_wire(cls, wire: dict[str, Any]) -> "BqsReadRequest":
-        return cls(nonce=wire["nonce"])
+    nonce: bytes = wire_field("nonce", BYTES)
 
 
 @register_message
@@ -143,30 +95,12 @@ class BqsReadReply(Message):
     """Replica's stored value, timestamp, and the writer's signature."""
 
     KIND: ClassVar[str] = "BQS-READ-REPLY"
-    value: Any
-    ts: Timestamp
-    writer_sig: Optional[Signature]  # None before the first write
-    nonce: bytes
-    signature: Signature
-
-    def to_wire(self) -> dict[str, Any]:
-        return {
-            "value": self.value,
-            "ts": self.ts.to_wire(),
-            "wsig": None if self.writer_sig is None else self.writer_sig.to_wire(),
-            "nonce": self.nonce,
-            "sig": self.signature.to_wire(),
-        }
-
-    @classmethod
-    def from_wire(cls, wire: dict[str, Any]) -> "BqsReadReply":
-        return cls(
-            value=wire["value"],
-            ts=Timestamp.from_wire(wire["ts"]),
-            writer_sig=_opt_sig(wire["wsig"]),
-            nonce=wire["nonce"],
-            signature=_sig(wire["sig"]),
-        )
+    value: Any = wire_field("value", VALUE)
+    ts: Timestamp = wire_field("ts", TIMESTAMP)
+    # None before the first write
+    writer_sig: Optional[Signature] = wire_field("wsig", optional(SIGNATURE))
+    nonce: bytes = wire_field("nonce", BYTES)
+    signature: Signature = wire_field("sig", SIGNATURE)
 
 
 # ---------------------------------------------------------------------------
@@ -178,38 +112,16 @@ class BqsReadReply(Message):
 @dataclass(frozen=True)
 class PhxReadTsRequest(Message):
     KIND: ClassVar[str] = "PHX-READ-TS"
-    nonce: bytes
-
-    def to_wire(self) -> dict[str, Any]:
-        return {"nonce": self.nonce}
-
-    @classmethod
-    def from_wire(cls, wire: dict[str, Any]) -> "PhxReadTsRequest":
-        return cls(nonce=wire["nonce"])
+    nonce: bytes = wire_field("nonce", BYTES)
 
 
 @register_message
 @dataclass(frozen=True)
 class PhxReadTsReply(Message):
     KIND: ClassVar[str] = "PHX-READ-TS-REPLY"
-    ts: Timestamp
-    nonce: bytes
-    signature: Signature
-
-    def to_wire(self) -> dict[str, Any]:
-        return {
-            "ts": self.ts.to_wire(),
-            "nonce": self.nonce,
-            "sig": self.signature.to_wire(),
-        }
-
-    @classmethod
-    def from_wire(cls, wire: dict[str, Any]) -> "PhxReadTsReply":
-        return cls(
-            ts=Timestamp.from_wire(wire["ts"]),
-            nonce=wire["nonce"],
-            signature=_sig(wire["sig"]),
-        )
+    ts: Timestamp = wire_field("ts", TIMESTAMP)
+    nonce: bytes = wire_field("nonce", BYTES)
+    signature: Signature = wire_field("sig", SIGNATURE)
 
 
 @register_message
@@ -218,48 +130,20 @@ class PhxEchoRequest(Message):
     """Ask replicas to vouch for ``(ts, h(value))`` before the write."""
 
     KIND: ClassVar[str] = "PHX-ECHO"
-    ts: Timestamp
-    value_hash: bytes
-    signature: Signature  # client's, over the echo statement
-
-    def to_wire(self) -> dict[str, Any]:
-        return {
-            "ts": self.ts.to_wire(),
-            "hash": self.value_hash,
-            "sig": self.signature.to_wire(),
-        }
-
-    @classmethod
-    def from_wire(cls, wire: dict[str, Any]) -> "PhxEchoRequest":
-        return cls(
-            ts=Timestamp.from_wire(wire["ts"]),
-            value_hash=wire["hash"],
-            signature=_sig(wire["sig"]),
-        )
+    ts: Timestamp = wire_field("ts", TIMESTAMP)
+    value_hash: bytes = wire_field("hash", BYTES)
+    # client's, over the echo statement
+    signature: Signature = wire_field("sig", SIGNATURE)
 
 
 @register_message
 @dataclass(frozen=True)
 class PhxEchoReply(Message):
     KIND: ClassVar[str] = "PHX-ECHO-REPLY"
-    ts: Timestamp
-    value_hash: bytes
-    signature: Signature  # replica's echo signature (certificate entry)
-
-    def to_wire(self) -> dict[str, Any]:
-        return {
-            "ts": self.ts.to_wire(),
-            "hash": self.value_hash,
-            "sig": self.signature.to_wire(),
-        }
-
-    @classmethod
-    def from_wire(cls, wire: dict[str, Any]) -> "PhxEchoReply":
-        return cls(
-            ts=Timestamp.from_wire(wire["ts"]),
-            value_hash=wire["hash"],
-            signature=_sig(wire["sig"]),
-        )
+    ts: Timestamp = wire_field("ts", TIMESTAMP)
+    value_hash: bytes = wire_field("hash", BYTES)
+    # replica's echo signature (certificate entry)
+    signature: Signature = wire_field("sig", SIGNATURE)
 
 
 @register_message
@@ -268,56 +152,25 @@ class PhxWriteRequest(Message):
     """The write proper, justified by a quorum of echo signatures."""
 
     KIND: ClassVar[str] = "PHX-WRITE"
-    value: Any
-    ts: Timestamp
-    echo_sigs: tuple[Signature, ...]
-    signature: Signature  # client's
-
-    def to_wire(self) -> dict[str, Any]:
-        return {
-            "value": self.value,
-            "ts": self.ts.to_wire(),
-            "echoes": tuple(s.to_wire() for s in self.echo_sigs),
-            "sig": self.signature.to_wire(),
-        }
-
-    @classmethod
-    def from_wire(cls, wire: dict[str, Any]) -> "PhxWriteRequest":
-        return cls(
-            value=wire["value"],
-            ts=Timestamp.from_wire(wire["ts"]),
-            echo_sigs=tuple(Signature.from_wire(s) for s in wire["echoes"]),
-            signature=_sig(wire["sig"]),
-        )
+    value: Any = wire_field("value", VALUE)
+    ts: Timestamp = wire_field("ts", TIMESTAMP)
+    echo_sigs: tuple[Signature, ...] = wire_field("echoes", tuple_of(SIGNATURE))
+    signature: Signature = wire_field("sig", SIGNATURE)  # client's
 
 
 @register_message
 @dataclass(frozen=True)
 class PhxWriteReply(Message):
     KIND: ClassVar[str] = "PHX-WRITE-REPLY"
-    ts: Timestamp
-    signature: Signature
-
-    def to_wire(self) -> dict[str, Any]:
-        return {"ts": self.ts.to_wire(), "sig": self.signature.to_wire()}
-
-    @classmethod
-    def from_wire(cls, wire: dict[str, Any]) -> "PhxWriteReply":
-        return cls(ts=Timestamp.from_wire(wire["ts"]), signature=_sig(wire["sig"]))
+    ts: Timestamp = wire_field("ts", TIMESTAMP)
+    signature: Signature = wire_field("sig", SIGNATURE)
 
 
 @register_message
 @dataclass(frozen=True)
 class PhxReadRequest(Message):
     KIND: ClassVar[str] = "PHX-READ"
-    nonce: bytes
-
-    def to_wire(self) -> dict[str, Any]:
-        return {"nonce": self.nonce}
-
-    @classmethod
-    def from_wire(cls, wire: dict[str, Any]) -> "PhxReadRequest":
-        return cls(nonce=wire["nonce"])
+    nonce: bytes = wire_field("nonce", BYTES)
 
 
 @register_message
@@ -327,24 +180,7 @@ class PhxReadReply(Message):
     reader must see f+1 matching replies to trust a value."""
 
     KIND: ClassVar[str] = "PHX-READ-REPLY"
-    value: Any
-    ts: Timestamp
-    nonce: bytes
-    signature: Signature
-
-    def to_wire(self) -> dict[str, Any]:
-        return {
-            "value": self.value,
-            "ts": self.ts.to_wire(),
-            "nonce": self.nonce,
-            "sig": self.signature.to_wire(),
-        }
-
-    @classmethod
-    def from_wire(cls, wire: dict[str, Any]) -> "PhxReadReply":
-        return cls(
-            value=wire["value"],
-            ts=Timestamp.from_wire(wire["ts"]),
-            nonce=wire["nonce"],
-            signature=_sig(wire["sig"]),
-        )
+    value: Any = wire_field("value", VALUE)
+    ts: Timestamp = wire_field("ts", TIMESTAMP)
+    nonce: bytes = wire_field("nonce", BYTES)
+    signature: Signature = wire_field("sig", SIGNATURE)

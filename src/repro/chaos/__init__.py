@@ -50,9 +50,7 @@ from repro.chaos.plan import (
 from repro.chaos.shard import (
     ShardEpisodePlan,
     ShardEpisodeResult,
-    replay_shard_artifact,
     run_shard_episode,
-    save_shard_artifact,
 )
 
 __all__ = [
@@ -74,11 +72,9 @@ __all__ = [
     "load_artifact",
     "minimize_episode",
     "replay_artifact",
-    "replay_shard_artifact",
     "run_campaign",
     "run_episode",
     "run_oracle_battery",
     "run_shard_episode",
     "save_artifact",
-    "save_shard_artifact",
 ]

@@ -10,19 +10,17 @@ epoch installs under whatever operations are in flight, and the episode is
 judged by the full oracle battery per object plus the
 ``epoch-agreement`` oracle (:data:`~repro.chaos.oracles.SHARD_ORACLES`).
 
-Artifacts use a distinct format tag (``repro-chaos-shard/1``) so the
-single-group replay path never mistakes one for an
-:class:`~repro.chaos.plan.EpisodePlan`; the committed corpus under
-``traces/chaos/`` mixes both kinds.
+Artifacts are saved, loaded and replayed by :mod:`repro.chaos.artifact`,
+under a distinct format tag (``repro-chaos-shard-artifact/1``) so a shard
+plan is never mistaken for an :class:`~repro.chaos.plan.EpisodePlan`; the
+committed corpus under ``traces/chaos/`` mixes both kinds.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
 import random
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any, Optional
 
 from repro.chaos.oracles import (
@@ -45,11 +43,7 @@ __all__ = [
     "SHARD_ARTIFACT_FORMAT",
     "ShardEpisodePlan",
     "ShardEpisodeResult",
-    "ShardReplayOutcome",
     "run_shard_episode",
-    "save_shard_artifact",
-    "load_shard_artifact",
-    "replay_shard_artifact",
 ]
 
 SHARD_PLAN_FORMAT = "repro-chaos-shard/1"
@@ -270,74 +264,3 @@ def _run_shard_oracle_battery(
     )
     verdicts["epoch-agreement"] = check_epoch_agreement(cluster)
     return verdicts
-
-
-# -- artifacts --------------------------------------------------------------
-
-
-@dataclass
-class ShardReplayOutcome:
-    """A replayed shard artifact: fresh verdicts vs the recorded ones."""
-
-    plan: ShardEpisodePlan
-    result: ShardEpisodeResult
-    expected: dict[str, bool]
-    note: str = ""
-
-    @property
-    def actual(self) -> dict[str, bool]:
-        return {
-            name: verdict.ok for name, verdict in self.result.verdicts.items()
-        }
-
-    @property
-    def matches(self) -> bool:
-        actual = self.actual
-        return all(
-            actual.get(name) == expected
-            for name, expected in self.expected.items()
-        )
-
-
-def save_shard_artifact(
-    path: str | Path,
-    plan: ShardEpisodePlan,
-    verdicts: dict[str, bool],
-    *,
-    note: str = "",
-) -> dict[str, Any]:
-    """Write a replayable shard artifact; returns the payload written."""
-    payload = {
-        "format": SHARD_ARTIFACT_FORMAT,
-        "note": note,
-        "plan": plan.to_json(),
-        "verdicts": dict(sorted(verdicts.items())),
-    }
-    Path(path).write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    return payload
-
-
-def load_shard_artifact(
-    path: str | Path,
-) -> tuple[ShardEpisodePlan, dict[str, bool], str]:
-    """Read ``(plan, expected_verdicts, note)`` from a shard artifact."""
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
-    if data.get("format") != SHARD_ARTIFACT_FORMAT:
-        raise SimulationError(
-            f"{path}: not a shard chaos artifact "
-            f"(format {data.get('format')!r})"
-        )
-    plan = ShardEpisodePlan.from_json(data["plan"])
-    verdicts = {str(k): bool(v) for k, v in data.get("verdicts", {}).items()}
-    return plan, verdicts, str(data.get("note", ""))
-
-
-def replay_shard_artifact(path: str | Path) -> ShardReplayOutcome:
-    """Re-execute a shard artifact's plan and compare verdicts exactly."""
-    plan, expected, note = load_shard_artifact(path)
-    result = run_shard_episode(plan)
-    return ShardReplayOutcome(
-        plan=plan, result=result, expected=expected, note=note
-    )

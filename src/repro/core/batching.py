@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 from typing import Any, ClassVar, Optional
 
 from repro.core.messages import (
+    BYTES,
     Message,
     PrepareReply,
     PrepareRequest,
@@ -42,6 +43,8 @@ from repro.core.messages import (
     message_from_wire,
     message_wire_bytes,
     register_message,
+    tuple_of,
+    wire_field,
 )
 from repro.core.phases import Send
 from repro.core.statements import (
@@ -74,21 +77,7 @@ class BatchEnvelope(Message):
     """A frame carrying several same-destination messages' encoded bytes."""
 
     KIND: ClassVar[str] = "BATCH"
-    payloads: tuple[bytes, ...]
-
-    def to_wire(self) -> dict[str, Any]:
-        return {"msgs": self.payloads}
-
-    @classmethod
-    def from_wire(cls, wire: dict[str, Any]) -> "BatchEnvelope":
-        payloads = wire["msgs"]
-        if (
-            not isinstance(payloads, tuple)
-            or not payloads
-            or not all(isinstance(p, bytes) for p in payloads)
-        ):
-            raise ProtocolError(f"malformed batch envelope: {wire!r}")
-        return cls(payloads=payloads)
+    payloads: tuple[bytes, ...] = wire_field("msgs", tuple_of(BYTES, nonempty=True))
 
     def __len__(self) -> int:
         return len(self.payloads)

@@ -1,22 +1,30 @@
 """Protocol messages for BFT-BC (base §3.2, optimized §6.2, strong §7.2).
 
-Every message is an immutable dataclass with a ``KIND`` tag and a symmetric
-``to_wire`` / ``from_wire`` pair.  The wire form is a plain dict of
-canonically encodable values, so any message round-trips through
-:func:`repro.encoding.canonical_encode`.
+Every message is an immutable dataclass that declares itself once: a
+``KIND`` tag and, per field, the wire key and a :class:`WireType` from the
+closed set below (:func:`wire_field`).  :func:`register_message` reads that
+declaration when the class is created; the one ``to_wire`` / ``from_wire``
+pair on :class:`Message` encodes and validates every kind from it, so no
+message class spells its own layout and none can forget a check.  The wire
+form is a plain dict of canonically encodable values, so any message
+round-trips through :func:`repro.encoding.canonical_encode`.
 
-The module keeps a registry mapping kind tags to classes; baseline protocols
-register their own message types through :func:`register_message`.
+The registry maps kind tags to classes; the baselines, the shard layer and
+the two envelopes register their own message types through
+:func:`register_message` with the same field types.
 
 Per the paper, replicas silently discard invalid requests — there are no
 negative acknowledgements — so the message set is exactly the requests and
-replies named in Figures 1 and 2 plus the optimized/strong variants.
+replies named in Figures 1 and 2 plus the optimized/strong variants, and a
+wire dict of the wrong shape is a :class:`~repro.errors.ProtocolError` at
+the boundary, before any handler runs.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
-from typing import Any, Callable, ClassVar, Optional, TypeVar
+from typing import Any, Callable, ClassVar, NamedTuple, Optional, TypeVar
 
 from repro.core.certificates import PrepareCertificate, WriteCertificate
 from repro.core.timestamp import Timestamp
@@ -27,7 +35,24 @@ from repro.errors import ProtocolError
 
 __all__ = [
     "Message",
+    "WireType",
+    "WireField",
+    "wire_field",
+    "optional",
+    "tuple_of",
+    "BYTES",
+    "STR",
+    "INT",
+    "DICT",
+    "VALUE",
+    "TIMESTAMP",
+    "SIGNATURE",
+    "PREPARE_CERT",
+    "WRITE_CERT",
+    "PROOF",
+    "MAC_VECTOR",
     "register_message",
+    "registered_messages",
     "message_to_wire",
     "message_from_wire",
     "message_wire_bytes",
@@ -54,17 +79,155 @@ __all__ = [
 ]
 
 
+# ---------------------------------------------------------------------------
+# The closed set of field types
+# ---------------------------------------------------------------------------
+
+
+def _same(value: Any) -> Any:
+    return value
+
+
+@dataclass(frozen=True)
+class WireType:
+    """One member of the closed set of types a message field may declare.
+
+    ``decode`` turns a wire value into the field value and raises on any
+    malformed shape; ``encode`` is its inverse.  A field the set cannot
+    express grows the set by one named type here, never a per-class codec.
+    """
+
+    name: str
+    decode: Callable[[Any], Any] = dataclasses.field(repr=False)
+    encode: Callable[[Any], Any] = dataclasses.field(repr=False, default=_same)
+
+
+def _leaf(name: str, python_type: type) -> WireType:
+    """A value that is its own wire form, checked for its exact type.
+
+    The canonical decoder only ever produces the exact builtin types, so an
+    identity test is enough, and it keeps ``True`` from passing as an int.
+    """
+
+    def decode(value: Any) -> Any:
+        if type(value) is not python_type:
+            raise ProtocolError(f"expected {name}, got {value!r}")
+        return value
+
+    return WireType(name, decode)
+
+
+def _macvec(value: Any) -> tuple[tuple[str, bytes], ...]:
+    """Parse a ``((receiver, mac), ...)`` MAC vector, validating shape."""
+    if not isinstance(value, tuple):
+        raise ProtocolError(f"malformed MAC vector: {value!r}")
+    for entry in value:
+        if (
+            not isinstance(entry, tuple)
+            or len(entry) != 2
+            or not isinstance(entry[0], str)
+            or not isinstance(entry[1], bytes)
+        ):
+            raise ProtocolError(f"malformed MAC vector entry: {entry!r}")
+    return value
+
+
+def optional(item: WireType) -> WireType:
+    """``None`` or an ``item``."""
+    return WireType(
+        f"optional {item.name}",
+        lambda value: None if value is None else item.decode(value),
+        lambda value: None if value is None else item.encode(value),
+    )
+
+
+def tuple_of(item: WireType, *, nonempty: bool = False) -> WireType:
+    """A tuple of ``item`` values, optionally required to hold at least one."""
+    name = ("non-empty " if nonempty else "") + f"tuple of {item.name}"
+
+    def decode(value: Any) -> tuple:
+        if type(value) is not tuple or (nonempty and not value):
+            raise ProtocolError(f"expected {name}, got {value!r}")
+        return tuple(map(item.decode, value))
+
+    return WireType(name, decode, lambda value: tuple(map(item.encode, value)))
+
+
+BYTES = _leaf("bytes", bytes)
+STR = _leaf("str", str)
+INT = _leaf("int", int)
+DICT = _leaf("dict", dict)
+#: An opaque application value: anything the canonical encoding carries.
+VALUE = WireType("value", _same)
+TIMESTAMP = WireType("timestamp", Timestamp.from_wire, Timestamp.to_wire)
+SIGNATURE = WireType("signature", Signature.from_wire, Signature.to_wire)
+PREPARE_CERT = WireType(
+    "prepare certificate", PrepareCertificate.from_wire, PrepareCertificate.to_wire
+)
+WRITE_CERT = WireType(
+    "write certificate", WriteCertificate.from_wire, WriteCertificate.to_wire
+)
+PROOF = WireType("proof of writing", ProofOfWriting.from_wire, ProofOfWriting.to_wire)
+MAC_VECTOR = WireType("MAC vector", _macvec)
+
+
+class WireField(NamedTuple):
+    """One declared field: dataclass attribute, wire key, type, and whether
+    the key may be missing (read as ``None``)."""
+
+    name: str
+    key: str
+    wire_type: WireType
+    absent_ok: bool
+
+
+def wire_field(
+    key: str, wire_type: WireType, *, absent_ok: bool = False, **field_kwargs: Any
+) -> Any:
+    """Declare a message field: a dataclass field carrying its wire layout.
+
+    ``absent_ok`` marks the few keys older peers omit; every other missing
+    key is malformed.  ``field_kwargs`` (in practice ``default=None``) go to
+    :func:`dataclasses.field`.
+    """
+    return dataclasses.field(
+        metadata={"wire": (key, wire_type, absent_ok)}, **field_kwargs
+    )
+
+
+# ---------------------------------------------------------------------------
+# Registry and the one derived codec
+# ---------------------------------------------------------------------------
+
+
 class Message:
     """Base class for all protocol messages."""
 
     KIND: ClassVar[str] = ""
+    #: The declaration, collected once by :func:`register_message`.
+    WIRE_FIELDS: ClassVar[tuple[WireField, ...]] = ()
 
-    def to_wire(self) -> dict[str, Any]:  # pragma: no cover - overridden
-        raise NotImplementedError
+    def to_wire(self) -> dict[str, Any]:
+        """The wire dict (without the ``kind`` tag), per the declaration."""
+        return {
+            key: wire_type.encode(getattr(self, name))
+            for name, key, wire_type, _ in self.WIRE_FIELDS
+        }
 
     @classmethod
-    def from_wire(cls, wire: dict[str, Any]) -> "Message":  # pragma: no cover
-        raise NotImplementedError
+    def from_wire(cls, wire: dict[str, Any]) -> "Message":
+        """Parse and validate a wire dict; ProtocolError on any bad shape."""
+        try:
+            return cls(
+                *[
+                    wire_type.decode(wire.get(key) if absent_ok else wire[key])
+                    for _, key, wire_type, absent_ok in cls.WIRE_FIELDS
+                ]
+            )
+        except ProtocolError:
+            raise
+        except Exception as exc:
+            raise ProtocolError(f"malformed {cls.KIND} message: {exc!r}") from exc
 
 
 _REGISTRY: dict[str, type[Message]] = {}
@@ -73,13 +236,27 @@ M = TypeVar("M", bound=type[Message])
 
 
 def register_message(cls: M) -> M:
-    """Class decorator adding a message type to the wire registry."""
+    """Class decorator adding a message type to the wire registry.
+
+    Collects the class's declaration into ``WIRE_FIELDS``; a dataclass field
+    declared without :func:`wire_field` is refused, so the codec cannot skip one.
+    """
     if not cls.KIND:
         raise ProtocolError(f"{cls.__name__} has no KIND tag")
     if cls.KIND in _REGISTRY:
         raise ProtocolError(f"duplicate message kind {cls.KIND!r}")
+    fields = dataclasses.fields(cls)
+    undeclared = [f.name for f in fields if "wire" not in f.metadata]
+    if undeclared:
+        raise ProtocolError(f"{cls.__name__} fields without wire_field(): {undeclared}")
+    cls.WIRE_FIELDS = tuple(WireField(f.name, *f.metadata["wire"]) for f in fields)
     _REGISTRY[cls.KIND] = cls
     return cls
+
+
+def registered_messages() -> dict[str, type[Message]]:
+    """Every registered message class by kind tag (a copy)."""
+    return dict(_REGISTRY)
 
 
 def message_to_wire(message: Message) -> dict[str, Any]:
@@ -170,38 +347,10 @@ def message_from_wire(wire: Any) -> Message:
     if not isinstance(wire, dict) or "kind" not in wire:
         raise ProtocolError(f"malformed message wire: {wire!r}")
     kind = wire["kind"]
-    cls = _REGISTRY.get(kind)
+    cls = _REGISTRY.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise ProtocolError(f"unknown message kind {kind!r}")
-    try:
-        return cls.from_wire(wire)
-    except ProtocolError:
-        raise
-    except Exception as exc:
-        raise ProtocolError(f"malformed {kind} message: {exc}") from exc
-
-
-def _opt(wire_value: Any, parse: Callable[[Any], Any]) -> Any:
-    return None if wire_value is None else parse(wire_value)
-
-
-def _sig(wire_value: Any) -> Signature:
-    return Signature.from_wire(wire_value)
-
-
-def _macvec(wire_value: Any) -> tuple[tuple[str, bytes], ...]:
-    """Parse a ``((receiver, mac), ...)`` MAC vector, validating shape."""
-    if not isinstance(wire_value, tuple):
-        raise ProtocolError(f"malformed MAC vector: {wire_value!r}")
-    for entry in wire_value:
-        if (
-            not isinstance(entry, tuple)
-            or len(entry) != 2
-            or not isinstance(entry[0], str)
-            or not isinstance(entry[1], bytes)
-        ):
-            raise ProtocolError(f"malformed MAC vector entry: {entry!r}")
-    return wire_value
+    return cls.from_wire(wire)
 
 
 # ---------------------------------------------------------------------------
@@ -221,21 +370,10 @@ class ReadTsRequest(Message):
     """
 
     KIND: ClassVar[str] = "READ-TS"
-    nonce: bytes
-    write_cert: Optional[WriteCertificate] = None
-
-    def to_wire(self) -> dict[str, Any]:
-        return {
-            "nonce": self.nonce,
-            "wcert": None if self.write_cert is None else self.write_cert.to_wire(),
-        }
-
-    @classmethod
-    def from_wire(cls, wire: dict[str, Any]) -> "ReadTsRequest":
-        return cls(
-            nonce=wire["nonce"],
-            write_cert=_opt(wire.get("wcert"), WriteCertificate.from_wire),
-        )
+    nonce: bytes = wire_field("nonce", BYTES)
+    write_cert: Optional[WriteCertificate] = wire_field(
+        "wcert", optional(WRITE_CERT), absent_ok=True, default=None
+    )
 
 
 @register_message
@@ -254,30 +392,15 @@ class ReadTsReply(Message):
     """
 
     KIND: ClassVar[str] = "READ-TS-REPLY"
-    cert: PrepareCertificate
-    nonce: bytes
-    signature: Signature
-    ts_vouch: Optional[Signature] = None
-    pvouch: Optional[Signature] = None
-
-    def to_wire(self) -> dict[str, Any]:
-        return {
-            "cert": self.cert.to_wire(),
-            "nonce": self.nonce,
-            "sig": self.signature.to_wire(),
-            "vouch": None if self.ts_vouch is None else self.ts_vouch.to_wire(),
-            "pvouch": None if self.pvouch is None else self.pvouch.to_wire(),
-        }
-
-    @classmethod
-    def from_wire(cls, wire: dict[str, Any]) -> "ReadTsReply":
-        return cls(
-            cert=PrepareCertificate.from_wire(wire["cert"]),
-            nonce=wire["nonce"],
-            signature=_sig(wire["sig"]),
-            ts_vouch=_opt(wire["vouch"], _sig),
-            pvouch=_opt(wire.get("pvouch"), _sig),
-        )
+    cert: PrepareCertificate = wire_field("cert", PREPARE_CERT)
+    nonce: bytes = wire_field("nonce", BYTES)
+    signature: Signature = wire_field("sig", SIGNATURE)
+    ts_vouch: Optional[Signature] = wire_field(
+        "vouch", optional(SIGNATURE), default=None
+    )
+    pvouch: Optional[Signature] = wire_field(
+        "pvouch", optional(SIGNATURE), absent_ok=True, default=None
+    )
 
 
 @register_message
@@ -290,33 +413,12 @@ class PrepareRequest(Message):
     """
 
     KIND: ClassVar[str] = "PREPARE"
-    prev_cert: PrepareCertificate
-    ts: Timestamp
-    value_hash: bytes
-    write_cert: Optional[WriteCertificate]
-    justify_cert: Optional[WriteCertificate]
-    signature: Signature
-
-    def to_wire(self) -> dict[str, Any]:
-        return {
-            "prev": self.prev_cert.to_wire(),
-            "ts": self.ts.to_wire(),
-            "hash": self.value_hash,
-            "wcert": None if self.write_cert is None else self.write_cert.to_wire(),
-            "jcert": None if self.justify_cert is None else self.justify_cert.to_wire(),
-            "sig": self.signature.to_wire(),
-        }
-
-    @classmethod
-    def from_wire(cls, wire: dict[str, Any]) -> "PrepareRequest":
-        return cls(
-            prev_cert=PrepareCertificate.from_wire(wire["prev"]),
-            ts=Timestamp.from_wire(wire["ts"]),
-            value_hash=wire["hash"],
-            write_cert=_opt(wire["wcert"], WriteCertificate.from_wire),
-            justify_cert=_opt(wire["jcert"], WriteCertificate.from_wire),
-            signature=_sig(wire["sig"]),
-        )
+    prev_cert: PrepareCertificate = wire_field("prev", PREPARE_CERT)
+    ts: Timestamp = wire_field("ts", TIMESTAMP)
+    value_hash: bytes = wire_field("hash", BYTES)
+    write_cert: Optional[WriteCertificate] = wire_field("wcert", optional(WRITE_CERT))
+    justify_cert: Optional[WriteCertificate] = wire_field("jcert", optional(WRITE_CERT))
+    signature: Signature = wire_field("sig", SIGNATURE)
 
 
 @register_message
@@ -325,24 +427,9 @@ class PrepareReply(Message):
     """Phase-2 reply: ``<PREPARE-REPLY, t, h>_sigma_r``."""
 
     KIND: ClassVar[str] = "PREPARE-REPLY"
-    ts: Timestamp
-    value_hash: bytes
-    signature: Signature
-
-    def to_wire(self) -> dict[str, Any]:
-        return {
-            "ts": self.ts.to_wire(),
-            "hash": self.value_hash,
-            "sig": self.signature.to_wire(),
-        }
-
-    @classmethod
-    def from_wire(cls, wire: dict[str, Any]) -> "PrepareReply":
-        return cls(
-            ts=Timestamp.from_wire(wire["ts"]),
-            value_hash=wire["hash"],
-            signature=_sig(wire["sig"]),
-        )
+    ts: Timestamp = wire_field("ts", TIMESTAMP)
+    value_hash: bytes = wire_field("hash", BYTES)
+    signature: Signature = wire_field("sig", SIGNATURE)
 
 
 @register_message
@@ -351,24 +438,9 @@ class WriteRequest(Message):
     """Phase-3 request: ``<WRITE, val, Pnew>_sigma_c``."""
 
     KIND: ClassVar[str] = "WRITE"
-    value: Any
-    prepare_cert: PrepareCertificate
-    signature: Signature
-
-    def to_wire(self) -> dict[str, Any]:
-        return {
-            "value": self.value,
-            "cert": self.prepare_cert.to_wire(),
-            "sig": self.signature.to_wire(),
-        }
-
-    @classmethod
-    def from_wire(cls, wire: dict[str, Any]) -> "WriteRequest":
-        return cls(
-            value=wire["value"],
-            prepare_cert=PrepareCertificate.from_wire(wire["cert"]),
-            signature=_sig(wire["sig"]),
-        )
+    value: Any = wire_field("value", VALUE)
+    prepare_cert: PrepareCertificate = wire_field("cert", PREPARE_CERT)
+    signature: Signature = wire_field("sig", SIGNATURE)
 
 
 @register_message
@@ -377,15 +449,8 @@ class WriteReply(Message):
     """Phase-3 reply: ``<WRITE-REPLY, t>_sigma_r``."""
 
     KIND: ClassVar[str] = "WRITE-REPLY"
-    ts: Timestamp
-    signature: Signature
-
-    def to_wire(self) -> dict[str, Any]:
-        return {"ts": self.ts.to_wire(), "sig": self.signature.to_wire()}
-
-    @classmethod
-    def from_wire(cls, wire: dict[str, Any]) -> "WriteReply":
-        return cls(ts=Timestamp.from_wire(wire["ts"]), signature=_sig(wire["sig"]))
+    ts: Timestamp = wire_field("ts", TIMESTAMP)
+    signature: Signature = wire_field("sig", SIGNATURE)
 
 
 @register_message
@@ -397,21 +462,10 @@ class ReadRequest(Message):
     """
 
     KIND: ClassVar[str] = "READ"
-    nonce: bytes
-    write_cert: Optional[WriteCertificate] = None
-
-    def to_wire(self) -> dict[str, Any]:
-        return {
-            "nonce": self.nonce,
-            "wcert": None if self.write_cert is None else self.write_cert.to_wire(),
-        }
-
-    @classmethod
-    def from_wire(cls, wire: dict[str, Any]) -> "ReadRequest":
-        return cls(
-            nonce=wire["nonce"],
-            write_cert=_opt(wire.get("wcert"), WriteCertificate.from_wire),
-        )
+    nonce: bytes = wire_field("nonce", BYTES)
+    write_cert: Optional[WriteCertificate] = wire_field(
+        "wcert", optional(WRITE_CERT), absent_ok=True, default=None
+    )
 
 
 @register_message
@@ -420,33 +474,16 @@ class ReadReply(Message):
     """Read reply: value, prepare certificate, and nonce, signed by replica."""
 
     KIND: ClassVar[str] = "READ-REPLY"
-    value: Any
-    cert: PrepareCertificate
-    nonce: bytes
-    signature: Signature
-    ts_vouch: Optional[Signature] = None
-    pvouch: Optional[Signature] = None
-
-    def to_wire(self) -> dict[str, Any]:
-        return {
-            "value": self.value,
-            "cert": self.cert.to_wire(),
-            "nonce": self.nonce,
-            "sig": self.signature.to_wire(),
-            "vouch": None if self.ts_vouch is None else self.ts_vouch.to_wire(),
-            "pvouch": None if self.pvouch is None else self.pvouch.to_wire(),
-        }
-
-    @classmethod
-    def from_wire(cls, wire: dict[str, Any]) -> "ReadReply":
-        return cls(
-            value=wire["value"],
-            cert=PrepareCertificate.from_wire(wire["cert"]),
-            nonce=wire["nonce"],
-            signature=_sig(wire["sig"]),
-            ts_vouch=_opt(wire["vouch"], _sig),
-            pvouch=_opt(wire.get("pvouch"), _sig),
-        )
+    value: Any = wire_field("value", VALUE)
+    cert: PrepareCertificate = wire_field("cert", PREPARE_CERT)
+    nonce: bytes = wire_field("nonce", BYTES)
+    signature: Signature = wire_field("sig", SIGNATURE)
+    ts_vouch: Optional[Signature] = wire_field(
+        "vouch", optional(SIGNATURE), default=None
+    )
+    pvouch: Optional[Signature] = wire_field(
+        "pvouch", optional(SIGNATURE), absent_ok=True, default=None
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -460,27 +497,10 @@ class ReadTsPrepRequest(Message):
     """Merged phase-1/2 request carrying the proposed value's hash."""
 
     KIND: ClassVar[str] = "READ-TS-PREP"
-    value_hash: bytes
-    write_cert: Optional[WriteCertificate]
-    nonce: bytes
-    signature: Signature
-
-    def to_wire(self) -> dict[str, Any]:
-        return {
-            "hash": self.value_hash,
-            "wcert": None if self.write_cert is None else self.write_cert.to_wire(),
-            "nonce": self.nonce,
-            "sig": self.signature.to_wire(),
-        }
-
-    @classmethod
-    def from_wire(cls, wire: dict[str, Any]) -> "ReadTsPrepRequest":
-        return cls(
-            value_hash=wire["hash"],
-            write_cert=_opt(wire["wcert"], WriteCertificate.from_wire),
-            nonce=wire["nonce"],
-            signature=_sig(wire["sig"]),
-        )
+    value_hash: bytes = wire_field("hash", BYTES)
+    write_cert: Optional[WriteCertificate] = wire_field("wcert", optional(WRITE_CERT))
+    nonce: bytes = wire_field("nonce", BYTES)
+    signature: Signature = wire_field("sig", SIGNATURE)
 
 
 @register_message
@@ -496,30 +516,11 @@ class ReadTsPrepReply(Message):
     """
 
     KIND: ClassVar[str] = "READ-TS-PREP-REPLY"
-    cert: PrepareCertificate
-    prepared_ts: Optional[Timestamp]
-    prep_sig: Optional[Signature]
-    nonce: bytes
-    signature: Signature
-
-    def to_wire(self) -> dict[str, Any]:
-        return {
-            "cert": self.cert.to_wire(),
-            "pts": None if self.prepared_ts is None else self.prepared_ts.to_wire(),
-            "psig": None if self.prep_sig is None else self.prep_sig.to_wire(),
-            "nonce": self.nonce,
-            "sig": self.signature.to_wire(),
-        }
-
-    @classmethod
-    def from_wire(cls, wire: dict[str, Any]) -> "ReadTsPrepReply":
-        return cls(
-            cert=PrepareCertificate.from_wire(wire["cert"]),
-            prepared_ts=_opt(wire["pts"], Timestamp.from_wire),
-            prep_sig=_opt(wire["psig"], _sig),
-            nonce=wire["nonce"],
-            signature=_sig(wire["sig"]),
-        )
+    cert: PrepareCertificate = wire_field("cert", PREPARE_CERT)
+    prepared_ts: Optional[Timestamp] = wire_field("pts", optional(TIMESTAMP))
+    prep_sig: Optional[Signature] = wire_field("psig", optional(SIGNATURE))
+    nonce: bytes = wire_field("nonce", BYTES)
+    signature: Signature = wire_field("sig", SIGNATURE)
 
 
 # ---------------------------------------------------------------------------
@@ -540,33 +541,12 @@ class FastPrepRequest(Message):
     """
 
     KIND: ClassVar[str] = "FAST-PREP"
-    client: str
-    value_hash: bytes
-    commitment: bytes
-    nonce: bytes
-    write_cert: Optional[WriteCertificate]
-    macs: tuple[tuple[str, bytes], ...]
-
-    def to_wire(self) -> dict[str, Any]:
-        return {
-            "client": self.client,
-            "hash": self.value_hash,
-            "commit": self.commitment,
-            "nonce": self.nonce,
-            "wcert": None if self.write_cert is None else self.write_cert.to_wire(),
-            "macs": self.macs,
-        }
-
-    @classmethod
-    def from_wire(cls, wire: dict[str, Any]) -> "FastPrepRequest":
-        return cls(
-            client=wire["client"],
-            value_hash=wire["hash"],
-            commitment=wire["commit"],
-            nonce=wire["nonce"],
-            write_cert=_opt(wire["wcert"], WriteCertificate.from_wire),
-            macs=_macvec(wire["macs"]),
-        )
+    client: str = wire_field("client", STR)
+    value_hash: bytes = wire_field("hash", BYTES)
+    commitment: bytes = wire_field("commit", BYTES)
+    nonce: bytes = wire_field("nonce", BYTES)
+    write_cert: Optional[WriteCertificate] = wire_field("wcert", optional(WRITE_CERT))
+    macs: tuple[tuple[str, bytes], ...] = wire_field("macs", MAC_VECTOR)
 
 
 @register_message
@@ -583,30 +563,11 @@ class FastPrepReply(Message):
     """
 
     KIND: ClassVar[str] = "FAST-PREP-REPLY"
-    replica: str
-    prepared_ts: Optional[Timestamp]
-    row: tuple[tuple[str, bytes], ...]
-    nonce: bytes
-    mac: bytes
-
-    def to_wire(self) -> dict[str, Any]:
-        return {
-            "replica": self.replica,
-            "pts": None if self.prepared_ts is None else self.prepared_ts.to_wire(),
-            "row": self.row,
-            "nonce": self.nonce,
-            "mac": self.mac,
-        }
-
-    @classmethod
-    def from_wire(cls, wire: dict[str, Any]) -> "FastPrepReply":
-        return cls(
-            replica=wire["replica"],
-            prepared_ts=_opt(wire["pts"], Timestamp.from_wire),
-            row=_macvec(wire["row"]),
-            nonce=wire["nonce"],
-            mac=wire["mac"],
-        )
+    replica: str = wire_field("replica", STR)
+    prepared_ts: Optional[Timestamp] = wire_field("pts", optional(TIMESTAMP))
+    row: tuple[tuple[str, bytes], ...] = wire_field("row", MAC_VECTOR)
+    nonce: bytes = wire_field("nonce", BYTES)
+    mac: bytes = wire_field("mac", BYTES)
 
 
 @register_message
@@ -615,33 +576,12 @@ class FastWriteRequest(Message):
     """Fast phase-2 request: the value plus the revealed proof of writing."""
 
     KIND: ClassVar[str] = "FAST-WRITE"
-    client: str
-    ts: Timestamp
-    value: Any
-    proof: ProofOfWriting
-    nonce: bytes
-    macs: tuple[tuple[str, bytes], ...]
-
-    def to_wire(self) -> dict[str, Any]:
-        return {
-            "client": self.client,
-            "ts": self.ts.to_wire(),
-            "value": self.value,
-            "proof": self.proof.to_wire(),
-            "nonce": self.nonce,
-            "macs": self.macs,
-        }
-
-    @classmethod
-    def from_wire(cls, wire: dict[str, Any]) -> "FastWriteRequest":
-        return cls(
-            client=wire["client"],
-            ts=Timestamp.from_wire(wire["ts"]),
-            value=wire["value"],
-            proof=ProofOfWriting.from_wire(wire["proof"]),
-            nonce=wire["nonce"],
-            macs=_macvec(wire["macs"]),
-        )
+    client: str = wire_field("client", STR)
+    ts: Timestamp = wire_field("ts", TIMESTAMP)
+    value: Any = wire_field("value", VALUE)
+    proof: ProofOfWriting = wire_field("proof", PROOF)
+    nonce: bytes = wire_field("nonce", BYTES)
+    macs: tuple[tuple[str, bytes], ...] = wire_field("macs", MAC_VECTOR)
 
 
 @register_message
@@ -650,30 +590,11 @@ class FastWriteReply(Message):
     """Fast phase-2 reply: the install ack row (the fast WRITE-REPLY)."""
 
     KIND: ClassVar[str] = "FAST-WRITE-REPLY"
-    replica: str
-    ts: Timestamp
-    row: tuple[tuple[str, bytes], ...]
-    nonce: bytes
-    mac: bytes
-
-    def to_wire(self) -> dict[str, Any]:
-        return {
-            "replica": self.replica,
-            "ts": self.ts.to_wire(),
-            "row": self.row,
-            "nonce": self.nonce,
-            "mac": self.mac,
-        }
-
-    @classmethod
-    def from_wire(cls, wire: dict[str, Any]) -> "FastWriteReply":
-        return cls(
-            replica=wire["replica"],
-            ts=Timestamp.from_wire(wire["ts"]),
-            row=_macvec(wire["row"]),
-            nonce=wire["nonce"],
-            mac=wire["mac"],
-        )
+    replica: str = wire_field("replica", STR)
+    ts: Timestamp = wire_field("ts", TIMESTAMP)
+    row: tuple[tuple[str, bytes], ...] = wire_field("row", MAC_VECTOR)
+    nonce: bytes = wire_field("nonce", BYTES)
+    mac: bytes = wire_field("mac", BYTES)
 
 
 # ---------------------------------------------------------------------------
@@ -692,20 +613,8 @@ class RepairRequest(Message):
     """
 
     KIND: ClassVar[str] = "REPAIR-REQ"
-    replica: str
-    nonce: bytes
-
-    def to_wire(self) -> dict[str, Any]:
-        return {"replica": self.replica, "nonce": self.nonce}
-
-    @classmethod
-    def from_wire(cls, wire: dict[str, Any]) -> "RepairRequest":
-        if not (
-            isinstance(wire.get("replica"), str)
-            and isinstance(wire.get("nonce"), bytes)
-        ):
-            raise ProtocolError(f"malformed REPAIR-REQ wire value: {wire!r}")
-        return cls(replica=wire["replica"], nonce=wire["nonce"])
+    replica: str = wire_field("replica", STR)
+    nonce: bytes = wire_field("nonce", BYTES)
 
 
 @register_message
@@ -720,31 +629,7 @@ class RepairReply(Message):
     """
 
     KIND: ClassVar[str] = "REPAIR-REPLY"
-    replica: str
-    nonce: bytes
-    snapshot: dict[str, Any]
-    fingerprint: bytes
-
-    def to_wire(self) -> dict[str, Any]:
-        return {
-            "replica": self.replica,
-            "nonce": self.nonce,
-            "snapshot": self.snapshot,
-            "fingerprint": self.fingerprint,
-        }
-
-    @classmethod
-    def from_wire(cls, wire: dict[str, Any]) -> "RepairReply":
-        if not (
-            isinstance(wire.get("replica"), str)
-            and isinstance(wire.get("nonce"), bytes)
-            and isinstance(wire.get("snapshot"), dict)
-            and isinstance(wire.get("fingerprint"), bytes)
-        ):
-            raise ProtocolError(f"malformed REPAIR-REPLY wire value: {wire!r}")
-        return cls(
-            replica=wire["replica"],
-            nonce=wire["nonce"],
-            snapshot=wire["snapshot"],
-            fingerprint=wire["fingerprint"],
-        )
+    replica: str = wire_field("replica", STR)
+    nonce: bytes = wire_field("nonce", BYTES)
+    snapshot: dict[str, Any] = wire_field("snapshot", DICT)
+    fingerprint: bytes = wire_field("fingerprint", BYTES)

@@ -34,11 +34,16 @@ from repro.core.batching import (
 from repro.core.client import BftBcClient
 from repro.core.config import SystemConfig
 from repro.core.messages import (
+    DICT,
+    INT,
+    STR,
     Message,
     message_from_wire,
     message_to_wire,
     message_wire_bytes,
+    optional,
     register_message,
+    wire_field,
 )
 from repro.core.operations import Send
 from repro.core.replica import BftBcReplica
@@ -67,25 +72,11 @@ class ObjectMessage(Message):
     """
 
     KIND: ClassVar[str] = "OBJ"
-    obj: str
-    payload: dict[str, Any]
-    epoch: Optional[int] = None
-
-    def to_wire(self) -> dict[str, Any]:
-        return {"obj": self.obj, "payload": self.payload, "epoch": self.epoch}
-
-    @classmethod
-    def from_wire(cls, wire: dict[str, Any]) -> "ObjectMessage":
-        obj = wire["obj"]
-        payload = wire["payload"]
-        epoch = wire.get("epoch")
-        if (
-            not isinstance(obj, str)
-            or not isinstance(payload, dict)
-            or not (epoch is None or isinstance(epoch, int))
-        ):
-            raise ProtocolError(f"malformed object envelope: {wire!r}")
-        return cls(obj=obj, payload=payload, epoch=epoch)
+    obj: str = wire_field("obj", STR)
+    payload: dict[str, Any] = wire_field("payload", DICT)
+    epoch: Optional[int] = wire_field(
+        "epoch", optional(INT), absent_ok=True, default=None
+    )
 
 
 @register_message
@@ -100,19 +91,8 @@ class EpochStaleReply(Message):
     """
 
     KIND: ClassVar[str] = "EPOCH-STALE"
-    obj: str
-    epoch: int
-
-    def to_wire(self) -> dict[str, Any]:
-        return {"obj": self.obj, "epoch": self.epoch}
-
-    @classmethod
-    def from_wire(cls, wire: dict[str, Any]) -> "EpochStaleReply":
-        obj = wire["obj"]
-        epoch = wire["epoch"]
-        if not isinstance(obj, str) or not isinstance(epoch, int):
-            raise ProtocolError(f"malformed epoch-stale reply: {wire!r}")
-        return cls(obj=obj, epoch=epoch)
+    obj: str = wire_field("obj", STR)
+    epoch: int = wire_field("epoch", INT)
 
 
 class ScopedSignatureScheme(SignatureScheme):

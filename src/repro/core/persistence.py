@@ -199,7 +199,8 @@ class LoggedMap:
     # -- wire translation (overridden by the fast-path twin) ----------------
 
     def _decode(self, wire: tuple) -> PlistEntry:
-        return PlistEntry(Timestamp.from_wire(wire[0]), wire[1])
+        ts_wire, value_hash = wire
+        return PlistEntry(Timestamp.from_wire(ts_wire), value_hash)
 
     def _encode(self, entry: PlistEntry) -> tuple:
         return (entry.ts.to_wire(), entry.value_hash)
@@ -353,8 +354,8 @@ class LoggedMap:
 
     # -- recovery-time mutation: mirror only, no logging --------------------
 
-    def _set_silent(self, client: str, entry) -> None:
-        self._entries[client] = entry
+    def _set_silent(self, client: str, wire: tuple) -> None:
+        self._entries[client] = self._decode(wire)
 
     def _del_silent(self, client: str) -> None:
         self._entries.pop(client, None)
@@ -418,7 +419,8 @@ class LoggedFastMap(LoggedMap):
         )
 
     def _decode(self, wire: tuple) -> FastCommitment:
-        return FastCommitment(Timestamp.from_wire(wire[0]), wire[1], wire[2])
+        ts_wire, value_hash, commitment = wire
+        return FastCommitment(Timestamp.from_wire(ts_wire), value_hash, commitment)
 
     def _encode(self, entry: FastCommitment) -> tuple:
         return (entry.ts.to_wire(), entry.value_hash, entry.commitment)
@@ -700,26 +702,17 @@ class DurableReplicaState:
         self._data = snapshot["data"]
         self._pcert = PrepareCertificate.from_wire(snapshot["pcert"])
         self._write_ts = Timestamp.from_wire(snapshot["write_ts"])
-        for client, (ts_wire, value_hash) in snapshot["plist"].items():
-            self.plist._set_silent(
-                client, PlistEntry(Timestamp.from_wire(ts_wire), value_hash)
-            )
+        for client, wire in snapshot["plist"].items():
+            self.plist._set_silent(client, wire)
         if snapshot["optlist"] is not None:
             optlist = self.ensure_optlist()
-            for client, (ts_wire, value_hash) in snapshot["optlist"].items():
-                optlist._set_silent(
-                    client, PlistEntry(Timestamp.from_wire(ts_wire), value_hash)
-                )
+            for client, wire in snapshot["optlist"].items():
+                optlist._set_silent(client, wire)
         # Pre-fast-path snapshots have no "fastc" key.
         if snapshot.get("fastc") is not None:
             fastc = self.ensure_fastc()
-            for client, (ts_wire, value_hash, commit) in snapshot["fastc"].items():
-                fastc._set_silent(
-                    client,
-                    FastCommitment(
-                        Timestamp.from_wire(ts_wire), value_hash, commit
-                    ),
-                )
+            for client, wire in snapshot["fastc"].items():
+                fastc._set_silent(client, wire)
         for (ts_wire,) in snapshot["swr"]:
             self.signed_write_replies._add_silent(Timestamp.from_wire(ts_wire))
         for ts_wire, value_hash, client in snapshot["spr"]:
@@ -732,25 +725,15 @@ class DurableReplicaState:
             raise StorageError(f"malformed WAL record: {record!r}")
         tag = record[0]
         if tag == "plist-set":
-            _, client, ts_wire, value_hash = record
-            self.plist._set_silent(
-                client, PlistEntry(Timestamp.from_wire(ts_wire), value_hash)
-            )
+            self.plist._set_silent(record[1], record[2:])
         elif tag == "plist-del":
             self.plist._del_silent(record[1])
         elif tag == "optlist-set":
-            _, client, ts_wire, value_hash = record
-            self.ensure_optlist()._set_silent(
-                client, PlistEntry(Timestamp.from_wire(ts_wire), value_hash)
-            )
+            self.ensure_optlist()._set_silent(record[1], record[2:])
         elif tag == "optlist-del":
             self.ensure_optlist()._del_silent(record[1])
         elif tag == "fastc-set":
-            _, client, ts_wire, value_hash, commit = record
-            self.ensure_fastc()._set_silent(
-                client,
-                FastCommitment(Timestamp.from_wire(ts_wire), value_hash, commit),
-            )
+            self.ensure_fastc()._set_silent(record[1], record[2:])
         elif tag == "fastc-del":
             self.ensure_fastc()._del_silent(record[1])
         elif tag == "install":

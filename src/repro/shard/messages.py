@@ -24,8 +24,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, ClassVar
 
-from repro.core.messages import Message, register_message
-from repro.errors import ProtocolError
+from repro.core.messages import (
+    BYTES,
+    DICT,
+    INT,
+    STR,
+    VALUE,
+    Message,
+    register_message,
+    tuple_of,
+    wire_field,
+)
 
 __all__ = [
     "DirectoryRequest",
@@ -39,26 +48,13 @@ __all__ = [
 ]
 
 
-def _require(condition: bool, wire: Any) -> None:
-    if not condition:
-        raise ProtocolError(f"malformed shard message: {wire!r}")
-
-
 @register_message
 @dataclass(frozen=True)
 class DirectoryRequest(Message):
     """Fetch one shard's configuration chain."""
 
     KIND: ClassVar[str] = "DIR-REQ"
-    shard: str
-
-    def to_wire(self) -> dict[str, Any]:
-        return {"shard": self.shard}
-
-    @classmethod
-    def from_wire(cls, wire: dict[str, Any]) -> "DirectoryRequest":
-        _require(isinstance(wire.get("shard"), str), wire)
-        return cls(shard=wire["shard"])
+    shard: str = wire_field("shard", STR)
 
 
 @register_message
@@ -67,22 +63,8 @@ class DirectoryReply(Message):
     """The full entry chain (oldest first); genesis is implicit."""
 
     KIND: ClassVar[str] = "DIR-REPLY"
-    shard: str
-    entries: tuple[dict[str, Any], ...]
-
-    def to_wire(self) -> dict[str, Any]:
-        return {"shard": self.shard, "entries": self.entries}
-
-    @classmethod
-    def from_wire(cls, wire: dict[str, Any]) -> "DirectoryReply":
-        entries = wire.get("entries")
-        _require(
-            isinstance(wire.get("shard"), str)
-            and isinstance(entries, (tuple, list))
-            and all(isinstance(e, dict) for e in entries),
-            wire,
-        )
-        return cls(shard=wire["shard"], entries=tuple(entries))
+    shard: str = wire_field("shard", STR)
+    entries: tuple[dict[str, Any], ...] = wire_field("entries", tuple_of(DICT))
 
 
 @register_message
@@ -91,15 +73,7 @@ class ConfigSignRequest(Message):
     """Ask a current member to endorse a successor configuration."""
 
     KIND: ClassVar[str] = "CFG-SIGN-REQ"
-    config: dict[str, Any]
-
-    def to_wire(self) -> dict[str, Any]:
-        return {"config": self.config}
-
-    @classmethod
-    def from_wire(cls, wire: dict[str, Any]) -> "ConfigSignRequest":
-        _require(isinstance(wire.get("config"), dict), wire)
-        return cls(config=wire["config"])
+    config: dict[str, Any] = wire_field("config", DICT)
 
 
 @register_message
@@ -108,27 +82,9 @@ class ConfigSignReply(Message):
     """One member's signature over a successor config's statement."""
 
     KIND: ClassVar[str] = "CFG-SIGN-REPLY"
-    shard: str
-    epoch: int
-    signature: Any
-
-    def to_wire(self) -> dict[str, Any]:
-        return {
-            "shard": self.shard,
-            "epoch": self.epoch,
-            "signature": self.signature,
-        }
-
-    @classmethod
-    def from_wire(cls, wire: dict[str, Any]) -> "ConfigSignReply":
-        _require(
-            isinstance(wire.get("shard"), str)
-            and isinstance(wire.get("epoch"), int),
-            wire,
-        )
-        return cls(
-            shard=wire["shard"], epoch=wire["epoch"], signature=wire["signature"]
-        )
+    shard: str = wire_field("shard", STR)
+    epoch: int = wire_field("epoch", INT)
+    signature: Any = wire_field("signature", VALUE)
 
 
 @register_message
@@ -137,15 +93,7 @@ class InstallEpochRequest(Message):
     """Push a quorum-signed directory entry to a replica."""
 
     KIND: ClassVar[str] = "EPOCH-INSTALL"
-    entry: dict[str, Any]
-
-    def to_wire(self) -> dict[str, Any]:
-        return {"entry": self.entry}
-
-    @classmethod
-    def from_wire(cls, wire: dict[str, Any]) -> "InstallEpochRequest":
-        _require(isinstance(wire.get("entry"), dict), wire)
-        return cls(entry=wire["entry"])
+    entry: dict[str, Any] = wire_field("entry", DICT)
 
 
 @register_message
@@ -154,20 +102,8 @@ class InstallEpochAck(Message):
     """A replica's acknowledgement that it now serves ``epoch``."""
 
     KIND: ClassVar[str] = "EPOCH-ACK"
-    shard: str
-    epoch: int
-
-    def to_wire(self) -> dict[str, Any]:
-        return {"shard": self.shard, "epoch": self.epoch}
-
-    @classmethod
-    def from_wire(cls, wire: dict[str, Any]) -> "InstallEpochAck":
-        _require(
-            isinstance(wire.get("shard"), str)
-            and isinstance(wire.get("epoch"), int),
-            wire,
-        )
-        return cls(shard=wire["shard"], epoch=wire["epoch"])
+    shard: str = wire_field("shard", STR)
+    epoch: int = wire_field("epoch", INT)
 
 
 @register_message
@@ -176,20 +112,8 @@ class StateTransferRequest(Message):
     """A bootstrapping replica's pull for per-object durable state."""
 
     KIND: ClassVar[str] = "XFER-REQ"
-    shard: str
-    nonce: bytes
-
-    def to_wire(self) -> dict[str, Any]:
-        return {"shard": self.shard, "nonce": self.nonce}
-
-    @classmethod
-    def from_wire(cls, wire: dict[str, Any]) -> "StateTransferRequest":
-        _require(
-            isinstance(wire.get("shard"), str)
-            and isinstance(wire.get("nonce"), bytes),
-            wire,
-        )
-        return cls(shard=wire["shard"], nonce=wire["nonce"])
+    shard: str = wire_field("shard", STR)
+    nonce: bytes = wire_field("nonce", BYTES)
 
 
 @register_message
@@ -204,31 +128,7 @@ class StateTransferReply(Message):
     """
 
     KIND: ClassVar[str] = "XFER-REPLY"
-    shard: str
-    nonce: bytes
-    epoch: int
-    objects: dict[str, Any]
-
-    def to_wire(self) -> dict[str, Any]:
-        return {
-            "shard": self.shard,
-            "nonce": self.nonce,
-            "epoch": self.epoch,
-            "objects": self.objects,
-        }
-
-    @classmethod
-    def from_wire(cls, wire: dict[str, Any]) -> "StateTransferReply":
-        _require(
-            isinstance(wire.get("shard"), str)
-            and isinstance(wire.get("nonce"), bytes)
-            and isinstance(wire.get("epoch"), int)
-            and isinstance(wire.get("objects"), dict),
-            wire,
-        )
-        return cls(
-            shard=wire["shard"],
-            nonce=wire["nonce"],
-            epoch=wire["epoch"],
-            objects=wire["objects"],
-        )
+    shard: str = wire_field("shard", STR)
+    nonce: bytes = wire_field("nonce", BYTES)
+    epoch: int = wire_field("epoch", INT)
+    objects: dict[str, Any] = wire_field("objects", DICT)

@@ -11,6 +11,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 def test_generator_runs_and_is_current(tmp_path):
     existing = (ROOT / "docs" / "API.md").read_text(encoding="utf-8")
+    protocol = (ROOT / "PROTOCOL.md").read_text(encoding="utf-8")
     result = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "gen_api_docs.py")],
         capture_output=True,
@@ -21,6 +22,9 @@ def test_generator_runs_and_is_current(tmp_path):
     regenerated = (ROOT / "docs" / "API.md").read_text(encoding="utf-8")
     assert regenerated == existing, (
         "docs/API.md is stale; run tools/gen_api_docs.py"
+    )
+    assert (ROOT / "PROTOCOL.md").read_text(encoding="utf-8") == protocol, (
+        "PROTOCOL.md's wire-format table is stale; run tools/gen_api_docs.py"
     )
 
 

@@ -9,7 +9,8 @@ checked-in evidence says it is.
 
 The corpus mixes two artifact formats: single-group episodes
 (``repro-chaos-artifact/*``) and sharded reconfiguration episodes
-(``repro-chaos-shard-artifact/*``); each replays through its own engine.
+(``repro-chaos-shard-artifact/*``); one ``replay_artifact`` picks the
+engine from the tag.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import pathlib
 
 import pytest
 
-from repro.chaos import replay_artifact, replay_shard_artifact
+from repro.chaos import replay_artifact
 from repro.chaos.shard import SHARD_ARTIFACT_FORMAT
 
 TRACES = pathlib.Path(__file__).resolve().parent.parent / "traces" / "chaos"
@@ -52,7 +53,7 @@ def test_corpus_artifact_replays_green(path):
 
 @pytest.mark.parametrize("path", SHARDED, ids=lambda p: p.stem)
 def test_corpus_shard_artifact_replays_green(path):
-    outcome = replay_shard_artifact(path)
+    outcome = replay_artifact(path)
     assert outcome.matches, (
         f"{path.name} diverged: expected {outcome.expected}, "
         f"got {outcome.actual}"

@@ -94,9 +94,10 @@ class TestFastPathEpisodes:
 
 
 class TestBugCatchAcceptance:
-    def test_injected_bug_caught_and_minimized(self, tmp_path):
-        """The ISSUE's acceptance bar: a ≤50-episode campaign catches the
-        regression, and the minimized repro has ≤5 fault actions."""
+    @pytest.fixture(scope="class")
+    def campaign(self, tmp_path_factory):
+        """The seed-7 catch-and-minimize campaign, run once for both tests
+        (it is deterministic, and most of a minute and a half of tier-1)."""
         config = CampaignConfig(
             seed=7,
             episodes=50,
@@ -104,13 +105,17 @@ class TestBugCatchAcceptance:
             attacks=False,
             byzantine=False,
         )
-        campaign = run_campaign(
+        return run_campaign(
             config,
             replica_factory=buggy_factory,
             minimize=True,
             minimize_budget=60,
-            artifact_dir=tmp_path,
+            artifact_dir=tmp_path_factory.mktemp("bug-artifacts"),
         )
+
+    def test_injected_bug_caught_and_minimized(self, campaign):
+        """The ISSUE's acceptance bar: a ≤50-episode campaign catches the
+        regression, and the minimized repro has ≤5 fault actions."""
         assert campaign.violations, "the campaign must catch the bug"
         assert campaign.minimized, "violations must be minimized"
         for plan, verdicts, path in campaign.minimized:
@@ -120,20 +125,9 @@ class TestBugCatchAcceptance:
             outcome = replay_artifact(path, replica_factory=buggy_factory)
             assert outcome.matches
 
-    def test_minimized_artifact_passes_on_fixed_code(self, tmp_path):
+    def test_minimized_artifact_passes_on_fixed_code(self, campaign):
         """Replaying a bug artifact on the healthy protocol flips the
         verdict — which is exactly how a fixed bug shows up."""
-        config = CampaignConfig(
-            seed=7, episodes=50, variants=("base",),
-            attacks=False, byzantine=False,
-        )
-        campaign = run_campaign(
-            config,
-            replica_factory=buggy_factory,
-            minimize=True,
-            minimize_budget=60,
-            artifact_dir=tmp_path,
-        )
         _plan, _verdicts, path = campaign.minimized[0]
         outcome = replay_artifact(path)  # no buggy factory: healthy replicas
         assert outcome.result.ok

@@ -75,6 +75,41 @@ def test_checker_flags_a_second_sim_loop(tmp_path):
     ]
 
 
+def test_checker_flags_a_hand_written_codec_and_a_second_type_table(tmp_path):
+    """Only ``Message`` itself carries ``to_wire``/``from_wire``, and only
+    ``core.messages`` builds ``WireType``s; declaring fields with the named
+    types stays free everywhere."""
+    (tmp_path / "repro" / "core").mkdir(parents=True)
+    (tmp_path / "repro" / "shard").mkdir()
+    (tmp_path / "repro" / "core" / "messages.py").write_text(
+        "BYTES = WireType('bytes', check)\n"
+        "class Message:\n"
+        "    def to_wire(self): ...\n"
+        "    @classmethod\n"
+        "    def from_wire(cls, wire): ...\n"
+    )
+    (tmp_path / "repro" / "shard" / "ok.py").write_text(
+        "class Ping(Message):\n"
+        "    nonce: bytes = wire_field('nonce', BYTES)\n"
+        "class Plan:\n"
+        "    def to_wire(self): ...\n"
+    )
+    (tmp_path / "repro" / "shard" / "bad.py").write_text(
+        "from repro.core import messages\n"
+        "PAIR = messages.WireType('pair', check)\n"
+        "class Pong(messages.Message):\n"
+        "    def to_wire(self): ...\n"
+        "    @classmethod\n"
+        "    def from_wire(cls, wire): ...\n"
+    )
+    found = check_layering.find_duplication(tmp_path)
+    assert sorted((module, line) for module, line, _ in found) == [
+        ("repro.shard.bad", 2),
+        ("repro.shard.bad", 4),
+        ("repro.shard.bad", 6),
+    ]
+
+
 def test_checker_cli_passes():
     result = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "check_layering.py")],

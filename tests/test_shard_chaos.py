@@ -2,15 +2,20 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.chaos import (
+    CampaignConfig,
     ShardEpisodePlan,
-    replay_shard_artifact,
+    generate_plan,
+    load_artifact,
+    replay_artifact,
     run_shard_episode,
-    save_shard_artifact,
+    save_artifact,
 )
-from repro.chaos.shard import SHARD_ARTIFACT_FORMAT, load_shard_artifact
+from repro.chaos.shard import SHARD_ARTIFACT_FORMAT
 from repro.errors import SimulationError
 
 
@@ -85,20 +90,27 @@ class TestArtifacts:
         assert result.ok
         verdicts = {name: v.ok for name, v in result.verdicts.items()}
         path = tmp_path / "episode.json"
-        payload = save_shard_artifact(path, plan, verdicts, note="round trip")
+        payload = save_artifact(path, plan, verdicts, note="round trip")
         assert payload["format"] == SHARD_ARTIFACT_FORMAT
 
-        loaded_plan, expected, note = load_shard_artifact(path)
+        loaded_plan, expected, note = load_artifact(path)
         assert loaded_plan == plan
         assert expected == verdicts
         assert note == "round trip"
 
-        outcome = replay_shard_artifact(path)
+        outcome = replay_artifact(path)
         assert outcome.matches, (outcome.expected, outcome.actual)
         assert outcome.result.ok
 
     def test_load_rejects_single_group_artifact(self, tmp_path):
+        """The tag picks the plan class; a plan of the other kind under it
+        is refused, in both directions."""
+        single = generate_plan(CampaignConfig(seed=5), 2)
+        sharded = ShardEpisodePlan(seed=6)
         path = tmp_path / "other.json"
-        path.write_text('{"format": "repro-chaos-artifact/1"}', encoding="utf-8")
-        with pytest.raises(SimulationError):
-            load_shard_artifact(path)
+        for plan, other in ((single, sharded), (sharded, single)):
+            payload = save_artifact(path, plan, {})
+            payload["plan"] = other.to_json()
+            path.write_text(json.dumps(payload), encoding="utf-8")
+            with pytest.raises(SimulationError):
+                load_artifact(path)

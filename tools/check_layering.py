@@ -31,7 +31,7 @@ source file under ``src/repro`` with :mod:`ast` — including imports inside
 ``TYPE_CHECKING`` blocks and function bodies, so lazy imports cannot hide a
 cycle-in-waiting.
 
-Three further rules keep deleted duplication from growing back
+Four further rules keep deleted duplication from growing back
 (:func:`find_duplication`): the TCP client stack lives in one module, so
 ``asyncio.open_connection`` may be called only from ``repro.net.mux`` (and
 the chaos proxy's upstream leg); the variant-to-class mapping lives on
@@ -39,7 +39,10 @@ the chaos proxy's upstream leg); the variant-to-class mapping lives on
 and the ``repro`` facade the concrete variant classes may be named only as
 base classes, never in a dispatch; and the simulated run loop lives on
 ``repro.sim.runner.SimHarness``, so ``Scheduler(`` and ``SimNetwork(`` may
-be constructed only in ``repro.sim.runner``.
+be constructed only in ``repro.sim.runner``; and the wire layout is derived
+from each message's declaration, so no subclass of ``Message`` may define
+``to_wire`` or ``from_wire`` and ``WireType(`` (the schema's type table) may
+be constructed only in ``repro.core.messages``.
 
 Run:  python tools/check_layering.py   (exits 1 and lists violations)
 The tier-1 test ``tests/test_layering.py`` runs this on every suite run.
@@ -100,6 +103,12 @@ VARIANT_CLASSES = frozenset(
 #: run / settle / done-check loop next; build on ``SimHarness`` instead.
 SIM_LOOP_CLASSES = frozenset({"Scheduler", "SimNetwork"})
 SIM_LOOP_SITE = "repro.sim.runner"
+
+
+#: The one module that knows the wire layout: the type table and the
+#: derived ``to_wire`` / ``from_wire`` pair on ``Message``.
+WIRE_SCHEMA_SITE = "repro.core.messages"
+CODEC_METHODS = frozenset({"to_wire", "from_wire"})
 
 
 def _may_name_variant_classes(module: str) -> bool:
@@ -180,12 +189,27 @@ def find_duplication(src: pathlib.Path = SRC) -> list[tuple[str, int, str]]:
             for base in node.bases
         }
         for node in ast.walk(tree):
-            if isinstance(node, ast.Call) and module != SIM_LOOP_SITE:
+            if isinstance(node, ast.Call):
                 callee = getattr(node.func, "id", getattr(node.func, "attr", None))
-                if callee in SIM_LOOP_CLASSES:
+                if callee in SIM_LOOP_CLASSES and module != SIM_LOOP_SITE:
                     found.append(
                         (module, node.lineno, f"constructs {callee} outside SimHarness")
                     )
+                if callee == "WireType" and module != WIRE_SCHEMA_SITE:
+                    found.append(
+                        (module, node.lineno, "grows the wire type table outside "
+                         + WIRE_SCHEMA_SITE)
+                    )
+            if isinstance(node, ast.ClassDef) and any(
+                getattr(base, "id", getattr(base, "attr", None)) == "Message"
+                for base in node.bases
+            ):
+                found.extend(
+                    (module, item.lineno, f"{node.name}.{item.name} is hand-written; "
+                     "declare the field with wire_field")
+                    for item in node.body
+                    if isinstance(item, ast.FunctionDef) and item.name in CODEC_METHODS
+                )
             if isinstance(node, ast.Name):
                 name = node.id
             elif isinstance(node, ast.Attribute):
@@ -213,7 +237,10 @@ def main() -> int:
         for importer, imported, il, tl in violations:
             print(f"  {importer} (L{il}) -> {imported} (L{tl})")
     if duplication:
-        print("duplication the variant registry / one endpoint / one harness replaced:")
+        print(
+            "duplication the variant registry / one endpoint / one harness / "
+            "one wire schema replaced:"
+        )
         for module, line, what in duplication:
             print(f"  {module}:{line} {what}")
     if violations or duplication:

@@ -6,6 +6,10 @@ and emits a markdown reference: one section per module, one entry per class
 (with public methods) or function, using the first paragraph of each
 docstring.
 
+Also rewrites the "Wire format" table of PROTOCOL.md (between its two
+marker comments) from the message declarations, so the documented layout
+is the one the codec is derived from.
+
 Run:  python tools/gen_api_docs.py
 """
 
@@ -179,8 +183,41 @@ def document_module(module_name: str) -> list[str]:
     return lines
 
 
+WIRE_BEGIN = "<!-- wire-format:begin (generated by tools/gen_api_docs.py) -->"
+WIRE_END = "<!-- wire-format:end -->"
+
+
+def wire_format_table() -> list[str]:
+    """One row per declared field of every registered message kind."""
+    from repro.core.messages import registered_messages
+
+    lines = ["| kind | field | wire key | type |", "|---|---|---|---|"]
+    for kind, cls in registered_messages().items():
+        for field in cls.WIRE_FIELDS:
+            wire_type = field.wire_type.name + (
+                ", may be absent" if field.absent_ok else ""
+            )
+            lines.append(
+                f"| `{kind}` | `{cls.__name__}.{field.name}` | `{field.key}` "
+                f"| {wire_type} |"
+            )
+    return lines
+
+
+def write_wire_format(root: pathlib.Path) -> None:
+    path = root / "PROTOCOL.md"
+    text = path.read_text(encoding="utf-8")
+    head, _, rest = text.partition(WIRE_BEGIN)
+    _, _, tail = rest.partition(WIRE_END)
+    table = "\n".join(wire_format_table())
+    path.write_text(
+        f"{head}{WIRE_BEGIN}\n{table}\n{WIRE_END}{tail}", encoding="utf-8"
+    )
+
+
 def main() -> int:
-    out = pathlib.Path(__file__).resolve().parent.parent / "docs" / "API.md"
+    root = pathlib.Path(__file__).resolve().parent.parent
+    out = root / "docs" / "API.md"
     out.parent.mkdir(exist_ok=True)
     lines = [
         "# API reference",
@@ -194,6 +231,7 @@ def main() -> int:
         lines.extend(document_module(module_name))
     out.write_text("\n".join(lines), encoding="utf-8")
     print(f"wrote {out} ({len(lines)} lines)")
+    write_wire_format(root)
     return 0
 
 
