@@ -8,7 +8,9 @@ journal costs: wall-clock time for a fixed write workload on each backend
 counters (log appends, fsyncs, bytes) the metrics collector aggregates.
 
 The analytical model in :mod:`repro.analysis.costs` predicts the per-write
-log-record count; the measured appends-per-operation must match it.
+log-record count, which the measured appends-per-operation must match, and
+the per-write barrier count under group commit, which the measured fsyncs
+must equal exactly, for every variant.
 
 Marked ``slow``: real fsyncs on real files, excluded from tier-1 runs.
 """
@@ -37,14 +39,22 @@ pytestmark = pytest.mark.slow
 WRITES = 20
 
 
-def _arm(name: str, tmp_path, *, fsync: str | None, seed: int = 1600) -> dict:
+def _arm(
+    name: str,
+    tmp_path,
+    *,
+    fsync: str | None,
+    variant: str = "base",
+    seed: int = 1600,
+) -> dict:
     """Run the fixed workload on one storage backend; return its numbers."""
     if fsync is None:
-        options = ClusterOptions(seed=seed)
+        options = ClusterOptions(seed=seed, variant=variant)
     else:
         root = tmp_path / name
         options = ClusterOptions(
             seed=seed,
+            variant=variant,
             store_factory=lambda rid: FileLogStore(root / rid, fsync=fsync),
         )
     started = time.perf_counter()
@@ -122,8 +132,9 @@ def test_e16_durability_cost(benchmark, tmp_path):
     assert arms["wal_fsync"]["appends_per_op"] == pytest.approx(
         predicted, rel=0.15
     ), (arms["wal_fsync"]["appends_per_op"], predicted)
-    assert arms["wal_fsync"]["fsyncs_per_op"] == pytest.approx(
-        model.fsyncs_per_write(fsync="always") * model.quorums.n, rel=0.15
+    assert (
+        arms["wal_fsync"]["fsyncs_per_op"]
+        == model.fsyncs_per_write(fsync="always") * model.quorums.n
     )
 
     payload = {
@@ -135,3 +146,18 @@ def test_e16_durability_cost(benchmark, tmp_path):
         / arms["wal_fsync"]["ops_per_wall_second"]
     )
     bench_record.record("e16_durability_cost", payload)
+
+
+@pytest.mark.parametrize("variant", ["base", "optimized", "strong", "fastpath"])
+def test_e16_one_barrier_per_logging_message(variant, tmp_path):
+    """Group commit, exact: two of a write's messages log at each replica,
+    so a write costs ``2n`` barriers however many records it appends (6 per
+    replica, 8 on the fast path).  A ``strong`` replica additionally logs
+    its vouch for the genesis timestamp, once in its lifetime."""
+    arm = _arm("wal-fsync", tmp_path, fsync="always", variant=variant)
+    model = CostModel(quorums=QuorumSystem.bft_bc(f=1))
+    one_off = 1 if variant == "strong" else 0
+    assert arm["fsyncs"] == model.quorums.n * (
+        WRITES * model.fsyncs_per_write(fsync="always") + one_off
+    )
+    assert arm["log_appends"] > 2 * arm["fsyncs"]

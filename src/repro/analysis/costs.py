@@ -326,10 +326,23 @@ class CostModel:
         return (self.write_log_records(variant) - 1) * small + install
 
     def fsyncs_per_write(self, *, fsync: str = "always") -> int:
-        """fsync calls per write per replica under the given policy."""
+        """WAL barriers per write per replica under the given policy.
+
+        Group commit spends one barrier per handled message that logged
+        anything, not one per record.  In every variant exactly two of a
+        write's messages log: the one that prepares (PREPARE, READ-TS-PREP
+        or FAST-PREP — ``spr`` and the list entry, plus the previous
+        write's ``write-ts`` advance and GC riding on its certificate) and
+        the WRITE that installs (``install`` and ``swr``); READ-TS logs
+        nothing.  Exact on a reliable network with one frame per message;
+        a host that handles several logging messages of one socket read or
+        batch under one scope pays fewer.  (A ``strong`` replica's first
+        READ-TS vouches for the genesis timestamp and logs that ``swr``
+        once in its lifetime — a one-off, not a per-write cost.)
+        """
         if fsync == "never":
             return 0
-        return self.write_log_records()
+        return 2
 
     # -- reconfiguration counts (repro.shard, E19 companion) ------------------
 

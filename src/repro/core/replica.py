@@ -409,7 +409,14 @@ class BftBcReplica:
     def handle(self, sender: str, message: Message) -> Optional[Message]:
         """Process one request; return the reply or None (silent discard).
 
-        When instrumented, the whole dispatch runs inside a handler span
+        The whole call runs inside the store's
+        :meth:`~repro.storage.ReplicaStore.group`: every record the message
+        logs shares the one barrier issued before this method returns, so
+        no host can release the reply ahead of it.  A host that releases
+        several replies at once may hold a wider scope of its own around
+        its calls and pay one barrier for all of them.
+
+        When instrumented, the dispatch runs inside a handler span
         (series ``handler.<KIND>``); the uninstrumented path goes straight
         to :meth:`_dispatch`.
 
@@ -419,30 +426,31 @@ class BftBcReplica:
         everything else is discarded with the ``quarantined`` reason until
         repair completes.
         """
-        if isinstance(message, RepairRequest):
-            self.stats.handled[message.KIND] += 1
-            reply = self._handle_repair_request(message)
-            if reply is not None:
-                self.stats.replies += 1
-            return reply
-        if isinstance(message, RepairReply):
-            self.stats.handled[message.KIND] += 1
-            self.repair.on_reply(sender, message)
-            return None
-        if self.quarantined:
-            self.stats.handled[message.KIND] += 1
-            self.stats.discard("quarantined")
-            return None
-        instr = self.instrumentation
-        if not instr.enabled:
-            return self._dispatch(sender, message)
-        span = instr.handler_span(message.KIND, node=self.node_id)
-        try:
-            reply = self._dispatch(sender, message)
-            span.set("replied", reply is not None)
-            return reply
-        finally:
-            span.end()
+        with self._state.store.group():
+            if isinstance(message, RepairRequest):
+                self.stats.handled[message.KIND] += 1
+                reply = self._handle_repair_request(message)
+                if reply is not None:
+                    self.stats.replies += 1
+                return reply
+            if isinstance(message, RepairReply):
+                self.stats.handled[message.KIND] += 1
+                self.repair.on_reply(sender, message)
+                return None
+            if self.quarantined:
+                self.stats.handled[message.KIND] += 1
+                self.stats.discard("quarantined")
+                return None
+            instr = self.instrumentation
+            if not instr.enabled:
+                return self._dispatch(sender, message)
+            span = instr.handler_span(message.KIND, node=self.node_id)
+            try:
+                reply = self._dispatch(sender, message)
+                span.set("replied", reply is not None)
+                return reply
+            finally:
+                span.end()
 
     def _dispatch(self, sender: str, message: Message) -> Optional[Message]:
         self.stats.handled[message.KIND] += 1

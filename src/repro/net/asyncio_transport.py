@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import asyncio
 import os
+from contextlib import nullcontext
 from typing import Any, Callable, Optional, Union
 
 from repro.core.batching import expand_message
@@ -220,7 +221,8 @@ class ReplicaServer:
         A busy connection (the client-side mux, or a pipelining client)
         lands several frames per read; decoding them all first lets the
         replica prevalidate their signatures in one amortized batch pass,
-        and the replies share a single flow-control drain.  Each reply is
+        and the replies share one WAL barrier and a single flow-control
+        drain.  Each reply is
         tagged ``dst=<request src>`` so a multiplexer on the far end can
         route it to the right logical client; plain clients ignore the tag.
         """
@@ -237,15 +239,23 @@ class ReplicaServer:
                 for _, message, _ in frames:
                     inners.extend(expand_message(message))
                 prevalidate(inners)
-        wrote = False
-        for src, message, _ in frames:
-            reply = self.replica.handle(src, message)
-            if reply is not None:
-                writer.write(
-                    encode_envelope(self.replica.node_id, reply, dst=src)
-                )
-                wrote = True
-        if wrote:
+        # One barrier for the whole read: the replies are collected while
+        # the scope is open and written only after it has closed (no
+        # ``await`` in between, so nothing else can run on the loop).  A
+        # shard replica has no store of its own; its per-object replicas
+        # open their own scope inside ``handle``.
+        store = getattr(self.replica, "store", None)
+        replies: list[bytes] = []
+        with store.group() if store is not None else nullcontext():
+            for src, message, _ in frames:
+                reply = self.replica.handle(src, message)
+                if reply is not None:
+                    replies.append(
+                        encode_envelope(self.replica.node_id, reply, dst=src)
+                    )
+        for data in replies:
+            writer.write(data)
+        if replies:
             await writer.drain()
 
 

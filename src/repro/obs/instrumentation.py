@@ -337,11 +337,40 @@ class _TimedVerifier:
         return getattr(self._inner, name)
 
 
+class _TimedGroup:
+    """The proxy's own group scope: times the barrier the exit issues.
+
+    The inner store commits from inside its own scope exit, where the
+    proxy's timed :meth:`_TimedStore.sync` never sees it; so the exit is
+    timed here and recorded as a ``store.sync`` sample whenever the
+    store's fsync counter shows that it issued a barrier.
+    """
+
+    __slots__ = ("_store", "_inner_scope")
+
+    def __init__(self, store: "_TimedStore") -> None:
+        self._store = store
+        self._inner_scope = store._inner.group()
+
+    def __enter__(self) -> None:
+        self._inner_scope.__enter__()
+
+    def __exit__(self, *exc_info: Any) -> None:
+        store = self._store
+        stats = store._inner.stats
+        before = stats.fsyncs
+        clock = store._instr.clock
+        started = clock()
+        self._inner_scope.__exit__(*exc_info)
+        if stats.fsyncs != before:
+            store._sync_hist.record(clock() - started)
+
+
 class _TimedStore:
     """Duck-typed replica-store proxy timing the durability calls."""
 
     __slots__ = ("_inner", "_instr", "_append_hist", "_load_hist",
-                 "_snapshot_hist", "_sync_hist")
+                 "_snapshot_hist", "_sync_hist", "_scope")
 
     def __init__(self, inner: Any, instr: Instrumentation) -> None:
         self._inner = inner
@@ -350,6 +379,11 @@ class _TimedStore:
         self._load_hist = instr.histogram("store.load")
         self._snapshot_hist = instr.histogram("store.snapshot")
         self._sync_hist = instr.histogram("store.sync")
+        self._scope = _TimedGroup(self)
+
+    def group(self) -> _TimedGroup:
+        """The proxy's scope, so the barrier lands in ``store.sync``."""
+        return self._scope
 
     def append(self, record: Any) -> None:
         clock = self._instr.clock

@@ -289,11 +289,14 @@ class ReplicaNode(ReplicaHost):
             prevalidate = getattr(self.replica, "prevalidate", None)
             if prevalidate is not None:
                 prevalidate(inners)
-        replies = [
-            reply
-            for inner in inners
-            if (reply := self.replica.handle(src, inner)) is not None
-        ]
+        # One barrier per frame: a batch's replies leave together, so its
+        # handlers share the scope (a single message opens just its own).
+        with self.replica.store.group():
+            replies = [
+                reply
+                for inner in inners
+                if (reply := self.replica.handle(src, inner)) is not None
+            ]
         if not replies:
             return
         if len(replies) == 1:

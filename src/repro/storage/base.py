@@ -11,6 +11,12 @@ The contract every backend satisfies:
 * ``append(record)`` durably adds one record after everything already
   stored (write-ahead: callers append *before* releasing any message that
   reveals the state change).
+* ``group()`` is a re-entrant scope that spends one stable-storage barrier
+  per *release* instead of one per record: inside it ``append`` only
+  buffers, and the outermost exit makes everything buffered durable before
+  control returns to whoever is about to release a reply — also when the
+  body raised, because the in-memory state may already have moved.  An
+  ``append`` outside any scope is a group of one.
 * ``load()`` returns ``(snapshot, records)`` — the most recent snapshot (or
   ``None``) and every record appended after it, in order.  Loading is
   read-only and idempotent.
@@ -35,9 +41,31 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import Any, Callable, ContextManager, Optional
 
 __all__ = ["StorageStats", "ReplicaStore", "MemoryStore"]
+
+
+class _GroupScope:
+    """The context manager :meth:`ReplicaStore.group` hands out.
+
+    Stateless (the depth lives on the store), so one instance per store
+    serves every nesting level.
+    """
+
+    __slots__ = ("_store",)
+
+    def __init__(self, store: "ReplicaStore") -> None:
+        self._store = store
+
+    def __enter__(self) -> None:
+        self._store._group_depth += 1
+
+    def __exit__(self, *exc_info: Any) -> None:
+        store = self._store
+        store._group_depth -= 1
+        if not store._group_depth and store._group_dirty:
+            store._commit_group()
 
 
 @dataclass
@@ -113,12 +141,35 @@ class ReplicaStore(ABC):
         #: needing repair from peers rather than serving from it directly.
         self.suspect = False
         self._records_since_snapshot = 0
+        self._group_depth = 0
+        #: Appends buffered inside a scope that no barrier has covered yet
+        #: (only backends with stable storage ever raise it).
+        self._group_dirty = False
+        self._scope = _GroupScope(self)
+
+    # -- group commit --------------------------------------------------------
+
+    def group(self) -> ContextManager[None]:
+        """Scope whose appends share the one barrier issued when it closes.
+
+        Re-entrant: only the outermost exit commits.  Whoever releases
+        replies must do so *after* the scope closes.
+        """
+        return self._scope
+
+    def _commit_group(self) -> None:
+        """Make every buffered append as durable as this store promises."""
+        self.sync()
 
     # -- the durable contract ------------------------------------------------
 
     @abstractmethod
     def append(self, record: Any) -> None:
-        """Durably append one canonically encodable record to the log."""
+        """Append one canonically encodable record to the log.
+
+        Durable on return, or, inside a :meth:`group`, once the outermost
+        scope has closed.
+        """
 
     @abstractmethod
     def load(self) -> tuple[Any, list[Any]]:
@@ -174,16 +225,17 @@ class ReplicaStore(ABC):
 
         Used when a replica bootstraps from peers: the snapshot is installed
         first (which also truncates any pre-existing log), the records are
-        re-appended in order, and the result is forced to stable storage so
-        a crash immediately after bootstrap does not silently lose the
-        transferred state.
+        re-appended in order under one group, and the result is forced to
+        stable storage (whatever the sync policy) so a crash immediately
+        after bootstrap does not silently lose the transferred state.
         """
         if not isinstance(payload, dict) or not {"snapshot", "records"} <= set(payload):
             raise ValueError(f"malformed state-transfer payload: {payload!r}")
-        self.write_snapshot(payload["snapshot"])
-        for record in payload["records"]:
-            self.append(record)
-        self.sync()
+        with self.group():
+            self.write_snapshot(payload["snapshot"])
+            for record in payload["records"]:
+                self.append(record)
+            self.sync()
 
     # -- compaction --------------------------------------------------------
 

@@ -16,13 +16,22 @@ the length-prefixed frames of :mod:`repro.encoding.codec`, so the same
 decoder that drives the transport drives recovery — plus a constant-time
 integrity check per record.
 
-Durability model:
+Durability model — one barrier per released reply batch:
 
-* ``fsync="always"`` (default) issues one fsync per append — every
-  acknowledged state change survives any crash.
-* ``fsync="never"`` leaves flushing to the OS; a crash loses the unsynced
-  tail, which :meth:`FileLogStore.crash` simulates by truncating to the
-  last synced offset.
+* ``fsync="always"`` (default) issues one fsync per *group*
+  (:meth:`~repro.storage.base.ReplicaStore.group`): appends inside a scope
+  are buffered, and the outermost exit writes them with one ``write(2)``
+  and one fsync before anything that reveals them can be released — every
+  acknowledged state change survives any crash.  The scope is opened by
+  :meth:`repro.core.replica.BftBcReplica.handle`, so every host gets the
+  barrier by construction, and widened by the two hosts that release
+  several replies at once: ``ReplicaServer._handle_chunk`` (all frames of
+  one socket read) and ``ReplicaNode._process`` (one ``BatchEnvelope``).
+  An append outside any scope is a group of one.
+* ``fsync="never"`` hands each group to the OS with one flush and leaves
+  the barrier to it; a crash loses the unsynced tail, which
+  :meth:`FileLogStore.crash` simulates by truncating to the last synced
+  offset.
 
 Recovery (:meth:`FileLogStore.load`) distinguishes two failure shapes:
 
@@ -52,9 +61,10 @@ periodic self-audit and the ``python -m repro storage scrub`` CLI.
 
 from __future__ import annotations
 
+import enum
 import os
 import pathlib
-from typing import Any, Optional, Union
+from typing import Any, Iterator, Optional, Union
 
 from repro.encoding import canonical_decode, canonical_encode, decode_frame, encode_frame
 from repro.errors import EncodingError, IncompleteFrameError, IntegrityError, StorageError
@@ -66,6 +76,17 @@ __all__ = ["FileLogStore"]
 _SNAPSHOT = "snapshot.bin"
 _SNAPSHOT_PREV = "snapshot.prev.bin"
 _WAL = "wal.bin"
+
+
+class _Damage(enum.Enum):
+    """How a WAL walk ended early (no canonical record is ever one of
+    these); the value is the :meth:`FileLogStore.scrub` counter it bumps."""
+
+    #: Incomplete final frame — a crash mid-append.
+    TORN = "torn_records"
+    #: A complete frame that fails its seal, undecodable sealed bytes, or a
+    #: mangled header: bytes changed after they were written.
+    CORRUPT = "corrupt_records"
 
 
 class FileLogStore(ReplicaStore):
@@ -107,20 +128,27 @@ class FileLogStore(ReplicaStore):
     def append(self, record: Any) -> None:
         frame = encode_frame(seal(canonical_encode(record), WAL_RECORD_DOMAIN))
         self._wal.write(frame)
-        self._wal.flush()
-        if self.fsync == "always":
-            os.fsync(self._wal.fileno())
-            self.stats.fsyncs += 1
-            self._synced_size = self._wal.tell()
         self.stats.appends += 1
         self.stats.appended_bytes += len(frame)
         self._note_append()
+        if self._group_depth:
+            self._group_dirty = True
+        else:
+            self._commit_group()
+
+    def _commit_group(self) -> None:
+        if self.fsync == "always":
+            self.sync()
+        else:
+            self._wal.flush()
+            self._group_dirty = False
 
     def sync(self) -> None:
         self._wal.flush()
         os.fsync(self._wal.fileno())
         self.stats.fsyncs += 1
         self._synced_size = self._wal.tell()
+        self._group_dirty = False
 
     # -- snapshots ---------------------------------------------------------
 
@@ -143,6 +171,8 @@ class FileLogStore(ReplicaStore):
         self._wal.flush()
         os.fsync(self._wal.fileno())
         self._synced_size = 0
+        # Every buffered append is in the snapshot: no barrier left to pay.
+        self._group_dirty = False
         self._records_since_snapshot = 0
         self.stats.snapshots += 1
         self.stats.snapshot_bytes += len(frame)
@@ -172,9 +202,16 @@ class FileLogStore(ReplicaStore):
         self.stats.loads += 1
         self.suspect = False
         snapshot = self._load_snapshot()
-        records, good_size, verdict = self._scan_wal()
-        if verdict is not None:
-            if verdict == "corrupt":
+        records: list[Any] = []
+        good_size = 0
+        damage: Optional[_Damage] = None
+        for item, good_size in self._walk_wal():
+            if isinstance(item, _Damage):
+                damage = item
+            else:
+                records.append(item)
+        if damage is not None:
+            if damage is _Damage.CORRUPT:
                 self.stats.corrupt_records += 1
                 self.suspect = True
                 self._quarantine_wal_tail(good_size)
@@ -237,33 +274,36 @@ class FileLogStore(ReplicaStore):
             os.replace(path, path.with_suffix(".quarantine"))
             return None
 
-    def _scan_wal(self) -> tuple[list[Any], int, Optional[str]]:
-        """Decode records; return (records, bytes_of_good_frames, verdict).
+    def _walk_wal(self) -> Iterator[tuple[Any, int]]:
+        """Walk the log once: ``(record, end_offset)`` per verified record.
 
-        ``verdict`` is ``None`` (clean), ``"torn"`` (incomplete final frame
-        — a crash mid-append) or ``"corrupt"`` (a complete frame that fails
-        its seal, undecodable sealed bytes, or a mangled header).
+        A frame that cannot be accepted ends the walk with one
+        ``(_Damage, offset_of_that_frame)`` item, so the offset of every
+        item is the size of the verified prefix so far.  Frames are sliced
+        out of one ``memoryview``: a record costs a copy of itself, never
+        of the rest of the file.  The one reader of the WAL — :meth:`load`
+        and :meth:`scrub` cannot disagree about what the same bytes mean.
         """
         self._wal.flush()
-        raw = self._wal_path.read_bytes()
-        records: list[Any] = []
+        raw = memoryview(self._wal_path.read_bytes())
         offset = 0
         while offset < len(raw):
             try:
                 sealed, rest = decode_frame(raw[offset:])
+                record = canonical_decode(
+                    unseal(bytes(sealed), WAL_RECORD_DOMAIN)
+                )
             except IncompleteFrameError:
-                return records, offset, "torn"
-            except EncodingError:
-                return records, offset, "corrupt"
-            try:
-                records.append(canonical_decode(unseal(sealed, WAL_RECORD_DOMAIN)))
+                yield _Damage.TORN, offset
+                return
             except (EncodingError, IntegrityError):
-                # A complete frame whose contents fail verification: the
-                # seal rules out a torn write, so these bytes were changed
-                # after they were written.
-                return records, offset, "corrupt"
+                # A mangled header, or a complete frame whose contents fail
+                # verification: the seal rules out a torn write, so these
+                # bytes were changed after they were written.
+                yield _Damage.CORRUPT, offset
+                return
             offset = len(raw) - len(rest)
-        return records, offset, None
+            yield record, offset
 
     # -- integrity audit ---------------------------------------------------
 
@@ -300,28 +340,12 @@ class FileLogStore(ReplicaStore):
                 report["clean"] = False
                 if path == self._snapshot_path:
                     report["snapshot_ok"] = False
-        self._wal.flush()
-        raw = self._wal_path.read_bytes()
-        offset = 0
-        while offset < len(raw):
-            try:
-                sealed, rest = decode_frame(raw[offset:])
-            except IncompleteFrameError:
-                report["torn_records"] += 1
+        for item, _ in self._walk_wal():
+            if isinstance(item, _Damage):
+                report[item.value] += 1
                 report["clean"] = False
-                break
-            except EncodingError:
-                report["corrupt_records"] += 1
-                report["clean"] = False
-                break
-            try:
-                canonical_decode(unseal(sealed, WAL_RECORD_DOMAIN))
-            except (EncodingError, IntegrityError):
-                report["corrupt_records"] += 1
-                report["clean"] = False
-                break
-            report["records_verified"] += 1
-            offset = len(raw) - len(rest)
+            else:
+                report["records_verified"] += 1
         return report
 
     # -- crash simulation --------------------------------------------------
@@ -332,6 +356,7 @@ class FileLogStore(ReplicaStore):
         with open(self._wal_path, "r+b") as wal:
             wal.truncate(self._synced_size)
         self._wal = open(self._wal_path, "ab")
+        self._group_dirty = False
         self.stats.crashes += 1
 
     def close(self) -> None:

@@ -110,6 +110,29 @@ def test_checker_flags_a_hand_written_codec_and_a_second_type_table(tmp_path):
     ]
 
 
+def test_checker_flags_a_barrier_outside_storage(tmp_path):
+    """Only ``repro.storage`` calls ``fsync``; a host that syncs for itself
+    is the per-record barrier growing back.  Naming the *policy*
+    (``spec.fsync``, ``fsync="always"``) stays free everywhere."""
+    (tmp_path / "repro" / "storage").mkdir(parents=True)
+    (tmp_path / "repro" / "net").mkdir()
+    (tmp_path / "repro" / "storage" / "filelog.py").write_text(
+        "import os\ndef sync(fd):\n    os.fsync(fd)\n"
+    )
+    (tmp_path / "repro" / "net" / "ok.py").write_text(
+        "def build(spec):\n    return Store(fsync=spec.fsync)\n"
+    )
+    (tmp_path / "repro" / "net" / "bad.py").write_text(
+        "import os\nfrom os import fsync\n"
+        "def reply(fd):\n    os.fsync(fd)\n    fsync(fd)\n"
+    )
+    found = check_layering.find_duplication(tmp_path)
+    assert [(module, line) for module, line, _ in found] == [
+        ("repro.net.bad", 4),
+        ("repro.net.bad", 5),
+    ]
+
+
 def test_checker_cli_passes():
     result = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "check_layering.py")],

@@ -102,9 +102,13 @@ class TestSimHarness:
     def test_overload_blows_the_slo(self):
         # Offered at ~2x the single-server capacity: queueing delay grows
         # without bound, so tail latency must violate any sane SLO.
+        # Sized by arrivals, not seconds: the backlog makes the run cost
+        # grow quadratically with them, and ~310 already put the tail at
+        # twenty times the SLO.
         capacity = 1.0 / (1.5 * 0.002)  # optimized, 50/50 mix, 2ms service
+        rate = 2 * capacity
         report = run_open_loop(
-            small_profile(rate=2 * capacity, duration=2.0, identities=500),
+            small_profile(rate=rate, duration=330 / rate, identities=500),
             variant="optimized",
             service_delay=0.002,
             slos=(SloTarget("write.p95", 0.05),),

@@ -276,6 +276,53 @@ class TestNullFastPath:
         assert NULL_SPAN.closed
 
 
+class TestStoreBarrierTiming:
+    """Group commit moves the barrier out of ``append`` and into the scope
+    exit; the store proxy must still see it (it used to forward ``group()``
+    to the inner store, whose exit called the inner, untimed ``sync``)."""
+
+    def test_one_sync_sample_per_logging_message_and_none_in_append(
+        self, tmp_path, monkeypatch
+    ):
+        import os
+
+        from repro.storage import FileLogStore
+        from tests.helpers import ProtocolKit
+
+        now = [0.0]
+        real_fsync = os.fsync
+
+        def slow_fsync(fd):
+            real_fsync(fd)
+            now[0] += 1.0  # the only thing that takes time in this test
+
+        monkeypatch.setattr(os, "fsync", slow_fsync)
+        instr = Instrumentation(clock=lambda: now[0])
+        config = make_system(f=1, seed=b"timed-store")
+        replicas = [
+            BftBcReplica(
+                rid,
+                config,
+                store=FileLogStore(tmp_path / rid.replace(":", "_")),
+                instrumentation=instr,
+            )
+            for rid in config.quorums.replica_ids
+        ]
+        ProtocolKit(config).full_write(replicas, ("v", 1))
+
+        stats = [replica.store.stats for replica in replicas]
+        # Per replica: PREPARE logs plist-set + spr, WRITE logs install +
+        # swr, READ-TS logs nothing: four records under two barriers.
+        assert [s.appends for s in stats] == [4] * 4
+        assert [s.fsyncs for s in stats] == [2] * 4
+        sync = instr.histograms["store.sync"]
+        assert sync.count == 8
+        assert sync.total == 8.0
+        append = instr.histograms["store.append"]
+        assert append.count == 16
+        assert append.total == 0.0
+
+
 class TestAttachGuards:
     """Stats sources attach through the Instrumentation handle only (the
     ``MetricsCollector.attach_*`` delegates are gone); a second attach

@@ -31,7 +31,7 @@ source file under ``src/repro`` with :mod:`ast` — including imports inside
 ``TYPE_CHECKING`` blocks and function bodies, so lazy imports cannot hide a
 cycle-in-waiting.
 
-Four further rules keep deleted duplication from growing back
+Five further rules keep deleted duplication from growing back
 (:func:`find_duplication`): the TCP client stack lives in one module, so
 ``asyncio.open_connection`` may be called only from ``repro.net.mux`` (and
 the chaos proxy's upstream leg); the variant-to-class mapping lives on
@@ -42,7 +42,10 @@ base classes, never in a dispatch; and the simulated run loop lives on
 be constructed only in ``repro.sim.runner``; and the wire layout is derived
 from each message's declaration, so no subclass of ``Message`` may define
 ``to_wire`` or ``from_wire`` and ``WireType(`` (the schema's type table) may
-be constructed only in ``repro.core.messages``.
+be constructed only in ``repro.core.messages``; and the WAL barrier is spent
+once per released reply batch by the store's ``group()`` scope, so
+``os.fsync`` may be called only under ``repro.storage`` — a host that syncs
+for itself is the per-record barrier growing back.
 
 Run:  python tools/check_layering.py   (exits 1 and lists violations)
 The tier-1 test ``tests/test_layering.py`` runs this on every suite run.
@@ -109,6 +112,10 @@ SIM_LOOP_SITE = "repro.sim.runner"
 #: derived ``to_wire`` / ``from_wire`` pair on ``Message``.
 WIRE_SCHEMA_SITE = "repro.core.messages"
 CODEC_METHODS = frozenset({"to_wire", "from_wire"})
+
+
+#: The one package that issues stable-storage barriers.
+BARRIER_SITE = "repro.storage"
 
 
 def _may_name_variant_classes(module: str) -> bool:
@@ -200,6 +207,13 @@ def find_duplication(src: pathlib.Path = SRC) -> list[tuple[str, int, str]]:
                         (module, node.lineno, "grows the wire type table outside "
                          + WIRE_SCHEMA_SITE)
                     )
+                if callee == "fsync" and not (
+                    module == BARRIER_SITE or module.startswith(BARRIER_SITE + ".")
+                ):
+                    found.append(
+                        (module, node.lineno, "calls fsync outside "
+                         + BARRIER_SITE + "; append inside store.group()")
+                    )
             if isinstance(node, ast.ClassDef) and any(
                 getattr(base, "id", getattr(base, "attr", None)) == "Message"
                 for base in node.bases
@@ -239,7 +253,7 @@ def main() -> int:
     if duplication:
         print(
             "duplication the variant registry / one endpoint / one harness / "
-            "one wire schema replaced:"
+            "one wire schema / one barrier site replaced:"
         )
         for module, line, what in duplication:
             print(f"  {module}:{line} {what}")
