@@ -25,8 +25,7 @@ SEEDS = range(700, 708)
 
 def _bftbc_trial(seed: int) -> bool:
     cluster = build_cluster(f=1, seed=seed)
-    attack = EquivocationAttack(cluster, "evil")
-    attack.start()
+    attack = cluster.add_adversary(EquivocationAttack("client:evil", cluster.config))
     r1 = cluster.add_client("r1")
     r2 = cluster.add_client("r2")
     w = cluster.add_client("w")
@@ -41,8 +40,7 @@ def _bftbc_trial(seed: int) -> bool:
 
 def _bqs_trial(seed: int) -> bool:
     cluster = build_bqs_cluster(f=1, seed=seed)
-    attack = BqsEquivocationAttack(cluster, "evil")
-    attack.start()
+    attack = cluster.add_adversary(BqsEquivocationAttack("client:evil", cluster.config))
     r1 = cluster.add_client("r1")
     r2 = cluster.add_client("r2")
     r1.run_script(read_script(3), start_delay=0.1, think_time=0.2)

@@ -132,8 +132,7 @@ def test_e8_null_reads_under_partial_writes(benchmark):
         from repro.byzantine import PartialWriteAttack
 
         bft = build_cluster(f=1, seed=801)
-        attack = PartialWriteAttack(bft, "evil")
-        attack.start()
+        attack = bft.add_adversary(PartialWriteAttack("client:evil", bft.config))
         bft.run(max_time=120)
         bft.network.crash("replica:3")
         reader2 = bft.add_client("r")

@@ -48,8 +48,7 @@ def _run(attack_cls, *, crashed: bool, seed: int = 600):
         replica_overrides=overrides,
     )
     if attack_cls is not None:
-        attack = attack_cls(cluster, "evil")
-        attack.start()
+        cluster.add_adversary(attack_cls("client:evil", cluster.config))
     node = cluster.add_client("good")
     node.run_script(write_script("client:good", OPS) + read_script(OPS))
     cluster.run(max_time=300)

@@ -15,7 +15,6 @@ from repro.analysis import format_table
 from repro.byzantine import (
     Colluder,
     LurkingWriteAttack,
-    OptimizedLurkingWriteAttack,
 )
 from repro.sim import read_script, write_script
 from repro.spec import check_bft_linearizable, check_bft_linearizable_plus
@@ -25,12 +24,14 @@ from benchmarks.conftest import run_once
 
 def _base_attack(seed: int):
     cluster = build_cluster(f=1, seed=seed)
-    attack = LurkingWriteAttack(cluster, "evil", warmup=1, extra_attempts=3)
-    attack.start()
+    attack = cluster.add_adversary(
+        LurkingWriteAttack("client:evil", cluster.config, warmup=1, extra_attempts=3)
+    )
     cluster.run(max_time=120)
-    attack.stop()
-    colluder = Colluder(cluster, "colluder", attack.hoard)
-    colluder.start()
+    cluster.stop_client(attack.node_id)
+    cluster.add_adversary(
+        Colluder("client:colluder", cluster.config, attack.hoard)
+    )
     reader = cluster.add_client("reader")
     reader.run_script(read_script(3), start_delay=0.5, think_time=0.1)
     cluster.run(max_time=120)
@@ -43,12 +44,14 @@ def _base_attack(seed: int):
 
 def _optimized_attack(seed: int):
     cluster = build_cluster(f=1, variant="optimized", seed=seed)
-    attack = OptimizedLurkingWriteAttack(cluster, "evil")
-    attack.start()
+    attack = cluster.add_adversary(
+        LurkingWriteAttack("client:evil", cluster.config, "optimized")
+    )
     cluster.run(max_time=120)
-    attack.stop()
-    colluder = Colluder(cluster, "colluder", attack.hoard)
-    colluder.start()
+    cluster.stop_client(attack.node_id)
+    cluster.add_adversary(
+        Colluder("client:colluder", cluster.config, attack.hoard)
+    )
     reader = cluster.add_client("reader")
     reader.run_script(read_script(3), start_delay=0.6, think_time=0.1)
     cluster.run(max_time=120)
@@ -99,49 +102,24 @@ def test_e5_strong_masking(benchmark):
     def experiment():
         cluster = build_cluster(f=1, variant="strong", seed=501)
         # In strong mode the bad client must justify its prepare, but it can
-        # still hoard the final WRITE.  Reuse the base attack machinery with
-        # strong-protocol operations.
-        from repro.byzantine.clients import ByzantineActor, CapturedWrite
-        from repro.core.strong_operations import StrongWriteOperation
-
-        class StrongHoarder(ByzantineActor):
-            def __init__(self, cluster, name):
-                super().__init__(cluster, name)
-                self.hoard = []
-
-            def start(self):
-                class CaptureOp(StrongWriteOperation):
-                    def _begin_write(op_self, cert):  # noqa: N805
-                        op_self.captured = cert
-                        return op_self._finish(None)
-
-                op = CaptureOp(
-                    self.node_id, self.config,
-                    (self.node_id, 1, "lurking"), self.nonces.next(), None,
-                )
-                def after(done_op):
-                    cert = done_op.captured
-                    self.hoard.append(
-                        CapturedWrite(
-                            done_op.value,
-                            self.make_write_request(done_op.value, cert),
-                        )
-                    )
-                    self._finish()
-                self._run_op(op, after)
-
-        attack = StrongHoarder(cluster, "evil")
-        attack.start()
+        # still hoard the final WRITE: the one attack, on the strong variant.
+        attack = cluster.add_adversary(
+            LurkingWriteAttack(
+                "client:evil", cluster.config, "strong",
+                warmup=0, extra_attempts=0,
+            )
+        )
         cluster.run(max_time=120)
         assert attack.hoard
-        attack.stop()
+        cluster.stop_client(attack.node_id)
 
         # Good client overwrites twice BEFORE the colluder replays.
         writer = cluster.add_client("good")
         writer.run_script(write_script("client:good", 2))
         cluster.run(max_time=120)
-        colluder = Colluder(cluster, "colluder", attack.hoard)
-        colluder.start()
+        cluster.add_adversary(
+            Colluder("client:colluder", cluster.config, attack.hoard)
+        )
         reader = cluster.add_client("reader")
         reader.run_script(read_script(3), start_delay=0.5, think_time=0.1)
         cluster.run(max_time=120)
@@ -188,10 +166,16 @@ def test_e5c_collusion_chain_masking_depth(benchmark):
 
     def masking_depth(variant: str) -> tuple[int, int]:
         cluster = build_cluster(f=1, variant=variant, seed=502)
-        attack = CollusionChainAttack(cluster, "leader", GROUP)
-        attack.start()
+        attack = cluster.add_adversary(
+            CollusionChainAttack(
+                "client:leader",
+                cluster.config,
+                members=[f"client:{m}" for m in GROUP],
+            )
+        )
         cluster.run(max_time=120)
-        attack.stop_all()
+        for member in attack.members:
+            cluster.stop_client(member)
         hoard = sorted(attack.hoard, key=lambda c: c.ts)
         good = cluster.add_client("good")
         reader = cluster.add_client("reader")
@@ -208,8 +192,9 @@ def test_e5c_collusion_chain_masking_depth(benchmark):
             current = max(r.pcert.ts for r in cluster.replicas.values())
             release = next((c for c in hoard if c.ts > current), None)
             if release is not None:
-                colluder = Colluder(cluster, f"colluder-{seq}", [release])
-                colluder.start()
+                cluster.add_adversary(
+                    Colluder(f"client:colluder-{seq}", cluster.config, [release])
+                )
                 hoard.remove(release)
                 cluster.run(max_time=60)
             reader.run_script([("read", None)])

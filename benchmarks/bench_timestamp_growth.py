@@ -27,8 +27,7 @@ def test_e9_timestamp_growth(benchmark):
     def experiment():
         # BFT-BC under attack.
         bft = build_cluster(f=1, seed=900)
-        attack = TimestampExhaustionAttack(bft, "evil")
-        attack.start()
+        attack = bft.add_adversary(TimestampExhaustionAttack("client:evil", bft.config))
         good = bft.add_client("good")
         good.run_script(write_script("client:good", GOOD_WRITES))
         bft.run(max_time=120)
@@ -37,8 +36,9 @@ def test_e9_timestamp_growth(benchmark):
 
         # BQS under the same attack.
         bqs = build_bqs_cluster(f=1, seed=900)
-        bqs_attack = BqsTimestampExhaustionAttack(bqs, "evil")
-        bqs_attack.start()
+        bqs_attack = bqs.add_adversary(
+            BqsTimestampExhaustionAttack("client:evil", bqs.config)
+        )
         bqs_good = bqs.add_client("good")
         bqs_good.run_script(write_script("client:good", GOOD_WRITES))
         bqs.run(max_time=120)
@@ -48,8 +48,9 @@ def test_e9_timestamp_growth(benchmark):
         # Phalanx: echo certificates stop equivocation but not skipping —
         # the "non-skipping timestamps" gap (§8, refs [2] and [3]).
         phx = build_phalanx_cluster(f=1, seed=900)
-        phx_attack = PhalanxTimestampExhaustionAttack(phx, "evil")
-        phx_attack.start()
+        phx_attack = phx.add_adversary(
+            PhalanxTimestampExhaustionAttack("client:evil", phx.config)
+        )
         phx.run(max_time=120)
         phx.settle()
         phx_max = max(r.ts.val for r in phx.replicas.values())

@@ -38,8 +38,7 @@ def demo_equivocation() -> None:
     banner("Attack 1: equivocation (two values, one timestamp)")
 
     bqs = build_bqs_cluster(f=1, seed=1)
-    attack = BqsEquivocationAttack(bqs, "evil")
-    attack.start()
+    attack = bqs.add_adversary(BqsEquivocationAttack("client:evil", bqs.config))
     bqs.run(max_time=30)
     r1, r2 = bqs.add_client("r1"), bqs.add_client("r2")
     r1.run_script(read_script(1))
@@ -51,8 +50,7 @@ def demo_equivocation() -> None:
           f"{check_register_linearizable(bqs.history).ok}  <-- broken")
 
     bft = build_cluster(f=1, seed=1)
-    attack2 = EquivocationAttack(bft, "evil")
-    attack2.start()
+    attack2 = bft.add_adversary(EquivocationAttack("client:evil", bft.config))
     bft.run(max_time=30)
     print(f"BFT-BC: prepare certificates the attacker could assemble: "
           f"{attack2.quorums_reached} (needs a quorum per value; "
@@ -63,8 +61,7 @@ def demo_equivocation() -> None:
 def demo_partial_write() -> None:
     banner("Attack 2: partial write (one replica only)")
     bft = build_cluster(f=1, seed=2)
-    attack = PartialWriteAttack(bft, "evil")
-    attack.start()
+    attack = bft.add_adversary(PartialWriteAttack("client:evil", bft.config))
     bft.run(max_time=30)
     holders = [rid for rid, r in bft.replicas.items() if r.data is not None]
     print(f"BFT-BC: value installed at {holders} only")
@@ -81,15 +78,13 @@ def demo_partial_write() -> None:
 def demo_timestamp_exhaustion() -> None:
     banner("Attack 3: timestamp exhaustion (ts = 10^15)")
     bqs = build_bqs_cluster(f=1, seed=3)
-    attack = BqsTimestampExhaustionAttack(bqs, "evil")
-    attack.start()
+    attack = bqs.add_adversary(BqsTimestampExhaustionAttack("client:evil", bqs.config))
     bqs.run(max_time=30)
     print(f"BQS   : attack acknowledged by {len(attack.acks)} replicas — "
           f"max stored ts is now {max(r.ts.val for r in bqs.replicas.values()):,}")
 
     bft = build_cluster(f=1, seed=3)
-    attack2 = TimestampExhaustionAttack(bft, "evil")
-    attack2.start()
+    attack2 = bft.add_adversary(TimestampExhaustionAttack("client:evil", bft.config))
     bft.run(max_time=30)
     print(f"BFT-BC: prepare replies for the huge timestamp: {attack2.replies} "
           "(the request is not the successor of any certificate => "
@@ -99,18 +94,19 @@ def demo_timestamp_exhaustion() -> None:
 def demo_lurking_writes() -> None:
     banner("Attack 4: lurking writes via a colluder")
     bft = build_cluster(f=1, seed=4)
-    attack = LurkingWriteAttack(bft, "evil", warmup=1, extra_attempts=3)
-    attack.start()
+    attack = bft.add_adversary(
+        LurkingWriteAttack("client:evil", bft.config, warmup=1, extra_attempts=3)
+    )
     bft.run(max_time=60)
     print(f"BFT-BC: attacker hoarded {len(attack.hoard)} prepared write(s); "
           f"{attack.failed_attempts} further hoarding attempts were refused "
           "(one outstanding prepare per client)")
 
-    attack.stop()  # administrator revokes the key: the §4.1.1 stop event
+    # The administrator revokes the key: the §4.1.1 stop event.
+    bft.stop_client(attack.node_id)
     print("BFT-BC: attacker's key revoked (stop event recorded)")
 
-    colluder = Colluder(bft, "colluder", attack.hoard)
-    colluder.start()
+    colluder = bft.add_adversary(Colluder("client:colluder", bft.config, attack.hoard))
     reader = bft.add_client("reader")
     reader.run_script(read_script(2), start_delay=0.5, think_time=0.1)
     bft.run(max_time=60)

@@ -35,8 +35,9 @@ def main() -> None:
     good = cluster.add_client("good")
     good.run_script(write_script("client:good", 2))
     cluster.run(max_time=60)
-    attack = LurkingWriteAttack(cluster, "evil", warmup=1, extra_attempts=2)
-    attack.start()
+    attack = cluster.add_adversary(
+        LurkingWriteAttack("client:evil", cluster.config, warmup=1, extra_attempts=2)
+    )
     cluster.run(max_time=60)
 
     print("=== 1. the wire, as it happened (first 12 events) " + "=" * 14)
@@ -57,8 +58,8 @@ def main() -> None:
           "were refused: at most one certifiable prepare above tsmax)")
 
     print("\n=== 3. Definition 1, checked against the client history " + "=" * 7)
-    attack.stop()
-    Colluder(cluster, "colluder", attack.hoard).start()
+    cluster.stop_client(attack.node_id)
+    cluster.add_adversary(Colluder("client:colluder", cluster.config, attack.hoard))
     reader = cluster.add_client("reader")
     reader.run_script(read_script(2), start_delay=0.4, think_time=0.1)
     cluster.run(max_time=60)

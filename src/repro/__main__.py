@@ -65,41 +65,35 @@ def cmd_demo(args: argparse.Namespace) -> int:
 
 
 def cmd_attacks(args: argparse.Namespace) -> int:
-    from repro.byzantine import (
-        Colluder,
-        EquivocationAttack,
-        LurkingWriteAttack,
-        TimestampExhaustionAttack,
-    )
+    from repro.byzantine import Colluder, make_attack
     from repro import count_lurking_writes
 
     rows = []
-
-    cluster = build_cluster(f=args.f, seed=args.seed)
-    eq = EquivocationAttack(cluster, "evil")
-    eq.start()
-    cluster.run(max_time=60)
-    rows.append(["equivocation", f"{eq.quorums_reached} certificates", "blocked"])
-
-    cluster = build_cluster(f=args.f, seed=args.seed)
-    tx = TimestampExhaustionAttack(cluster, "evil")
-    tx.start()
-    cluster.run(max_time=60)
-    rows.append(["ts-exhaustion", f"{tx.replies} prepare replies", "blocked"])
-
-    cluster = build_cluster(f=args.f, seed=args.seed)
-    lw = LurkingWriteAttack(cluster, "evil", warmup=1, extra_attempts=2)
-    lw.start()
-    cluster.run(max_time=60)
-    lw.stop()
-    Colluder(cluster, "colluder", lw.hoard).start()
-    reader = cluster.add_client("reader")
-    reader.run_script(read_script(2), start_delay=0.5, think_time=0.1)
-    cluster.run(max_time=60)
-    lurking = count_lurking_writes(cluster.history, "client:evil")
-    rows.append(
-        ["lurking-writes", f"hoard {len(lw.hoard)}, seen {lurking}", "bounded at 1"]
-    )
+    for name, label, achieved, verdict in (
+        ("equivocation", "equivocation",
+         lambda a: f"{a.quorums_reached} certificates", "blocked"),
+        ("ts-exhaustion", "ts-exhaustion",
+         lambda a: f"{a.replies} prepare replies", "blocked"),
+        ("lurking", "lurking-writes",
+         lambda a: f"hoard {len(a.hoard)}", "bounded at 1"),
+    ):
+        cluster = build_cluster(f=args.f, seed=args.seed)
+        attack = cluster.add_adversary(
+            make_attack(name, "client:evil", cluster.config)
+        )
+        cluster.run(max_time=60)
+        result = achieved(attack)
+        if hasattr(attack, "hoard"):
+            cluster.stop_client(attack.node_id)
+            cluster.add_adversary(
+                Colluder("client:colluder", cluster.config, attack.hoard)
+            )
+            reader = cluster.add_client("reader")
+            reader.run_script(read_script(2), start_delay=0.5, think_time=0.1)
+            cluster.run(max_time=60)
+            lurking = count_lurking_writes(cluster.history, attack.node_id)
+            result += f", seen {lurking}"
+        rows.append([label, result, verdict])
 
     print(
         format_table(

@@ -8,59 +8,49 @@ The paper lists four things a Byzantine client may try:
 4. hoard signed writes and hand them to a *colluder* who replays them after
    the client has been removed (lurking writes).
 
-Each attack here is a raw network actor: it holds its own (legitimately
-registered) key, speaks the real wire protocol, and is free to deviate from
-the client state machines in any way that does not require forging another
-node's signature.  Attacks expose what they achieved (certificates obtained,
-hoard size, acks collected) so experiments can measure the protocol's
-resistance quantitatively.
+Each attack here is a sans-I/O :class:`~repro.byzantine.adversary.Adversary`:
+it holds its own (legitimately registered) key, speaks the real wire protocol
+and deviates from the client state machines in any way that does not require
+forging another node's signature, on whichever host drives it (simulator,
+socket, schedule explorer).  Attacks expose what they achieved (certificates
+obtained, hoard size, acks collected) so experiments can measure the
+protocol's resistance quantitatively.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from typing import Any, Callable, Optional
+from dataclasses import dataclass
+from typing import Any, Callable, Optional, Sequence, Union
 
+from repro.byzantine.adversary import ATTEMPT_TICKS, Adversary
 from repro.core.certificates import PrepareCertificate, WriteCertificate
-from repro.core.config import SystemConfig
+from repro.core.config import SystemConfig, Variant
 from repro.core.messages import (
     FastWriteReply,
     FastWriteRequest,
     Message,
     PrepareReply,
     PrepareRequest,
-    ReadTsPrepReply,
-    ReadTsPrepRequest,
     ReadTsReply,
     ReadTsRequest,
     WriteReply,
     WriteRequest,
 )
-from repro.core.fast_operations import FastWriteOperation
 from repro.core.operations import Operation, Send, WriteOperation
-from repro.core.optimized_operations import OptimizedWriteOperation
+from repro.core.phases import QuorumRound
 from repro.core.statements import (
     prepare_reply_statement,
     prepare_request_statement,
-    read_ts_prep_reply_statement,
-    read_ts_prep_request_statement,
     read_ts_reply_statement,
     write_request_statement,
 )
 from repro.core.timestamp import Timestamp
 from repro.crypto.hashing import hash_value
-from repro.crypto.nonces import NonceSource
-from repro.crypto.signatures import Signature
 from repro.errors import KeyRevokedError
 
 __all__ = [
-    "ByzantineActor",
     "CapturedWrite",
-    "PrepareOnlyWriteOperation",
     "LurkingWriteAttack",
-    "OptimizedLurkingWriteAttack",
-    "CapturedFastWrite",
-    "FastLurkingWriteAttack",
     "EquivocationAttack",
     "PartialWriteAttack",
     "TimestampExhaustionAttack",
@@ -68,206 +58,127 @@ __all__ = [
     "CollusionChainAttack",
 ]
 
-#: Virtual-time budget an attack spends waiting for replies that correct
-#: replicas will never send, before concluding the attempt failed.
-ATTEMPT_TIMEOUT = 2.0
 
-RETRANSMIT_INTERVAL = 0.05
+@dataclass(frozen=True)
+class CapturedWrite:
+    """A prepared-but-unlaunched write: the lurking-write payload.
 
-
-class ByzantineActor:
-    """Base class: a raw node wired into a cluster's network.
-
-    Subclasses implement :meth:`start` and drive either hand-rolled message
-    exchanges or reused :class:`~repro.core.operations.Operation` state
-    machines via :meth:`_run_op`.
+    ``request`` is the withheld signed WRITE, or on the fast path the
+    withheld FAST-WRITE: its MAC vector is keyed by the *embedded* client
+    field, not the sender's network identity, so a colluder can replay it
+    verbatim after the originator's key is revoked (the replayable proof of
+    writing of arXiv 1212.3555, obtained by the same withholding).
     """
 
-    def __init__(self, cluster, name: str) -> None:
-        self.cluster = cluster
-        self.config: SystemConfig = cluster.config
-        self.network = cluster.network
-        self.scheduler = cluster.scheduler
-        self.node_id = f"client:{name}"
-        credential = self.config.registry.register(self.node_id)
-        self.nonces = NonceSource(self.node_id, secret=credential.secret)
-        self.network.register(self.node_id, self._on_message)
-        cluster.add_done_check(lambda: self.done)
-        self.done = False
-        self._op: Optional[Operation] = None
-        self._op_callback: Optional[Callable[[Operation], None]] = None
-        self._retransmit_handle = None
-        self._deadline_handle = None
-
-    # -- lifecycle -------------------------------------------------------------
-
-    def start(self) -> None:
-        raise NotImplementedError
-
-    def _finish(self) -> None:
-        self.done = True
-        self._cancel_timers()
-
-    def stop(self) -> None:
-        """Administrative removal: revoke the key and record ``<c : stop>``."""
-        self.cluster.stop_client(self.node_id)
-
-    def _cancel_timers(self) -> None:
-        if self._retransmit_handle is not None:
-            self._retransmit_handle.cancel()
-            self._retransmit_handle = None
-        if self._deadline_handle is not None:
-            self._deadline_handle.cancel()
-            self._deadline_handle = None
-
-    # -- plumbing -----------------------------------------------------------------
-
-    def _send_all(self, sends: list[Send]) -> None:
-        for send in sends:
-            self.network.send(self.node_id, send.dest, send.message)
-
-    def _broadcast(self, message: Message) -> None:
-        for dest in self.config.quorums.replica_ids:
-            self.network.send(self.node_id, dest, message)
-
-    def _on_message(self, src: str, message: Message) -> None:
-        if self._op is not None and not self._op.done:
-            self._send_all(self._op.on_message(src, message))
-            if self._op.done:
-                self._op_finished()
-        else:
-            self.handle_raw(src, message)
-
-    def handle_raw(self, src: str, message: Message) -> None:
-        """Hook for attacks that exchange messages outside an Operation."""
-
-    # -- running reusable operations ------------------------------------------
-
-    def _run_op(
-        self,
-        op: Operation,
-        callback: Callable[[Operation], None],
-        *,
-        timeout: Optional[float] = None,
-        on_timeout: Optional[Callable[[], None]] = None,
-    ) -> None:
-        self._op = op
-        self._op_callback = callback
-        self._send_all(op.start())
-        self._arm_retransmit()
-        if timeout is not None:
-            self._deadline_handle = self.scheduler.call_later(
-                timeout, lambda: self._op_timed_out(on_timeout)
-            )
-
-    def _op_finished(self) -> None:
-        self._cancel_timers()
-        op, callback = self._op, self._op_callback
-        self._op = None
-        self._op_callback = None
-        assert op is not None and callback is not None
-        callback(op)
-
-    def _op_timed_out(self, on_timeout: Optional[Callable[[], None]]) -> None:
-        if self._op is None or self._op.done:
-            return
-        self._cancel_timers()
-        self._op = None
-        self._op_callback = None
-        if on_timeout is not None:
-            on_timeout()
-
-    def _arm_retransmit(self) -> None:
-        if self._retransmit_handle is not None:
-            self._retransmit_handle.cancel()
-        self._retransmit_handle = self.scheduler.call_later(
-            RETRANSMIT_INTERVAL, self._retransmit
-        )
-
-    def _retransmit(self) -> None:
-        if self._op is None or self._op.done:
-            return
-        self._send_all(self._op.on_retransmit())
-        if self._op is not None and not self._op.done:
-            self._arm_retransmit()
-        elif self._op is not None and self._op.done:
-            self._op_finished()
-
-    # -- signing (legitimate, with our own key) ---------------------------------
-
-    def sign(self, statement: Any) -> Signature:
-        return self.config.scheme.sign_statement(self.node_id, statement)
-
-    def make_write_request(
-        self, value: Any, prepare_cert: PrepareCertificate
-    ) -> WriteRequest:
-        statement = write_request_statement(value, prepare_cert.to_wire())
-        return WriteRequest(
-            value=value, prepare_cert=prepare_cert, signature=self.sign(statement)
-        )
-
-
-class CapturedWrite:
-    """A prepared-but-unlaunched write: the lurking-write payload."""
-
-    def __init__(self, value: Any, request: WriteRequest) -> None:
-        self.value = value
-        self.request = request
+    value: Any
+    request: Union[WriteRequest, FastWriteRequest]
 
     @property
     def ts(self) -> Timestamp:
+        if isinstance(self.request, FastWriteRequest):
+            return self.request.ts
         return self.request.prepare_cert.ts
 
 
-class PrepareOnlyWriteOperation(WriteOperation):
-    """Runs phases 1–2 of a legitimate write, then *keeps* the prepare
-    certificate instead of performing phase 3."""
-
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self.captured_cert: Optional[PrepareCertificate] = None
-
-    def _begin_write(self, prepare_cert: PrepareCertificate) -> list[Send]:
-        self.captured_cert = prepare_cert
-        return self._finish(None)
+Prepared = Callable[[PrepareCertificate, Optional[WriteCertificate]], list[Send]]
 
 
-class _PrepareOnlyOptimizedWrite(OptimizedWriteOperation):
-    """Optimized write that stops after obtaining the prepare certificate,
-    also retaining the phase-1 replies (their stored certificates are needed
-    to craft a follow-up explicit PREPARE)."""
+class _SignedPrepares(Adversary):
+    """Hand-crafted READ-TS and PREPARE rounds, shared by the attacks that
+    deviate inside phases 1-2 rather than around a whole operation."""
 
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self.captured_cert: Optional[PrepareCertificate] = None
-        self.phase1_certs: list[PrepareCertificate] = []
+    def _read_ts(
+        self, then: Prepared, expired: Optional[Callable[[], list[Send]]] = None
+    ) -> list[Send]:
+        """One READ-TS round; at a quorum ``then(p_max, justify)`` runs, with
+        ``justify`` the §7 certificate assembled from the replies' timestamp
+        vouches when the deployment is strong, else ``None``."""
+        nonce = self.nonces.next()
 
-    def _validate_read_ts_prep_reply(self, sender, message):
-        reply = super()._validate_read_ts_prep_reply(sender, message)
-        if reply is not None:
-            self.phase1_certs.append(reply.cert)
-        return reply
+        def valid(src: str, message: Message) -> Optional[ReadTsReply]:
+            if not isinstance(message, ReadTsReply) or message.nonce != nonce:
+                return None
+            statement = read_ts_reply_statement(message.cert.to_wire(), nonce)
+            signed = self._signed_by(src, message.signature, statement)
+            return message if signed else None
 
-    def _begin_write(self, prepare_cert: PrepareCertificate) -> list[Send]:
-        self.captured_cert = prepare_cert
-        return self._finish(None)
+        round_ = QuorumRound(self.config, ReadTsRequest(nonce=nonce), valid)
+
+        def at_quorum() -> list[Send]:
+            replies = list(round_.replies.values())
+            p_max = max((r.cert for r in replies), key=lambda c: c.ts)
+            vouches = tuple(
+                r.ts_vouch
+                for r in replies
+                if r.cert.ts == p_max.ts and r.ts_vouch is not None
+            )
+            if self.config.strong and len(vouches) >= self.config.quorum_size:
+                return then(p_max, WriteCertificate(ts=p_max.ts, signatures=vouches))
+            return then(p_max, None)
+
+        return self._run_rounds([round_], at_quorum, expired=expired)
+
+    def _prepare_round(
+        self,
+        prev: PrepareCertificate,
+        ts: Timestamp,
+        value: Any,
+        justify: Optional[WriteCertificate],
+        *,
+        signer: Optional[str] = None,
+        targets: Optional[tuple[str, ...]] = None,
+    ) -> QuorumRound:
+        """A signed PREPARE for ``(ts, h(value))`` on top of ``prev``; the
+        round's votes are the PREPARE-REPLY signatures."""
+        value_hash = hash_value(value)
+        justify_wire = None if justify is None else justify.to_wire()
+        statement = prepare_request_statement(
+            prev.to_wire(), ts, value_hash, None, justify_wire
+        )
+        request = PrepareRequest(
+            prev_cert=prev,
+            ts=ts,
+            value_hash=value_hash,
+            write_cert=None,
+            justify_cert=justify,
+            signature=self.sign(statement, signer),
+        )
+        return self._signature_round(
+            request, PrepareReply, prepare_reply_statement(ts, value_hash), targets
+        )
+
+    @staticmethod
+    def _certificate(round_: QuorumRound) -> PrepareCertificate:
+        return PrepareCertificate(
+            ts=round_.request.ts,
+            value_hash=round_.request.value_hash,
+            signatures=tuple(round_.replies.values()),
+        )
 
 
-class LurkingWriteAttack(ByzantineActor):
-    """Issue-4 attack against the base protocol.
+class LurkingWriteAttack(Adversary):
+    """Issue-4 attack, one spelling for every variant.
 
-    The client legitimately completes ``warmup`` writes, then prepares one
-    final write and withholds phase 3 (the hoard).  It then makes
-    ``extra_attempts`` attempts to prepare *further* writes without
-    completing the hoarded one — each should be refused by correct replicas
-    (prepare-list conflict), demonstrating Lemma 1(2): at most one lurking
-    write.
+    The client completes ``warmup`` legitimate writes, then runs the
+    variant's own write operation with its final WRITE / FAST-WRITE withheld
+    (the hoard), then ``extra_attempts`` more of the same without completing
+    the first.  Base and strong refuse each (prepare-list conflict, Lemma
+    1(2): one lurking write).  On optimized and fastpath the first hoard sits
+    in the optlist, so the operation's own fallback lands one explicit
+    PREPARE in the still-empty normal prepare list at the *same* timestamp
+    (§6.3's double hoard) and the rest are refused: exactly the bound.
     """
 
     def __init__(
-        self, cluster, name: str, *, warmup: int = 1, extra_attempts: int = 2
+        self,
+        node_id: str,
+        config: SystemConfig,
+        variant: Union[str, Variant] = "base",
+        *,
+        warmup: int = 1,
+        extra_attempts: int = 2,
     ) -> None:
-        super().__init__(cluster, name)
+        super().__init__(node_id, config, variant)
         self.warmup = warmup
         self.extra_attempts = extra_attempts
         self.hoard: list[CapturedWrite] = []
@@ -275,461 +186,135 @@ class LurkingWriteAttack(ByzantineActor):
         self.write_cert: Optional[WriteCertificate] = None
         self._seq = 0
 
-    def _value(self) -> tuple:
+    def _write_op(self) -> WriteOperation:
         self._seq += 1
-        return (self.node_id, self._seq, "lurking")
+        value = (self.node_id, self._seq, "lurking")
+        # ``write_cert`` is never refreshed after the hoard: the hoarded write
+        # is not admitted, so every later attempt presents a stale certificate.
+        return self.variant.client_cls.write_op_cls(
+            self.node_id, self.config, value, self.nonces.next(), self.write_cert
+        )
 
-    def start(self) -> None:
-        self._do_warmup(self.warmup)
+    def start(self) -> list[Send]:
+        return self._warm_up(self.warmup)
 
-    def _do_warmup(self, remaining: int) -> None:
+    def _warm_up(self, remaining: int) -> list[Send]:
         if remaining == 0:
-            self._capture()
-            return
-        op = WriteOperation(
-            self.node_id, self.config, self._value(), self.nonces.next(),
-            self.write_cert,
-        )
-        def after(op_done: Operation) -> None:
-            assert isinstance(op_done, WriteOperation)
-            self.write_cert = op_done.new_write_cert
-            self._do_warmup(remaining - 1)
-        self._run_op(op, after)
+            return self._hoard_attempt(self.extra_attempts, budget=None)
 
-    def _capture(self) -> None:
-        op = PrepareOnlyWriteOperation(
-            self.node_id, self.config, self._value(), self.nonces.next(),
-            self.write_cert,
-        )
-        def after(op_done: Operation) -> None:
-            assert isinstance(op_done, PrepareOnlyWriteOperation)
-            assert op_done.captured_cert is not None
-            self.hoard.append(
-                CapturedWrite(
-                    op_done.value,
-                    self.make_write_request(op_done.value, op_done.captured_cert),
-                )
-            )
-            self._extra_attempt(self.extra_attempts)
-        self._run_op(op, after)
+        def after(op: Operation, _held: Any) -> list[Send]:
+            assert isinstance(op, WriteOperation)
+            self.write_cert = op.new_write_cert
+            return self._warm_up(remaining - 1)
 
-    def _extra_attempt(self, remaining: int) -> None:
-        if remaining == 0:
-            self._finish()
-            return
-        # Without the write certificate for the hoarded write, correct
-        # replicas refuse this prepare; the operation times out.
-        op = PrepareOnlyWriteOperation(
-            self.node_id, self.config, self._value(), self.nonces.next(),
-            self.write_cert,  # deliberately stale: hoarded write not admitted
-        )
-        def after(op_done: Operation) -> None:
-            # If this ever succeeds the protocol is broken; record it.
-            assert isinstance(op_done, PrepareOnlyWriteOperation)
-            if op_done.captured_cert is not None:
-                self.hoard.append(
-                    CapturedWrite(
-                        op_done.value,
-                        self.make_write_request(op_done.value, op_done.captured_cert),
-                    )
-                )
-            self._extra_attempt(remaining - 1)
-        def timed_out() -> None:
-            self.failed_attempts += 1
-            self._extra_attempt(remaining - 1)
-        self._run_op(op, after, timeout=ATTEMPT_TIMEOUT, on_timeout=timed_out)
+        return self._run_op(self._write_op(), after)
 
+    def _hoard_attempt(self, attempts_left: int, budget: Optional[int]) -> list[Send]:
+        # Runs with the withheld final write, or with nothing once the
+        # budget expired on an attempt the replicas refuse.
+        def after(op: Optional[Operation] = None, held: Any = None) -> list[Send]:
+            if held is None:
+                self.failed_attempts += 1
+            else:
+                self.hoard.append(CapturedWrite(op.value, held))
+            if attempts_left == 0:
+                return self._finish()
+            return self._hoard_attempt(attempts_left - 1, ATTEMPT_TICKS)
 
-class OptimizedLurkingWriteAttack(ByzantineActor):
-    """§6.3's double-hoard: exploit the two prepare lists to obtain *two*
-    prepare certificates (same timestamp, different values) and hoard both.
-    """
-
-    def __init__(self, cluster, name: str) -> None:
-        super().__init__(cluster, name)
-        self.hoard: list[CapturedWrite] = []
-        self._seq = 0
-        self._p_max: Optional[PrepareCertificate] = None
-        self._second_value: Optional[tuple] = None
-        self._second_hash: Optional[bytes] = None
-        self._target_ts: Optional[Timestamp] = None
-        self._prepare_sigs: dict[str, Signature] = {}
-        self._prepare_request: Optional[PrepareRequest] = None
-
-    def _value(self, tag: str) -> tuple:
-        self._seq += 1
-        return (self.node_id, self._seq, tag)
-
-    def start(self) -> None:
-        # Step 1: fast-path prepare for value A via the optlist.
-        op = _PrepareOnlyOptimizedWrite(
-            self.node_id, self.config, self._value("A"), self.nonces.next(), None
-        )
-        def after(op_done: Operation) -> None:
-            assert isinstance(op_done, _PrepareOnlyOptimizedWrite)
-            if op_done.captured_cert is None:
-                self._finish()
-                return
-            self.hoard.append(
-                CapturedWrite(
-                    op_done.value,
-                    self.make_write_request(op_done.value, op_done.captured_cert),
-                )
-            )
-            self._p_max = max(op_done.phase1_certs, key=lambda c: c.ts)
-            self._target_ts = op_done.captured_cert.ts
-            self._second_prepare()
-        self._run_op(op, after)
-
-    def _second_prepare(self) -> None:
-        # Step 2: an explicit PREPARE for value B at the same timestamp goes
-        # into the *normal* prepare list, which the merged phase left empty.
-        assert self._p_max is not None and self._target_ts is not None
-        self._second_value = self._value("B")
-        self._second_hash = hash_value(self._second_value)
-        statement = prepare_request_statement(
-            self._p_max.to_wire(), self._target_ts, self._second_hash, None, None
-        )
-        self._prepare_request = PrepareRequest(
-            prev_cert=self._p_max,
-            ts=self._target_ts,
-            value_hash=self._second_hash,
-            write_cert=None,
-            justify_cert=None,
-            signature=self.sign(statement),
-        )
-        self._broadcast(self._prepare_request)
-        self._retransmit_handle = self.scheduler.call_later(
-            RETRANSMIT_INTERVAL, self._retransmit_prepare
-        )
-        self._deadline_handle = self.scheduler.call_later(
-            ATTEMPT_TIMEOUT, self._finish
+        return self._run_op(
+            self._write_op(), after, withhold=True, budget=budget, expired=after
         )
 
-    def _retransmit_prepare(self) -> None:
-        if self.done or self._prepare_request is None:
-            return
-        for dest in self.config.quorums.replica_ids:
-            if dest not in self._prepare_sigs:
-                self.network.send(self.node_id, dest, self._prepare_request)
-        self._retransmit_handle = self.scheduler.call_later(
-            RETRANSMIT_INTERVAL, self._retransmit_prepare
-        )
 
-    def handle_raw(self, src: str, message: Message) -> None:
-        if self.done or self._target_ts is None or self._second_hash is None:
-            return
-        if not isinstance(message, PrepareReply):
-            return
-        if message.ts != self._target_ts or message.value_hash != self._second_hash:
-            return
-        if message.signature.signer != src:
-            return
-        statement = prepare_reply_statement(message.ts, message.value_hash)
-        if not self.config.scheme.verify_statement(message.signature, statement):
-            return
-        self._prepare_sigs[src] = message.signature
-        if len(self._prepare_sigs) >= self.config.quorum_size:
-            cert = PrepareCertificate(
-                ts=self._target_ts,
-                value_hash=self._second_hash,
-                signatures=tuple(self._prepare_sigs.values()),
-            )
-            assert self._second_value is not None
-            self.hoard.append(
-                CapturedWrite(
-                    self._second_value,
-                    self.make_write_request(self._second_value, cert),
-                )
-            )
-            self._finish()
-
-
-class CapturedFastWrite(CapturedWrite):
-    """A hoarded FAST-WRITE request.
-
-    Its MAC vector is keyed by the *embedded* client field, not the sender's
-    network identity, so a colluder can replay it verbatim after the
-    originator's key is revoked — the fast-path analogue of replaying a
-    hoarded signed WRITE.
-    """
-
-    @property
-    def ts(self) -> Timestamp:
-        assert isinstance(self.request, FastWriteRequest)
-        return self.request.ts
-
-
-class _PrepareOnlyFastWrite(FastWriteOperation):
-    """Fast write that stops once the FAST-PREP quorum agrees: the
-    FAST-WRITE request (carrying the proof of writing) is captured instead
-    of sent.  If the operation falls back to the signed protocol, the
-    prepare certificate is captured instead, as in the optimized attack."""
-
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self.captured_request: Optional[FastWriteRequest] = None
-        self.captured_cert: Optional[PrepareCertificate] = None
-
-    def _begin_fast_write(self, ts: Timestamp) -> list[Send]:
-        sends = super()._begin_fast_write(ts)
-        if sends:
-            message = sends[0].message
-            assert isinstance(message, FastWriteRequest)
-            self.captured_request = message
-        return self._finish(None)
-
-    def _begin_write(self, prepare_cert: PrepareCertificate) -> list[Send]:
-        self.captured_cert = prepare_cert
-        return self._finish(None)
-
-
-class FastLurkingWriteAttack(OptimizedLurkingWriteAttack):
-    """Double-hoard against the fastpath variant.
-
-    Act one hoards a signature-free FAST-WRITE for value A (fast acks live
-    in the optlist).  Act two reads the replicas' prepared certificates via
-    READ-TS and issues an explicit signed PREPARE for value B at the *same*
-    timestamp, which lands in the still-empty normal prepare list.  The
-    fast path must not grant more than the optimized protocol's lurking
-    bound of two (Theorem 2 / ``MAX_B["fastpath"]``).
-    """
-
-    def __init__(self, cluster, name: str) -> None:
-        super().__init__(cluster, name)
-        self._pmax_nonce: Optional[bytes] = None
-        self._read_ts_request: Optional[ReadTsRequest] = None
-        self._read_ts_certs: dict[str, PrepareCertificate] = {}
-
-    def start(self) -> None:
-        op = _PrepareOnlyFastWrite(
-            self.node_id, self.config, self._value("A"), self.nonces.next(), None
-        )
-
-        def after(op_done: Operation) -> None:
-            assert isinstance(op_done, _PrepareOnlyFastWrite)
-            if op_done.captured_request is not None:
-                self.hoard.append(
-                    CapturedFastWrite(op_done.value, op_done.captured_request)
-                )
-                self._target_ts = op_done.captured_request.ts
-                self._read_ts_for_pmax()
-                return
-            if op_done.captured_cert is not None:
-                # Fell back to the signed path: hoard the one signed write.
-                self.hoard.append(
-                    CapturedWrite(
-                        op_done.value,
-                        self.make_write_request(
-                            op_done.value, op_done.captured_cert
-                        ),
-                    )
-                )
-            self._finish()
-
-        self._run_op(op, after)
-
-    def _read_ts_for_pmax(self) -> None:
-        # Fast prep replies carry no certificates, so learn Pmax the way
-        # the fallback does: a plain READ-TS round.
-        self._pmax_nonce = self.nonces.next()
-        self._read_ts_request = ReadTsRequest(
-            nonce=self._pmax_nonce, write_cert=None
-        )
-        self._broadcast(self._read_ts_request)
-        self._retransmit_handle = self.scheduler.call_later(
-            RETRANSMIT_INTERVAL, self._retransmit_read_ts
-        )
-        self._deadline_handle = self.scheduler.call_later(
-            ATTEMPT_TIMEOUT, self._finish
-        )
-
-    def _retransmit_read_ts(self) -> None:
-        if self.done or self._read_ts_request is None:
-            return
-        for dest in self.config.quorums.replica_ids:
-            if dest not in self._read_ts_certs:
-                self.network.send(self.node_id, dest, self._read_ts_request)
-        self._retransmit_handle = self.scheduler.call_later(
-            RETRANSMIT_INTERVAL, self._retransmit_read_ts
-        )
-
-    def handle_raw(self, src: str, message: Message) -> None:
-        if self.done:
-            return
-        if (
-            self._read_ts_request is not None
-            and isinstance(message, ReadTsReply)
-            and message.nonce == self._pmax_nonce
-        ):
-            if message.signature.signer != src:
-                return
-            statement = read_ts_reply_statement(
-                message.cert.to_wire(), message.nonce
-            )
-            if not self.config.scheme.verify_statement(
-                message.signature, statement
-            ):
-                return
-            self._read_ts_certs[src] = message.cert
-            if len(self._read_ts_certs) >= self.config.quorum_size:
-                self._read_ts_request = None
-                self._cancel_timers()
-                self._p_max = max(
-                    self._read_ts_certs.values(), key=lambda c: c.ts
-                )
-                self._second_prepare()
-            return
-        super().handle_raw(src, message)
-
-
-class EquivocationAttack(ByzantineActor):
+class EquivocationAttack(_SignedPrepares):
     """Issue-1 attack: try to get prepare certificates for two different
     values under the same timestamp by splitting the replica group.
 
-    Records, per value, how many prepare signatures were obtained.  Against
+    Records, per value, which prepare signatures were obtained.  Against
     correct replicas at most one value can ever reach a quorum (Lemma 1(3)).
     """
 
-    def __init__(self, cluster, name: str) -> None:
-        super().__init__(cluster, name)
-        self.value_a = (self.node_id, 1, "A")
-        self.value_b = (self.node_id, 1, "B")
-        self.signatures: dict[str, dict[str, Signature]] = {"A": {}, "B": {}}
-        self.certificates: dict[str, PrepareCertificate] = {}
-        self._target_ts: Optional[Timestamp] = None
-        self._hashes = {
-            "A": hash_value(self.value_a),
-            "B": hash_value(self.value_b),
-        }
-        self._read_nonce: Optional[bytes] = None
-        self._read_replies: dict[str, ReadTsReply] = {}
-        self._requests: dict[str, PrepareRequest] = {}
+    def __init__(
+        self, node_id: str, config: SystemConfig, variant: Union[str, Variant] = "base"
+    ) -> None:
+        super().__init__(node_id, config, variant)
+        self.value_a = (node_id, 1, "A")
+        self.value_b = (node_id, 1, "B")
+        #: tag -> {replica: PREPARE-REPLY signature}; empty until the split.
+        self.signatures: dict[str, dict[str, Any]] = {"A": {}, "B": {}}
+        self._prepares: dict[str, QuorumRound] = {}
 
-    def start(self) -> None:
-        self._read_nonce = self.nonces.next()
-        self._broadcast(ReadTsRequest(nonce=self._read_nonce))
-        self._deadline_handle = self.scheduler.call_later(
-            ATTEMPT_TIMEOUT, self._finish
-        )
+    def start(self) -> list[Send]:
+        return self._read_ts(self._split)
 
-    def handle_raw(self, src: str, message: Message) -> None:
-        if self.done:
-            return
-        if isinstance(message, ReadTsReply):
-            self._on_read_ts(src, message)
-        elif isinstance(message, PrepareReply):
-            self._on_prepare_reply(src, message)
-
-    def _on_read_ts(self, src: str, message: ReadTsReply) -> None:
-        if self._target_ts is not None or message.nonce != self._read_nonce:
-            return
-        if src in self._read_replies:
-            return
-        statement = read_ts_reply_statement(message.cert.to_wire(), message.nonce)
-        if not self.config.scheme.verify_statement(message.signature, statement):
-            return
-        self._read_replies[src] = message
-        if len(self._read_replies) >= self.config.quorum_size:
-            p_max = max(
-                (r.cert for r in self._read_replies.values()), key=lambda c: c.ts
-            )
-            self._target_ts = p_max.ts.succ(self.node_id)
-            self._split_prepare(p_max)
-
-    def _split_prepare(self, p_max: PrepareCertificate) -> None:
-        assert self._target_ts is not None
-        for tag in ("A", "B"):
-            statement = prepare_request_statement(
-                p_max.to_wire(), self._target_ts, self._hashes[tag], None, None
-            )
-            self._requests[tag] = PrepareRequest(
-                prev_cert=p_max,
-                ts=self._target_ts,
-                value_hash=self._hashes[tag],
-                write_cert=None,
-                justify_cert=None,
-                signature=self.sign(statement),
-            )
+    def _split(
+        self, p_max: PrepareCertificate, justify: Optional[WriteCertificate]
+    ) -> list[Send]:
+        ts = p_max.ts.succ(self.node_id)
         replicas = self.config.quorums.replica_ids
         half = len(replicas) // 2
-        for dest in replicas[:half]:
-            self.network.send(self.node_id, dest, self._requests["A"])
-        for dest in replicas[half:]:
-            self.network.send(self.node_id, dest, self._requests["B"])
-        # Then greedily try to top both halves up to a quorum.
-        self.scheduler.call_later(RETRANSMIT_INTERVAL, self._cross_send)
+        # Each half is asked first for "its" value; retransmission then
+        # greedily tries to top both rounds up to a quorum.
+        self._prepares = {
+            tag: self._prepare_round(p_max, ts, value, justify, targets=targets)
+            for tag, value, targets in (
+                ("A", self.value_a, replicas[:half]),
+                ("B", self.value_b, replicas[half:]),
+            )
+        }
+        self.signatures = {t: r.replies for t, r in self._prepares.items()}
+        return self._run_rounds(list(self._prepares.values()))
 
-    def _cross_send(self) -> None:
-        if self.done:
-            return
-        for tag in ("A", "B"):
-            request = self._requests.get(tag)
-            if request is None:
-                continue
-            for dest in self.config.quorums.replica_ids:
-                if dest not in self.signatures[tag]:
-                    self.network.send(self.node_id, dest, request)
-        self.scheduler.call_later(RETRANSMIT_INTERVAL, self._cross_send)
-
-    def _on_prepare_reply(self, src: str, message: PrepareReply) -> None:
-        if message.ts != self._target_ts or message.signature.signer != src:
-            return
-        statement = prepare_reply_statement(message.ts, message.value_hash)
-        if not self.config.scheme.verify_statement(message.signature, statement):
-            return
-        for tag in ("A", "B"):
-            if message.value_hash == self._hashes[tag]:
-                self.signatures[tag][src] = message.signature
-                if (
-                    tag not in self.certificates
-                    and len(self.signatures[tag]) >= self.config.quorum_size
-                ):
-                    self.certificates[tag] = PrepareCertificate(
-                        ts=self._target_ts,
-                        value_hash=self._hashes[tag],
-                        signatures=tuple(self.signatures[tag].values()),
-                    )
-        if len(self.certificates) == 2:
-            self._finish()
+    @property
+    def certificates(self) -> dict[str, PrepareCertificate]:
+        """tag -> the prepare certificate assembled for that value, if any."""
+        return {
+            tag: self._certificate(round_)
+            for tag, round_ in self._prepares.items()
+            if round_.have_quorum
+        }
 
     @property
     def quorums_reached(self) -> int:
         return len(self.certificates)
 
 
-class PartialWriteAttack(ByzantineActor):
+class PartialWriteAttack(Adversary):
     """Issue-2 attack: run a legitimate write but install the value at only
     one replica, leaving the system maximally unbalanced."""
 
-    def __init__(self, cluster, name: str, *, target_index: int = 0) -> None:
-        super().__init__(cluster, name)
-        self.target_index = target_index
-        self.value = (self.node_id, 1, "partial")
-        self.installed_at: Optional[str] = None
-        self._acked = False
+    #: Ticks to wait for the one replica's ack before giving up.
+    ACK_TICKS = 10
 
-    def start(self) -> None:
-        op = PrepareOnlyWriteOperation(
+    def __init__(
+        self,
+        node_id: str,
+        config: SystemConfig,
+        variant: Union[str, Variant] = "base",
+        *,
+        target_index: int = 0,
+    ) -> None:
+        super().__init__(node_id, config, variant)
+        self.value = (node_id, 1, "partial")
+        self.installed_at = config.quorums.replica_ids[target_index]
+
+    def start(self) -> list[Send]:
+        op = self.variant.client_cls.write_op_cls(
             self.node_id, self.config, self.value, self.nonces.next(), None
         )
-        def after(op_done: Operation) -> None:
-            assert isinstance(op_done, PrepareOnlyWriteOperation)
-            assert op_done.captured_cert is not None
-            request = self.make_write_request(self.value, op_done.captured_cert)
-            target = self.config.quorums.replica_ids[self.target_index]
-            self.installed_at = target
-            self.network.send(self.node_id, target, request)
-            self._deadline_handle = self.scheduler.call_later(0.5, self._finish)
-        self._run_op(op, after)
+        return self._run_op(op, self._install, withhold=True)
 
-    def handle_raw(self, src: str, message: Message) -> None:
-        if isinstance(message, WriteReply) and not self._acked:
-            self._acked = True
-            self._finish()
+    def _install(self, _op: Operation, request: Any) -> list[Send]:
+        round_ = self._ack_round(
+            request,
+            CapturedWrite(self.value, request).ts,
+            (WriteReply, FastWriteReply),
+            only=(self.installed_at,),
+        )
+        return self._run_rounds([round_], budget=self.ACK_TICKS)
 
 
-class TimestampExhaustionAttack(ByzantineActor):
+class TimestampExhaustionAttack(_SignedPrepares):
     """Issue-3 attack: propose an enormous timestamp.
 
     Against BFT-BC the PREPARE is silently discarded because the timestamp
@@ -738,86 +323,50 @@ class TimestampExhaustionAttack(ByzantineActor):
     """
 
     HUGE = 10**15
+    _prepare: Optional[QuorumRound] = None
 
-    def __init__(self, cluster, name: str) -> None:
-        super().__init__(cluster, name)
-        self.replies = 0
-        self._genesis: Optional[PrepareCertificate] = None
-        self._read_nonce: Optional[bytes] = None
-        self._read_replies: dict[str, ReadTsReply] = {}
+    def start(self) -> list[Send]:
+        return self._read_ts(self._huge_prepare)
 
-    def start(self) -> None:
-        self._read_nonce = self.nonces.next()
-        self._broadcast(ReadTsRequest(nonce=self._read_nonce))
-        self._deadline_handle = self.scheduler.call_later(
-            ATTEMPT_TIMEOUT, self._finish
-        )
-
-    def handle_raw(self, src: str, message: Message) -> None:
-        if self.done:
-            return
-        if isinstance(message, ReadTsReply):
-            if message.nonce != self._read_nonce or src in self._read_replies:
-                return
-            self._read_replies[src] = message
-            if len(self._read_replies) >= self.config.quorum_size:
-                self._send_huge_prepare()
-        elif isinstance(message, PrepareReply):
-            if message.ts.val >= self.HUGE:
-                self.replies += 1
-
-    def _send_huge_prepare(self) -> None:
-        p_max = max((r.cert for r in self._read_replies.values()), key=lambda c: c.ts)
-        huge_ts = Timestamp(val=self.HUGE, client_id=self.node_id)
+    def _huge_prepare(
+        self, p_max: PrepareCertificate, justify: Optional[WriteCertificate]
+    ) -> list[Send]:
+        huge = Timestamp(val=self.HUGE, client_id=self.node_id)
         value = (self.node_id, 1, "huge")
-        statement = prepare_request_statement(
-            p_max.to_wire(), huge_ts, hash_value(value), None, None
-        )
-        request = PrepareRequest(
-            prev_cert=p_max,
-            ts=huge_ts,
-            value_hash=hash_value(value),
-            write_cert=None,
-            justify_cert=None,
-            signature=self.sign(statement),
-        )
-        self._broadcast(request)
+        self._prepare = self._prepare_round(p_max, huge, value, justify)
+        return self._run_rounds([self._prepare])
+
+    @property
+    def replies(self) -> int:
+        """Valid PREPARE-REPLYs obtained for the huge timestamp."""
+        return 0 if self._prepare is None else self._prepare.count
 
 
-class Colluder(ByzantineActor):
+class Colluder(Adversary):
     """A node that replays a stopped client's hoarded signed writes.
 
     The colluder needs no write authorisation of its own: the hoarded WRITE
     requests carry the (still-verifiable) signature of the stopped client.
+    Each replay is retransmitted until a quorum acked it or the ticks run out.
     """
 
-    def __init__(self, cluster, name: str, hoard: list[CapturedWrite]) -> None:
-        super().__init__(cluster, name)
+    REPLAY_TICKS = 8
+
+    def __init__(
+        self, node_id: str, config: SystemConfig, hoard: Sequence[CapturedWrite]
+    ) -> None:
+        super().__init__(node_id, config)
         self.hoard = list(hoard)
-        self.acks: Counter = Counter()
-        self._sent = 0
 
-    def start(self) -> None:
-        for captured in self.hoard:
-            self._broadcast(captured.request)
-            self._sent += 1
-        # Replay a few times to defeat message loss, then finish.
-        self._deadline_handle = self.scheduler.call_later(0.2, self._replay)
-
-    def _replay(self) -> None:
-        for captured in self.hoard:
-            self._broadcast(captured.request)
-        self._deadline_handle = self.scheduler.call_later(0.2, self._finish)
-
-    def handle_raw(self, src: str, message: Message) -> None:
-        if isinstance(message, WriteReply):
-            self.acks[message.ts.to_wire()] += 1
-        elif isinstance(message, FastWriteReply):
-            # Replayed FAST-WRITE hoards are acked with MAC'd fast replies.
-            self.acks[message.ts.to_wire()] += 1
+    def start(self) -> list[Send]:
+        replays = [
+            self._ack_round(c.request, c.ts, (WriteReply, FastWriteReply))
+            for c in self.hoard
+        ]
+        return self._run_rounds(replays, budget=self.REPLAY_TICKS)
 
 
-def sign_after_revocation_fails(actor: ByzantineActor) -> bool:
+def sign_after_revocation_fails(actor: Adversary) -> bool:
     """Helper for tests: a stopped client can no longer produce signatures."""
     try:
         actor.sign(("probe",))
@@ -826,7 +375,7 @@ def sign_after_revocation_fails(actor: ByzantineActor) -> bool:
     return False
 
 
-class CollusionChainAttack(ByzantineActor):
+class CollusionChainAttack(_SignedPrepares):
     """§7.2's motivating attack on the base protocol: a set of colluding
     clients chains prepare certificates to hoard writes with *successive*
     timestamps, none of which is ever performed.
@@ -839,168 +388,61 @@ class CollusionChainAttack(ByzantineActor):
     all takes ``|C|`` overwrites, which is why §7 strengthens the protocol
     to require a *justify* write certificate (a completed write) instead.
 
-    Against the strong protocol the chain dies at length one: the second
-    member has no write certificate for the first member's timestamp.
+    Against the strong protocol the chain dies at length one: vouches for
+    the current (completed) state justify the FIRST link only, and the
+    second member has no write certificate for the first member's timestamp.
 
-    One actor drives the whole group (the members collude, so sharing
-    credentials is the model).
+    One machine drives the whole group (the members collude, so sharing
+    credentials is the model); to remove it, stop every id in ``identities``.
     """
 
-    def __init__(self, cluster, leader_name: str, member_names: list[str]) -> None:
-        super().__init__(cluster, leader_name)
-        self.members = [f"client:{name}" for name in member_names]
+    def __init__(
+        self,
+        node_id: str,
+        config: SystemConfig,
+        variant: Union[str, Variant] = "base",
+        *,
+        members: Sequence[str] = ("client:m1", "client:m2"),
+    ) -> None:
+        super().__init__(node_id, config, variant)
+        self.members = list(members)
         for member in self.members:
-            self.config.registry.register(member)
+            config.registry.register(member)
         self.hoard: list[CapturedWrite] = []
         self.refused_links = 0
-        self._chain_prev: Optional[PrepareCertificate] = None
-        self._justify: Optional[WriteCertificate] = None
-        self._member_index = 0
-        self._link_ts: Optional[Timestamp] = None
-        self._link_hash: Optional[bytes] = None
-        self._link_value: Optional[tuple] = None
-        self._link_request: Optional[PrepareRequest] = None
-        self._link_sigs: dict[str, Signature] = {}
-        self._link_deadline = None
-        self._read_nonce: Optional[bytes] = None
-        self._read_replies: dict[str, ReadTsReply] = {}
-        self._read_attempts = 0
 
-    def start(self) -> None:
-        self._read_nonce = self.nonces.next()
-        self._send_read_ts()
+    @property
+    def identities(self) -> frozenset[str]:
+        return frozenset(self.members)
 
-    def _send_read_ts(self) -> None:
-        # The read phase needs its own retransmission and deadline: with a
-        # Byzantine replica in the quorum system there is no reply slack,
-        # so under fair loss a single un-retimed broadcast can starve the
-        # attack forever (and with it the cluster's done-check).
-        self._read_attempts += 1
-        self._broadcast(ReadTsRequest(nonce=self._read_nonce))
-        self._deadline_handle = self.scheduler.call_later(
-            ATTEMPT_TIMEOUT, self._read_timed_out
-        )
+    def start(self) -> list[Send]:
+        return self._read_ts(self._next_link, expired=self._refused)
 
-    def _read_timed_out(self) -> None:
-        self._deadline_handle = None
-        if self.done or self._chain_prev is not None:
-            return
-        if self._read_attempts < 3:
-            self._send_read_ts()
-            return
+    def _refused(self) -> list[Send]:
         self.refused_links += 1
-        self._finish()
+        return self._finish()
 
-    def handle_raw(self, src: str, message: Message) -> None:
-        if self.done:
-            return
-        if isinstance(message, ReadTsReply):
-            self._on_read_ts(src, message)
-        elif isinstance(message, PrepareReply):
-            self._on_prepare_reply(src, message)
-
-    def _on_read_ts(self, src: str, message: ReadTsReply) -> None:
-        if self._chain_prev is not None or message.nonce != self._read_nonce:
-            return
-        if src in self._read_replies or message.signature.signer != src:
-            return
-        statement = read_ts_reply_statement(message.cert.to_wire(), message.nonce)
-        if not self.config.scheme.verify_statement(message.signature, statement):
-            return
-        self._read_replies[src] = message
-        if len(self._read_replies) >= self.config.quorum_size:
-            if self._deadline_handle is not None:
-                self._deadline_handle.cancel()
-                self._deadline_handle = None
-            replies = list(self._read_replies.values())
-            self._chain_prev = max((r.cert for r in replies), key=lambda c: c.ts)
-            if self.config.strong:
-                # Vouches for the current (completed) state justify the
-                # FIRST link only; later links have nothing to show.
-                same = [
-                    r for r in replies if r.cert.ts == self._chain_prev.ts
-                    and r.ts_vouch is not None
-                ]
-                if len(same) >= self.config.quorum_size:
-                    self._justify = WriteCertificate(
-                        ts=self._chain_prev.ts,
-                        signatures=tuple(r.ts_vouch for r in same),
-                    )
-            self._next_link()
-
-    def _next_link(self) -> None:
-        if self._member_index >= len(self.members):
-            self._finish()
-            return
-        member = self.members[self._member_index]
-        assert self._chain_prev is not None
-        self._link_ts = self._chain_prev.ts.succ(member)
-        self._link_value = (member, 1, "chained")
-        self._link_hash = hash_value(self._link_value)
-        statement = prepare_request_statement(
-            self._chain_prev.to_wire(),
-            self._link_ts,
-            self._link_hash,
-            None,
-            None if self._justify is None else self._justify.to_wire(),
-        )
-        self._link_request = PrepareRequest(
-            prev_cert=self._chain_prev,
-            ts=self._link_ts,
-            value_hash=self._link_hash,
-            write_cert=None,
-            justify_cert=self._justify,
-            signature=self.config.scheme.sign_statement(member, statement),
-        )
-        self._link_sigs = {}
-        self._broadcast(self._link_request)
-        self._link_deadline = self.scheduler.call_later(
-            ATTEMPT_TIMEOUT, self._link_failed
+    def _next_link(
+        self, prev: PrepareCertificate, justify: Optional[WriteCertificate]
+    ) -> list[Send]:
+        if len(self.hoard) == len(self.members):
+            return self._finish()
+        member = self.members[len(self.hoard)]
+        value = (member, 1, "chained")
+        round_ = self._prepare_round(
+            prev, prev.ts.succ(member), value, justify, signer=member
         )
 
-    def _link_failed(self) -> None:
-        if self.done:
-            return
-        self.refused_links += 1
-        self._finish()
-
-    def _on_prepare_reply(self, src: str, message: PrepareReply) -> None:
-        if self._link_ts is None or message.ts != self._link_ts:
-            return
-        if message.value_hash != self._link_hash or message.signature.signer != src:
-            return
-        statement = prepare_reply_statement(message.ts, message.value_hash)
-        if not self.config.scheme.verify_statement(message.signature, statement):
-            return
-        self._link_sigs[src] = message.signature
-        if len(self._link_sigs) >= self.config.quorum_size:
-            if self._link_deadline is not None:
-                self._link_deadline.cancel()
-                self._link_deadline = None
-            cert = PrepareCertificate(
-                ts=self._link_ts,
-                value_hash=self._link_hash,
-                signatures=tuple(self._link_sigs.values()),
-            )
-            member = self.members[self._member_index]
-            statement = write_request_statement(self._link_value, cert.to_wire())
+        def linked() -> list[Send]:
+            cert = self._certificate(round_)
+            statement = write_request_statement(value, cert.to_wire())
             request = WriteRequest(
-                value=self._link_value,
-                prepare_cert=cert,
-                signature=self.config.scheme.sign_statement(member, statement),
+                value=value, prepare_cert=cert, signature=self.sign(statement, member)
             )
-            self.hoard.append(CapturedWrite(self._link_value, request))
+            self.hoard.append(CapturedWrite(value, request))
             # The next member chains off this certificate: the write that
-            # "justifies" its timestamp never happens.
-            self._chain_prev = cert
-            # A justify certificate for this link's timestamp cannot exist.
-            self._justify = None
-            self._member_index += 1
-            self._next_link()
+            # "justifies" its timestamp never happens, so no justify
+            # certificate for it can exist.
+            return self._next_link(cert, None)
 
-    def stop_all(self) -> None:
-        """Revoke every colluding member (the whole set leaves the system)."""
-        for member in self.members:
-            if not self.config.registry.is_revoked(member):
-                self.config.registry.revoke(member)
-                self.cluster.recorder.record_stop(member)
+        return self._run_rounds([round_], linked, expired=self._refused)

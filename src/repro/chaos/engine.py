@@ -167,67 +167,33 @@ class _AttackContext:
 
 
 def _start_attack(cluster: Cluster, plan: EpisodePlan) -> _AttackContext:
-    """Instantiate and start the plan's attack (§3.2 orchestration)."""
-    from repro.byzantine.clients import (
-        Colluder,
-        CollusionChainAttack,
-        EquivocationAttack,
-        FastLurkingWriteAttack,
-        LurkingWriteAttack,
-        OptimizedLurkingWriteAttack,
-        PartialWriteAttack,
-        TimestampExhaustionAttack,
-    )
+    """Mount and start the plan's attack (§3.2 orchestration)."""
+    from repro.byzantine import Colluder, make_attack
 
-    name = plan.attack
-    if name is None:
+    if plan.attack is None:
         return _AttackContext(frozenset())
+    attack = cluster.add_adversary(
+        make_attack(plan.attack, "client:evil", cluster.config, plan.variant)
+    )
+    bad = attack.identities
+    if not hasattr(attack, "hoard"):
+        return _AttackContext(bad)
 
-    def hoard_epilogue(attack: Any, stop: Callable[[], None],
-                      bad: frozenset[str]) -> Callable[[], None]:
-        # The lurking-style second act: revoke the attacker, let a
-        # colluder finish the hoarded writes, and have a fresh reader
-        # observe them — the exact scenario Theorems 1/2 bound.
-        def run() -> None:
-            stop()
-            if attack.hoard:
-                Colluder(cluster, "colluder", attack.hoard).start()
-            reader = cluster.add_client("reader")
-            reader.run_script(read_script(2), start_delay=0.5, think_time=0.1)
-            cluster.run(max_time=60)
-        return run
+    # The lurking-style second act: revoke the attacker, let a colluder
+    # finish the hoarded writes, and have a fresh reader observe them —
+    # the exact scenario Theorems 1/2 bound.
+    def hoard_epilogue() -> None:
+        for client in sorted(bad):
+            cluster.stop_client(client)
+        if attack.hoard:
+            cluster.add_adversary(
+                Colluder("client:colluder", cluster.config, attack.hoard)
+            )
+        reader = cluster.add_client("reader")
+        reader.run_script(read_script(2), start_delay=0.5, think_time=0.1)
+        cluster.run(max_time=60)
 
-    if name == "equivocation":
-        EquivocationAttack(cluster, "evil").start()
-        return _AttackContext(frozenset({"client:evil"}))
-    if name == "ts-exhaustion":
-        TimestampExhaustionAttack(cluster, "evil").start()
-        return _AttackContext(frozenset({"client:evil"}))
-    if name == "partial-write":
-        PartialWriteAttack(cluster, "evil").start()
-        return _AttackContext(frozenset({"client:evil"}))
-    if name == "lurking":
-        attack = LurkingWriteAttack(cluster, "evil", warmup=1, extra_attempts=2)
-        attack.start()
-        bad = frozenset({"client:evil"})
-        return _AttackContext(bad, hoard_epilogue(attack, attack.stop, bad))
-    if name == "lurking-optimized":
-        attack = OptimizedLurkingWriteAttack(cluster, "evil")
-        attack.start()
-        bad = frozenset({"client:evil"})
-        return _AttackContext(bad, hoard_epilogue(attack, attack.stop, bad))
-    if name == "lurking-fast":
-        attack = FastLurkingWriteAttack(cluster, "evil")
-        attack.start()
-        bad = frozenset({"client:evil"})
-        return _AttackContext(bad, hoard_epilogue(attack, attack.stop, bad))
-    if name == "chain":
-        members = ["m1", "m2"]
-        attack = CollusionChainAttack(cluster, "leader", members)
-        attack.start()
-        bad = frozenset(f"client:{m}" for m in members)
-        return _AttackContext(bad, hoard_epilogue(attack, attack.stop_all, bad))
-    raise SimulationError(f"unknown attack {name!r}")
+    return _AttackContext(bad, hoard_epilogue)
 
 
 def _instrument_schedule(

@@ -17,8 +17,8 @@ from repro.core.multiobject import MultiObjectClient
 from repro.core.messages import Message
 from repro.net.simnet import SimNetwork
 from repro.shard.router import ShardRouter
-from repro.sim.nodes import DEFAULT_RETRANSMIT_INTERVAL
-from repro.sim.scheduler import EventHandle, Scheduler
+from repro.sim.nodes import DEFAULT_RETRANSMIT_INTERVAL, MachineHost
+from repro.sim.scheduler import Scheduler
 from repro.spec.histories import History, Invocation, Response
 
 __all__ = ["MultiObjectClientNode", "MultiScriptStep"]
@@ -27,8 +27,12 @@ __all__ = ["MultiObjectClientNode", "MultiScriptStep"]
 MultiScriptStep = tuple[str, str, Any]
 
 
-class MultiObjectClientNode:
-    """Runs a multi-object script over the simulated network."""
+class MultiObjectClientNode(MachineHost):
+    """Runs a multi-object script over the simulated network.
+
+    With a coalescer each send round (dispatch, delivery follow-ups,
+    retransmission sweep) emits at most one wire frame per destination.
+    """
 
     def __init__(
         self,
@@ -41,15 +45,12 @@ class MultiObjectClientNode:
         coalescer: Optional[BatchCoalescer] = None,
         retransmit_interval: float = DEFAULT_RETRANSMIT_INTERVAL,
     ) -> None:
+        super().__init__(
+            client.node_id, network, scheduler,
+            retransmit_interval=retransmit_interval, coalescer=coalescer,
+        )
         self.client = client
-        self.network = network
-        self.scheduler = scheduler
         self.max_in_flight = max_in_flight
-        self.retransmit_interval = retransmit_interval
-        #: Cross-object batching layer: when set, each send round (dispatch,
-        #: delivery follow-ups, retransmission sweep) emits at most one wire
-        #: frame per destination.
-        self.coalescer = coalescer
         self.results: list[tuple[MultiScriptStep, Any]] = []
         self.done = True
         #: Per-object histories (obj -> History), populated when
@@ -59,12 +60,6 @@ class MultiObjectClientNode:
         self._record = record_history
         self._pending: list[MultiScriptStep] = []
         self._in_flight: dict[str, MultiScriptStep] = {}
-        self._retransmit_handle: Optional[EventHandle] = None
-        network.register(client.node_id, self._on_message)
-
-    @property
-    def node_id(self) -> str:
-        return self.client.node_id
 
     def run_script(self, script: Sequence[MultiScriptStep]) -> None:
         self._pending = list(script)
@@ -131,27 +126,11 @@ class MultiObjectClientNode:
             self.done = True
             self._cancel_retransmit()
 
-    def _send_all(self, sends) -> None:
-        if self.coalescer is not None:
-            sends = self.coalescer.coalesce(sends)
-        for send in sends:
-            self.network.send(self.node_id, send.dest, send.message)
-
-    def _arm_retransmit(self) -> None:
-        self._retransmit_handle = self.scheduler.call_later(
-            self.retransmit_interval, self._retransmit
-        )
-
     def _retransmit(self) -> None:
         if self.done:
             return
         self._send_all(self.client.retransmit())
         self._arm_retransmit()
-
-    def _cancel_retransmit(self) -> None:
-        if self._retransmit_handle is not None:
-            self._retransmit_handle.cancel()
-            self._retransmit_handle = None
 
     @property
     def batch_stats(self) -> Optional[BatchStats]:

@@ -4,9 +4,10 @@
 state machine sits on the simulated network — BFT-BC, baseline, multi-object
 and shard replicas alike; :class:`ReplicaNode` adds what only a BFT-BC
 replica has (batches, signing cost, a durable store to crash and corrupt).
-:class:`ClientNode` drives a client through a scripted sequence of
-operations, manages the retransmission timer (the protocol's only liveness
-mechanism), records history events, and reports per-operation metrics.
+:class:`MachineHost` is the client-side counterpart (registration, sending,
+the retransmission timer): :class:`ClientNode` drives a correct client
+through a scripted sequence of operations, recording history events and
+per-operation metrics, and :class:`AdversaryNode` ticks a Byzantine one.
 """
 
 from __future__ import annotations
@@ -33,6 +34,8 @@ from repro.sim.scheduler import EventHandle, Scheduler
 __all__ = [
     "ReplicaHost",
     "ReplicaNode",
+    "MachineHost",
+    "AdversaryNode",
     "ClientNode",
     "ScriptStep",
     "DEFAULT_RETRANSMIT_INTERVAL",
@@ -318,7 +321,93 @@ class ReplicaNode(ReplicaHost):
             self.network.send(self.replica.node_id, src, reply)
 
 
-class ClientNode:
+class MachineHost:
+    """What every client-side machine needs from the simulator.
+
+    Registers the machine's node id on the network, sends its :class:`Send`
+    batches (through the optional coalescer) and owns the retransmission
+    timer, the protocol's only liveness mechanism.  Subclasses supply
+    ``_on_message`` and ``_retransmit``.
+    """
+
+    def __init__(
+        self,
+        node_id: str,
+        network: SimNetwork,
+        scheduler: Scheduler,
+        *,
+        retransmit_interval: float = DEFAULT_RETRANSMIT_INTERVAL,
+        coalescer: Optional[BatchCoalescer] = None,
+    ) -> None:
+        self.node_id = node_id
+        self.network = network
+        self.scheduler = scheduler
+        self.retransmit_interval = retransmit_interval
+        #: Optional batching layer: when set, each send round emits at most
+        #: one wire frame per destination.
+        self.coalescer = coalescer
+        self._retransmit_handle: Optional[EventHandle] = None
+        network.register(node_id, self._on_message)
+
+    def _send_all(self, sends: list[Send]) -> None:
+        if self.coalescer is not None:
+            sends = self.coalescer.coalesce(sends)
+        for send in sends:
+            self.network.send(self.node_id, send.dest, send.message)
+
+    def _arm_retransmit(self) -> None:
+        self._cancel_retransmit()
+        self._retransmit_handle = self.scheduler.call_later(
+            self._retransmit_delay(), self._retransmit
+        )
+
+    def _retransmit_delay(self) -> float:
+        return self.retransmit_interval
+
+    def _cancel_retransmit(self) -> None:
+        if self._retransmit_handle is not None:
+            self._retransmit_handle.cancel()
+            self._retransmit_handle = None
+
+
+class AdversaryNode(MachineHost):
+    """Hosts a Byzantine client: any ``start / deliver / retransmit ->
+    [Send]`` machine with a ``done`` flag, ticked at a fixed interval."""
+
+    def __init__(
+        self,
+        machine: Any,
+        network: SimNetwork,
+        scheduler: Scheduler,
+        *,
+        retransmit_interval: float = DEFAULT_RETRANSMIT_INTERVAL,
+    ) -> None:
+        super().__init__(
+            machine.node_id, network, scheduler,
+            retransmit_interval=retransmit_interval,
+        )
+        self.machine = machine
+
+    @property
+    def done(self) -> bool:
+        return self.machine.done
+
+    def start(self) -> None:
+        self._send_all(self.machine.start())
+        self._arm_retransmit()
+
+    def _on_message(self, src: str, message: Message) -> None:
+        self._send_all(self.machine.deliver(src, message))
+        if self.machine.done:
+            self._cancel_retransmit()
+
+    def _retransmit(self) -> None:
+        self._send_all(self.machine.retransmit())
+        if not self.machine.done:
+            self._arm_retransmit()
+
+
+class ClientNode(MachineHost):
     """Drives a correct client through a script of operations."""
 
     def __init__(
@@ -334,12 +423,16 @@ class ClientNode:
         retransmit_jitter: float = 0.0,
         retransmit_max_interval: Optional[float] = None,
     ) -> None:
+        # Single-object operations never share a destination within a
+        # round, so for this node the coalescer is a provable pass-through
+        # (see the differential tests).
+        super().__init__(
+            client.node_id, network, scheduler,
+            retransmit_interval=retransmit_interval, coalescer=coalescer,
+        )
         self.client = client
-        self.network = network
-        self.scheduler = scheduler
         self.recorder = recorder
         self.metrics = metrics
-        self.retransmit_interval = retransmit_interval
         #: Exponential growth factor per unanswered retransmission; 1.0
         #: (the default) reproduces the historical fixed-period timer.
         self.retransmit_backoff = retransmit_backoff
@@ -351,10 +444,6 @@ class ClientNode:
         self._retransmit_attempts = 0
         # Seeded per node id: schedules stay deterministic run-to-run.
         self._retransmit_rng = random.Random(f"retransmit:{client.node_id}")
-        #: Optional cross-object batching layer; single-object operations
-        #: never share a destination within a round, so for this node the
-        #: coalescer is a provable pass-through (see the differential tests).
-        self.coalescer = coalescer
         #: ``(op kind, result)`` for every completed scripted operation —
         #: the committed timestamp for writes, the value for reads.
         self.results: list[tuple[str, Any]] = []
@@ -362,14 +451,8 @@ class ClientNode:
         self._next_step = 0
         self._think_time = 0.0
         self._op_started_at = 0.0
-        self._retransmit_handle: Optional[EventHandle] = None
         self._on_all_done: Optional[Callable[[], None]] = None
         self.done = True
-        network.register(client.node_id, self._on_message)
-
-    @property
-    def node_id(self) -> str:
-        return self.client.node_id
 
     # -- script execution -------------------------------------------------------
 
@@ -417,12 +500,6 @@ class ClientNode:
 
     # -- message plumbing ----------------------------------------------------
 
-    def _send_all(self, sends: list[Send]) -> None:
-        if self.coalescer is not None:
-            sends = self.coalescer.coalesce(sends)
-        for send in sends:
-            self.network.send(self.node_id, send.dest, send.message)
-
     def _on_message(self, src: str, message: Message) -> None:
         was_busy = self.client.busy
         inners = expand_message(message)
@@ -463,12 +540,6 @@ class ClientNode:
 
     # -- retransmission -----------------------------------------------------
 
-    def _arm_retransmit(self) -> None:
-        self._cancel_retransmit()
-        self._retransmit_handle = self.scheduler.call_later(
-            self._retransmit_delay(), self._retransmit
-        )
-
     def _retransmit_delay(self) -> float:
         """Next timer period: exponential backoff with deterministic jitter."""
         delay = self.retransmit_interval * (
@@ -496,8 +567,3 @@ class ClientNode:
             # The retransmit tick itself completed the operation (the
             # optimized protocol's fallback decision can fire here).
             self._on_op_complete()
-
-    def _cancel_retransmit(self) -> None:
-        if self._retransmit_handle is not None:
-            self._retransmit_handle.cancel()
-            self._retransmit_handle = None

@@ -25,7 +25,13 @@ from repro.net.simnet import LinkProfile, SimNetwork
 from repro.obs.instrumentation import Instrumentation
 from repro.sim.faults import FaultSchedule
 from repro.sim.metrics import MetricsCollector
-from repro.sim.nodes import ClientNode, ReplicaHost, ReplicaNode, ScriptStep
+from repro.sim.nodes import (
+    AdversaryNode,
+    ClientNode,
+    ReplicaHost,
+    ReplicaNode,
+    ScriptStep,
+)
 from repro.sim.recorder import HistoryRecorder
 from repro.sim.scheduler import Scheduler
 from repro.spec.histories import History
@@ -71,7 +77,7 @@ class SimHarness:
         return driver
 
     def add_done_check(self, check: Callable[[], bool]) -> None:
-        """Register an extra completion condition (Byzantine actors use this)."""
+        """Register an extra completion condition."""
         self._extra_done_checks.append(check)
 
     def _all_done(self) -> bool:
@@ -305,6 +311,25 @@ class Cluster(SimHarness):
         )
         self.clients[client.node_id] = self._track(node)
         return node
+
+    def add_adversary(self, machine: Any) -> Any:
+        """Host a Byzantine client and start it; returns ``machine``.
+
+        ``machine`` is any sans-I/O ``start / deliver / retransmit ->
+        [Send]`` state machine with ``node_id`` and ``done`` (see
+        :mod:`repro.byzantine`); :meth:`run` waits for it like for any
+        client.  Remove it with :meth:`stop_client`.
+        """
+        node = self._track(
+            AdversaryNode(
+                machine,
+                self.network,
+                self.scheduler,
+                retransmit_interval=self.options.retransmit_interval,
+            )
+        )
+        node.start()
+        return machine
 
     # -- execution ------------------------------------------------------------------
 

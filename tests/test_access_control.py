@@ -50,8 +50,11 @@ class TestStopNotions:
     def _hoard(self, cluster):
         from repro.byzantine import LurkingWriteAttack
 
-        attack = LurkingWriteAttack(cluster, "evil", warmup=1, extra_attempts=0)
-        attack.start()
+        attack = cluster.add_adversary(
+            LurkingWriteAttack(
+                "client:evil", cluster.config, warmup=1, extra_attempts=0
+            )
+        )
         cluster.run(max_time=60)
         assert attack.hoard
         return attack
@@ -64,9 +67,10 @@ class TestStopNotions:
 
         cluster = build_cluster(f=1, seed=60)
         attack = self._hoard(cluster)
-        attack.stop()
-        colluder = Colluder(cluster, "colluder", attack.hoard)
-        colluder.start()
+        cluster.stop_client(attack.node_id)
+        cluster.add_adversary(
+            Colluder("client:colluder", cluster.config, attack.hoard)
+        )
         reader = cluster.add_client("r")
         reader.run_script(read_script(1), start_delay=0.5)
         cluster.run(max_time=60)
@@ -81,9 +85,10 @@ class TestStopNotions:
 
         cluster = build_cluster(f=1, seed=61, strict_stop=True)
         attack = self._hoard(cluster)
-        attack.stop()
-        colluder = Colluder(cluster, "colluder", attack.hoard)
-        colluder.start()
+        cluster.stop_client(attack.node_id)
+        cluster.add_adversary(
+            Colluder("client:colluder", cluster.config, attack.hoard)
+        )
         reader = cluster.add_client("r")
         reader.run_script(read_script(1), start_delay=0.5)
         cluster.run(max_time=60)
@@ -96,7 +101,7 @@ class TestStopNotions:
     def test_strict_stop_does_not_affect_other_clients(self):
         cluster = build_cluster(f=1, seed=62, strict_stop=True)
         attack = self._hoard(cluster)
-        attack.stop()
+        cluster.stop_client(attack.node_id)
         good = cluster.add_client("good")
         good.run_script([("write", ("client:good", 1, None)), ("read", None)])
         cluster.run(max_time=60)

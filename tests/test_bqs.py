@@ -132,8 +132,9 @@ class TestKnownVulnerabilities:
         from repro.byzantine import BqsEquivocationAttack
 
         cluster = build_bqs_cluster(f=1, seed=8)
-        attack = BqsEquivocationAttack(cluster, "evil")
-        attack.start()
+        attack = cluster.add_adversary(
+            BqsEquivocationAttack("client:evil", cluster.config)
+        )
         cluster.run(max_time=30)
         assert len(attack.acks_a) >= 1 and len(attack.acks_b) >= 1
         values = {repr(r.data) for r in cluster.replicas.values() if r.data}
@@ -143,8 +144,9 @@ class TestKnownVulnerabilities:
         from repro.byzantine import BqsEquivocationAttack
 
         cluster = build_bqs_cluster(f=1, seed=8)
-        attack = BqsEquivocationAttack(cluster, "evil")
-        attack.start()
+        attack = cluster.add_adversary(
+            BqsEquivocationAttack("client:evil", cluster.config)
+        )
         cluster.run(max_time=30)
         r1 = cluster.add_client("r1")
         r2 = cluster.add_client("r2")
@@ -158,8 +160,9 @@ class TestKnownVulnerabilities:
         from repro.byzantine import BqsTimestampExhaustionAttack
 
         cluster = build_bqs_cluster(f=1, seed=9)
-        attack = BqsTimestampExhaustionAttack(cluster, "evil")
-        attack.start()
+        attack = cluster.add_adversary(
+            BqsTimestampExhaustionAttack("client:evil", cluster.config)
+        )
         cluster.run(max_time=30)
         assert attack.succeeded
         assert any(

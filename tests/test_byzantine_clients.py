@@ -13,7 +13,6 @@ from repro.byzantine import (
     Colluder,
     EquivocationAttack,
     LurkingWriteAttack,
-    OptimizedLurkingWriteAttack,
     PartialWriteAttack,
     TimestampExhaustionAttack,
 )
@@ -26,21 +25,28 @@ class TestLurkingWritesBase:
     def test_hoard_bounded_to_one(self):
         """Lemma 1(2): at most one prepared-but-unwritten write."""
         cluster = build_cluster(f=1, seed=20)
-        attack = LurkingWriteAttack(cluster, "evil", warmup=2, extra_attempts=3)
-        attack.start()
+        attack = cluster.add_adversary(
+            LurkingWriteAttack(
+                "client:evil", cluster.config, warmup=2, extra_attempts=3
+            )
+        )
         cluster.run(max_time=60)
         assert len(attack.hoard) == 1
         assert attack.failed_attempts == 3
 
     def test_colluder_makes_hoard_visible(self):
         cluster = build_cluster(f=1, seed=21)
-        attack = LurkingWriteAttack(cluster, "evil", warmup=1, extra_attempts=0)
-        attack.start()
+        attack = cluster.add_adversary(
+            LurkingWriteAttack(
+                "client:evil", cluster.config, warmup=1, extra_attempts=0
+            )
+        )
         cluster.run(max_time=60)
-        attack.stop()
+        cluster.stop_client(attack.node_id)
         assert sign_after_revocation_fails(attack)
-        colluder = Colluder(cluster, "colluder", attack.hoard)
-        colluder.start()
+        cluster.add_adversary(
+            Colluder("client:colluder", cluster.config, attack.hoard)
+        )
         reader = cluster.add_client("reader")
         reader.run_script(read_script(1), start_delay=0.5)
         cluster.run(max_time=60)
@@ -48,12 +54,16 @@ class TestLurkingWritesBase:
 
     def test_lurking_writes_within_definition_bound(self):
         cluster = build_cluster(f=1, seed=22)
-        attack = LurkingWriteAttack(cluster, "evil", warmup=1, extra_attempts=2)
-        attack.start()
+        attack = cluster.add_adversary(
+            LurkingWriteAttack(
+                "client:evil", cluster.config, warmup=1, extra_attempts=2
+            )
+        )
         cluster.run(max_time=60)
-        attack.stop()
-        colluder = Colluder(cluster, "colluder", attack.hoard)
-        colluder.start()
+        cluster.stop_client(attack.node_id)
+        cluster.add_adversary(
+            Colluder("client:colluder", cluster.config, attack.hoard)
+        )
         reader = cluster.add_client("reader")
         reader.run_script(read_script(3), start_delay=0.5, think_time=0.1)
         cluster.run(max_time=60)
@@ -72,8 +82,11 @@ class TestLurkingWritesBase:
         cluster = build_cluster(
             f=1, seed=23, replica_overrides={0: PromiscuousReplica}
         )
-        attack = LurkingWriteAttack(cluster, "evil", warmup=1, extra_attempts=2)
-        attack.start()
+        attack = cluster.add_adversary(
+            LurkingWriteAttack(
+                "client:evil", cluster.config, warmup=1, extra_attempts=2
+            )
+        )
         cluster.run(max_time=60)
         assert len(attack.hoard) == 1
 
@@ -82,8 +95,9 @@ class TestLurkingWritesOptimized:
     def test_double_hoard_achievable(self):
         """§6.3: the optimized protocol admits exactly two lurking writes."""
         cluster = build_cluster(f=1, variant="optimized", seed=24)
-        attack = OptimizedLurkingWriteAttack(cluster, "evil")
-        attack.start()
+        attack = cluster.add_adversary(
+            LurkingWriteAttack("client:evil", cluster.config, "optimized")
+        )
         cluster.run(max_time=60)
         assert len(attack.hoard) == 2
         # Both certificates carry the same timestamp, different values.
@@ -92,12 +106,14 @@ class TestLurkingWritesOptimized:
 
     def test_double_hoard_within_optimized_bound(self):
         cluster = build_cluster(f=1, variant="optimized", seed=25)
-        attack = OptimizedLurkingWriteAttack(cluster, "evil")
-        attack.start()
+        attack = cluster.add_adversary(
+            LurkingWriteAttack("client:evil", cluster.config, "optimized")
+        )
         cluster.run(max_time=60)
-        attack.stop()
-        colluder = Colluder(cluster, "colluder", attack.hoard)
-        colluder.start()
+        cluster.stop_client(attack.node_id)
+        cluster.add_adversary(
+            Colluder("client:colluder", cluster.config, attack.hoard)
+        )
         reader = cluster.add_client("reader")
         reader.run_script(read_script(2), start_delay=0.6, think_time=0.1)
         cluster.run(max_time=60)
@@ -112,12 +128,14 @@ class TestLurkingWritesOptimized:
         """When both hoarded writes land, readers converge on the larger
         hash (§6.3) — and stay atomic."""
         cluster = build_cluster(f=1, variant="optimized", seed=26)
-        attack = OptimizedLurkingWriteAttack(cluster, "evil")
-        attack.start()
+        attack = cluster.add_adversary(
+            LurkingWriteAttack("client:evil", cluster.config, "optimized")
+        )
         cluster.run(max_time=60)
-        attack.stop()
-        colluder = Colluder(cluster, "colluder", attack.hoard)
-        colluder.start()
+        cluster.stop_client(attack.node_id)
+        cluster.add_adversary(
+            Colluder("client:colluder", cluster.config, attack.hoard)
+        )
         r1 = cluster.add_client("r1")
         r2 = cluster.add_client("r2")
         r1.run_script(read_script(2), start_delay=0.6, think_time=0.2)
@@ -134,15 +152,17 @@ class TestEquivocation:
         """Lemma 1(3): no two prepare certificates for the same timestamp
         with different values."""
         cluster = build_cluster(f=1, seed=27)
-        attack = EquivocationAttack(cluster, "evil")
-        attack.start()
+        attack = cluster.add_adversary(
+            EquivocationAttack("client:evil", cluster.config)
+        )
         cluster.run(max_time=60)
         assert attack.quorums_reached <= 1
 
     def test_split_halves_cannot_both_reach_quorum(self):
         cluster = build_cluster(f=2, seed=28)  # 7 replicas, quorum 5
-        attack = EquivocationAttack(cluster, "evil")
-        attack.start()
+        attack = cluster.add_adversary(
+            EquivocationAttack("client:evil", cluster.config)
+        )
         cluster.run(max_time=60)
         total = len(attack.signatures["A"]) + len(attack.signatures["B"])
         # Each correct replica signs at most one of the two values.
@@ -153,8 +173,9 @@ class TestEquivocation:
 
     def test_good_clients_unaffected_during_attack(self):
         cluster = build_cluster(f=1, seed=29)
-        attack = EquivocationAttack(cluster, "evil")
-        attack.start()
+        attack = cluster.add_adversary(
+            EquivocationAttack("client:evil", cluster.config)
+        )
         writer = cluster.add_client("good")
         writer.run_script(write_script("client:good", 3) + read_script(1))
         cluster.run(max_time=60)
@@ -164,8 +185,9 @@ class TestEquivocation:
 class TestPartialWrite:
     def test_partial_write_repaired_by_reader(self):
         cluster = build_cluster(f=1, seed=30)
-        attack = PartialWriteAttack(cluster, "evil")
-        attack.start()
+        attack = cluster.add_adversary(
+            PartialWriteAttack("client:evil", cluster.config)
+        )
         cluster.run(max_time=60)
         installed = [r for r in cluster.replicas.values() if r.data is not None]
         assert len(installed) == 1
@@ -185,8 +207,9 @@ class TestPartialWrite:
 
     def test_partial_write_history_is_bft_linearizable(self):
         cluster = build_cluster(f=1, seed=31)
-        attack = PartialWriteAttack(cluster, "evil")
-        attack.start()
+        attack = cluster.add_adversary(
+            PartialWriteAttack("client:evil", cluster.config)
+        )
         cluster.run(max_time=60)
         reader = cluster.add_client("reader")
         reader.run_script(read_script(2), think_time=0.1)
@@ -200,8 +223,9 @@ class TestPartialWrite:
 class TestTimestampExhaustion:
     def test_huge_timestamp_rejected_everywhere(self):
         cluster = build_cluster(f=1, seed=32)
-        attack = TimestampExhaustionAttack(cluster, "evil")
-        attack.start()
+        attack = cluster.add_adversary(
+            TimestampExhaustionAttack("client:evil", cluster.config)
+        )
         cluster.run(max_time=60)
         assert attack.replies == 0
         for replica in cluster.replicas.values():
@@ -210,8 +234,9 @@ class TestTimestampExhaustion:
 
     def test_timestamps_grow_only_with_real_writes(self):
         cluster = build_cluster(f=1, seed=33)
-        attack = TimestampExhaustionAttack(cluster, "evil")
-        attack.start()
+        attack = cluster.add_adversary(
+            TimestampExhaustionAttack("client:evil", cluster.config)
+        )
         writer = cluster.add_client("good")
         writer.run_script(write_script("client:good", 5))
         cluster.run(max_time=60)
@@ -227,8 +252,13 @@ class TestCollusionChain:
         from repro.byzantine import CollusionChainAttack
 
         cluster = build_cluster(f=1, seed=34)
-        attack = CollusionChainAttack(cluster, "leader", ["m1", "m2", "m3"])
-        attack.start()
+        attack = cluster.add_adversary(
+            CollusionChainAttack(
+                "client:leader",
+                cluster.config,
+                members=["client:m1", "client:m2", "client:m3"],
+            )
+        )
         cluster.run(max_time=60)
         assert len(attack.hoard) == 3
         # Timestamps are consecutive: val 1, 2, 3 by the three members.
@@ -241,8 +271,13 @@ class TestCollusionChain:
         from repro.byzantine import CollusionChainAttack
 
         cluster = build_cluster(f=1, variant="strong", seed=35)
-        attack = CollusionChainAttack(cluster, "leader", ["m1", "m2", "m3"])
-        attack.start()
+        attack = cluster.add_adversary(
+            CollusionChainAttack(
+                "client:leader",
+                cluster.config,
+                members=["client:m1", "client:m2", "client:m3"],
+            )
+        )
         cluster.run(max_time=60)
         # The first link can justify against the current completed state;
         # the second has no write certificate for link 1's timestamp.
@@ -256,12 +291,19 @@ class TestCollusionChain:
 
         cluster = build_cluster(f=1, seed=36)
         members = ["m1", "m2"]
-        attack = CollusionChainAttack(cluster, "leader", members)
-        attack.start()
+        attack = cluster.add_adversary(
+            CollusionChainAttack(
+                "client:leader",
+                cluster.config,
+                members=[f"client:{m}" for m in members],
+            )
+        )
         cluster.run(max_time=60)
-        attack.stop_all()
-        colluder = Colluder(cluster, "colluder", attack.hoard)
-        colluder.start()
+        for member in attack.members:
+            cluster.stop_client(member)
+        cluster.add_adversary(
+            Colluder("client:colluder", cluster.config, attack.hoard)
+        )
         reader = cluster.add_client("reader")
         reader.run_script(read_script(3), start_delay=0.5, think_time=0.1)
         cluster.run(max_time=60)
@@ -298,3 +340,52 @@ class TestCollusionChain:
             fake_prev, fake_prev.ts.succ("client:m2"), ("v", 1)
         )
         assert all(r.handle("client:m2", request) is None for r in replicas)
+
+
+class TestAttacksLandUnderLoss:
+    """Every round of an attack is a ``QuorumRound``, so READ-TS and the
+    malicious PREPARE are retransmitted to the silent set like any other
+    phase.  With 20% loss and one crashed replica there is no reply slack:
+    an attack that broadcasts READ-TS once mostly never sends its PREPARE
+    at all and then reports "blocked" vacuously."""
+
+    SEEDS = range(40)
+
+    def _lossy_cluster(self, seed):
+        from repro import LinkProfile
+        from repro.byzantine import CrashedReplica
+
+        cluster = build_cluster(
+            f=1,
+            seed=seed,
+            profile=LinkProfile(drop_rate=0.2),
+            replica_overrides={3: CrashedReplica},
+        )
+        live = [cluster.replicas[f"replica:{i}"] for i in range(3)]
+        return cluster, live
+
+    def test_timestamp_exhaustion_reaches_every_live_replica(self):
+        for seed in self.SEEDS:
+            cluster, live = self._lossy_cluster(seed)
+            attack = cluster.add_adversary(
+                TimestampExhaustionAttack("client:evil", cluster.config)
+            )
+            cluster.run(max_time=60)
+            for replica in live:
+                assert replica.stats.discards["bad-ts"] >= 1, (seed, replica.node_id)
+            assert attack.replies == 0, seed
+
+    def test_equivocation_reaches_its_split(self):
+        for seed in self.SEEDS:
+            cluster, live = self._lossy_cluster(seed)
+            attack = cluster.add_adversary(
+                EquivocationAttack("client:evil", cluster.config)
+            )
+            cluster.run(max_time=60)
+            for replica in live:
+                signed = any(
+                    replica.node_id in sigs for sigs in attack.signatures.values()
+                )
+                refused = replica.stats.discards["plist-conflict"] >= 1
+                assert signed or refused, (seed, replica.node_id)
+            assert attack.quorums_reached <= 1, seed

@@ -93,25 +93,44 @@ class TestFastPathEpisodes:
         assert run_episode(plan).fallbacks == 0
 
 
+BUG_CAMPAIGN = CampaignConfig(
+    seed=7,
+    episodes=50,
+    variants=("base",),
+    attacks=False,
+    byzantine=False,
+)
+
+
 class TestBugCatchAcceptance:
     @pytest.fixture(scope="class")
     def campaign(self, tmp_path_factory):
-        """The seed-7 catch-and-minimize campaign, run once for both tests
-        (it is deterministic, and most of a minute and a half of tier-1)."""
-        config = CampaignConfig(
-            seed=7,
-            episodes=50,
-            variants=("base",),
-            attacks=False,
-            byzantine=False,
+        """The seed-7 catch-and-minimize campaign, run once for both tests.
+
+        The bug is caught in the first handful of episodes, so tier-1 runs
+        the 50 episodes unminimized and delta-debugs only the *first*
+        violating plan (same 60-probe budget, same artifact path the engine
+        would write); minimizing every violating episode is the same code
+        per episode and lives behind the ``chaos`` marker below."""
+        campaign = run_campaign(
+            BUG_CAMPAIGN, replica_factory=buggy_factory, minimize=False
         )
-        return run_campaign(
-            config,
-            replica_factory=buggy_factory,
-            minimize=True,
-            minimize_budget=60,
-            artifact_dir=tmp_path_factory.mktemp("bug-artifacts"),
-        )
+        if campaign.violations:
+            plan = campaign.violations[0].plan
+            minimized = minimize_episode(
+                plan, replica_factory=buggy_factory, budget=60
+            )
+            verdicts = {
+                name: verdict.ok
+                for name, verdict in minimized.final.verdicts.items()
+            }
+            path = str(
+                tmp_path_factory.mktemp("bug-artifacts")
+                / f"chaos-seed{BUG_CAMPAIGN.seed}-ep{plan.episode}.json"
+            )
+            save_artifact(path, minimized.plan, verdicts)
+            campaign.minimized.append((minimized.plan, verdicts, path))
+        return campaign
 
     def test_injected_bug_caught_and_minimized(self, campaign):
         """The ISSUE's acceptance bar: a ≤50-episode campaign catches the
@@ -132,6 +151,25 @@ class TestBugCatchAcceptance:
         outcome = replay_artifact(path)  # no buggy factory: healthy replicas
         assert outcome.result.ok
         assert not outcome.matches
+
+
+@pytest.mark.chaos
+def test_full_bug_campaign_minimizes_every_violation(tmp_path):
+    """The whole catch-and-minimize campaign (every violating episode
+    delta-debugged and written by the engine itself): about two minutes,
+    so it runs with the nightly chaos suite, not in tier-1."""
+    campaign = run_campaign(
+        BUG_CAMPAIGN,
+        replica_factory=buggy_factory,
+        minimize=True,
+        minimize_budget=60,
+        artifact_dir=tmp_path,
+    )
+    assert len(campaign.minimized) == len(campaign.violations) > 0
+    for plan, verdicts, path in campaign.minimized:
+        assert len(plan.faults) <= 5
+        assert not all(verdicts.values())
+        assert replay_artifact(path, replica_factory=buggy_factory).matches
 
 
 class TestMinimizer:

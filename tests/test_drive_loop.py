@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import asyncio
 import random
+import time
 
 import pytest
 
@@ -409,3 +410,73 @@ def test_every_client_stack_commits_the_same_history():
     assert stamps == sorted(stamps) and len(set(stamps)) == len(stamps)
     # Identical register state at every replica of every stack.
     assert plain_states[0] == piped_states[0] == shard_states[0]
+
+
+# -- the same loop drives a Byzantine client ----------------------------------
+
+
+async def drive_adversary(addrs, machine, *, interval=0.01, timeout=30.0):
+    """Host a sans-I/O adversary on sockets: ``drive`` unchanged, its
+    ``done`` / ``deliver`` / ``retransmit`` are the machine's."""
+    endpoint = MuxEndpoint(addrs)
+    inbox = endpoint.register(machine.node_id)
+    await endpoint.connect()
+    try:
+        await drive(
+            endpoint,
+            machine.node_id,
+            inbox,
+            machine.start(),
+            done=lambda: machine.done,
+            deliver=machine.deliver,
+            retransmit=machine.retransmit,
+            interval=interval,
+            timeout=timeout,
+        )
+    finally:
+        await endpoint.close()
+    return machine
+
+
+@pytest.mark.parametrize("variant", ["base", "fastpath"])
+def test_byzantine_clients_on_real_sockets(variant):
+    """A lurking-write client, its colluder and an equivocator, over TCP:
+    the hoard is exactly the variant's bound, the replicas still agree
+    after the replay, and the equivocator assembles at most one
+    certificate.  A short tick interval keeps the refused attempts cheap
+    (budgets are tick counts, not seconds)."""
+    from repro import DeploymentSpec, deploy
+    from repro.byzantine import Colluder, EquivocationAttack, LurkingWriteAttack
+    from repro.chaos.plan import MAX_B
+
+    spec = DeploymentSpec(transport="tcp", variant=variant, seed=77)
+    with deploy(spec) as dep:
+        lurker = run(
+            drive_adversary(
+                dep.addrs, LurkingWriteAttack("client:evil", dep.config, variant)
+            )
+        )
+        assert len(lurker.hoard) == MAX_B[variant]
+        assert len({captured.ts for captured in lurker.hoard}) == 1
+
+        dep.config.revoke_writer(lurker.node_id)  # the §4.1.1 stop event
+        run(
+            drive_adversary(
+                dep.addrs, Colluder("client:colluder", dep.config, lurker.hoard)
+            )
+        )
+        assert dep.read() in [captured.value for captured in lurker.hoard]
+        dep.write(("client:pipe0", 1, None))
+        deadline = time.monotonic() + 5.0
+        while len(set(dep.fingerprints().values())) != 1:
+            assert time.monotonic() < deadline, dep.fingerprints()
+            time.sleep(0.01)
+
+        equivocator = run(
+            drive_adversary(
+                dep.addrs, EquivocationAttack("client:evil2", dep.config, variant)
+            )
+        )
+        assert sum(len(s) for s in equivocator.signatures.values()) >= 1
+        assert equivocator.quorums_reached <= 1
+        assert dep.read() == ("client:pipe0", 1, None)

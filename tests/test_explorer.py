@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro.byzantine import EquivocationAttack
 from repro.core import BftBcClient, make_system
 from repro.sim import ScheduleExplorer
+from repro.spec import check_lemma1
 from tests.helpers import make_replicas
 
 
@@ -47,6 +49,40 @@ def writer_reader_factory():
         return traffic
 
     return replicas, clients, kickoff
+
+
+def equivocator_writer_factory():
+    """One EquivocationAttack machine beside one correct writer: the
+    adversary goes in the ``clients`` dict like any sans-I/O client."""
+    config = make_system(f=1, seed=b"explore-3")
+    replicas = {r.node_id: r for r in make_replicas(config)}
+    evil = EquivocationAttack("client:evil", config)
+    w = BftBcClient("client:w", config)
+    clients = {evil.node_id: evil, w.node_id: w}
+
+    def kickoff():
+        traffic = [(evil.node_id, s) for s in evil.start()]
+        traffic += [(w.node_id, s) for s in w.begin_write(("client:w", 1, None))]
+        return traffic
+
+    return replicas, clients, kickoff
+
+
+def check_equivocator_writer(replicas, clients):
+    if clients["client:w"].busy:
+        return "the correct writer did not complete"
+    evil = clients["client:evil"]
+    if sum(len(sigs) for sigs in evil.signatures.values()) != len(replicas):
+        return "the equivocator's split did not reach every replica"
+    if evil.quorums_reached > 1:
+        return "two prepare certificates for one timestamp"
+    report = check_lemma1(replicas.values(), f=1)
+    if not report.ok:
+        return f"Lemma 1 violated: {report.violations}"
+    values = {repr(r.data) for r in replicas.values()}
+    if values != {repr(("client:w", 1, None))}:
+        return f"replicas did not converge: {values}"
+    return None
 
 
 def check_two_writers(replicas, clients):
@@ -100,6 +136,21 @@ class TestExhaustiveSmallModels:
         )
         result = explorer.run()
         assert result.executions > 100, result.describe()
+        assert result.ok, (result.describe(), result.failures[:3])
+
+    def test_equivocator_beside_a_correct_writer(self):
+        """Theorem 1's setting over enumerated schedules, explorer untouched:
+        whatever the interleaving, the writer finishes, Lemma 1 holds and
+        the replicas converge on the writer's value."""
+        explorer = ScheduleExplorer(
+            equivocator_writer_factory,
+            check_equivocator_writer,
+            max_executions=150,
+            max_depth=200,
+        )
+        result = explorer.run()
+        assert result.executions == 150, result.describe()
+        assert result.truncated == 0, result.describe()
         assert result.ok, (result.describe(), result.failures[:3])
 
     def test_detects_injected_bug(self):

@@ -10,7 +10,6 @@ from repro.byzantine import (
     CollusionChainAttack,
     EquivocationAttack,
     LurkingWriteAttack,
-    OptimizedLurkingWriteAttack,
     PromiscuousReplica,
 )
 from repro.sim import make_scripts, read_script, write_script
@@ -67,8 +66,11 @@ class TestHonestExecutions:
 class TestUnderAttack:
     def test_lurking_write_attack_stays_within_lemma(self):
         cluster = build_cluster(f=1, seed=304)
-        attack = LurkingWriteAttack(cluster, "evil", warmup=2, extra_attempts=3)
-        attack.start()
+        attack = cluster.add_adversary(
+            LurkingWriteAttack(
+                "client:evil", cluster.config, warmup=2, extra_attempts=3
+            )
+        )
         cluster.run(max_time=120)
         report = lemma1(cluster, suspects=["client:evil"])
         assert report.ok, report.violations
@@ -77,8 +79,9 @@ class TestUnderAttack:
 
     def test_equivocation_attack_stays_within_lemma(self):
         cluster = build_cluster(f=1, seed=305)
-        attack = EquivocationAttack(cluster, "evil")
-        attack.start()
+        attack = cluster.add_adversary(
+            EquivocationAttack("client:evil", cluster.config)
+        )
         cluster.run(max_time=120)
         report = lemma1(cluster, suspects=["client:evil"])
         assert report.ok, report.violations
@@ -88,8 +91,9 @@ class TestUnderAttack:
         holds TWO certifiable prepares — within Lemma 1'(2)'s bound of two,
         violating the base lemma's bound of one."""
         cluster = build_cluster(f=1, variant="optimized", seed=306)
-        attack = OptimizedLurkingWriteAttack(cluster, "evil")
-        attack.start()
+        attack = cluster.add_adversary(
+            LurkingWriteAttack("client:evil", cluster.config, "optimized")
+        )
         cluster.run(max_time=120)
         assert len(attack.hoard) == 2
         base_bound = lemma1(cluster, max_prepared_per_client=1)
@@ -107,8 +111,13 @@ class TestUnderAttack:
     def test_collusion_chain_certifiable_per_member(self):
         cluster = build_cluster(f=1, seed=307)
         members = ["m1", "m2", "m3"]
-        attack = CollusionChainAttack(cluster, "leader", members)
-        attack.start()
+        attack = cluster.add_adversary(
+            CollusionChainAttack(
+                "client:leader",
+                cluster.config,
+                members=[f"client:{m}" for m in members],
+            )
+        )
         cluster.run(max_time=120)
         report = lemma1(cluster, suspects=[f"client:{m}" for m in members])
         # Each member individually satisfies Lemma 1(2) ...
@@ -124,8 +133,9 @@ class TestUnderAttack:
         cluster = build_cluster(
             f=1, seed=308, replica_overrides={0: PromiscuousReplica}
         )
-        attack = EquivocationAttack(cluster, "evil")
-        attack.start()
+        attack = cluster.add_adversary(
+            EquivocationAttack("client:evil", cluster.config)
+        )
         node = cluster.add_client("good")
         node.run_script(write_script("client:good", 2))
         cluster.run(max_time=120)

@@ -28,8 +28,8 @@ def test_no_duplicate_dial_sites_or_variant_dispatch():
 
 def test_checker_flags_a_second_dial_site_and_a_variant_dispatch(tmp_path):
     """The two duplication rules: only ``net.mux`` dials, and only
-    ``core``/``byzantine``/the facade name the concrete variant classes —
-    anywhere else may subclass them but not pick between them."""
+    ``core``/the facade name the concrete variant classes — anywhere else
+    may subclass them but not pick between them."""
     (tmp_path / "repro" / "net").mkdir(parents=True)
     (tmp_path / "repro" / "load").mkdir()
     (tmp_path / "repro" / "core").mkdir()
@@ -130,6 +130,38 @@ def test_checker_flags_a_barrier_outside_storage(tmp_path):
     assert [(module, line) for module, line, _ in found] == [
         ("repro.net.bad", 4),
         ("repro.net.bad", 5),
+    ]
+
+
+def test_checker_flags_an_adversary_that_reaches_its_host(tmp_path):
+    """Nothing under ``repro.byzantine`` touches a network, a scheduler or a
+    timer: an adversary returns ``Send`` lists and counts retransmit ticks.
+    Hosts elsewhere (``sim.nodes``) keep doing all three."""
+    (tmp_path / "repro" / "byzantine").mkdir(parents=True)
+    (tmp_path / "repro" / "sim").mkdir()
+    (tmp_path / "repro" / "byzantine" / "ok.py").write_text(
+        "class Attack:\n"
+        "    def retransmit(self):\n"
+        "        self.ticks -= 1\n"
+        "        return [Send(dest, self.request)]\n"
+    )
+    (tmp_path / "repro" / "byzantine" / "actor.py").write_text(
+        "class Actor:\n"
+        "    def __init__(self, cluster):\n"
+        "        self.net = cluster.network\n"
+        "        cluster.scheduler.call_later(2.0, self.finish)\n"
+        "    def again(self, loop):\n"
+        "        loop.call_at(3.0, self.again)\n"
+    )
+    (tmp_path / "repro" / "sim" / "nodes.py").write_text(
+        "def host(self):\n    self.scheduler.call_later(0.05, self.network.send)\n"
+    )
+    found = check_layering.find_duplication(tmp_path)
+    assert sorted((module, line) for module, line, _ in found) == [
+        ("repro.byzantine.actor", 3),
+        ("repro.byzantine.actor", 4),
+        ("repro.byzantine.actor", 4),
+        ("repro.byzantine.actor", 6),
     ]
 
 

@@ -200,8 +200,9 @@ class TestNullReads:
         from repro.byzantine import PartialWriteAttack
 
         cluster = build_cluster(f=1, seed=5)
-        attack = PartialWriteAttack(cluster, "evil")
-        attack.start()
+        attack = cluster.add_adversary(
+            PartialWriteAttack("client:evil", cluster.config)
+        )
         cluster.run(max_time=30)
         # Force the replica holding the partial write into the read quorum.
         cluster.network.crash("replica:3")
@@ -222,8 +223,9 @@ class TestPhalanxAttacks:
         from repro.byzantine import PhalanxTimestampExhaustionAttack
 
         cluster = build_phalanx_cluster(f=1, seed=10)
-        attack = PhalanxTimestampExhaustionAttack(cluster, "evil")
-        attack.start()
+        attack = cluster.add_adversary(
+            PhalanxTimestampExhaustionAttack("client:evil", cluster.config)
+        )
         cluster.run(max_time=30)
         assert attack.succeeded
         assert any(r.ts.val >= attack.HUGE for r in cluster.replicas.values())
@@ -233,8 +235,9 @@ class TestPhalanxAttacks:
         from repro.byzantine import PhalanxEquivocationAttack
 
         cluster = build_phalanx_cluster(f=1, seed=11)
-        attack = PhalanxEquivocationAttack(cluster, "evil")
-        attack.start()
+        attack = cluster.add_adversary(
+            PhalanxEquivocationAttack("client:evil", cluster.config)
+        )
         cluster.run(max_time=30)
         assert attack.proofs_obtained <= 1
         refusals = sum(

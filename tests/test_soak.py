@@ -73,10 +73,14 @@ class TestKitchenSink:
             profile=LinkProfile(drop_rate=0.05, duplicate_rate=0.03, max_delay=0.02),
             replica_overrides={0: CrashedReplica, 6: PromiscuousReplica},
         )
-        equivocator = EquivocationAttack(cluster, "eq-evil")
-        equivocator.start()
-        lurker = LurkingWriteAttack(cluster, "lw-evil", warmup=1, extra_attempts=1)
-        lurker.start()
+        equivocator = cluster.add_adversary(
+            EquivocationAttack("client:eq-evil", cluster.config)
+        )
+        lurker = cluster.add_adversary(
+            LurkingWriteAttack(
+                "client:lw-evil", cluster.config, warmup=1, extra_attempts=1
+            )
+        )
 
         names = [f"client:g{i}" for i in range(4)]
         scripts = make_scripts(names, 6, write_fraction=0.5, seed=5)
@@ -87,9 +91,11 @@ class TestKitchenSink:
         )
 
         # The lurker leaves; its colluder replays; readers keep reading.
-        lurker.stop()
+        cluster.stop_client(lurker.node_id)
         if lurker.hoard:
-            Colluder(cluster, "colluder", lurker.hoard).start()
+            cluster.add_adversary(
+                Colluder("client:colluder", cluster.config, lurker.hoard)
+            )
         reader = cluster.add_client("late-reader")
         reader.run_script(read_script(3), start_delay=0.3, think_time=0.1)
         cluster.run(max_time=900)

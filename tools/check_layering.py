@@ -31,13 +31,13 @@ source file under ``src/repro`` with :mod:`ast` — including imports inside
 ``TYPE_CHECKING`` blocks and function bodies, so lazy imports cannot hide a
 cycle-in-waiting.
 
-Five further rules keep deleted duplication from growing back
+Six further rules keep deleted duplication from growing back
 (:func:`find_duplication`): the TCP client stack lives in one module, so
 ``asyncio.open_connection`` may be called only from ``repro.net.mux`` (and
 the chaos proxy's upstream leg); the variant-to-class mapping lives on
-``repro.core.config.Variant``, so outside ``repro.core``, ``repro.byzantine``
-and the ``repro`` facade the concrete variant classes may be named only as
-base classes, never in a dispatch; and the simulated run loop lives on
+``repro.core.config.Variant``, so outside ``repro.core`` and the ``repro``
+facade the concrete variant classes may be named only as base classes, never
+in a dispatch; and the simulated run loop lives on
 ``repro.sim.runner.SimHarness``, so ``Scheduler(`` and ``SimNetwork(`` may
 be constructed only in ``repro.sim.runner``; and the wire layout is derived
 from each message's declaration, so no subclass of ``Message`` may define
@@ -45,7 +45,11 @@ from each message's declaration, so no subclass of ``Message`` may define
 be constructed only in ``repro.core.messages``; and the WAL barrier is spent
 once per released reply batch by the store's ``group()`` scope, so
 ``os.fsync`` may be called only under ``repro.storage`` — a host that syncs
-for itself is the per-record barrier growing back.
+for itself is the per-record barrier growing back; and a Byzantine client
+is a sans-I/O machine like a correct one, so nothing under
+``repro.byzantine`` may read an attribute named ``network`` or ``scheduler``
+or call ``call_later`` / ``call_at`` — an adversary that reaches its host is
+the actor base growing back.
 
 Run:  python tools/check_layering.py   (exits 1 and lists violations)
 The tier-1 test ``tests/test_layering.py`` runs this on every suite run.
@@ -118,8 +122,15 @@ CODEC_METHODS = frozenset({"to_wire", "from_wire"})
 BARRIER_SITE = "repro.storage"
 
 
+#: Adversaries are state machines: their host (``Cluster.add_adversary``,
+#: ``net.mux.drive``, the schedule explorer) owns the network and the clock.
+ADVERSARY_PACKAGE = "repro.byzantine"
+HOST_ATTRIBUTES = frozenset({"network", "scheduler"})
+TIMER_CALLS = frozenset({"call_later", "call_at"})
+
+
 def _may_name_variant_classes(module: str) -> bool:
-    return module == "repro" or module.startswith(("repro.core", "repro.byzantine"))
+    return module == "repro" or module.startswith("repro.core")
 
 
 def layer_of(module: str) -> int | None:
@@ -195,7 +206,22 @@ def find_duplication(src: pathlib.Path = SRC) -> list[tuple[str, int, str]]:
             if isinstance(node, ast.ClassDef)
             for base in node.bases
         }
+        adversary = module == ADVERSARY_PACKAGE or module.startswith(
+            ADVERSARY_PACKAGE + "."
+        )
         for node in ast.walk(tree):
+            if adversary and (
+                (isinstance(node, ast.Attribute) and node.attr in HOST_ATTRIBUTES)
+                or (
+                    isinstance(node, ast.Call)
+                    and getattr(node.func, "id", getattr(node.func, "attr", None))
+                    in TIMER_CALLS
+                )
+            ):
+                found.append(
+                    (module, node.lineno, "adversary reaches its host; return "
+                     "Sends and count retransmit ticks instead")
+                )
             if isinstance(node, ast.Call):
                 callee = getattr(node.func, "id", getattr(node.func, "attr", None))
                 if callee in SIM_LOOP_CLASSES and module != SIM_LOOP_SITE:
@@ -253,7 +279,7 @@ def main() -> int:
     if duplication:
         print(
             "duplication the variant registry / one endpoint / one harness / "
-            "one wire schema / one barrier site replaced:"
+            "one wire schema / one barrier site / the sans-I/O adversary replaced:"
         )
         for module, line, what in duplication:
             print(f"  {module}:{line} {what}")

@@ -47,9 +47,10 @@ MODULES = [
     "repro.baselines.bqs",
     "repro.baselines.phalanx",
     "repro.baselines.runner",
+    "repro.byzantine.adversary",
     "repro.byzantine.clients",
     "repro.byzantine.replicas",
-    "repro.byzantine.bqs_attacks",
+    "repro.byzantine.baseline_attacks",
     "repro.spec.histories",
     "repro.spec.linearizability",
     "repro.spec.bft_linearizability",
