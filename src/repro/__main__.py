@@ -29,8 +29,9 @@ from __future__ import annotations
 
 import argparse
 import sys
+from typing import Any
 
-from repro import Instrumentation, LinkProfile, Variant, build_cluster
+from repro import DeploymentSpec, Instrumentation, LinkProfile, Variant, build_cluster
 from repro.analysis import format_phase_breakdown, format_table
 from repro.sim import make_scripts, read_script, write_script
 from repro.spec import check_register_linearizable
@@ -230,20 +231,44 @@ def _parse_ports(port: str, count: int) -> list[int]:
     return values
 
 
+def add_spec_flags(command: argparse.ArgumentParser, data_dir_help: str) -> None:
+    """The flags ``serve`` and ``cluster up`` share; read by
+    :func:`spec_from_flags`."""
+    command.add_argument("--data-dir", required=True, help=data_dir_help)
+    command.add_argument("--variant", choices=VARIANT_CHOICES, default="base")
+    command.add_argument("--scheme", choices=("hmac", "rsa"), default="hmac")
+    command.add_argument("--host", default="127.0.0.1")
+    command.add_argument("--fsync", choices=("always", "never"), default="always")
+
+
+def spec_from_flags(args: argparse.Namespace, **fields: Any) -> DeploymentSpec:
+    """The spec :func:`add_spec_flags`' flags describe; for ``serve`` the
+    inverse of :func:`repro.cluster.process.serve_command`."""
+    return DeploymentSpec(
+        f=args.f,
+        variant=args.variant,
+        scheme=args.scheme,
+        seed=args.seed,
+        store="file",
+        data_dir=args.data_dir,
+        fsync=args.fsync,
+        host=args.host,
+        **fields,
+    )
+
+
 def cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
     import json
 
-    from repro.cluster.process import replica_data_dir
-    from repro.cluster.spec import DeploymentSpec
-    from repro.core.config import Variant
-    from repro.net.asyncio_transport import ReplicaServer
+    from repro.cluster.deploy import ReplicaGroup
 
+    spec = spec_from_flags(
+        args, transport="tcp", batch_verify=not args.no_batch_verify
+    )
     # Every worker process builds the deployment's one configuration, so
     # key material and admitted client namespaces agree fleet-wide.
-    config = DeploymentSpec(
-        f=args.f, variant=args.variant, scheme=args.scheme, seed=args.seed
-    ).make_config(args.open_namespace or ["client:"])
+    config = spec.make_config(args.open_namespace or ["client:"])
     unknown = [
         node_id
         for node_id in args.node_ids
@@ -261,7 +286,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 1
-    replica_cls = Variant.coerce(args.variant).replica_cls
 
     def peer_addrs() -> "dict[str, tuple[str, int]]":
         """The cluster address book, re-read from the orchestrator's state
@@ -282,21 +306,10 @@ def cmd_serve(args: argparse.Namespace) -> int:
         return book
 
     async def run() -> None:
-        servers = []
-        tasks = []
-        for node_id, port in zip(args.node_ids, ports):
-            server = ReplicaServer.durable(
-                node_id,
-                config,
-                replica_data_dir(args.data_dir, args.node_ids, node_id),
-                host=args.host,
-                port=port,
-                replica_cls=replica_cls,
-                fsync=args.fsync,
-                batch_verify=not args.no_batch_verify,
-            )
-            host, bound_port = await server.start()
-            servers.append(server)
+        group = await ReplicaGroup.start(
+            spec, config, node_ids=args.node_ids, ports=ports
+        )
+        for node_id, (host, port) in group.addrs.items():
             # The announcement contract: one flushed line per replica, so
             # an orchestrator (or a human with --port 0) learns the
             # ephemeral addresses without polling or races.
@@ -307,7 +320,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
                             "event": "listening",
                             "node_id": node_id,
                             "host": host,
-                            "port": bound_port,
+                            "port": port,
                         },
                         sort_keys=True,
                     ),
@@ -315,10 +328,11 @@ def cmd_serve(args: argparse.Namespace) -> int:
                 )
             else:
                 print(
-                    f"replica {node_id} serving on {host}:{bound_port} "
+                    f"replica {node_id} serving on {host}:{port} "
                     f"(data dir {args.data_dir}, fsync={args.fsync})",
                     flush=True,
                 )
+        tasks = []
         if args.audit_interval > 0:
             tasks = [
                 asyncio.ensure_future(
@@ -326,15 +340,14 @@ def cmd_serve(args: argparse.Namespace) -> int:
                         peer_addrs, interval=args.audit_interval
                     )
                 )
-                for server in servers
+                for server in group.servers.values()
             ]
         try:
             await asyncio.Event().wait()
         finally:
             for task in tasks:
                 task.cancel()
-            for server in servers:
-                await server.stop()
+            await group.stop()
 
     try:
         asyncio.run(run())
@@ -348,20 +361,11 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     import os
     import signal as signal_module
 
-    from repro.cluster.process import ProcessCluster
+    from repro.cluster import ProcessCluster
 
     if args.cluster_command == "up":
-        cluster = ProcessCluster(
-            f=args.f,
-            seed=args.seed,
-            variant=args.variant,
-            scheme=args.scheme,
-            data_dir=args.data_dir,
-            host=args.host,
-            fsync=args.fsync,
-            workers=args.workers,
-        )
-        addrs = cluster.start()
+        spec = spec_from_flags(args, transport="process", workers=args.workers)
+        addrs = ProcessCluster(spec).start()
         # Detached by design: the workers outlive this command, the state
         # file records them, and `cluster down` reaps them later.
         for node_id, (host, port) in sorted(addrs.items()):
@@ -382,6 +386,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
         return True
 
     if args.cluster_command == "status":
+        spec = DeploymentSpec.from_wire(state["spec"])
         rows = []
         for worker in state["workers"]:
             pid = worker.get("pid")
@@ -400,7 +405,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
                     ["replica", "worker", "pid", "host", "port", "state"],
                     rows,
                     title=f"cluster under {args.data_dir} "
-                          f"(f={state['f']}, variant={state['variant']})",
+                          f"(f={spec.f}, variant={spec.variant})",
                 )
             )
         return 0
@@ -674,7 +679,8 @@ def cmd_load(args: argparse.Namespace) -> int:
     return 0 if report.slo_ok else 1
 
 
-def main(argv: list[str] | None = None) -> int:
+def build_parser() -> argparse.ArgumentParser:
+    """The ``python -m repro`` parser: global flags and every subcommand."""
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="BFT-BC (Liskov & Rodrigues, ICDCS 2006) demonstrations",
@@ -719,16 +725,11 @@ def main(argv: list[str] | None = None) -> int:
     )
     serve.add_argument("node_ids", nargs="+", metavar="node_id",
                        help="replica id(s), e.g. replica:0")
-    serve.add_argument("--data-dir", required=True,
-                       help="directory for the WAL and snapshot (per-replica "
-                            "subdirectories when hosting several)")
-    serve.add_argument("--variant", choices=VARIANT_CHOICES, default="base")
-    serve.add_argument("--scheme", choices=("hmac", "rsa"), default="hmac")
-    serve.add_argument("--host", default="127.0.0.1")
+    add_spec_flags(serve, "directory for the WAL and snapshot (per-replica "
+                          "subdirectories when hosting several)")
     serve.add_argument("--port", default="0",
                        help="listen port, or a comma list matching the node "
                             "ids; 0 picks an ephemeral port")
-    serve.add_argument("--fsync", choices=("always", "never"), default="always")
     serve.add_argument("--announce", action="store_true",
                        help="print one JSON line per replica once it is "
                             "listening (orchestrator port discovery)")
@@ -752,16 +753,8 @@ def main(argv: list[str] | None = None) -> int:
     cluster_up = cluster_sub.add_parser(
         "up", help="spawn one serve worker per replica and record the fleet"
     )
-    cluster_up.add_argument("--data-dir", required=True,
-                            help="root directory for worker data dirs and "
-                                 "the cluster state file")
-    cluster_up.add_argument("--variant", choices=VARIANT_CHOICES,
-                            default="base")
-    cluster_up.add_argument("--scheme", choices=("hmac", "rsa"),
-                            default="hmac")
-    cluster_up.add_argument("--host", default="127.0.0.1")
-    cluster_up.add_argument("--fsync", choices=("always", "never"),
-                            default="always")
+    add_spec_flags(cluster_up, "root directory for worker data dirs and "
+                               "the cluster state file")
     cluster_up.add_argument("--workers", type=int, default=None,
                             help="worker processes to spread the 3f+1 "
                                  "replicas across (default: one each)")
@@ -883,8 +876,11 @@ def main(argv: list[str] | None = None) -> int:
     load.add_argument("--tcp", action="store_true",
                       help="run over real loopback TCP instead of the simulator")
     load.add_argument("--json", action="store_true")
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: list[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
     handlers = {
         "demo": cmd_demo,
         "attacks": cmd_attacks,

@@ -2,21 +2,24 @@
 
 The simulator campaign (:mod:`repro.chaos.engine`) is the volume play —
 thousands of deterministic episodes.  This module is the ground-truth
-play: a *smaller* campaign against actual :class:`~repro.net.asyncio_transport.ReplicaServer`
-processes with durable :class:`~repro.storage.FileLogStore` state, real
-sockets, and a :class:`~repro.net.chaos_proxy.ChaosProxy` per replica
-mangling the byte stream (delays, dropped-and-reset chunks, mid-frame
-truncations, garbage frames).  Mid-episode, one replica suffers a
-``crash_restart``: its server is stopped, its store closed, and a fresh
-server recovers from the same data directory on the same port — the
-moral equivalent of ``kill -9`` plus supervised restart.
+play: a *smaller* campaign against one durable
+:class:`~repro.cluster.deploy.ReplicaGroup` per episode (built from a
+``DeploymentSpec(transport="tcp", store="file")``, keys from
+``cluster-seed-<seed>``), real sockets, and a
+:class:`~repro.net.chaos_proxy.ChaosProxy` per replica mangling the byte
+stream (delays, dropped-and-reset chunks, mid-frame truncations, garbage
+frames).  Mid-episode, one replica suffers a ``crash_restart``: the group
+crashes it (listener stopped, store closed) and recovers it from the same
+data directory on the same port — the moral equivalent of ``kill -9``
+plus supervised restart.
 
 Each episode records a §4.1 verifiable history at the client boundary
 (wall-clock timestamps) and is judged by the same oracle battery as the
-simulator campaign via a duck-typed cluster adapter — so one definition
-of "correct" covers both worlds.  TCP scheduling is not deterministic,
-which is exactly the point: the oracles must hold on *every* schedule,
-and this campaign samples schedules the simulator cannot produce.
+simulator campaign, which reads only the history and the replicas — so
+one definition of "correct" covers both worlds.  TCP scheduling is not
+deterministic, which is exactly the point: the oracles must hold on
+*every* schedule, and this campaign samples schedules the simulator
+cannot produce.
 """
 
 from __future__ import annotations
@@ -26,14 +29,16 @@ import random
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Any, Optional
 
 from repro.chaos.oracles import OracleVerdict, run_oracle_battery
 from repro.chaos.plan import EpisodePlan
-from repro.core.config import SystemConfig, Variant, make_system
-from repro.core.replica import BftBcReplica
+from repro.cluster.deploy import ReplicaGroup
+from repro.cluster.spec import DeploymentSpec
+from repro.core.config import Variant
 from repro.errors import OperationFailedError
-from repro.net.asyncio_transport import AsyncClient, ReplicaServer
+from repro.net.asyncio_transport import AsyncClient
 from repro.net.chaos_proxy import ChaosProxy, ProxyProfile
 from repro.sim.nodes import flip_wal_byte
 from repro.spec.histories import History, Invocation, Response
@@ -56,8 +61,8 @@ class TcpChaosConfig:
     clients: int = 2
     ops_per_client: int = 3
     write_fraction: float = 0.6
-    #: Stop one replica mid-episode and recover a fresh server from its
-    #: data directory on the same port.
+    #: Crash one replica mid-episode and recover it from its data
+    #: directory on the same port.
     crash_restart: bool = True
     down_for: float = 0.25
     #: Flip one byte of a live replica's on-disk WAL mid-episode and drive
@@ -84,7 +89,6 @@ class TcpChaosConfig:
     )
     retransmit_interval: float = 0.08
     op_timeout: float = 30.0
-    fsync: str = "always"
 
 
 @dataclass
@@ -151,17 +155,6 @@ class _WallRecorder:
         )
 
 
-class _TcpCluster:
-    """Duck-typed stand-in for :class:`repro.sim.runner.Cluster`, exposing
-    exactly what :func:`~repro.chaos.oracles.run_oracle_battery` reads."""
-
-    def __init__(
-        self, history: History, replicas: dict[str, BftBcReplica]
-    ) -> None:
-        self.history = history
-        self.replicas = replicas
-
-
 async def _client_workload(
     name: str,
     client: AsyncClient,
@@ -186,35 +179,17 @@ async def _client_workload(
 
 
 async def _crash_restart(
-    servers: dict[str, ReplicaServer],
-    victim: str,
-    system: SystemConfig,
-    data_dir: Path,
-    config: TcpChaosConfig,
-    replica_cls: type[BftBcReplica],
+    group: ReplicaGroup, victim: str, config: TcpChaosConfig
 ) -> None:
-    """Kill ``victim``'s server process-style, then recover it in place."""
+    """Kill ``victim`` process-style, then recover it in place."""
     await asyncio.sleep(0.15)
-    server = servers[victim]
-    host, port = server.host, server.port
-    await server.stop()
-    server.replica.store.close()
+    await group.crash(victim)
     await asyncio.sleep(config.down_for)
-    reborn = ReplicaServer.durable(
-        victim,
-        system,
-        data_dir / victim.replace(":", "_"),
-        host=host,
-        port=port,
-        replica_cls=replica_cls,
-        fsync=config.fsync,
-    )
-    await reborn.start()
-    servers[victim] = reborn
+    await group.recover(victim)
 
 
 async def _corruption_chaos(
-    servers: dict[str, ReplicaServer],
+    group: ReplicaGroup,
     victim: str,
     addrs: dict[str, tuple[str, int]],
     config: TcpChaosConfig,
@@ -239,7 +214,7 @@ async def _corruption_chaos(
     loop = asyncio.get_running_loop()
     deadline = loop.time() + config.stabilize_timeout
     while loop.time() < deadline:
-        if flip_wal_byte(servers[victim].replica.store, rng.randrange, 0x80):
+        if flip_wal_byte(group.replicas[victim].store, rng.randrange, 0x80):
             injected.append({"op": "wal_bitflip", "time": 0.0, "node": victim})
             break
         await asyncio.sleep(config.audit_interval)
@@ -248,7 +223,7 @@ async def _corruption_chaos(
     while loop.time() < deadline:
         await asyncio.sleep(config.audit_interval)
         stable = True
-        for rid, server in servers.items():
+        for server in group.servers.values():
             if server._server is None:  # stopped (crash window)
                 continue
             replica = server.replica
@@ -266,14 +241,18 @@ async def _run_episode(
     config: TcpChaosConfig, variant: str, data_dir: Path
 ) -> TcpEpisodeResult:
     rng = random.Random(f"chaos-tcp/{config.seed}/{variant}")
-    kind = Variant.coerce(variant)
-    system = make_system(
-        config.f, seed=b"tcp-chaos-%d" % config.seed, strong=kind.strong
+    spec = DeploymentSpec(
+        f=config.f,
+        variant=variant,
+        seed=config.seed,
+        transport="tcp",
+        store="file",
+        data_dir=str(data_dir),
     )
-    replica_cls = kind.replica_cls
-    client_cls = kind.client_cls
+    system = spec.make_config()
+    client_cls = Variant.coerce(variant).client_cls
 
-    servers: dict[str, ReplicaServer] = {}
+    group: Optional[ReplicaGroup] = None
     proxies: dict[str, ChaosProxy] = {}
     addrs: dict[str, tuple[str, int]] = {}
     clients: list[AsyncClient] = []
@@ -284,24 +263,15 @@ async def _run_episode(
     chaos_task: Optional[asyncio.Task] = None
     corruption_task: Optional[asyncio.Task] = None
     try:
-        for index, rid in enumerate(system.quorums.replica_ids):
-            server = ReplicaServer.durable(
-                rid,
-                system,
-                data_dir / rid.replace(":", "_"),
-                replica_cls=replica_cls,
-                fsync=config.fsync,
-            )
-            host, port = await server.start()
-            proxy = ChaosProxy(
+        group = await ReplicaGroup.start(spec, system)
+        for index, (rid, (host, port)) in enumerate(group.addrs.items()):
+            proxies[rid] = ChaosProxy(
                 host,
                 port,
                 profile=config.proxy,
                 seed=config.seed * 1000 + index,
             )
-            addrs[rid] = await proxy.start()
-            servers[rid] = server
-            proxies[rid] = proxy
+            addrs[rid] = await proxies[rid].start()
 
         names = [f"client:t{i}" for i in range(config.clients)]
         for name in names:
@@ -316,19 +286,17 @@ async def _run_episode(
 
         crash_victim: Optional[str] = None
         if config.crash_restart:
-            crash_victim = rng.choice(list(servers))
+            crash_victim = rng.choice(group.node_ids)
             chaos_task = asyncio.create_task(
-                _crash_restart(
-                    servers, crash_victim, system, data_dir, config, replica_cls
-                )
+                _crash_restart(group, crash_victim, config)
             )
 
         injected: list[dict[str, Any]] = []
         if config.corruption:
-            candidates = [rid for rid in servers if rid != crash_victim]
+            candidates = [rid for rid in group.node_ids if rid != crash_victim]
             corruption_task = asyncio.create_task(
                 _corruption_chaos(
-                    servers,
+                    group,
                     rng.choice(candidates),
                     addrs,
                     config,
@@ -374,12 +342,13 @@ async def _run_episode(
             clients=config.clients,
             ops_per_client=config.ops_per_client,
         )
-        battery_cluster = _TcpCluster(
-            recorder.history,
-            {rid: server.replica for rid, server in servers.items()},
-        )
+        replicas = group.replicas
+        # The battery reads only ``history`` and ``replicas``.
         verdicts = run_oracle_battery(
-            battery_cluster, plan, error_kind=error_kind, error=error
+            SimpleNamespace(history=recorder.history, replicas=replicas),
+            plan,
+            error_kind=error_kind,
+            error=error,
         )
         return TcpEpisodeResult(
             variant=variant,
@@ -389,12 +358,10 @@ async def _run_episode(
             proxy_stats={
                 rid: proxy.stats.as_dict() for rid, proxy in proxies.items()
             },
-            quarantines=sum(
-                s.replica.stats.quarantines for s in servers.values()
-            ),
-            repairs=sum(s.replica.stats.repairs for s in servers.values()),
+            quarantines=sum(r.stats.quarantines for r in replicas.values()),
+            repairs=sum(r.stats.repairs for r in replicas.values()),
             corrupt_records=sum(
-                s.replica.store.stats.corrupt_records for s in servers.values()
+                r.store.stats.corrupt_records for r in replicas.values()
             ),
             error=error,
         )
@@ -410,9 +377,8 @@ async def _run_episode(
             await client.close()
         for proxy in proxies.values():
             await proxy.stop()
-        for server in servers.values():
-            await server.stop()
-            server.replica.store.close()
+        if group is not None:
+            await group.stop()
 
 
 def run_tcp_episode(

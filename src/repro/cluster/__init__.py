@@ -1,6 +1,9 @@
 """Process-cluster orchestration and the unified deployment API.
 
-Two layers:
+A replica group on real sockets is a :class:`DeploymentSpec` through this
+package: :class:`ReplicaGroup` is the only code that builds a
+``ReplicaServer``, and the TCP deployment, ``repro serve``, the TCP chaos
+campaign and the TCP load harness all start one.  Two layers:
 
 * :mod:`repro.cluster.process` — :class:`ProcessCluster` launches one
   ``python -m repro serve`` worker per replica group, discovers the
@@ -17,6 +20,7 @@ Two layers:
 from repro.cluster.deploy import (
     Deployment,
     ProcessDeployment,
+    ReplicaGroup,
     SimDeployment,
     TcpDeployment,
     deploy,
@@ -30,6 +34,7 @@ __all__ = [
     "SimDeployment",
     "TcpDeployment",
     "ProcessDeployment",
+    "ReplicaGroup",
     "deploy",
     "ProcessCluster",
     "WorkerHandle",

@@ -6,7 +6,8 @@ sim ``ClusterOptions``, hand-wired ``ReplicaServer`` + ``AsyncClient``,
 covers the common single-group case uniformly:
 
 * ``transport="sim"``      — the deterministic virtual-time simulator.
-* ``transport="tcp"``      — in-process asyncio servers over loopback.
+* ``transport="tcp"``      — in-process asyncio servers over loopback,
+  one :class:`ReplicaGroup`.
 * ``transport="process"``  — one OS process per worker via
   :class:`~repro.cluster.process.ProcessCluster`.
 
@@ -16,6 +17,11 @@ wrappers, ``fingerprints`` (per-replica durable-state digests, the
 cross-transport equivalence oracle), ``verification_stats``, and ``close``.
 The real transports drive their asyncio machinery on a private background
 loop thread, so the handle itself is synchronous everywhere.
+
+:class:`ReplicaGroup` is the socket front door underneath: every replica
+group on real listeners in this package — ``TcpDeployment``, each
+``repro serve`` worker, the TCP chaos campaign and the TCP load harness —
+is built from a spec by it, and it alone constructs ``ReplicaServer``.
 """
 
 from __future__ import annotations
@@ -24,18 +30,22 @@ import asyncio
 import shutil
 import tempfile
 import threading
+from itertools import repeat
 from pathlib import Path
 from typing import Any, Optional, Sequence
 
 from repro.cluster.process import ProcessCluster, replica_data_dir
 from repro.cluster.spec import DeploymentSpec
-from repro.core.config import Variant
+from repro.core.config import SystemConfig, Variant
+from repro.core.replica import BftBcReplica
 from repro.core.verification import VerificationStats
 from repro.errors import QuorumConfigError
+from repro.net.asyncio_transport import ReplicaServer
 from repro.net.mux import OpRecord, PipelinedClient
 from repro.obs.instrumentation import Instrumentation
 
 __all__ = [
+    "ReplicaGroup",
     "Deployment",
     "SimDeployment",
     "TcpDeployment",
@@ -194,9 +204,109 @@ class _LoopThread:
         self.loop.close()
 
 
+class ReplicaGroup:
+    """The replicas of one spec on real listeners: the socket front door.
+
+    The only code that builds a ``ReplicaServer``.  A file-store replica
+    journals under :func:`~repro.cluster.process.replica_data_dir` of
+    ``spec.data_dir``; a memory one keeps its state machine in the object.
+    Loop-agnostic: every method is a coroutine on the caller's loop.
+    """
+
+    def __init__(
+        self, spec: DeploymentSpec, config: SystemConfig, node_ids: Sequence[str]
+    ) -> None:
+        self.spec = spec
+        self.config = config
+        self.node_ids = tuple(node_ids)
+        self.instrumentation = (
+            Instrumentation() if spec.instrumentation else None
+        )
+        self.servers: dict[str, ReplicaServer] = {}
+
+    @classmethod
+    async def start(
+        cls,
+        spec: DeploymentSpec,
+        config: SystemConfig,
+        *,
+        node_ids: Optional[Sequence[str]] = None,
+        ports: Optional[Sequence[int]] = None,
+    ) -> "ReplicaGroup":
+        """Listen for ``node_ids`` (default: all ``3f+1``) on ``ports``
+        (default: ephemeral); a failed start stops what it started."""
+        group = cls(spec, config, node_ids or config.quorums.replica_ids)
+        try:
+            for node_id, port in zip(group.node_ids, ports or repeat(0)):
+                group.servers[node_id] = group._server(node_id, port)
+                await group.servers[node_id].start()
+        except BaseException:
+            await group.stop()
+            raise
+        return group
+
+    def _server(self, node_id: str, port: int) -> ReplicaServer:
+        spec = self.spec
+        replica_cls = Variant.coerce(spec.variant).replica_cls
+        if spec.store == "file":
+            return ReplicaServer.durable(
+                node_id,
+                self.config,
+                replica_data_dir(spec.data_dir, self.node_ids, node_id),
+                host=spec.host,
+                port=port,
+                replica_cls=replica_cls,
+                fsync=spec.fsync,
+                instrumentation=self.instrumentation,
+                batch_verify=spec.batch_verify,
+            )
+        replica = replica_cls(
+            node_id, self.config, instrumentation=self.instrumentation
+        )
+        return ReplicaServer(
+            replica, host=spec.host, port=port, batch_verify=spec.batch_verify
+        )
+
+    @property
+    def addrs(self) -> dict[str, tuple[str, int]]:
+        return {
+            node_id: (server.host, server.port)
+            for node_id, server in self.servers.items()
+        }
+
+    @property
+    def replicas(self) -> dict[str, BftBcReplica]:
+        return {
+            node_id: server.replica for node_id, server in self.servers.items()
+        }
+
+    async def crash(self, node_id: str) -> None:
+        """Stop the listener, drop its connections, close its store."""
+        server = self.servers[node_id]
+        await server.stop()
+        server.replica.store.close()
+
+    async def recover(self, node_id: str) -> ReplicaServer:
+        """Listen again on the same port.  A file-store replica is rebuilt
+        from snapshot + WAL; a memory one resumes its state machine."""
+        server = self.servers[node_id]
+        if self.spec.store == "file":
+            server = self.servers[node_id] = self._server(node_id, server.port)
+        await server.start()
+        return server
+
+    async def stop(self) -> None:
+        """Stop every listener and close every store (idempotent)."""
+        for node_id in self.servers:
+            await self.crash(node_id)
+
+
 class _SocketDeployment(Deployment):
     """What the real transports share: the spec's configuration, a loop
-    thread, and one pipelined client over the replicas' addresses."""
+    thread, and one pipelined client over the replicas' addresses.  A
+    constructor that fails stops everything it started."""
+
+    _pipe: Optional[PipelinedClient] = None
 
     def __init__(self, spec: DeploymentSpec) -> None:
         super().__init__(spec)
@@ -205,83 +315,65 @@ class _SocketDeployment(Deployment):
         # verify across process boundaries.
         self.config = spec.make_config()
         self._loop = _LoopThread()
-        self.addrs: dict[str, tuple[str, int]] = {}
-
-    def _connect(self) -> None:
-        """Dial ``self.addrs`` with ``spec.pipeline`` logical clients."""
-        client_cls = Variant.coerce(self.spec.variant).client_cls
-        self._pipe = PipelinedClient(
-            [
-                client_cls(f"client:pipe{i}", self.config)
-                for i in range(self.spec.pipeline)
-            ],
-            self.addrs,
-            verifier=self.config.verifier if self.spec.batch_verify else None,
-        )
-        self._loop.run(self._pipe.connect())
+        try:
+            self.addrs = self._start_hosts()
+            client_cls = Variant.coerce(spec.variant).client_cls
+            self._pipe = PipelinedClient(
+                [
+                    client_cls(f"client:pipe{i}", self.config)
+                    for i in range(spec.pipeline)
+                ],
+                self.addrs,
+                verifier=self.config.verifier if spec.batch_verify else None,
+            )
+            self._loop.run(self._pipe.connect())
+        except BaseException:
+            self.close()
+            raise
 
     def run_script(
         self, script: Sequence[tuple[str, Any]]
     ) -> list[OpRecord]:
+        assert self._pipe is not None
         records = self._loop.run(self._pipe.run_script(list(script)))
         return sorted(records, key=lambda record: record.index)
 
+    def _start_hosts(self) -> dict[str, tuple[str, int]]:
+        """Stand up the replicas (servers or workers); their addresses."""
+        raise NotImplementedError
+
     def _stop_hosts(self) -> None:
-        """Stop the replicas this handle stood up (servers or workers)."""
+        """Stop whatever :meth:`_start_hosts` got as far as starting."""
         raise NotImplementedError
 
     def close(self) -> None:
-        self._loop.run(self._pipe.close())
+        if self._pipe is not None:
+            self._loop.run(self._pipe.close())
         self._stop_hosts()
         self._loop.stop()
         self._remove_temp_dir()
 
 
 class TcpDeployment(_SocketDeployment):
-    """In-process asyncio servers over loopback, one per replica."""
+    """In-process asyncio servers over loopback: one :class:`ReplicaGroup`."""
 
-    def __init__(self, spec: DeploymentSpec) -> None:
-        super().__init__(spec)
-        from repro.net.asyncio_transport import ReplicaServer
+    group: Optional[ReplicaGroup] = None
 
-        self.instrumentation = (
-            Instrumentation() if spec.instrumentation else None
-        )
+    def _start_hosts(self) -> dict[str, tuple[str, int]]:
+        spec = self.spec
+        if spec.store == "file":
+            spec = spec.with_(data_dir=self._data_dir("repro-tcp-"))
+        self.group = self._loop.run(ReplicaGroup.start(spec, self.config))
+        self.instrumentation = self.group.instrumentation
         if self.instrumentation is not None:
             assert self.config.verifier is not None
             self.instrumentation.attach_verification(self.config.verifier.stats)
-        replica_cls = Variant.coerce(spec.variant).replica_cls
-        data_dir = self._data_dir("repro-tcp-") if spec.store == "file" else None
-        self.servers: list[ReplicaServer] = []
+        return self.group.addrs
 
-        async def start() -> None:
-            for node_id in self.config.quorums.replica_ids:
-                if data_dir is not None:
-                    server = ReplicaServer.durable(
-                        node_id,
-                        self.config,
-                        Path(data_dir) / node_id.replace(":", "_"),
-                        host=spec.host,
-                        replica_cls=replica_cls,
-                        fsync=spec.fsync,
-                        instrumentation=self.instrumentation,
-                        batch_verify=spec.batch_verify,
-                    )
-                else:
-                    server = ReplicaServer(
-                        replica_cls(
-                            node_id,
-                            self.config,
-                            instrumentation=self.instrumentation,
-                        ),
-                        host=spec.host,
-                        batch_verify=spec.batch_verify,
-                    )
-                self.addrs[node_id] = await server.start()
-                self.servers.append(server)
-
-        self._loop.run(start())
-        self._connect()
+    @property
+    def servers(self) -> list[ReplicaServer]:
+        assert self.group is not None
+        return list(self.group.servers.values())
 
     def fingerprints(self) -> dict[str, str]:
         return {
@@ -294,40 +386,32 @@ class TcpDeployment(_SocketDeployment):
         return None if verifier is None else verifier.stats
 
     def _stop_hosts(self) -> None:
-        async def stop() -> None:
-            for server in self.servers:
-                await server.stop()
-
-        self._loop.run(stop())
+        if self.group is not None:
+            self._loop.run(self.group.stop())
 
 
 class ProcessDeployment(_SocketDeployment):
     """One OS process per worker: the real multi-core cluster."""
 
+    cluster: Optional[ProcessCluster] = None
+
     def __init__(
         self, spec: DeploymentSpec, *, auto_restart: bool = False
     ) -> None:
+        self._auto_restart = auto_restart
         super().__init__(spec)
+
+    def _start_hosts(self) -> dict[str, tuple[str, int]]:
         self.cluster = ProcessCluster(
-            f=spec.f,
-            seed=spec.seed,
-            variant=str(spec.variant),
-            scheme=spec.scheme,
-            data_dir=self._data_dir("repro-cluster-"),
-            host=spec.host,
-            fsync=spec.fsync,
-            workers=spec.workers,
-            auto_restart=auto_restart,
+            self.spec.with_(data_dir=self._data_dir("repro-cluster-")),
+            auto_restart=self._auto_restart,
         )
-        self._stopped = False
-        self.addrs = self.cluster.start()
-        self._connect()
+        return self.cluster.start()
 
     def stop_workers(self) -> None:
         """Terminate the worker fleet (idempotent); connections drop."""
-        if not self._stopped:
+        if self.cluster is not None:
             self.cluster.stop()
-            self._stopped = True
 
     _stop_hosts = stop_workers
 
@@ -342,6 +426,7 @@ class ProcessDeployment(_SocketDeployment):
         self.stop_workers()
         from repro.storage import FileLogStore
 
+        assert self.cluster is not None
         replica_cls = Variant.coerce(self.spec.variant).replica_cls
         config = self.spec.make_config()
         digests: dict[str, str] = {}

@@ -8,9 +8,10 @@ directory — the replica recovers its Figure-2 state from snapshot + WAL —
 and, because restarts re-request the originally announced ports, the
 other processes' address books stay valid.
 
-The cluster records itself in ``<data_dir>/cluster.json`` so a separate
-invocation (``python -m repro cluster status|down``) can find and manage
-the fleet.
+The cluster records itself in ``<data_dir>/cluster.json`` — the spec's
+``to_wire()`` form beside the worker table — so a separate invocation
+(``python -m repro cluster status|down``) can find and manage the fleet,
+and each worker's stabilization loop can find its peers.
 """
 
 from __future__ import annotations
@@ -24,14 +25,31 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Optional
+from typing import IO, Any, Optional
 
+from repro.cluster.spec import DeploymentSpec
 from repro.core.quorum import QuorumSystem
-from repro.errors import NetworkError
+from repro.errors import NetworkError, QuorumConfigError
 
-__all__ = ["ProcessCluster", "WorkerHandle", "STATE_FILE", "replica_data_dir"]
+__all__ = [
+    "ProcessCluster",
+    "WorkerHandle",
+    "STATE_FILE",
+    "replica_data_dir",
+    "serve_command",
+]
 
 STATE_FILE = "cluster.json"
+#: Seconds between the supervisor's liveness checks.
+MONITOR_INTERVAL = 0.25
+#: Seconds a worker has to announce every replica it hosts.
+START_TIMEOUT = 30.0
+#: Client-id namespaces each worker admits wholesale.
+OPEN_NAMESPACES = ("client:",)
+#: Seconds between each worker's periodic self-audits; a worker that
+#: recovers onto a corrupted data directory quarantines and repairs from
+#: the peers named in ``cluster.json``.
+AUDIT_INTERVAL = 1.0
 
 
 def _worker_env() -> dict[str, str]:
@@ -63,8 +81,9 @@ def replica_data_dir(
 
     A worker hosting a single replica journals directly in its directory
     (the historical ``serve`` layout); a worker hosting several gives each
-    replica its own subdirectory.  ``serve``, the orchestrator, and the
-    offline fingerprint recovery all share this rule.
+    replica its own subdirectory.  This is the one layout rule: ``serve``,
+    ``TcpDeployment``, the TCP chaos campaign and the offline fingerprint
+    recovery all journal where it says.
     """
     if len(node_ids) == 1:
         return str(worker_dir)
@@ -93,47 +112,51 @@ class WorkerHandle:
         return self.process is not None and self.process.poll() is None
 
 
+def serve_command(
+    spec: DeploymentSpec, worker: WorkerHandle, ports: str = "0"
+) -> list[str]:
+    """The ``python -m repro serve`` line that hosts ``worker`` under ``spec``."""
+    cmd = [
+        sys.executable, "-m", "repro",
+        "--f", str(spec.f),
+        "--seed", str(spec.seed),
+        "serve", *worker.node_ids,
+        "--data-dir", worker.data_dir,
+        "--variant", str(spec.variant),
+        "--scheme", spec.scheme,
+        "--host", spec.host,
+        "--port", ports,
+        "--fsync", spec.fsync,
+        "--announce",
+        "--peers-file", str(Path(str(spec.data_dir)) / STATE_FILE),
+        "--audit-interval", str(AUDIT_INTERVAL),
+    ]
+    for namespace in OPEN_NAMESPACES:
+        cmd.extend(["--open-namespace", namespace])
+    if not spec.batch_verify:
+        cmd.append("--no-batch-verify")
+    return cmd
+
+
 class ProcessCluster:
-    """Launches and supervises one ``serve`` worker per replica group."""
+    """Launches and supervises one ``serve`` worker per replica group.
+
+    ``spec`` names the fleet: ``f``, ``seed``, ``variant``, ``scheme``,
+    ``host``, ``fsync`` and ``batch_verify`` reach every worker's command
+    line, ``workers`` partitions the ``3f+1`` replicas, and ``data_dir``
+    (required) holds the worker directories and ``cluster.json``.
+    """
 
     def __init__(
-        self,
-        *,
-        f: int = 1,
-        seed: int = 0,
-        variant: str = "base",
-        scheme: str = "hmac",
-        data_dir: str,
-        host: str = "127.0.0.1",
-        fsync: str = "always",
-        workers: Optional[int] = None,
-        auto_restart: bool = False,
-        monitor_interval: float = 0.25,
-        start_timeout: float = 30.0,
-        python: str = sys.executable,
-        open_namespaces: tuple[str, ...] = ("client:",),
-        audit_interval: float = 1.0,
+        self, spec: DeploymentSpec, *, auto_restart: bool = False
     ) -> None:
-        self.f = f
-        self.seed = seed
-        self.variant = variant
-        self.scheme = scheme
-        self.data_dir = str(data_dir)
-        self.host = host
-        self.fsync = fsync
+        if spec.data_dir is None:
+            raise QuorumConfigError("a process cluster needs spec.data_dir")
+        self.spec = spec
+        self.data_dir = str(spec.data_dir)
         self.auto_restart = auto_restart
-        self.monitor_interval = monitor_interval
-        self.start_timeout = start_timeout
-        self.python = python
-        #: Client-id namespaces each worker admits wholesale (the load
-        #: harness needs its ``load:`` identities verifiable cluster-side).
-        self.open_namespaces = tuple(open_namespaces)
-        #: Seconds between each worker's periodic self-audits; a worker
-        #: that recovers onto a corrupted data directory quarantines and
-        #: repairs from the peers named in ``cluster.json`` (0 disables).
-        self.audit_interval = audit_interval
-        node_ids = QuorumSystem.bft_bc(f).replica_ids
-        count = len(node_ids) if workers is None else workers
+        node_ids = QuorumSystem.bft_bc(spec.f).replica_ids
+        count = spec.n if spec.workers is None else spec.workers
         # Partition the n replicas across the workers round-robin; with the
         # default one-worker-per-replica layout each group is a singleton.
         groups: list[list[str]] = [[] for _ in range(count)]
@@ -158,14 +181,20 @@ class ProcessCluster:
     def start(self) -> dict[str, tuple[str, int]]:
         """Spawn every worker; block until all replicas have announced.
 
-        Returns the full ``node_id -> (host, port)`` address book.
+        Returns the full ``node_id -> (host, port)`` address book.  If any
+        worker fails to announce, every worker spawned so far is stopped
+        before the error propagates.
         """
         Path(self.data_dir).mkdir(parents=True, exist_ok=True)
-        for worker in self.workers:
-            self._spawn(worker)
-        deadline = time.monotonic() + self.start_timeout
-        for worker in self.workers:
-            self._await_announcements(worker, deadline)
+        try:
+            for worker in self.workers:
+                self._spawn(worker)
+            deadline = time.monotonic() + START_TIMEOUT
+            for worker in self.workers:
+                self._await_announcements(worker, deadline)
+        except BaseException:
+            self.stop()
+            raise
         self._write_state()
         if self.auto_restart:
             self._stopping.clear()
@@ -184,42 +213,11 @@ class ProcessCluster:
             )
         else:
             ports = "0"
-        cmd = [
-            self.python,
-            "-m",
-            "repro",
-            "--f",
-            str(self.f),
-            "--seed",
-            str(self.seed),
-            "serve",
-            *worker.node_ids,
-            "--data-dir",
-            worker.data_dir,
-            "--variant",
-            str(self.variant),
-            "--scheme",
-            self.scheme,
-            "--host",
-            self.host,
-            "--port",
-            ports,
-            "--fsync",
-            self.fsync,
-            "--announce",
-        ]
-        for namespace in self.open_namespaces:
-            cmd.extend(["--open-namespace", namespace])
-        if self.audit_interval > 0:
-            cmd.extend([
-                "--peers-file", str(self._state_path()),
-                "--audit-interval", str(self.audit_interval),
-            ])
         worker.log_path = str(Path(worker.data_dir) / "worker.log")
         log = open(worker.log_path, "ab")
         try:
             worker.process = subprocess.Popen(
-                cmd,
+                serve_command(self.spec, worker, ports),
                 stdout=subprocess.PIPE,
                 stderr=log,
                 env=_worker_env(),
@@ -238,7 +236,7 @@ class ProcessCluster:
             if time.monotonic() > deadline:
                 raise NetworkError(
                     f"worker {worker.index} did not announce {sorted(pending)} "
-                    f"within {self.start_timeout}s (log: {worker.log_path})"
+                    f"within {START_TIMEOUT}s (log: {worker.log_path})"
                 )
             line = stdout.readline()
             if not line:
@@ -271,7 +269,7 @@ class ProcessCluster:
     # -- supervision ---------------------------------------------------------
 
     def _monitor_loop(self) -> None:
-        while not self._stopping.wait(self.monitor_interval):
+        while not self._stopping.wait(MONITOR_INTERVAL):
             for worker in self.workers:
                 with self._lock:
                     if self._stopping.is_set() or worker.alive:
@@ -287,7 +285,7 @@ class ProcessCluster:
         re-dial on their retransmission timers.
         """
         self._spawn(worker, pin_ports=True)
-        deadline = time.monotonic() + self.start_timeout
+        deadline = time.monotonic() + START_TIMEOUT
         self._await_announcements(worker, deadline)
         # Incremented only once the worker has re-announced: observers
         # polling ``restarts`` may rely on the replicas listening again.
@@ -308,19 +306,11 @@ class ProcessCluster:
             worker.process.wait(timeout=10)
         return worker
 
-    def status(self) -> list[dict[str, object]]:
+    def status(self) -> list[dict[str, Any]]:
+        """One row per worker: its ``cluster.json`` entry plus liveness."""
         return [
-            {
-                "worker": worker.index,
-                "pid": worker.pid,
-                "alive": worker.alive,
-                "restarts": worker.restarts,
-                "replicas": {
-                    node_id: list(worker.addrs.get(node_id, ("", 0)))
-                    for node_id in worker.node_ids
-                },
-            }
-            for worker in self.workers
+            dict(row, alive=worker.alive)
+            for row, worker in zip(self._worker_table(), self.workers)
         ]
 
     def stop(self, *, grace: float = 5.0) -> None:
@@ -351,30 +341,23 @@ class ProcessCluster:
     def _state_path(self) -> Path:
         return Path(self.data_dir) / STATE_FILE
 
+    def _worker_table(self) -> list[dict[str, Any]]:
+        return [
+            {
+                "index": worker.index,
+                "node_ids": list(worker.node_ids),
+                "data_dir": worker.data_dir,
+                "pid": worker.pid,
+                "addrs": {
+                    node_id: list(addr) for node_id, addr in worker.addrs.items()
+                },
+                "restarts": worker.restarts,
+            }
+            for worker in self.workers
+        ]
+
     def _write_state(self) -> None:
-        state = {
-            "f": self.f,
-            "seed": self.seed,
-            "variant": str(self.variant),
-            "scheme": self.scheme,
-            "host": self.host,
-            "fsync": self.fsync,
-            "data_dir": self.data_dir,
-            "workers": [
-                {
-                    "index": worker.index,
-                    "node_ids": list(worker.node_ids),
-                    "data_dir": worker.data_dir,
-                    "pid": worker.pid,
-                    "addrs": {
-                        node_id: list(addr)
-                        for node_id, addr in worker.addrs.items()
-                    },
-                    "restarts": worker.restarts,
-                }
-                for worker in self.workers
-            ],
-        }
+        state = {"spec": self.spec.to_wire(), "workers": self._worker_table()}
         path = self._state_path()
         tmp = path.with_suffix(".tmp")
         tmp.write_text(json.dumps(state, indent=2, sort_keys=True))

@@ -3,12 +3,13 @@
 The deterministic simulator answers the capacity and differential questions;
 this module answers "does the same open-loop schedule survive contact with a
 real event loop, real sockets, and wall-clock time".  It hosts one 3f+1
-group of :class:`~repro.net.asyncio_transport.ReplicaServer` listeners and
-fires the profile's arrival schedule at it over one shared
-:class:`~repro.net.mux.MuxEndpoint`, dialled before the clock starts: each
-arrival's identity is registered on the endpoint for the life of its
-operation and released afterwards, so the run measures the protocol, not
-``connect()``.
+:class:`~repro.cluster.deploy.ReplicaGroup` in memory, keyed by a
+``load-seed-<seed>`` configuration carrying the client-state budget and the
+profile's writer namespace, and fires the arrival schedule at it over one
+shared :class:`~repro.net.mux.MuxEndpoint`, dialled before the clock
+starts: each arrival's identity is registered on the endpoint for the life
+of its operation and released afterwards, so the run measures the
+protocol, not ``connect()``.
 
 Open-loop discipline is kept: the dispatcher sleeps until each scheduled
 arrival and spawns the operation *without awaiting it*.  A semaphore caps
@@ -29,12 +30,13 @@ from __future__ import annotations
 import asyncio
 from typing import Optional
 
+from repro.cluster.deploy import ReplicaGroup
+from repro.cluster.spec import DeploymentSpec
 from repro.core.config import NamespaceWriters, SystemConfig, Variant, make_system
 from repro.core.persistence import ClientStateBudget
 from repro.load.generator import Arrival, OpenLoopGenerator
 from repro.load.profile import DEFAULT_SLOS, LoadProfile, LoadReport, SloTarget
 from repro.load.harness import LoadTally
-from repro.net.asyncio_transport import ReplicaServer
 from repro.net.mux import MuxEndpoint, drive
 
 __all__ = ["run_tcp_load"]
@@ -44,50 +46,15 @@ RETRANSMIT_INTERVAL = 0.2
 
 async def _run_tcp_load(
     profile: LoadProfile,
-    *,
-    f: int,
-    variant: Variant,
-    scheme: str,
-    budget: Optional[ClientStateBudget],
+    spec: DeploymentSpec,
+    config: SystemConfig,
     slos: tuple[SloTarget, ...],
     max_concurrency: int,
     op_timeout: float,
-    addrs: Optional[dict[str, tuple[str, int]]] = None,
-    config: Optional[SystemConfig] = None,
 ) -> LoadReport:
-    external = addrs is not None
-    if config is None:
-        # An external cluster (``repro.cluster``) derives its keys from the
-        # ``cluster-seed-<seed>`` convention; the in-process servers keep
-        # the historical load seed so existing digests stay stable.
-        seed = (
-            b"cluster-seed-%d" % profile.seed
-            if external
-            else b"load-seed-%d" % profile.seed
-        )
-        config = make_system(
-            f,
-            scheme=scheme,
-            seed=seed,
-            strong=variant.strong,
-            client_state_budget=budget,
-            authorized_writers=NamespaceWriters(profile.namespace),
-        )
-    config.registry.open_namespace(profile.namespace)
-    servers = (
-        []
-        if external
-        else [
-            ReplicaServer(variant.replica_cls(node_id, config))
-            for node_id in config.quorums.replica_ids
-        ]
-    )
-    if not external:
-        addrs = {
-            server.replica.node_id: await server.start() for server in servers
-        }
-    assert addrs is not None
-    endpoint = MuxEndpoint(addrs)
+    client_cls = Variant.coerce(spec.variant).client_cls
+    group = await ReplicaGroup.start(spec, config)
+    endpoint = MuxEndpoint(group.addrs)
     await endpoint.reconnect_broken()
 
     loop = asyncio.get_running_loop()
@@ -99,7 +66,7 @@ async def _run_tcp_load(
     async def run_op(arrival: Arrival) -> None:
         turn = turns.setdefault(arrival.client, asyncio.Lock())
         async with turn, semaphore:
-            client = variant.client_cls(arrival.client, config)
+            client = client_cls(arrival.client, config)
             sends = (
                 client.begin_write(f"v{arrival.index}")
                 if arrival.kind == "write"
@@ -139,8 +106,7 @@ async def _run_tcp_load(
     if tasks:
         await asyncio.gather(*tasks, return_exceptions=True)
     await endpoint.close()
-    for server in servers:
-        await server.stop()
+    await group.stop()
 
     return tally.report(
         slos=slos,
@@ -163,29 +129,19 @@ def run_tcp_load(
     slos: tuple[SloTarget, ...] = DEFAULT_SLOS,
     max_concurrency: int = 64,
     op_timeout: float = 10.0,
-    addrs: Optional[dict[str, tuple[str, int]]] = None,
-    config: Optional[SystemConfig] = None,
 ) -> LoadReport:
-    """Run one open-loop profile over loopback TCP and return the report.
-
-    By default the harness hosts an in-process 3f+1 server group.  Pass
-    ``addrs`` (e.g. :attr:`repro.cluster.ProcessCluster.addrs`) to fire the
-    same schedule at an externally managed cluster instead — the workers
-    must share the profile's seed (the ``cluster-seed-<seed>`` convention)
-    and admit the profile's identity namespace (``--open-namespace``), or
-    supply a matching ``config`` explicitly.
-    """
+    """Run one open-loop profile against an in-process 3f+1 group over
+    loopback TCP and return the report."""
+    spec = DeploymentSpec(f=f, variant=variant, scheme=scheme, transport="tcp")
+    config = make_system(
+        f,
+        scheme=scheme,
+        seed=b"load-seed-%d" % profile.seed,
+        strong=Variant.coerce(variant).strong,
+        client_state_budget=budget,
+        authorized_writers=NamespaceWriters(profile.namespace),
+    )
+    config.registry.open_namespace(profile.namespace)
     return asyncio.run(
-        _run_tcp_load(
-            profile,
-            f=f,
-            variant=Variant.coerce(variant),
-            scheme=scheme,
-            budget=budget,
-            slos=slos,
-            max_concurrency=max_concurrency,
-            op_timeout=op_timeout,
-            addrs=addrs,
-            config=config,
-        )
+        _run_tcp_load(profile, spec, config, slos, max_concurrency, op_timeout)
     )

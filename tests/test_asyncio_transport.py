@@ -6,74 +6,66 @@ import asyncio
 
 import pytest
 
-from repro.core import (
-    BftBcClient,
-    BftBcReplica,
-    OptimizedBftBcClient,
-    OptimizedBftBcReplica,
-    make_system,
-)
+from repro.cluster import DeploymentSpec, ReplicaGroup
+from repro.core import BftBcClient, OptimizedBftBcClient, make_system
 from repro.errors import OperationFailedError
-from repro.net.asyncio_transport import AsyncClient, ReplicaServer
+from repro.net.asyncio_transport import AsyncClient
 
 
 def run(coro):
     return asyncio.run(coro)
 
 
-async def start_cluster(config, replica_cls=BftBcReplica, skip=()):
-    servers, addrs = [], {}
-    for rid in config.quorums.replica_ids:
-        if rid in skip:
-            # An address nobody listens on: a crashed replica.
-            addrs[rid] = ("127.0.0.1", 1)
-            continue
-        server = ReplicaServer(replica_cls(rid, config))
-        host, port = await server.start()
-        addrs[rid] = (host, port)
-        servers.append(server)
-    return servers, addrs
+async def start_cluster(config, variant="base", skip=()):
+    replica_ids = config.quorums.replica_ids
+    group = await ReplicaGroup.start(
+        DeploymentSpec(transport="tcp", variant=variant),
+        config,
+        node_ids=[rid for rid in replica_ids if rid not in skip],
+    )
+    # A skipped replica gets an address nobody listens on: a crashed one.
+    addrs = {rid: group.addrs.get(rid, ("127.0.0.1", 1)) for rid in replica_ids}
+    return group, addrs
 
 
-async def stop_cluster(servers, *clients):
+async def stop_cluster(group, *clients):
     for client in clients:
         await client.close()
-    for server in servers:
-        await server.stop()
+    await group.stop()
 
 
 class TestTcpBase:
     def test_write_and_read(self):
         async def main():
             config = make_system(f=1, seed=b"tcp-1")
-            servers, addrs = await start_cluster(config)
+            group, addrs = await start_cluster(config)
             client = AsyncClient(BftBcClient("client:a", config), addrs)
             await client.connect()
             ts = await client.write(("client:a", 1, "x"))
             assert ts.val == 1
             value = await client.read()
             assert value == ("client:a", 1, "x")
-            await stop_cluster(servers, client)
+            await stop_cluster(group, client)
 
         run(main())
 
     def test_sequential_writes(self):
         async def main():
             config = make_system(f=1, seed=b"tcp-2")
-            servers, addrs = await start_cluster(config)
+            group, addrs = await start_cluster(config)
             client = AsyncClient(BftBcClient("client:a", config), addrs)
             await client.connect()
             for seq in range(1, 4):
                 ts = await client.write(("client:a", seq, None))
                 assert ts.val == seq
-            await stop_cluster(servers, client)
+            await stop_cluster(group, client)
 
         run(main())
 
     def test_two_clients_interleaved(self):
         async def main():
             config = make_system(f=1, seed=b"tcp-3")
-            servers, addrs = await start_cluster(config)
+            group, addrs = await start_cluster(config)
             a = AsyncClient(BftBcClient("client:a", config), addrs)
             b = AsyncClient(BftBcClient("client:b", config), addrs)
             await a.connect()
@@ -81,28 +73,28 @@ class TestTcpBase:
             await a.write(("client:a", 1, None))
             await b.write(("client:b", 1, None))
             assert await a.read() == ("client:b", 1, None)
-            await stop_cluster(servers, a, b)
+            await stop_cluster(group, a, b)
 
         run(main())
 
     def test_survives_one_unreachable_replica(self):
         async def main():
             config = make_system(f=1, seed=b"tcp-4")
-            servers, addrs = await start_cluster(config, skip={"replica:3"})
+            group, addrs = await start_cluster(config, skip={"replica:3"})
             client = AsyncClient(
                 BftBcClient("client:a", config), addrs, retransmit_interval=0.05
             )
             await client.connect()
             ts = await client.write(("client:a", 1, None))
             assert ts.val == 1
-            await stop_cluster(servers, client)
+            await stop_cluster(group, client)
 
         run(main())
 
     def test_times_out_below_quorum(self):
         async def main():
             config = make_system(f=1, seed=b"tcp-5")
-            servers, addrs = await start_cluster(
+            group, addrs = await start_cluster(
                 config, skip={"replica:2", "replica:3"}
             )
             client = AsyncClient(
@@ -114,7 +106,7 @@ class TestTcpBase:
             await client.connect()
             with pytest.raises(OperationFailedError):
                 await client.write(("client:a", 1, None))
-            await stop_cluster(servers, client)
+            await stop_cluster(group, client)
 
         run(main())
 
@@ -123,15 +115,13 @@ class TestTcpOptimized:
     def test_optimized_fast_path_over_tcp(self):
         async def main():
             config = make_system(f=1, seed=b"tcp-6")
-            servers, addrs = await start_cluster(
-                config, replica_cls=OptimizedBftBcReplica
-            )
+            group, addrs = await start_cluster(config, variant="optimized")
             client = AsyncClient(OptimizedBftBcClient("client:a", config), addrs)
             await client.connect()
             await client.write(("client:a", 1, None))
             assert client.client.op.phases == 2
             assert client.client.last_write_fast_path
-            await stop_cluster(servers, client)
+            await stop_cluster(group, client)
 
         run(main())
 
@@ -140,7 +130,7 @@ class TestTcpRobustness:
     def test_garbage_bytes_ignored_by_server(self):
         async def main():
             config = make_system(f=1, seed=b"tcp-7")
-            servers, addrs = await start_cluster(config)
+            group, addrs = await start_cluster(config)
             # Throw garbage at replica:0's port.
             host, port = addrs["replica:0"]
             reader, writer = await asyncio.open_connection(host, port)
@@ -151,7 +141,7 @@ class TestTcpRobustness:
             client = AsyncClient(BftBcClient("client:a", config), addrs)
             await client.connect()
             assert (await client.write(("client:a", 1, None))).val == 1
-            await stop_cluster(servers, client)
+            await stop_cluster(group, client)
 
         run(main())
 

@@ -5,8 +5,9 @@ from __future__ import annotations
 import asyncio
 
 from repro import build_cluster
-from repro.core import BftBcClient, BftBcReplica, make_system
-from repro.net.asyncio_transport import AsyncClient, ReplicaServer
+from repro.cluster import DeploymentSpec, ReplicaGroup
+from repro.core import BftBcClient, make_system
+from repro.net.asyncio_transport import AsyncClient
 from repro.sim import write_script, read_script
 
 VALUES = [("client:w", seq, f"payload-{seq}") for seq in range(3)]
@@ -25,24 +26,15 @@ def run_simulated():
 def run_tcp():
     async def main():
         config = make_system(f=1, seed=b"cross-transport")
-        servers, addrs = [], {}
-        replicas = {}
-        for rid in config.quorums.replica_ids:
-            replica = BftBcReplica(rid, config)
-            replicas[rid] = replica
-            server = ReplicaServer(replica)
-            host, port = await server.start()
-            addrs[rid] = (host, port)
-            servers.append(server)
-        client = AsyncClient(BftBcClient("client:w", config), addrs)
+        group = await ReplicaGroup.start(DeploymentSpec(transport="tcp"), config)
+        client = AsyncClient(BftBcClient("client:w", config), group.addrs)
         await client.connect()
         for value in VALUES:
             await client.write(value)
         read = await client.read()
         await client.close()
-        for server in servers:
-            await server.stop()
-        replica = replicas["replica:0"]
+        await group.stop()
+        replica = group.replicas["replica:0"]
         return read, replica.data, replica.pcert.ts
 
     return asyncio.run(main())

@@ -17,10 +17,11 @@ import time
 
 import pytest
 
+from repro.cluster import DeploymentSpec, ReplicaGroup
 from repro.core import BftBcClient, BftBcReplica, make_system
 from repro.core.operations import Send
 from repro.errors import OperationFailedError
-from repro.net.asyncio_transport import AsyncClient, ReplicaServer
+from repro.net.asyncio_transport import AsyncClient
 from repro.net.mux import MuxEndpoint, PipelinedClient, drive
 from repro.net.shard_transport import AsyncShardRouter, ShardReplicaServer
 from repro.shard import (
@@ -192,12 +193,8 @@ class TestDriveLoop:
 
 
 async def start_cluster(config):
-    servers, addrs = {}, {}
-    for rid in config.quorums.replica_ids:
-        server = ReplicaServer(BftBcReplica(rid, config))
-        addrs[rid] = await server.start()
-        servers[rid] = server
-    return servers, addrs
+    group = await ReplicaGroup.start(DeploymentSpec(transport="tcp"), config)
+    return group, group.addrs
 
 
 class TestEndpointBookkeeping:
@@ -207,19 +204,15 @@ class TestEndpointBookkeeping:
 
         async def main():
             config = make_system(f=1, seed=b"mux-churn")
-            servers, addrs = await start_cluster(config)
+            group, addrs = await start_cluster(config)
             endpoint = MuxEndpoint(addrs)
             await endpoint.connect()
             victim = "replica:1"
             flaps = 12
             for _ in range(flaps):
-                host, port = addrs[victim]
-                await servers[victim].stop()
+                await group.crash(victim)
                 await asyncio.sleep(0.01)  # the read loop sees EOF and exits
-                servers[victim] = ReplicaServer(
-                    BftBcReplica(victim, config), host=host, port=port
-                )
-                await servers[victim].start()
+                await group.recover(victim)
                 await endpoint.reconnect_broken()
                 assert len(endpoint._reader_tasks) <= len(addrs)
             assert endpoint.reconnects == flaps
@@ -227,8 +220,7 @@ class TestEndpointBookkeeping:
             await endpoint.close()
             await asyncio.sleep(0)
             assert not endpoint._reader_tasks
-            for server in servers.values():
-                await server.stop()
+            await group.stop()
 
         run(main())
 
@@ -236,7 +228,7 @@ class TestEndpointBookkeeping:
         async def main():
             config = make_system(f=1, seed=b"mux-unregister")
             config.registry.register("client:a")
-            servers, addrs = await start_cluster(config)
+            group, addrs = await start_cluster(config)
             endpoint = MuxEndpoint(addrs)
             await endpoint.connect()
             endpoint.register("client:a")
@@ -255,8 +247,7 @@ class TestEndpointBookkeeping:
             inbox = endpoint.register("client:a")  # the id is free again
             assert inbox.empty()
             await endpoint.close()
-            for server in servers.values():
-                await server.stop()
+            await group.stop()
 
         run(main())
 
@@ -313,16 +304,15 @@ def through_async_client(script):
     async def main():
         config = make_system(f=1, seed=b"parity")
         config.registry.register(CLIENT)
-        servers, addrs = await start_cluster(config)
+        group, addrs = await start_cluster(config)
         client = AsyncClient(BftBcClient(CLIENT, config), addrs)
         await client.connect()
         results = await run_steps(client.write, client.read, script)
         states = await settled(
-            [server.replica.snapshot_wire for server in servers.values()]
+            [replica.snapshot_wire for replica in group.replicas.values()]
         )
         await client.close()
-        for server in servers.values():
-            await server.stop()
+        await group.stop()
         return results, states
 
     return run(main())
@@ -332,7 +322,7 @@ def through_pipelined_client(script):
     async def main():
         config = make_system(f=1, seed=b"parity")
         config.registry.register(CLIENT)
-        servers, addrs = await start_cluster(config)
+        group, addrs = await start_cluster(config)
         pipe = PipelinedClient(
             [BftBcClient(CLIENT, config)], addrs, verifier=config.verifier
         )
@@ -340,11 +330,10 @@ def through_pipelined_client(script):
         records = await pipe.run_script(script)
         assert [record.index for record in records] == list(range(len(script)))
         states = await settled(
-            [server.replica.snapshot_wire for server in servers.values()]
+            [replica.snapshot_wire for replica in group.replicas.values()]
         )
         await pipe.close()
-        for server in servers.values():
-            await server.stop()
+        await group.stop()
         return [record.result for record in records], states
 
     return run(main())

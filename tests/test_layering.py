@@ -165,6 +165,39 @@ def test_checker_flags_an_adversary_that_reaches_its_host(tmp_path):
     ]
 
 
+def test_checker_flags_a_replica_server_outside_the_front_door(tmp_path):
+    """Only ``cluster.deploy`` builds ``ReplicaServer``s, directly or
+    through ``durable``; the classmethod's own ``cls(...)``, the shard
+    subclass and naming the class in an annotation stay free."""
+    (tmp_path / "repro" / "cluster").mkdir(parents=True)
+    (tmp_path / "repro" / "net").mkdir()
+    (tmp_path / "repro" / "chaos").mkdir()
+    (tmp_path / "repro" / "cluster" / "deploy.py").write_text(
+        "a = ReplicaServer(replica)\nb = ReplicaServer.durable(node, c, d)\n"
+    )
+    (tmp_path / "repro" / "net" / "asyncio_transport.py").write_text(
+        "class ReplicaServer:\n"
+        "    @classmethod\n"
+        "    def durable(cls, replica):\n"
+        "        return cls(replica)\n"
+    )
+    (tmp_path / "repro" / "net" / "shard_transport.py").write_text(
+        "class ShardReplicaServer(ReplicaServer):\n    pass\n"
+        "server = ShardReplicaServer(replica)\n"
+    )
+    (tmp_path / "repro" / "chaos" / "tcp.py").write_text(
+        "from repro.net import asyncio_transport\n"
+        "servers: list[ReplicaServer] = []\n"
+        "a = asyncio_transport.ReplicaServer(replica)\n"
+        "b = ReplicaServer.durable(node, c, d)\n"
+    )
+    found = check_layering.find_duplication(tmp_path)
+    assert [(module, line) for module, line, _ in found] == [
+        ("repro.chaos.tcp", 3),
+        ("repro.chaos.tcp", 4),
+    ]
+
+
 def test_checker_cli_passes():
     result = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "check_layering.py")],

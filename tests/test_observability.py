@@ -24,14 +24,15 @@ from hypothesis import given, settings, strategies as st
 from repro import (
     AsyncClient,
     BftBcReplica,
+    DeploymentSpec,
     Instrumentation,
-    ReplicaServer,
     StrongBftBcClient,
     build_cluster,
     make_system,
     read_script,
     write_script,
 )
+from repro.cluster import ReplicaGroup
 from repro.errors import ReproError
 from repro.obs import (
     NULL_SPAN,
@@ -114,29 +115,24 @@ class TestSpanCompletenessSim:
 
 class TestSpanCompletenessAsyncio:
     def run_tcp_strong_write(self):
-        instr = Instrumentation()
-
         async def main():
             config = make_system(f=1, seed=b"obs-tcp", strong=True)
-            servers, addrs = [], {}
-            for rid in config.quorums.replica_ids:
-                replica = BftBcReplica(rid, config, instrumentation=instr)
-                server = ReplicaServer(replica)
-                host, port = await server.start()
-                addrs[rid] = (host, port)
-                servers.append(server)
+            spec = DeploymentSpec(
+                transport="tcp", variant="strong", instrumentation=True
+            )
+            group = await ReplicaGroup.start(spec, config)
+            instr = group.instrumentation
             client = AsyncClient(
                 StrongBftBcClient("client:w", config, instrumentation=instr),
-                addrs,
+                group.addrs,
             )
             await client.connect()
             await client.write(("client:w", 0, "tcp-payload"))
             await client.close()
-            for server in servers:
-                await server.stop()
+            await group.stop()
+            return instr
 
-        asyncio.run(main())
-        return instr
+        return asyncio.run(main())
 
     def test_one_write_emits_every_phase_exactly_once(self):
         instr = self.run_tcp_strong_write()

@@ -15,9 +15,10 @@ import struct
 
 import pytest
 
-from repro.core import BftBcClient, BftBcReplica, make_system
+from repro.cluster import DeploymentSpec, ReplicaGroup
+from repro.core import BftBcClient, make_system
 from repro.encoding.codec import MAX_FRAME_SIZE
-from repro.net.asyncio_transport import AsyncClient, ReplicaServer
+from repro.net.asyncio_transport import AsyncClient
 
 
 def run(coro):
@@ -25,19 +26,14 @@ def run(coro):
 
 
 async def start_cluster(config):
-    servers, addrs = {}, {}
-    for rid in config.quorums.replica_ids:
-        server = ReplicaServer(BftBcReplica(rid, config))
-        addrs[rid] = await server.start()
-        servers[rid] = server
-    return servers, addrs
+    group = await ReplicaGroup.start(DeploymentSpec(transport="tcp"), config)
+    return group, group.addrs
 
 
-async def stop_all(servers, *clients):
+async def stop_all(group, *clients):
     for client in clients:
         await client.close()
-    for server in servers.values():
-        await server.stop()
+    await group.stop()
 
 
 async def wait_for(predicate, timeout=2.0):
@@ -63,8 +59,8 @@ async def assert_cluster_serves(config, addrs, value):
 def test_garbage_magic_drops_connection_and_cluster_survives():
     async def main():
         config = make_system(f=1, seed=b"hostile-magic")
-        servers, addrs = await start_cluster(config)
-        victim = servers["replica:0"]
+        group, addrs = await start_cluster(config)
+        victim = group.servers["replica:0"]
 
         reader, writer = await asyncio.open_connection(*addrs["replica:0"])
         writer.write(b"\x00\x00" + b"junk that is certainly not a frame")
@@ -76,7 +72,7 @@ def test_garbage_magic_drops_connection_and_cluster_survives():
         writer.close()
 
         await assert_cluster_serves(config, addrs, ("v", 1))
-        await stop_all(servers)
+        await stop_all(group)
 
     run(main())
 
@@ -84,8 +80,8 @@ def test_garbage_magic_drops_connection_and_cluster_survives():
 def test_oversized_length_prefix_rejected_before_allocation():
     async def main():
         config = make_system(f=1, seed=b"hostile-length")
-        servers, addrs = await start_cluster(config)
-        victim = servers["replica:0"]
+        group, addrs = await start_cluster(config)
+        victim = group.servers["replica:0"]
 
         reader, writer = await asyncio.open_connection(*addrs["replica:0"])
         # A valid magic with a length beyond MAX_FRAME_SIZE: the decoder
@@ -97,7 +93,7 @@ def test_oversized_length_prefix_rejected_before_allocation():
         writer.close()
 
         await assert_cluster_serves(config, addrs, ("v", 2))
-        await stop_all(servers)
+        await stop_all(group)
 
     run(main())
 
@@ -105,8 +101,8 @@ def test_oversized_length_prefix_rejected_before_allocation():
 def test_mid_frame_disconnect_leaves_no_state():
     async def main():
         config = make_system(f=1, seed=b"hostile-midframe")
-        servers, addrs = await start_cluster(config)
-        victim = servers["replica:0"]
+        group, addrs = await start_cluster(config)
+        victim = group.servers["replica:0"]
         handled_before = victim.replica.stats.handled
 
         _, writer = await asyncio.open_connection(*addrs["replica:0"])
@@ -119,7 +115,7 @@ def test_mid_frame_disconnect_leaves_no_state():
         assert victim.replica.stats.handled == handled_before
 
         await assert_cluster_serves(config, addrs, ("v", 3))
-        await stop_all(servers)
+        await stop_all(group)
 
     run(main())
 
@@ -127,8 +123,8 @@ def test_mid_frame_disconnect_leaves_no_state():
 def test_slow_loris_does_not_starve_correct_clients():
     async def main():
         config = make_system(f=1, seed=b"hostile-loris")
-        servers, addrs = await start_cluster(config)
-        victim = servers["replica:0"]
+        group, addrs = await start_cluster(config)
+        victim = group.servers["replica:0"]
 
         # Several connections each dribbling an eternally incomplete frame.
         lorises = []
@@ -147,6 +143,6 @@ def test_slow_loris_does_not_starve_correct_clients():
             writer.close()
         assert await wait_for(lambda: not victim._connections)
 
-        await stop_all(servers)
+        await stop_all(group)
 
     run(main())

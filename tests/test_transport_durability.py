@@ -1,8 +1,8 @@
 """Durable TCP replicas and client re-dial behaviour.
 
-A :meth:`ReplicaServer.durable` server journals to a data directory; killing
-it and starting a fresh server on the same directory must resume from the
-pre-crash state.  The client side must survive this: its old connection is
+A file-store :class:`~repro.cluster.ReplicaGroup` journals each replica to
+its data directory; crashing one and recovering it on the same directory
+must resume from the pre-crash state.  The client side must survive this: its old connection is
 dead, so the retransmission timer re-dials before resending (the fix these
 tests pin down — previously a broken connection stayed broken until the
 operation timed out).
@@ -14,9 +14,9 @@ import asyncio
 
 import pytest
 
-from repro.core import BftBcClient, BftBcReplica, make_system
-from repro.net.asyncio_transport import AsyncClient, ReplicaServer
-from repro.storage import FileLogStore
+from repro.cluster import DeploymentSpec, ReplicaGroup
+from repro.core import BftBcClient, make_system
+from repro.net.asyncio_transport import AsyncClient
 
 
 def run(coro):
@@ -24,27 +24,21 @@ def run(coro):
 
 
 async def start_durable_cluster(config, tmp_path):
-    servers, addrs = {}, {}
-    for rid in config.quorums.replica_ids:
-        server = ReplicaServer.durable(rid, config, tmp_path / rid)
-        host, port = await server.start()
-        addrs[rid] = (host, port)
-        servers[rid] = server
-    return servers, addrs
+    spec = DeploymentSpec(transport="tcp", store="file", data_dir=str(tmp_path))
+    group = await ReplicaGroup.start(spec, config)
+    return group, group.addrs
 
 
-async def stop_all(servers, *clients):
+async def stop_all(group, *clients):
     for client in clients:
         await client.close()
-    for server in servers.values():
-        server.replica.store.close()
-        await server.stop()
+    await group.stop()
 
 
 def test_durable_server_restart_resumes_state(tmp_path):
     async def main():
         config = make_system(f=1, seed=b"tcp-durable")
-        servers, addrs = await start_durable_cluster(config, tmp_path)
+        group, addrs = await start_durable_cluster(config, tmp_path)
         client = AsyncClient(
             BftBcClient("client:a", config), addrs, retransmit_interval=0.05
         )
@@ -55,17 +49,11 @@ def test_durable_server_restart_resumes_state(tmp_path):
         # Kill one replica process outright, then bring a *new* server up
         # on the same data directory and port.
         victim = "replica:1"
-        fingerprint = servers[victim].replica.state_fingerprint(
+        fingerprint = group.replicas[victim].state_fingerprint(
             include_signing_logs=True
         )
-        await servers[victim].stop()
-        servers[victim].replica.store.close()
-        host, port = addrs[victim]
-        reborn = ReplicaServer.durable(
-            victim, config, tmp_path / victim, host=host, port=port
-        )
-        await reborn.start()
-        servers[victim] = reborn
+        await group.crash(victim)
+        reborn = await group.recover(victim)
         assert (
             reborn.replica.state_fingerprint(include_signing_logs=True)
             == fingerprint
@@ -78,7 +66,7 @@ def test_durable_server_restart_resumes_state(tmp_path):
         assert client.reconnects >= 1
         assert reborn.replica.stats.handled  # the reborn replica took part
 
-        await stop_all(servers, client)
+        await stop_all(group, client)
 
     run(main())
 
@@ -86,13 +74,12 @@ def test_durable_server_restart_resumes_state(tmp_path):
 def test_client_redials_replica_that_was_down_at_connect(tmp_path):
     async def main():
         config = make_system(f=1, seed=b"tcp-redial")
-        servers, addrs = await start_durable_cluster(config, tmp_path)
+        group, addrs = await start_durable_cluster(config, tmp_path)
 
         # One replica is down from the start: connect() skips it, and the
         # quorum of 3 still serves.
         victim = "replica:2"
-        await servers[victim].stop()
-        servers[victim].replica.store.close()
+        await group.crash(victim)
 
         client = AsyncClient(
             BftBcClient("client:a", config), addrs, retransmit_interval=0.05
@@ -102,12 +89,7 @@ def test_client_redials_replica_that_was_down_at_connect(tmp_path):
 
         # Bring the replica back; the next operation's retransmission tick
         # re-dials it so it rejoins the quorum.
-        host, port = addrs[victim]
-        reborn = ReplicaServer.durable(
-            victim, config, tmp_path / victim, host=host, port=port
-        )
-        await reborn.start()
-        servers[victim] = reborn
+        reborn = await group.recover(victim)
 
         for i in range(2, 6):
             await client.write(("v", i))
@@ -117,9 +99,9 @@ def test_client_redials_replica_that_was_down_at_connect(tmp_path):
         # write completes only if the reborn one is in its quorum.
         assert reborn.replica.stats.handled
         assert client.reconnects == 0
-        await servers["replica:0"].stop()
+        await group.crash("replica:0")
         await client.write(("v", 6))
 
-        await stop_all(servers, client)
+        await stop_all(group, client)
 
     run(main())

@@ -6,9 +6,12 @@ import asyncio
 
 import pytest
 
-from repro.core import BftBcClient, BftBcReplica, make_system
+from repro.cluster import DeploymentSpec, ReplicaGroup
+from repro.core import BftBcClient, make_system
 from repro.errors import NetworkError
-from repro.net.asyncio_transport import AsyncClient, ReplicaServer
+from repro.net.asyncio_transport import AsyncClient
+
+SPEC = DeploymentSpec(transport="tcp")
 
 
 def run(coro):
@@ -22,39 +25,26 @@ class TestReconnection:
 
         async def main():
             config = make_system(f=1, seed=b"reconn-1")
-            replicas = {
-                rid: BftBcReplica(rid, config)
-                for rid in config.quorums.replica_ids
-            }
-            servers = {}
-            addrs = {}
-            for rid, replica in replicas.items():
-                server = ReplicaServer(replica)
-                host, port = await server.start()
-                servers[rid] = server
-                addrs[rid] = (host, port)
+            group = await ReplicaGroup.start(SPEC, config)
             client = AsyncClient(
-                BftBcClient("client:a", config), addrs, retransmit_interval=0.05
+                BftBcClient("client:a", config),
+                group.addrs,
+                retransmit_interval=0.05,
             )
             await client.connect()
             await client.write(("client:a", 1, None))
 
             # Kill replica:0's listener, then restart it on the SAME port.
-            host, port = addrs["replica:0"]
-            await servers["replica:0"].stop()
+            await group.crash("replica:0")
             await asyncio.sleep(0.05)
-            servers["replica:0"] = ReplicaServer(
-                replicas["replica:0"], host=host, port=port
-            )
-            await servers["replica:0"].start()
+            await group.recover("replica:0")
 
             ts = await client.write(("client:a", 2, None))
             assert ts.val == 2
             value = await client.read()
             assert value == ("client:a", 2, None)
             await client.close()
-            for server in servers.values():
-                await server.stop()
+            await group.stop()
 
         run(main())
 
@@ -77,23 +67,18 @@ class TestReconnection:
 
         async def main():
             config = make_system(f=1, seed=b"reconn-3")
-            servers, addrs = {}, {}
-            for rid in config.quorums.replica_ids:
-                server = ReplicaServer(BftBcReplica(rid, config))
-                host, port = await server.start()
-                servers[rid] = server
-                addrs[rid] = (host, port)
+            group = await ReplicaGroup.start(SPEC, config)
             client = AsyncClient(
-                BftBcClient("client:a", config), addrs, retransmit_interval=0.05
+                BftBcClient("client:a", config),
+                group.addrs,
+                retransmit_interval=0.05,
             )
             await client.connect()
             # Close one server *without* the client noticing yet.
-            await servers["replica:3"].stop()
+            await group.crash("replica:3")
             ts = await client.write(("client:a", 1, None))
             assert ts.val == 1
             await client.close()
-            for rid, server in servers.items():
-                if rid != "replica:3":
-                    await server.stop()
+            await group.stop()
 
         run(main())

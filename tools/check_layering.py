@@ -31,7 +31,7 @@ source file under ``src/repro`` with :mod:`ast` — including imports inside
 ``TYPE_CHECKING`` blocks and function bodies, so lazy imports cannot hide a
 cycle-in-waiting.
 
-Six further rules keep deleted duplication from growing back
+Seven further rules keep deleted duplication from growing back
 (:func:`find_duplication`): the TCP client stack lives in one module, so
 ``asyncio.open_connection`` may be called only from ``repro.net.mux`` (and
 the chaos proxy's upstream leg); the variant-to-class mapping lives on
@@ -49,7 +49,12 @@ for itself is the per-record barrier growing back; and a Byzantine client
 is a sans-I/O machine like a correct one, so nothing under
 ``repro.byzantine`` may read an attribute named ``network`` or ``scheduler``
 or call ``call_later`` / ``call_at`` — an adversary that reaches its host is
-the actor base growing back.
+the actor base growing back; and a replica group on real sockets is a
+``DeploymentSpec`` through ``repro.cluster.deploy.ReplicaGroup``, so
+``ReplicaServer(...)`` / ``ReplicaServer.durable(...)`` may be called only
+in ``repro.cluster.deploy`` — a harness that builds its own servers is the
+hand-rolled fleet growing back (the classmethod's own ``cls(...)`` and the
+``ShardReplicaServer`` subclass are not this rule's business).
 
 Run:  python tools/check_layering.py   (exits 1 and lists violations)
 The tier-1 test ``tests/test_layering.py`` runs this on every suite run.
@@ -127,6 +132,20 @@ BARRIER_SITE = "repro.storage"
 ADVERSARY_PACKAGE = "repro.byzantine"
 HOST_ATTRIBUTES = frozenset({"network", "scheduler"})
 TIMER_CALLS = frozenset({"call_later", "call_at"})
+
+
+#: The socket front door: the one module that builds replica servers.
+SERVER_SITE = "repro.cluster.deploy"
+SERVER_CLASS = "ReplicaServer"
+
+
+def _builds_replica_server(call: ast.Call) -> bool:
+    """``ReplicaServer(...)`` or ``ReplicaServer.durable(...)``, however the
+    class is reached (``asyncio_transport.ReplicaServer`` too)."""
+    func = call.func
+    if isinstance(func, ast.Attribute) and func.attr == "durable":
+        func = func.value
+    return getattr(func, "id", getattr(func, "attr", None)) == SERVER_CLASS
 
 
 def _may_name_variant_classes(module: str) -> bool:
@@ -228,6 +247,11 @@ def find_duplication(src: pathlib.Path = SRC) -> list[tuple[str, int, str]]:
                     found.append(
                         (module, node.lineno, f"constructs {callee} outside SimHarness")
                     )
+                if _builds_replica_server(node) and module != SERVER_SITE:
+                    found.append(
+                        (module, node.lineno, "builds a ReplicaServer outside "
+                         + SERVER_SITE + "; start a ReplicaGroup from a spec")
+                    )
                 if callee == "WireType" and module != WIRE_SCHEMA_SITE:
                     found.append(
                         (module, node.lineno, "grows the wire type table outside "
@@ -279,7 +303,8 @@ def main() -> int:
     if duplication:
         print(
             "duplication the variant registry / one endpoint / one harness / "
-            "one wire schema / one barrier site / the sans-I/O adversary replaced:"
+            "one wire schema / one barrier site / the sans-I/O adversary / "
+            "the socket front door replaced:"
         )
         for module, line, what in duplication:
             print(f"  {module}:{line} {what}")
