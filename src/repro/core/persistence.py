@@ -56,6 +56,7 @@ then-current ``write_ts`` and the cutoff only advances.
 
 from __future__ import annotations
 
+import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Optional
@@ -575,8 +576,13 @@ class DurableReplicaState:
         self._data: Any = GENESIS_VALUE
         self._pcert: PrepareCertificate = genesis_prepare_certificate()
         self._write_ts: Timestamp = ZERO_TS
+        # The store and the maps call back into this state through a weak
+        # reference: were they to hold it, the state would be in a reference
+        # cycle, and a dropped replica would stay resident until the next
+        # full collection.  A cutoff whose state is gone reports none.
+        me = weakref.ref(self)
         cutoff: Optional[StaleCutoff] = (
-            (lambda: self._write_ts) if gc_stale else None
+            (lambda: getattr(me(), "_write_ts", None)) if gc_stale else None
         )
         self.client_state = ClientStateTable(
             self.store, budget=budget, stale_cutoff=cutoff,
@@ -587,7 +593,7 @@ class DurableReplicaState:
         self.fastc: Optional[LoggedFastMap] = None
         self.signed_write_replies = LoggedSet(self.store, "swr")
         self.signed_prepare_replies = LoggedSet(self.store, "spr")
-        self.store.snapshot_source = self.snapshot_wire
+        self.store.snapshot_source = lambda: me().snapshot_wire()
 
     # -- read side ---------------------------------------------------------
 

@@ -31,6 +31,7 @@ phase-1/2, and breaks equal-timestamp ties in phase 3 by larger value hash.
 
 from __future__ import annotations
 
+import weakref
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
@@ -134,12 +135,14 @@ class BftBcReplica:
         #: Sans-I/O quarantine-repair driver; transports move its Sends.
         #: Candidates are certificate-checked through this replica's own
         #: acceptance hook, so the fast variant's proof-evidence (own MAC
-        #: column) certificates validate during repair too.
+        #: column) certificates validate during repair too.  Both callbacks
+        #: reach this replica weakly, so it is in no reference cycle.
+        me = weakref.ref(self)
         self.repair = StateRepair(
             node_id,
             config,
-            self._install_repaired_state,
-            cert_check=self._certificate_valid,
+            lambda snapshot: me()._install_repaired_state(snapshot),
+            cert_check=lambda cert: me()._certificate_valid(cert),
         )
 
     # -- state access (all reads go through the durable state) -------------

@@ -23,7 +23,6 @@ from abc import ABC, abstractmethod
 from collections import OrderedDict
 from dataclasses import dataclass, field
 import hmac
-import hashlib
 from typing import Any, Optional
 
 from repro.crypto.keys import KeyRegistry
@@ -153,11 +152,11 @@ class HmacSignatureScheme(SignatureScheme):
 
     def _sign(self, node_id: str, message: bytes) -> bytes:
         secret = self.registry.secret_for(node_id)
-        return hmac.new(secret, message, hashlib.sha256).digest()
+        return hmac.digest(secret, message, "sha256")
 
     def _verify(self, signature: Signature, message: bytes) -> bool:
         secret = self.registry.secret_for(signature.signer)
-        expected = hmac.new(secret, message, hashlib.sha256).digest()
+        expected = hmac.digest(secret, message, "sha256")
         return hmac.compare_digest(expected, signature.value)
 
 

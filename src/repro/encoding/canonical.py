@@ -28,7 +28,15 @@ makes the format canonical.  Lists and tuples encode identically (decoding
 always yields tuples, keeping decoded values hashable).
 
 Floats are included for completeness (metrics snapshots); protocol statements
-themselves never contain floats.
+themselves never contain floats.  A float body is ``repr(value)``, and the
+decoder accepts a body only if it equals ``repr(float(body))``: ``F4:1.00``,
+``F3:1e0`` or ``F8:Infinity`` would each re-encode to different bytes, so
+they are rejected like a non-canonical int or length.
+
+Decoding is strict in the same way throughout: every byte string the decoder
+accepts is the encoding of the value it returns, so ``canonical_encode(
+canonical_decode(data)) == data`` whenever the decode succeeds.  Anything the
+codec refuses, in either direction, raises :class:`~repro.errors.EncodingError`.
 """
 
 from __future__ import annotations
@@ -42,6 +50,11 @@ __all__ = ["canonical_encode", "canonical_decode", "EncodeStats", "encode_stats"
 
 # A conservative bound that protects decoders from hostile length prefixes.
 _MAX_LENGTH = 1 << 30
+
+# Tag bytes as the ints ``data[offset]`` yields.
+_NONE, _TRUE, _FALSE, _INT = b"ntfi"
+_STR, _BYTES, _FLOAT = b"ubF"
+_LIST, _DICT, _END = b"lde"
 
 
 @dataclass
@@ -74,10 +87,14 @@ def canonical_encode(value: Any) -> bytes:
 
     Raises:
         EncodingError: if ``value`` (or anything nested inside it) is not one
-            of the supported types, or a dict has non-string keys.
+            of the supported types, a dict has non-string keys, or a string
+            cannot be encoded as UTF-8 (a lone surrogate).
     """
     parts: list[bytes] = []
-    _encode_into(value, parts)
+    try:
+        _encode_into(value, parts)
+    except ValueError as exc:  # a lone surrogate; an int past str()'s digit limit
+        raise EncodingError(f"cannot canonically encode: {exc}") from exc
     encoded = b"".join(parts)
     _STATS.calls += 1
     _STATS.bytes_out += len(encoded)
@@ -85,12 +102,48 @@ def canonical_encode(value: Any) -> bytes:
 
 
 def _encode_into(value: Any, parts: list[bytes]) -> None:
+    # Protocol values are tuples of bytes, str and int: those exact types are
+    # dispatched first, on identity of the class, without an isinstance chain.
+    kind = value.__class__
+    if kind is bytes:
+        parts.append(b"b%d:" % len(value))
+        parts.append(value)
+    elif kind is str:
+        raw = value.encode("utf-8")
+        parts.append(b"u%d:" % len(raw))
+        parts.append(raw)
+    elif kind is tuple:
+        parts.append(b"l")
+        for item in value:
+            _encode_into(item, parts)
+        parts.append(b"e")
+    elif kind is int:
+        parts.append(b"i%d;" % value)
+    else:
+        _encode_rare(value, parts)
+
+
+def _encode_rare(value: Any, parts: list[bytes]) -> None:
+    """None, bools, dicts, lists, floats, subclasses and other bytes-likes."""
     if value is None:
         parts.append(b"n")
     elif value is True:
         parts.append(b"t")
     elif value is False:
         parts.append(b"f")
+    elif isinstance(value, dict):
+        parts.append(b"d")
+        try:
+            # str.encode is the UTF-8 sort key, and refuses non-str keys.
+            keys = sorted(value, key=str.encode)
+        except TypeError as exc:
+            raise EncodingError(
+                f"dict keys must be str, got {sorted(type(k).__name__ for k in value)}"
+            ) from exc
+        for key in keys:
+            _encode_into(key, parts)
+            _encode_into(value[key], parts)
+        parts.append(b"e")
     elif isinstance(value, int):
         parts.append(b"i%d;" % value)
     elif isinstance(value, str):
@@ -106,18 +159,6 @@ def _encode_into(value: Any, parts: list[bytes]) -> None:
         for item in value:
             _encode_into(item, parts)
         parts.append(b"e")
-    elif isinstance(value, dict):
-        parts.append(b"d")
-        try:
-            keys = sorted(value.keys(), key=lambda k: k.encode("utf-8"))
-        except AttributeError as exc:
-            raise EncodingError(
-                f"dict keys must be str, got {sorted(type(k).__name__ for k in value)}"
-            ) from exc
-        for key in keys:
-            _encode_into(key, parts)
-            _encode_into(value[key], parts)
-        parts.append(b"e")
     elif isinstance(value, float):
         raw = repr(value).encode("ascii")
         parts.append(b"F%d:" % len(raw))
@@ -130,108 +171,110 @@ def canonical_decode(data: bytes) -> Any:
     """Decode bytes produced by :func:`canonical_encode`.
 
     Lists and tuples both decode to tuples.  The entire input must be
-    consumed; trailing bytes are an error.
+    consumed; trailing bytes are an error.  Any bytes-like input (a
+    ``bytearray``, a ``memoryview``) is read as the bytes it holds.
 
     Raises:
-        EncodingError: if ``data`` is not a valid canonical encoding.
+        EncodingError: if ``data`` is not bytes-like or not a valid canonical
+            encoding.
     """
-    value, offset = _decode_at(data, 0)
-    if offset != len(data):
-        raise EncodingError(f"trailing bytes after canonical value at offset {offset}")
-    return value
-
-
-def _decode_at(data: bytes, offset: int) -> tuple[Any, int]:
-    if offset >= len(data):
-        raise EncodingError("truncated canonical encoding")
-    tag = data[offset : offset + 1]
-    if tag == b"n":
-        return None, offset + 1
-    if tag == b"t":
-        return True, offset + 1
-    if tag == b"f":
-        return False, offset + 1
-    if tag == b"i":
-        end = data.find(b";", offset + 1)
-        if end < 0:
-            raise EncodingError("unterminated int")
-        body = data[offset + 1 : end]
-        _check_int_body(body)
-        return int(body), end + 1
-    if tag == b"u":
-        raw, end = _decode_sized(data, offset + 1)
+    if data.__class__ is not bytes:
         try:
-            return raw.decode("utf-8"), end
-        except UnicodeDecodeError as exc:
-            raise EncodingError("invalid UTF-8 in string") from exc
-    if tag == b"b":
-        raw, end = _decode_sized(data, offset + 1)
-        return raw, end
-    if tag == b"F":
-        raw, end = _decode_sized(data, offset + 1)
-        try:
-            return float(raw.decode("ascii")), end
-        except (UnicodeDecodeError, ValueError) as exc:
-            raise EncodingError("invalid float body") from exc
-    if tag == b"l":
-        items: list[Any] = []
-        offset += 1
+            data = bytes(memoryview(data))
+        except TypeError:
+            raise EncodingError(
+                f"cannot decode {type(data).__name__!r}, need bytes"
+            ) from None
+    size = len(data)
+    offset = 0
+    # One loop over an explicit stack instead of one call per value: each
+    # open container is a list of the items decoded so far.
+    items: Any = None  # the innermost open container's items; None at top level
+    outer: list[Any] = []  # the enclosing containers' ``items``
+    is_dict: list[bool] = []  # per open container, innermost last
+    try:
         while True:
-            if offset >= len(data):
-                raise EncodingError("unterminated list")
-            if data[offset : offset + 1] == b"e":
-                return tuple(items), offset + 1
-            item, offset = _decode_at(data, offset)
-            items.append(item)
-    if tag == b"d":
-        result: dict[str, Any] = {}
-        offset += 1
-        previous_key: bytes | None = None
-        while True:
-            if offset >= len(data):
-                raise EncodingError("unterminated dict")
-            if data[offset : offset + 1] == b"e":
-                return result, offset + 1
-            key, offset = _decode_at(data, offset)
-            if not isinstance(key, str):
-                raise EncodingError("dict key is not a string")
-            raw_key = key.encode("utf-8")
-            if previous_key is not None and raw_key <= previous_key:
-                raise EncodingError("dict keys not in canonical order")
-            previous_key = raw_key
-            value, offset = _decode_at(data, offset)
-            result[key] = value
-    raise EncodingError(f"unknown canonical tag {tag!r} at offset {offset}")
-
-
-def _decode_sized(data: bytes, offset: int) -> tuple[bytes, int]:
-    end = data.find(b":", offset)
-    if end < 0:
-        raise EncodingError("missing length separator")
-    body = data[offset:end]
-    _check_length_body(body)
-    length = int(body)
-    if length > _MAX_LENGTH:
-        raise EncodingError(f"declared length {length} exceeds limit")
-    start = end + 1
-    stop = start + length
-    if stop > len(data):
-        raise EncodingError("truncated sized value")
-    return data[start:stop], stop
-
-
-def _check_int_body(body: bytes) -> None:
-    digits = body[1:] if body[:1] == b"-" else body
-    if not digits or not digits.isdigit():
-        raise EncodingError(f"invalid int body {body!r}")
-    if digits != b"0" and digits[:1] == b"0":
-        raise EncodingError(f"non-canonical int body {body!r}")
-    if body == b"-0":
-        raise EncodingError("non-canonical int body b'-0'")
-
-
-def _check_length_body(body: bytes) -> None:
-    if not body.isdigit():
-        raise EncodingError(f"invalid length {body!r}")
-    if body != b"0" and body[:1] == b"0":
-        raise EncodingError(f"non-canonical length {body!r}")
+            if offset >= size:
+                raise EncodingError("truncated canonical encoding")
+            tag = data[offset]
+            if tag == _STR or tag == _BYTES or tag == _FLOAT:
+                colon = data.find(b":", offset + 1)
+                if colon < 0:
+                    raise EncodingError("missing length separator")
+                body = data[offset + 1 : colon]
+                # Canonical decimal: ASCII digits, no leading b"0" (48).
+                if not body.isdigit() or (body[0] == 48 and body != b"0"):
+                    raise EncodingError(f"invalid length {body!r}")
+                length = int(body)
+                if length > _MAX_LENGTH:
+                    raise EncodingError(f"declared length {length} exceeds limit")
+                colon += 1
+                offset = colon + length
+                if offset > size:
+                    raise EncodingError("truncated sized value")
+                if tag == _BYTES:
+                    value = data[colon:offset]
+                elif tag == _STR:
+                    value = data[colon:offset].decode("utf-8")
+                else:
+                    text = data[colon:offset].decode("ascii")
+                    value = float(text)
+                    if repr(value) != text:
+                        raise EncodingError(f"non-canonical float body {text!r}")
+            elif tag == _LIST or tag == _DICT:
+                outer.append(items)
+                items = []
+                is_dict.append(tag == _DICT)
+                offset += 1
+                continue
+            elif tag == _END and items is not None:
+                offset += 1
+                if is_dict.pop():
+                    keys = items[0::2]
+                    if len(items) & 1:
+                        raise EncodingError("dict key without a value")
+                    previous = None
+                    for key in keys:
+                        # Decoded strings hold no lone surrogates, so code
+                        # point order is UTF-8 byte order.
+                        if key.__class__ is not str:
+                            raise EncodingError("dict key is not a string")
+                        if previous is not None and key <= previous:
+                            raise EncodingError("dict keys not in canonical order")
+                        previous = key
+                    value = dict(zip(keys, items[1::2]))
+                else:
+                    value = tuple(items)
+                items = outer.pop()
+            elif tag == _INT:
+                stop = data.find(b";", offset + 1)
+                if stop < 0:
+                    raise EncodingError("unterminated int")
+                body = data[offset + 1 : stop]
+                digits = body[1:] if body[:1] == b"-" else body
+                if not digits.isdigit() or (digits[0] == 48 and body != b"0"):
+                    raise EncodingError(f"invalid int body {body!r}")
+                value = int(body)
+                offset = stop + 1
+            elif tag == _NONE:
+                value = None
+                offset += 1
+            elif tag == _TRUE:
+                value = True
+                offset += 1
+            elif tag == _FALSE:
+                value = False
+                offset += 1
+            else:
+                raise EncodingError(
+                    f"unknown canonical tag {bytes([tag])!r} at offset {offset}"
+                )
+            if items is None:
+                if offset != size:
+                    raise EncodingError(
+                        f"trailing bytes after canonical value at offset {offset}"
+                    )
+                return value
+            items.append(value)
+    except ValueError as exc:  # bad UTF-8 or ASCII, or int()/float() refused a body
+        raise EncodingError(f"invalid canonical body: {exc}") from exc

@@ -10,11 +10,20 @@ once per process, no matter how many roles touch it.
 Correctness of the memo requires its key to distinguish every pair of values
 with *different* canonical encodings.  Python equality is coarser than
 canonical equality — ``True == 1 == 1.0`` all hash alike yet encode to
-``t``, ``i1;`` and ``F3:1.0`` — so keys are built by :func:`_freeze`, which
-tags exactly the types whose equality crosses encoding boundaries (bools and
-floats) and recurses through containers.  Unhashable leaves (there are none
-in protocol statements, but application values are arbitrary) fall back to a
-fresh encode.
+``t``, ``i1;`` and ``F3:1.0`` — but only because of bools, floats and the
+containers that hold them.  So there are two kinds of key:
+
+* a *plain* value — tuples whose leaves are exact ``str``, ``bytes``,
+  ``int`` or ``None``, which is every protocol statement — is its own key:
+  on those types Python equality is canonical equality, and the lookup
+  builds nothing;
+* any other value is keyed by :func:`_freeze`, which tags the types whose
+  equality crosses encoding boundaries (bools and floats) and recurses
+  through containers, inside a ``(_FROZEN, key)`` wrapper.  No plain value
+  contains the ``_FROZEN`` sentinel, so the two kinds never collide.
+
+Unhashable leaves (there are none in protocol statements, but application
+values are arbitrary) fall back to a fresh encode.
 """
 
 from __future__ import annotations
@@ -52,6 +61,26 @@ _STATS = InternStats()
 _MEMO: "OrderedDict[Any, bytes]" = OrderedDict()
 _CAPACITY = 8192
 _ENABLED = True
+#: First element of every frozen key; equal to nothing a plain value holds.
+_FROZEN = object()
+
+
+def _is_plain(value: Any) -> bool:
+    """Is ``value`` built only of tuples and exact str/bytes/int/None leaves?
+
+    ``type(True) is int`` is False, so bools are not plain.
+    """
+    kind = value.__class__
+    if kind is tuple:
+        for item in value:
+            kind = item.__class__
+            if kind is tuple:
+                if not _is_plain(item):
+                    return False
+            elif kind is not str and kind is not bytes and kind is not int and item is not None:
+                return False
+        return True
+    return kind is str or kind is bytes or kind is int or value is None
 
 
 def _freeze(value: Any) -> Any:
@@ -62,10 +91,6 @@ def _freeze(value: Any) -> Any:
     Tag tuples cannot collide with frozen user tuples: every frozen tuple is
     tagged ``"l"`` (and dicts ``"d"``), so the key space is prefix-disjoint.
     """
-    # Exact-type dispatch first: statements are tuples of str/bytes/int, and
-    # this is the encode hot path, so the common leaves must not pay an
-    # isinstance chain.  ``type(True) is int`` is False, so plain ints are
-    # safe to pass through here.
     kind = value.__class__
     if kind is str or kind is bytes or kind is int:
         return value
@@ -100,7 +125,7 @@ def intern_encode(value: Any) -> bytes:
     if not _ENABLED:
         return canonical_encode(value)
     try:
-        key = _freeze(value)
+        key = value if _is_plain(value) else (_FROZEN, _freeze(value))
         cached = _MEMO.get(key)
     except TypeError:
         _STATS.uncacheable += 1

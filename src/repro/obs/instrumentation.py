@@ -370,7 +370,7 @@ class _TimedStore:
     """Duck-typed replica-store proxy timing the durability calls."""
 
     __slots__ = ("_inner", "_instr", "_append_hist", "_load_hist",
-                 "_snapshot_hist", "_sync_hist", "_scope")
+                 "_snapshot_hist", "_sync_hist")
 
     def __init__(self, inner: Any, instr: Instrumentation) -> None:
         self._inner = inner
@@ -379,11 +379,11 @@ class _TimedStore:
         self._load_hist = instr.histogram("store.load")
         self._snapshot_hist = instr.histogram("store.snapshot")
         self._sync_hist = instr.histogram("store.sync")
-        self._scope = _TimedGroup(self)
 
     def group(self) -> _TimedGroup:
-        """The proxy's scope, so the barrier lands in ``store.sync``."""
-        return self._scope
+        """The proxy's scope, so the barrier lands in ``store.sync``; made
+        per call, like the inner store's, so neither is in a cycle."""
+        return _TimedGroup(self)
 
     def append(self, record: Any) -> None:
         clock = self._instr.clock

@@ -49,8 +49,9 @@ __all__ = ["StorageStats", "ReplicaStore", "MemoryStore"]
 class _GroupScope:
     """The context manager :meth:`ReplicaStore.group` hands out.
 
-    Stateless (the depth lives on the store), so one instance per store
-    serves every nesting level.
+    Stateless (the depth lives on the store), and made per call rather than
+    kept on the store: a store that held its scope would be in a reference
+    cycle, and so would everything that holds the store.
     """
 
     __slots__ = ("_store",)
@@ -145,7 +146,6 @@ class ReplicaStore(ABC):
         #: Appends buffered inside a scope that no barrier has covered yet
         #: (only backends with stable storage ever raise it).
         self._group_dirty = False
-        self._scope = _GroupScope(self)
 
     # -- group commit --------------------------------------------------------
 
@@ -155,7 +155,7 @@ class ReplicaStore(ABC):
         Re-entrant: only the outermost exit commits.  Whoever releases
         replies must do so *after* the scope closes.
         """
-        return self._scope
+        return _GroupScope(self)
 
     def _commit_group(self) -> None:
         """Make every buffered append as durable as this store promises."""

@@ -1,0 +1,110 @@
+"""The codec and MAC kernels may get cheaper per call, never change a count.
+
+The counts below were recorded with the recursive decoder, the
+isinstance-chain encoder, the tagged-copy intern key and ``hmac.new``: any
+rewrite of those kernels must keep every counter identical, so a speed-up is
+attributable to cheaper calls alone.  The MACs and HMAC signatures
+themselves are checked byte for byte against ``hmac.new``.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import hmac
+
+import pytest
+
+from repro import LinkProfile, build_cluster
+from repro.crypto.signatures import HmacSignatureScheme
+from repro.encoding import encode_stats, intern_stats, reset_interning
+from repro.sim import write_script
+
+CLIENTS = 4
+WRITES_EACH = 12
+
+#: Per variant: what one seeded 48-write run counts.
+PINNED = {
+    "fastpath": {
+        "writes": 48,
+        "encode_calls": 1197,
+        "encode_bytes": 405321,
+        "intern_hits": 1799,
+        "intern_misses": 717,
+        "macs_computed": 2304,
+        "macs_checked": 1776,
+        "signs": 0,
+        "verifies": 0,
+    },
+    "base": {
+        "writes": 48,
+        "encode_calls": 1102,
+        "encode_bytes": 221869,
+        "intern_hits": 2331,
+        "intern_misses": 382,
+        "macs_computed": 0,
+        "macs_checked": 0,
+        "signs": 672,
+        "verifies": 528,
+    },
+}
+
+
+def _run(variant: str):
+    reset_interning()
+    encode_stats().reset()
+    cluster = build_cluster(
+        f=1,
+        variant=variant,
+        seed=2026,
+        profile=LinkProfile(min_delay=0.005, max_delay=0.005),
+    )
+    scripts = {
+        f"w{i}": write_script(f"client:w{i}", WRITES_EACH) for i in range(CLIENTS)
+    }
+    cluster.run_scripts(scripts, max_time=600)
+    return cluster
+
+
+@pytest.mark.parametrize("variant", sorted(PINNED))
+def test_counts_match_the_recursive_kernels(variant):
+    cluster = _run(variant)
+    config = cluster.config
+    counted = {
+        "writes": cluster.metrics.operations,
+        "encode_calls": encode_stats().calls,
+        "encode_bytes": encode_stats().bytes_out,
+        "intern_hits": intern_stats().hits,
+        "intern_misses": intern_stats().misses,
+        "macs_computed": config.authenticator.macs_computed,
+        "macs_checked": config.authenticator.macs_checked,
+        "signs": config.scheme.stats.signs,
+        "verifies": config.scheme.stats.verifies,
+    }
+    assert counted == PINNED[variant]
+
+
+def test_macs_and_hmac_signatures_match_hmac_new():
+    cluster = build_cluster(f=1, variant="fastpath", seed=2026)
+    config = cluster.config
+    auth, registry = config.authenticator, config.registry
+    scheme = HmacSignatureScheme(registry)
+    nodes = sorted(config.quorums.replica_ids) + ["client:w0", "client:w1"]
+    for node in nodes:
+        registry.register(node)
+    messages = [b"", b"m", bytes(range(256)) * 3]
+    for sender in nodes:
+        for receiver in nodes:
+            key = auth.session_key(sender, receiver)
+            for message in messages:
+                expected = hmac.new(key, message, hashlib.sha256).digest()
+                assert auth.mac(sender, receiver, message) == expected
+                assert auth.check(sender, receiver, message, expected)
+                assert not auth.check(sender, receiver, message + b"x", expected)
+        for message in messages:
+            expected = hmac.new(
+                registry.secret_for(sender), message, hashlib.sha256
+            ).digest()
+            signature = scheme.sign(sender, message)
+            assert signature.value == expected
+            assert scheme.verify(signature, message)
+            assert not scheme.verify(signature, message + b"x")

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
 from repro.core import Timestamp, ZERO_TS
 from repro.core.certificates import genesis_prepare_certificate
+from repro.core.config import Variant
 from repro.core.messages import (
     PrepareReply,
     ReadReply,
@@ -17,6 +21,8 @@ from repro.core.messages import (
 from repro.core.replica import BftBcReplica
 from repro.crypto.hashing import hash_value
 from repro.crypto.signatures import Signature
+from repro.obs.instrumentation import Instrumentation
+from repro.storage import FileLogStore
 
 from tests.conftest import make_write_cert
 from tests.helpers import ProtocolKit, make_replicas
@@ -307,3 +313,34 @@ class TestUnknownMessages:
 
         assert replica.handle(kit.client, Weird()) is None
         assert replica.stats.discards["unknown-kind"] == 1
+
+
+class TestNoReferenceCycles:
+    """A replica, its durable state and its store hold one another only
+    weakly, so dropping the last reference frees them at once.  A cycle
+    anywhere would keep a torn-down deployment resident until the next
+    full collection, and peak memory would depend on when that runs."""
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    @pytest.mark.parametrize("instrumented", [False, True], ids=["plain", "timed"])
+    def test_a_dropped_replica_is_freed_by_reference_counting(
+        self, config, variant, instrumented, tmp_path
+    ):
+        instrumentation = Instrumentation() if instrumented else None
+        store = FileLogStore(tmp_path / "wal", fsync="never")
+        gc.collect()
+        gc.disable()
+        try:
+            replica = variant.replica_cls(
+                "replica:0", config, store, instrumentation=instrumentation
+            )
+            reply = replica.handle("client:alice", ReadTsRequest(nonce=b"n" * 16))
+            assert isinstance(reply, ReadTsReply)
+            with replica.store.group():
+                pass
+            refs = [weakref.ref(replica), weakref.ref(replica._state)]
+            del replica, reply
+            assert [ref() for ref in refs] == [None, None]
+        finally:
+            gc.enable()
+            store.close()

@@ -9,6 +9,7 @@ yet encode differently — through both paths and demands byte equality.
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.messages import (
@@ -68,6 +69,29 @@ class TestInterningMatchesFreshEncode:
         assert len(set(encodings)) == len(nests)
         for value, encoded in zip(nests, encodings):
             assert encoded == canonical_encode(value)
+
+    @pytest.mark.parametrize(
+        "family",
+        [
+            [("l", 1), [1]],
+            [(1,), (True,), (1.0,)],
+            [{"a": 1}, (("a", 1),)],
+        ],
+    )
+    @pytest.mark.parametrize("nest", [lambda v: v, lambda v: (v,)], ids=["top", "nested"])
+    def test_plain_and_frozen_keys_never_collide(self, family, nest):
+        # A plain tuple is its own memo key; any other value is keyed by its
+        # frozen form.  Neither kind may answer for the other, in either
+        # order of first use.
+        family = [nest(value) for value in family]
+        for order in (family, family[::-1]):
+            reset_interning()
+            encodings = [intern_encode(value) for value in order]
+            assert encodings == [canonical_encode(value) for value in order]
+            assert len(set(encodings)) == len(order)
+            assert intern_stats().misses == len(order)
+            assert [intern_encode(value) for value in order] == encodings
+            assert intern_stats().hits == len(order)
 
     def test_unhashable_leaf_falls_back_to_fresh_encode(self):
         reset_interning()
