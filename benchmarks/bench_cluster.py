@@ -1,18 +1,15 @@
-"""E22: multi-process replica cluster — worker scaling and batched crypto.
+"""E22: multi-process replica cluster — worker scaling.
 
 The deployment API's headline numbers: wall-clock write throughput of the
 ``process`` transport as the 3f+1 replicas spread across {1, 2, 4} worker
 processes with a pipelined client, against the single-process sequential
 baseline (the pre-``deploy()`` status quo: one worker hosting every replica,
-one operation in flight); and the amortized signature-verification passes
-per write with batch prevalidation on versus off, measured over the ``tcp``
-transport whose in-process servers share one counted verifier.
+one operation in flight).
 
 Worker scaling is hardware-bound: on a multi-core host the four-worker
 fleet clears the 2.5x acceptance floor, while a single-core container can
 only overlap fsync latency, so there the floor is reported but not
-asserted (the batched-verification floor is deterministic and always
-asserted).  Results are recorded under ``e22_cluster_scaling`` in
+asserted.  Results are recorded under ``e22_cluster_scaling`` in
 ``BENCH_throughput.json``.
 """
 
@@ -26,9 +23,7 @@ import time
 import pytest
 
 from repro.analysis import format_table
-from repro.analysis.costs import CostModel
 from repro.cluster import DeploymentSpec, deploy
-from repro.core import make_system
 
 from benchmarks.conftest import run_once
 
@@ -38,9 +33,7 @@ import bench_record  # noqa: E402
 pytestmark = pytest.mark.slow
 
 OPS = 40
-VERIFY_OPS = 10
 SCALING_FLOOR = 2.5
-VERIFY_FLOOR = 2.0
 
 
 def _throughput(spec: DeploymentSpec, ops: int = OPS) -> float:
@@ -52,25 +45,6 @@ def _throughput(spec: DeploymentSpec, ops: int = OPS) -> float:
         elapsed = time.perf_counter() - start
         assert all(record.result is not None for record in records)
     return ops / elapsed
-
-
-def _verify_calls_per_write(batch_verify: bool, pipeline: int = 1) -> float:
-    """Steady-state verification passes per write over the tcp transport."""
-    spec = DeploymentSpec(
-        transport="tcp",
-        batch_verify=batch_verify,
-        pipeline=pipeline,
-        seed=13,
-    )
-    ops = VERIFY_OPS * pipeline
-    with deploy(spec) as dep:
-        dep.write("warm-1")
-        dep.write("warm-2")
-        stats = dep.verification_stats()
-        assert stats is not None
-        before = stats.verify_calls
-        dep.run_script([("write", f"v{i}") for i in range(ops)])
-        return (stats.verify_calls - before) / ops
 
 
 def test_cluster_scaling(benchmark):
@@ -86,9 +60,6 @@ def test_cluster_scaling(benchmark):
             )
             for workers in (1, 2, 4)
         }
-        unbatched = _verify_calls_per_write(batch_verify=False)
-        batched = _verify_calls_per_write(batch_verify=True)
-        batched_deep = _verify_calls_per_write(batch_verify=True, pipeline=4)
 
         cpus = os.cpu_count() or 1
         print()
@@ -104,42 +75,16 @@ def test_cluster_scaling(benchmark):
                 f"(f=1, {OPS} ops, {cpus} CPU(s))",
             )
         )
-        print(
-            format_table(
-                ["mode", "verify calls/write"],
-                [
-                    ["individual", unbatched],
-                    ["batched, sequential", batched],
-                    ["batched, pipeline=4", batched_deep],
-                ],
-                title="E22 amortized verification passes (tcp, f=1)",
-            )
-        )
         return {
             "cpus": cpus,
             "baseline_writes_per_s": baseline,
             "scaling": {str(w): rate for w, rate in scaling.items()},
             "speedup_4_workers": scaling[4] / baseline,
-            "verify_calls_unbatched": unbatched,
-            "verify_calls_batched": batched,
-            "verify_calls_batched_pipeline4": batched_deep,
-            "verify_reduction": unbatched / batched,
         }
 
     results = run_once(benchmark, experiment)
     bench_record.record("e22_cluster_scaling", results)
 
-    # Batched prevalidation: measured passes match the CostModel closed
-    # forms and clear the acceptance floor regardless of hardware.
-    model = CostModel(make_system(1, seed=b"bench").quorums)
-    assert results["verify_calls_unbatched"] == (
-        model.write_verify_calls_unbatched()
-    )
-    assert results["verify_calls_batched"] == model.write_verify_calls_batched()
-    assert results["verify_reduction"] >= VERIFY_FLOOR
-    assert results["verify_calls_batched_pipeline4"] < results[
-        "verify_calls_batched"
-    ]
     # Worker scaling needs actual cores; a single-CPU container can only
     # overlap fsync latency, so the floor is recorded but not asserted.
     assert results["speedup_4_workers"] > 1.0

@@ -263,9 +263,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     from repro.cluster.deploy import ReplicaGroup
 
-    spec = spec_from_flags(
-        args, transport="tcp", batch_verify=not args.no_batch_verify
-    )
+    spec = spec_from_flags(args, transport="tcp")
     # Every worker process builds the deployment's one configuration, so
     # key material and admitted client namespaces agree fleet-wide.
     config = spec.make_config(args.open_namespace or ["client:"])
@@ -737,8 +735,6 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="PREFIX",
                        help="client-id namespace(s) whose signatures verify "
                             "without explicit registration (default: client:)")
-    serve.add_argument("--no-batch-verify", action="store_true",
-                       help="disable per-chunk amortized signature batches")
     serve.add_argument("--peers-file", default=None,
                        help="orchestrator state file (cluster.json) naming "
                             "peer addresses; enables quarantine repair")

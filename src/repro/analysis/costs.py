@@ -223,49 +223,17 @@ class CostModel:
         """Uncached / cached backend-verification ratio for one base write."""
         return self.write_verifications_uncached() / self.write_verifications_cached()
 
-    # -- verification passes (batch prevalidation, E22) -----------------------
+    def write_verify_calls(self) -> int:
+        """Backend verifications per steady-state base write, one shared memo.
 
-    def write_verify_calls_unbatched(self) -> int:
-        """Verification *passes* per base write without batch prevalidation.
-
-        A pass (:attr:`~repro.core.verification.VerificationStats.verify_calls`)
-        is one trip into the verifier that performs non-memoized backend
-        work, however many signatures it covers.  Handling messages one at
-        a time, the client pays one pass per reply it examines before its
-        quorum completes — ``q`` per round, three rounds — and the replicas
-        pay one pass per signed request round (PREPARE and WRITE): the
-        first replica reaches the backend, the shared memo absorbs the
-        other ``n - 1`` and every certificate the client already validated.
+        Each message is verified by the handler that uses it.  The client
+        verifies the ``q`` replies each of its three rounds waits for; the
+        first replica to handle each signed request (PREPARE and WRITE)
+        verifies its signature, and the shared memo absorbs the other
+        ``n - 1`` and every certificate the client already validated.
         ``3q + 2`` in total.
         """
         return 3 * self.quorums.quorum_size + 2
-
-    def write_verify_calls_batched(self, in_flight: int = 1) -> float:
-        """Verification passes per write with batch prevalidation.
-
-        :meth:`~repro.core.verification.Verifier.verify_batch` collapses a
-        whole batch of signatures into one amortized pass, so each reply
-        round costs the client a single pass regardless of quorum size
-        (three passes) and the two signed request rounds cost one
-        prevalidation pass each at the first replica (the memo again
-        absorbs the rest).  With ``in_flight`` concurrent writes coalesced
-        onto shared frames, same-round messages share each pass, dividing
-        the per-write cost: ``(3 + 2) / in_flight``.
-        """
-        if in_flight < 1:
-            raise ValueError(f"in_flight {in_flight} must be >= 1")
-        return (3 + 2) / in_flight
-
-    def batch_verify_reduction(self, in_flight: int = 1) -> float:
-        """Unbatched / batched verification-pass ratio for one base write.
-
-        ``(3q + 2) · in_flight / 5`` — 2.2x for f=1 with a single write in
-        flight, which is the floor the E22 benchmark asserts (>= 2x), and
-        growing linearly with pipeline depth.
-        """
-        return self.write_verify_calls_unbatched() / self.write_verify_calls_batched(
-            in_flight
-        )
 
     # -- encode counts (wire fast path) --------------------------------------
 

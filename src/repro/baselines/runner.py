@@ -29,7 +29,6 @@ def build_bqs_cluster(
     seed: int = 0,
     profile: Optional[LinkProfile] = None,
     write_back: bool = True,
-    batching: bool = False,
     replica_overrides: Optional[dict[int, Callable]] = None,
     instrumentation: Optional[Instrumentation] = None,
 ) -> Cluster:
@@ -44,7 +43,6 @@ def build_bqs_cluster(
         scheme=scheme,
         seed=seed,
         profile=profile or LinkProfile.reliable(),
-        batching=batching,
         replica_overrides=replica_overrides or {},
         instrumentation=instrumentation,
     )

@@ -122,7 +122,6 @@ class SimDeployment(Deployment):
             variant=str(spec.variant),
             scheme=spec.scheme,
             seed=spec.seed,
-            batching=spec.batching,
         )
         if spec.instrumentation:
             options["instrumentation"] = Instrumentation()
@@ -258,14 +257,11 @@ class ReplicaGroup:
                 replica_cls=replica_cls,
                 fsync=spec.fsync,
                 instrumentation=self.instrumentation,
-                batch_verify=spec.batch_verify,
             )
         replica = replica_cls(
             node_id, self.config, instrumentation=self.instrumentation
         )
-        return ReplicaServer(
-            replica, host=spec.host, port=port, batch_verify=spec.batch_verify
-        )
+        return ReplicaServer(replica, host=spec.host, port=port)
 
     @property
     def addrs(self) -> dict[str, tuple[str, int]]:
@@ -324,7 +320,6 @@ class _SocketDeployment(Deployment):
                     for i in range(spec.pipeline)
                 ],
                 self.addrs,
-                verifier=self.config.verifier if spec.batch_verify else None,
             )
             self._loop.run(self._pipe.connect())
         except BaseException:

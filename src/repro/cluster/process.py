@@ -133,8 +133,6 @@ def serve_command(
     ]
     for namespace in OPEN_NAMESPACES:
         cmd.extend(["--open-namespace", namespace])
-    if not spec.batch_verify:
-        cmd.append("--no-batch-verify")
     return cmd
 
 
@@ -142,8 +140,7 @@ class ProcessCluster:
     """Launches and supervises one ``serve`` worker per replica group.
 
     ``spec`` names the fleet: ``f``, ``seed``, ``variant``, ``scheme``,
-    ``host``, ``fsync`` and ``batch_verify`` reach every worker's command
-    line, ``workers`` partitions the ``3f+1`` replicas, and ``data_dir``
+    ``host`` and ``fsync`` reach every worker's command line, ``workers`` partitions the ``3f+1`` replicas, and ``data_dir``
     (required) holds the worker directories and ``cluster.json``.
     """
 

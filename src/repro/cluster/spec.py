@@ -3,8 +3,7 @@
 One frozen dataclass names everything the previous four construction paths
 took as ad-hoc keyword soup: protocol shape (``f``, ``variant``,
 ``scheme``), transport (``sim`` | ``tcp`` | ``process``), durability
-(``store``, ``data_dir``, ``fsync``), batching knobs, and the pipeline
-width.  :func:`repro.cluster.deploy.deploy` turns a spec into a running
+(``store``, ``data_dir``, ``fsync``), and the pipeline width.  :func:`repro.cluster.deploy.deploy` turns a spec into a running
 deployment; every transport derives its key material from the same
 deterministic seed, which is what lets separate worker processes (and the
 offline fingerprint recovery pass) agree on signatures.
@@ -43,9 +42,6 @@ class DeploymentSpec:
         data_dir: directory for file stores / worker directories; when
             ``None`` the deployment creates (and owns) a temporary one.
         fsync: ``always`` or ``never``, passed to the file store.
-        batching: client-side cross-object frame coalescing (sim only).
-        batch_verify: amortize replicas' signature checks over each
-            arriving frame batch (``Verifier.verify_batch``).
         instrumentation: attach an :class:`~repro.obs.Instrumentation`
             handle timing handlers, stores, and verification counters.
         pipeline: in-flight operations per deployment handle — the number
@@ -64,8 +60,6 @@ class DeploymentSpec:
     store: str = "memory"
     data_dir: Optional[str] = None
     fsync: str = "always"
-    batching: bool = False
-    batch_verify: bool = True
     instrumentation: bool = False
     pipeline: int = 1
     workers: Optional[int] = None
@@ -142,8 +136,6 @@ class DeploymentSpec:
             "store": self.store,
             "data_dir": self.data_dir,
             "fsync": self.fsync,
-            "batching": self.batching,
-            "batch_verify": self.batch_verify,
             "instrumentation": self.instrumentation,
             "pipeline": self.pipeline,
             "workers": self.workers,

@@ -25,12 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Any, Callable, ClassVar, Optional
 
-from repro.core.batching import (
-    BatchEnvelope,
-    BatchStats,
-    expand_message,
-    prevalidate_batch,
-)
+from repro.core.batching import BatchEnvelope, BatchStats, expand_message
 from repro.core.client import BftBcClient
 from repro.core.config import SystemConfig
 from repro.core.messages import (
@@ -129,21 +124,11 @@ def _scoped_config(config: SystemConfig, obj: str) -> SystemConfig:
 
 
 def _decode_payload(message: ObjectMessage) -> Optional[Message]:
-    """Decode an envelope's payload once, caching the result on the instance.
-
-    Both the batch prevalidation pass and the per-message handler need the
-    decoded inner message; caching it on the (frozen) envelope keeps decode
-    work at one pass per frame.  ``False`` marks a payload that failed to
-    decode, so the failure is also computed only once.
-    """
-    cached = message.__dict__.get("_decoded_payload")
-    if cached is None:
-        try:
-            cached = message_from_wire(message.payload)
-        except ProtocolError:
-            cached = False
-        object.__setattr__(message, "_decoded_payload", cached)
-    return None if cached is False else cached
+    """The envelope's inner message, or None when the payload is malformed."""
+    try:
+        return message_from_wire(message.payload)
+    except ProtocolError:
+        return None
 
 
 class MultiObjectReplica:
@@ -229,7 +214,6 @@ class MultiObjectReplica:
         """
         if isinstance(message, BatchEnvelope):
             inners = expand_message(message, self.batch_stats)
-            self.prevalidate(inners)
             replies = [
                 reply
                 for inner in inners
@@ -248,35 +232,6 @@ class MultiObjectReplica:
                 payloads=tuple(message_wire_bytes(r) for r in replies)
             )
         return self._handle_one(sender, message)
-
-    def prevalidate(self, messages: list[Message]) -> int:
-        """Warm each object's verification memo for a batch, in one pass per
-        object group.
-
-        Signatures are scoped per object, so the batch is partitioned by
-        object id and each group prevalidates through that object's own
-        verifier.  Stale-epoch and malformed envelopes are skipped — they
-        will be refused (and counted) by :meth:`_handle_one` without ever
-        touching crypto.
-        """
-        groups: dict[str, list[Message]] = {}
-        for message in messages:
-            if not isinstance(message, ObjectMessage):
-                continue
-            if (
-                self.epoch is not None
-                and message.epoch is not None
-                and message.epoch != self.epoch
-                and message.epoch not in self._also_accept
-            ):
-                continue
-            inner = _decode_payload(message)
-            if inner is not None:
-                groups.setdefault(message.obj, []).append(inner)
-        return sum(
-            self.object_state(obj).prevalidate(inners)
-            for obj, inners in groups.items()
-        )
 
     def _handle_one(self, sender: str, message: Message) -> Optional[Message]:
         if not isinstance(message, ObjectMessage):
@@ -348,33 +303,9 @@ class MultiObjectClient:
     def begin_read(self, obj: str) -> list[Send]:
         return self._wrap(obj, self.object_client(obj).begin_read())
 
-    def prevalidate(self, messages: list[Message]) -> int:
-        """Warm each known object's verification memo for a reply batch.
-
-        Mirrors :meth:`MultiObjectReplica.prevalidate` on the client side:
-        replies are grouped by object id and each group runs one amortized
-        pass through that object's scoped verifier.  Envelopes for objects
-        this client never opened are left alone — ``deliver`` drops them
-        without verifying anything.
-        """
-        groups: dict[str, list[Message]] = {}
-        for message in messages:
-            if not isinstance(message, ObjectMessage):
-                continue
-            if message.obj not in self._objects:
-                continue
-            inner = _decode_payload(message)
-            if inner is not None:
-                groups.setdefault(message.obj, []).append(inner)
-        return sum(
-            prevalidate_batch(self._objects[obj].config.verifier, inners)
-            for obj, inners in groups.items()
-        )
-
     def deliver(self, sender: str, message: Message) -> list[Send]:
         if isinstance(message, BatchEnvelope):
             inners = expand_message(message, self.batch_stats)
-            self.prevalidate(inners)
             sends: list[Send] = []
             for inner in inners:
                 sends.extend(self.deliver(sender, inner))

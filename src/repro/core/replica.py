@@ -205,20 +205,6 @@ class BftBcReplica:
         """Digest of the durable state, for differential recovery tests."""
         return self._state.fingerprint(include_signing_logs=include_signing_logs)
 
-    def prevalidate(self, messages: list[Message]) -> int:
-        """Warm the verification memo for a batch of requests in one pass.
-
-        Adapters that receive several frames at once (a
-        :class:`~repro.core.batching.BatchEnvelope`, or a TCP read chunk
-        holding many frames) call this before handling the messages
-        individually; every signature and certificate check the handlers
-        are about to make becomes a memo hit.  Purely an optimization —
-        the handlers' own checks remain authoritative.
-        """
-        from repro.core.batching import prevalidate_batch
-
-        return prevalidate_batch(self.verifier, messages)
-
     def snapshot_wire(self) -> dict[str, Any]:
         """The full durable state as one canonical wire value.
 

@@ -71,15 +71,6 @@ class VerificationStats:
         signer_evictions: signature-memo entries dropped because one signer
             exceeded its per-identity budget (E21 memory accounting).
         certificate_evictions: certificate-memo entries dropped by capacity.
-        verify_calls: verification *passes* that did non-memoized work — each
-            individual check that reached the backend counts one, while a
-            whole :meth:`Verifier.verify_batch` pass counts one regardless of
-            how many of its signatures missed the memo.  The batched/unbatched
-            ratio of this counter is E22's amortization metric.
-        batch_calls: :meth:`Verifier.verify_batch` invocations.
-        batched_signatures: signatures submitted across all batch passes.
-        batch_pool_tasks: backend verifications fanned out to the optional
-            ``concurrent.futures`` executor instead of run inline.
     """
 
     signature_checks: int = 0
@@ -90,10 +81,16 @@ class VerificationStats:
     signature_evictions: int = 0
     signer_evictions: int = 0
     certificate_evictions: int = 0
-    verify_calls: int = 0
-    batch_calls: int = 0
-    batched_signatures: int = 0
-    batch_pool_tasks: int = 0
+
+    # Kept readable for external counter readers (perfbench): every check
+    # is verified alone, so a verification pass is one backend verify and
+    # no batch pass ever runs.
+    batch_calls = 0
+    batched_signatures = 0
+
+    @property
+    def verify_calls(self) -> int:
+        return self.backend_verifies
 
     @property
     def signature_hit_rate(self) -> float:
@@ -119,10 +116,6 @@ class VerificationStats:
         self.signature_evictions = 0
         self.signer_evictions = 0
         self.certificate_evictions = 0
-        self.verify_calls = 0
-        self.batch_calls = 0
-        self.batched_signatures = 0
-        self.batch_pool_tasks = 0
 
 
 class Verifier:
@@ -173,12 +166,6 @@ class Verifier:
         # in insertion order.  Lets the per-identity budget evict that
         # signer's oldest entry in O(1) instead of scanning the whole memo.
         self._by_signer: dict[str, "OrderedDict[tuple[bytes, str, bytes], None]"] = {}
-        # Batch-pass state: while a verify_batch (or the certificate
-        # validations it triggers) is running, individual backend hits do not
-        # count as separate verification passes — the batch is the pass.
-        self._in_batch = False
-        self._batch_executor: Any = None
-        self._batch_executor_min = 4
 
     # -- signature layer ---------------------------------------------------
 
@@ -196,8 +183,6 @@ class Verifier:
         self.stats.signature_checks += 1
         if not self.enabled:
             self.stats.backend_verifies += 1
-            if not self._in_batch:
-                self.stats.verify_calls += 1
             return self.scheme.verify(signature, message)
         key = (message, signature.signer, signature.value)
         cached = self._signature_memo.get(key)
@@ -206,8 +191,6 @@ class Verifier:
             self.stats.signature_hits += 1
             return cached
         self.stats.backend_verifies += 1
-        if not self._in_batch:
-            self.stats.verify_calls += 1
         verdict = self.scheme.verify(signature, message)
         # A verdict for an unregistered signer is the one non-pure case:
         # registering the signer later would flip False to the real answer,
@@ -215,116 +198,6 @@ class Verifier:
         if self.scheme.registry.is_registered(signature.signer):
             self._remember_signature(key, verdict)
         return verdict
-
-    # -- batch layer -------------------------------------------------------
-
-    def set_batch_executor(self, executor: Any, *, min_misses: int = 4) -> None:
-        """Fan batch misses out to a ``concurrent.futures`` executor.
-
-        Only :meth:`verify_batch` uses the executor, and only when a pass
-        holds at least ``min_misses`` non-memoized signatures — below that
-        the submission overhead outweighs the work.  Pass a
-        ``ThreadPoolExecutor``: the backend objects are shared, not
-        pickled, and on CPython the win is bounded by how much of the
-        backend's work releases the GIL (``hashlib``/``hmac`` do for large
-        inputs).  ``None`` restores inline verification.
-        """
-        self._batch_executor = executor
-        self._batch_executor_min = min_misses
-
-    def verify_batch(
-        self,
-        checks: "list[tuple[Signature, Any]]",
-        certificates: "tuple | list" = (),
-    ) -> list[bool]:
-        """Verify many ``(signature, statement)`` checks in one amortized pass.
-
-        The entry point for batch prevalidation: a replica (or client) that
-        just unpacked a :class:`~repro.core.batching.BatchEnvelope` submits
-        every inner message's signature checks — and the certificates those
-        messages carry — here before handling them one by one.  The pass
-        dedups identical checks, answers what it can from the memo, verifies
-        the rest against the backend (optionally across the worker pool),
-        and memoizes the verdicts, so the handlers' subsequent individual
-        ``verify_statement`` / ``validate_certificate`` calls are all memo
-        hits.  The whole pass counts as **one** ``verify_calls`` entry —
-        that is the amortization E22 measures.
-
-        Certificate validation failures are swallowed: prevalidation only
-        warms the memo, and the handler's own ``validate_certificate`` call
-        re-raises (or re-checks) with full fidelity.
-
-        Returns the verdict for each check, in order.
-        """
-        self.stats.batch_calls += 1
-        self.stats.batched_signatures += len(checks)
-        verdicts = [False] * len(checks)
-        backend_before = self.stats.backend_verifies
-        self._in_batch = True
-        try:
-            # indices of checks awaiting a backend verdict, keyed by the
-            # deduped (bytes, signer, value) memo key.
-            misses: "OrderedDict[tuple[bytes, str, bytes], list[int]]" = (
-                OrderedDict()
-            )
-            miss_args: list[tuple[Signature, bytes]] = []
-            for index, (signature, statement) in enumerate(checks):
-                self.stats.signature_checks += 1
-                message = (
-                    statement
-                    if isinstance(statement, bytes)
-                    else intern_encode(statement)
-                )
-                key = (message, signature.signer, signature.value)
-                if self.enabled:
-                    cached = self._signature_memo.get(key)
-                    if cached is not None:
-                        self._signature_memo.move_to_end(key)
-                        self.stats.signature_hits += 1
-                        verdicts[index] = cached
-                        continue
-                waiting = misses.get(key)
-                if waiting is not None:
-                    waiting.append(index)
-                    self.stats.signature_hits += 1
-                    continue
-                misses[key] = [index]
-                miss_args.append((signature, message))
-            if miss_args:
-                self.stats.backend_verifies += len(miss_args)
-                executor = self._batch_executor
-                if executor is not None and len(miss_args) >= (
-                    self._batch_executor_min
-                ):
-                    self.stats.batch_pool_tasks += len(miss_args)
-                    results = list(
-                        executor.map(
-                            self.scheme.verify,
-                            [sig for sig, _ in miss_args],
-                            [msg for _, msg in miss_args],
-                        )
-                    )
-                else:
-                    results = [
-                        self.scheme.verify(sig, msg) for sig, msg in miss_args
-                    ]
-                for (key, indices), verdict in zip(misses.items(), results):
-                    for index in indices:
-                        verdicts[index] = verdict
-                    if self.enabled and self.scheme.registry.is_registered(
-                        key[1]
-                    ):
-                        self._remember_signature(key, verdict)
-            for cert in certificates:
-                try:
-                    self.validate_certificate(cert)
-                except CertificateError:
-                    pass
-        finally:
-            self._in_batch = False
-        if self.stats.backend_verifies > backend_before:
-            self.stats.verify_calls += 1
-        return verdicts
 
     # -- certificate layer -------------------------------------------------
 

@@ -22,7 +22,6 @@ import os
 from contextlib import nullcontext
 from typing import Any, Callable, Optional, Union
 
-from repro.core.batching import expand_message
 from repro.core.client import BftBcClient
 from repro.core.config import SystemConfig
 from repro.core.messages import Message
@@ -51,17 +50,10 @@ class ReplicaServer:
         replica: BftBcReplica,
         host: str = "127.0.0.1",
         port: int = 0,
-        *,
-        batch_verify: bool = True,
     ) -> None:
         self.replica = replica
         self.host = host
         self.port = port
-        #: Amortize signature verification across each socket read: all the
-        #: frames a 64 KiB chunk yields are prevalidated in one pass through
-        #: the replica's verification memo before their handlers run.  A
-        #: chunk with a single frame is handled exactly as before.
-        self.batch_verify = batch_verify
         self._server: Optional[asyncio.base_events.Server] = None
         self._connections: set[asyncio.StreamWriter] = set()
 
@@ -83,7 +75,6 @@ class ReplicaServer:
         fsync: str = "always",
         snapshot_interval: Optional[int] = 1024,
         instrumentation: Optional[Instrumentation] = None,
-        batch_verify: bool = True,
     ) -> "ReplicaServer":
         """Build a server whose replica journals to ``data_dir``.
 
@@ -99,7 +90,7 @@ class ReplicaServer:
             node_id, config, store=store, instrumentation=instrumentation
         )
         replica.recover()
-        return cls(replica, host=host, port=port, batch_verify=batch_verify)
+        return cls(replica, host=host, port=port)
 
     async def start(self) -> tuple[str, int]:
         """Start listening; returns the bound (host, port)."""
@@ -219,10 +210,8 @@ class ReplicaServer:
         """Handle every frame one socket read produced, in arrival order.
 
         A busy connection (the client-side mux, or a pipelining client)
-        lands several frames per read; decoding them all first lets the
-        replica prevalidate their signatures in one amortized batch pass,
-        and the replies share one WAL barrier and a single flow-control
-        drain.  Each reply is
+        lands several frames per read; their replies share one WAL barrier
+        and a single flow-control drain.  Each reply is
         tagged ``dst=<request src>`` so a multiplexer on the far end can
         route it to the right logical client; plain clients ignore the tag.
         """
@@ -232,13 +221,6 @@ class ReplicaServer:
                 frames.append(decode_envelope(payload))
             except (EncodingError, ProtocolError):
                 continue  # corrupted or malformed input is silently discarded
-        if self.batch_verify and len(frames) > 1:
-            prevalidate = getattr(self.replica, "prevalidate", None)
-            if prevalidate is not None:
-                inners: list[Message] = []
-                for _, message, _ in frames:
-                    inners.extend(expand_message(message))
-                prevalidate(inners)
         # One barrier for the whole read: the replies are collected while
         # the scope is open and written only after it has closed (no
         # ``await`` in between, so nothing else can run on the loop).  A

@@ -15,9 +15,9 @@ exactly the faulty-client behaviour replicas refuse (§4.1, and the
 one-prepared-write-per-client rule of Figure 2) — so the pipeline window is
 made of k logical clients: submitted operations are dealt to whichever
 logical client is idle, giving k operations in flight per process over just
-3f+1 sockets.  Replies arriving back-to-back land in the same socket read
-at the replica, where the chunk-level batch verifier amortizes their
-signature checks (``ReplicaServer._handle_chunk``).
+3f+1 sockets.  Requests arriving back-to-back land in the same socket read
+at the replica, where their replies share one WAL barrier
+(``ReplicaServer._handle_chunk``).
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ import asyncio
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Sequence
 
-from repro.core.batching import prevalidate_batch
 from repro.core.client import BftBcClient
 from repro.core.operations import Send
 from repro.encoding import FrameDecoder
@@ -172,7 +171,6 @@ async def drive(
     retransmit: Callable[[], Iterable[Send]],
     interval: float,
     timeout: float,
-    verifier: Any = None,
 ) -> None:
     """Run one sans-I/O round trip over sockets: the paper's §3 pattern.
 
@@ -185,10 +183,7 @@ async def drive(
 
     Every client-side role (core clients, the shard router, the
     reconfigurator, a joining replica's state transfer, quarantine repair)
-    is driven by this one loop.  When ``verifier`` is set, each drained
-    burst of replies is prevalidated as one amortized ``verify_batch``
-    pass; the per-reply checks inside ``deliver`` then hit the
-    verification memo for free.
+    is driven by this one loop.
     """
     await endpoint.send(node_id, initial_sends)
     loop = asyncio.get_running_loop()
@@ -206,15 +201,14 @@ async def drive(
             await endpoint.send(node_id, retransmit())
             continue
         # A quorum's replies land nearly simultaneously; drain whatever
-        # else has already arrived and verify the burst in one pass.
+        # else has already arrived, so a straggler reaches this operation
+        # (which ignores it once done) rather than the next one.
         batch = [(src, message)]
         while True:
             try:
                 batch.append(inbox.get_nowait())
             except asyncio.QueueEmpty:
                 break
-        if verifier is not None and len(batch) > 1:
-            prevalidate_batch(verifier, [reply for _, reply in batch])
         for src, message in batch:
             await endpoint.send(node_id, deliver(src, message))
 
@@ -253,15 +247,12 @@ class PipelinedClient:
         *,
         retransmit_interval: float = 0.2,
         op_timeout: float = 30.0,
-        verifier: Any = None,
     ) -> None:
         if not clients:
             raise ValueError("PipelinedClient needs at least one client")
         self.clients = list(clients)
         self.retransmit_interval = retransmit_interval
         self.op_timeout = op_timeout
-        #: Reply-burst prevalidation, see :func:`drive`.
-        self.verifier = verifier
         self.endpoint = MuxEndpoint(replica_addrs)
         self._inboxes = {
             client.node_id: self.endpoint.register(client.node_id)
@@ -331,7 +322,6 @@ class PipelinedClient:
             retransmit=client.retransmit,
             interval=self.retransmit_interval,
             timeout=self.op_timeout,
-            verifier=self.verifier,
         )
         assert client.op is not None
         return client.op.result

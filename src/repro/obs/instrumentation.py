@@ -13,7 +13,7 @@ It owns four things:
 * **a clock** — virtual time under the simulator, wall clock on asyncio;
   the cluster binds it, callers never care which;
 * **stats sources** — the counter blocks that used to be attached through
-  ``MetricsCollector.attach_*`` (verification, wire cache, batching,
+  ``MetricsCollector.attach_*`` (verification, wire cache,
   per-replica storage), now registered here exactly once; double attachment
   raises instead of silently overwriting.
 
@@ -81,7 +81,7 @@ class Instrumentation:
         self.clock: Callable[[], float] = clock or time.perf_counter
         self.histograms: dict[str, LatencyHistogram] = {}
         #: Attached stats sources by name ("verification", "wire_cache",
-        #: "batching"); "storage" maps replica id -> StorageStats.
+        #: ...); "storage" maps replica id -> StorageStats.
         self.sources: dict[str, Any] = {}
         self._span_ids = itertools.count(1)
         self._op_ids = itertools.count(1)
@@ -234,10 +234,6 @@ class Instrumentation:
     def attach_wire_cache(self, stats: Any) -> None:
         """Expose the encode-once wire-cache counters (E15)."""
         self.attach("wire_cache", stats)
-
-    def attach_batching(self, stats: Any) -> None:
-        """Expose the cross-object batching counters (E15)."""
-        self.attach("batching", stats)
 
     def attach_storage(self, stats_by_replica: dict[str, Any]) -> None:
         """Expose per-replica storage counters (E16); per-id double attach raises."""

@@ -4,7 +4,7 @@ The benchmark harness reports exactly the quantities the paper's evaluation
 discusses: phases per operation (E1), messages and bytes per operation (E2),
 latency in network round-trips, fast-path rates for the optimized protocol
 (E10), signature counts (E4), verification-cache hit rates (E4d), and the
-wire fast path's encode-cache and batching counters (E15).
+wire fast path's encode-cache counters (E15).
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.core.batching import BatchStats
 from repro.core.messages import WireCacheStats
 from repro.core.verification import VerificationStats
 from repro.obs.instrumentation import Instrumentation
@@ -70,7 +69,7 @@ def _percentile(ordered: list[float], q: float) -> float:
 class MetricsCollector:
     """Accumulates operation samples for one simulation run.
 
-    Stats sources (verification, wire cache, batching, storage) are
+    Stats sources (verification, wire cache, storage) are
     attached through, and read back from, the collector's
     :class:`~repro.obs.Instrumentation` handle.
     """
@@ -91,11 +90,6 @@ class MetricsCollector:
     def wire_cache(self) -> Optional[WireCacheStats]:
         """Encode-once wire-cache counters (process-wide)."""
         return self.instrumentation.source("wire_cache")
-
-    @property
-    def batching(self) -> Optional[BatchStats]:
-        """Cross-object batching counters, when the deployment batches."""
-        return self.instrumentation.source("batching")
 
     @property
     def storage(self) -> dict[str, StorageStats]:
@@ -130,18 +124,6 @@ class MetricsCollector:
         if self.wire_cache is None or not self.samples:
             return 0.0
         return self.wire_cache.misses / len(self.samples)
-
-    def batch_size_histogram(self) -> Counter:
-        """batch size -> count of emitted batches (empty when not batching)."""
-        if self.batching is None:
-            return Counter()
-        return Counter(self.batching.batch_sizes)
-
-    def frames_saved(self) -> int:
-        """Wire frames avoided by cross-object coalescing."""
-        if self.batching is None:
-            return 0
-        return self.batching.frames_saved
 
     # -- storage / durability (E16) ---------------------------------------
 

@@ -3,7 +3,7 @@
 :class:`ReplicaHost` is the one way a reactive ``handle(src, msg) -> reply``
 state machine sits on the simulated network — BFT-BC, baseline, multi-object
 and shard replicas alike; :class:`ReplicaNode` adds what only a BFT-BC
-replica has (batches, signing cost, a durable store to crash and corrupt).
+replica has (signing cost, a durable store to crash and corrupt).
 :class:`MachineHost` is the client-side counterpart (registration, sending,
 the retransmission timer): :class:`ClientNode` drives a correct client
 through a scripted sequence of operations, recording history events and
@@ -15,14 +15,9 @@ from __future__ import annotations
 import random
 from typing import Any, Callable, Optional, Sequence
 
-from repro.core.batching import (
-    BatchCoalescer,
-    BatchEnvelope,
-    expand_message,
-    prevalidate_batch,
-)
+from repro.core.batching import BatchCoalescer
 from repro.core.client import BftBcClient
-from repro.core.messages import Message, message_wire_bytes
+from repro.core.messages import Message
 from repro.core.operations import Send
 from repro.core.replica import BftBcReplica
 from repro.core.timestamp import ZERO_TS
@@ -132,7 +127,7 @@ class ReplicaHost:
 
 
 class ReplicaNode(ReplicaHost):
-    """Hosts a BFT-BC replica: batches, signing cost, crash/restart, audits.
+    """Hosts a BFT-BC replica: signing cost, crash/restart, audits.
 
     ``sign_delay`` models the CPU cost of one *foreground* public-key
     signature as virtual time: the reply is held back by
@@ -281,33 +276,12 @@ class ReplicaNode(ReplicaHost):
         return clean
 
     def _process(self, src: str, message: Message) -> None:
-        """Handle one frame; a batch is unpacked and answered as one frame."""
         if self.down:
             return
         before = self.replica.stats.foreground_signs
-        inners = expand_message(message)
-        if len(inners) > 1:
-            # Batch-aware replicas warm their verification memo in one
-            # amortized pass before the per-message handlers run.
-            prevalidate = getattr(self.replica, "prevalidate", None)
-            if prevalidate is not None:
-                prevalidate(inners)
-        # One barrier per frame: a batch's replies leave together, so its
-        # handlers share the scope (a single message opens just its own).
-        with self.replica.store.group():
-            replies = [
-                reply
-                for inner in inners
-                if (reply := self.replica.handle(src, inner)) is not None
-            ]
-        if not replies:
+        reply = self.replica.handle(src, message)
+        if reply is None:
             return
-        if len(replies) == 1:
-            reply: Message = replies[0]
-        else:
-            reply = BatchEnvelope(
-                payloads=tuple(message_wire_bytes(r) for r in replies)
-            )
         delay = self.sign_delay * (self.replica.stats.foreground_signs - before)
         # Behavioural laggards (e.g. byzantine.DelayingReplica) advertise a
         # fixed per-reply delay via this marker attribute.
@@ -418,17 +392,13 @@ class ClientNode(MachineHost):
         recorder: Optional[HistoryRecorder] = None,
         metrics: Optional[MetricsCollector] = None,
         retransmit_interval: float = DEFAULT_RETRANSMIT_INTERVAL,
-        coalescer: Optional[BatchCoalescer] = None,
         retransmit_backoff: float = 1.0,
         retransmit_jitter: float = 0.0,
         retransmit_max_interval: Optional[float] = None,
     ) -> None:
-        # Single-object operations never share a destination within a
-        # round, so for this node the coalescer is a provable pass-through
-        # (see the differential tests).
         super().__init__(
             client.node_id, network, scheduler,
-            retransmit_interval=retransmit_interval, coalescer=coalescer,
+            retransmit_interval=retransmit_interval,
         )
         self.client = client
         self.recorder = recorder
@@ -502,13 +472,7 @@ class ClientNode(MachineHost):
 
     def _on_message(self, src: str, message: Message) -> None:
         was_busy = self.client.busy
-        inners = expand_message(message)
-        if len(inners) > 1:
-            prevalidate_batch(self.client.config.verifier, inners)
-        sends: list[Send] = []
-        for inner in inners:
-            sends.extend(self.client.deliver(src, inner))
-        self._send_all(sends)
+        self._send_all(self.client.deliver(src, message))
         if was_busy and not self.client.busy:
             self._on_op_complete()
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Sequence
 
-from repro.core.batching import BatchCoalescer, BatchStats
 from repro.core.config import SystemConfig, Variant, make_system
 from repro.core.persistence import ClientStateBudget
 from repro.core.messages import wire_cache_stats
@@ -138,12 +137,6 @@ class ClusterOptions:
     #: store and rehydrate on demand.  ``None`` keeps the classic
     #: all-resident behaviour.
     client_state_budget: Optional[ClientStateBudget] = None
-    #: Coalesce same-destination sends into batch envelopes.  Single-object
-    #: clients never share a destination within a round, so for this runner
-    #: the layer is a provable pass-through (the differential tests pin the
-    #: runs byte for byte); it exists here so every variant can be exercised
-    #: with the batching path active.
-    batching: bool = False
     #: Virtual-time cost of one foreground public-key signature at a
     #: replica (models §3.3.2's signing cost; 0 = free).
     sign_delay: float = 0.0
@@ -222,12 +215,6 @@ class Cluster(SimHarness):
         self.instrumentation.attach_keys(self.config.registry.stats)
         if self.config.authenticator is not None:
             self.instrumentation.attach_sessions(self.config.authenticator.stats)
-        #: One coalescing-stats block shared by every client of the cluster.
-        self.batch_stats: Optional[BatchStats] = (
-            BatchStats() if options.batching else None
-        )
-        if self.batch_stats is not None:
-            self.instrumentation.attach_batching(self.batch_stats)
         self._client_factory = client_factory or options.variant.client_cls
         self.replica_nodes: dict[str, ReplicaHost] = {}
         self.clients: dict[str, ClientNode] = {}
@@ -303,11 +290,6 @@ class Cluster(SimHarness):
             retransmit_backoff=self.options.retransmit_backoff,
             retransmit_jitter=self.options.retransmit_jitter,
             retransmit_max_interval=self.options.retransmit_max_interval,
-            coalescer=(
-                BatchCoalescer(self.batch_stats)
-                if self.batch_stats is not None
-                else None
-            ),
         )
         self.clients[client.node_id] = self._track(node)
         return node

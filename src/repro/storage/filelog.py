@@ -24,9 +24,9 @@ Durability model — one barrier per released reply batch:
   and one fsync before anything that reveals them can be released — every
   acknowledged state change survives any crash.  The scope is opened by
   :meth:`repro.core.replica.BftBcReplica.handle`, so every host gets the
-  barrier by construction, and widened by the two hosts that release
-  several replies at once: ``ReplicaServer._handle_chunk`` (all frames of
-  one socket read) and ``ReplicaNode._process`` (one ``BatchEnvelope``).
+  barrier by construction, and widened by the host that releases several
+  replies at once: ``ReplicaServer._handle_chunk`` (all frames of one
+  socket read).
   An append outside any scope is a group of one.
 * ``fsync="never"`` hands each group to the OS with one flush and leaves
   the barrier to it; a crash loses the unsynced tail, which

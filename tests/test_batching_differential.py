@@ -1,109 +1,22 @@
-"""Differential tests: batching must not change protocol behaviour.
+"""Differential test: cross-object batching must not change outcomes.
 
-Two regimes, two proof obligations:
-
-* **Single-object deployments** (base / optimized / strong / BQS): no two
-  sends of a round share a destination, so the coalescer is a strict
-  pass-through.  Run the same seeded workload — under a lossy, duplicating
-  link schedule — with batching off and on, and demand the runs are
-  *identical*: same history events, same operation samples, same network
-  counters, same virtual clock.  The coalescer consumes no randomness, so
-  any divergence at all is a batching bug.
-
-* **Multi-object deployments**, where batches genuinely form and message
-  timing therefore differs: demand equal protocol *outcomes* — every
-  per-object operation sequence returns the same results, replicas converge
-  to the same state, and each per-object history stays linearizable.
+In a multi-object deployment batches genuinely form and message timing
+therefore differs, so demand equal protocol *outcomes*: every per-object
+operation sequence returns the same results, replicas converge to the same
+state, and each per-object history stays linearizable.
 """
 
 from __future__ import annotations
 
-import pytest
-
-from repro.baselines.runner import build_bqs_cluster
 from repro.core import GENESIS_VALUE, make_system
 from repro.core.batching import BatchCoalescer, BatchStats
 from repro.core.multiobject import MultiObjectClient, MultiObjectReplica
 from repro.net.simnet import LinkProfile, SimNetwork
-from repro.sim import (
-    MultiObjectClientNode,
-    ReplicaHost,
-    Scheduler,
-    build_cluster,
-)
+from repro.sim import MultiObjectClientNode, ReplicaHost, Scheduler
 from repro.spec.linearizability import check_register_linearizable
 
 #: A schedule that exercises retransmission and duplicate suppression.
 FAULTY_PROFILE = dict(drop_rate=0.1, duplicate_rate=0.05)
-
-SCRIPTS = {
-    "w1": [("write", "a1"), ("read", None), ("write", "a2")],
-    "w2": [("write", "b1"), ("write", "b2"), ("read", None)],
-}
-
-
-def _fingerprint(cluster) -> dict:
-    """Everything observable about a finished run, for exact comparison."""
-    net = cluster.network.stats
-    return {
-        "events": list(cluster.history.events),
-        "samples": list(cluster.metrics.samples),
-        "retransmit_ticks": cluster.metrics.retransmit_ticks,
-        "network": (
-            net.messages_sent,
-            net.messages_delivered,
-            net.messages_dropped,
-            net.messages_duplicated,
-            net.bytes_sent,
-            net.bytes_delivered,
-            dict(net.sent_by_kind),
-            dict(net.bytes_by_kind),
-        ),
-        "virtual_now": cluster.scheduler.now,
-        "events_processed": cluster.scheduler.events_processed,
-    }
-
-
-@pytest.mark.parametrize("variant", ["base", "optimized", "strong", "fastpath"])
-def test_single_object_variants_byte_identical(variant):
-    def run(batching: bool) -> dict:
-        cluster = build_cluster(
-            f=1,
-            variant=variant,
-            seed=77,
-            profile=LinkProfile(**FAULTY_PROFILE),
-            batching=batching,
-        )
-        cluster.run_scripts(SCRIPTS)
-        return _fingerprint(cluster)
-
-    off, on = run(False), run(True)
-    assert off == on
-
-
-def test_bqs_baseline_byte_identical():
-    def run(batching: bool) -> dict:
-        cluster = build_bqs_cluster(
-            f=1, seed=78, profile=LinkProfile(**FAULTY_PROFILE), batching=batching
-        )
-        cluster.run_scripts(SCRIPTS)
-        return _fingerprint(cluster)
-
-    off, on = run(False), run(True)
-    assert off == on
-
-
-def test_single_object_coalescer_is_pure_passthrough():
-    """With one object in flight, the coalescer forms no batches at all."""
-    cluster = build_cluster(
-        f=1, variant="base", seed=79, profile=LinkProfile(**FAULTY_PROFILE),
-        batching=True,
-    )
-    cluster.run_scripts(SCRIPTS)
-    assert cluster.batch_stats is not None
-    assert cluster.batch_stats.batches == 0
-    assert cluster.batch_stats.frames_saved == 0
-    assert cluster.batch_stats.sends_in == cluster.batch_stats.frames_out
 
 
 class TestMultiObjectOutcomes:

@@ -72,6 +72,16 @@ class TestDeploymentSpec:
         assert DeploymentSpec.from_wire(spec.to_wire()) == spec
         assert json.loads(json.dumps(spec.to_wire())) == spec.to_wire()
 
+    def test_old_state_file_spec_still_loads(self):
+        """A ``cluster.json`` written before the batching fields were
+        removed still names a valid spec, so ``cluster status`` works on a
+        fleet started by the older code."""
+        spec = DeploymentSpec(
+            f=2, variant="optimized", seed=3, transport="process", workers=5
+        )
+        old = {**spec.to_wire(), "batching": False, "batch_verify": True}
+        assert DeploymentSpec.from_wire(old) == spec
+
     @pytest.mark.parametrize(
         "overrides",
         [
@@ -136,9 +146,7 @@ class TestServeCommand:
                 f=1, variant="strong", fsync="never", host="127.0.0.2",
                 workers=2, seed=9,
             ),
-            DeploymentSpec(
-                f=2, variant="fastpath", workers=2, seed=3, batch_verify=False
-            ),
+            DeploymentSpec(f=2, variant="fastpath", workers=2, seed=3),
         ],
         ids=["base-f1", "optimized-f2-rsa", "strong-fsync-never-host", "fastpath-f2"],
     )
@@ -153,7 +161,6 @@ class TestServeCommand:
             args = build_parser().parse_args(command[3:])
             assert args.command == "serve"
             assert args.node_ids == list(worker.node_ids)
-            assert args.no_batch_verify == (not spec.batch_verify)
             parsed = spec_from_flags(args)
             for name in ("f", "variant", "scheme", "seed", "fsync", "host"):
                 assert getattr(parsed, name) == getattr(spec, name), name

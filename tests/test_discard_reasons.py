@@ -9,17 +9,28 @@ variants.
 
 from __future__ import annotations
 
+import asyncio
 import dataclasses
 
 import pytest
 
+from repro import build_cluster
+from repro.cluster import DeploymentSpec, ReplicaGroup
 from repro.core import make_system
+from repro.core.batching import BatchEnvelope
 from repro.core.certificates import PrepareCertificate, genesis_prepare_certificate
-from repro.core.messages import ReadTsPrepRequest, WriteRequest
+from repro.core.messages import (
+    ReadTsPrepRequest,
+    ReadTsRequest,
+    WriteRequest,
+    message_wire_bytes,
+)
+from repro.core.operations import Send
 from repro.core.replica import BftBcReplica, OptimizedBftBcReplica
 from repro.core.statements import read_ts_prep_request_statement
 from repro.core.timestamp import ZERO_TS
 from repro.crypto.hashing import hash_value
+from repro.net.mux import MuxEndpoint
 
 from tests.conftest import make_write_cert
 from tests.helpers import ProtocolKit, make_replicas
@@ -245,3 +256,46 @@ def test_unknown_message_kind():
 
     assert replica.handle(kit.client, Mystery()) is None
     assert replica.stats.discards["unknown-kind"] == 1
+
+
+def batch_of_one_read_ts(kit):
+    """A BATCH frame wrapping a valid READ-TS: only multi-object replicas
+    unpack batches, so a single-object replica must discard it whole."""
+    request = ReadTsRequest(nonce=kit.nonce())
+    return BatchEnvelope(payloads=(message_wire_bytes(request),))
+
+
+def test_batch_frame_is_an_unknown_kind_on_a_sim_host():
+    cluster = build_cluster(f=1, seed=3)
+    kit = ProtocolKit(cluster.config)
+    cluster.network.send(kit.client, "replica:0", batch_of_one_read_ts(kit))
+    cluster.settle(1.0)
+    replica = cluster.replicas["replica:0"]
+    assert replica.stats.discards["unknown-kind"] == 1
+    assert replica.stats.replies == 0
+
+
+def test_batch_frame_is_an_unknown_kind_on_a_socket_host():
+    async def main():
+        config = make_system(f=1, seed=b"discard-batch-tcp")
+        kit = ProtocolKit(config)
+        group = await ReplicaGroup.start(
+            DeploymentSpec(transport="tcp"), config, node_ids=["replica:0"]
+        )
+        replica = group.replicas["replica:0"]
+        endpoint = MuxEndpoint(group.addrs)
+        try:
+            await endpoint.connect()
+            batch = batch_of_one_read_ts(kit)
+            await endpoint.send(kit.client, [Send(dest="replica:0", message=batch)])
+            for _ in range(200):
+                if replica.stats.discards["unknown-kind"]:
+                    break
+                await asyncio.sleep(0.01)
+        finally:
+            await endpoint.close()
+            await group.stop()
+        assert replica.stats.discards["unknown-kind"] == 1
+        assert replica.stats.replies == 0
+
+    asyncio.run(main())

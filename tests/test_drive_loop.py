@@ -2,7 +2,7 @@
 endpoint under it.
 
 * fake-role unit tests of the loop itself: the quiet-interval re-dial +
-  retransmit, the deadline, and the one-pass burst prevalidation;
+  retransmit, the deadline, and delivery of a queued burst;
 * endpoint bookkeeping: live-reader-task bound under reconnect churn,
   ``unregister``;
 * parity: the same seeded script through every client stack built on the
@@ -129,47 +129,6 @@ class TestDriveLoop:
             endpoint = FakeEndpoint(asyncio.Queue())
             await drive_fake(endpoint, FakeRole(need=0), interval=1, timeout=1)
             assert endpoint.log == ["send:1"]
-
-        run(main())
-
-    def test_burst_of_replies_is_one_verify_batch_pass(self):
-        """Replies already queued when the first one is taken are drained
-        and prevalidated together: one ``verify_batch`` pass, after which
-        the client's own per-reply checks are memo hits."""
-
-        async def main():
-            config = make_system(f=1, seed=b"drive-burst")
-            replicas = {
-                rid: BftBcReplica(rid, config)
-                for rid in config.quorums.replica_ids
-            }
-            client = BftBcClient("client:a", config)
-            config.registry.register("client:a")
-
-            def answer(send):
-                reply = replicas[send.dest].handle("client:a", send.message)
-                return None if reply is None else (send.dest, reply)
-
-            endpoint = FakeEndpoint(asyncio.Queue(), answer=answer)
-            stats = config.verifier.stats
-            before = stats.batch_calls
-            # A read is one phase: all four READ-REPLYs are on the inbox
-            # before the loop first looks at it.
-            await drive(
-                endpoint,
-                "client:a",
-                endpoint.inbox,
-                client.begin_read(),
-                done=lambda: not client.busy,
-                deliver=client.deliver,
-                retransmit=client.retransmit,
-                interval=1.0,
-                timeout=5.0,
-                verifier=config.verifier,
-            )
-            assert not client.busy
-            assert stats.batch_calls - before == 1
-            assert stats.batched_signatures >= 2
 
         run(main())
 
@@ -323,9 +282,7 @@ def through_pipelined_client(script):
         config = make_system(f=1, seed=b"parity")
         config.registry.register(CLIENT)
         group, addrs = await start_cluster(config)
-        pipe = PipelinedClient(
-            [BftBcClient(CLIENT, config)], addrs, verifier=config.verifier
-        )
+        pipe = PipelinedClient([BftBcClient(CLIENT, config)], addrs)
         await pipe.connect()
         records = await pipe.run_script(script)
         assert [record.index for record in records] == list(range(len(script)))

@@ -4,7 +4,9 @@ The counts below were recorded with the recursive decoder, the
 isinstance-chain encoder, the tagged-copy intern key and ``hmac.new``: any
 rewrite of those kernels must keep every counter identical, so a speed-up is
 attributable to cheaper calls alone.  The MACs and HMAC signatures
-themselves are checked byte for byte against ``hmac.new``.
+themselves are checked byte for byte against ``hmac.new``, and one
+steady-state base write costs exactly the backend verifications of the
+``CostModel`` closed form.
 """
 
 from __future__ import annotations
@@ -15,6 +17,10 @@ import hmac
 import pytest
 
 from repro import LinkProfile, build_cluster
+from repro.analysis.costs import CostModel
+from repro.core.client import BftBcClient
+from repro.core.config import make_system
+from repro.core.replica import BftBcReplica
 from repro.crypto.signatures import HmacSignatureScheme
 from repro.encoding import encode_stats, intern_stats, reset_interning
 from repro.sim import write_script
@@ -108,3 +114,35 @@ def test_macs_and_hmac_signatures_match_hmac_new():
             assert signature.value == expected
             assert scheme.verify(signature, message)
             assert not scheme.verify(signature, message + b"x")
+
+
+def test_steady_state_base_write_verifies_3q_plus_2():
+    """One base write pumped round by round through sans-I/O replicas that
+    share one verifier.  The first write warms the certificates later
+    writes carry; the second is the steady state the closed form counts."""
+    config = make_system(1, seed=b"bv-differential")
+    config.registry.register("c1")
+    replicas = {
+        node_id: BftBcReplica(node_id, config)
+        for node_id in config.quorums.replica_ids
+    }
+    client = BftBcClient("c1", config)
+
+    def pump(sends):
+        while sends:
+            replies = [
+                (send.dest, reply)
+                for send in sends
+                if (reply := replicas[send.dest].handle("c1", send.message))
+                is not None
+            ]
+            sends = [
+                out for dest, reply in replies for out in client.deliver(dest, reply)
+            ]
+
+    pump(client.begin_write(b"v1"))
+    before = config.verifier.stats.backend_verifies
+    pump(client.begin_write(b"v2"))
+    assert not client.busy
+    verifies = config.verifier.stats.backend_verifies - before
+    assert verifies == CostModel(config.quorums).write_verify_calls() == 11

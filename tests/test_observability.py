@@ -343,7 +343,6 @@ class TestAttachGuards:
         instr = Instrumentation.off()
         attachers = [
             instr.attach_wire_cache,
-            instr.attach_batching,
             instr.attach_keys,
             instr.attach_sessions,
         ]
