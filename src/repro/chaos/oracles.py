@@ -267,10 +267,10 @@ def check_epoch_agreement(cluster: "ShardCluster") -> OracleVerdict:
     """
     problems: list[str] = []
     for node in cluster.reconfigurations:
-        if not node.done:
+        if not node.machine.done:
             problems.append(
                 f"reconfiguration {node.node_id} stuck in phase "
-                f"{node.reconfigurator.phase!r}"
+                f"{node.machine.phase!r}"
             )
     for shard in cluster.shard_ids:
         installed = cluster.directory.epoch(shard)

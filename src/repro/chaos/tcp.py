@@ -41,7 +41,7 @@ from repro.errors import OperationFailedError
 from repro.net.asyncio_transport import AsyncClient
 from repro.net.chaos_proxy import ChaosProxy, ProxyProfile
 from repro.sim.nodes import flip_wal_byte
-from repro.spec.histories import History, Invocation, Response
+from repro.sim.recorder import HistoryRecorder
 
 __all__ = [
     "TcpChaosConfig",
@@ -134,31 +134,10 @@ class TcpEpisodeResult:
         }
 
 
-class _WallRecorder:
-    """Appends §4.1 events with wall-clock (event-loop) timestamps."""
-
-    def __init__(self, obj: str = "x") -> None:
-        self.history = History()
-        self.obj = obj
-
-    def _now(self) -> float:
-        return asyncio.get_running_loop().time()
-
-    def invocation(self, client: str, op: str, arg: Any = None) -> None:
-        self.history.append(
-            Invocation(client=client, obj=self.obj, op=op, arg=arg, time=self._now())
-        )
-
-    def response(self, client: str, value: Any = None) -> None:
-        self.history.append(
-            Response(client=client, obj=self.obj, value=value, time=self._now())
-        )
-
-
 async def _client_workload(
     name: str,
     client: AsyncClient,
-    recorder: _WallRecorder,
+    recorder: HistoryRecorder,
     rng: random.Random,
     config: TcpChaosConfig,
 ) -> int:
@@ -167,13 +146,13 @@ async def _client_workload(
     for seq in range(config.ops_per_client):
         if seq == 0 or rng.random() < config.write_fraction:
             value = (name, seq, "tcp")
-            recorder.invocation(name, "write", value)
+            recorder.record_invocation(name, "write", value)
             await client.write(value)
-            recorder.response(name, None)
+            recorder.record_response(name, None)
         else:
-            recorder.invocation(name, "read", None)
+            recorder.record_invocation(name, "read", None)
             value = await client.read()
-            recorder.response(name, value)
+            recorder.record_response(name, value)
         operations += 1
     return operations
 
@@ -256,7 +235,7 @@ async def _run_episode(
     proxies: dict[str, ChaosProxy] = {}
     addrs: dict[str, tuple[str, int]] = {}
     clients: list[AsyncClient] = []
-    recorder = _WallRecorder()
+    recorder = HistoryRecorder(asyncio.get_running_loop().time)
     error_kind: Optional[str] = None
     error = ""
     operations = 0

@@ -13,8 +13,8 @@ design:
   :class:`~repro.crypto.keys.KeyRegistry`, the budgeted verifier/session
   caches, and the spill-capable
   :class:`~repro.core.persistence.ClientStateTable` exist for.  Client
-  endpoints are *transient*: a driver registers with the network when its
-  identity has work and unregisters when it drains, so neither the handler
+  endpoints are *transient*: a driver is hosted on the network when its
+  identity has work and closed when it drains, so neither the handler
   table nor the driver map grows with every identity ever seen.  Distinct
   identities are counted exactly in a bitmap (one bit per universe slot).
 * **Bounded event backlog** — arrivals are scheduled *chained* (each
@@ -43,7 +43,6 @@ from typing import Iterator, Optional
 
 from repro.analysis.costs import CostModel
 from repro.core.config import NamespaceWriters, SystemConfig, Variant, make_system
-from repro.core.messages import Message
 from repro.core.multiobject import MultiObjectClient, MultiObjectReplica
 from repro.core.persistence import ClientStateBudget
 from repro.errors import OperationFailedError, SimulationError
@@ -58,9 +57,8 @@ from repro.load.profile import (
 from repro.net.simnet import LinkProfile
 from repro.obs.histograms import LatencyHistogram
 from repro.obs.instrumentation import Instrumentation
-from repro.sim.nodes import ReplicaHost
+from repro.sim.nodes import MachineHost, ReplicaHost
 from repro.sim.runner import SimHarness
-from repro.sim.scheduler import EventHandle
 
 __all__ = [
     "SimLoadOptions",
@@ -220,32 +218,35 @@ class SimLoadOptions:
         self.variant = Variant.coerce(self.variant)
 
 
-class _ClientDriver:
+class _ClientDriver(MachineHost):
     """A transient endpoint for one identity while it has work.
 
     Created on an identity's first pending arrival, registered with the
-    network for exactly that long, and parked (unregistered, dropped from
-    the active map) once its queue drains.  Operations run sequentially
-    per identity; queueing delay counts toward the measured latency.
+    network for exactly that long, and parked (closed, dropped from the
+    active map) once its queue drains.  Operations run sequentially per
+    identity; queueing delay counts toward the measured latency.
     """
 
+    machine: MultiObjectClient
+
     def __init__(self, harness: "SimLoadHarness", identity: str) -> None:
-        self.harness = harness
-        self.identity = identity
-        self.client = MultiObjectClient(
-            identity, harness.config, harness.client_cls
-        )
-        self.pending: deque[Arrival] = deque()
-        self.current: Optional[Arrival] = None
-        self._retransmit_handle: Optional[EventHandle] = None
+        client = MultiObjectClient(identity, harness.config, harness.client_cls)
         # Restore the identity's write certificates from its last
         # incarnation.  A real client retains its certs across idle
         # periods; without them nothing ever piggybacks a write cert back
         # to the replicas, write_ts never advances, prepare lists are
         # never pruned, and a returning writer wedges on plist-conflict.
         for obj, cert in harness._cert_wallet.get(identity, {}).items():
-            self.client.object_client(obj).write_cert = cert
-        harness.network.register(identity, self._on_message)
+            client.object_client(obj).write_cert = cert
+        super().__init__(
+            client,
+            harness.network,
+            harness.scheduler,
+            retransmit_interval=harness.options.retransmit_interval,
+        )
+        self.harness = harness
+        self.pending: deque[Arrival] = deque()
+        self.current: Optional[Arrival] = None
 
     def submit(self, arrival: Arrival) -> None:
         self.pending.append(arrival)
@@ -256,40 +257,25 @@ class _ClientDriver:
         arrival = self.pending.popleft()
         self.current = arrival
         if arrival.kind == "write":
-            sends = self.client.begin_write(arrival.obj, f"v{arrival.index}")
+            self.begin(
+                self.machine.begin_write(arrival.obj, f"v{arrival.index}")
+            )
         else:
-            sends = self.client.begin_read(arrival.obj)
-        self._send_all(sends)
-        self._arm_retransmit()
+            self.begin(self.machine.begin_read(arrival.obj))
 
-    def _arm_retransmit(self) -> None:
-        self._retransmit_handle = self.harness.scheduler.call_later(
-            self.harness.options.retransmit_interval, self._retransmit_tick
-        )
+    def _finished(self) -> bool:
+        assert self.current is not None
+        return not self.machine.busy(self.current.obj)
 
-    def _retransmit_tick(self) -> None:
-        self._send_all(self.client.retransmit())
-        self._arm_retransmit()
-
-    def _on_message(self, src: str, message: Message) -> None:
-        self._send_all(self.client.deliver(src, message))
+    def _on_done(self) -> None:
         arrival = self.current
-        if arrival is not None and not self.client.busy(arrival.obj):
-            self.current = None
-            # One live timer per driver: the finished operation's chain
-            # must not go on retransmitting whatever runs next.
-            assert self._retransmit_handle is not None
-            self._retransmit_handle.cancel()
-            self._retransmit_handle = None
-            self.harness._complete(arrival, self.client.result(arrival.obj))
-            if self.pending:
-                self._next()
-            else:
-                self.harness._park(self)
-
-    def _send_all(self, sends) -> None:
-        for send in sends:
-            self.harness.network.send(self.identity, send.dest, send.message)
+        assert arrival is not None
+        self.current = None
+        self.harness._complete(arrival, self.machine.result(arrival.obj))
+        if self.pending:
+            self._next()
+        else:
+            self.harness._park(self)
 
 
 class SimLoadHarness(SimHarness):
@@ -380,15 +366,16 @@ class SimLoadHarness(SimHarness):
         )
 
     def _park(self, driver: _ClientDriver) -> None:
+        client = driver.machine
         certs = {
-            obj: driver.client.object_client(obj).write_cert
-            for obj in driver.client.objects
-            if driver.client.object_client(obj).write_cert is not None
+            obj: client.object_client(obj).write_cert
+            for obj in client.objects
+            if client.object_client(obj).write_cert is not None
         }
         if certs:
-            self._cert_wallet[driver.identity] = certs
-        self.network.unregister(driver.identity)
-        del self._active[driver.identity]
+            self._cert_wallet[driver.node_id] = certs
+        driver.close()
+        del self._active[driver.node_id]
 
     # -- accounting --------------------------------------------------------
 

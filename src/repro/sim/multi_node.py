@@ -14,12 +14,12 @@ from typing import Any, Optional, Sequence, Union
 
 from repro.core.batching import BatchCoalescer, BatchStats
 from repro.core.multiobject import MultiObjectClient
-from repro.core.messages import Message
 from repro.net.simnet import SimNetwork
 from repro.shard.router import ShardRouter
 from repro.sim.nodes import DEFAULT_RETRANSMIT_INTERVAL, MachineHost
+from repro.sim.recorder import HistoryRecorder
 from repro.sim.scheduler import Scheduler
-from repro.spec.histories import History, Invocation, Response
+from repro.spec.histories import History
 
 __all__ = ["MultiObjectClientNode", "MultiScriptStep"]
 
@@ -30,7 +30,9 @@ MultiScriptStep = tuple[str, str, Any]
 class MultiObjectClientNode(MachineHost):
     """Runs a multi-object script over the simulated network.
 
-    With a coalescer each send round (dispatch, delivery follow-ups,
+    The whole script is the host's one operation: the retransmission timer
+    runs from :meth:`run_script` until the last step completes.  With a
+    coalescer each send round (dispatch, delivery follow-ups,
     retransmission sweep) emits at most one wire frame per destination.
     """
 
@@ -46,29 +48,42 @@ class MultiObjectClientNode(MachineHost):
         retransmit_interval: float = DEFAULT_RETRANSMIT_INTERVAL,
     ) -> None:
         super().__init__(
-            client.node_id, network, scheduler,
+            client, network, scheduler,
             retransmit_interval=retransmit_interval, coalescer=coalescer,
         )
         self.client = client
         self.max_in_flight = max_in_flight
         self.results: list[tuple[MultiScriptStep, Any]] = []
         self.done = True
-        #: Per-object histories (obj -> History), populated when
-        #: ``record_history`` is on.  Each object gets its own history so
-        #: the per-client-per-object sequentiality of §4.1 holds.
-        self.histories: dict[str, History] = {} if record_history else {}
         self._record = record_history
+        #: One recorder per object, so the per-client-per-object
+        #: sequentiality of §4.1 holds.
+        self._recorders: dict[str, HistoryRecorder] = {}
         self._pending: list[MultiScriptStep] = []
         self._in_flight: dict[str, MultiScriptStep] = {}
+
+    @property
+    def histories(self) -> dict[str, History]:
+        """Per-object histories (obj -> History), populated when
+        ``record_history`` is on."""
+        return {obj: rec.history for obj, rec in self._recorders.items()}
 
     def run_script(self, script: Sequence[MultiScriptStep]) -> None:
         self._pending = list(script)
         self.done = not self._pending
         if self._pending:
             self.scheduler.call_later(0.0, self._dispatch)
-            self._arm_retransmit()
+            self.begin([])
 
     # -- scheduling ------------------------------------------------------------
+
+    def _recorder(self, obj: str) -> HistoryRecorder:
+        recorder = self._recorders.get(obj)
+        if recorder is None:
+            recorder = self._recorders[obj] = HistoryRecorder(
+                lambda: self.scheduler.now, obj=obj
+            )
+        return recorder
 
     def _dispatch(self) -> None:
         # Sends from every step issued this round are accumulated and sent
@@ -84,15 +99,7 @@ class MultiObjectClientNode(MachineHost):
             step = self._pending.pop(index)
             self._in_flight[obj] = step
             if self._record:
-                self.histories.setdefault(obj, History()).append(
-                    Invocation(
-                        client=self.node_id,
-                        obj=obj,
-                        op=kind,
-                        arg=value,
-                        time=self.scheduler.now,
-                    )
-                )
+                self._recorder(obj).record_invocation(self.node_id, kind, value)
             if kind == "write":
                 round_sends.extend(self.client.begin_write(obj, value))
             elif kind == "read":
@@ -101,8 +108,11 @@ class MultiObjectClientNode(MachineHost):
                 raise ValueError(f"unknown step kind {kind!r}")
         self._send_all(round_sends)
 
-    def _on_message(self, src: str, message: Message) -> None:
-        self._send_all(self.client.deliver(src, message))
+    # -- host hooks ------------------------------------------------------------
+
+    def _finished(self) -> bool:
+        """Harvest the steps that completed, dispatch the next ones, and
+        report whether the script has run out."""
         completed = [
             obj for obj in list(self._in_flight) if not self.client.busy(obj)
         ]
@@ -112,25 +122,13 @@ class MultiObjectClientNode(MachineHost):
             self.results.append((step, result))
             if self._record:
                 value = result if step[1] == "read" else None
-                self.histories.setdefault(obj, History()).append(
-                    Response(
-                        client=self.node_id,
-                        obj=obj,
-                        value=value,
-                        time=self.scheduler.now,
-                    )
-                )
+                self._recorder(obj).record_response(self.node_id, value)
         if completed:
             self._dispatch()
-        if not self._pending and not self._in_flight:
-            self.done = True
-            self._cancel_retransmit()
+        return not self._pending and not self._in_flight
 
-    def _retransmit(self) -> None:
-        if self.done:
-            return
-        self._send_all(self.client.retransmit())
-        self._arm_retransmit()
+    def _on_done(self) -> None:
+        self.done = True
 
     @property
     def batch_stats(self) -> Optional[BatchStats]:

@@ -5,14 +5,14 @@ state machine sits on the simulated network — BFT-BC, baseline, multi-object
 and shard replicas alike; :class:`ReplicaNode` adds what only a BFT-BC
 replica has (signing cost, a durable store to crash and corrupt).
 :class:`MachineHost` is the client-side counterpart (registration, sending,
-the retransmission timer): :class:`ClientNode` drives a correct client
+the one retransmission timer) for every sans-I/O client machine — hosted as
+is for a Byzantine client; :class:`ClientNode` drives a correct client
 through a scripted sequence of operations, recording history events and
-per-operation metrics, and :class:`AdversaryNode` ticks a Byzantine one.
+per-operation metrics.
 """
 
 from __future__ import annotations
 
-import random
 from typing import Any, Callable, Optional, Sequence
 
 from repro.core.batching import BatchCoalescer
@@ -30,7 +30,6 @@ __all__ = [
     "ReplicaHost",
     "ReplicaNode",
     "MachineHost",
-    "AdversaryNode",
     "ClientNode",
     "ScriptStep",
     "DEFAULT_RETRANSMIT_INTERVAL",
@@ -124,6 +123,12 @@ class ReplicaHost:
         reply = self.replica.handle(src, message)
         if reply is not None:
             self.network.send(self.node_id, src, reply)
+
+    def _send_all(self, sends: list[Send]) -> None:
+        """Send what the replica's own client-side roles return (state
+        transfer, quorum repair)."""
+        for send in sends:
+            self.network.send(self.node_id, send.dest, send.message)
 
 
 class ReplicaNode(ReplicaHost):
@@ -267,12 +272,11 @@ class ReplicaNode(ReplicaHost):
         else:
             clean = False
         if replica.quarantined:
-            if replica.repair.active:
-                sends = replica.repair_retransmit()
-            else:
-                sends = replica.begin_repair()
-            for send in sends:
-                self.network.send(self.node_id, send.dest, send.message)
+            self._send_all(
+                replica.repair_retransmit()
+                if replica.repair.active
+                else replica.begin_repair()
+            )
         return clean
 
     def _process(self, src: str, message: Message) -> None:
@@ -296,57 +300,19 @@ class ReplicaNode(ReplicaHost):
 
 
 class MachineHost:
-    """What every client-side machine needs from the simulator.
+    """Hosts one client-side sans-I/O machine: the simulator's twin of
+    :func:`repro.net.mux.drive`.
 
-    Registers the machine's node id on the network, sends its :class:`Send`
-    batches (through the optional coalescer) and owns the retransmission
-    timer, the protocol's only liveness mechanism.  Subclasses supply
-    ``_on_message`` and ``_retransmit``.
+    ``machine`` supplies ``node_id``, ``deliver(src, msg) -> [Send]`` and
+    ``retransmit() -> [Send]``.  The host registers the node id, sends every
+    :class:`Send` batch (through the optional coalescer) and owns the single
+    retransmission timer, the protocol's only liveness mechanism, armed by
+    :meth:`begin`.  After every delivery and every tick it asks
+    :meth:`_finished` whether the operation in flight has ended and then
+    calls :meth:`_on_done` exactly once.  A subclass only says what an
+    operation is and what happens when it ends; hosted as is, a machine with
+    a ``done`` flag (a Byzantine client) runs until the flag is set.
     """
-
-    def __init__(
-        self,
-        node_id: str,
-        network: SimNetwork,
-        scheduler: Scheduler,
-        *,
-        retransmit_interval: float = DEFAULT_RETRANSMIT_INTERVAL,
-        coalescer: Optional[BatchCoalescer] = None,
-    ) -> None:
-        self.node_id = node_id
-        self.network = network
-        self.scheduler = scheduler
-        self.retransmit_interval = retransmit_interval
-        #: Optional batching layer: when set, each send round emits at most
-        #: one wire frame per destination.
-        self.coalescer = coalescer
-        self._retransmit_handle: Optional[EventHandle] = None
-        network.register(node_id, self._on_message)
-
-    def _send_all(self, sends: list[Send]) -> None:
-        if self.coalescer is not None:
-            sends = self.coalescer.coalesce(sends)
-        for send in sends:
-            self.network.send(self.node_id, send.dest, send.message)
-
-    def _arm_retransmit(self) -> None:
-        self._cancel_retransmit()
-        self._retransmit_handle = self.scheduler.call_later(
-            self._retransmit_delay(), self._retransmit
-        )
-
-    def _retransmit_delay(self) -> float:
-        return self.retransmit_interval
-
-    def _cancel_retransmit(self) -> None:
-        if self._retransmit_handle is not None:
-            self._retransmit_handle.cancel()
-            self._retransmit_handle = None
-
-
-class AdversaryNode(MachineHost):
-    """Hosts a Byzantine client: any ``start / deliver / retransmit ->
-    [Send]`` machine with a ``done`` flag, ticked at a fixed interval."""
 
     def __init__(
         self,
@@ -355,30 +321,72 @@ class AdversaryNode(MachineHost):
         scheduler: Scheduler,
         *,
         retransmit_interval: float = DEFAULT_RETRANSMIT_INTERVAL,
+        coalescer: Optional[BatchCoalescer] = None,
     ) -> None:
-        super().__init__(
-            machine.node_id, network, scheduler,
-            retransmit_interval=retransmit_interval,
-        )
         self.machine = machine
+        self.node_id: str = machine.node_id
+        self.network = network
+        self.scheduler = scheduler
+        self.retransmit_interval = retransmit_interval
+        #: Optional batching layer: when set, each send round emits at most
+        #: one wire frame per destination.
+        self.coalescer = coalescer
+        #: The retransmission timer; set exactly while an operation is in
+        #: flight.
+        self._timer: Optional[EventHandle] = None
+        network.register(self.node_id, self._on_message)
 
-    @property
-    def done(self) -> bool:
+    def begin(self, sends: list[Send]) -> None:
+        """Start an operation: send its first round and arm the timer."""
+        if self._timer is not None:
+            self._timer.cancel()
+        self._send_all(sends)
+        self._timer = self.scheduler.call_later(
+            self.retransmit_interval, self._tick
+        )
+
+    def close(self) -> None:
+        """Stop the timer and take the node id off the network."""
+        if self._timer is not None:
+            self._timer.cancel()
+            self._timer = None
+        self.network.unregister(self.node_id)
+
+    def _finished(self) -> bool:
+        """Whether the operation in flight has ended."""
         return self.machine.done
 
-    def start(self) -> None:
-        self._send_all(self.machine.start())
-        self._arm_retransmit()
+    def _on_done(self) -> None:
+        """Called once per operation, right after it ended."""
+
+    def _retransmit(self) -> list[Send]:
+        return self.machine.retransmit()
+
+    def _send_all(self, sends: list[Send]) -> None:
+        if self.coalescer is not None:
+            sends = self.coalescer.coalesce(sends)
+        for send in sends:
+            self.network.send(self.node_id, send.dest, send.message)
 
     def _on_message(self, src: str, message: Message) -> None:
         self._send_all(self.machine.deliver(src, message))
-        if self.machine.done:
-            self._cancel_retransmit()
+        self._settle()
 
-    def _retransmit(self) -> None:
-        self._send_all(self.machine.retransmit())
-        if not self.machine.done:
-            self._arm_retransmit()
+    def _tick(self) -> None:
+        self._send_all(self._retransmit())
+        if not self._settle():
+            self._timer = self.scheduler.call_later(
+                self.retransmit_interval, self._tick
+            )
+
+    def _settle(self) -> bool:
+        """End the operation in flight if it has finished; True if it did."""
+        if self._timer is None or not self._finished():
+            return False
+        self._timer.cancel()
+        self._timer = None
+        self._on_done()
+        return True
 
 
 class ClientNode(MachineHost):
@@ -392,28 +400,13 @@ class ClientNode(MachineHost):
         recorder: Optional[HistoryRecorder] = None,
         metrics: Optional[MetricsCollector] = None,
         retransmit_interval: float = DEFAULT_RETRANSMIT_INTERVAL,
-        retransmit_backoff: float = 1.0,
-        retransmit_jitter: float = 0.0,
-        retransmit_max_interval: Optional[float] = None,
     ) -> None:
         super().__init__(
-            client.node_id, network, scheduler,
-            retransmit_interval=retransmit_interval,
+            client, network, scheduler, retransmit_interval=retransmit_interval
         )
         self.client = client
         self.recorder = recorder
         self.metrics = metrics
-        #: Exponential growth factor per unanswered retransmission; 1.0
-        #: (the default) reproduces the historical fixed-period timer.
-        self.retransmit_backoff = retransmit_backoff
-        #: Jitter fraction: each delay is scaled by a uniform draw from
-        #: ``[1 - jitter, 1 + jitter]`` so a fleet of clients that timed out
-        #: together does not retransmit in lockstep forever.
-        self.retransmit_jitter = retransmit_jitter
-        self.retransmit_max_interval = retransmit_max_interval
-        self._retransmit_attempts = 0
-        # Seeded per node id: schedules stay deterministic run-to-run.
-        self._retransmit_rng = random.Random(f"retransmit:{client.node_id}")
         #: ``(op kind, result)`` for every completed scripted operation —
         #: the committed timestamp for writes, the value for reads.
         self.results: list[tuple[str, Any]] = []
@@ -450,7 +443,6 @@ class ClientNode(MachineHost):
         kind, arg = self._script[self._next_step]
         self._next_step += 1
         self._op_started_at = self.scheduler.now
-        self._retransmit_attempts = 0
         if self.recorder is not None:
             self.recorder.record_invocation(self.node_id, kind, arg)
         if kind == "write":
@@ -459,25 +451,24 @@ class ClientNode(MachineHost):
             sends = self.client.begin_read()
         else:
             raise ValueError(f"unknown script step kind {kind!r}")
-        self._send_all(sends)
-        self._arm_retransmit()
+        self.begin(sends)
 
     def _complete_script(self) -> None:
         self.done = True
-        self._cancel_retransmit()
         if self._on_all_done is not None:
             self._on_all_done()
 
-    # -- message plumbing ----------------------------------------------------
+    # -- host hooks ---------------------------------------------------------
 
-    def _on_message(self, src: str, message: Message) -> None:
-        was_busy = self.client.busy
-        self._send_all(self.client.deliver(src, message))
-        if was_busy and not self.client.busy:
-            self._on_op_complete()
+    def _finished(self) -> bool:
+        return not self.client.busy
 
-    def _on_op_complete(self) -> None:
-        self._cancel_retransmit()
+    def _retransmit(self) -> list[Send]:
+        if self.metrics is not None:
+            self.metrics.retransmit_ticks += 1
+        return self.client.retransmit()
+
+    def _on_done(self) -> None:
         op = self.client.op
         assert op is not None
         self.results.append((op.op_name, op.result))
@@ -501,33 +492,3 @@ class ClientNode(MachineHost):
             self._complete_script()
         else:
             self.scheduler.call_later(self._think_time, self._start_next)
-
-    # -- retransmission -----------------------------------------------------
-
-    def _retransmit_delay(self) -> float:
-        """Next timer period: exponential backoff with deterministic jitter."""
-        delay = self.retransmit_interval * (
-            self.retransmit_backoff**self._retransmit_attempts
-        )
-        if self.retransmit_max_interval is not None:
-            delay = min(delay, self.retransmit_max_interval)
-        if self.retransmit_jitter:
-            delay *= 1.0 + self.retransmit_jitter * (
-                2.0 * self._retransmit_rng.random() - 1.0
-            )
-        return delay
-
-    def _retransmit(self) -> None:
-        if not self.client.busy:
-            return
-        self._retransmit_attempts += 1
-        sends = self.client.retransmit()
-        self._send_all(sends)
-        if self.metrics is not None:
-            self.metrics.retransmit_ticks += 1
-        if self.client.busy:
-            self._arm_retransmit()
-        else:
-            # The retransmit tick itself completed the operation (the
-            # optimized protocol's fallback decision can fire here).
-            self._on_op_complete()

@@ -9,19 +9,22 @@ is exactly how the correctness conditions are stated.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Callable
 
-from repro.sim.scheduler import Scheduler
 from repro.spec.histories import History, Invocation, Response, StopEvent
 
 __all__ = ["HistoryRecorder"]
 
 
 class HistoryRecorder:
-    """Appends timestamped events to a :class:`~repro.spec.histories.History`."""
+    """Appends timestamped events to a :class:`~repro.spec.histories.History`.
 
-    def __init__(self, scheduler: Scheduler, obj: str = "x") -> None:
-        self._scheduler = scheduler
+    ``clock`` stamps each event: the scheduler's virtual time on the
+    simulator, the event loop's ``time`` on real sockets.
+    """
+
+    def __init__(self, clock: Callable[[], float], obj: str = "x") -> None:
+        self._clock = clock
         self.obj = obj
         self.history = History()
 
@@ -32,7 +35,7 @@ class HistoryRecorder:
                 obj=self.obj,
                 op=op,
                 arg=arg,
-                time=self._scheduler.now,
+                time=self._clock(),
             )
         )
 
@@ -42,10 +45,10 @@ class HistoryRecorder:
                 client=client,
                 obj=self.obj,
                 value=value,
-                time=self._scheduler.now,
+                time=self._clock(),
             )
         )
 
     def record_stop(self, client: str) -> None:
         """Record that a faulty client has been removed from operation."""
-        self.history.append(StopEvent(client=client, time=self._scheduler.now))
+        self.history.append(StopEvent(client=client, time=self._clock()))

@@ -25,8 +25,8 @@ from repro.obs.instrumentation import Instrumentation
 from repro.sim.faults import FaultSchedule
 from repro.sim.metrics import MetricsCollector
 from repro.sim.nodes import (
-    AdversaryNode,
     ClientNode,
+    MachineHost,
     ReplicaHost,
     ReplicaNode,
     ScriptStep,
@@ -141,13 +141,6 @@ class ClusterOptions:
     #: replica (models §3.3.2's signing cost; 0 = free).
     sign_delay: float = 0.0
     retransmit_interval: float = 0.05
-    #: Exponential growth of the retransmission period per unanswered
-    #: attempt (1.0 = the historical fixed timer), with ``retransmit_jitter``
-    #: spreading clients' retries by a deterministic ±fraction and
-    #: ``retransmit_max_interval`` capping the backoff.
-    retransmit_backoff: float = 1.0
-    retransmit_jitter: float = 0.0
-    retransmit_max_interval: Optional[float] = None
     #: Called with each replica's node_id to build its backing store.  When
     #: set, that replica's Figure-2 state is mediated by the produced store
     #: (e.g. a FileLogStore for durable deployments); None keeps the
@@ -207,7 +200,7 @@ class Cluster(SimHarness):
             seed=options.seed,
             instrumentation=options.instrumentation,
         )
-        self.recorder = HistoryRecorder(self.scheduler)
+        self.recorder = HistoryRecorder(lambda: self.scheduler.now)
         self.metrics = MetricsCollector(instrumentation=self.instrumentation)
         assert self.config.verifier is not None
         self.instrumentation.attach_verification(self.config.verifier.stats)
@@ -287,9 +280,6 @@ class Cluster(SimHarness):
             recorder=self.recorder,
             metrics=self.metrics,
             retransmit_interval=self.options.retransmit_interval,
-            retransmit_backoff=self.options.retransmit_backoff,
-            retransmit_jitter=self.options.retransmit_jitter,
-            retransmit_max_interval=self.options.retransmit_max_interval,
         )
         self.clients[client.node_id] = self._track(node)
         return node
@@ -302,16 +292,14 @@ class Cluster(SimHarness):
         :mod:`repro.byzantine`); :meth:`run` waits for it like for any
         client.  Remove it with :meth:`stop_client`.
         """
-        node = self._track(
-            AdversaryNode(
-                machine,
-                self.network,
-                self.scheduler,
-                retransmit_interval=self.options.retransmit_interval,
-            )
+        host = MachineHost(
+            machine,
+            self.network,
+            self.scheduler,
+            retransmit_interval=self.options.retransmit_interval,
         )
-        node.start()
-        return machine
+        host.begin(machine.start())
+        return self._track(machine)
 
     # -- execution ------------------------------------------------------------------
 

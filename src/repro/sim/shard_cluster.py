@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 from repro.core.config import SystemConfig, Variant, make_system
-from repro.core.messages import Message
+from repro.core.operations import Send
 from repro.errors import SimulationError
 from repro.net.simnet import LinkProfile, SimNetwork
 from repro.shard.directory import ShardConfig, ShardDirectory
@@ -38,7 +38,7 @@ from repro.shard.ring import HashRing
 from repro.shard.router import ShardRouter
 from repro.sim.faults import FaultSchedule
 from repro.sim.multi_node import MultiObjectClientNode, MultiScriptStep
-from repro.sim.nodes import DEFAULT_RETRANSMIT_INTERVAL, ReplicaHost
+from repro.sim.nodes import DEFAULT_RETRANSMIT_INTERVAL, MachineHost, ReplicaHost
 from repro.sim.runner import SimHarness
 from repro.sim.scheduler import Scheduler
 from repro.spec.histories import History
@@ -131,18 +131,15 @@ class ShardReplicaNode(ReplicaHost):
         self._send_all(self.replica.bootstrap_retransmit())
         self.scheduler.call_later(self.retransmit_interval, self._boot_tick)
 
-    def _send_all(self, sends) -> None:
-        for send in sends:
-            self.network.send(self.node_id, send.dest, send.message)
 
-
-class ReconfiguratorNode:
+class ReconfiguratorNode(MachineHost):
     """Runs one :class:`Reconfigurator` over the simulated network.
 
-    Waits (polling the virtual clock) until the joining replica finished
-    its state transfer, then drives the sign/install phases with periodic
-    retransmission until the new epoch is durable.
+    Each tick waits until the joining replica finished its state transfer,
+    then drives the sign/install phases until the new epoch is durable.
     """
+
+    machine: Reconfigurator
 
     def __init__(
         self,
@@ -155,44 +152,25 @@ class ReconfiguratorNode:
         joiner: Optional[ShardReplicaNode] = None,
         retransmit_interval: float = DEFAULT_RETRANSMIT_INTERVAL,
     ) -> None:
-        self.reconfigurator = reconfigurator
-        self.network = network
-        self.scheduler = scheduler
+        super().__init__(
+            reconfigurator, network, scheduler,
+            retransmit_interval=retransmit_interval,
+        )
         self.remove = remove
         self.add = add
         self.joiner = joiner
-        self.retransmit_interval = retransmit_interval
-        network.register(reconfigurator.node_id, self._on_message)
-
-    @property
-    def node_id(self) -> str:
-        return self.reconfigurator.node_id
-
-    @property
-    def done(self) -> bool:
-        return self.reconfigurator.done
 
     def start(self) -> None:
-        self.scheduler.call_later(0.0, self._tick)
+        # The first readiness check is an event of its own, queued behind
+        # whatever else is due at this instant.
+        self.scheduler.call_later(0.0, lambda: self.begin(self._retransmit()))
 
-    def _on_message(self, src: str, message: Message) -> None:
-        self._send_all(self.reconfigurator.deliver(src, message))
-
-    def _tick(self) -> None:
-        if self.done:
-            return
-        if self.reconfigurator.phase == "idle":
-            if self.joiner is None or self.joiner.replica.ready:
-                self._send_all(
-                    self.reconfigurator.begin_replace(self.remove, self.add)
-                )
-        else:
-            self._send_all(self.reconfigurator.retransmit())
-        self.scheduler.call_later(self.retransmit_interval, self._tick)
-
-    def _send_all(self, sends) -> None:
-        for send in sends:
-            self.network.send(self.node_id, send.dest, send.message)
+    def _retransmit(self) -> list[Send]:
+        if self.machine.phase != "idle":
+            return self.machine.retransmit()
+        if self.joiner is None or self.joiner.replica.ready:
+            return self.machine.begin_replace(self.remove, self.add)
+        return []
 
 
 class ShardCluster(SimHarness):
@@ -333,7 +311,8 @@ class ShardCluster(SimHarness):
             joiner=joiner,
             retransmit_interval=self.options.retransmit_interval,
         )
-        self.reconfigurations.append(self._track(node))
+        self.reconfigurations.append(node)
+        self._track(reconfigurator)
         node.start()
         return node
 

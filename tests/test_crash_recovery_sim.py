@@ -133,15 +133,9 @@ def test_storage_metrics_flow_through_collector(tmp_path):
     assert cluster.metrics.fsyncs_per_op() > 0
 
 
-def test_jittered_backoff_is_deterministic_and_still_live():
+def test_retransmission_through_crash_restart_is_deterministic_and_live():
     def run_once():
-        options = ClusterOptions(
-            seed=9,
-            retransmit_interval=0.03,
-            retransmit_backoff=2.0,
-            retransmit_jitter=0.2,
-            retransmit_max_interval=0.5,
-        )
+        options = ClusterOptions(seed=9, retransmit_interval=0.03)
         cluster = build_cluster(options)
         cluster.install_faults(
             FaultSchedule().crash_restart(0.1, CRASHED, down_for=0.1)

@@ -39,9 +39,10 @@ from repro.crypto.commitments import (
     make_opening,
 )
 from repro.crypto.hashing import hash_value
-from repro.errors import CertificateError
+from repro.errors import CertificateError, OperationFailedError
 from repro.sim.faults import FaultSchedule
 from repro.sim.runner import ClusterOptions
+from repro.sim.workload import make_scripts
 from repro.spec import check_register_linearizable
 from repro.storage import FileLogStore
 
@@ -226,6 +227,34 @@ class TestFastPathEndToEnd:
         ) / 2 / cluster.config.quorums.n
         model = CostModel(cluster.config.quorums)
         assert per_write == model.write_log_records("fastpath") == 8
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=OperationFailedError,
+        reason=(
+            "known liveness hole under contention on a reliable network: "
+            "client:w0's FastReadOperation stalls in phase 1 holding replies "
+            "from all four replicas, each naming a different proof-evidence "
+            "group (<14,w1>, <15,w2>, <14,w6>, <15,w5>) with a single "
+            "pvouch; rule 2 demotes every group so _advance returns [], and "
+            "on_retransmit sends nothing because the round already has its "
+            "quorum, while the replicas all agree on <28,w5>.  The fix "
+            "(re-polling) needs a safety argument in PROTOCOL.md first."
+        ),
+    )
+    def test_contended_reads_finish_on_a_reliable_network(self):
+        seed = 1
+        cluster = build_cluster(
+            f=1,
+            variant="fastpath",
+            seed=seed,
+            profile=LinkProfile(min_delay=0.001, max_delay=0.02),
+        )
+        names = [f"w{i}" for i in range(8)]
+        cluster.run_scripts(
+            make_scripts(names, 20, write_fraction=0.5, seed=seed),
+            max_time=30,
+        )
 
 
 # -- fallback ---------------------------------------------------------------

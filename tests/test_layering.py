@@ -198,6 +198,30 @@ def test_checker_flags_a_replica_server_outside_the_front_door(tmp_path):
     ]
 
 
+def test_checker_flags_a_second_client_host(tmp_path):
+    """Only ``sim.nodes`` registers, sends or unregisters on a receiver
+    named ``network``; other ``send`` receivers (a socket endpoint) and
+    other network calls (fault injection) stay free."""
+    (tmp_path / "repro" / "sim").mkdir(parents=True)
+    (tmp_path / "repro" / "load").mkdir()
+    (tmp_path / "repro" / "sim" / "nodes.py").write_text(
+        "network.register(node_id, handler)\nself.network.send(a, b, m)\n"
+    )
+    (tmp_path / "repro" / "load" / "harness.py").write_text(
+        "harness.network.register(identity, on_message)\n"
+        "self.network.send(identity, dest, message)\n"
+        "network.unregister(identity)\n"
+        "endpoint.send(node_id, sends)\n"
+        "self.network.crash(node_id)\n"
+    )
+    found = check_layering.find_duplication(tmp_path)
+    assert [(module, line) for module, line, _ in found] == [
+        ("repro.load.harness", 1),
+        ("repro.load.harness", 2),
+        ("repro.load.harness", 3),
+    ]
+
+
 def test_checker_cli_passes():
     result = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "check_layering.py")],

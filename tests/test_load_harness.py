@@ -20,6 +20,7 @@ from repro.load import (
 )
 from repro.net.simnet import LinkProfile
 from repro.obs import LatencyHistogram
+from repro.sim.nodes import MachineHost
 
 
 def small_profile(**overrides) -> LoadProfile:
@@ -158,7 +159,7 @@ class TestRetransmitTimer:
                 1
                 for event in harness.scheduler._queue
                 if not event.cancelled
-                and getattr(event.action, "__name__", "") == "_retransmit_tick"
+                and getattr(event.action, "__func__", None) is MachineHost._tick
             )
             worst = max(worst, live)
 

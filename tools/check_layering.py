@@ -31,7 +31,7 @@ source file under ``src/repro`` with :mod:`ast` — including imports inside
 ``TYPE_CHECKING`` blocks and function bodies, so lazy imports cannot hide a
 cycle-in-waiting.
 
-Seven further rules keep deleted duplication from growing back
+Eight further rules keep deleted duplication from growing back
 (:func:`find_duplication`): the TCP client stack lives in one module, so
 ``asyncio.open_connection`` may be called only from ``repro.net.mux`` (and
 the chaos proxy's upstream leg); the variant-to-class mapping lives on
@@ -54,7 +54,12 @@ the actor base growing back; and a replica group on real sockets is a
 ``ReplicaServer(...)`` / ``ReplicaServer.durable(...)`` may be called only
 in ``repro.cluster.deploy`` — a harness that builds its own servers is the
 hand-rolled fleet growing back (the classmethod's own ``cls(...)`` and the
-``ShardReplicaServer`` subclass are not this rule's business).
+``ShardReplicaServer`` subclass are not this rule's business); and every
+sans-I/O machine on the simulator is hosted by ``repro.sim.nodes``
+(``MachineHost`` for client-side roles, ``ReplicaHost`` for replicas), so
+``.register(`` / ``.unregister(`` / ``.send(`` on a receiver named
+``network`` may be called only there — a harness that does its own
+registration and sending is a second client host growing back.
 
 Run:  python tools/check_layering.py   (exits 1 and lists violations)
 The tier-1 test ``tests/test_layering.py`` runs this on every suite run.
@@ -132,6 +137,21 @@ BARRIER_SITE = "repro.storage"
 ADVERSARY_PACKAGE = "repro.byzantine"
 HOST_ATTRIBUTES = frozenset({"network", "scheduler"})
 TIMER_CALLS = frozenset({"call_later", "call_at"})
+
+
+#: The simulated network's endpoints: every client-side machine sits on
+#: ``MachineHost`` and every replica on ``ReplicaHost``, so only
+#: ``repro.sim.nodes`` registers, sends or unregisters on a ``network``.
+NETWORK_SITE = "repro.sim.nodes"
+NETWORK_CALLS = frozenset({"register", "unregister", "send"})
+
+
+def _reaches_the_network(call: ast.Call) -> bool:
+    """``network.send(...)`` / ``self.network.register(...)`` and kin."""
+    func = call.func
+    if not isinstance(func, ast.Attribute) or func.attr not in NETWORK_CALLS:
+        return False
+    return getattr(func.value, "id", getattr(func.value, "attr", None)) == "network"
 
 
 #: The socket front door: the one module that builds replica servers.
@@ -251,6 +271,11 @@ def find_duplication(src: pathlib.Path = SRC) -> list[tuple[str, int, str]]:
                     found.append(
                         (module, node.lineno, "builds a ReplicaServer outside "
                          + SERVER_SITE + "; start a ReplicaGroup from a spec")
+                    )
+                if _reaches_the_network(node) and module != NETWORK_SITE:
+                    found.append(
+                        (module, node.lineno, f"calls network.{callee} outside "
+                         + NETWORK_SITE + "; host the machine on MachineHost")
                     )
                 if callee == "WireType" and module != WIRE_SCHEMA_SITE:
                     found.append(
