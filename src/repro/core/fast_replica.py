@@ -92,8 +92,9 @@ class FastBftBcReplica(OptimizedBftBcReplica):
         self._auth = config.authenticator
         self._replica_ids = tuple(config.quorums.replica_ids)
         # Volatile caches: positive own-column verdicts (content-addressed,
-        # so stale entries are impossible) and lazily signed vouches.
-        self._proof_ok: set[bytes] = set()
+        # so stale entries are impossible; keyed to the certificate's ts so
+        # write-ts GC can prune them) and lazily signed vouches.
+        self._proof_ok: dict[bytes, Timestamp] = {}
         self._pvouch_cache: dict[tuple[Timestamp, bytes], Signature] = {}
 
     @property
@@ -193,7 +194,7 @@ class FastBftBcReplica(OptimizedBftBcReplica):
         )
         if self._count_own_column(proof.rows, ack) < self.config.quorum_size:
             return False
-        self._proof_ok.add(key)
+        self._proof_ok[key] = cert.ts
         return True
 
     def _write_certificate_valid(self, wcert: WriteCertificate) -> bool:
@@ -205,7 +206,7 @@ class FastBftBcReplica(OptimizedBftBcReplica):
         ack = statement_bytes(fast_write_ack_statement(wcert.ts.to_wire()))
         if self._count_own_column(wcert.rows, ack) < self.config.quorum_size:
             return False
-        self._proof_ok.add(key)
+        self._proof_ok[key] = wcert.ts
         return True
 
     # -- vouching ----------------------------------------------------------
@@ -397,3 +398,9 @@ class FastBftBcReplica(OptimizedBftBcReplica):
     def _gc_prepare_lists(self) -> None:
         super()._gc_prepare_lists()
         self.fastc.gc_stale(self.write_ts)
+        # Only positive verdicts are memoized, so forgetting one for a
+        # certificate older than write_ts costs at most a re-check.
+        cutoff = self.write_ts
+        self._proof_ok = {
+            key: ts for key, ts in self._proof_ok.items() if ts >= cutoff
+        }

@@ -7,9 +7,12 @@ a request to a correct server, the reply ... will eventually be received")
 holds as long as ``drop_rate < 1``.
 
 Every message is serialised through the canonical codec on send and parsed
-again on delivery, so byte counts are the real wire sizes and corruption is
-applied to actual bytes.  Reordering arises naturally from randomly drawn
-per-message delays.
+once per frame in flight on delivery, so byte counts are the real wire sizes
+and corruption is applied to actual bytes.  A broadcast is encoded once and
+its 3f+1 copies carry the same bytes; the first copy to land parses them and
+every later copy hands its receiver that same frozen message.  A corrupted
+copy carries different bytes, so it is parsed (and rejected) on its own.
+Reordering arises naturally from randomly drawn per-message delays.
 """
 
 from __future__ import annotations
@@ -111,6 +114,9 @@ class NetworkStats:
     messages_reordered: int = 0
     bytes_sent: int = 0
     bytes_delivered: int = 0
+    #: Frames parsed on delivery: one per distinct frame in flight, not one
+    #: per copy (a clean 3f+1 broadcast delivers four copies, parses once).
+    messages_decoded: int = 0
     sent_by_kind: dict[str, int] = field(default_factory=dict)
     bytes_by_kind: dict[str, int] = field(default_factory=dict)
     dropped_by_kind: dict[str, int] = field(default_factory=dict)
@@ -136,6 +142,7 @@ class NetworkStats:
         self.messages_reordered = 0
         self.bytes_sent = 0
         self.bytes_delivered = 0
+        self.messages_decoded = 0
         self.sent_by_kind.clear()
         self.bytes_by_kind.clear()
         self.dropped_by_kind.clear()
@@ -159,6 +166,10 @@ class SimNetwork:
         self._partitioned: set[tuple[str, str]] = set()
         self._crashed: set[str] = set()
         self._blocked_kinds: dict[str, set[str]] = {}
+        # Frame bytes -> [copies still in flight, decoded message or None].
+        # An entry dies with its last copy, so the table holds only what is
+        # in flight.
+        self._in_flight: dict[bytes, list] = {}
         self.stats = NetworkStats()
         #: Optional observer called as ``tap(event, src, dst, message_kind)``
         #: with event in {"sent", "dropped", "corrupted", "delivered"}.
@@ -233,7 +244,9 @@ class SimNetwork:
 
         Serialisation goes through the encode-once wire cache: a message
         fanned out to 3f+1 replicas (or retransmitted) is canonically
-        encoded exactly once, and every link reuses the same bytes.
+        encoded exactly once, and every link reuses the same bytes.  Each
+        scheduled copy is counted in the in-flight table, so the copies of
+        one frame share one decode on delivery.
         """
         encoded = message_wire_bytes(message)
         self.stats.record_send(message.KIND, len(encoded))
@@ -261,6 +274,11 @@ class SimNetwork:
         if profile.duplicate_rate and self._rng.random() < profile.duplicate_rate:
             copies = 2
             self.stats.messages_duplicated += 1
+        entry = self._in_flight.get(encoded)
+        if entry is None:
+            self._in_flight[encoded] = [copies, None]
+        else:
+            entry[0] += copies
         for _ in range(copies):
             delay = self._rng.uniform(profile.min_delay, profile.max_delay)
             if profile.reorder_rate and self._rng.random() < profile.reorder_rate:
@@ -290,6 +308,10 @@ class SimNetwork:
         return bytes(mutated)
 
     def _deliver(self, src: str, dst: str, encoded: bytes, kind: str) -> None:
+        entry = self._in_flight[encoded]
+        entry[0] -= 1
+        if not entry[0]:
+            del self._in_flight[encoded]
         if dst in self._crashed:
             self._drop(src, dst, kind, "crashed")
             return
@@ -297,13 +319,19 @@ class SimNetwork:
         if handler is None:
             self._drop(src, dst, kind, "unregistered")
             return
-        try:
-            message = message_from_wire(canonical_decode(encoded))
-        except (EncodingError, ProtocolError):
-            # A corrupted message fails to parse and is discarded, exactly
-            # like a loss — the retransmission machinery recovers.
-            self._drop(src, dst, kind, "parse-failure")
-            return
+        message = entry[1]
+        if message is None:
+            self.stats.messages_decoded += 1
+            try:
+                message = message_from_wire(canonical_decode(encoded))
+            except (EncodingError, ProtocolError):
+                # A corrupted message fails to parse and is discarded,
+                # exactly like a loss — the retransmission machinery recovers.
+                self._drop(src, dst, kind, "parse-failure")
+                return
+            # Messages are frozen and no receiver mutates one, so the later
+            # copies of this frame can share it.
+            entry[1] = message
         self.stats.messages_delivered += 1
         self.stats.bytes_delivered += len(encoded)
         if self.tap is not None:

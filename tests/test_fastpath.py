@@ -453,6 +453,39 @@ class TestFastHandlers:
             assert len(replica.fastc) == 1
 
 
+    def test_proof_memo_is_pruned_with_write_ts(self):
+        """The own-column verdict memo drops certificates older than
+        write_ts, so it stays bounded however many fast writes a long-lived
+        replica serves (it used to gain two digests per write forever)."""
+        config, replicas = fast_system()
+        cert = None
+        for i in range(12):
+            _ts, _proof, cert = run_fast_write(
+                config, replicas, ("v", i), b"n%d" % i, write_cert=cert
+            )
+            for replica in replicas.values():
+                assert len(replica._proof_ok) <= 3
+                assert all(ts >= replica.write_ts for ts in replica._proof_ok.values())
+
+    def test_pruned_certificate_is_rechecked_and_still_accepted(self):
+        """Only positive verdicts are memoized, so a pruned one costs a
+        re-check of the replica's own column and nothing else."""
+        config, replicas = fast_system()
+        _ts, _proof, old = run_fast_write(config, replicas, ("v", 0), b"n0")
+        cert = old
+        for i in range(1, 4):
+            _ts, _proof, cert = run_fast_write(
+                config, replicas, ("v", i), b"n%d" % i, write_cert=cert
+            )
+        replica = replicas["replica:0"]
+        assert replica.write_ts > old.ts
+        before = config.authenticator.macs_checked
+        assert replica._write_certificate_valid(old)
+        assert config.authenticator.macs_checked == before + len(old.rows)
+        assert replica._write_certificate_valid(old)
+        assert config.authenticator.macs_checked == before + len(old.rows)
+
+
 # -- certificates and transfer ----------------------------------------------
 
 

@@ -89,6 +89,23 @@ def test_counts_match_the_recursive_kernels(variant):
     assert counted == PINNED[variant]
 
 
+#: Per variant: (frames decoded, copies delivered) in the same seeded runs.
+#: The 3f+1 copies of a broadcast share one decode, so every broadcast saves
+#: three: decodes = delivered - 3 x broadcasts.
+DECODED = {
+    "base": (719, 1151),
+    "fastpath": (479, 767),
+    "optimized": (479, 767),
+    "strong": (719, 1151),
+}
+
+
+@pytest.mark.parametrize("variant", sorted(DECODED))
+def test_each_frame_in_flight_is_decoded_once(variant):
+    stats = _run(variant).network.stats
+    assert (stats.messages_decoded, stats.messages_delivered) == DECODED[variant]
+
+
 def test_macs_and_hmac_signatures_match_hmac_new():
     cluster = build_cluster(f=1, variant="fastpath", seed=2026)
     config = cluster.config

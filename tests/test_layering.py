@@ -222,6 +222,32 @@ def test_checker_flags_a_second_client_host(tmp_path):
     ]
 
 
+def test_checker_flags_a_second_frame_decoder(tmp_path):
+    """Only the codec, the simulated network, the socket envelope, batch
+    unpacking and the stores call ``canonical_decode``; a host that parses
+    frames itself bypasses the shared decode per frame in flight."""
+    (tmp_path / "repro" / "net").mkdir(parents=True)
+    (tmp_path / "repro" / "sim").mkdir()
+    (tmp_path / "repro" / "storage").mkdir()
+    (tmp_path / "repro" / "net" / "simnet.py").write_text(
+        "m = message_from_wire(canonical_decode(encoded))\n"
+    )
+    (tmp_path / "repro" / "storage" / "filelog.py").write_text(
+        "from repro.encoding import canonical_decode\nr = canonical_decode(p)\n"
+    )
+    (tmp_path / "repro" / "sim" / "nodes.py").write_text(
+        "from repro import encoding\n"
+        "from repro.encoding import canonical_decode\n"
+        "a = canonical_decode(frame)\n"
+        "b = encoding.canonical_decode(frame)\n"
+    )
+    found = check_layering.find_duplication(tmp_path)
+    assert [(module, line) for module, line, _ in found] == [
+        ("repro.sim.nodes", 3),
+        ("repro.sim.nodes", 4),
+    ]
+
+
 def test_checker_cli_passes():
     result = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "check_layering.py")],

@@ -328,3 +328,78 @@ class TestReorderRate:
         )
         without = deliveries(LinkProfile(min_delay=0.0, max_delay=0.5))
         assert with_knob == without
+
+
+class TestDecodeOnce:
+    """The copies of one frame in flight share one decoded message."""
+
+    REPLICAS = ("r0", "r1", "r2", "r3")
+
+    def _fan_out(self, net):
+        got = {}
+        for node in self.REPLICAS:
+            net.register(node, lambda src, msg, node=node: got.setdefault(node, msg))
+        net.broadcast("a", self.REPLICAS, ReadTsRequest(nonce=b"\x02" * 16))
+        return got
+
+    def test_broadcast_copies_share_one_decode(self):
+        sched, net = make_net()
+        sent = ReadTsRequest(nonce=b"\x02" * 16)
+        got = self._fan_out(net)
+        sched.run_until_idle()
+        first = got["r0"]
+        assert first == sent and first is not sent
+        assert all(got[node] is first for node in self.REPLICAS)
+        assert net.stats.messages_decoded == 1
+        assert net.stats.messages_delivered == 4
+
+    def test_corrupted_copy_is_decoded_on_its_own(self):
+        # Seed 1 flips a bit that breaks parsing (other seeds may flip one
+        # inside the nonce, which parses).
+        sched, net = make_net(seed=1)
+        net.set_link_profile("a", "r3", LinkProfile(corrupt_rate=1.0))
+        got = self._fan_out(net)
+        sched.run_until_idle()
+        assert sorted(got) == ["r0", "r1", "r2"]
+        assert got["r0"] is got["r1"] is got["r2"]
+        assert net.stats.messages_decoded == 2
+        assert net.stats.dropped_by_reason == {"parse-failure": 1}
+
+    def test_in_flight_table_drains_under_every_fault(self):
+        profile = LinkProfile(
+            min_delay=0.001,
+            max_delay=0.05,
+            drop_rate=0.1,
+            duplicate_rate=0.2,
+            corrupt_rate=0.1,
+            reorder_rate=0.2,
+        )
+        sched, net = make_net(profile, seed=4)
+        nodes = ("a", "b") + self.REPLICAS
+        echoed = set()
+
+        def echo(node):
+            def handler(src, msg):
+                # Each node answers once per distinct message with the very
+                # object it got, so echoes re-send shared frames in flight.
+                if (node, msg.nonce) not in echoed:
+                    echoed.add((node, msg.nonce))
+                    net.send(node, src, msg)
+            return handler
+
+        for node in nodes:
+            net.register(node, echo(node))
+        net.partition("b", "r1")
+        sched.call_later(0.02, lambda: net.crash("r2"))
+        for i in range(40):
+            sender = nodes[i % 2]
+            net.broadcast(sender, self.REPLICAS, ReadTsRequest(nonce=bytes([i]) * 16))
+        sched.run_until_idle()
+        stats = net.stats
+        assert stats.messages_corrupted and stats.messages_duplicated
+        assert stats.messages_reordered
+        assert {"link-loss", "partitioned", "crashed", "parse-failure"} <= set(
+            stats.dropped_by_reason
+        )
+        assert stats.messages_decoded < stats.messages_delivered
+        assert net._in_flight == {}

@@ -31,7 +31,7 @@ source file under ``src/repro`` with :mod:`ast` — including imports inside
 ``TYPE_CHECKING`` blocks and function bodies, so lazy imports cannot hide a
 cycle-in-waiting.
 
-Eight further rules keep deleted duplication from growing back
+Nine further rules keep deleted duplication from growing back
 (:func:`find_duplication`): the TCP client stack lives in one module, so
 ``asyncio.open_connection`` may be called only from ``repro.net.mux`` (and
 the chaos proxy's upstream leg); the variant-to-class mapping lives on
@@ -59,7 +59,12 @@ sans-I/O machine on the simulator is hosted by ``repro.sim.nodes``
 (``MachineHost`` for client-side roles, ``ReplicaHost`` for replicas), so
 ``.register(`` / ``.unregister(`` / ``.send(`` on a receiver named
 ``network`` may be called only there — a harness that does its own
-registration and sending is a second client host growing back.
+registration and sending is a second client host growing back; and the
+simulated network parses each frame in flight once and shares the message
+among its receivers, so ``canonical_decode(`` may be called only in
+``repro.encoding``, ``repro.net.simnet``, ``repro.net.envelope``,
+``repro.core.batching`` and ``repro.storage`` — a host that parses frames
+itself bypasses the shared decode.
 
 Run:  python tools/check_layering.py   (exits 1 and lists violations)
 The tier-1 test ``tests/test_layering.py`` runs this on every suite run.
@@ -144,6 +149,22 @@ TIMER_CALLS = frozenset({"call_later", "call_at"})
 #: ``repro.sim.nodes`` registers, sends or unregisters on a ``network``.
 NETWORK_SITE = "repro.sim.nodes"
 NETWORK_CALLS = frozenset({"register", "unregister", "send"})
+
+
+#: The modules that parse canonical bytes: the codec itself, the simulated
+#: network's one decode per frame in flight, the socket envelope, batch
+#: unpacking and the stores.
+DECODE_SITES = (
+    "repro.encoding",
+    "repro.net.simnet",
+    "repro.net.envelope",
+    "repro.core.batching",
+    "repro.storage",
+)
+
+
+def _may_decode(module: str) -> bool:
+    return any((module + ".").startswith(site + ".") for site in DECODE_SITES)
 
 
 def _reaches_the_network(call: ast.Call) -> bool:
@@ -277,6 +298,11 @@ def find_duplication(src: pathlib.Path = SRC) -> list[tuple[str, int, str]]:
                         (module, node.lineno, f"calls network.{callee} outside "
                          + NETWORK_SITE + "; host the machine on MachineHost")
                     )
+                if callee == "canonical_decode" and not _may_decode(module):
+                    found.append(
+                        (module, node.lineno, "calls canonical_decode outside "
+                         "the decode sites; receive the message from the host")
+                    )
                 if callee == "WireType" and module != WIRE_SCHEMA_SITE:
                     found.append(
                         (module, node.lineno, "grows the wire type table outside "
@@ -329,7 +355,7 @@ def main() -> int:
         print(
             "duplication the variant registry / one endpoint / one harness / "
             "one wire schema / one barrier site / the sans-I/O adversary / "
-            "the socket front door replaced:"
+            "the socket front door / one decode per frame replaced:"
         )
         for module, line, what in duplication:
             print(f"  {module}:{line} {what}")
