@@ -88,7 +88,7 @@ class FastBftBcReplica(OptimizedBftBcReplica):
         instrumentation: Optional[Instrumentation] = None,
     ) -> None:
         super().__init__(node_id, config, store, instrumentation=instrumentation)
-        self._state.ensure_fastc()
+        self._state.open("fastc")
         self._auth = config.authenticator
         self._replica_ids = tuple(config.quorums.replica_ids)
         # Volatile caches: positive own-column verdicts (content-addressed,

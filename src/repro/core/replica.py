@@ -177,12 +177,12 @@ class BftBcReplica:
     @property
     def signed_write_replies(self):
         """Every WRITE-REPLY timestamp this replica ever signed (Lemma 1)."""
-        return self._state.signed_write_replies
+        return self._state.swr
 
     @property
     def signed_prepare_replies(self):
         """Every PREPARE-REPLY ``(ts, hash, client)`` ever signed (Lemma 1)."""
-        return self._state.signed_prepare_replies
+        return self._state.spr
 
     def recover(self) -> None:
         """Rebuild Figure-2 state from the store's snapshot + log.
@@ -282,18 +282,14 @@ class BftBcReplica:
         would double-count signatures in the Lemma 1 accounting, while our
         own surviving prefix can only undercount (safe — see PROTOCOL.md).
         ``fastc`` rides with them: its MAC rows are replica-local secrets.
+        These are the fields declared ``local``
+        (:meth:`~repro.core.persistence.DurableReplicaState.adopt`).
 
         The surviving logs are taken from a fresh replay of the durable
         store, not from live memory — when the quarantine was triggered by
         an in-memory perturbation, the store still holds the true logs.
         """
-        self._state.recover()
-        own = self._state.snapshot_wire()
-        merged = dict(snapshot)
-        merged["swr"] = own["swr"]
-        merged["spr"] = own["spr"]
-        merged["fastc"] = own["fastc"]
-        self.store.write_snapshot(merged)
+        self._state.adopt(snapshot)
         self.recover()
         self.quarantined = False
         self.stats.repairs += 1
@@ -383,7 +379,7 @@ class BftBcReplica:
         if not self._write_certificate_valid(wcert):
             self.stats.discard("bad-write-cert")
             return False
-        self._state.advance_write_ts(wcert.ts)
+        self._state.advance("write_ts", wcert.ts)
         if self.config.gc_plist:
             self._gc_prepare_lists()
         return True
@@ -590,7 +586,7 @@ class OptimizedBftBcReplica(BftBcReplica):
         instrumentation: Optional[Instrumentation] = None,
     ) -> None:
         super().__init__(node_id, config, store, instrumentation=instrumentation)
-        self._state.ensure_optlist()
+        self._state.open("optlist")
 
     @property
     def optlist(self):

@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Optional
 
+from repro.core.persistence import DURABLE_FIELDS
 from repro.errors import SimulationError
 from repro.net.simnet import LinkProfile, SimNetwork
 from repro.sim.scheduler import Scheduler
@@ -249,17 +250,19 @@ class FaultSchedule:
     def state_perturb(
         self, time: float, node_id: str, *, target: str = "data", seed: int = 0
     ) -> "FaultSchedule":
-        """Mutate one Figure-2 field of ``node_id``'s *live* in-memory state.
+        """Mutate one durable field of ``node_id``'s *live* in-memory state.
 
         Models a memory fault: the durable log still holds the truth, so a
         periodic self-audit (replaying the store into a twin) detects the
-        divergence and quarantines the replica.  ``target`` picks the
-        field: ``data`` (the object value), ``write_ts`` (regressed to
-        zero) or ``plist`` (prepare list forgotten).
+        divergence and quarantines the replica.  ``target`` names any
+        declared durable field, e.g. ``data`` (the object value replaced),
+        ``write_ts`` (regressed to zero) or ``plist`` (prepare list
+        forgotten).
         """
-        if target not in ("data", "write_ts", "plist"):
+        names = [durable.name for durable in DURABLE_FIELDS]
+        if target not in names:
             raise SimulationError(
-                f"state_perturb target must be data/write_ts/plist, got {target!r}"
+                f"state_perturb target must be one of {names}, got {target!r}"
             )
         self.node_actions.append(
             NodeFaultAction(

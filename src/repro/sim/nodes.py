@@ -20,7 +20,6 @@ from repro.core.client import BftBcClient
 from repro.core.messages import Message
 from repro.core.operations import Send
 from repro.core.replica import BftBcReplica
-from repro.core.timestamp import ZERO_TS
 from repro.net.simnet import SimNetwork
 from repro.sim.metrics import MetricsCollector, OperationSample
 from repro.sim.recorder import HistoryRecorder
@@ -236,20 +235,14 @@ class ReplicaNode(ReplicaHost):
         self.corruptions += 1
 
     def perturb_state(self, *, target: str = "data", seed: int = 0) -> None:
-        """Mutate one live Figure-2 field, leaving the durable log intact.
+        """Mutate one live durable field, leaving the durable log intact.
 
-        Models a memory fault; a later self-audit replays the store into a
-        twin and the fingerprint mismatch quarantines the replica.
+        Models a memory fault (see
+        :meth:`~repro.core.persistence.DurableReplicaState.perturb`); a
+        later self-audit replays the store into a twin and the fingerprint
+        mismatch quarantines the replica.
         """
-        state = self.replica._state
-        if target == "data":
-            state._data = ("perturbed", self.node_id, seed)
-        elif target == "write_ts":
-            state._write_ts = ZERO_TS
-        elif target == "plist":
-            state.plist._clear_silent()
-        else:
-            raise ValueError(f"unknown perturb target {target!r}")
+        self.replica._state.perturb(target, ("perturbed", self.node_id, seed))
         self.corruptions += 1
 
     # -- self-stabilization loop --------------------------------------------

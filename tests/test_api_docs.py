@@ -24,8 +24,26 @@ def test_generator_runs_and_is_current(tmp_path):
         "docs/API.md is stale; run tools/gen_api_docs.py"
     )
     assert (ROOT / "PROTOCOL.md").read_text(encoding="utf-8") == protocol, (
-        "PROTOCOL.md's wire-format table is stale; run tools/gen_api_docs.py"
+        "PROTOCOL.md's wire-format or durable-record table is stale; "
+        "run tools/gen_api_docs.py"
     )
+
+
+def test_durable_record_table_matches_the_declaration():
+    sys.path.insert(0, str(ROOT / "tools"))
+    import gen_api_docs
+
+    protocol = (ROOT / "PROTOCOL.md").read_text(encoding="utf-8")
+    _, begin, rest = protocol.partition(gen_api_docs.DURABLE_BEGIN)
+    table, end, _ = rest.partition(gen_api_docs.DURABLE_END)
+    assert begin and end, "PROTOCOL.md lost its durable-records markers"
+    rows = gen_api_docs.durable_record_table()
+    assert table.strip().splitlines() == rows, (
+        "PROTOCOL.md's durable-record table is stale; run tools/gen_api_docs.py"
+    )
+    from repro.core.persistence import DURABLE_FIELDS
+
+    assert len(rows) == 2 + len(DURABLE_FIELDS)
 
 
 def test_reference_covers_the_key_apis():

@@ -248,6 +248,37 @@ def test_checker_flags_a_second_frame_decoder(tmp_path):
     ]
 
 
+def test_checker_flags_a_second_spelling_of_durable_state(tmp_path):
+    """Every durable field is declared once in ``repro.core.persistence``;
+    elsewhere its private attributes, the ``_silent`` mutators and its WAL
+    record-tag literals are a second copy of the table growing back."""
+    (tmp_path / "repro" / "core").mkdir(parents=True)
+    (tmp_path / "repro" / "sim").mkdir()
+    (tmp_path / "repro" / "core" / "persistence.py").write_text(
+        'F = DurableField("plist", RULE, ("plist-set", "plist-del"), a, b, {})\n'
+        "x = state._data\n"
+        "state.plist._clear_silent()\n"
+    )
+    (tmp_path / "repro" / "sim" / "ok.py").write_text(
+        'state.perturb("plist", None)\nname = "plist"\nother._datum = 1\n'
+    )
+    (tmp_path / "repro" / "sim" / "nodes.py").write_text(
+        "state._data = 1\n"
+        "state._write_ts = ZERO_TS\n"
+        "y = state._pcert\n"
+        "state.plist._clear_silent()\n"
+        'store.append(("plist-set", client, ts, h))\n'
+        'kind = "plist-del"\n'
+    )
+    found = check_layering.find_duplication(tmp_path)
+    assert sorted((module, line) for module, line, _ in found) == [
+        ("repro.sim.nodes", line) for line in (1, 2, 3, 4, 5, 6)
+    ]
+    assert check_layering.durable_tags(check_layering.SRC) >= {
+        "install", "write-ts", "plist-set", "fastc-del", "swr", "spr"
+    }
+
+
 def test_checker_cli_passes():
     result = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "check_layering.py")],

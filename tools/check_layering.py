@@ -31,7 +31,7 @@ source file under ``src/repro`` with :mod:`ast` — including imports inside
 ``TYPE_CHECKING`` blocks and function bodies, so lazy imports cannot hide a
 cycle-in-waiting.
 
-Nine further rules keep deleted duplication from growing back
+Ten further rules keep deleted duplication from growing back
 (:func:`find_duplication`): the TCP client stack lives in one module, so
 ``asyncio.open_connection`` may be called only from ``repro.net.mux`` (and
 the chaos proxy's upstream leg); the variant-to-class mapping lives on
@@ -64,7 +64,12 @@ simulated network parses each frame in flight once and shares the message
 among its receivers, so ``canonical_decode(`` may be called only in
 ``repro.encoding``, ``repro.net.simnet``, ``repro.net.envelope``,
 ``repro.core.batching`` and ``repro.storage`` — a host that parses frames
-itself bypasses the shared decode.
+itself bypasses the shared decode; and every durable replica field is
+declared once, by a ``DurableField`` in ``repro.core.persistence``, so
+outside that module nothing may touch ``._data`` / ``._write_ts`` /
+``._pcert``, call a ``*_silent(`` mutator, or spell one of the declared WAL
+record tags (``"plist-set"``, ``"write-ts"``, ``"spr"``, ...) as a string
+literal — a second spelling of a field is a second table growing back.
 
 Run:  python tools/check_layering.py   (exits 1 and lists violations)
 The tier-1 test ``tests/test_layering.py`` runs this on every suite run.
@@ -163,6 +168,30 @@ DECODE_SITES = (
 )
 
 
+#: The one module that spells the durable replica state: its declared
+#: fields, their record tags and the private attributes behind the scalars.
+DURABLE_SITE = "repro.core.persistence"
+DURABLE_PRIVATES = frozenset({"_data", "_write_ts", "_pcert"})
+
+
+def durable_tags(src: pathlib.Path) -> frozenset[str]:
+    """The WAL record tags the ``DurableField(...)`` declarations spell."""
+    path = src / "repro" / "core" / "persistence.py"
+    if not path.exists():
+        return frozenset()
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    return frozenset(
+        tag.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", None) == "DurableField"
+        and len(node.args) > 2
+        and isinstance(node.args[2], ast.Tuple)
+        for tag in node.args[2].elts
+        if isinstance(tag, ast.Constant)
+    )
+
+
 def _may_decode(module: str) -> bool:
     return any((module + ".").startswith(site + ".") for site in DECODE_SITES)
 
@@ -257,8 +286,10 @@ def find_violations(src: pathlib.Path = SRC) -> list[tuple[str, str, int, int]]:
 def find_duplication(src: pathlib.Path = SRC) -> list[tuple[str, int, str]]:
     """Scan the tree for regrown duplicates; return (module, line, what)."""
     found: list[tuple[str, int, str]] = []
+    tags = durable_tags(src)
     for path in sorted(src.rglob("*.py")):
         module = module_name_for(path, src)
+        durable = module == DURABLE_SITE
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         bases = {
             id(base)
@@ -303,6 +334,11 @@ def find_duplication(src: pathlib.Path = SRC) -> list[tuple[str, int, str]]:
                         (module, node.lineno, "calls canonical_decode outside "
                          "the decode sites; receive the message from the host")
                     )
+                if str(callee).endswith("_silent") and not durable:
+                    found.append(
+                        (module, node.lineno, f"calls {callee} outside "
+                         + DURABLE_SITE + "; replay goes through the field table")
+                    )
                 if callee == "WireType" and module != WIRE_SCHEMA_SITE:
                     found.append(
                         (module, node.lineno, "grows the wire type table outside "
@@ -325,6 +361,16 @@ def find_duplication(src: pathlib.Path = SRC) -> list[tuple[str, int, str]]:
                     for item in node.body
                     if isinstance(item, ast.FunctionDef) and item.name in CODEC_METHODS
                 )
+            if (
+                isinstance(node, ast.Constant)
+                and isinstance(node.value, str)
+                and node.value in tags
+                and not durable
+            ):
+                found.append(
+                    (module, node.lineno, f"spells WAL record tag {node.value!r} "
+                     "outside " + DURABLE_SITE + "; declare it on a DurableField")
+                )
             if isinstance(node, ast.Name):
                 name = node.id
             elif isinstance(node, ast.Attribute):
@@ -333,6 +379,15 @@ def find_duplication(src: pathlib.Path = SRC) -> list[tuple[str, int, str]]:
                 continue
             if name == "open_connection" and module not in DIAL_SITES:
                 found.append((module, node.lineno, "dials outside repro.net.mux"))
+            elif (
+                name in DURABLE_PRIVATES
+                and isinstance(node, ast.Attribute)
+                and not durable
+            ):
+                found.append(
+                    (module, node.lineno, f"reaches into durable state ({name}); "
+                     "use the DurableReplicaState API")
+                )
             elif (
                 name in VARIANT_CLASSES
                 and id(node) not in bases
@@ -355,7 +410,8 @@ def main() -> int:
         print(
             "duplication the variant registry / one endpoint / one harness / "
             "one wire schema / one barrier site / the sans-I/O adversary / "
-            "the socket front door / one decode per frame replaced:"
+            "the socket front door / one decode per frame / the durable field "
+            "table replaced:"
         )
         for module, line, what in duplication:
             print(f"  {module}:{line} {what}")

@@ -7,8 +7,9 @@ and emits a markdown reference: one section per module, one entry per class
 docstring.
 
 Also rewrites the "Wire format" table of PROTOCOL.md (between its two
-marker comments) from the message declarations, so the documented layout
-is the one the codec is derived from.
+marker comments) from the message declarations, and its durable-record
+table from the ``DurableField`` declarations, so each documented layout is
+the one the code is derived from.
 
 Run:  python tools/gen_api_docs.py
 """
@@ -205,15 +206,47 @@ def wire_format_table() -> list[str]:
     return lines
 
 
-def write_wire_format(root: pathlib.Path) -> None:
+DURABLE_BEGIN = "<!-- durable-records:begin (generated by tools/gen_api_docs.py) -->"
+DURABLE_END = "<!-- durable-records:end -->"
+
+
+def durable_record_table() -> list[str]:
+    """One row per declared durable replica field."""
+    from repro.core.persistence import DURABLE_FIELDS
+
+    lines = [
+        "| field | record tags | replay rule | entry arity | fingerprint "
+        "| on repair | budget |",
+        "|---|---|---|---|---|---|---|",
+    ]
+    for field in DURABLE_FIELDS:
+        tags = ", ".join(f"`{tag}`" for tag in field.tags) or "—"
+        fingerprint = (
+            "reduced (`digest`)" if field.digest else "yes" if field.fingerprinted
+            else "exact only"
+        )
+        lines.append(
+            f"| `{field.name}` | {tags} | {field.rule} "
+            f"| {field.arity or '—'} | {fingerprint} "
+            f"| {'kept from own log' if field.local else 'from peer'} "
+            f"| {'spillable' if field.spillable else '—'} |"
+        )
+    return lines
+
+
+def write_generated_tables(root: pathlib.Path) -> None:
+    """Rewrite each generated table of PROTOCOL.md between its markers."""
     path = root / "PROTOCOL.md"
     text = path.read_text(encoding="utf-8")
-    head, _, rest = text.partition(WIRE_BEGIN)
-    _, _, tail = rest.partition(WIRE_END)
-    table = "\n".join(wire_format_table())
-    path.write_text(
-        f"{head}{WIRE_BEGIN}\n{table}\n{WIRE_END}{tail}", encoding="utf-8"
-    )
+    for begin, end, rows in (
+        (WIRE_BEGIN, WIRE_END, wire_format_table()),
+        (DURABLE_BEGIN, DURABLE_END, durable_record_table()),
+    ):
+        head, _, rest = text.partition(begin)
+        _, _, tail = rest.partition(end)
+        table = "\n".join(rows)
+        text = f"{head}{begin}\n{table}\n{end}{tail}"
+    path.write_text(text, encoding="utf-8")
 
 
 def main() -> int:
@@ -232,7 +265,7 @@ def main() -> int:
         lines.extend(document_module(module_name))
     out.write_text("\n".join(lines), encoding="utf-8")
     print(f"wrote {out} ({len(lines)} lines)")
-    write_wire_format(root)
+    write_generated_tables(root)
     return 0
 
 
