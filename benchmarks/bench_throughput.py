@@ -9,20 +9,11 @@ with clients for all variants, with the optimized protocol ~50% above base
 
 from __future__ import annotations
 
-import pathlib
-import sys
-import time
-
 from repro import LinkProfile, build_cluster
 from repro.analysis import format_table
-from repro.core.messages import set_wire_cache_enabled
-from repro.encoding import reset_interning, set_interning_enabled
 from repro.sim import write_script
 
 from benchmarks.conftest import run_once
-
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "tools"))
-import bench_record  # noqa: E402
 
 OPS_EACH = 10
 DELAY = 0.005
@@ -71,77 +62,3 @@ def test_e13_throughput_scaling(benchmark):
         ratio = series["optimized"][clients] / series["base"][clients]
         assert 1.2 < ratio < 1.8, (clients, ratio)
 
-
-def _wall_clock_arm(*, fast_path: bool, clients: int = 8, seed: int = 1301) -> dict:
-    """Time one fixed base-variant workload in *wall-clock* seconds.
-
-    The simulator is CPU-bound on serialisation and signing, so the
-    encode-once cache and statement interning show up directly as wall
-    time; this is the whole-system complement of E15's call counts.
-    """
-    set_wire_cache_enabled(fast_path)
-    set_interning_enabled(fast_path)
-    reset_interning()
-    try:
-        started = time.perf_counter()
-        cluster = build_cluster(
-            f=1,
-            variant="base",
-            seed=seed,
-            profile=LinkProfile(min_delay=DELAY, max_delay=DELAY),
-        )
-        scripts = {
-            f"w{i}": write_script(f"client:w{i}", OPS_EACH) for i in range(clients)
-        }
-        cluster.run_scripts(scripts, max_time=600)
-        elapsed = time.perf_counter() - started
-        ops = cluster.metrics.operations
-        return {
-            "ops": ops,
-            "wall_seconds": elapsed,
-            "ops_per_wall_second": ops / elapsed,
-        }
-    finally:
-        set_wire_cache_enabled(True)
-        set_interning_enabled(True)
-
-
-def test_e13b_wall_clock_throughput(benchmark):
-    """Wall-clock mode: the same workload with the wire fast path off vs on.
-
-    Wall time at this scale (~0.15 s per run) is noisy, so each arm is
-    warmed up once and then timed interleaved, keeping the best of five —
-    the standard discipline for micro-scale wall-clock comparisons.
-    """
-
-    def experiment():
-        _wall_clock_arm(fast_path=False)  # warm imports and allocator
-        _wall_clock_arm(fast_path=True)
-        runs = {False: [], True: []}
-        for _ in range(5):
-            for fast_path in (False, True):
-                runs[fast_path].append(_wall_clock_arm(fast_path=fast_path))
-        slow = min(runs[False], key=lambda r: r["wall_seconds"])
-        fast = min(runs[True], key=lambda r: r["wall_seconds"])
-        speedup = fast["ops_per_wall_second"] / slow["ops_per_wall_second"]
-        print()
-        print(
-            format_table(
-                ["arm", "ops", "wall seconds", "ops / wall second"],
-                [
-                    ["fast path off", slow["ops"], round(slow["wall_seconds"], 3),
-                     round(slow["ops_per_wall_second"], 1)],
-                    ["fast path on", fast["ops"], round(fast["wall_seconds"], 3),
-                     round(fast["ops_per_wall_second"], 1)],
-                ],
-                title="E13b: wall-clock throughput, wire fast path off vs on",
-            )
-        )
-        return {"off": slow, "on": fast, "wall_clock_speedup": speedup}
-
-    results = run_once(benchmark, experiment)
-    assert results["off"]["ops"] == results["on"]["ops"]
-    # The fast path must not make the run slower (wall-clock noise aside,
-    # it is reliably faster; E15 pins the deterministic call counts).
-    assert results["wall_clock_speedup"] > 0.9, results
-    bench_record.record("e13b_wall_clock_throughput", results)

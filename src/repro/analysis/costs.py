@@ -184,45 +184,6 @@ class CostModel:
 
     # -- verification counts ------------------------------------------------
 
-    def write_verifications_uncached(self) -> int:
-        """Backend signature verifications per base write, no memoization.
-
-        Counting both sides on a reliable network (no retransmissions):
-
-        * client, phase 1: n reply envelopes + n certificates of |Q| sigs;
-        * replicas, phase 2: n client signatures + n prev certificates;
-        * client, phase 2: n PREPARE-REPLY signatures;
-        * replicas, phase 3: n client signatures + n prepare certificates;
-        * client, phase 3: n WRITE-REPLY signatures.
-        """
-        n = self.quorums.n
-        q = self.quorums.quorum_size
-        client = n * (1 + q) + n + n
-        replicas = n * (1 + q) + n * (1 + q)
-        return client + replicas
-
-    def write_verifications_cached(self) -> int:
-        """Backend verifications per base write through the memo (steady state).
-
-        Each *distinct* (statement, signer, signature) triple costs one
-        backend call; every repeat — the same certificate revalidated at
-        another replica or role, every retransmission — is a memo hit.  Per
-        write the distinct triples are: n phase-1 reply envelopes, the |Q|
-        signatures inside the (shared) prev certificate, the client's two
-        request signatures, n PREPARE-REPLY and n WRITE-REPLY signatures.
-
-        Note this counts the whole deployment sharing one verifier (the
-        in-process simulator); with per-node verifiers each node pays for
-        its own distinct triples but still never re-verifies a repeat.
-        """
-        n = self.quorums.n
-        q = self.quorums.quorum_size
-        return n + q + 2 + n + n
-
-    def verification_speedup(self) -> float:
-        """Uncached / cached backend-verification ratio for one base write."""
-        return self.write_verifications_uncached() / self.write_verifications_cached()
-
     def write_verify_calls(self) -> int:
         """Backend verifications per steady-state base write, one shared memo.
 
@@ -234,35 +195,6 @@ class CostModel:
         ``3q + 2`` in total.
         """
         return 3 * self.quorums.quorum_size + 2
-
-    # -- encode counts (wire fast path) --------------------------------------
-
-    def write_encode_calls_uncached(self) -> int:
-        """Canonical wire encodes per base write with no encode-once cache.
-
-        Every frame is serialised at the sender: 3 request fan-outs of n
-        frames each, plus n replies per phase — ``2 * 3 * n`` total.
-        """
-        return 2 * 3 * self.quorums.n
-
-    def write_encode_calls_cached(self) -> int:
-        """Wire encodes per base write with the encode-once cache.
-
-        Each request round is one message *instance* fanned out to n
-        replicas: the first send encodes, the remaining ``n - 1`` (and all
-        retransmissions) reuse the cached bytes.  Replies are distinct
-        per-replica instances and still cost one encode each.
-        """
-        return 3 * 1 + 3 * self.quorums.n
-
-    def encode_speedup(self) -> float:
-        """Uncached / cached wire-encode ratio for one base write.
-
-        ``2n / (1 + n)`` — approaches 2x from below as n grows, and the
-        measured ratio is higher still because statement interning also
-        removes the per-signature re-encodes this model does not count.
-        """
-        return self.write_encode_calls_uncached() / self.write_encode_calls_cached()
 
     # -- durability counts (write-ahead logging, E16) -------------------------
 
@@ -429,34 +361,6 @@ class CostModel:
         correct peers agreeing, that is one certificate: ``q`` checks.
         """
         return self.quorums.quorum_size
-
-    # -- frame counts (cross-object batching) --------------------------------
-
-    def workload_frames_unbatched(self, objects: int, phases: int = 3) -> int:
-        """Wire frames for one write per object, no batching.
-
-        Each object's write is ``phases`` request fan-outs and ``phases``
-        reply fan-ins of n frames each.
-        """
-        return objects * 2 * phases * self.quorums.n
-
-    def workload_frames_batched(
-        self, objects: int, in_flight: int, phases: int = 3
-    ) -> int:
-        """Wire frames with ``in_flight`` concurrent objects coalesced.
-
-        Concurrent same-round requests to a replica merge into one frame
-        (and the replica's replies merge symmetrically), so each group of
-        ``in_flight`` objects shares its frames.
-        """
-        groups = -(-objects // in_flight)  # ceil
-        return groups * 2 * phases * self.quorums.n
-
-    def batching_frame_reduction(self, objects: int, in_flight: int) -> float:
-        """Unbatched / batched frame ratio; ``in_flight`` in the ideal case."""
-        return self.workload_frames_unbatched(objects) / self.workload_frames_batched(
-            objects, in_flight
-        )
 
     # -- open-loop capacity (E21) ------------------------------------------
 

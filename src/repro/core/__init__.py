@@ -12,12 +12,6 @@ Public surface:
   :class:`~repro.core.timestamp.Timestamp`, certificates, and messages.
 """
 
-from repro.core.batching import (
-    BatchCoalescer,
-    BatchEnvelope,
-    BatchStats,
-    expand_message,
-)
 from repro.core.certificates import (
     GENESIS_VALUE,
     PrepareCertificate,
@@ -111,10 +105,6 @@ __all__ = [
     "message_from_wire",
     "message_wire_bytes",
     "wire_cache_stats",
-    "BatchCoalescer",
-    "BatchEnvelope",
-    "BatchStats",
-    "expand_message",
     "ReadTsRequest",
     "ReadTsReply",
     "PrepareRequest",

@@ -248,9 +248,6 @@ class SystemConfig:
             protocol state (``plist``/``optlist``/``fastc``); inactive
             clients spill to the WAL-backed store and rehydrate on demand.
             ``None`` keeps every entry resident (the classic behaviour).
-        verification_cache: enable the memoizing verification pipeline
-            (:mod:`repro.core.verification`); disable for the uncached
-            ablation arm of experiment E4d.
         verifier: the shared :class:`~repro.core.verification.Verifier`
             every role verifies through.  Built automatically; rebuilt by
             ``dataclasses.replace`` whenever the scheme is swapped (e.g. the
@@ -270,7 +267,6 @@ class SystemConfig:
         Union[AccessPolicy, set[str], frozenset[str], Callable[[str], bool]]
     ] = field(default=None)
     client_state_budget: Optional[ClientStateBudget] = None
-    verification_cache: bool = True
     verifier: Optional[Verifier] = None
     #: Pairwise MAC authenticator for the fast path's signature-free
     #: messages.  Built automatically from the registry; shared by every
@@ -280,9 +276,7 @@ class SystemConfig:
 
     def __post_init__(self) -> None:
         if self.verifier is None or self.verifier.scheme is not self.scheme:
-            self.verifier = Verifier(
-                self.scheme, self.quorums, enabled=self.verification_cache
-            )
+            self.verifier = Verifier(self.scheme, self.quorums)
         if self.authenticator is None:
             self.authenticator = MacAuthenticator(self.registry)
 
@@ -354,7 +348,6 @@ def make_system(
     strict_stop: bool = False,
     piggyback_write_certs: bool = False,
     prefer_quorum: bool = False,
-    verification_cache: bool = True,
     authorized_writers: Optional[
         Union[AccessPolicy, set[str], frozenset[str], Callable[[str], bool]]
     ] = None,
@@ -401,7 +394,6 @@ def make_system(
         strict_stop=strict_stop,
         piggyback_write_certs=piggyback_write_certs,
         prefer_quorum=prefer_quorum,
-        verification_cache=verification_cache,
         authorized_writers=authorized_writers,
         client_state_budget=client_state_budget,
     )

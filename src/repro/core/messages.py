@@ -59,7 +59,6 @@ __all__ = [
     "WireCacheStats",
     "wire_cache_stats",
     "reset_wire_cache_stats",
-    "set_wire_cache_enabled",
     "ReadTsRequest",
     "ReadTsReply",
     "PrepareRequest",
@@ -141,12 +140,12 @@ def optional(item: WireType) -> WireType:
     )
 
 
-def tuple_of(item: WireType, *, nonempty: bool = False) -> WireType:
-    """A tuple of ``item`` values, optionally required to hold at least one."""
-    name = ("non-empty " if nonempty else "") + f"tuple of {item.name}"
+def tuple_of(item: WireType) -> WireType:
+    """A tuple of ``item`` values."""
+    name = f"tuple of {item.name}"
 
     def decode(value: Any) -> tuple:
-        if type(value) is not tuple or (nonempty and not value):
+        if type(value) is not tuple:
             raise ProtocolError(f"expected {name}, got {value!r}")
         return tuple(map(item.decode, value))
 
@@ -268,7 +267,7 @@ def message_to_wire(message: Message) -> dict[str, Any]:
 
 @dataclass
 class WireCacheStats:
-    """Counters for the encode-once wire cache (experiment E15 reads these).
+    """Counters for the encode-once wire cache (perfbench reads these).
 
     ``hits`` count sends served from a message's cached bytes; ``misses``
     count first encodes.  ``bytes_saved`` is the encoding work avoided:
@@ -294,7 +293,6 @@ class WireCacheStats:
 
 
 _WIRE_STATS = WireCacheStats()
-_WIRE_CACHE_ENABLED = True
 #: Attribute slot used to stash a message's canonical bytes on the instance.
 _WIRE_ATTR = "_cached_wire_bytes"
 
@@ -307,12 +305,6 @@ def wire_cache_stats() -> WireCacheStats:
 def reset_wire_cache_stats() -> None:
     """Zero the cache counters (benchmark isolation)."""
     _WIRE_STATS.reset()
-
-
-def set_wire_cache_enabled(enabled: bool) -> None:
-    """Toggle the cache (the ablation arm of the wire-cost benchmark)."""
-    global _WIRE_CACHE_ENABLED
-    _WIRE_CACHE_ENABLED = enabled
 
 
 def message_wire_bytes(message: Message) -> bytes:
@@ -333,8 +325,7 @@ def message_wire_bytes(message: Message) -> bytes:
     encoded = canonical_encode(message_to_wire(message))
     _WIRE_STATS.misses += 1
     _WIRE_STATS.bytes_encoded += len(encoded)
-    if _WIRE_CACHE_ENABLED:
-        object.__setattr__(message, _WIRE_ATTR, encoded)
+    object.__setattr__(message, _WIRE_ATTR, encoded)
     return encoded
 
 

@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Any, Callable, ClassVar, Optional
 
-from repro.core.batching import BatchEnvelope, BatchStats, expand_message
 from repro.core.client import BftBcClient
 from repro.core.config import SystemConfig
 from repro.core.messages import (
@@ -35,7 +34,6 @@ from repro.core.messages import (
     Message,
     message_from_wire,
     message_to_wire,
-    message_wire_bytes,
     optional,
     register_message,
     wire_field,
@@ -150,7 +148,6 @@ class MultiObjectReplica:
         self._store_factory = store_factory
         self._objects: dict[str, BftBcReplica] = {}
         self.envelope_discards = 0
-        self.batch_stats = BatchStats()
         #: When set, envelopes tagged with a different epoch are refused.
         self.epoch: Optional[int] = None
         self._also_accept: frozenset[int] = frozenset()
@@ -205,35 +202,7 @@ class MultiObjectReplica:
             state.config.verifier.rebind_quorums(quorums)
 
     def handle(self, sender: str, message: Message) -> Optional[Message]:
-        """Process one frame; batches are unpacked and answered in one frame.
-
-        A :class:`~repro.core.batching.BatchEnvelope` of object messages is
-        expanded, each inner message handled in order, and the replies (all
-        addressed to ``sender``) coalesced back into a single envelope —
-        one reply frame per request frame.
-        """
-        if isinstance(message, BatchEnvelope):
-            inners = expand_message(message, self.batch_stats)
-            replies = [
-                reply
-                for inner in inners
-                if (reply := self._handle_one(sender, inner)) is not None
-            ]
-            if not replies:
-                return None
-            if len(replies) == 1:
-                return replies[0]
-            self.batch_stats.sends_in += len(replies)
-            self.batch_stats.frames_out += 1
-            self.batch_stats.batches += 1
-            self.batch_stats.messages_batched += len(replies)
-            self.batch_stats.batch_sizes[len(replies)] += 1
-            return BatchEnvelope(
-                payloads=tuple(message_wire_bytes(r) for r in replies)
-            )
-        return self._handle_one(sender, message)
-
-    def _handle_one(self, sender: str, message: Message) -> Optional[Message]:
+        """Process one object envelope; the reply (if any) goes to ``sender``."""
         if not isinstance(message, ObjectMessage):
             self.envelope_discards += 1
             return None
@@ -275,8 +244,6 @@ class MultiObjectClient:
         self.config = config
         self._client_cls = client_cls
         self._objects: dict[str, BftBcClient] = {}
-        #: Counters for reply batches this client unpacks.
-        self.batch_stats = BatchStats()
         #: Epoch tag stamped on every outgoing envelope (``None`` = untagged).
         self.epoch: Optional[int] = None
         #: Callback ``(sender, reply) -> list[Send]`` invoked on an
@@ -304,12 +271,6 @@ class MultiObjectClient:
         return self._wrap(obj, self.object_client(obj).begin_read())
 
     def deliver(self, sender: str, message: Message) -> list[Send]:
-        if isinstance(message, BatchEnvelope):
-            inners = expand_message(message, self.batch_stats)
-            sends: list[Send] = []
-            for inner in inners:
-                sends.extend(self.deliver(sender, inner))
-            return sends
         if isinstance(message, EpochStaleReply):
             self.stale_epoch_replies += 1
             if self.on_epoch_stale is not None:

@@ -137,8 +137,6 @@ class Verifier:
             memo; one chatty (or Byzantine) client cannot monopolise the
             memo by churning distinct statements.  ``None`` disables the
             per-signer budget, leaving only the global capacity.
-        enabled: when False, every check passes straight through to the
-            backend (the ablation arm of experiment E4d).
     """
 
     def __init__(
@@ -149,11 +147,9 @@ class Verifier:
         max_signatures: int = 8192,
         max_certificates: int = 2048,
         max_signatures_per_signer: "int | None" = 512,
-        enabled: bool = True,
     ) -> None:
         self.scheme = scheme
         self.quorums = quorums
-        self.enabled = enabled
         self.stats = VerificationStats()
         self._max_signatures = max_signatures
         self._max_certificates = max_certificates
@@ -181,9 +177,6 @@ class Verifier:
     def verify(self, signature: Signature, message: bytes) -> bool:
         """Memoized equivalent of ``scheme.verify`` over raw bytes."""
         self.stats.signature_checks += 1
-        if not self.enabled:
-            self.stats.backend_verifies += 1
-            return self.scheme.verify(signature, message)
         key = (message, signature.signer, signature.value)
         cached = self._signature_memo.get(key)
         if cached is not None:
@@ -209,9 +202,6 @@ class Verifier:
                 only short-circuits certificates previously proven valid.
         """
         self.stats.certificate_checks += 1
-        if not self.enabled:
-            cert.validate(self, self.quorums)
-            return
         key = digest_bytes(
             intern_encode((type(cert).__name__, cert.to_wire()))
         )

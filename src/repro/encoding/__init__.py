@@ -25,7 +25,6 @@ from repro.encoding.interning import (
     intern_encode,
     intern_stats,
     reset_interning,
-    set_interning_enabled,
 )
 
 __all__ = [
@@ -40,5 +39,4 @@ __all__ = [
     "intern_encode",
     "intern_stats",
     "reset_interning",
-    "set_interning_enabled",
 ]

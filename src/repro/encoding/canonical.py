@@ -61,9 +61,10 @@ _LIST, _DICT, _END = b"lde"
 class EncodeStats:
     """Process-wide ``canonical_encode`` counters.
 
-    The wire-cost benchmarks (E15) read these to count how many times the
-    system actually serialises anything; every cache layer above (wire cache,
-    statement interning) shows up here as calls that never happen.
+    perfbench and the pinned kernel counts read these to count how many
+    times the system actually serialises anything; every cache layer above
+    (wire cache, statement interning) shows up here as calls that never
+    happen.
     """
 
     calls: int = 0

@@ -34,7 +34,7 @@ from typing import Any
 
 from repro.encoding.canonical import canonical_encode
 
-__all__ = ["InternStats", "intern_encode", "intern_stats", "reset_interning", "set_interning_enabled"]
+__all__ = ["InternStats", "intern_encode", "intern_stats", "reset_interning"]
 
 
 @dataclass
@@ -60,7 +60,6 @@ class InternStats:
 _STATS = InternStats()
 _MEMO: "OrderedDict[Any, bytes]" = OrderedDict()
 _CAPACITY = 8192
-_ENABLED = True
 #: First element of every frozen key; equal to nothing a plain value holds.
 _FROZEN = object()
 
@@ -122,8 +121,6 @@ def _freeze(value: Any) -> Any:
 
 def intern_encode(value: Any) -> bytes:
     """``canonical_encode`` behind a bounded, type-exact memo."""
-    if not _ENABLED:
-        return canonical_encode(value)
     try:
         key = value if _is_plain(value) else (_FROZEN, _freeze(value))
         cached = _MEMO.get(key)
@@ -151,9 +148,3 @@ def reset_interning() -> None:
     """Drop the memo and zero the counters (benchmark isolation)."""
     _MEMO.clear()
     _STATS.reset()
-
-
-def set_interning_enabled(enabled: bool) -> None:
-    """Toggle the memo (the ablation arm of the wire-cost benchmark)."""
-    global _ENABLED
-    _ENABLED = enabled

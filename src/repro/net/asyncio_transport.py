@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import asyncio
 import os
+from collections import Counter
 from contextlib import nullcontext
 from typing import Any, Callable, Optional, Union
 
@@ -56,6 +57,9 @@ class ReplicaServer:
         self.port = port
         self._server: Optional[asyncio.base_events.Server] = None
         self._connections: set[asyncio.StreamWriter] = set()
+        #: Frames dropped before reaching the replica, by the simulated
+        #: network's reason names (``parse-failure``).
+        self.dropped_by_reason: Counter[str] = Counter()
 
     @property
     def instrumentation(self) -> Instrumentation:
@@ -220,7 +224,8 @@ class ReplicaServer:
             try:
                 frames.append(decode_envelope(payload))
             except (EncodingError, ProtocolError):
-                continue  # corrupted or malformed input is silently discarded
+                # Corrupted or malformed input is discarded without a reply.
+                self.dropped_by_reason["parse-failure"] += 1
         # One barrier for the whole read: the replies are collected while
         # the scope is open and written only after it has closed (no
         # ``await`` in between, so nothing else can run on the loop).  A

@@ -32,7 +32,6 @@ import time
 from dataclasses import replace
 from typing import Any, Callable, Optional
 
-from repro.core.batching import BatchEnvelope
 from repro.core.config import SystemConfig
 from repro.core.messages import Message
 from repro.core.multiobject import (
@@ -130,11 +129,9 @@ class ShardReplica:
     def handle(self, sender: str, message: Message) -> Optional[Message]:
         """Process one frame; replies (if any) go back to ``sender``."""
         self._maybe_close_handoff()
-        if isinstance(message, (ObjectMessage, BatchEnvelope)):
+        if isinstance(message, ObjectMessage):
             if self.retired:
-                if isinstance(message, ObjectMessage):
-                    return EpochStaleReply(obj=message.obj, epoch=self.epoch)
-                return None
+                return EpochStaleReply(obj=message.obj, epoch=self.epoch)
             if not self.ready:
                 self.not_ready_drops += 1
                 return None

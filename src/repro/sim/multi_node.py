@@ -10,9 +10,8 @@ operations remain sequential, matching the §4.1 model.
 
 from __future__ import annotations
 
-from typing import Any, Optional, Sequence, Union
+from typing import Any, Sequence, Union
 
-from repro.core.batching import BatchCoalescer, BatchStats
 from repro.core.multiobject import MultiObjectClient
 from repro.net.simnet import SimNetwork
 from repro.shard.router import ShardRouter
@@ -31,9 +30,7 @@ class MultiObjectClientNode(MachineHost):
     """Runs a multi-object script over the simulated network.
 
     The whole script is the host's one operation: the retransmission timer
-    runs from :meth:`run_script` until the last step completes.  With a
-    coalescer each send round (dispatch, delivery follow-ups,
-    retransmission sweep) emits at most one wire frame per destination.
+    runs from :meth:`run_script` until the last step completes.
     """
 
     def __init__(
@@ -44,12 +41,11 @@ class MultiObjectClientNode(MachineHost):
         *,
         max_in_flight: int = 4,
         record_history: bool = False,
-        coalescer: Optional[BatchCoalescer] = None,
         retransmit_interval: float = DEFAULT_RETRANSMIT_INTERVAL,
     ) -> None:
         super().__init__(
             client, network, scheduler,
-            retransmit_interval=retransmit_interval, coalescer=coalescer,
+            retransmit_interval=retransmit_interval,
         )
         self.client = client
         self.max_in_flight = max_in_flight
@@ -86,9 +82,6 @@ class MultiObjectClientNode(MachineHost):
         return recorder
 
     def _dispatch(self) -> None:
-        # Sends from every step issued this round are accumulated and sent
-        # as one round, so the coalescer can merge same-replica frames
-        # across objects (k in-flight ops -> one frame per replica).
         round_sends = []
         index = 0
         while index < len(self._pending) and len(self._in_flight) < self.max_in_flight:
@@ -129,8 +122,3 @@ class MultiObjectClientNode(MachineHost):
 
     def _on_done(self) -> None:
         self.done = True
-
-    @property
-    def batch_stats(self) -> Optional[BatchStats]:
-        """Coalescing counters, when batching is enabled."""
-        return None if self.coalescer is None else self.coalescer.stats

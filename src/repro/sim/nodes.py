@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from typing import Any, Callable, Optional, Sequence
 
-from repro.core.batching import BatchCoalescer
 from repro.core.client import BftBcClient
 from repro.core.messages import Message
 from repro.core.operations import Send
@@ -298,11 +297,10 @@ class MachineHost:
 
     ``machine`` supplies ``node_id``, ``deliver(src, msg) -> [Send]`` and
     ``retransmit() -> [Send]``.  The host registers the node id, sends every
-    :class:`Send` batch (through the optional coalescer) and owns the single
-    retransmission timer, the protocol's only liveness mechanism, armed by
-    :meth:`begin`.  After every delivery and every tick it asks
-    :meth:`_finished` whether the operation in flight has ended and then
-    calls :meth:`_on_done` exactly once.  A subclass only says what an
+    :class:`Send` and owns the single retransmission timer, the protocol's
+    only liveness mechanism, armed by :meth:`begin`.  After every delivery
+    and every tick it asks :meth:`_finished` whether the operation in flight
+    has ended and then calls :meth:`_on_done` exactly once.  A subclass only says what an
     operation is and what happens when it ends; hosted as is, a machine with
     a ``done`` flag (a Byzantine client) runs until the flag is set.
     """
@@ -314,16 +312,12 @@ class MachineHost:
         scheduler: Scheduler,
         *,
         retransmit_interval: float = DEFAULT_RETRANSMIT_INTERVAL,
-        coalescer: Optional[BatchCoalescer] = None,
     ) -> None:
         self.machine = machine
         self.node_id: str = machine.node_id
         self.network = network
         self.scheduler = scheduler
         self.retransmit_interval = retransmit_interval
-        #: Optional batching layer: when set, each send round emits at most
-        #: one wire frame per destination.
-        self.coalescer = coalescer
         #: The retransmission timer; set exactly while an operation is in
         #: flight.
         self._timer: Optional[EventHandle] = None
@@ -356,8 +350,6 @@ class MachineHost:
         return self.machine.retransmit()
 
     def _send_all(self, sends: list[Send]) -> None:
-        if self.coalescer is not None:
-            sends = self.coalescer.coalesce(sends)
         for send in sends:
             self.network.send(self.node_id, send.dest, send.message)
 

@@ -129,9 +129,6 @@ class ClusterOptions:
     strict_stop: bool = False
     piggyback_write_certs: bool = False
     prefer_quorum: bool = False
-    #: Enable the memoizing verification pipeline (set False for the
-    #: uncached ablation arm of experiment E4d).
-    verification_cache: bool = True
     #: Optional per-replica cap on resident per-client protocol state
     #: (plist/optlist/fastc); entries beyond it spill to the WAL-backed
     #: store and rehydrate on demand.  ``None`` keeps the classic
@@ -192,7 +189,6 @@ class Cluster(SimHarness):
             strict_stop=options.strict_stop,
             piggyback_write_certs=options.piggyback_write_certs,
             prefer_quorum=options.prefer_quorum,
-            verification_cache=options.verification_cache,
             client_state_budget=options.client_state_budget,
         )
         super().__init__(

@@ -276,7 +276,7 @@ def _mutate(rng: random.Random, data: bytes) -> bytes:
 
 
 def test_mutated_encodings_are_rejected_or_canonical():
-    """Seeded: the 41 kinds' pinned samples and random nested values,
+    """Seeded: the 40 kinds' pinned samples and random nested values,
     misspelled, byte-mutated, or both."""
     samples = [canonical_decode(message_wire_bytes(m)) for m in SAMPLES.values()]
     rng = random.Random(20060625)

@@ -17,9 +17,9 @@ import pytest
 from repro import build_cluster
 from repro.cluster import DeploymentSpec, ReplicaGroup
 from repro.core import make_system
-from repro.core.batching import BatchEnvelope
 from repro.core.certificates import PrepareCertificate, genesis_prepare_certificate
 from repro.core.messages import (
+    Message,
     ReadTsPrepRequest,
     ReadTsRequest,
     WriteRequest,
@@ -258,20 +258,35 @@ def test_unknown_message_kind():
     assert replica.stats.discards["unknown-kind"] == 1
 
 
+@dataclasses.dataclass(frozen=True)
+class RetiredBatch(Message):
+    """A frame of the retired ``BATCH`` kind, forged without registering it:
+    a ``msgs`` tuple of encoded messages, as a pre-deletion batching client
+    sent it."""
+
+    KIND = "BATCH"
+    payloads: tuple = ()
+
+    def to_wire(self):
+        return {"msgs": self.payloads}
+
+
 def batch_of_one_read_ts(kit):
-    """A BATCH frame wrapping a valid READ-TS: only multi-object replicas
-    unpack batches, so a single-object replica must discard it whole."""
+    """A ``BATCH`` frame wrapping a valid READ-TS.  No kind of that name is
+    registered, so the frame must die at the parse boundary."""
     request = ReadTsRequest(nonce=kit.nonce())
-    return BatchEnvelope(payloads=(message_wire_bytes(request),))
+    return RetiredBatch(payloads=(message_wire_bytes(request),))
 
 
 def test_batch_frame_is_an_unknown_kind_on_a_sim_host():
     cluster = build_cluster(f=1, seed=3)
     kit = ProtocolKit(cluster.config)
+    replica = cluster.replicas["replica:0"]
+    handled = replica.stats.handled
     cluster.network.send(kit.client, "replica:0", batch_of_one_read_ts(kit))
     cluster.settle(1.0)
-    replica = cluster.replicas["replica:0"]
-    assert replica.stats.discards["unknown-kind"] == 1
+    assert cluster.network.stats.dropped_by_reason == {"parse-failure": 1}
+    assert replica.stats.handled == handled
     assert replica.stats.replies == 0
 
 
@@ -282,20 +297,23 @@ def test_batch_frame_is_an_unknown_kind_on_a_socket_host():
         group = await ReplicaGroup.start(
             DeploymentSpec(transport="tcp"), config, node_ids=["replica:0"]
         )
+        server = group.servers["replica:0"]
         replica = group.replicas["replica:0"]
+        handled = replica.stats.handled
         endpoint = MuxEndpoint(group.addrs)
         try:
             await endpoint.connect()
             batch = batch_of_one_read_ts(kit)
             await endpoint.send(kit.client, [Send(dest="replica:0", message=batch)])
             for _ in range(200):
-                if replica.stats.discards["unknown-kind"]:
+                if server.dropped_by_reason["parse-failure"]:
                     break
                 await asyncio.sleep(0.01)
         finally:
             await endpoint.close()
             await group.stop()
-        assert replica.stats.discards["unknown-kind"] == 1
+        assert server.dropped_by_reason == {"parse-failure": 1}
+        assert replica.stats.handled == handled
         assert replica.stats.replies == 0
 
     asyncio.run(main())

@@ -133,6 +133,32 @@ def test_checker_flags_a_barrier_outside_storage(tmp_path):
     ]
 
 
+def test_checker_flags_an_ablation_switch(tmp_path):
+    """Every cache is always on: a ``set_*_enabled`` toggle anywhere under
+    ``src/repro`` is an ablation arm growing back.  Other setters and
+    other ``*_enabled`` names stay free."""
+    (tmp_path / "repro" / "encoding").mkdir(parents=True)
+    (tmp_path / "repro" / "core").mkdir()
+    (tmp_path / "repro" / "core" / "ok.py").write_text(
+        "def set_epoch(epoch):\n    pass\n"
+        "def tracing_enabled():\n    return True\n"
+    )
+    (tmp_path / "repro" / "encoding" / "memo.py").write_text(
+        "_ENABLED = True\n"
+        "def set_memo_enabled(enabled):\n"
+        "    global _ENABLED\n"
+        "    _ENABLED = enabled\n"
+        "class Memo:\n"
+        "    async def set_lookup_enabled(self, enabled):\n"
+        "        pass\n"
+    )
+    found = check_layering.find_duplication(tmp_path)
+    assert [(module, line) for module, line, _ in found] == [
+        ("repro.encoding.memo", 2),
+        ("repro.encoding.memo", 6),
+    ]
+
+
 def test_checker_flags_an_adversary_that_reaches_its_host(tmp_path):
     """Nothing under ``repro.byzantine`` touches a network, a scheduler or a
     timer: an adversary returns ``Send`` lists and counts retransmit ticks.
@@ -223,9 +249,9 @@ def test_checker_flags_a_second_client_host(tmp_path):
 
 
 def test_checker_flags_a_second_frame_decoder(tmp_path):
-    """Only the codec, the simulated network, the socket envelope, batch
-    unpacking and the stores call ``canonical_decode``; a host that parses
-    frames itself bypasses the shared decode per frame in flight."""
+    """Only the codec, the simulated network, the socket envelope and the
+    stores call ``canonical_decode``; a host that parses frames itself
+    bypasses the shared decode per frame in flight."""
     (tmp_path / "repro" / "net").mkdir(parents=True)
     (tmp_path / "repro" / "sim").mkdir()
     (tmp_path / "repro" / "storage").mkdir()

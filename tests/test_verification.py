@@ -213,15 +213,3 @@ def test_stats_count_hits_and_misses():
     verifier.stats.reset()
     assert verifier.stats.signature_checks == 0
     assert verifier.stats.certificate_hit_rate == 0.0
-
-
-def test_disabled_verifier_always_hits_backend():
-    config = make_system(verification_cache=False)
-    assert config.verifier.enabled is False
-    replica = config.quorums.replica_ids[0]
-    sig = config.scheme.sign_statement(replica, "raw")
-    before = config.scheme.stats.verifies
-    assert config.verifier.verify_statement(sig, "raw") is True
-    assert config.verifier.verify_statement(sig, "raw") is True
-    assert config.scheme.stats.verifies == before + 2
-    assert config.verifier.stats.signature_hits == 0

@@ -31,7 +31,6 @@ from repro.baselines.messages import (
     PhxWriteReply,
     PhxWriteRequest,
 )
-from repro.core.batching import BatchEnvelope
 from repro.core.certificates import (
     PrepareCertificate,
     WriteCertificate,
@@ -229,12 +228,6 @@ SAMPLES = {
         epoch=4,
     ),
     "EPOCH-STALE": EpochStaleReply(obj="obj:1", epoch=5),
-    "BATCH": BatchEnvelope(
-        payloads=(
-            message_wire_bytes(ReadTsRequest(nonce=NONCE)),
-            message_wire_bytes(WriteReply(ts=TS, signature=SIG)),
-        )
-    ),
 }
 
 #: sha256 of ``message_wire_bytes`` per sample, recorded at the parent commit.
@@ -292,7 +285,6 @@ GOLDEN = {
     "OBJ/no-epoch": "a881674501faa1c7192d094f6b808d8bd07fe4151ffb353b7ce490168b839256",
     "OBJ/epoch": "5a5d5ec1dbc569b7038c898df730913eb94f01ff85a98b4f8b2318b9cfc0ddcb",
     "EPOCH-STALE": "b115e6a0a7d1fd77cea5e1680286d2d9492b5f2f5f1bed9cb51bd09a9bb334f9",
-    "BATCH": "336955bc16277b8c29d5a03d6708bf2b6a02973134b6f0ece689b1aed4bc02ee",
 }
 
 
@@ -368,7 +360,6 @@ WRONG = {
     "MAC vector": ((("r", "mac"),), (("r",),), b"row", None),
     "tuple of signature": ((("s", "v"),), "sigs", None),
     "tuple of dict": ((1,), {"a": 1}, None),
-    "non-empty tuple of bytes": ((), ("text",), b"raw", None),
 }
 
 

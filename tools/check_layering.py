@@ -21,17 +21,15 @@ layer 0) and never see protocol types — the translation lives in
 ``repro.core.persistence`` (layer 3), which is what lets the same store
 back every replica variant.  The wire fast path keeps the same shape:
 ``encoding.interning`` lives at layer 0 so ``crypto`` and ``core`` can share
-interned statement bytes, and ``core.batching`` is ordinary ``core`` (layer
-3) — it may use messages and encoding but never the transports that carry
-its envelopes.  ``repro.shard`` (placement, directory, reconfiguration)
-composes ``core`` protocol machines but stays transport-agnostic: the
-simulator, asyncio transport, and chaos engine (layer 5) host shard roles,
-never the reverse.  Imports are discovered by parsing every
+interned statement bytes.  ``repro.shard`` (placement, directory,
+reconfiguration) composes ``core`` protocol machines but stays
+transport-agnostic: the simulator, asyncio transport, and chaos engine
+(layer 5) host shard roles, never the reverse.  Imports are discovered by parsing every
 source file under ``src/repro`` with :mod:`ast` — including imports inside
 ``TYPE_CHECKING`` blocks and function bodies, so lazy imports cannot hide a
 cycle-in-waiting.
 
-Ten further rules keep deleted duplication from growing back
+Eleven further rules keep deleted duplication from growing back
 (:func:`find_duplication`): the TCP client stack lives in one module, so
 ``asyncio.open_connection`` may be called only from ``repro.net.mux`` (and
 the chaos proxy's upstream leg); the variant-to-class mapping lives on
@@ -62,14 +60,17 @@ sans-I/O machine on the simulator is hosted by ``repro.sim.nodes``
 registration and sending is a second client host growing back; and the
 simulated network parses each frame in flight once and shares the message
 among its receivers, so ``canonical_decode(`` may be called only in
-``repro.encoding``, ``repro.net.simnet``, ``repro.net.envelope``,
-``repro.core.batching`` and ``repro.storage`` — a host that parses frames
-itself bypasses the shared decode; and every durable replica field is
-declared once, by a ``DurableField`` in ``repro.core.persistence``, so
+``repro.encoding``, ``repro.net.simnet``, ``repro.net.envelope`` and
+``repro.storage`` — a host that parses frames itself bypasses the shared
+decode; and every durable replica field is declared once, by a
+``DurableField`` in ``repro.core.persistence``, so
 outside that module nothing may touch ``._data`` / ``._write_ts`` /
 ``._pcert``, call a ``*_silent(`` mutator, or spell one of the declared WAL
 record tags (``"plist-set"``, ``"write-ts"``, ``"spr"``, ...) as a string
-literal — a second spelling of a field is a second table growing back.
+literal — a second spelling of a field is a second table growing back;
+and every cache is always on, so no function named ``set_*_enabled`` may be
+defined anywhere — a module-level ablation toggle is a second code path that
+no deployment runs.
 
 Run:  python tools/check_layering.py   (exits 1 and lists violations)
 The tier-1 test ``tests/test_layering.py`` runs this on every suite run.
@@ -93,7 +94,6 @@ LAYERS: dict[str, int] = {
     "repro.storage": 1,
     "repro.storage.integrity": 1,
     "repro.core.verification": 2,
-    "repro.core.batching": 3,
     "repro.core.repair": 3,
     "repro.core": 3,
     "repro.spec": 4,
@@ -157,13 +157,12 @@ NETWORK_CALLS = frozenset({"register", "unregister", "send"})
 
 
 #: The modules that parse canonical bytes: the codec itself, the simulated
-#: network's one decode per frame in flight, the socket envelope, batch
-#: unpacking and the stores.
+#: network's one decode per frame in flight, the socket envelope and the
+#: stores.
 DECODE_SITES = (
     "repro.encoding",
     "repro.net.simnet",
     "repro.net.envelope",
-    "repro.core.batching",
     "repro.storage",
 )
 
@@ -301,6 +300,15 @@ def find_duplication(src: pathlib.Path = SRC) -> list[tuple[str, int, str]]:
             ADVERSARY_PACKAGE + "."
         )
         for node in ast.walk(tree):
+            if (
+                isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and node.name.startswith("set_")
+                and node.name.endswith("_enabled")
+            ):
+                found.append(
+                    (module, node.lineno, f"defines {node.name}, an ablation "
+                     "switch; the mechanism is always on")
+                )
             if adversary and (
                 (isinstance(node, ast.Attribute) and node.attr in HOST_ATTRIBUTES)
                 or (
@@ -411,7 +419,7 @@ def main() -> int:
             "duplication the variant registry / one endpoint / one harness / "
             "one wire schema / one barrier site / the sans-I/O adversary / "
             "the socket front door / one decode per frame / the durable field "
-            "table replaced:"
+            "table / the always-on caches replaced:"
         )
         for module, line, what in duplication:
             print(f"  {module}:{line} {what}")

@@ -28,7 +28,6 @@ MODULES = [
     "repro.core.quorum",
     "repro.core.certificates",
     "repro.core.messages",
-    "repro.core.batching",
     "repro.core.config",
     "repro.core.statements",
     "repro.core.persistence",
