@@ -163,7 +163,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
           f"{cluster.metrics.latency_summary('write').p95 * 1000:.1f} ms")
     print(f"messages: {cluster.network.stats.messages_sent} "
           f"({cluster.network.stats.messages_dropped} dropped)")
-    if args.variant == "optimized":
+    if Variant.coerce(args.variant).protocol.fast_path:
         print(f"fast-path rate: {cluster.metrics.fast_path_rate():.0%}")
     print(f"linearizable: {report.ok}")
     return 0 if report.ok else 1

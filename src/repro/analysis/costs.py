@@ -1,35 +1,38 @@
-"""Closed-form cost model of §3.3, used to cross-check measured numbers.
+"""Closed-form cost model of §3.3, derived from the declared protocol.
 
 §3.3.1: an operation is O(|Q|) messages and O(|Q|^2) total bytes (some
 messages carry certificates of size O(|Q|)); replica state is O(|C|) prepare
 list entries plus an O(|Q|) certificate.  §3.3.2: each write costs two
-public-key signatures per replica (phase-2 and phase-3 replies), and the
-phase-3 signature can be produced in the background.
+public-key signatures per replica (phase-2 and phase-3 replies).
 
-The model's absolute byte numbers are parameterised by measured constants
-(signature size, value size) so experiments fit only the *shape*.
+Every per-variant count is computed from the variant's
+:class:`~repro.core.config.Protocol` declaration, which the protocol tests
+check each operation against; the reconfiguration, state-transfer, repair
+and directory-fetch counts are hand-written closed forms.  Byte numbers are
+parameterised by measured constants so experiments fit only the *shape*.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
+from repro.core.config import READ_OPERATION, Carry, Phase, Variant
 from repro.core.quorum import QuorumSystem
 
 __all__ = ["CostModel", "WRITE_PHASES", "READ_PHASES"]
 
-#: Phases per operation by variant (normal case / worst case).  The
-#: fastpath worst case is the verified fallback: two fast phases spent
-#: before demotion never count (the client abandons them), but the signed
-#: protocol it demotes to is a full 4-phase READ-TS / PREPARE / WRITE run
-#: preceded by the failed FAST-PREP round.
+#: Phases per write by variant (normal case / worst case), from the
+#: declaration.
 WRITE_PHASES = {
-    "base": (3, 3),
-    "optimized": (2, 3),
-    "strong": (3, 5),
-    "fastpath": (2, 4),
+    variant.value: (len(variant.protocol.write), len(variant.protocol.worst_write))
+    for variant in Variant
 }
-READ_PHASES = (1, 2)
+#: Phases per read (no write-back / write-back).
+READ_PHASES = (1, len(READ_OPERATION))
+
+#: Wire size of one MAC (HMAC-SHA256).
+MAC_BYTES = 32
 
 
 @dataclass(frozen=True)
@@ -53,74 +56,51 @@ class CostModel:
         """A certificate is a quorum of signatures: O(|Q|)."""
         return self.quorums.quorum_size * self.signature_bytes + self.header_bytes
 
+    def _message_bytes(self, carries: Iterable[Carry]) -> int:
+        """Header plus each carried item; a proof of writing is O(|Q|^2)."""
+        row = self.quorums.n * MAC_BYTES
+        size = {
+            Carry.CERTIFICATE: self.certificate_bytes,
+            Carry.VALUE: self.value_bytes,
+            Carry.MAC_ROW: row,
+            Carry.ACK_ROW: row,
+            Carry.PROOF: 64 + self.quorums.n * row,
+            Carry.ENVELOPE: MAC_BYTES,
+        }
+        return self.header_bytes + sum(size[item] for item in carries)
+
+    def _rounds_bytes(self, phases: Iterable[Phase]) -> int:
+        """Every phase is one request to and one reply from each replica."""
+        return self.quorums.n * sum(
+            self._message_bytes(phase.request_carries)
+            + self._message_bytes(phase.reply_carries)
+            for phase in phases
+        )
+
+    @staticmethod
+    def _read(write_back: bool) -> tuple[Phase, ...]:
+        return READ_OPERATION if write_back else READ_OPERATION[:1]
+
     # -- message counts (reliable network, no retransmissions) -----------------
 
     def write_messages(self, variant: str = "base") -> int:
         """Messages for one write: one RPC (request+reply to all n) per phase."""
-        phases = WRITE_PHASES[variant][0]
-        return 2 * phases * self.quorums.n
+        return 2 * len(Variant.coerce(variant).protocol.write) * self.quorums.n
 
     def read_messages(self, *, write_back: bool = False) -> int:
-        messages = 2 * self.quorums.n
-        if write_back:
-            # Write-back goes only to replicas that are behind; bound by n.
-            messages += 2 * self.quorums.n
-        return messages
+        """Messages for one read; the write-back is bounded by n replicas."""
+        return 2 * len(self._read(write_back)) * self.quorums.n
 
     # -- byte counts -----------------------------------------------------------
 
     def write_bytes(self, variant: str = "base") -> int:
-        """Total bytes for one write; certificate-bearing messages dominate.
-
-        Phase-1 replies, the phase-2 request, and the phase-3 request all
-        carry certificates, each O(|Q|), to O(|Q|) replicas: O(|Q|^2) total.
-        """
-        n = self.quorums.n
-        cert = self.certificate_bytes
-        hdr = self.header_bytes
-        if variant == "fastpath":
-            # The fast path trades signatures for MAC vectors: requests
-            # carry an n-entry MAC row, replies an ack row + envelope, and
-            # the FAST-WRITE ships the proof of writing — commitment,
-            # opening, and >= 2f+1 ack rows of n MACs each, O(|Q|^2) bytes
-            # (vs. the signed certificate's O(|Q|)).  Bigger frames, zero
-            # signatures: E20 measures the trade.
-            mac_row = n * 32
-            proof = 64 + n * mac_row
-            return (
-                n * (cert + mac_row + hdr)  # FAST-PREP: prev Wcert + MACs
-                + n * (mac_row + 32 + hdr)  # replies: ack row + envelope
-                + n * (proof + self.value_bytes + mac_row + hdr)  # FAST-WRITE
-                + n * (mac_row + 32 + hdr)  # write replies
-            )
-        if variant == "optimized":
-            # READ-TS-PREP req/replies (replies carry certificate), then
-            # WRITE request with certificate + value, and small replies.
-            return (
-                n * hdr  # merged phase-1 requests
-                + n * (cert + hdr)  # replies with stored certificate
-                + n * (cert + self.value_bytes + hdr)  # phase-3 requests
-                + n * hdr  # write replies
-            )
-        return (
-            n * hdr  # READ-TS requests
-            + n * (cert + hdr)  # READ-TS replies with certificate
-            + n * (cert + hdr)  # PREPARE requests carry Pmax (+ Wcert)
-            + n * hdr  # PREPARE replies
-            + n * (cert + self.value_bytes + hdr)  # WRITE requests
-            + n * hdr  # WRITE replies
-        )
+        """Total bytes for one write: O(|Q|) certificates to O(|Q|) replicas,
+        O(|Q|^2); the fast path's proof of writing is O(|Q|^2) on its own."""
+        return self._rounds_bytes(Variant.coerce(variant).protocol.write)
 
     def read_bytes(self, *, write_back: bool = False) -> int:
-        n = self.quorums.n
-        total = n * self.header_bytes + n * (
-            self.certificate_bytes + self.value_bytes + self.header_bytes
-        )
-        if write_back:
-            total += n * (
-                self.certificate_bytes + self.value_bytes + self.header_bytes
-            ) + n * self.header_bytes
-        return total
+        """Total bytes for one read (value + certificate replies)."""
+        return self._rounds_bytes(self._read(write_back))
 
     # -- state sizes ------------------------------------------------------------
 
@@ -141,46 +121,30 @@ class CostModel:
 
     def write_signatures_client(self) -> int:
         """Client signatures per write: PREPARE and WRITE requests."""
-        return 2
+        return sum(phase.client_signs for phase in Variant.BASE.protocol.write)
 
     def write_signature_ops(self, variant: str = "base") -> int:
-        """Total public-key signature *creations* for one write, both sides,
-        steady state on a reliable network.
+        """Signature *creations* for one steady-state write, both sides.
 
-        Base and optimized: the client signs its two mutating requests
-        (PREPARE + WRITE, or the merged READ-TS-PREP + WRITE) and every
-        replica signs three replies — the phase-1 envelope (base READ-TS
-        reply; optimized envelope + embedded prep signature count as two of
-        the three), the prepare acknowledgement, and the write
-        acknowledgement — ``2 + 3n`` in total.
-
-        Fastpath: the common case carries commitments and MAC vectors only;
-        *zero* signatures, which the E20 benchmark asserts exactly.  (Lazy
-        FAST-VOUCH signatures for certificate transfer are produced off the
-        write path and accounted separately in
-        :attr:`~repro.core.replica.ReplicaStats.vouch_signs`.)
+        Base and optimized: ``2 + 3n`` (two client requests, three signed
+        replies per replica).  Strong: ``2 + 4n``, each READ-TS reply adding
+        a timestamp vouch (§7).  Fastpath: *zero*; its lazy FAST-VOUCH
+        signatures are off the write path
+        (:attr:`~repro.core.replica.ReplicaStats.vouch_signs`).
         """
-        if variant == "fastpath":
-            return 0
-        return 2 + 3 * self.quorums.n
+        n = self.quorums.n
+        return sum(phase.signs(n) for phase in Variant.coerce(variant).protocol.write)
 
     def fast_write_macs_computed(self) -> int:
         """MAC computations for one fastpath write, both sides.
 
-        The client MACs its two request fan-outs for every replica
-        (``2n``); each replica answers both rounds with an ``n``-entry
-        acknowledgement row plus one reply envelope (``n + 1`` each, and
-        every replica computes its full reply even when the client already
-        has its quorum): ``2n + 2n(n + 1) = 2n(n + 2)``.
-
-        MAC *checks* are not closed-form: stragglers whose replies arrive
-        after the client's quorum completes are never verified, so the
-        check count depends on delivery timing.  The computation count is
-        deterministic and is what the tests pin against
-        :attr:`~repro.crypto.authenticators.MacAuthenticator.macs_computed`.
+        The client MACs two fan-outs (``2n``); each replica answers both
+        rounds with an ack row and an envelope (``n + 1`` each):
+        ``2n(n + 2)``.  MAC *checks* depend on delivery timing (stragglers
+        are never verified), so only computations are closed-form.
         """
         n = self.quorums.n
-        return 2 * n * (n + 2)
+        return sum(phase.macs(n) for phase in Variant.FASTPATH.protocol.write)
 
     # -- verification counts ------------------------------------------------
 
@@ -194,55 +158,29 @@ class CostModel:
         ``n - 1`` and every certificate the client already validated.
         ``3q + 2`` in total.
         """
-        return 3 * self.quorums.quorum_size + 2
+        q, write = self.quorums.quorum_size, Variant.BASE.protocol.write
+        return sum(q * phase.replica_signs + phase.client_signs for phase in write)
 
     # -- durability counts (write-ahead logging, E16) -------------------------
 
     def write_log_records(self, variant: str = "base") -> int:
-        """WAL records one replica appends for one write, steady state.
-
-        Per write: an ``spr`` signing-log entry and a ``plist-set`` at
-        prepare time, the ``install`` and ``swr`` at write time, plus — once
-        the *next* write's certificate arrives — a ``write-ts`` advance and
-        the ``plist-del`` GC of the entry the certificate subsumed.  The
-        optimized fast path logs the same set (optlist instead of plist on
-        the contention-free path).  The fastpath variant adds the
-        ``fastc-set`` commitment record at FAST-PREP time and its
-        ``fastc-del`` GC: 8 records.
-        """
-        if variant == "fastpath":
-            return 8
-        return 6
-
-    def write_log_bytes(self, variant: str = "base") -> int:
-        """WAL bytes per write per replica; the install record dominates.
-
-        The install record carries the value and a full certificate —
-        O(|Q|) — while the other five records are O(1) timestamps, hashes
-        and ids (~``header_bytes`` each framed).
-        """
-        small = self.header_bytes
-        install = self.certificate_bytes + self.value_bytes + self.header_bytes
-        return (self.write_log_records(variant) - 1) * small + install
+        """WAL records one replica appends for one steady-state write: 6,
+        and 8 on the fast path (the commitment record and its GC)."""
+        write = Variant.coerce(variant).protocol.write
+        return sum(phase.wal_records for phase in write)
 
     def fsyncs_per_write(self, *, fsync: str = "always") -> int:
         """WAL barriers per write per replica under the given policy.
 
         Group commit spends one barrier per handled message that logged
-        anything, not one per record.  In every variant exactly two of a
-        write's messages log: the one that prepares (PREPARE, READ-TS-PREP
-        or FAST-PREP — ``spr`` and the list entry, plus the previous
-        write's ``write-ts`` advance and GC riding on its certificate) and
-        the WRITE that installs (``install`` and ``swr``); READ-TS logs
-        nothing.  Exact on a reliable network with one frame per message;
-        a host that handles several logging messages of one socket read or
-        batch under one scope pays fewer.  (A ``strong`` replica's first
-        READ-TS vouches for the genesis timestamp and logs that ``swr``
-        once in its lifetime — a one-off, not a per-write cost.)
+        anything: in every variant the one that prepares and the one that
+        installs.  Exact with one frame per message; a host handling several
+        under one scope pays fewer.  (A ``strong`` replica's first READ-TS
+        logs its genesis vouch once in its lifetime, not per write.)
         """
         if fsync == "never":
             return 0
-        return 2
+        return sum(1 for phase in Variant.BASE.protocol.write if phase.wal_records)
 
     # -- reconfiguration counts (repro.shard, E19 companion) ------------------
 
@@ -271,37 +209,6 @@ class CostModel:
         """Signatures a directory entry carries: a quorum of the old epoch."""
         return self.quorums.quorum_size
 
-    def reconfigure_verifications(self) -> int:
-        """Backend signature verifications for one epoch change.
-
-        The reconfigurator verifies each endorsement until it has a quorum
-        (``q``) and validates its own entry at install (``q``); each of the
-        ``n+1`` old ∪ new members validates the entry once on install
-        (``q`` each).  Entry validation calls the scheme directly — these
-        are *statement* signatures, not certificates, so the certificate
-        memo never absorbs them: ``q(n+3)`` total.
-        """
-        q = self.quorums.quorum_size
-        return q * (self.quorums.n + 3)
-
-    def reconfigure_bytes(self) -> int:
-        """Total bytes for one epoch change; install frames dominate.
-
-        Sign requests/replies are O(1) (a member list and one signature);
-        each install request carries the full entry — a quorum of
-        signatures, O(|Q|) — to ``n+1`` nodes: O(|Q|^2) overall, the same
-        asymptotic shape as a write.
-        """
-        n = self.quorums.n
-        hdr = self.header_bytes
-        entry = self.certificate_bytes + hdr  # config + quorum of sigs
-        return (
-            (n - 1) * hdr  # sign requests (config statement)
-            + (n - 1) * (self.signature_bytes + hdr)  # sign replies
-            + (n + 1) * (entry + hdr)  # install requests carry the entry
-            + (n + 1) * hdr  # acks
-        )
-
     def state_transfer_messages(self) -> int:
         """Messages for one joining replica's bootstrap, reliable net.
 
@@ -311,29 +218,6 @@ class CostModel:
         member answers.
         """
         return 2 * self.quorums.n
-
-    def state_transfer_bytes(self, objects: int) -> int:
-        """Bytes for one bootstrap carrying ``objects`` object snapshots.
-
-        Each reply ships, per object, the durable state (value, prepare
-        certificate, timestamps — O(|Q|)) plus a 32-byte fingerprint; all
-        n members send the full set, so the transfer is ``O(n · objects ·
-        |Q|)`` and the 2f+1-of-n validation overlap is pure redundancy
-        bought for Byzantine tolerance.
-        """
-        n = self.quorums.n
-        snapshot = self.certificate_bytes + self.value_bytes + self.header_bytes
-        return n * self.header_bytes + n * objects * (snapshot + 32)
-
-    def state_transfer_verifications(self, objects: int) -> int:
-        """Certificate verifications a joining replica performs.
-
-        Per object it validates every distinct candidate's embedded
-        prepare certificate (``q`` signatures each) — but the certificate
-        memo collapses identical candidates from different members, so the
-        steady-state cost is one certificate per object: ``objects · q``.
-        """
-        return objects * self.quorums.quorum_size
 
     def directory_fetch_messages(self) -> int:
         """Messages for one stale client's refresh: ``DIR-REQ`` to all n
@@ -376,7 +260,7 @@ class CostModel:
         """
         if not 0.0 <= write_fraction <= 1.0:
             raise ValueError(f"write_fraction {write_fraction} out of range")
-        write_frames = WRITE_PHASES[variant][0]
+        write_frames = len(Variant.coerce(variant).protocol.write)
         read_frames = READ_PHASES[0]
         return write_fraction * write_frames + (1.0 - write_fraction) * read_frames
 
@@ -405,19 +289,3 @@ class CostModel:
             variant, write_fraction=write_fraction
         )
         return 1.0 / (frames * service_delay)
-
-    def open_loop_utilization(
-        self,
-        offered_rate: float,
-        service_delay: float,
-        variant: str = "base",
-        *,
-        write_fraction: float = 1.0,
-    ) -> float:
-        """Replica utilisation ρ at the offered rate (ρ ≥ 1 ⇒ unstable)."""
-        capacity = self.open_loop_capacity(
-            service_delay, variant, write_fraction=write_fraction
-        )
-        if capacity == float("inf"):
-            return 0.0
-        return offered_rate / capacity

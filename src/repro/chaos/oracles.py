@@ -108,9 +108,10 @@ def run_oracle_battery(
         f"replica:{index}" for index in plan.byzantine_replicas
     )
     verdicts = _error_verdicts(error_kind, error)
+    protocol = plan.protocol
 
     result = check_bft_linearizable(
-        cluster.history, max_b=plan.max_b, bad_clients=set(bad_clients)
+        cluster.history, max_b=protocol.max_b, bad_clients=set(bad_clients)
     )
     verdicts["bft-linearizable"] = OracleVerdict(
         "bft-linearizable", result.ok, result.violation or ""
@@ -121,9 +122,9 @@ def run_oracle_battery(
         worst = max(worst, count_lurking_writes(cluster.history, bad))
     verdicts["lurking-bound"] = OracleVerdict(
         "lurking-bound",
-        worst <= plan.max_b,
-        "" if worst <= plan.max_b else (
-            f"{worst} lurking writes exceed the variant bound {plan.max_b}"
+        worst <= protocol.max_b,
+        "" if worst <= protocol.max_b else (
+            f"{worst} lurking writes exceed the variant bound {protocol.max_b}"
         ),
     )
 
@@ -131,9 +132,7 @@ def run_oracle_battery(
         cluster.replicas.values(),
         f=plan.f,
         byzantine_replicas=byzantine,
-        max_prepared_per_client=(
-            2 if str(plan.variant) in ("optimized", "fastpath") else 1
-        ),
+        max_prepared_per_client=protocol.max_prepared,
     )
     verdicts["lemma1"] = OracleVerdict(
         "lemma1", report.ok, "; ".join(report.violations)

@@ -26,6 +26,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
+from repro.core.config import Protocol, Variant
 from repro.errors import SimulationError
 from repro.net.simnet import LinkProfile
 from repro.sim.faults import FaultSchedule
@@ -67,9 +68,9 @@ CLIENT_ATTACKS: dict[str, tuple[str, ...]] = {
 }
 
 #: Bound that Definition 1 imposes on one bad client's lurking writes,
-#: per variant (Theorem 1 / Theorem 2).  Fast acks share the optlist, so
-#: the fastpath variant inherits the optimized protocol's bound of 2.
-MAX_B = {"base": 1, "optimized": 2, "strong": 1, "fastpath": 2}
+#: per variant (Theorem 1 / Theorem 2): a view of each declared
+#: :attr:`~repro.core.config.Protocol.max_b`.
+MAX_B = {variant.value: variant.protocol.max_b for variant in Variant}
 
 
 @dataclass
@@ -108,9 +109,10 @@ class EpisodePlan:
         return LinkProfile(**self.profile)
 
     @property
-    def max_b(self) -> int:
-        """The lurking-write bound Definition 1 grants this variant."""
-        return MAX_B[str(self.variant)]
+    def protocol(self) -> Protocol:
+        """The declared protocol of this episode's variant: its lurking and
+        Lemma-1 bounds."""
+        return Variant.coerce(self.variant).protocol
 
     def replace(self, **changes: Any) -> "EpisodePlan":
         """A copy with ``changes`` applied (lists/dicts deep enough to share
@@ -185,12 +187,11 @@ def generate_plan(config: CampaignConfig, episode: int) -> EpisodePlan:
 
     # Byzantine replicas first: they count against the fault budget f for
     # the whole episode (a substituted replica never behaves correctly).
+    protocol = Variant.coerce(variant).protocol
     byzantine_replicas: dict[str, str] = {}
     if config.byzantine and rng.random() < 0.4:
         behaviours = REPLICA_BEHAVIOURS + (
-            ("silent-optimized",)
-            if variant in ("optimized", "fastpath")
-            else ()
+            ("silent-optimized",) if protocol.fast_path else ()
         )
         for index in sorted(rng.sample(range(n), rng.randint(1, f))):
             byzantine_replicas[str(index)] = rng.choice(behaviours)
@@ -303,12 +304,12 @@ def generate_plan(config: CampaignConfig, episode: int) -> EpisodePlan:
             }
         )
 
-    # Fallback-forcing fault (fastpath only): filter the fast-path message
-    # kinds inbound at f+1 replicas for a window, so the fast quorum of
-    # 2f+1 is unreachable and clients must demote to the signed protocol;
+    # Fallback-forcing fault (variants with MAC-only rounds): filter those
+    # request kinds inbound at f+1 replicas for a window, so the fast quorum
+    # of 2f+1 is unreachable and clients must demote to the signed protocol;
     # the heal lets later operations take the fast path again.  Blocks only
-    # FAST-* kinds, so the signed fallback always makes progress.
-    if variant == "fastpath" and rng.random() < 0.6:
+    # the declared fast kinds, so the signed fallback always makes progress.
+    if protocol.fast_kinds and rng.random() < 0.6:
         victims = rng.sample(range(n), f + 1)
         start = rng.uniform(0.0, 0.5)
         heal_at = start + rng.uniform(0.5, 1.5)
@@ -318,7 +319,7 @@ def generate_plan(config: CampaignConfig, episode: int) -> EpisodePlan:
                     "op": "block_kinds",
                     "time": round(start, 3),
                     "node": _node(victim),
-                    "kinds": ["FAST-PREP", "FAST-WRITE"],
+                    "kinds": list(protocol.fast_kinds),
                 }
             )
             faults.append(

@@ -31,7 +31,8 @@ from repro.chaos.oracles import (
     _error_verdicts,
     check_epoch_agreement,
 )
-from repro.chaos.plan import MAX_B, build_schedule
+from repro.chaos.plan import build_schedule
+from repro.core.config import Variant
 from repro.errors import OperationFailedError, SimulationError
 from repro.net.simnet import LinkProfile
 from repro.sim.shard_cluster import ShardCluster, ShardClusterOptions
@@ -77,10 +78,6 @@ class ShardEpisodePlan:
 
     def link_profile(self) -> LinkProfile:
         return LinkProfile(**self.profile)
-
-    @property
-    def max_b(self) -> int:
-        return MAX_B[str(self.variant)]
 
     def to_json(self) -> dict[str, Any]:
         data = dataclasses.asdict(self)
@@ -204,11 +201,12 @@ def _run_shard_oracle_battery(
     runs with an empty bad-client set.
     """
     verdicts = _error_verdicts(error_kind, error)
+    protocol = Variant.coerce(plan.variant).protocol
 
     bad_objs = []
     histories = cluster.merged_histories()
     for obj, history in sorted(histories.items()):
-        result = check_bft_linearizable(history, max_b=plan.max_b, obj=obj)
+        result = check_bft_linearizable(history, max_b=protocol.max_b, obj=obj)
         if not result.ok:
             bad_objs.append(f"{obj}: {result.violation}")
     verdicts["bft-linearizable"] = OracleVerdict(
@@ -222,7 +220,7 @@ def _run_shard_oracle_battery(
     #: Every live, ready member's per-object state machine, labelled
     #: ``shard/obj/node`` — what the single-group oracles judge.
     states_by_label: dict[str, Any] = {}
-    max_prepared = 2 if str(plan.variant) == "optimized" else 1
+    max_prepared = protocol.max_prepared
     for shard in cluster.shard_ids:
         members = [r for r in cluster.live_members(shard) if r.ready]
         objs = set()

@@ -4,15 +4,25 @@ A :class:`SystemConfig` bundles the quorum system, the key registry, the
 signature scheme, and the protocol options the design calls out for ablation
 (§3.3.2 background signing, §3.3.1 prepare-list garbage collection, §4.1.1
 strict-stop access control, §7 strong mode).
+
+:class:`Variant` names the four protocol variants and is the one place a
+variant turns into what runs it and what it costs: its classes
+(:attr:`Variant.replica_cls`, :attr:`Variant.client_cls`) and its declared
+:class:`Protocol` — the phases of each operation (:class:`Phase`), with
+what every message carries, the signatures each side computes and the WAL
+records a replica appends, plus the paper's per-variant bounds.  The cost
+model (:mod:`repro.analysis.costs`), the chaos oracles and the CLI read
+that declaration instead of comparing variant names.
 """
 
 from __future__ import annotations
 
 import enum
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Optional, Union
 
+from repro.core import messages as msg
 from repro.core.persistence import ClientStateBudget
 from repro.core.quorum import QuorumSystem
 from repro.core.verification import Verifier
@@ -27,6 +37,10 @@ from repro.errors import QuorumConfigError
 
 __all__ = [
     "Variant",
+    "Carry",
+    "Phase",
+    "Protocol",
+    "READ_OPERATION",
     "AccessPolicy",
     "ExplicitWriters",
     "NamespaceWriters",
@@ -151,9 +165,10 @@ class PredicateWriters(AccessPolicy):
 class Variant(str, enum.Enum):
     """The four protocol variants, shared by the cluster, benchmarks, CLI.
 
-    A ``str`` subclass, so existing comparisons against the literal strings
-    (``options.variant == "strong"``) keep working, and :meth:`coerce`
-    accepts either form — the one place variant spelling is validated.
+    A ``str`` subclass, so a variant serialises as its name, and
+    :meth:`coerce` accepts either form — the one place variant spelling is
+    validated.  Code outside this module asks a variant for its
+    :attr:`protocol` rather than comparing it against a name.
     """
 
     BASE = "base"
@@ -198,6 +213,11 @@ class Variant(str, enum.Enum):
             Variant.FASTPATH: client.FastBftBcClient,
         }[self]
 
+    @property
+    def protocol(self) -> "Protocol":
+        """This variant's declared phases, bounds and fast path."""
+        return _PROTOCOLS[self]
+
     @classmethod
     def coerce(cls, value: Union[str, "Variant"]) -> "Variant":
         """Normalise a variant name; raises ``QuorumConfigError`` if unknown."""
@@ -210,6 +230,139 @@ class Variant(str, enum.Enum):
                 f"unknown variant {value!r}; expected one of "
                 f"{tuple(v.value for v in cls)}"
             ) from None
+
+
+class Carry(enum.Enum):
+    """What a message carries besides its header, the set the cost model
+    prices: a row is one MAC per replica, an envelope one MAC over a reply,
+    a proof a commitment, its opening and a quorum of ack rows."""
+
+    CERTIFICATE = "certificate"
+    VALUE = "value"
+    MAC_ROW = "MAC row"
+    ACK_ROW = "ack row"
+    PROOF = "proof"
+    ENVELOPE = "envelope"
+
+
+@dataclass(frozen=True, repr=False)
+class Phase:
+    """One request/reply round in the steady state (a reliable network, a
+    client holding its previous write certificate): what each message
+    carries, the client's signatures for the request, each replica's for
+    its reply, and the WAL records each replica appends handling it."""
+
+    request: type[msg.Message]
+    reply: type[msg.Message]
+    request_carries: tuple[Carry, ...] = ()
+    reply_carries: tuple[Carry, ...] = ()
+    client_signs: int = 0
+    replica_signs: int = 0
+    wal_records: int = 0
+
+    def __repr__(self) -> str:
+        return f"Phase({self.request.KIND} -> {self.reply.KIND})"
+
+    def signs(self, n: int) -> int:
+        """Signatures the round computes, both sides, at ``n`` replicas."""
+        return self.client_signs + n * self.replica_signs
+
+    def macs(self, n: int) -> int:
+        """MACs the round computes, both sides, at ``n`` replicas."""
+        request, reply = self.request_carries, self.reply_carries
+        per_reply = n * reply.count(Carry.ACK_ROW) + reply.count(Carry.ENVELOPE)
+        return n * request.count(Carry.MAC_ROW) + n * per_reply
+
+
+_CERT, _VALUE = Carry.CERTIFICATE, Carry.VALUE
+_FAST_REPLY = (Carry.ACK_ROW, Carry.ENVELOPE)
+
+# Figure 1.  PREPARE carries Pmax and the previous write certificate; it
+# logs ``spr`` and the plist entry, plus the write-ts advance and the GC of
+# the entry that certificate subsumes.  WRITE logs ``install`` and ``swr``.
+_READ_TS = Phase(msg.ReadTsRequest, msg.ReadTsReply, (), (_CERT,), replica_signs=1)
+_PREPARE = Phase(msg.PrepareRequest, msg.PrepareReply, (_CERT, _CERT),
+                 client_signs=1, replica_signs=1, wal_records=4)
+_WRITE = Phase(msg.WriteRequest, msg.WriteReply, (_VALUE, _CERT),
+               client_signs=1, replica_signs=1, wal_records=2)
+_READ = Phase(msg.ReadRequest, msg.ReadReply, (), (_VALUE, _CERT), replica_signs=1)
+
+#: The read every variant shares: READ, then the write-back (a phase-3
+#: WRITE to the replicas that are behind, when a quorum disagrees, §3.2.2).
+READ_OPERATION = (_READ, _WRITE)
+
+# §6: the merged phase signs the reply envelope and, having prepared on the
+# client's behalf, the embedded PREPARE-REPLY; it logs what PREPARE does.
+_READ_TS_PREP = Phase(msg.ReadTsPrepRequest, msg.ReadTsPrepReply, (_CERT,), (_CERT,),
+                      client_signs=1, replica_signs=2, wal_records=4)
+
+# §7: every phase-1 reply adds a timestamp vouch (a WRITE-REPLY signature
+# over the stored certificate's timestamp); PREPARE adds the justify
+# certificate.
+_STRONG_READ_TS = replace(_READ_TS, replica_signs=2)
+_STRONG_READ = replace(_READ, replica_signs=2)
+_STRONG_PREPARE = replace(_PREPARE, request_carries=(_CERT, _CERT, _CERT))
+
+# The MAC-only rounds sign nothing.  FAST-PREP logs what the merged phase
+# does plus the ``fastc`` commitment and its GC.
+_FAST_PREP = Phase(msg.FastPrepRequest, msg.FastPrepReply, (_CERT, Carry.MAC_ROW),
+                   _FAST_REPLY, wal_records=6)
+_FAST_WRITE = Phase(msg.FastWriteRequest, msg.FastWriteReply,
+                    (Carry.PROOF, _VALUE, Carry.MAC_ROW), _FAST_REPLY, wal_records=2)
+
+
+@dataclass(frozen=True)
+class Protocol:
+    """One variant's operations and the paper's bounds on them: a write's
+    phases in the normal and the worst case, Definition 1's lurking bound
+    ``max_b`` (Theorems 1 and 2), the certifiable prepares one client can
+    hold (Lemmas 1 and 1'), whether a write can skip its explicit prepare
+    round (``fast_path``), and a read's phases."""
+
+    write: tuple[Phase, ...]
+    worst_write: tuple[Phase, ...]
+    max_b: int
+    max_prepared: int
+    fast_path: bool
+    read: tuple[Phase, ...] = READ_OPERATION
+
+    @property
+    def fast_kinds(self) -> tuple[str, ...]:
+        """Request kinds of the MAC-authenticated write rounds, in order."""
+        return tuple(
+            phase.request.KIND
+            for phase in self.write
+            if Carry.MAC_ROW in phase.request_carries
+        )
+
+
+_BASE_WRITE = (_READ_TS, _PREPARE, _WRITE)
+
+_PROTOCOLS = {
+    Variant.BASE: Protocol(
+        _BASE_WRITE, _BASE_WRITE, max_b=1, max_prepared=1, fast_path=False
+    ),
+    # Contention makes the merged phase fall back to an explicit PREPARE.
+    Variant.OPTIMIZED: Protocol(
+        (_READ_TS_PREP, _WRITE), (_READ_TS_PREP, _PREPARE, _WRITE),
+        max_b=2, max_prepared=2, fast_path=True,
+    ),
+    # Unequal phase-1 timestamps make the client redo phase 1 as a read and
+    # write the value back before it can assemble the justify certificate.
+    Variant.STRONG: Protocol(
+        (_STRONG_READ_TS, _STRONG_PREPARE, _WRITE),
+        (_STRONG_READ_TS, _STRONG_READ, _WRITE, _STRONG_PREPARE, _WRITE),
+        max_b=1, max_prepared=1, fast_path=False, read=(_STRONG_READ, _WRITE),
+    ),
+    # A failed FAST-PREP demotes to the signed protocol.  (A FAST-WRITE that
+    # stalls below quorum on a lossy network also demotes, after both fast
+    # rounds: five phases, which this declaration does not yet cover.)  Fast
+    # acks share the optlist, so the bounds are the optimized protocol's.
+    Variant.FASTPATH: Protocol(
+        (_FAST_PREP, _FAST_WRITE), (_FAST_PREP, _READ_TS, _PREPARE, _WRITE),
+        max_b=2, max_prepared=2, fast_path=True,
+    ),
+}
 
 
 @dataclass

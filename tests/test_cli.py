@@ -34,8 +34,9 @@ class TestCli:
         out = capsys.readouterr().out
         assert "linearizable: True" in out
 
-    def test_simulate_optimized_reports_fast_path(self, capsys):
-        assert main(["simulate", "--variant", "optimized", "--ops", "3"]) == 0
+    @pytest.mark.parametrize("variant", ["optimized", "fastpath"])
+    def test_simulate_optimized_reports_fast_path(self, capsys, variant):
+        assert main(["simulate", "--variant", variant, "--ops", "3"]) == 0
         assert "fast-path rate" in capsys.readouterr().out
 
     def test_requires_command(self):

@@ -305,6 +305,33 @@ def test_checker_flags_a_second_spelling_of_durable_state(tmp_path):
     }
 
 
+def test_checker_flags_a_comparison_against_a_variant_name(tmp_path):
+    """Each variant's facts are declared once, by its ``Protocol`` in
+    ``repro.core.config``; elsewhere a comparison against a variant-name
+    literal is a per-variant branch growing back.  Naming a variant is fine."""
+    (tmp_path / "repro" / "core").mkdir(parents=True)
+    (tmp_path / "repro" / "chaos").mkdir()
+    (tmp_path / "repro" / "core" / "config.py").write_text(
+        'strong = variant == "strong"\n'
+    )
+    (tmp_path / "repro" / "chaos" / "ok.py").write_text(
+        'VARIANTS = ("base", "optimized")\n'
+        'cluster = build(variant="fastpath")\n'
+        "bound = Variant.coerce(variant).protocol.max_b\n"
+        'same = mode == "based"\n'
+    )
+    (tmp_path / "repro" / "chaos" / "bad.py").write_text(
+        'if variant == "fastpath":\n    pass\n'
+        'bound = 2 if "base" != variant else 1\n'
+        'two = variant in ("optimized", "fastpath")\n'
+        'other = str(plan.variant) not in ["strong"]\n'
+    )
+    found = check_layering.find_duplication(tmp_path)
+    assert sorted((module, line) for module, line, _ in found) == [
+        ("repro.chaos.bad", line) for line in (1, 3, 4, 5)
+    ]
+
+
 def test_checker_cli_passes():
     result = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "check_layering.py")],

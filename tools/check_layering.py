@@ -29,7 +29,7 @@ source file under ``src/repro`` with :mod:`ast` — including imports inside
 ``TYPE_CHECKING`` blocks and function bodies, so lazy imports cannot hide a
 cycle-in-waiting.
 
-Eleven further rules keep deleted duplication from growing back
+Twelve further rules keep deleted duplication from growing back
 (:func:`find_duplication`): the TCP client stack lives in one module, so
 ``asyncio.open_connection`` may be called only from ``repro.net.mux`` (and
 the chaos proxy's upstream leg); the variant-to-class mapping lives on
@@ -70,7 +70,11 @@ record tags (``"plist-set"``, ``"write-ts"``, ``"spr"``, ...) as a string
 literal — a second spelling of a field is a second table growing back;
 and every cache is always on, so no function named ``set_*_enabled`` may be
 defined anywhere — a module-level ablation toggle is a second code path that
-no deployment runs.
+no deployment runs; and each variant's phases, costs and bounds are declared
+once, by its ``Protocol`` in ``repro.core.config``, so outside that module
+nothing may compare against a variant-name literal (``== "fastpath"``,
+``in ("optimized", "fastpath")``) — a per-variant branch is a second copy
+of the declaration growing back.
 
 Run:  python tools/check_layering.py   (exits 1 and lists violations)
 The tier-1 test ``tests/test_layering.py`` runs this on every suite run.
@@ -171,6 +175,24 @@ DECODE_SITES = (
 #: fields, their record tags and the private attributes behind the scalars.
 DURABLE_SITE = "repro.core.persistence"
 DURABLE_PRIVATES = frozenset({"_data", "_write_ts", "_pcert"})
+
+
+#: The one module that spells what a variant is: its classes and its
+#: declared protocol.  Everyone else asks ``Variant.protocol``.
+VARIANT_SITE = "repro.core.config"
+VARIANT_NAMES = frozenset({"base", "optimized", "strong", "fastpath"})
+
+
+def _compares_variant_name(node: ast.Compare) -> bool:
+    """``x == "strong"``, ``"base" != x``, ``x in ("optimized", ...)``."""
+    for operand in (node.left, *node.comparators):
+        items = getattr(operand, "elts", (operand,))
+        if any(
+            isinstance(item, ast.Constant) and item.value in VARIANT_NAMES
+            for item in items
+        ):
+            return True
+    return False
 
 
 def durable_tags(src: pathlib.Path) -> frozenset[str]:
@@ -359,6 +381,15 @@ def find_duplication(src: pathlib.Path = SRC) -> list[tuple[str, int, str]]:
                         (module, node.lineno, "calls fsync outside "
                          + BARRIER_SITE + "; append inside store.group()")
                     )
+            if (
+                isinstance(node, ast.Compare)
+                and module != VARIANT_SITE
+                and _compares_variant_name(node)
+            ):
+                found.append(
+                    (module, node.lineno, "compares against a variant name; "
+                     "read the variant's declared Protocol")
+                )
             if isinstance(node, ast.ClassDef) and any(
                 getattr(base, "id", getattr(base, "attr", None)) == "Message"
                 for base in node.bases
@@ -419,7 +450,7 @@ def main() -> int:
             "duplication the variant registry / one endpoint / one harness / "
             "one wire schema / one barrier site / the sans-I/O adversary / "
             "the socket front door / one decode per frame / the durable field "
-            "table / the always-on caches replaced:"
+            "table / the always-on caches / the declared protocol replaced:"
         )
         for module, line, what in duplication:
             print(f"  {module}:{line} {what}")

@@ -7,8 +7,9 @@ and emits a markdown reference: one section per module, one entry per class
 docstring.
 
 Also rewrites the "Wire format" table of PROTOCOL.md (between its two
-marker comments) from the message declarations, and its durable-record
-table from the ``DurableField`` declarations, so each documented layout is
+marker comments) from the message declarations, its durable-record table
+from the ``DurableField`` declarations, and its per-variant phase table
+from each ``Variant.protocol`` declaration, so each documented layout is
 the one the code is derived from.
 
 Run:  python tools/gen_api_docs.py
@@ -233,6 +234,69 @@ def durable_record_table() -> list[str]:
     return lines
 
 
+PHASES_BEGIN = "<!-- protocol-phases:begin (generated by tools/gen_api_docs.py) -->"
+PHASES_END = "<!-- protocol-phases:end -->"
+
+
+def _count(rows: int, singles: int = 0) -> str:
+    """A MAC count at ``n`` replicas: ``rows`` rows of n plus ``singles``."""
+    terms = ([f"{rows}n" if rows > 1 else "n"] if rows else []) + (
+        [str(singles)] if singles else []
+    )
+    return " + ".join(terms) or "0"
+
+
+def protocol_phase_table() -> list[str]:
+    """One row per declared phase of every variant's write and read, then
+    one row of bounds per variant."""
+    from repro.core.config import Carry, Variant
+
+    def carries(items) -> str:
+        return ", ".join(item.value for item in items) or "—"
+
+    lines = [
+        "| variant | operation | request → reply | request carries "
+        "| reply carries | client sigs | sigs per reply | client MACs "
+        "| MACs per reply | WAL records |",
+        "|---|---|---|---|---|---|---|---|---|---|",
+    ]
+    for variant in Variant:
+        protocol = variant.protocol
+        for operation, phases in (
+            ("write", protocol.write),
+            ("read", protocol.read),
+        ):
+            for phase in phases:
+                request, reply = phase.request_carries, phase.reply_carries
+                client_macs = _count(request.count(Carry.MAC_ROW))
+                reply_macs = _count(
+                    reply.count(Carry.ACK_ROW), reply.count(Carry.ENVELOPE)
+                )
+                lines.append(
+                    f"| `{variant.value}` | {operation} "
+                    f"| `{phase.request.KIND}` → `{phase.reply.KIND}` "
+                    f"| {carries(request)} | {carries(reply)} "
+                    f"| {phase.client_signs} | {phase.replica_signs} "
+                    f"| {client_macs} | {reply_macs} | {phase.wal_records} |"
+                )
+    lines += [
+        "",
+        "| variant | worst-case write | lurking bound `max_b` "
+        "| prepared per client (Lemma 1) | fast path |",
+        "|---|---|---|---|---|",
+    ]
+    for variant in Variant:
+        protocol = variant.protocol
+        worst = " → ".join(
+            f"`{phase.request.KIND}`" for phase in protocol.worst_write
+        )
+        lines.append(
+            f"| `{variant.value}` | {worst} | {protocol.max_b} "
+            f"| {protocol.max_prepared} | {'yes' if protocol.fast_path else 'no'} |"
+        )
+    return lines
+
+
 def write_generated_tables(root: pathlib.Path) -> None:
     """Rewrite each generated table of PROTOCOL.md between its markers."""
     path = root / "PROTOCOL.md"
@@ -240,6 +304,7 @@ def write_generated_tables(root: pathlib.Path) -> None:
     for begin, end, rows in (
         (WIRE_BEGIN, WIRE_END, wire_format_table()),
         (DURABLE_BEGIN, DURABLE_END, durable_record_table()),
+        (PHASES_BEGIN, PHASES_END, protocol_phase_table()),
     ):
         head, _, rest = text.partition(begin)
         _, _, tail = rest.partition(end)
