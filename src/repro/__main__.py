@@ -66,7 +66,7 @@ def cmd_demo(args: argparse.Namespace) -> int:
 
 
 def cmd_attacks(args: argparse.Namespace) -> int:
-    from repro.byzantine import Colluder, make_attack
+    from repro.byzantine import make_attack
     from repro import count_lurking_writes
 
     rows = []
@@ -85,13 +85,7 @@ def cmd_attacks(args: argparse.Namespace) -> int:
         cluster.run(max_time=60)
         result = achieved(attack)
         if hasattr(attack, "hoard"):
-            cluster.stop_client(attack.node_id)
-            cluster.add_adversary(
-                Colluder("client:colluder", cluster.config, attack.hoard)
-            )
-            reader = cluster.add_client("reader")
-            reader.run_script(read_script(2), start_delay=0.5, think_time=0.1)
-            cluster.run(max_time=60)
+            cluster.release_hoard(attack)
             lurking = count_lurking_writes(cluster.history, attack.node_id)
             result += f", seen {lurking}"
         rows.append([label, result, verdict])
@@ -428,7 +422,8 @@ def cmd_cluster(args: argparse.Namespace) -> int:
 
 
 def _replay(args: argparse.Namespace) -> int:
-    """``chaos replay`` and ``shard replay``: either kind of artifact."""
+    """``chaos replay``: either kind of artifact (the format tag picks the
+    engine)."""
     import json
 
     from repro.chaos import replay_artifact
@@ -568,47 +563,46 @@ def cmd_shard(args: argparse.Namespace) -> int:
                   f"{counts.get(shard, 0)} ops routed")
         return 0
 
-    if args.shard_command == "rebalance":
-        shard = "shard:0"
-        plan = ShardEpisodePlan(
-            seed=args.seed,
-            shards=args.shards,
-            f=args.f,
-            clients=args.clients,
-            ops_per_client=args.ops,
-            objects=args.objects,
-            handoff=0.15,
-            profile={"min_delay": 0.001, "max_delay": 0.02,
-                     "drop_rate": 0.05, "reorder_rate": 0.1},
-            reconfigurations=[
-                {"time": 0.3, "shard": shard,
-                 "remove": member_id(0, 1), "add": "replica:s0nX",
-                 "crash_old": True},
-            ],
-        )
-        result = run_shard_episode(plan)
-        payload = {
-            "ok": result.ok,
-            "violated": list(result.violated),
-            "stats": result.stats,
-            "verdicts": {
-                name: verdict.ok
-                for name, verdict in result.verdicts.items()
-            },
-        }
-        if args.json:
-            print(json.dumps(payload, indent=2, sort_keys=True))
-        else:
-            print(f"replaced {member_id(0, 1)} with replica:s0nX in {shard} "
-                  f"under live traffic")
-            for name, verdict in result.verdicts.items():
-                mark = "ok" if verdict.ok else "VIOLATED"
-                detail = f" — {verdict.detail}" if verdict.detail else ""
-                print(f"  {name}: {mark}{detail}")
-            print(f"stats: {result.stats}")
-        return 0 if result.ok else 1
+    # shard rebalance
+    shard = "shard:0"
+    plan = ShardEpisodePlan(
+        seed=args.seed,
+        shards=args.shards,
+        f=args.f,
+        clients=args.clients,
+        ops_per_client=args.ops,
+        objects=args.objects,
+        handoff=0.15,
+        profile={"min_delay": 0.001, "max_delay": 0.02,
+                 "drop_rate": 0.05, "reorder_rate": 0.1},
+        reconfigurations=[
+            {"time": 0.3, "shard": shard,
+             "remove": member_id(0, 1), "add": "replica:s0nX",
+             "crash_old": True},
+        ],
+    )
+    result = run_shard_episode(plan)
+    payload = {
+        "ok": result.ok,
+        "violated": list(result.violated),
+        "stats": result.stats,
+        "verdicts": {
+            name: verdict.ok
+            for name, verdict in result.verdicts.items()
+        },
+    }
+    if args.json:
+        print(json.dumps(payload, indent=2, sort_keys=True))
+    else:
+        print(f"replaced {member_id(0, 1)} with replica:s0nX in {shard} "
+              f"under live traffic")
+        for name, verdict in result.verdicts.items():
+            mark = "ok" if verdict.ok else "VIOLATED"
+            detail = f" — {verdict.detail}" if verdict.detail else ""
+            print(f"  {name}: {mark}{detail}")
+        print(f"stats: {result.stats}")
+    return 0 if result.ok else 1
 
-    return _replay(args)
 
 
 def cmd_load(args: argparse.Namespace) -> int:
@@ -824,11 +818,6 @@ def build_parser() -> argparse.ArgumentParser:
     shard_rebalance.add_argument("--objects", type=int, default=8)
     shard_rebalance.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     shard_rebalance.add_argument("--json", action="store_true")
-    shard_replay = shard_sub.add_parser(
-        "replay", help="re-execute a shard chaos artifact and compare"
-    )
-    shard_replay.add_argument("artifact", help="path to a shard artifact JSON")
-    shard_replay.add_argument("--json", action="store_true")
 
     storage = sub.add_parser(
         "storage", help="offline durable-store maintenance"

@@ -4,9 +4,10 @@ The client attacks implement the four misbehaviours enumerated in §3.2 as
 sans-I/O machines (:class:`Adversary`); the replica behaviours cover crash,
 staleness, collusion, and fabrication.  BQS- and Phalanx-specific attacks
 demonstrate that the same misbehaviours succeed against the unprotected
-baselines.  :data:`ATTACKS` is the one catalogue: the chaos engine, the CLI
-and the attack-by-variant matrix all build attacks through
-:func:`make_attack`.
+baselines.  :data:`ATTACKS` is the one catalogue of client attacks: the
+chaos engine, the CLI and the attack-by-variant matrix all build attacks
+through :func:`make_attack`; :data:`REPLICA_BEHAVIOURS` is the one
+catalogue of replica substitutions.
 """
 
 from typing import Any, Callable, Union
@@ -45,6 +46,7 @@ __all__ = [
     "ATTEMPT_TICKS",
     "ATTACKS",
     "BASELINE_ATTACKS",
+    "REPLICA_BEHAVIOURS",
     "make_attack",
     "CapturedWrite",
     "LurkingWriteAttack",
@@ -77,6 +79,21 @@ ATTACKS: dict[str, AttackFactory] = {
     "partial-write": PartialWriteAttack,
     "lurking": LurkingWriteAttack,
     "chain": CollusionChainAttack,
+}
+
+#: Byzantine replica substitutions by catalogue name: ``cls(node_id,
+#: config)``, usable directly as
+#: :attr:`~repro.sim.runner.ClusterOptions.replica_overrides` factories.
+#: ``silent-optimized`` is the crashed replica of a variant with a fast path.
+REPLICA_BEHAVIOURS: dict[str, type] = {
+    "crashed": CrashedReplica,
+    "stale": StaleReplica,
+    "promiscuous": PromiscuousReplica,
+    "corrupting": CorruptingReplica,
+    "forging": ForgingReplica,
+    "delaying": DelayingReplica,
+    "two-faced": TwoFacedReplica,
+    "silent-optimized": SilentOptimizedReplica,
 }
 
 #: Names recorded chaos plans use for what is now the one variant-driven class.

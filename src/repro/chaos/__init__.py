@@ -41,12 +41,7 @@ from repro.chaos.oracles import (
     check_epoch_agreement,
     run_oracle_battery,
 )
-from repro.chaos.plan import (
-    CampaignConfig,
-    EpisodePlan,
-    build_schedule,
-    generate_plan,
-)
+from repro.chaos.plan import CampaignConfig, EpisodePlan, generate_plan
 from repro.chaos.shard import (
     ShardEpisodePlan,
     ShardEpisodeResult,
@@ -66,7 +61,6 @@ __all__ = [
     "ReplayOutcome",
     "ShardEpisodePlan",
     "ShardEpisodeResult",
-    "build_schedule",
     "check_epoch_agreement",
     "generate_plan",
     "load_artifact",

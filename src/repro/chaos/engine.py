@@ -3,11 +3,12 @@
 :func:`run_episode` turns one declarative :class:`~repro.chaos.plan.EpisodePlan`
 into a wired simulated cluster — seeded network with the plan's link profile,
 durable or volatile stores, Byzantine replica substitutions, an optional
-Byzantine client attack with its post-run epilogue (stop / colluder /
-reader, exactly the §3.2 orchestration the attack tests use) — runs the
-multi-client workload under the plan's fault schedule, and judges the
-outcome with the full oracle battery.  Any exception escaping the run is
-itself an oracle verdict, never a crash of the campaign.
+Byzantine client attack with its post-run second act
+(:meth:`~repro.sim.runner.Cluster.release_hoard`, the §3.2 orchestration
+the CLI's ``attacks`` report runs too) — runs the multi-client workload
+under the plan's fault schedule, and judges the outcome with the full
+oracle battery.  Any exception escaping the run is itself an oracle
+verdict, never a crash of the campaign.
 
 :func:`run_campaign` drives N independently derivable episodes from one
 integer seed, delta-debugs every violating episode down to a minimal plan
@@ -25,18 +26,14 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Optional
 
+from repro.byzantine import REPLICA_BEHAVIOURS, make_attack
 from repro.chaos.oracles import ORACLES, OracleVerdict, run_oracle_battery
-from repro.chaos.plan import (
-    CampaignConfig,
-    EpisodePlan,
-    build_schedule,
-    generate_plan,
-)
+from repro.chaos.plan import CampaignConfig, EpisodePlan, generate_plan
 from repro.errors import OperationFailedError, SimulationError
 from repro.obs.instrumentation import Instrumentation
-from repro.sim.faults import FaultAction, FaultSchedule, NodeFaultAction
+from repro.sim.faults import FaultSchedule
 from repro.sim.runner import Cluster, ClusterOptions, build_cluster
-from repro.sim.workload import make_scripts, read_script
+from repro.sim.workload import make_scripts
 from repro.storage import FileLogStore
 
 __all__ = [
@@ -122,107 +119,6 @@ class EpisodeResult:
         }
 
 
-# -- Byzantine catalogue --------------------------------------------------------
-
-
-def _behaviour_factory(kind: str) -> Callable[..., Any]:
-    from repro.byzantine.replicas import (
-        CorruptingReplica,
-        CrashedReplica,
-        DelayingReplica,
-        ForgingReplica,
-        PromiscuousReplica,
-        SilentOptimizedReplica,
-        StaleReplica,
-        TwoFacedReplica,
-    )
-
-    catalogue = {
-        "crashed": CrashedReplica,
-        "stale": StaleReplica,
-        "promiscuous": PromiscuousReplica,
-        "corrupting": CorruptingReplica,
-        "forging": ForgingReplica,
-        "delaying": DelayingReplica,
-        "two-faced": TwoFacedReplica,
-        "silent-optimized": SilentOptimizedReplica,
-    }
-    try:
-        return catalogue[kind]
-    except KeyError:
-        raise SimulationError(f"unknown Byzantine behaviour {kind!r}") from None
-
-
-class _AttackContext:
-    """A started Byzantine client attack plus its post-workload epilogue."""
-
-    def __init__(self, bad_clients: frozenset[str],
-                 epilogue: Optional[Callable[[], None]] = None) -> None:
-        self.bad_clients = bad_clients
-        self._epilogue = epilogue
-
-    def finish(self) -> None:
-        if self._epilogue is not None:
-            self._epilogue()
-
-
-def _start_attack(cluster: Cluster, plan: EpisodePlan) -> _AttackContext:
-    """Mount and start the plan's attack (§3.2 orchestration)."""
-    from repro.byzantine import Colluder, make_attack
-
-    if plan.attack is None:
-        return _AttackContext(frozenset())
-    attack = cluster.add_adversary(
-        make_attack(plan.attack, "client:evil", cluster.config, plan.variant)
-    )
-    bad = attack.identities
-    if not hasattr(attack, "hoard"):
-        return _AttackContext(bad)
-
-    # The lurking-style second act: revoke the attacker, let a colluder
-    # finish the hoarded writes, and have a fresh reader observe them —
-    # the exact scenario Theorems 1/2 bound.
-    def hoard_epilogue() -> None:
-        for client in sorted(bad):
-            cluster.stop_client(client)
-        if attack.hoard:
-            cluster.add_adversary(
-                Colluder("client:colluder", cluster.config, attack.hoard)
-            )
-        reader = cluster.add_client("reader")
-        reader.run_script(read_script(2), start_delay=0.5, think_time=0.1)
-        cluster.run(max_time=60)
-
-    return _AttackContext(bad, hoard_epilogue)
-
-
-def _instrument_schedule(
-    schedule: FaultSchedule, instr: Instrumentation
-) -> FaultSchedule:
-    """Wrap each fault so firing it also drops a ``chaos.*`` span event."""
-    if not instr.enabled:
-        return schedule
-
-    def wrap_net(action: FaultAction) -> FaultAction:
-        def apply(net: Any) -> None:
-            instr.event(f"chaos.{action.description}")
-            action.apply(net)
-        return FaultAction(action.time, action.description, apply)
-
-    def wrap_node(action: NodeFaultAction) -> NodeFaultAction:
-        def apply(node: Any) -> None:
-            instr.event(f"chaos.{action.description}", node=action.node_id)
-            action.apply(node)
-        return NodeFaultAction(
-            action.time, action.description, action.node_id, apply
-        )
-
-    wrapped = FaultSchedule()
-    wrapped.actions = [wrap_net(a) for a in schedule.actions]
-    wrapped.node_actions = [wrap_node(a) for a in schedule.node_actions]
-    return wrapped
-
-
 def _arm_audit_loop(cluster: Cluster, plan: EpisodePlan) -> None:
     """Arm the periodic self-audit tick on every *correct* replica node.
 
@@ -266,6 +162,15 @@ def run_episode(
     ``data_dir`` pins the durable stores' directory; by default a fresh
     temporary directory is used and removed afterwards.
     """
+    try:
+        overrides: dict[int, Any] = {
+            int(index): REPLICA_BEHAVIOURS[kind]
+            for index, kind in plan.byzantine_replicas.items()
+        }
+    except KeyError as exc:
+        raise SimulationError(
+            f"unknown Byzantine behaviour {exc.args[0]!r}"
+        ) from None
     tmp: Optional[tempfile.TemporaryDirectory] = None
     store_factory = None
     if plan.store == "filelog":
@@ -277,10 +182,6 @@ def run_episode(
             base / node_id.replace(":", "_"), fsync="always"
         )
 
-    overrides: dict[int, Any] = {
-        int(index): _behaviour_factory(kind)
-        for index, kind in plan.byzantine_replicas.items()
-    }
     if replica_factory is not None:
         n = 3 * plan.f + 1
         for index in range(n):
@@ -306,15 +207,14 @@ def run_episode(
 
     error = ""
     error_kind: Optional[str] = None
-    bad_clients: frozenset[str] = frozenset()
+    attack: Any = None
     try:
-        schedule = _instrument_schedule(
-            build_schedule(plan.faults), cluster.instrumentation
-        )
-        cluster.install_faults(schedule)
+        cluster.install_faults(FaultSchedule(plan.faults))
         _arm_audit_loop(cluster, plan)
-        attack = _start_attack(cluster, plan)
-        bad_clients = attack.bad_clients
+        if plan.attack is not None:
+            attack = cluster.add_adversary(
+                make_attack(plan.attack, "client:evil", cluster.config, plan.variant)
+            )
         writers = [f"client:w{i}" for i in range(plan.clients)]
         scripts = make_scripts(
             writers,
@@ -328,7 +228,8 @@ def run_episode(
             stagger=plan.stagger,
             max_time=plan.max_time,
         )
-        attack.finish()
+        if hasattr(attack, "hoard"):
+            cluster.release_hoard(attack)
         cluster.settle(2.0)
     except OperationFailedError as exc:
         error, error_kind = str(exc), "liveness"
@@ -337,9 +238,18 @@ def run_episode(
 
     try:
         verdicts = run_oracle_battery(
-            cluster,
-            plan,
-            bad_clients=bad_clients,
+            {None: cluster.history},
+            cluster.replicas,
+            plan.protocol,
+            plan.f,
+            byzantine={f"replica:{index}" for index in plan.byzantine_replicas},
+            bad_clients=attack.identities if attack is not None else (),
+            faults=plan.faults,
+            down={
+                node_id
+                for node_id, node in cluster.replica_nodes.items()
+                if node.down
+            },
             error_kind=error_kind,
             error=error,
         )

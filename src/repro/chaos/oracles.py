@@ -21,47 +21,47 @@ to hold under *any* schedule the §2 model admits:
 * ``wal-integrity`` — every durable store's ``load()`` is idempotent
   (two loads return identical snapshot + records).
 * ``stabilization`` — the self-stabilization loop converged: no correct
-  replica is still quarantined or running on a suspect store, every
-  correct replica passes a final self-audit, and when the plan injected
-  state corruption the periodic audits demonstrably ran.  Corruption may
-  be *silently healed* (compaction rewrote the damaged file before any
-  audit saw it, or a later write overwrote the perturbed field) — that is
-  fine precisely because the final audit proves the survivor state is the
-  replay of its own durable log.
+  running replica is still quarantined or running on a suspect store,
+  every one passes a final self-audit, and when a fault declared
+  ``damages_state`` (:data:`~repro.sim.faults.FAULT_OPS`) was injected the
+  periodic audits demonstrably ran.  Corruption may be *silently healed*
+  (compaction rewrote the damaged file before any audit saw it, or a later
+  write overwrote the perturbed field) — that is fine precisely because
+  the final audit proves the survivor state is the replay of its own
+  durable log.
 
-The battery returns a verdict per oracle; the engine folds these into the
-campaign summary and the minimizer uses the set of violated oracle names
-as its reduction target.
+:func:`run_oracle_battery` takes its inputs explicitly (histories by
+object, replicas by label, the declared protocol, f, the Byzantine set, the
+bad clients and the injected fault specs), so the simulated, sharded and
+TCP campaigns all call the one battery.  It returns a verdict per oracle;
+the engine folds these into the campaign summary and the minimizer uses
+the set of violated oracle names as its reduction target.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Mapping, Optional
+from typing import TYPE_CHECKING, Any, Iterable, Mapping, Optional
 
-from repro.chaos.plan import EpisodePlan
+from repro.core.config import Protocol
+from repro.sim.faults import damaged_nodes
 from repro.spec.bft_linearizability import (
     check_bft_linearizable,
     count_lurking_writes,
 )
+from repro.spec.histories import History
 from repro.spec.invariants import check_lemma1
 
 if TYPE_CHECKING:
-    from repro.sim.runner import Cluster
     from repro.sim.shard_cluster import ShardCluster
 
 __all__ = [
     "OracleVerdict",
     "ORACLES",
     "SHARD_ORACLES",
-    "CORRUPTION_OPS",
     "run_oracle_battery",
     "check_epoch_agreement",
 ]
-
-#: Fault ops that damage replica state (vs merely the network); the
-#: stabilization oracle keys its expectations off their presence.
-CORRUPTION_OPS = frozenset({"wal_bitflip", "snapshot_truncate", "state_perturb"})
 
 
 @dataclass(frozen=True)
@@ -85,85 +85,92 @@ ORACLES = (
     "stabilization",
 )
 
-#: Battery order for sharded episodes: the seven above, judged per object
+#: Battery order for sharded episodes: the eight above, judged per object
 #: across every shard, plus the reconfiguration-specific oracle.
 SHARD_ORACLES = ORACLES + ("epoch-agreement",)
 
 
 def run_oracle_battery(
-    cluster: "Cluster",
-    plan: EpisodePlan,
+    histories: Mapping[Optional[str], History],
+    replicas: Mapping[str, Any],
+    protocol: Protocol,
+    f: int,
     *,
-    bad_clients: frozenset[str] = frozenset(),
+    byzantine: Iterable[str] = (),
+    bad_clients: Iterable[str] = (),
+    faults: Iterable[Mapping[str, Any]] = (),
+    down: Iterable[str] = (),
     error_kind: Optional[str] = None,
     error: str = "",
 ) -> dict[str, OracleVerdict]:
     """Judge one finished (or aborted) episode against every oracle.
 
-    ``error_kind`` is ``"liveness"`` when the run exhausted its budget,
-    ``"exception"`` when something raised, else None; ``error`` carries
-    the message for the verdict detail.
+    ``histories`` maps object id (None for a single-object deployment) to
+    its recorded history.  ``replicas`` maps a label ``[group/]node`` to
+    each replica state machine, Byzantine ones included; Lemma 1 is judged
+    per group.  ``byzantine`` names the Byzantine replica node ids,
+    ``bad_clients`` the Byzantine clients, ``faults`` the injected fault
+    specs (the state-damaging ones make the stabilization oracle insist
+    that audits ran), and ``down`` the labels of replicas still crashed,
+    which cannot stabilize.  ``error_kind`` is ``"liveness"`` when the run
+    exhausted its budget, ``"exception"`` when something raised, else None;
+    ``error`` carries the message for the verdict detail.
     """
-    byzantine = frozenset(
-        f"replica:{index}" for index in plan.byzantine_replicas
-    )
-    verdicts = _error_verdicts(error_kind, error)
-    protocol = plan.protocol
-
-    result = check_bft_linearizable(
-        cluster.history, max_b=protocol.max_b, bad_clients=set(bad_clients)
-    )
-    verdicts["bft-linearizable"] = OracleVerdict(
-        "bft-linearizable", result.ok, result.violation or ""
-    )
-
-    worst = 0
-    for bad in sorted(bad_clients):
-        worst = max(worst, count_lurking_writes(cluster.history, bad))
-    verdicts["lurking-bound"] = OracleVerdict(
-        "lurking-bound",
-        worst <= protocol.max_b,
-        "" if worst <= protocol.max_b else (
-            f"{worst} lurking writes exceed the variant bound {protocol.max_b}"
-        ),
-    )
-
-    report = check_lemma1(
-        cluster.replicas.values(),
-        f=plan.f,
-        byzantine_replicas=byzantine,
-        max_prepared_per_client=protocol.max_prepared,
-    )
-    verdicts["lemma1"] = OracleVerdict(
-        "lemma1", report.ok, "; ".join(report.violations)
-    )
-
-    correct = {
-        node_id: replica
-        for node_id, replica in sorted(cluster.replicas.items())
-        if node_id not in byzantine
-    }
-    verdicts["recovery-fingerprint"] = _check_recovery(correct)
-    # Volatile episodes have no durable store to load twice.
-    verdicts["wal-integrity"] = (
-        _check_wal(correct)
-        if plan.store == "filelog"
-        else OracleVerdict("wal-integrity", True, "not a durable episode")
-    )
-    verdicts["stabilization"] = _check_stabilization(cluster, plan, byzantine)
-    return verdicts
-
-
-def _error_verdicts(
-    error_kind: Optional[str], error: str
-) -> dict[str, OracleVerdict]:
-    """``no-exception`` and ``liveness``, judged from how the run ended."""
-    return {
+    byzantine, bad_clients, down = map(frozenset, (byzantine, bad_clients, down))
+    verdicts = {
         name: OracleVerdict(
             name, error_kind != kind, error if error_kind == kind else ""
         )
         for name, kind in (("no-exception", "exception"), ("liveness", "liveness"))
     }
+
+    def verdict(name: str, problems: list[str]) -> OracleVerdict:
+        return OracleVerdict(name, not problems, "; ".join(problems))
+
+    def scoped(scope: Optional[str], problem: str) -> str:
+        return f"{scope}: {problem}" if scope else problem
+
+    problems: list[str] = []
+    worst = 0
+    for obj, history in sorted(histories.items(), key=lambda item: str(item[0])):
+        result = check_bft_linearizable(
+            history, max_b=protocol.max_b, bad_clients=set(bad_clients), obj=obj
+        )
+        if not result.ok:
+            problems.append(scoped(obj, result.violation or ""))
+        for bad in sorted(bad_clients):
+            worst = max(worst, count_lurking_writes(history, bad))
+    verdicts["bft-linearizable"] = verdict("bft-linearizable", problems)
+    verdicts["lurking-bound"] = verdict("lurking-bound", [
+        f"{worst} lurking writes exceed the variant bound {protocol.max_b}"
+    ] if worst > protocol.max_b else [])
+
+    groups: dict[str, list[Any]] = {}
+    for label, replica in replicas.items():
+        groups.setdefault(label.rpartition("/")[0], []).append(replica)
+    problems = []
+    for group, members in sorted(groups.items()):
+        report = check_lemma1(
+            members,
+            f=f,
+            byzantine_replicas=byzantine,
+            max_prepared_per_client=protocol.max_prepared,
+        )
+        problems.extend(scoped(group, v) for v in report.violations)
+    verdicts["lemma1"] = verdict("lemma1", problems)
+
+    correct = {
+        label: replica
+        for label, replica in sorted(replicas.items())
+        if replica.node_id not in byzantine
+    }
+    verdicts["recovery-fingerprint"] = _check_recovery(correct)
+    verdicts["wal-integrity"] = _check_wal(correct)
+    verdicts["stabilization"] = _check_stabilization(
+        {label: r for label, r in correct.items() if label not in down},
+        damaged_nodes(faults),
+    )
+    return verdicts
 
 
 def _check_recovery(replicas: Mapping[str, Any]) -> OracleVerdict:
@@ -201,9 +208,10 @@ def _check_wal(replicas: Mapping[str, Any]) -> OracleVerdict:
 
 
 def _check_stabilization(
-    cluster: "Cluster", plan: EpisodePlan, byzantine: frozenset[str]
+    replicas: Mapping[str, Any], corrupted: set[str]
 ) -> OracleVerdict:
-    """Every correct replica has stabilized after the injected corruption.
+    """Every labelled (correct, running) replica has stabilized after the
+    injected corruption of the ``corrupted`` nodes.
 
     A replica is *stabilized* when it is not quarantined, its store is not
     suspect, and replaying its durable log into a twin reproduces its live
@@ -212,36 +220,25 @@ def _check_stabilization(
     legitimately absorbed before any audit sees it (compaction rewrote the
     bit-flipped WAL; a later write overwrote the perturbed field), and the
     final audit is exactly the proof that whatever survived is the honest
-    replay of the durable log.  What it *does* insist on, whenever the plan
-    injected corruption and scheduled a non-zero audit cadence, is that
-    the periodic audits actually ran — a campaign that never audits would
-    otherwise vacuously pass.
+    replay of the durable log.  What it *does* insist on, whenever state
+    was damaged, is that the periodic audits actually ran — a campaign
+    that never audits would otherwise vacuously pass.
     """
-    corrupted = {
-        spec["node"] for spec in plan.faults if spec.get("op") in CORRUPTION_OPS
-    }
-    audits_expected = bool(corrupted) and plan.audit_interval > 0
-    nodes = getattr(cluster, "replica_nodes", {})
     problems: list[str] = []
-    for node_id, replica in sorted(cluster.replicas.items()):
-        if node_id in byzantine:
-            continue
-        node = nodes.get(node_id)
-        if node is not None and getattr(node, "down", False):
-            continue
+    for label, replica in replicas.items():
         if replica.quarantined:
             reasons = dict(replica.stats.quarantine_reasons)
-            problems.append(f"{node_id} still quarantined ({reasons})")
+            problems.append(f"{label} still quarantined ({reasons})")
             continue
         if getattr(replica.store, "suspect", False):
-            problems.append(f"{node_id} store still suspect")
-        if audits_expected and replica.stats.self_audits == 0:
+            problems.append(f"{label} store still suspect")
+        if corrupted and replica.stats.self_audits == 0:
             # Checked before the final audit below bumps the counter.
             problems.append(
-                f"{node_id} never self-audited despite injected corruption"
+                f"{label} never self-audited despite injected corruption"
             )
         if not replica.self_audit():
-            problems.append(f"{node_id} fails the final self-audit")
+            problems.append(f"{label} fails the final self-audit")
     return OracleVerdict(
         "stabilization",
         not problems,

@@ -26,6 +26,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
+from repro.byzantine import REPLICA_BEHAVIOURS
 from repro.core.config import Protocol, Variant
 from repro.errors import SimulationError
 from repro.net.simnet import LinkProfile
@@ -33,29 +34,14 @@ from repro.sim.faults import FaultSchedule
 
 __all__ = [
     "PLAN_FORMAT",
-    "REPLICA_BEHAVIOURS",
     "CLIENT_ATTACKS",
     "EpisodePlan",
     "CampaignConfig",
     "generate_plan",
-    "build_schedule",
 ]
 
 #: Format tag written into serialised plans and artifacts.
 PLAN_FORMAT = "repro-chaos/1"
-
-#: Byzantine replica substitutions the generator may draw, by catalogue
-#: name (all constructors are ``(node_id, config)``, usable directly as
-#: :attr:`~repro.sim.runner.ClusterOptions.replica_overrides` factories).
-REPLICA_BEHAVIOURS = (
-    "crashed",
-    "stale",
-    "promiscuous",
-    "corrupting",
-    "forging",
-    "delaying",
-    "two-faced",
-)
 
 #: Byzantine client attacks the generator may draw, per variant.  Each
 #: attack is only scheduled on the variant whose §3.2/§6.3 analysis it
@@ -86,11 +72,11 @@ class EpisodePlan:
     #: "memory" (volatile) or "filelog" (durable WAL; required for
     #: crash_restart faults, which rebuild replicas from their stores).
     store: str = "memory"
-    #: Declarative fault specs, each ``{"op": ..., "time": ..., ...}``;
-    #: see :func:`build_schedule` for the accepted shapes.
+    #: Declarative fault specs, each ``{"op": ..., "time": ..., ...}`` naming
+    #: an op of :data:`~repro.sim.faults.FAULT_OPS`, stored as written.
     faults: list[dict[str, Any]] = field(default_factory=list)
     #: Replica index (as a string, JSON keys are strings) -> behaviour
-    #: name from :data:`REPLICA_BEHAVIOURS`.
+    #: name from :data:`~repro.byzantine.REPLICA_BEHAVIOURS`.
     byzantine_replicas: dict[str, str] = field(default_factory=dict)
     #: Byzantine client attack name from :data:`CLIENT_ATTACKS`, or None.
     attack: Optional[str] = None
@@ -190,9 +176,11 @@ def generate_plan(config: CampaignConfig, episode: int) -> EpisodePlan:
     protocol = Variant.coerce(variant).protocol
     byzantine_replicas: dict[str, str] = {}
     if config.byzantine and rng.random() < 0.4:
-        behaviours = REPLICA_BEHAVIOURS + (
-            ("silent-optimized",) if protocol.fast_path else ()
-        )
+        behaviours = [
+            name
+            for name in REPLICA_BEHAVIOURS
+            if protocol.fast_path or name != "silent-optimized"
+        ]
         for index in sorted(rng.sample(range(n), rng.randint(1, f))):
             byzantine_replicas[str(index)] = rng.choice(behaviours)
     crash_budget = f - len(byzantine_replicas)
@@ -204,28 +192,27 @@ def generate_plan(config: CampaignConfig, episode: int) -> EpisodePlan:
     # assumption stays "at most f replicas faulty at any instant".  WAL /
     # snapshot damage needs a durable store; memory perturbation works on
     # either store kind (the durable log is the audit's ground truth).
-    faults: list[dict[str, Any]] = []
+    schedule = FaultSchedule()
     healthy = [i for i in range(n) if str(i) not in byzantine_replicas]
     if config.corruption and crash_budget > 0 and rng.random() < 0.5:
         victim = rng.choice(healthy)
-        ops = ["state_perturb"]
-        if store == "filelog":
-            ops += ["wal_bitflip", "snapshot_truncate"]
-        op = rng.choice(ops)
-        spec: dict[str, Any] = {
-            "op": op,
-            "time": round(rng.uniform(0.3, 1.2), 3),
-            "node": _node(victim),
+        draws = {
+            "state_perturb": lambda: {
+                "target": rng.choice(["data", "write_ts", "plist"]),
+                "seed": rng.randrange(2**16),
+            },
         }
-        if op == "wal_bitflip":
-            spec["position"] = round(rng.uniform(0.05, 0.95), 3)
-            spec["flip"] = rng.choice([0x01, 0x10, 0x80, 0xFF])
-        elif op == "snapshot_truncate":
-            spec["keep"] = round(rng.uniform(0.0, 0.9), 3)
-        else:
-            spec["target"] = rng.choice(["data", "write_ts", "plist"])
-            spec["seed"] = rng.randrange(2**16)
-        faults.append(spec)
+        if store == "filelog":
+            draws["wal_bitflip"] = lambda: {
+                "position": round(rng.uniform(0.05, 0.95), 3),
+                "flip": rng.choice([0x01, 0x10, 0x80, 0xFF]),
+            }
+            draws["snapshot_truncate"] = lambda: {
+                "keep": round(rng.uniform(0.0, 0.9), 3)
+            }
+        op = rng.choice(list(draws))
+        at = round(rng.uniform(0.3, 1.2), 3)
+        schedule.add(op, at, node=_node(victim), **draws[op]())
         # The victim is spoken for: it must not also be crash-scheduled
         # (that could put crash_budget + 1 replicas out at one instant).
         healthy.remove(victim)
@@ -241,25 +228,12 @@ def generate_plan(config: CampaignConfig, episode: int) -> EpisodePlan:
         for victim in victims[:crash_budget]:
             down_for = rng.uniform(0.5, 2.0)
             if store == "filelog" and rng.random() < 0.7:
-                faults.append(
-                    {
-                        "op": "crash_restart",
-                        "time": round(at, 3),
-                        "node": _node(victim),
-                        "down_for": round(down_for, 3),
-                    }
+                schedule.crash_restart(
+                    round(at, 3), _node(victim), down_for=round(down_for, 3)
                 )
             else:
-                faults.append(
-                    {"op": "crash", "time": round(at, 3), "node": _node(victim)}
-                )
-                faults.append(
-                    {
-                        "op": "recover",
-                        "time": round(at + down_for, 3),
-                        "node": _node(victim),
-                    }
-                )
+                schedule.crash(round(at, 3), _node(victim))
+                schedule.recover(round(at + down_for, 3), _node(victim))
             # Sequential windows keep at most crash_budget nodes down.
             at += down_for + rng.uniform(0.2, 1.0)
 
@@ -271,15 +245,8 @@ def generate_plan(config: CampaignConfig, episode: int) -> EpisodePlan:
         if rng.random() < 0.3 and len(healthy) > 1:
             b = _node(rng.choice([i for i in healthy if _node(i) != a]))
         start = rng.uniform(0.1, 1.0)
-        faults.append({"op": "partition", "time": round(start, 3), "a": a, "b": b})
-        faults.append(
-            {
-                "op": "heal",
-                "time": round(start + rng.uniform(0.3, 1.5), 3),
-                "a": a,
-                "b": b,
-            }
-        )
+        schedule.partition(round(start, 3), a, b)
+        schedule.heal(round(start + rng.uniform(0.3, 1.5), 3), a, b)
 
     # Link degradation: make one directed link nastier than the ambient
     # profile for the rest of the episode.
@@ -288,20 +255,17 @@ def generate_plan(config: CampaignConfig, episode: int) -> EpisodePlan:
         dst = _node(rng.choice(range(n)))
         if rng.random() < 0.5:
             src, dst = dst, src
-        faults.append(
+        schedule.degrade(
+            round(rng.uniform(0.1, 1.0), 3),
+            src,
+            dst,
             {
-                "op": "degrade",
-                "time": round(rng.uniform(0.1, 1.0), 3),
-                "src": src,
-                "dst": dst,
-                "profile": {
-                    "min_delay": 0.002,
-                    "max_delay": rng.choice([0.05, 0.10]),
-                    "drop_rate": rng.choice([0.10, 0.25]),
-                    "duplicate_rate": rng.choice([0.0, 0.10]),
-                    "reorder_rate": rng.choice([0.0, 0.25, 0.5]),
-                },
-            }
+                "min_delay": 0.002,
+                "max_delay": rng.choice([0.05, 0.10]),
+                "drop_rate": rng.choice([0.10, 0.25]),
+                "duplicate_rate": rng.choice([0.0, 0.10]),
+                "reorder_rate": rng.choice([0.0, 0.25, 0.5]),
+            },
         )
 
     # Fallback-forcing fault (variants with MAC-only rounds): filter those
@@ -314,21 +278,10 @@ def generate_plan(config: CampaignConfig, episode: int) -> EpisodePlan:
         start = rng.uniform(0.0, 0.5)
         heal_at = start + rng.uniform(0.5, 1.5)
         for victim in victims:
-            faults.append(
-                {
-                    "op": "block_kinds",
-                    "time": round(start, 3),
-                    "node": _node(victim),
-                    "kinds": list(protocol.fast_kinds),
-                }
+            schedule.block_kinds(
+                round(start, 3), _node(victim), list(protocol.fast_kinds)
             )
-            faults.append(
-                {
-                    "op": "unblock_kinds",
-                    "time": round(heal_at, 3),
-                    "node": _node(victim),
-                }
-            )
+            schedule.unblock_kinds(round(heal_at, 3), _node(victim))
 
     attack = None
     if config.attacks and rng.random() < 0.3:
@@ -341,7 +294,7 @@ def generate_plan(config: CampaignConfig, episode: int) -> EpisodePlan:
         f=f,
         profile=profile,
         store=store,
-        faults=faults,
+        faults=schedule.specs,
         byzantine_replicas=byzantine_replicas,
         attack=attack,
         clients=rng.randint(1, config.max_clients),
@@ -352,72 +305,3 @@ def generate_plan(config: CampaignConfig, episode: int) -> EpisodePlan:
         max_time=config.max_time,
     )
 
-
-def build_schedule(faults: list[dict[str, Any]]) -> FaultSchedule:
-    """Materialise declarative fault specs into a :class:`FaultSchedule`.
-
-    Accepted shapes (times are virtual seconds)::
-
-        {"op": "crash",         "time": t, "node": id}
-        {"op": "recover",       "time": t, "node": id}
-        {"op": "crash_restart", "time": t, "node": id, "down_for": d}
-        {"op": "partition",     "time": t, "a": id, "b": id}
-        {"op": "heal",          "time": t, "a": id, "b": id}
-        {"op": "degrade",       "time": t, "src": id, "dst": id,
-         "profile": {LinkProfile kwargs}}
-        {"op": "block_kinds",   "time": t, "node": id, "kinds": [KIND, ...]}
-        {"op": "unblock_kinds", "time": t, "node": id[, "kinds": [...]]}
-        {"op": "wal_bitflip",   "time": t, "node": id[, "position": p][, "flip": m]}
-        {"op": "snapshot_truncate", "time": t, "node": id[, "keep": k]}
-        {"op": "state_perturb", "time": t, "node": id[, "target": s][, "seed": i]}
-    """
-    schedule = FaultSchedule()
-    for spec in faults:
-        op = spec.get("op")
-        if op == "crash":
-            schedule.crash(spec["time"], spec["node"])
-        elif op == "recover":
-            schedule.recover(spec["time"], spec["node"])
-        elif op == "crash_restart":
-            schedule.crash_restart(
-                spec["time"], spec["node"], down_for=spec["down_for"]
-            )
-        elif op == "partition":
-            schedule.partition(spec["time"], spec["a"], spec["b"])
-        elif op == "heal":
-            schedule.heal(spec["time"], spec["a"], spec["b"])
-        elif op == "degrade":
-            schedule.degrade_link(
-                spec["time"],
-                spec["src"],
-                spec["dst"],
-                LinkProfile(**spec["profile"]),
-            )
-        elif op == "block_kinds":
-            schedule.block_kinds(spec["time"], spec["node"], tuple(spec["kinds"]))
-        elif op == "unblock_kinds":
-            kinds = spec.get("kinds")
-            schedule.unblock_kinds(
-                spec["time"], spec["node"], tuple(kinds) if kinds else None
-            )
-        elif op == "wal_bitflip":
-            schedule.wal_bitflip(
-                spec["time"],
-                spec["node"],
-                position=spec.get("position", 0.5),
-                flip=spec.get("flip", 0x01),
-            )
-        elif op == "snapshot_truncate":
-            schedule.snapshot_truncate(
-                spec["time"], spec["node"], keep=spec.get("keep", 0.5)
-            )
-        elif op == "state_perturb":
-            schedule.state_perturb(
-                spec["time"],
-                spec["node"],
-                target=spec.get("target", "data"),
-                seed=spec.get("seed", 0),
-            )
-        else:
-            raise SimulationError(f"unknown fault op {op!r}")
-    return schedule

@@ -26,18 +26,14 @@ from typing import Any, Optional
 from repro.chaos.oracles import (
     SHARD_ORACLES,
     OracleVerdict,
-    _check_recovery,
-    _check_wal,
-    _error_verdicts,
     check_epoch_agreement,
+    run_oracle_battery,
 )
-from repro.chaos.plan import build_schedule
 from repro.core.config import Variant
 from repro.errors import OperationFailedError, SimulationError
 from repro.net.simnet import LinkProfile
+from repro.sim.faults import FaultSchedule
 from repro.sim.shard_cluster import ShardCluster, ShardClusterOptions
-from repro.spec.bft_linearizability import check_bft_linearizable
-from repro.spec.invariants import check_lemma1
 
 __all__ = [
     "SHARD_PLAN_FORMAT",
@@ -61,10 +57,11 @@ class ShardEpisodePlan:
     variant: str = "base"
     #: :class:`~repro.net.simnet.LinkProfile` keyword arguments.
     profile: dict[str, float] = field(default_factory=dict)
-    #: Timed member replacements, each
-    #: ``{"time": t, "shard": s, "remove": id, "add": id, "crash_old": bool}``.
+    #: Timed member replacements, each the parameters of a ``reconfigure``
+    #: fault, ``{"time": t, "shard": s, "remove": id, "add": id,
+    #: "crash_old": bool}``.
     reconfigurations: list[dict[str, Any]] = field(default_factory=list)
-    #: Network fault specs in :func:`~repro.chaos.plan.build_schedule` shape.
+    #: Fault specs of :data:`~repro.sim.faults.FAULT_OPS`.
     faults: list[dict[str, Any]] = field(default_factory=list)
     clients: int = 2
     ops_per_client: int = 12
@@ -145,15 +142,9 @@ def run_shard_episode(plan: ShardEpisodePlan) -> ShardEpisodeResult:
             handoff=plan.handoff,
         )
     )
-    schedule = build_schedule(plan.faults)
+    schedule = FaultSchedule(plan.faults)
     for spec in plan.reconfigurations:
-        schedule.reconfigure(
-            spec["time"],
-            spec["shard"],
-            remove=spec["remove"],
-            add=spec["add"],
-            crash_old=bool(spec.get("crash_old", False)),
-        )
+        schedule.reconfigure(**spec)
     cluster.install_faults(schedule)
 
     error_kind: Optional[str] = None
@@ -166,9 +157,27 @@ def run_shard_episode(plan: ShardEpisodePlan) -> ShardEpisodeResult:
     except Exception as exc:  # noqa: BLE001 - the oracle wants *any* raise
         error_kind, error = "exception", f"{type(exc).__name__}: {exc}"
 
-    verdicts = _run_shard_oracle_battery(
-        cluster, plan, error_kind=error_kind, error=error
+    # The judged replicas: every live, ready member's per-object state
+    # machine, labelled ``shard/obj/node`` (Lemma 1 is judged per object
+    # group).  Shard episodes schedule no Byzantine clients: the adversary
+    # here is the reconfiguration itself racing faults and traffic.
+    states: dict[str, Any] = {}
+    for shard in cluster.shard_ids:
+        for member in cluster.live_members(shard):
+            if member.ready:
+                for obj in member.inner.objects:
+                    state = member.inner.object_state(obj)
+                    states[f"{shard}/{obj}/{state.node_id}"] = state
+    verdicts = run_oracle_battery(
+        cluster.merged_histories(),
+        states,
+        Variant.coerce(plan.variant).protocol,
+        plan.f,
+        faults=plan.faults,
+        error_kind=error_kind,
+        error=error,
     )
+    verdicts["epoch-agreement"] = check_epoch_agreement(cluster)
     stats = {
         "ops": cluster.total_ops(),
         "epochs": {s: cluster.directory.epoch(s) for s in cluster.shard_ids},
@@ -184,81 +193,3 @@ def run_shard_episode(plan: ShardEpisodePlan) -> ShardEpisodeResult:
     }
     return ShardEpisodeResult(plan=plan, verdicts=verdicts, stats=stats)
 
-
-def _run_shard_oracle_battery(
-    cluster: ShardCluster,
-    plan: ShardEpisodePlan,
-    *,
-    error_kind: Optional[str],
-    error: str,
-) -> dict[str, OracleVerdict]:
-    """The seven single-group oracles applied per object, plus
-    ``epoch-agreement``.
-
-    Shard episodes schedule no Byzantine clients (the adversary here is
-    the reconfiguration itself racing faults and traffic), so the
-    ``lurking-bound`` oracle passes vacuously and ``bft-linearizable``
-    runs with an empty bad-client set.
-    """
-    verdicts = _error_verdicts(error_kind, error)
-    protocol = Variant.coerce(plan.variant).protocol
-
-    bad_objs = []
-    histories = cluster.merged_histories()
-    for obj, history in sorted(histories.items()):
-        result = check_bft_linearizable(history, max_b=protocol.max_b, obj=obj)
-        if not result.ok:
-            bad_objs.append(f"{obj}: {result.violation}")
-    verdicts["bft-linearizable"] = OracleVerdict(
-        "bft-linearizable", not bad_objs, "; ".join(bad_objs)
-    )
-    verdicts["lurking-bound"] = OracleVerdict(
-        "lurking-bound", True, "no Byzantine clients in shard episodes"
-    )
-
-    lemma_violations: list[str] = []
-    #: Every live, ready member's per-object state machine, labelled
-    #: ``shard/obj/node`` — what the single-group oracles judge.
-    states_by_label: dict[str, Any] = {}
-    max_prepared = protocol.max_prepared
-    for shard in cluster.shard_ids:
-        members = [r for r in cluster.live_members(shard) if r.ready]
-        objs = set()
-        for member in members:
-            objs |= member.inner.objects
-        for obj in sorted(objs):
-            states = [
-                m.inner.object_state(obj)
-                for m in members
-                if obj in m.inner.objects
-            ]
-            if states:
-                report = check_lemma1(
-                    states, f=plan.f, max_prepared_per_client=max_prepared
-                )
-                lemma_violations.extend(
-                    f"{shard}/{obj}: {v}" for v in report.violations
-                )
-            for state in states:
-                states_by_label[f"{shard}/{obj}/{state.node_id}"] = state
-    verdicts["lemma1"] = OracleVerdict(
-        "lemma1", not lemma_violations, "; ".join(lemma_violations)
-    )
-    verdicts["recovery-fingerprint"] = _check_recovery(states_by_label)
-    verdicts["wal-integrity"] = _check_wal(states_by_label)
-    # Shard plans schedule no state-corruption faults (the adversary here
-    # is reconfiguration), so stabilization reduces to "nobody quarantined".
-    quarantined = [
-        label
-        for label, state in states_by_label.items()
-        if getattr(state, "quarantined", False)
-    ]
-    verdicts["stabilization"] = OracleVerdict(
-        "stabilization",
-        not quarantined,
-        "; ".join(quarantined) if quarantined else (
-            "no corruption faults in shard episodes"
-        ),
-    )
-    verdicts["epoch-agreement"] = check_epoch_agreement(cluster)
-    return verdicts

@@ -29,17 +29,16 @@ import random
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from types import SimpleNamespace
 from typing import Any, Optional
 
 from repro.chaos.oracles import OracleVerdict, run_oracle_battery
-from repro.chaos.plan import EpisodePlan
 from repro.cluster.deploy import ReplicaGroup
 from repro.cluster.spec import DeploymentSpec
 from repro.core.config import Variant
 from repro.errors import OperationFailedError
 from repro.net.asyncio_transport import AsyncClient
 from repro.net.chaos_proxy import ChaosProxy, ProxyProfile
+from repro.sim.faults import FaultSchedule
 from repro.sim.nodes import flip_wal_byte
 from repro.sim.recorder import HistoryRecorder
 
@@ -173,16 +172,17 @@ async def _corruption_chaos(
     addrs: dict[str, tuple[str, int]],
     config: TcpChaosConfig,
     rng: random.Random,
-    injected: list[dict[str, Any]],
+    injected: FaultSchedule,
     crash_task: Optional[asyncio.Task],
 ) -> None:
     """Inject WAL bit rot at ``victim`` and run the self-stabilization loop.
 
     Waits for the crash_restart fault (if any) to finish first so the two
     faults are sequenced within the f = 1 budget, flips a WAL byte once
-    the victim has journalled something, then ticks every live replica's
-    ``self_audit`` — pushing the victim's repair pulls over TCP — until
-    the victim is clean again or the stabilize budget runs out (which the
+    the victim has journalled something, then ticks every running
+    replica's self-audit (:meth:`~repro.net.asyncio_transport.ReplicaServer.audit_tick`,
+    which pushes the victim's repair pulls over TCP) until every replica
+    is clean again or the stabilize budget runs out (which the
     stabilization oracle then reports).
     """
     if crash_task is not None:
@@ -194,25 +194,18 @@ async def _corruption_chaos(
     deadline = loop.time() + config.stabilize_timeout
     while loop.time() < deadline:
         if flip_wal_byte(group.replicas[victim].store, rng.randrange, 0x80):
-            injected.append({"op": "wal_bitflip", "time": 0.0, "node": victim})
+            injected.wal_bitflip(0.0, victim)
             break
         await asyncio.sleep(config.audit_interval)
     else:
         return
     while loop.time() < deadline:
         await asyncio.sleep(config.audit_interval)
-        stable = True
-        for server in group.servers.values():
-            if server._server is None:  # stopped (crash window)
-                continue
-            replica = server.replica
-            if not replica.quarantined:
-                if not replica.self_audit():
-                    stable = False
-            if replica.quarantined:
-                stable = False
-                await server.repair_pull(addrs)
-        if stable:
+        clean = [
+            await server.audit_tick(lambda: addrs)
+            for server in group.servers.values()
+        ]
+        if all(clean):
             return
 
 
@@ -270,7 +263,7 @@ async def _run_episode(
                 _crash_restart(group, crash_victim, config)
             )
 
-        injected: list[dict[str, Any]] = []
+        injected = FaultSchedule()
         if config.corruption:
             candidates = [rid for rid in group.node_ids if rid != crash_victim]
             corruption_task = asyncio.create_task(
@@ -311,21 +304,13 @@ async def _run_episode(
             await corruption_task
             corruption_task = None
 
-        plan = EpisodePlan(
-            episode=0,
-            seed=config.seed,
-            variant=variant,
-            f=config.f,
-            store="filelog",
-            faults=list(injected),
-            clients=config.clients,
-            ops_per_client=config.ops_per_client,
-        )
         replicas = group.replicas
-        # The battery reads only ``history`` and ``replicas``.
         verdicts = run_oracle_battery(
-            SimpleNamespace(history=recorder.history, replicas=replicas),
-            plan,
+            {None: recorder.history},
+            replicas,
+            Variant.coerce(variant).protocol,
+            config.f,
+            faults=injected.specs,
             error_kind=error_kind,
             error=error,
         )

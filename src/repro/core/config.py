@@ -354,12 +354,13 @@ _PROTOCOLS = {
         (_STRONG_READ_TS, _STRONG_READ, _WRITE, _STRONG_PREPARE, _WRITE),
         max_b=1, max_prepared=1, fast_path=False, read=(_STRONG_READ, _WRITE),
     ),
-    # A failed FAST-PREP demotes to the signed protocol.  (A FAST-WRITE that
-    # stalls below quorum on a lossy network also demotes, after both fast
-    # rounds: five phases, which this declaration does not yet cover.)  Fast
-    # acks share the optlist, so the bounds are the optimized protocol's.
+    # A failed fast round demotes to the signed protocol; the worst case is
+    # a FAST-WRITE that stalls below quorum, demoting after both fast
+    # rounds.  Fast acks share the optlist, so the bounds are the optimized
+    # protocol's.
     Variant.FASTPATH: Protocol(
-        (_FAST_PREP, _FAST_WRITE), (_FAST_PREP, _READ_TS, _PREPARE, _WRITE),
+        (_FAST_PREP, _FAST_WRITE),
+        (_FAST_PREP, _FAST_WRITE, _READ_TS, _PREPARE, _WRITE),
         max_b=2, max_prepared=2, fast_path=True,
     ),
 }

@@ -100,7 +100,8 @@ class FastWriteOperation(WriteOperation):
 
     ``fast_path`` is True when the write completed signature-free;
     ``fell_back`` when it re-ran through the signed phases (a fallback write
-    executes up to four phases: the two fast rounds it abandoned count).
+    executes up to five phases: the fast rounds it abandoned count, one when
+    FAST-PREP failed, both when FAST-WRITE stalled below quorum).
     """
 
     op_name = "write"

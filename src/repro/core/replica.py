@@ -259,6 +259,20 @@ class BftBcReplica:
             return False
         return True
 
+    def audit_tick(self) -> list[Send]:
+        """One tick of the self-stabilization loop: self-audit while
+        healthy; while quarantined (whether this audit or an earlier
+        recovery quarantined it), start or continue the repair pull.
+
+        Returns the repair requests to send — :meth:`begin_repair`'s on the
+        first tick, retransmissions to unanswered peers on later ones, none
+        while healthy.  Every host (simulator, socket server, chaos
+        campaign) runs this and only sends what it returns.
+        """
+        if not self.quarantined:
+            self.self_audit()
+        return self.repair_retransmit() if self.repair.active else self.begin_repair()
+
     def begin_repair(self) -> list[Send]:
         """Start pulling replacement state from peers; returns the requests.
 

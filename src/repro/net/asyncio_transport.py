@@ -105,28 +105,33 @@ class ReplicaServer:
         self.host, self.port = sockname[0], sockname[1]
         return self.host, self.port
 
-    async def repair_pull(self, addrs: dict[str, tuple[str, int]]) -> None:
-        """Begin (or continue) the quarantined replica's repair over sockets.
+    async def audit_tick(
+        self, peer_addrs: "Callable[[], dict[str, tuple[str, int]]]"
+    ) -> bool:
+        """One self-stabilization tick over sockets; True when clean.
 
-        One short-lived endpoint registered under the replica's own id:
-        the peers' REPAIR-REPLY frames come back tagged for it and go
-        through ``replica.handle`` until the replica leaves quarantine or
-        the budget runs out — the next audit tick retransmits to
-        unanswered peers, so losses here only cost latency (fair-loss,
-        like every other message).
+        Runs :meth:`~repro.core.replica.BftBcReplica.audit_tick`; while the
+        replica is quarantined its repair requests go out on one
+        short-lived endpoint registered under the replica's own id (peers
+        read from ``peer_addrs()``): the peers' REPAIR-REPLY frames come
+        back tagged for it and go through ``replica.handle`` until the
+        replica leaves quarantine or the budget runs out — the next tick
+        retransmits to unanswered peers, so losses here only cost latency
+        (fair-loss, like every other message).  A stopped server (a dead
+        process) audits nothing and counts as clean.
         """
+        if self._server is None:
+            return True
         replica = self.replica
-        sends = (
-            replica.repair_retransmit()
-            if replica.repair.active
-            else replica.begin_repair()
-        )
+        sends = replica.audit_tick()
+        if not replica.quarantined:
+            return True
 
         def deliver(src: str, message: Message) -> list[Send]:
             replica.handle(src, message)
             return []
 
-        endpoint = MuxEndpoint(addrs)
+        endpoint = MuxEndpoint(peer_addrs())
         try:
             await drive(
                 endpoint,
@@ -143,17 +148,18 @@ class ReplicaServer:
             pass
         finally:
             await endpoint.close()
+        return False
 
     async def stabilization_loop(
         self,
         peer_addrs: "Callable[[], dict[str, tuple[str, int]]]",
         interval: float = 1.0,
     ) -> None:
-        """Periodic self-audit; pull repair from peers while quarantined.
+        """Periodic :meth:`audit_tick` until the server stops.
 
-        Runs until the server stops.  ``peer_addrs`` is re-read every tick
-        so an orchestrator can publish (or update) the address book after
-        the worker starts — a restarted worker whose data directory rotted
+        ``peer_addrs`` is re-read whenever a repair pull starts, so an
+        orchestrator can publish (or update) the address book after the
+        worker starts — a restarted worker whose data directory rotted
         while it was down repairs itself as soon as the book names its
         peers.  Maintenance must never take the listener down with it, so
         audit/repair errors are swallowed and retried next tick.
@@ -162,12 +168,8 @@ class ReplicaServer:
             await asyncio.sleep(interval)
             if self._server is None:
                 return
-            replica = self.replica
             try:
-                if not replica.quarantined:
-                    replica.self_audit()
-                if replica.quarantined:
-                    await self.repair_pull(peer_addrs())
+                await self.audit_tick(peer_addrs)
             except asyncio.CancelledError:
                 raise
             except Exception:

@@ -6,7 +6,7 @@ example, and benchmark.
 """
 
 from repro.sim.explorer import ExplorationResult, ScheduleExplorer
-from repro.sim.faults import ClusterFaultAction, FaultAction, FaultSchedule
+from repro.sim.faults import FAULT_OPS, FaultOp, FaultParam, FaultSchedule
 from repro.sim.metrics import MetricsCollector, OperationSample, Summary
 from repro.sim.multi_node import MultiObjectClientNode, MultiScriptStep
 from repro.sim.nodes import ClientNode, ReplicaHost, ReplicaNode, ScriptStep
@@ -49,8 +49,9 @@ __all__ = [
     "OperationSample",
     "Summary",
     "FaultSchedule",
-    "FaultAction",
-    "ClusterFaultAction",
+    "FaultOp",
+    "FaultParam",
+    "FAULT_OPS",
     "ShardCluster",
     "ShardClusterOptions",
     "build_shard_cluster",

@@ -247,29 +247,14 @@ class ReplicaNode(ReplicaHost):
     # -- self-stabilization loop --------------------------------------------
 
     def audit_and_repair(self) -> bool:
-        """One tick of the periodic self-audit; returns True when clean.
-
-        A healthy replica runs :meth:`~repro.core.replica.BftBcReplica.self_audit`;
-        a quarantined one (whether this tick quarantined it or an earlier
-        recovery did) gets its repair pulls pushed onto the network —
-        :meth:`~repro.core.replica.BftBcReplica.begin_repair` on the first
-        tick, retransmissions to unanswered peers on later ones.
-        """
+        """One tick of the periodic self-audit
+        (:meth:`~repro.core.replica.BftBcReplica.audit_tick`), its repair
+        pulls pushed onto the network; returns True when clean.  A crashed
+        node audits nothing (and counts as clean)."""
         if self.down:
             return True
-        replica = self.replica
-        clean = True
-        if not replica.quarantined:
-            clean = replica.self_audit()
-        else:
-            clean = False
-        if replica.quarantined:
-            self._send_all(
-                replica.repair_retransmit()
-                if replica.repair.active
-                else replica.begin_repair()
-            )
-        return clean
+        self._send_all(self.replica.audit_tick())
+        return not self.replica.quarantined
 
     def _process(self, src: str, message: Message) -> None:
         if self.down:

@@ -33,6 +33,7 @@ from repro.sim.nodes import (
 )
 from repro.sim.recorder import HistoryRecorder
 from repro.sim.scheduler import Scheduler
+from repro.sim.workload import read_script
 from repro.spec.histories import History
 from repro.storage import ReplicaStore
 from repro.errors import OperationFailedError, SimulationError
@@ -300,7 +301,12 @@ class Cluster(SimHarness):
     # -- execution ------------------------------------------------------------------
 
     def install_faults(self, schedule: FaultSchedule) -> None:
-        schedule.install(self.scheduler, self.network, nodes=self.replica_nodes)
+        schedule.install(
+            self.scheduler,
+            self.network,
+            nodes=self.replica_nodes,
+            instrumentation=self.instrumentation,
+        )
 
     def run_scripts(
         self,
@@ -328,6 +334,20 @@ class Cluster(SimHarness):
         """The §4.1.1 stop event: revoke the key and record ``<c : stop>``."""
         self.config.revoke_writer(node_id)
         self.recorder.record_stop(node_id)
+
+    def release_hoard(self, attack: Any) -> None:
+        """§3.2's second act, the scenario Theorems 1 and 2 bound: revoke
+        every identity of ``attack``, let a colluder finish the writes it
+        hoarded, and have a fresh reader read twice."""
+        from repro.byzantine import Colluder
+
+        for client in sorted(attack.identities):
+            self.stop_client(client)
+        if attack.hoard:
+            self.add_adversary(Colluder("client:colluder", self.config, attack.hoard))
+        reader = self.add_client("reader")
+        reader.run_script(read_script(2), start_delay=0.5, think_time=0.1)
+        self.run(max_time=60)
 
     # -- results ------------------------------------------------------------------
 

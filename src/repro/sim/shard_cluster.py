@@ -320,7 +320,11 @@ class ShardCluster(SimHarness):
 
     def install_faults(self, schedule: FaultSchedule) -> None:
         schedule.install(
-            self.scheduler, self.network, nodes=self.replica_nodes, cluster=self
+            self.scheduler,
+            self.network,
+            nodes=self.replica_nodes,
+            cluster=self,
+            instrumentation=self.instrumentation,
         )
 
     def run_scripts(

@@ -24,8 +24,8 @@ def test_generator_runs_and_is_current(tmp_path):
         "docs/API.md is stale; run tools/gen_api_docs.py"
     )
     assert (ROOT / "PROTOCOL.md").read_text(encoding="utf-8") == protocol, (
-        "PROTOCOL.md's wire-format, durable-record or phase table is stale; "
-        "run tools/gen_api_docs.py"
+        "PROTOCOL.md's wire-format, durable-record, phase or fault table is "
+        "stale; run tools/gen_api_docs.py"
     )
 
 
@@ -62,6 +62,24 @@ def test_phase_table_matches_the_declaration():
 
     phases = sum(len(v.protocol.write) + len(v.protocol.read) for v in Variant)
     assert len(rows) == 2 + phases + 3 + len(Variant)
+
+
+def test_fault_table_matches_the_catalogue():
+    sys.path.insert(0, str(ROOT / "tools"))
+    import gen_api_docs
+
+    protocol = (ROOT / "PROTOCOL.md").read_text(encoding="utf-8")
+    _, begin, rest = protocol.partition(gen_api_docs.FAULTS_BEGIN)
+    table, end, _ = rest.partition(gen_api_docs.FAULTS_END)
+    assert begin and end, "PROTOCOL.md lost its fault-ops markers"
+    rows = gen_api_docs.fault_catalogue_table()
+    assert table.strip().splitlines() == rows, (
+        "PROTOCOL.md's fault table is stale; run tools/gen_api_docs.py"
+    )
+    from repro.sim.faults import FAULT_OPS
+
+    assert len(rows) == 2 + len(FAULT_OPS)
+    assert all(f"| `{name}` |" in table for name in FAULT_OPS)
 
 
 def test_reference_covers_the_key_apis():

@@ -380,7 +380,7 @@ class TestStabilization:
         assert all(v.ok for v in result.verdicts.values())
 
     def test_oracle_flags_unrepaired_quarantine(self):
-        from repro.chaos.oracles import _check_stabilization
+        from repro.chaos.oracles import run_oracle_battery
         from repro.sim.runner import build_cluster
 
         cluster = build_cluster(f=1, seed=1)
@@ -391,7 +391,13 @@ class TestStabilization:
             store="memory",
         )
         cluster.replicas["replica:0"].enter_quarantine("test")
-        verdict = _check_stabilization(cluster, plan, set())
+        verdict = run_oracle_battery(
+            {None: cluster.history},
+            cluster.replicas,
+            plan.protocol,
+            plan.f,
+            faults=plan.faults,
+        )["stabilization"]
         assert not verdict.ok
         assert "quarantined" in verdict.detail
 

@@ -11,9 +11,14 @@ from __future__ import annotations
 
 import pytest
 
-from repro.chaos import CampaignConfig, EpisodePlan, build_schedule, generate_plan
-from repro.chaos.plan import CLIENT_ATTACKS, REPLICA_BEHAVIOURS
+from repro.byzantine import REPLICA_BEHAVIOURS
+from repro.chaos import CampaignConfig, EpisodePlan, generate_plan
+from repro.chaos.plan import CLIENT_ATTACKS
 from repro.errors import SimulationError
+from repro.sim.faults import FAULT_OPS, FaultSchedule
+
+#: The ops the catalogue declares state-damaging.
+CORRUPTION_OPS = {name for name, op in FAULT_OPS.items() if op.damages_state}
 
 
 class TestGeneratePlan:
@@ -87,7 +92,7 @@ class TestGeneratePlan:
                 if plan.attack is not None:
                     assert plan.attack in CLIENT_ATTACKS[plan.variant]
                 for kind in plan.byzantine_replicas.values():
-                    assert kind in REPLICA_BEHAVIOURS + ("silent-optimized",)
+                    assert kind in REPLICA_BEHAVIOURS
 
 
 class TestPlanSerialisation:
@@ -122,7 +127,7 @@ class TestPlanSerialisation:
 
 class TestBuildSchedule:
     def test_materialises_every_op(self):
-        schedule = build_schedule(
+        schedule = FaultSchedule(
             [
                 {"op": "crash", "time": 0.1, "node": "replica:0"},
                 {"op": "recover", "time": 0.5, "node": "replica:0"},
@@ -145,12 +150,13 @@ class TestBuildSchedule:
         )
         # Five network-level actions, plus crash_restart's two node-level
         # actions (the crash and the recovering restart).
-        assert len(schedule.actions) == 5
-        assert len(schedule.node_actions) == 2
+        assert [step.acts_on for step in schedule.steps()] == (
+            ["network"] * 5 + ["node"] * 2
+        )
 
     def test_unknown_op_raises(self):
         with pytest.raises(SimulationError, match="unknown fault op"):
-            build_schedule([{"op": "meteor", "time": 0.1}])
+            FaultSchedule([{"op": "meteor", "time": 0.1}])
 
 
 class TestCorruptionFaults:
@@ -160,8 +166,6 @@ class TestCorruptionFaults:
         """A corrupted replica counts against the same budget as crashes
         and Byzantine substitutions: at most one victim per episode, never
         also Byzantine, never also crashed."""
-        from repro.chaos.oracles import CORRUPTION_OPS
-
         for seed in range(6):
             config = CampaignConfig(seed=seed, episodes=20)
             for episode in range(20):
@@ -196,16 +200,12 @@ class TestCorruptionFaults:
                         assert plan.store == "filelog"
 
     def test_corruption_can_be_disabled(self):
-        from repro.chaos.oracles import CORRUPTION_OPS
-
         config = CampaignConfig(seed=7, episodes=30, corruption=False)
         for episode in range(30):
             plan = generate_plan(config, episode)
             assert not any(s["op"] in CORRUPTION_OPS for s in plan.faults)
 
     def test_generator_emits_corruption_sometimes(self):
-        from repro.chaos.oracles import CORRUPTION_OPS
-
         config = CampaignConfig(seed=7, episodes=40)
         hits = sum(
             1
@@ -225,7 +225,7 @@ class TestCorruptionFaults:
         assert plan.audit_interval == 0.25
 
     def test_build_schedule_materialises_corruption_ops(self):
-        schedule = build_schedule(
+        schedule = FaultSchedule(
             [
                 {
                     "op": "wal_bitflip",
@@ -249,4 +249,4 @@ class TestCorruptionFaults:
                 },
             ]
         )
-        assert len(schedule.node_actions) == 3
+        assert [step.acts_on for step in schedule.steps()] == ["node"] * 3

@@ -107,6 +107,20 @@ class TestChaosCli:
         assert main(["chaos", "replay", str(corpus[0])]) == 0
         assert "replay matches" in capsys.readouterr().out
 
+    def test_chaos_replay_shard_artifact(self, capsys):
+        """``chaos replay`` is the one replay verb: the artifact's format
+        tag picks the shard engine."""
+        import pathlib
+
+        artifact = (
+            pathlib.Path(__file__).resolve().parent.parent / "traces" / "chaos"
+            / "shard_rebalance_crash_and_drain.json"
+        )
+        assert main(["chaos", "replay", str(artifact)]) == 0
+        out = capsys.readouterr().out
+        assert "epoch-agreement: expected True, got True [ok]" in out
+        assert out.rstrip().endswith("replay matches")
+
     def test_chaos_tcp(self, capsys):
         assert main(["chaos", "tcp", "--seed", "6"]) == 0
         out = capsys.readouterr().out

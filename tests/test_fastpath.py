@@ -154,7 +154,7 @@ class TestFastPathEndToEnd:
         assert cluster.metrics.fast_path_rate() == 1.0
         assert cluster.metrics.fallback_rate() == 0.0
         assert cluster.metrics.phase_histogram("write") == {2: 5}
-        assert WRITE_PHASES["fastpath"] == (2, 4)
+        assert WRITE_PHASES["fastpath"] == (2, 5)
 
     def test_write_signature_closed_forms(self):
         """Measured counters equal the CostModel closed forms exactly."""

@@ -107,7 +107,7 @@ class TestFaultScheduleIntegration:
         cluster = build_cluster(f=1, seed=57)
         schedule = FaultSchedule()
         for rid in cluster.config.quorums.replica_ids[:2]:
-            schedule.degrade_link(
+            schedule.degrade(
                 0.0, "client:w", rid, LinkProfile(drop_rate=0.6, max_delay=0.03)
             )
         cluster.install_faults(schedule)

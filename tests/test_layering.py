@@ -332,6 +332,36 @@ def test_checker_flags_a_comparison_against_a_variant_name(tmp_path):
     ]
 
 
+def test_checker_flags_a_hand_written_fault_spec(tmp_path):
+    """Each fault op is declared once, by a ``FaultOp`` in
+    ``repro.sim.faults``; elsewhere a dict display with an ``"op"`` key is a
+    hand-written spec and a comparison against a declared op name is a
+    per-op branch.  Naming an op in a call or a plain string is fine."""
+    (tmp_path / "repro" / "sim").mkdir(parents=True)
+    (tmp_path / "repro" / "chaos").mkdir()
+    (tmp_path / "repro" / "sim" / "faults.py").write_text(
+        'OPS = [FaultOp("crash", "network"), FaultOp("wal_bitflip", "node")]\n'
+        'spec = {"op": "crash", "time": 0.0}\n'
+        'flip = op == "wal_bitflip"\n'
+    )
+    (tmp_path / "repro" / "chaos" / "ok.py").write_text(
+        'schedule.add("wal_bitflip", 0.5, node="replica:1")\n'
+        'draws = {"wal_bitflip": 1}\n'
+        'span = instr.event("chaos.crash replica:0")\n'
+        'same = kind == "crashed"\n'
+    )
+    (tmp_path / "repro" / "chaos" / "bad.py").write_text(
+        'spec = {"op": "wal_bitflip", "time": 0.0, "node": victim}\n'
+        'if spec["op"] == "crash":\n    pass\n'
+        'disk = op in ("wal_bitflip", "snapshot_truncate")\n'
+        'faults.append(dict(spec, **{"op": "meteor"}))\n'
+    )
+    found = check_layering.find_duplication(tmp_path)
+    assert sorted((module, line) for module, line, _ in found) == [
+        ("repro.chaos.bad", line) for line in (1, 2, 4, 5)
+    ]
+
+
 def test_checker_cli_passes():
     result = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "check_layering.py")],

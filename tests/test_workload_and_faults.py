@@ -108,7 +108,7 @@ class TestFaultSchedules:
         net = SimNetwork(sched)
         got = []
         net.register("b", lambda s, m: got.append(m))
-        FaultSchedule().degrade_link(
+        FaultSchedule().degrade(
             1.0, "a", "b", LinkProfile(drop_rate=1.0)
         ).install(sched, net)
         sched.run(until=2.0)
@@ -120,8 +120,9 @@ class TestFaultSchedules:
 
     def test_descriptions(self):
         schedule = FaultSchedule().crash(1.0, "r").partition(2.0, "a", "b")
-        descriptions = [a.description for a in schedule.actions]
+        descriptions = [step.description for step in schedule.steps()]
         assert descriptions == ["crash r", "partition a | b"]
+        assert [step.acts_on for step in schedule.steps()] == ["network"] * 2
 
 
 class TestFaultScheduleHardening:
@@ -153,7 +154,7 @@ class TestFaultScheduleHardening:
         schedule.crash_restart(1.0, "replica:0", down_for=2.0)
         schedule.crash_restart(3.0, "replica:0", down_for=1.0)  # touches, ok
         schedule.crash_restart(1.5, "replica:1", down_for=2.0)  # other node
-        assert len(schedule.node_actions) == 6
+        assert [step.acts_on for step in schedule.steps()] == ["node"] * 6
 
     def test_double_install_rejected(self):
         import pytest

@@ -29,7 +29,7 @@ source file under ``src/repro`` with :mod:`ast` — including imports inside
 ``TYPE_CHECKING`` blocks and function bodies, so lazy imports cannot hide a
 cycle-in-waiting.
 
-Twelve further rules keep deleted duplication from growing back
+Thirteen further rules keep deleted duplication from growing back
 (:func:`find_duplication`): the TCP client stack lives in one module, so
 ``asyncio.open_connection`` may be called only from ``repro.net.mux`` (and
 the chaos proxy's upstream leg); the variant-to-class mapping lives on
@@ -74,7 +74,11 @@ no deployment runs; and each variant's phases, costs and bounds are declared
 once, by its ``Protocol`` in ``repro.core.config``, so outside that module
 nothing may compare against a variant-name literal (``== "fastpath"``,
 ``in ("optimized", "fastpath")``) — a per-variant branch is a second copy
-of the declaration growing back.
+of the declaration growing back; and each fault op is declared once, by a
+``FaultOp`` in ``repro.sim.faults``, so outside that module nothing may
+write a dict display with an ``"op"`` key or compare against a declared
+fault-op name (``op == "wal_bitflip"``) — a hand-written spec or a
+per-op branch is a second fault vocabulary growing back.
 
 Run:  python tools/check_layering.py   (exits 1 and lists violations)
 The tier-1 test ``tests/test_layering.py`` runs this on every suite run.
@@ -183,16 +187,37 @@ VARIANT_SITE = "repro.core.config"
 VARIANT_NAMES = frozenset({"base", "optimized", "strong", "fastpath"})
 
 
-def _compares_variant_name(node: ast.Compare) -> bool:
+#: The one module that spells the fault vocabulary: each op's name,
+#: parameters and spec shape.  Everyone else builds specs through it.
+FAULT_SITE = "repro.sim.faults"
+
+
+def _compares_against(node: ast.Compare, names: frozenset[str]) -> bool:
     """``x == "strong"``, ``"base" != x``, ``x in ("optimized", ...)``."""
     for operand in (node.left, *node.comparators):
         items = getattr(operand, "elts", (operand,))
         if any(
-            isinstance(item, ast.Constant) and item.value in VARIANT_NAMES
+            isinstance(item, ast.Constant) and item.value in names
             for item in items
         ):
             return True
     return False
+
+
+def fault_ops(src: pathlib.Path) -> frozenset[str]:
+    """The op names the ``FaultOp(...)`` declarations spell."""
+    path = src / "repro" / "sim" / "faults.py"
+    if not path.exists():
+        return frozenset()
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    return frozenset(
+        node.args[0].value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", None) == "FaultOp"
+        and node.args
+        and isinstance(node.args[0], ast.Constant)
+    )
 
 
 def durable_tags(src: pathlib.Path) -> frozenset[str]:
@@ -308,6 +333,7 @@ def find_duplication(src: pathlib.Path = SRC) -> list[tuple[str, int, str]]:
     """Scan the tree for regrown duplicates; return (module, line, what)."""
     found: list[tuple[str, int, str]] = []
     tags = durable_tags(src)
+    ops = fault_ops(src)
     for path in sorted(src.rglob("*.py")):
         module = module_name_for(path, src)
         durable = module == DURABLE_SITE
@@ -384,11 +410,25 @@ def find_duplication(src: pathlib.Path = SRC) -> list[tuple[str, int, str]]:
             if (
                 isinstance(node, ast.Compare)
                 and module != VARIANT_SITE
-                and _compares_variant_name(node)
+                and _compares_against(node, VARIANT_NAMES)
             ):
                 found.append(
                     (module, node.lineno, "compares against a variant name; "
                      "read the variant's declared Protocol")
+                )
+            if module != FAULT_SITE and (
+                (
+                    isinstance(node, ast.Dict)
+                    and any(
+                        isinstance(key, ast.Constant) and key.value == "op"
+                        for key in node.keys
+                    )
+                )
+                or (isinstance(node, ast.Compare) and _compares_against(node, ops))
+            ):
+                found.append(
+                    (module, node.lineno, "spells a fault spec or op outside "
+                     + FAULT_SITE + "; build it with FaultSchedule, read FAULT_OPS")
                 )
             if isinstance(node, ast.ClassDef) and any(
                 getattr(base, "id", getattr(base, "attr", None)) == "Message"
@@ -450,7 +490,8 @@ def main() -> int:
             "duplication the variant registry / one endpoint / one harness / "
             "one wire schema / one barrier site / the sans-I/O adversary / "
             "the socket front door / one decode per frame / the durable field "
-            "table / the always-on caches / the declared protocol replaced:"
+            "table / the always-on caches / the declared protocol / the fault "
+            "catalogue replaced:"
         )
         for module, line, what in duplication:
             print(f"  {module}:{line} {what}")

@@ -8,9 +8,10 @@ docstring.
 
 Also rewrites the "Wire format" table of PROTOCOL.md (between its two
 marker comments) from the message declarations, its durable-record table
-from the ``DurableField`` declarations, and its per-variant phase table
-from each ``Variant.protocol`` declaration, so each documented layout is
-the one the code is derived from.
+from the ``DurableField`` declarations, its per-variant phase table from
+each ``Variant.protocol`` declaration, and its fault catalogue from the
+``FaultOp`` declarations, so each documented layout is the one the code
+is derived from.
 
 Run:  python tools/gen_api_docs.py
 """
@@ -297,6 +298,32 @@ def protocol_phase_table() -> list[str]:
     return lines
 
 
+FAULTS_BEGIN = "<!-- fault-ops:begin (generated by tools/gen_api_docs.py) -->"
+FAULTS_END = "<!-- fault-ops:end -->"
+
+
+def fault_catalogue_table() -> list[str]:
+    """One row per declared fault op."""
+    from repro.sim.faults import FAULT_OPS, REQUIRED
+
+    def param(p) -> str:
+        text = f"`{p.name}`" + ("" if p.default is REQUIRED else f" = `{p.default!r}`")
+        return text + (f" (must {p.check[1]})" if p.check else "")
+
+    lines = [
+        "| op | acts on | parameters (defaults) | damages state |",
+        "|---|---|---|---|",
+    ]
+    for op in FAULT_OPS.values():
+        params = ", ".join(param(p) for p in op.params)
+        then = f"; fires a second step `{op.then[0]}` later" if op.then else ""
+        lines.append(
+            f"| `{op.name}` | {op.acts_on} | {params}{then} "
+            f"| {'yes' if op.damages_state else 'no'} |"
+        )
+    return lines
+
+
 def write_generated_tables(root: pathlib.Path) -> None:
     """Rewrite each generated table of PROTOCOL.md between its markers."""
     path = root / "PROTOCOL.md"
@@ -305,6 +332,7 @@ def write_generated_tables(root: pathlib.Path) -> None:
         (WIRE_BEGIN, WIRE_END, wire_format_table()),
         (DURABLE_BEGIN, DURABLE_END, durable_record_table()),
         (PHASES_BEGIN, PHASES_END, protocol_phase_table()),
+        (FAULTS_BEGIN, FAULTS_END, fault_catalogue_table()),
     ):
         head, _, rest = text.partition(begin)
         _, _, tail = rest.partition(end)
