@@ -31,240 +31,129 @@ Quickstart::
     print(sorted(instr.histograms))      # per-phase latency series
 """
 
-from repro.analysis import format_phase_breakdown, format_table
-from repro.baselines import build_bqs_cluster, build_phalanx_cluster
-from repro.byzantine import (
-    BqsEquivocationAttack,
-    BqsTimestampExhaustionAttack,
-    Colluder,
-    EquivocationAttack,
-    LurkingWriteAttack,
-    PartialWriteAttack,
-    TimestampExhaustionAttack,
-)
-from repro.chaos import (
-    CampaignConfig,
-    EpisodePlan,
-    ShardEpisodePlan,
-    generate_plan,
-    minimize_episode,
-    replay_artifact,
-    run_campaign,
-    run_episode,
-    run_shard_episode,
-)
-from repro.core import (
-    BftBcClient,
-    BftBcReplica,
-    FastBftBcClient,
-    FastBftBcReplica,
-    MultiObjectClient,
-    MultiObjectReplica,
-    OptimizedBftBcClient,
-    OptimizedBftBcReplica,
-    PrepareCertificate,
-    QuorumSystem,
-    StrongBftBcClient,
-    SystemConfig,
-    Timestamp,
-    Variant,
-    WriteCertificate,
-    ZERO_TS,
-    make_system,
-)
-from repro.core.config import (
-    AccessPolicy,
-    ExplicitWriters,
-    NamespaceWriters,
-    PredicateWriters,
-)
-from repro.core.persistence import ClientStateBudget, ClientStateTable
-from repro.cluster import (
-    Deployment,
-    DeploymentSpec,
-    ProcessCluster,
-    ProcessDeployment,
-    SimDeployment,
-    TcpDeployment,
-    WorkerHandle,
-    deploy,
-)
-from repro.crypto.commitments import ProofOfWriting
-from repro.load import (
-    BurstPhase,
-    DEFAULT_SLOS,
-    LoadProfile,
-    LoadReport,
-    OpenLoopGenerator,
-    SimLoadOptions,
-    SloTarget,
-    run_open_loop,
-    run_tcp_load,
-)
-from repro.net.asyncio_transport import AsyncClient, ReplicaServer
-from repro.net.mux import MuxEndpoint, OpRecord, PipelinedClient
-from repro.net.shard_transport import AsyncShardRouter, ShardReplicaServer
-from repro.net.simnet import LinkProfile, SimNetwork
-from repro.obs import (
-    Instrumentation,
-    LatencyHistogram,
-    Span,
-    render_prometheus,
-    spans_to_jsonl,
-)
-from repro.shard import (
-    HashRing,
-    Reconfigurator,
-    ShardConfig,
-    ShardDirectory,
-    ShardReplica,
-    ShardRouter,
-)
-from repro.sim import (
-    Cluster,
-    ClusterOptions,
-    FaultSchedule,
-    MessageTrace,
-    MetricsCollector,
-    MultiObjectClientNode,
-    ReplicaHost,
-    Scheduler,
-    ShardCluster,
-    ShardClusterOptions,
-    build_cluster,
-    build_shard_cluster,
-    read_script,
-    value_for,
-    write_script,
-)
-from repro.spec import (
-    History,
-    check_bft_linearizable,
-    check_bft_linearizable_plus,
-    check_lemma1,
-    check_register_linearizable,
-    count_lurking_writes,
-)
-from repro.storage import FileLogStore, MemoryStore
+from repro._exports import lazy_exports
 
 __version__ = "1.1.0"
 
-__all__ = [
-    "__version__",
+#: The facade: each public name and the module that defines it.  A name's
+#: module is imported on its first access (see :mod:`repro._exports`).
+_EXPORTS = {
     # core
-    "make_system",
-    "SystemConfig",
-    "Variant",
-    "QuorumSystem",
-    "Timestamp",
-    "ZERO_TS",
-    "PrepareCertificate",
-    "WriteCertificate",
-    "BftBcClient",
-    "OptimizedBftBcClient",
-    "StrongBftBcClient",
-    "BftBcReplica",
-    "OptimizedBftBcReplica",
-    "FastBftBcClient",
-    "FastBftBcReplica",
-    "ProofOfWriting",
-    "MultiObjectClient",
-    "MultiObjectReplica",
+    "make_system": "repro.core.config",
+    "SystemConfig": "repro.core.config",
+    "Variant": "repro.core.config",
+    "QuorumSystem": "repro.core.quorum",
+    "Timestamp": "repro.core.timestamp",
+    "ZERO_TS": "repro.core.timestamp",
+    "PrepareCertificate": "repro.core.certificates",
+    "WriteCertificate": "repro.core.certificates",
+    "BftBcClient": "repro.core.client",
+    "OptimizedBftBcClient": "repro.core.client",
+    "StrongBftBcClient": "repro.core.client",
+    "BftBcReplica": "repro.core.replica",
+    "OptimizedBftBcReplica": "repro.core.replica",
+    "FastBftBcClient": "repro.core.client",
+    "FastBftBcReplica": "repro.core.fast_replica",
+    "ProofOfWriting": "repro.crypto.commitments",
+    "MultiObjectClient": "repro.core.multiobject",
+    "MultiObjectReplica": "repro.core.multiobject",
     # identity-layer scale: access policies and per-client state budgets
-    "AccessPolicy",
-    "ExplicitWriters",
-    "NamespaceWriters",
-    "PredicateWriters",
-    "ClientStateBudget",
-    "ClientStateTable",
+    "AccessPolicy": "repro.core.config",
+    "ExplicitWriters": "repro.core.config",
+    "NamespaceWriters": "repro.core.config",
+    "PredicateWriters": "repro.core.config",
+    "ClientStateBudget": "repro.core.persistence",
+    "ClientStateTable": "repro.core.persistence",
     # open-loop production load harness (E21)
-    "LoadProfile",
-    "BurstPhase",
-    "LoadReport",
-    "SloTarget",
-    "DEFAULT_SLOS",
-    "OpenLoopGenerator",
-    "SimLoadOptions",
-    "run_open_loop",
-    "run_tcp_load",
+    "LoadProfile": "repro.load.profile",
+    "BurstPhase": "repro.load.profile",
+    "LoadReport": "repro.load.profile",
+    "SloTarget": "repro.load.profile",
+    "DEFAULT_SLOS": "repro.load.profile",
+    "OpenLoopGenerator": "repro.load.generator",
+    "SimLoadOptions": "repro.load.harness",
+    "run_open_loop": "repro.load.harness",
+    "run_tcp_load": "repro.load.tcp",
     # sharding and online reconfiguration
-    "HashRing",
-    "ShardConfig",
-    "ShardDirectory",
-    "ShardReplica",
-    "ShardRouter",
-    "Reconfigurator",
-    "ShardCluster",
-    "ShardClusterOptions",
-    "build_shard_cluster",
-    "AsyncShardRouter",
-    "ShardReplicaServer",
+    "HashRing": "repro.shard.ring",
+    "ShardConfig": "repro.shard.directory",
+    "ShardDirectory": "repro.shard.directory",
+    "ShardReplica": "repro.shard.replica",
+    "ShardRouter": "repro.shard.router",
+    "Reconfigurator": "repro.shard.reconfig",
+    "ShardCluster": "repro.sim.shard_cluster",
+    "ShardClusterOptions": "repro.sim.shard_cluster",
+    "build_shard_cluster": "repro.sim.shard_cluster",
+    "AsyncShardRouter": "repro.net.shard_transport",
+    "ShardReplicaServer": "repro.net.shard_transport",
     # observability
-    "Instrumentation",
-    "LatencyHistogram",
-    "Span",
-    "spans_to_jsonl",
-    "render_prometheus",
-    "format_phase_breakdown",
-    "format_table",
+    "Instrumentation": "repro.obs.instrumentation",
+    "LatencyHistogram": "repro.obs.histograms",
+    "Span": "repro.obs.spans",
+    "spans_to_jsonl": "repro.obs.export",
+    "render_prometheus": "repro.obs.export",
+    "format_phase_breakdown": "repro.analysis.report",
+    "format_table": "repro.analysis.report",
     # networking / simulation
-    "LinkProfile",
-    "SimNetwork",
-    "Scheduler",
-    "Cluster",
-    "ClusterOptions",
-    "build_cluster",
-    "FaultSchedule",
-    "MetricsCollector",
-    "MessageTrace",
-    "MultiObjectClientNode",
-    "ReplicaHost",
-    "write_script",
-    "read_script",
-    "value_for",
+    "LinkProfile": "repro.net.simnet",
+    "SimNetwork": "repro.net.simnet",
+    "Scheduler": "repro.sim.scheduler",
+    "Cluster": "repro.sim.runner",
+    "ClusterOptions": "repro.sim.runner",
+    "build_cluster": "repro.sim.runner",
+    "FaultSchedule": "repro.sim.faults",
+    "MetricsCollector": "repro.sim.metrics",
+    "MessageTrace": "repro.sim.tracing",
+    "MultiObjectClientNode": "repro.sim.multi_node",
+    "ReplicaHost": "repro.sim.nodes",
+    "write_script": "repro.sim.workload",
+    "read_script": "repro.sim.workload",
+    "value_for": "repro.sim.workload",
     # real-network transport and durability
-    "AsyncClient",
-    "ReplicaServer",
-    "FileLogStore",
-    "MemoryStore",
-    "MuxEndpoint",
-    "PipelinedClient",
-    "OpRecord",
+    "AsyncClient": "repro.net.asyncio_transport",
+    "ReplicaServer": "repro.net.asyncio_transport",
+    "FileLogStore": "repro.storage.filelog",
+    "MemoryStore": "repro.storage.base",
+    "MuxEndpoint": "repro.net.mux",
+    "PipelinedClient": "repro.net.mux",
+    "OpRecord": "repro.net.mux",
     # deployment API: one spec, three transports (sim / tcp / process)
-    "DeploymentSpec",
-    "deploy",
-    "Deployment",
-    "SimDeployment",
-    "TcpDeployment",
-    "ProcessDeployment",
-    "ProcessCluster",
-    "WorkerHandle",
+    "DeploymentSpec": "repro.cluster.spec",
+    "deploy": "repro.cluster.deploy",
+    "Deployment": "repro.cluster.deploy",
+    "SimDeployment": "repro.cluster.deploy",
+    "TcpDeployment": "repro.cluster.deploy",
+    "ProcessDeployment": "repro.cluster.deploy",
+    "ProcessCluster": "repro.cluster.process",
+    "WorkerHandle": "repro.cluster.process",
     # baselines
-    "build_bqs_cluster",
-    "build_phalanx_cluster",
+    "build_bqs_cluster": "repro.baselines.runner",
+    "build_phalanx_cluster": "repro.baselines.runner",
     # byzantine attack catalogue (the §3.2 issues, executable)
-    "EquivocationAttack",
-    "TimestampExhaustionAttack",
-    "LurkingWriteAttack",
-    "PartialWriteAttack",
-    "Colluder",
-    "BqsEquivocationAttack",
-    "BqsTimestampExhaustionAttack",
+    "EquivocationAttack": "repro.byzantine.clients",
+    "TimestampExhaustionAttack": "repro.byzantine.clients",
+    "LurkingWriteAttack": "repro.byzantine.clients",
+    "PartialWriteAttack": "repro.byzantine.clients",
+    "Colluder": "repro.byzantine.clients",
+    "BqsEquivocationAttack": "repro.byzantine.baseline_attacks",
+    "BqsTimestampExhaustionAttack": "repro.byzantine.baseline_attacks",
     # chaos campaigns
-    "CampaignConfig",
-    "EpisodePlan",
-    "ShardEpisodePlan",
-    "generate_plan",
-    "run_campaign",
-    "run_episode",
-    "run_shard_episode",
-    "minimize_episode",
-    "replay_artifact",
+    "CampaignConfig": "repro.chaos.plan",
+    "EpisodePlan": "repro.chaos.plan",
+    "ShardEpisodePlan": "repro.chaos.shard",
+    "generate_plan": "repro.chaos.plan",
+    "run_campaign": "repro.chaos.engine",
+    "run_episode": "repro.chaos.engine",
+    "run_shard_episode": "repro.chaos.shard",
+    "minimize_episode": "repro.chaos.minimize",
+    "replay_artifact": "repro.chaos.artifact",
     # correctness
-    "History",
-    "check_register_linearizable",
-    "check_bft_linearizable",
-    "check_bft_linearizable_plus",
-    "check_lemma1",
-    "count_lurking_writes",
-]
+    "History": "repro.spec.histories",
+    "check_register_linearizable": "repro.spec.linearizability",
+    "check_bft_linearizable": "repro.spec.bft_linearizability",
+    "check_bft_linearizable_plus": "repro.spec.bft_linearizability",
+    "check_lemma1": "repro.spec.invariants",
+    "count_lurking_writes": "repro.spec.bft_linearizability",
+}
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS, "__version__")

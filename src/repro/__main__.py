@@ -31,15 +31,16 @@ import argparse
 import sys
 from typing import Any
 
-from repro import DeploymentSpec, Instrumentation, LinkProfile, Variant, build_cluster
-from repro.analysis import format_phase_breakdown, format_table
-from repro.sim import make_scripts, read_script, write_script
-from repro.spec import check_register_linearizable
+from repro import DeploymentSpec, Instrumentation, Variant
 
 VARIANT_CHOICES = tuple(v.value for v in Variant)
 
 
 def cmd_demo(args: argparse.Namespace) -> int:
+    from repro.analysis import format_table
+    from repro.sim import build_cluster, read_script, write_script
+    from repro.spec import check_register_linearizable
+
     rows = []
     for variant in Variant:
         cluster = build_cluster(f=args.f, variant=variant, seed=args.seed)
@@ -66,8 +67,10 @@ def cmd_demo(args: argparse.Namespace) -> int:
 
 
 def cmd_attacks(args: argparse.Namespace) -> int:
+    from repro.analysis import format_table
     from repro.byzantine import make_attack
-    from repro import count_lurking_writes
+    from repro.sim import build_cluster
+    from repro.spec import count_lurking_writes
 
     rows = []
     for name, label, achieved, verdict in (
@@ -101,7 +104,9 @@ def cmd_attacks(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
+    from repro.analysis import format_table
     from repro.baselines.runner import build_bqs_cluster, build_phalanx_cluster
+    from repro.sim import build_cluster, read_script, write_script
 
     ops = 6
     rows = []
@@ -135,6 +140,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    from repro.net.simnet import LinkProfile
+    from repro.sim import build_cluster, make_scripts
+    from repro.spec import check_register_linearizable
+
     profile = LinkProfile(
         drop_rate=args.loss, max_delay=args.max_delay, duplicate_rate=args.dup
     )
@@ -165,6 +174,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def _run_instrumented(args: argparse.Namespace) -> Instrumentation:
     """Run the shared metrics/trace workload under a fresh instrumentation."""
+    from repro.sim import build_cluster, make_scripts
+
     instr = Instrumentation()
     cluster = build_cluster(
         f=args.f, variant=args.variant, seed=args.seed, instrumentation=instr
@@ -180,6 +191,7 @@ def _run_instrumented(args: argparse.Namespace) -> Instrumentation:
 
 
 def cmd_metrics(args: argparse.Namespace) -> int:
+    from repro.analysis import format_phase_breakdown
     from repro.obs import render_prometheus
 
     instr = _run_instrumented(args)
@@ -378,6 +390,8 @@ def cmd_cluster(args: argparse.Namespace) -> int:
         return True
 
     if args.cluster_command == "status":
+        from repro.analysis import format_table
+
         spec = DeploymentSpec.from_wire(state["spec"])
         rows = []
         for worker in state["workers"]:

@@ -1,19 +1,15 @@
 """Analytical cost model (§3.3) and report formatting for experiments."""
 
-from repro.analysis.costs import READ_PHASES, WRITE_PHASES, CostModel
-from repro.analysis.report import (
-    fit_power_law,
-    format_campaign,
-    format_phase_breakdown,
-    format_table,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "CostModel",
-    "WRITE_PHASES",
-    "READ_PHASES",
-    "format_table",
-    "format_phase_breakdown",
-    "format_campaign",
-    "fit_power_law",
-]
+_EXPORTS = {
+    "CostModel": "repro.analysis.costs",
+    "WRITE_PHASES": "repro.analysis.costs",
+    "READ_PHASES": "repro.analysis.costs",
+    "format_table": "repro.analysis.report",
+    "format_phase_breakdown": "repro.analysis.report",
+    "format_campaign": "repro.analysis.report",
+    "fit_power_law": "repro.analysis.report",
+}
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

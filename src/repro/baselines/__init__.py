@@ -8,31 +8,20 @@
   return :data:`~repro.baselines.phalanx.NULL_READ`.
 """
 
-from repro.baselines.bqs import (
-    BqsClient,
-    BqsReadOperation,
-    BqsReplica,
-    BqsWriteOperation,
-)
-from repro.baselines.phalanx import (
-    NULL_READ,
-    PhalanxClient,
-    PhalanxReadOperation,
-    PhalanxReplica,
-    PhalanxWriteOperation,
-)
-from repro.baselines.runner import build_bqs_cluster, build_phalanx_cluster
+from repro._exports import lazy_exports
 
-__all__ = [
-    "BqsReplica",
-    "BqsClient",
-    "BqsWriteOperation",
-    "BqsReadOperation",
-    "PhalanxReplica",
-    "PhalanxClient",
-    "PhalanxWriteOperation",
-    "PhalanxReadOperation",
-    "NULL_READ",
-    "build_bqs_cluster",
-    "build_phalanx_cluster",
-]
+_EXPORTS = {
+    "BqsReplica": "repro.baselines.bqs",
+    "BqsClient": "repro.baselines.bqs",
+    "BqsWriteOperation": "repro.baselines.bqs",
+    "BqsReadOperation": "repro.baselines.bqs",
+    "PhalanxReplica": "repro.baselines.phalanx",
+    "PhalanxClient": "repro.baselines.phalanx",
+    "PhalanxWriteOperation": "repro.baselines.phalanx",
+    "PhalanxReadOperation": "repro.baselines.phalanx",
+    "NULL_READ": "repro.baselines.phalanx",
+    "build_bqs_cluster": "repro.baselines.runner",
+    "build_phalanx_cluster": "repro.baselines.runner",
+}
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

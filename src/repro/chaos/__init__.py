@@ -20,55 +20,31 @@ checked-in repro":
 the command line; ``chaos replay art.json`` re-runs an artifact.
 """
 
-from repro.chaos.artifact import (
-    ARTIFACT_FORMAT,
-    ReplayOutcome,
-    load_artifact,
-    replay_artifact,
-    save_artifact,
-)
-from repro.chaos.engine import (
-    CampaignResult,
-    EpisodeResult,
-    run_campaign,
-    run_episode,
-)
-from repro.chaos.minimize import MinimizationResult, minimize_episode
-from repro.chaos.oracles import (
-    ORACLES,
-    SHARD_ORACLES,
-    OracleVerdict,
-    check_epoch_agreement,
-    run_oracle_battery,
-)
-from repro.chaos.plan import CampaignConfig, EpisodePlan, generate_plan
-from repro.chaos.shard import (
-    ShardEpisodePlan,
-    ShardEpisodeResult,
-    run_shard_episode,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "ARTIFACT_FORMAT",
-    "ORACLES",
-    "SHARD_ORACLES",
-    "CampaignConfig",
-    "CampaignResult",
-    "EpisodePlan",
-    "EpisodeResult",
-    "MinimizationResult",
-    "OracleVerdict",
-    "ReplayOutcome",
-    "ShardEpisodePlan",
-    "ShardEpisodeResult",
-    "check_epoch_agreement",
-    "generate_plan",
-    "load_artifact",
-    "minimize_episode",
-    "replay_artifact",
-    "run_campaign",
-    "run_episode",
-    "run_oracle_battery",
-    "run_shard_episode",
-    "save_artifact",
-]
+_EXPORTS = {
+    "ARTIFACT_FORMAT": "repro.chaos.artifact",
+    "ORACLES": "repro.chaos.oracles",
+    "SHARD_ORACLES": "repro.chaos.oracles",
+    "CampaignConfig": "repro.chaos.plan",
+    "CampaignResult": "repro.chaos.engine",
+    "EpisodePlan": "repro.chaos.plan",
+    "EpisodeResult": "repro.chaos.engine",
+    "MinimizationResult": "repro.chaos.minimize",
+    "OracleVerdict": "repro.chaos.oracles",
+    "ReplayOutcome": "repro.chaos.artifact",
+    "ShardEpisodePlan": "repro.chaos.shard",
+    "ShardEpisodeResult": "repro.chaos.shard",
+    "check_epoch_agreement": "repro.chaos.oracles",
+    "generate_plan": "repro.chaos.plan",
+    "load_artifact": "repro.chaos.artifact",
+    "minimize_episode": "repro.chaos.minimize",
+    "replay_artifact": "repro.chaos.artifact",
+    "run_campaign": "repro.chaos.engine",
+    "run_episode": "repro.chaos.engine",
+    "run_oracle_battery": "repro.chaos.oracles",
+    "run_shard_episode": "repro.chaos.shard",
+    "save_artifact": "repro.chaos.artifact",
+}
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -17,25 +17,23 @@ campaign and the TCP load harness all start one.  Two layers:
   common single-group case.
 """
 
-from repro.cluster.deploy import (
-    Deployment,
-    ProcessDeployment,
-    ReplicaGroup,
-    SimDeployment,
-    TcpDeployment,
-    deploy,
-)
-from repro.cluster.process import ProcessCluster, WorkerHandle
-from repro.cluster.spec import DeploymentSpec
+from repro._exports import lazy_exports
 
-__all__ = [
-    "DeploymentSpec",
-    "Deployment",
-    "SimDeployment",
-    "TcpDeployment",
-    "ProcessDeployment",
-    "ReplicaGroup",
-    "deploy",
-    "ProcessCluster",
-    "WorkerHandle",
-]
+_EXPORTS = {
+    "DeploymentSpec": "repro.cluster.spec",
+    "Deployment": "repro.cluster.deploy",
+    "SimDeployment": "repro.cluster.deploy",
+    "TcpDeployment": "repro.cluster.deploy",
+    "ProcessDeployment": "repro.cluster.deploy",
+    "ReplicaGroup": "repro.cluster.deploy",
+    "deploy": "repro.cluster.deploy",
+    "ProcessCluster": "repro.cluster.process",
+    "WorkerHandle": "repro.cluster.process",
+}
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
+
+# ``deploy`` names both a submodule and the function it defines.  Importing
+# the submodule binds the package attribute to the module, so the function
+# is bound here, after that import, as every later lookup expects.
+from repro.cluster.deploy import deploy  # noqa: E402

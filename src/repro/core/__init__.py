@@ -12,111 +12,64 @@ Public surface:
   :class:`~repro.core.timestamp.Timestamp`, certificates, and messages.
 """
 
-from repro.core.certificates import (
-    GENESIS_VALUE,
-    PrepareCertificate,
-    WriteCertificate,
-    genesis_prepare_certificate,
-)
-from repro.core.client import (
-    BftBcClient,
-    FastBftBcClient,
-    OptimizedBftBcClient,
-    StrongBftBcClient,
-)
-from repro.core.config import SystemConfig, Variant, make_system
-from repro.core.fast_operations import FastReadOperation, FastWriteOperation
-from repro.core.fast_replica import FastBftBcReplica
-from repro.core.messages import (
-    FastPrepReply,
-    FastPrepRequest,
-    FastWriteReply,
-    FastWriteRequest,
-    Message,
-    PrepareReply,
-    PrepareRequest,
-    ReadReply,
-    ReadRequest,
-    ReadTsPrepReply,
-    ReadTsPrepRequest,
-    ReadTsReply,
-    ReadTsRequest,
-    WriteReply,
-    WriteRequest,
-    message_from_wire,
-    message_to_wire,
-    message_wire_bytes,
-    wire_cache_stats,
-)
-from repro.core.multiobject import (
-    MultiObjectClient,
-    MultiObjectReplica,
-    ObjectMessage,
-    ScopedSignatureScheme,
-)
-from repro.core.operations import Operation, ReadOperation, Send, WriteOperation
-from repro.core.optimized_operations import OptimizedWriteOperation
-from repro.core.phases import QuorumRound
-from repro.core.quorum import QuorumSystem, client_id, replica_id
-from repro.core.replica import BftBcReplica, OptimizedBftBcReplica, PlistEntry
-from repro.core.strong_operations import StrongWriteOperation
-from repro.core.timestamp import ZERO_TS, Timestamp, succ
-from repro.core.verification import VerificationStats, Verifier
+from repro._exports import lazy_exports
 
-__all__ = [
-    "make_system",
-    "SystemConfig",
-    "Variant",
-    "QuorumSystem",
-    "Timestamp",
-    "ZERO_TS",
-    "succ",
-    "replica_id",
-    "client_id",
-    "GENESIS_VALUE",
-    "PrepareCertificate",
-    "WriteCertificate",
-    "genesis_prepare_certificate",
-    "BftBcClient",
-    "OptimizedBftBcClient",
-    "StrongBftBcClient",
-    "FastBftBcClient",
-    "BftBcReplica",
-    "OptimizedBftBcReplica",
-    "FastBftBcReplica",
-    "PlistEntry",
-    "MultiObjectClient",
-    "MultiObjectReplica",
-    "ObjectMessage",
-    "ScopedSignatureScheme",
-    "Operation",
-    "WriteOperation",
-    "ReadOperation",
-    "OptimizedWriteOperation",
-    "StrongWriteOperation",
-    "FastWriteOperation",
-    "FastReadOperation",
-    "QuorumRound",
-    "Verifier",
-    "VerificationStats",
-    "Send",
-    "Message",
-    "message_to_wire",
-    "message_from_wire",
-    "message_wire_bytes",
-    "wire_cache_stats",
-    "ReadTsRequest",
-    "ReadTsReply",
-    "PrepareRequest",
-    "PrepareReply",
-    "WriteRequest",
-    "WriteReply",
-    "ReadRequest",
-    "ReadReply",
-    "ReadTsPrepRequest",
-    "ReadTsPrepReply",
-    "FastPrepRequest",
-    "FastPrepReply",
-    "FastWriteRequest",
-    "FastWriteReply",
-]
+_EXPORTS = {
+    "make_system": "repro.core.config",
+    "SystemConfig": "repro.core.config",
+    "Variant": "repro.core.config",
+    "QuorumSystem": "repro.core.quorum",
+    "Timestamp": "repro.core.timestamp",
+    "ZERO_TS": "repro.core.timestamp",
+    "succ": "repro.core.timestamp",
+    "replica_id": "repro.core.quorum",
+    "client_id": "repro.core.quorum",
+    "GENESIS_VALUE": "repro.core.certificates",
+    "PrepareCertificate": "repro.core.certificates",
+    "WriteCertificate": "repro.core.certificates",
+    "genesis_prepare_certificate": "repro.core.certificates",
+    "BftBcClient": "repro.core.client",
+    "OptimizedBftBcClient": "repro.core.client",
+    "StrongBftBcClient": "repro.core.client",
+    "FastBftBcClient": "repro.core.client",
+    "BftBcReplica": "repro.core.replica",
+    "OptimizedBftBcReplica": "repro.core.replica",
+    "FastBftBcReplica": "repro.core.fast_replica",
+    "PlistEntry": "repro.core.persistence",
+    "MultiObjectClient": "repro.core.multiobject",
+    "MultiObjectReplica": "repro.core.multiobject",
+    "ObjectMessage": "repro.core.multiobject",
+    "ScopedSignatureScheme": "repro.core.multiobject",
+    "Operation": "repro.core.operations",
+    "WriteOperation": "repro.core.operations",
+    "ReadOperation": "repro.core.operations",
+    "OptimizedWriteOperation": "repro.core.optimized_operations",
+    "StrongWriteOperation": "repro.core.strong_operations",
+    "FastWriteOperation": "repro.core.fast_operations",
+    "FastReadOperation": "repro.core.fast_operations",
+    "QuorumRound": "repro.core.phases",
+    "Verifier": "repro.core.verification",
+    "VerificationStats": "repro.core.verification",
+    "Send": "repro.core.phases",
+    "Message": "repro.core.messages",
+    "message_to_wire": "repro.core.messages",
+    "message_from_wire": "repro.core.messages",
+    "message_wire_bytes": "repro.core.messages",
+    "wire_cache_stats": "repro.core.messages",
+    "ReadTsRequest": "repro.core.messages",
+    "ReadTsReply": "repro.core.messages",
+    "PrepareRequest": "repro.core.messages",
+    "PrepareReply": "repro.core.messages",
+    "WriteRequest": "repro.core.messages",
+    "WriteReply": "repro.core.messages",
+    "ReadRequest": "repro.core.messages",
+    "ReadReply": "repro.core.messages",
+    "ReadTsPrepRequest": "repro.core.messages",
+    "ReadTsPrepReply": "repro.core.messages",
+    "FastPrepRequest": "repro.core.messages",
+    "FastPrepReply": "repro.core.messages",
+    "FastWriteRequest": "repro.core.messages",
+    "FastWriteReply": "repro.core.messages",
+}
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -11,7 +11,10 @@ round-trips through :func:`repro.encoding.canonical_encode`.
 
 The registry maps kind tags to classes; the baselines, the shard layer and
 the two envelopes register their own message types through
-:func:`register_message` with the same field types.
+:func:`register_message` with the same field types.  :data:`MESSAGE_MODULES`
+names every module that declares kinds: the registry loads them, in that
+order, before it lists the kinds or refuses one, so whether a frame
+decodes never depends on what a process happened to import.
 
 Per the paper, replicas silently discard invalid requests — there are no
 negative acknowledgements — so the message set is exactly the requests and
@@ -23,6 +26,7 @@ the boundary, before any handler runs.
 from __future__ import annotations
 
 import dataclasses
+import importlib
 from dataclasses import dataclass
 from typing import Any, Callable, ClassVar, NamedTuple, Optional, TypeVar
 
@@ -231,6 +235,15 @@ class Message:
 
 _REGISTRY: dict[str, type[Message]] = {}
 
+#: The modules that declare message kinds, in wire-table order.
+MESSAGE_MODULES = (
+    "repro.core.messages",
+    "repro.core.multiobject",
+    "repro.baselines.messages",
+    "repro.shard.messages",
+)
+_declared_loaded = False
+
 M = TypeVar("M", bound=type[Message])
 
 
@@ -253,9 +266,29 @@ def register_message(cls: M) -> M:
     return cls
 
 
+def _load_declared_messages() -> None:
+    """Import every module in :data:`MESSAGE_MODULES` (once)."""
+    global _declared_loaded
+    if not _declared_loaded:
+        for module in MESSAGE_MODULES:
+            importlib.import_module(module)
+        _declared_loaded = True
+
+
 def registered_messages() -> dict[str, type[Message]]:
-    """Every registered message class by kind tag (a copy)."""
-    return dict(_REGISTRY)
+    """Every registered message class by kind tag (a copy).
+
+    The declared modules' kinds come first, in :data:`MESSAGE_MODULES`
+    order, then any kind registered elsewhere.
+    """
+    _load_declared_messages()
+    rank = {module: index for index, module in enumerate(MESSAGE_MODULES)}
+    return dict(
+        sorted(
+            _REGISTRY.items(),
+            key=lambda item: rank.get(item[1].__module__, len(rank)),
+        )
+    )
 
 
 def message_to_wire(message: Message) -> dict[str, Any]:
@@ -339,6 +372,9 @@ def message_from_wire(wire: Any) -> Message:
         raise ProtocolError(f"malformed message wire: {wire!r}")
     kind = wire["kind"]
     cls = _REGISTRY.get(kind) if isinstance(kind, str) else None
+    if cls is None and isinstance(kind, str):
+        _load_declared_messages()
+        cls = _REGISTRY.get(kind)
     if cls is None:
         raise ProtocolError(f"unknown message kind {kind!r}")
     return cls.from_wire(wire)

@@ -6,45 +6,29 @@ with two signature backends (a fast HMAC-based PKI simulation and a
 self-contained textbook RSA-FDH) behind one interface.
 """
 
-from repro.crypto.authenticators import MacAuthenticator
-from repro.crypto.commitments import (
-    ProofOfWriting,
-    make_commitment,
-    make_mac_row,
-    make_opening,
-    row_mac_for,
-    verify_opening,
-)
-from repro.crypto.hashing import DIGEST_SIZE, digest, digest_bytes, hash_value
-from repro.crypto.keys import KeyRegistry, PrivateCredential
-from repro.crypto.nonces import NonceSource, NonceTracker
-from repro.crypto.signatures import (
-    HmacSignatureScheme,
-    RsaSignatureScheme,
-    SchemeStats,
-    Signature,
-    SignatureScheme,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "DIGEST_SIZE",
-    "digest",
-    "digest_bytes",
-    "hash_value",
-    "KeyRegistry",
-    "PrivateCredential",
-    "NonceSource",
-    "NonceTracker",
-    "Signature",
-    "SignatureScheme",
-    "SchemeStats",
-    "HmacSignatureScheme",
-    "RsaSignatureScheme",
-    "MacAuthenticator",
-    "ProofOfWriting",
-    "make_opening",
-    "make_commitment",
-    "verify_opening",
-    "make_mac_row",
-    "row_mac_for",
-]
+_EXPORTS = {
+    "DIGEST_SIZE": "repro.crypto.hashing",
+    "digest": "repro.crypto.hashing",
+    "digest_bytes": "repro.crypto.hashing",
+    "hash_value": "repro.crypto.hashing",
+    "KeyRegistry": "repro.crypto.keys",
+    "PrivateCredential": "repro.crypto.keys",
+    "NonceSource": "repro.crypto.nonces",
+    "NonceTracker": "repro.crypto.nonces",
+    "Signature": "repro.crypto.signatures",
+    "SignatureScheme": "repro.crypto.signatures",
+    "SchemeStats": "repro.crypto.signatures",
+    "HmacSignatureScheme": "repro.crypto.signatures",
+    "RsaSignatureScheme": "repro.crypto.signatures",
+    "MacAuthenticator": "repro.crypto.authenticators",
+    "ProofOfWriting": "repro.crypto.commitments",
+    "make_opening": "repro.crypto.commitments",
+    "make_commitment": "repro.crypto.commitments",
+    "verify_opening": "repro.crypto.commitments",
+    "make_mac_row": "repro.crypto.commitments",
+    "row_mac_for": "repro.crypto.commitments",
+}
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

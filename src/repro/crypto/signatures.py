@@ -23,17 +23,14 @@ from abc import ABC, abstractmethod
 from collections import OrderedDict
 from dataclasses import dataclass, field
 import hmac
-from typing import Any, Optional
+from typing import TYPE_CHECKING, Any, Optional
 
 from repro.crypto.keys import KeyRegistry
-from repro.crypto.rsa import (
-    RsaPrivateKey,
-    generate_rsa_keypair,
-    rsa_sign,
-    rsa_verify,
-)
 from repro.encoding import intern_encode
 from repro.errors import CryptoError
+
+if TYPE_CHECKING:
+    from repro.crypto.rsa import RsaPrivateKey
 
 __all__ = [
     "Signature",
@@ -176,7 +173,11 @@ class RsaSignatureScheme(SignatureScheme):
         *,
         max_cached_keys: Optional[int] = 1024,
     ) -> None:
+        # The RSA arithmetic is loaded only by a deployment that signs with it.
+        from repro.crypto import rsa
+
         super().__init__(registry)
+        self._rsa = rsa
         self._bits = bits
         self._private: "OrderedDict[str, RsaPrivateKey]" = OrderedDict()
         self._max_cached_keys = max_cached_keys
@@ -186,7 +187,7 @@ class RsaSignatureScheme(SignatureScheme):
         key = self._private.get(node_id)
         if key is None:
             seed = self.registry.secret_for(node_id)
-            key = generate_rsa_keypair(seed, bits=self._bits)
+            key = self._rsa.generate_rsa_keypair(seed, bits=self._bits)
             self._private[node_id] = key
             if self._max_cached_keys is not None:
                 while len(self._private) > self._max_cached_keys:
@@ -197,8 +198,8 @@ class RsaSignatureScheme(SignatureScheme):
         return key
 
     def _sign(self, node_id: str, message: bytes) -> bytes:
-        return rsa_sign(self._keypair(node_id), message)
+        return self._rsa.rsa_sign(self._keypair(node_id), message)
 
     def _verify(self, signature: Signature, message: bytes) -> bool:
         public = self._keypair(signature.signer).public
-        return rsa_verify(public, message, signature.value)
+        return self._rsa.rsa_verify(public, message, signature.value)

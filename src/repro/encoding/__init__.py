@@ -13,30 +13,20 @@ repeatedly-encoded values (protocol statements, hashed values) so sign,
 verify, and hash all share one serialisation per distinct value.
 """
 
-from repro.encoding.canonical import (
-    EncodeStats,
-    canonical_decode,
-    canonical_encode,
-    encode_stats,
-)
-from repro.encoding.codec import FrameDecoder, decode_frame, encode_frame
-from repro.encoding.interning import (
-    InternStats,
-    intern_encode,
-    intern_stats,
-    reset_interning,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "canonical_encode",
-    "canonical_decode",
-    "EncodeStats",
-    "encode_stats",
-    "encode_frame",
-    "decode_frame",
-    "FrameDecoder",
-    "InternStats",
-    "intern_encode",
-    "intern_stats",
-    "reset_interning",
-]
+_EXPORTS = {
+    "canonical_encode": "repro.encoding.canonical",
+    "canonical_decode": "repro.encoding.canonical",
+    "EncodeStats": "repro.encoding.canonical",
+    "encode_stats": "repro.encoding.canonical",
+    "encode_frame": "repro.encoding.codec",
+    "decode_frame": "repro.encoding.codec",
+    "FrameDecoder": "repro.encoding.codec",
+    "InternStats": "repro.encoding.interning",
+    "intern_encode": "repro.encoding.interning",
+    "intern_stats": "repro.encoding.interning",
+    "reset_interning": "repro.encoding.interning",
+}
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -8,36 +8,23 @@ simulator (:mod:`repro.load.harness`) or over real asyncio TCP
 :mod:`repro.analysis.costs` capacity closed forms.
 """
 
-from repro.load.generator import Arrival, OpenLoopGenerator, zipf_weights
-from repro.load.harness import (
-    SimLoadHarness,
-    SimLoadOptions,
-    judge_slos,
-    run_open_loop,
-)
-from repro.load.profile import (
-    DEFAULT_SLOS,
-    BurstPhase,
-    LoadProfile,
-    LoadReport,
-    SloTarget,
-    SloVerdict,
-)
-from repro.load.tcp import run_tcp_load
+from repro._exports import lazy_exports
 
-__all__ = [
-    "Arrival",
-    "OpenLoopGenerator",
-    "zipf_weights",
-    "SimLoadHarness",
-    "SimLoadOptions",
-    "judge_slos",
-    "run_open_loop",
-    "BurstPhase",
-    "LoadProfile",
-    "LoadReport",
-    "SloTarget",
-    "SloVerdict",
-    "DEFAULT_SLOS",
-    "run_tcp_load",
-]
+_EXPORTS = {
+    "Arrival": "repro.load.generator",
+    "OpenLoopGenerator": "repro.load.generator",
+    "zipf_weights": "repro.load.generator",
+    "SimLoadHarness": "repro.load.harness",
+    "SimLoadOptions": "repro.load.harness",
+    "judge_slos": "repro.load.harness",
+    "run_open_loop": "repro.load.harness",
+    "BurstPhase": "repro.load.profile",
+    "LoadProfile": "repro.load.profile",
+    "LoadReport": "repro.load.profile",
+    "SloTarget": "repro.load.profile",
+    "SloVerdict": "repro.load.profile",
+    "DEFAULT_SLOS": "repro.load.profile",
+    "run_tcp_load": "repro.load.tcp",
+}
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -9,6 +9,12 @@
   routers, reconfigurators, bootstrap) over the same TCP framing.
 """
 
-from repro.net.simnet import LinkProfile, NetworkStats, SimNetwork
+from repro._exports import lazy_exports
 
-__all__ = ["SimNetwork", "LinkProfile", "NetworkStats"]
+_EXPORTS = {
+    "SimNetwork": "repro.net.simnet",
+    "LinkProfile": "repro.net.simnet",
+    "NetworkStats": "repro.net.simnet",
+}
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -21,12 +21,10 @@ import asyncio
 import os
 from collections import Counter
 from contextlib import nullcontext
-from typing import Any, Callable, Optional, Union
+from typing import TYPE_CHECKING, Any, Callable, Optional, Union
 
-from repro.core.client import BftBcClient
 from repro.core.config import SystemConfig
 from repro.core.messages import Message
-from repro.core.operations import Send
 from repro.core.replica import BftBcReplica
 from repro.encoding import FrameDecoder
 from repro.errors import EncodingError, OperationFailedError, ProtocolError
@@ -34,6 +32,10 @@ from repro.net.envelope import decode_envelope, encode_envelope
 from repro.net.mux import MuxEndpoint, PipelinedClient, drive
 from repro.obs.instrumentation import Instrumentation
 from repro.storage import FileLogStore
+
+if TYPE_CHECKING:
+    from repro.core.client import BftBcClient
+    from repro.core.phases import Send
 
 __all__ = ["ReplicaServer", "AsyncClient"]
 

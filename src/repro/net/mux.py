@@ -24,13 +24,15 @@ from __future__ import annotations
 
 import asyncio
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
-from repro.core.client import BftBcClient
-from repro.core.operations import Send
 from repro.encoding import FrameDecoder
 from repro.errors import EncodingError, NetworkError, OperationFailedError, ProtocolError
 from repro.net.envelope import decode_envelope, encode_envelope
+
+if TYPE_CHECKING:
+    from repro.core.client import BftBcClient
+    from repro.core.phases import Send
 
 __all__ = ["MuxEndpoint", "drive", "PipelinedClient", "OpRecord"]
 

@@ -10,48 +10,26 @@ op/phase/handler :class:`Span` trees, bounded mergeable
 :mod:`repro.errors`.
 """
 
-from repro.obs.histograms import (
-    DEFAULT_BUCKETS,
-    DEFAULT_GROWTH,
-    DEFAULT_MIN_BOUND,
-    LatencyHistogram,
-)
-from repro.obs.instrumentation import (
-    NULL_INSTRUMENTATION,
-    Instrumentation,
-    ObservabilityError,
-)
-from repro.obs.export import (
-    render_phase_table,
-    render_prometheus,
-    spans_to_jsonl,
-    write_spans_jsonl,
-)
-from repro.obs.spans import (
-    NULL_SPAN,
-    InMemorySpanRecorder,
-    NullSpanRecorder,
-    Span,
-    SpanHandle,
-    SpanRecorder,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "Instrumentation",
-    "NULL_INSTRUMENTATION",
-    "ObservabilityError",
-    "Span",
-    "SpanHandle",
-    "NULL_SPAN",
-    "SpanRecorder",
-    "NullSpanRecorder",
-    "InMemorySpanRecorder",
-    "LatencyHistogram",
-    "DEFAULT_MIN_BOUND",
-    "DEFAULT_GROWTH",
-    "DEFAULT_BUCKETS",
-    "spans_to_jsonl",
-    "write_spans_jsonl",
-    "render_prometheus",
-    "render_phase_table",
-]
+_EXPORTS = {
+    "Instrumentation": "repro.obs.instrumentation",
+    "NULL_INSTRUMENTATION": "repro.obs.instrumentation",
+    "ObservabilityError": "repro.obs.instrumentation",
+    "Span": "repro.obs.spans",
+    "SpanHandle": "repro.obs.spans",
+    "NULL_SPAN": "repro.obs.spans",
+    "SpanRecorder": "repro.obs.spans",
+    "NullSpanRecorder": "repro.obs.spans",
+    "InMemorySpanRecorder": "repro.obs.spans",
+    "LatencyHistogram": "repro.obs.histograms",
+    "DEFAULT_MIN_BOUND": "repro.obs.histograms",
+    "DEFAULT_GROWTH": "repro.obs.histograms",
+    "DEFAULT_BUCKETS": "repro.obs.histograms",
+    "spans_to_jsonl": "repro.obs.export",
+    "write_spans_jsonl": "repro.obs.export",
+    "render_prometheus": "repro.obs.export",
+    "render_phase_table": "repro.obs.export",
+}
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

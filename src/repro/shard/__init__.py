@@ -19,36 +19,24 @@ snapshot/WAL export of :mod:`repro.storage`, validated by recomputing
 certificate before any transferred state is adopted.
 """
 
-from repro.shard.directory import ShardConfig, DirectoryEntry, ShardDirectory
-from repro.shard.messages import (
-    ConfigSignReply,
-    ConfigSignRequest,
-    DirectoryReply,
-    DirectoryRequest,
-    InstallEpochAck,
-    InstallEpochRequest,
-    StateTransferReply,
-    StateTransferRequest,
-)
-from repro.shard.reconfig import Reconfigurator
-from repro.shard.replica import ShardReplica
-from repro.shard.ring import HashRing
-from repro.shard.router import ShardRouter
+from repro._exports import lazy_exports
 
-__all__ = [
-    "HashRing",
-    "ShardConfig",
-    "DirectoryEntry",
-    "ShardDirectory",
-    "ShardReplica",
-    "ShardRouter",
-    "Reconfigurator",
-    "DirectoryRequest",
-    "DirectoryReply",
-    "ConfigSignRequest",
-    "ConfigSignReply",
-    "InstallEpochRequest",
-    "InstallEpochAck",
-    "StateTransferRequest",
-    "StateTransferReply",
-]
+_EXPORTS = {
+    "HashRing": "repro.shard.ring",
+    "ShardConfig": "repro.shard.directory",
+    "DirectoryEntry": "repro.shard.directory",
+    "ShardDirectory": "repro.shard.directory",
+    "ShardReplica": "repro.shard.replica",
+    "ShardRouter": "repro.shard.router",
+    "Reconfigurator": "repro.shard.reconfig",
+    "DirectoryRequest": "repro.shard.messages",
+    "DirectoryReply": "repro.shard.messages",
+    "ConfigSignRequest": "repro.shard.messages",
+    "ConfigSignReply": "repro.shard.messages",
+    "InstallEpochRequest": "repro.shard.messages",
+    "InstallEpochAck": "repro.shard.messages",
+    "StateTransferRequest": "repro.shard.messages",
+    "StateTransferReply": "repro.shard.messages",
+}
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -5,71 +5,44 @@ metrics, history recording, and the cluster runner used by every test,
 example, and benchmark.
 """
 
-from repro.sim.explorer import ExplorationResult, ScheduleExplorer
-from repro.sim.faults import FAULT_OPS, FaultOp, FaultParam, FaultSchedule
-from repro.sim.metrics import MetricsCollector, OperationSample, Summary
-from repro.sim.multi_node import MultiObjectClientNode, MultiScriptStep
-from repro.sim.nodes import ClientNode, ReplicaHost, ReplicaNode, ScriptStep
-from repro.sim.recorder import HistoryRecorder
-from repro.sim.runner import (
-    Cluster,
-    ClusterOptions,
-    SimHarness,
-    VARIANTS,
-    build_cluster,
-)
-from repro.sim.scheduler import EventHandle, Scheduler
-from repro.sim.shard_cluster import (
-    ShardCluster,
-    ShardClusterOptions,
-    build_shard_cluster,
-)
-from repro.sim.tracing import MessageTrace, TraceEvent
-from repro.sim.workload import (
-    alternating_script,
-    make_scripts,
-    mixed_script,
-    read_script,
-    value_for,
-    write_script,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "Scheduler",
-    "EventHandle",
-    "SimulationError",
-    "ClientNode",
-    "ReplicaHost",
-    "ReplicaNode",
-    "ScriptStep",
-    "MultiObjectClientNode",
-    "MultiScriptStep",
-    "HistoryRecorder",
-    "MetricsCollector",
-    "OperationSample",
-    "Summary",
-    "FaultSchedule",
-    "FaultOp",
-    "FaultParam",
-    "FAULT_OPS",
-    "ShardCluster",
-    "ShardClusterOptions",
-    "build_shard_cluster",
-    "ScheduleExplorer",
-    "ExplorationResult",
-    "MessageTrace",
-    "TraceEvent",
-    "SimHarness",
-    "Cluster",
-    "ClusterOptions",
-    "build_cluster",
-    "VARIANTS",
-    "value_for",
-    "write_script",
-    "read_script",
-    "alternating_script",
-    "mixed_script",
-    "make_scripts",
-]
+_EXPORTS = {
+    "Scheduler": "repro.sim.scheduler",
+    "EventHandle": "repro.sim.scheduler",
+    "SimulationError": "repro.errors",
+    "ClientNode": "repro.sim.nodes",
+    "ReplicaHost": "repro.sim.nodes",
+    "ReplicaNode": "repro.sim.nodes",
+    "ScriptStep": "repro.sim.nodes",
+    "MultiObjectClientNode": "repro.sim.multi_node",
+    "MultiScriptStep": "repro.sim.multi_node",
+    "HistoryRecorder": "repro.sim.recorder",
+    "MetricsCollector": "repro.sim.metrics",
+    "OperationSample": "repro.sim.metrics",
+    "Summary": "repro.sim.metrics",
+    "FaultSchedule": "repro.sim.faults",
+    "FaultOp": "repro.sim.faults",
+    "FaultParam": "repro.sim.faults",
+    "FAULT_OPS": "repro.sim.faults",
+    "ShardCluster": "repro.sim.shard_cluster",
+    "ShardClusterOptions": "repro.sim.shard_cluster",
+    "build_shard_cluster": "repro.sim.shard_cluster",
+    "ScheduleExplorer": "repro.sim.explorer",
+    "ExplorationResult": "repro.sim.explorer",
+    "MessageTrace": "repro.sim.tracing",
+    "TraceEvent": "repro.sim.tracing",
+    "SimHarness": "repro.sim.runner",
+    "Cluster": "repro.sim.runner",
+    "ClusterOptions": "repro.sim.runner",
+    "build_cluster": "repro.sim.runner",
+    "VARIANTS": "repro.sim.runner",
+    "value_for": "repro.sim.workload",
+    "write_script": "repro.sim.workload",
+    "read_script": "repro.sim.workload",
+    "alternating_script": "repro.sim.workload",
+    "mixed_script": "repro.sim.workload",
+    "make_scripts": "repro.sim.workload",
+}
 
-from repro.errors import SimulationError  # noqa: E402  (re-export for convenience)
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

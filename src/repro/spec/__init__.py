@@ -7,41 +7,24 @@
   with the ``max-b`` lurking-write bound) and the §7.1 plus-form.
 """
 
-from repro.spec.bft_linearizability import (
-    BftCheckResult,
-    check_bft_linearizable,
-    check_bft_linearizable_plus,
-    count_lurking_writes,
-    default_attribution,
-)
-from repro.spec.histories import (
-    Event,
-    History,
-    Invocation,
-    OperationRecord,
-    Response,
-    StopEvent,
-)
-from repro.spec.invariants import Lemma1Report, check_lemma1
-from repro.spec.linearizability import (
-    LinearizabilityReport,
-    check_register_linearizable,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "History",
-    "Invocation",
-    "Response",
-    "StopEvent",
-    "Event",
-    "OperationRecord",
-    "LinearizabilityReport",
-    "check_register_linearizable",
-    "BftCheckResult",
-    "check_bft_linearizable",
-    "check_bft_linearizable_plus",
-    "count_lurking_writes",
-    "default_attribution",
-    "Lemma1Report",
-    "check_lemma1",
-]
+_EXPORTS = {
+    "History": "repro.spec.histories",
+    "Invocation": "repro.spec.histories",
+    "Response": "repro.spec.histories",
+    "StopEvent": "repro.spec.histories",
+    "Event": "repro.spec.histories",
+    "OperationRecord": "repro.spec.histories",
+    "LinearizabilityReport": "repro.spec.linearizability",
+    "check_register_linearizable": "repro.spec.linearizability",
+    "BftCheckResult": "repro.spec.bft_linearizability",
+    "check_bft_linearizable": "repro.spec.bft_linearizability",
+    "check_bft_linearizable_plus": "repro.spec.bft_linearizability",
+    "count_lurking_writes": "repro.spec.bft_linearizability",
+    "default_attribution": "repro.spec.bft_linearizability",
+    "Lemma1Report": "repro.spec.invariants",
+    "check_lemma1": "repro.spec.invariants",
+}
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

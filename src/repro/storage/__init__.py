@@ -23,26 +23,19 @@ wire values and never import protocol types.  The mapping between replica
 state and wire records lives in :mod:`repro.core.persistence`.
 """
 
-from repro.storage.base import MemoryStore, ReplicaStore, StorageStats
-from repro.storage.filelog import FileLogStore
-from repro.storage.integrity import (
-    SNAPSHOT_DOMAIN,
-    TAG_SIZE,
-    WAL_RECORD_DOMAIN,
-    integrity_tag,
-    seal,
-    unseal,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "ReplicaStore",
-    "StorageStats",
-    "MemoryStore",
-    "FileLogStore",
-    "TAG_SIZE",
-    "WAL_RECORD_DOMAIN",
-    "SNAPSHOT_DOMAIN",
-    "integrity_tag",
-    "seal",
-    "unseal",
-]
+_EXPORTS = {
+    "ReplicaStore": "repro.storage.base",
+    "StorageStats": "repro.storage.base",
+    "MemoryStore": "repro.storage.base",
+    "FileLogStore": "repro.storage.filelog",
+    "TAG_SIZE": "repro.storage.integrity",
+    "WAL_RECORD_DOMAIN": "repro.storage.integrity",
+    "SNAPSHOT_DOMAIN": "repro.storage.integrity",
+    "integrity_tag": "repro.storage.integrity",
+    "seal": "repro.storage.integrity",
+    "unseal": "repro.storage.integrity",
+}
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

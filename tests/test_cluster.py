@@ -37,7 +37,7 @@ from repro.cluster import (
 from repro.cluster.process import replica_data_dir, serve_command
 from repro.core import BftBcClient
 from repro.core.timestamp import Timestamp
-from repro.errors import NetworkError, QuorumConfigError
+from repro.errors import NetworkError, OperationFailedError, QuorumConfigError
 from repro.net.asyncio_transport import AsyncClient
 from repro.net.mux import PipelinedClient
 
@@ -349,6 +349,32 @@ class TestReplicaGroup:
         (group,) = seen
         assert list(group.servers) == ["replica:0", "replica:1"]
         assert all(s._server is None for s in group.servers.values())
+
+
+class TestRedeployOnAUsedDataDir:
+    @pytest.mark.xfail(
+        strict=True,
+        raises=OperationFailedError,
+        reason=(
+            "known liveness hole: socket deployments always name their "
+            "pipeline clients client:pipe{i}, so a second handle on a used "
+            "data_dir starts those identities with no write certificate "
+            "while the replicas still hold the first handle's prepared "
+            "entry; every replica discards the new prepare as plist-conflict "
+            "until op_timeout.  How a restarted correct client proves its "
+            "last write is open."
+        ),
+    )
+    def test_a_second_handle_on_the_same_data_dir_can_write(self, tmp_path):
+        spec = DeploymentSpec(
+            transport="tcp", store="file", seed=1, pipeline=1, data_dir=str(tmp_path)
+        )
+        with deploy(spec) as first:
+            first.write("first")
+        with deploy(spec) as second:
+            # The hole stalls rather than errs: fail after one second, not 30.
+            second._pipe.op_timeout = 1.0
+            second.write("second")
 
 
 def _wait(predicate, timeout: float = 30.0, interval: float = 0.05) -> None:

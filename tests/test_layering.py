@@ -383,6 +383,31 @@ def test_checker_flags_synthetic_violation(tmp_path):
     assert ("repro.crypto.bad", "repro.core.replica", 1, 3) in violations
 
 
+def test_checker_reads_export_tables_as_imports(tmp_path):
+    """A package's ``_EXPORTS`` table stands for the imports it names: an
+    entry reaching up a layer is an upward edge, and an entry naming a
+    module that does not exist is flagged."""
+    core = tmp_path / "repro" / "core"
+    core.mkdir(parents=True)
+    (tmp_path / "repro" / "sim").mkdir()
+    (tmp_path / "repro" / "sim" / "runner.py").write_text("def build_cluster(): ...\n")
+    (core / "config.py").write_text("class Variant: ...\n")
+    (core / "__init__.py").write_text(
+        "_EXPORTS = {\n"
+        "    'Variant': 'repro.core.config',\n"
+        "    'build_cluster': 'repro.sim.runner',\n"
+        "    'Ghost': 'repro.core.ghost',\n"
+        "}\n"
+    )
+    assert check_layering.find_violations(tmp_path) == [
+        ("repro.core", "repro.sim.runner", 3, 5)
+    ]
+    assert check_layering.find_dangling_exports(tmp_path) == [
+        ("repro.core", "Ghost", "repro.core.ghost")
+    ]
+    assert check_layering.find_dangling_exports() == []
+
+
 def test_checker_resolves_relative_imports(tmp_path):
     """Relative imports are resolved to absolute names before layering."""
     core = tmp_path / "repro" / "core"

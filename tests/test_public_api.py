@@ -23,6 +23,27 @@ def test_check_public_api_passes():
     assert result.returncode == 0, result.stdout + result.stderr
 
 
+def test_export_tables_name_modules_that_define_each_name(tmp_path):
+    """Checked from source, without importing: a table entry whose module
+    does not define the name (a typo) is reported."""
+    sys.path.insert(0, str(ROOT / "tools"))
+    import check_public_api
+
+    assert check_public_api.undefined_exports() == []
+    pkg = tmp_path / "repro" / "obs"
+    pkg.mkdir(parents=True)
+    (pkg / "spans.py").write_text("class Span: ...\nNULL_SPAN = Span()\n")
+    (pkg / "__init__.py").write_text(
+        "_EXPORTS = {\n"
+        "    'Span': 'repro.obs.spans',\n"
+        "    'NULL_SPAN': 'repro.obs.spans',\n"
+        "    'Spam': 'repro.obs.spans',\n"
+        "}\n"
+    )
+    problems = check_public_api.undefined_exports(tmp_path)
+    assert len(problems) == 1 and "'Spam'" in problems[0]
+
+
 def test_facade_exports_resolve():
     import repro
 

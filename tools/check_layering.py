@@ -27,7 +27,11 @@ transport-agnostic: the simulator, asyncio transport, and chaos engine
 (layer 5) host shard roles, never the reverse.  Imports are discovered by parsing every
 source file under ``src/repro`` with :mod:`ast` — including imports inside
 ``TYPE_CHECKING`` blocks and function bodies, so lazy imports cannot hide a
-cycle-in-waiting.
+cycle-in-waiting.  A package ``__init__`` imports through its ``_EXPORTS``
+table (name -> defining module, resolved on first access by
+:mod:`repro._exports`), so each table entry counts as an import of its
+module, and an entry naming a module that does not exist is flagged
+(:func:`find_dangling_exports`).
 
 Thirteen further rules keep deleted duplication from growing back
 (:func:`find_duplication`): the TCP client stack lives in one module, so
@@ -95,6 +99,7 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 #: Longest-prefix match decides a module's layer.
 LAYERS: dict[str, int] = {
     "repro.errors": 0,
+    "repro._exports": 0,
     "repro.encoding": 0,
     "repro.encoding.interning": 0,
     "repro.crypto": 1,
@@ -286,10 +291,58 @@ def module_name_for(path: pathlib.Path, root: pathlib.Path) -> str:
     return ".".join(parts)
 
 
+def export_table(tree: ast.Module) -> dict[str, str]:
+    """The ``_EXPORTS`` table a package ``__init__`` declares: name -> module."""
+    for node in tree.body:
+        if (
+            isinstance(node, ast.Assign)
+            and any(getattr(target, "id", None) == "_EXPORTS" for target in node.targets)
+            and isinstance(node.value, ast.Dict)
+        ):
+            return {
+                key.value: value.value
+                for key, value in zip(node.value.keys, node.value.values)
+                if isinstance(key, ast.Constant) and isinstance(value, ast.Constant)
+            }
+    return {}
+
+
+def export_tables(src: pathlib.Path = SRC) -> dict[str, dict[str, str]]:
+    """Every package's export table, by package name."""
+    tables = {}
+    for path in sorted(src.rglob("__init__.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        table = export_table(tree)
+        if table:
+            tables[module_name_for(path, src)] = table
+    return tables
+
+
+def module_path(module: str, src: pathlib.Path = SRC) -> pathlib.Path | None:
+    """The source file of ``module`` under ``src``; None if there is none."""
+    base = src.joinpath(*module.split("."))
+    for candidate in (base.with_suffix(".py"), base / "__init__.py"):
+        if candidate.is_file():
+            return candidate
+    return None
+
+
+def find_dangling_exports(src: pathlib.Path = SRC) -> list[tuple[str, str, str]]:
+    """Export-table entries whose module has no source file:
+    (package, name, module)."""
+    return [
+        (package, name, module)
+        for package, table in export_tables(src).items()
+        for name, module in table.items()
+        if module_path(module, src) is None
+    ]
+
+
 def imports_of(path: pathlib.Path, importer: str) -> set[str]:
-    """Every absolute ``repro.*`` module imported anywhere in ``path``."""
+    """Every absolute ``repro.*`` module imported anywhere in ``path``,
+    counting each export-table entry as an import of its module."""
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    found: set[str] = set()
+    found: set[str] = set(export_table(tree).values())
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
@@ -481,6 +534,7 @@ def find_duplication(src: pathlib.Path = SRC) -> list[tuple[str, int, str]]:
 def main() -> int:
     violations = find_violations()
     duplication = find_duplication()
+    dangling = find_dangling_exports()
     if violations:
         print("layering violations (importer -> imported, layers):")
         for importer, imported, il, tl in violations:
@@ -495,7 +549,11 @@ def main() -> int:
         )
         for module, line, what in duplication:
             print(f"  {module}:{line} {what}")
-    if violations or duplication:
+    if dangling:
+        print("export-table entries naming a missing module:")
+        for package, name, module in dangling:
+            print(f"  {package}: {name!r} -> {module}")
+    if violations or duplication or dangling:
         return 1
     print("layering ok")
     return 0

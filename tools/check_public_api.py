@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Enforce the public-API boundary introduced by the ``repro`` facade.
 
-Three checks, all driven by the same sources of truth:
+Four checks, all driven by the same sources of truth:
 
 1. **Examples use the facade only.**  Every ``examples/*.py`` file may
    import ``repro`` itself and nothing deeper — the examples are the
@@ -14,6 +14,10 @@ Three checks, all driven by the same sources of truth:
    the facade must be exactly the names documented in the ``## `repro```
    section — if the facade grows or shrinks, the docs must be
    regenerated in the same change.
+4. **Every export-table entry is defined where it says.**  Each package's
+   ``_EXPORTS`` table (name -> defining module, read without importing
+   anything) must name a module under ``src/repro`` whose top level
+   defines that name, so a typo fails here instead of at first access.
 
 Run:  python tools/check_public_api.py
 Exit status 0 when clean, 1 with a per-violation listing otherwise.
@@ -30,6 +34,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "tools"))
 
+from check_layering import SRC, export_tables, module_path  # noqa: E402
 from gen_api_docs import MODULES  # noqa: E402
 
 
@@ -49,6 +54,42 @@ def repro_imports(path: pathlib.Path) -> list[tuple[int, str]]:
             ):
                 found.append((node.lineno, module))
     return found
+
+
+def top_level_names(path: pathlib.Path) -> set[str]:
+    """Names ``path`` defines at module level (def, class, assignment)."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    names: set[str] = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(
+                leaf.id
+                for target in targets
+                for leaf in ast.walk(target)
+                if isinstance(leaf, ast.Name)
+            )
+    return names
+
+
+def undefined_exports(src: pathlib.Path = SRC) -> list[str]:
+    """Export-table entries whose module is missing or does not define the
+    name, checked statically."""
+    problems = []
+    defined: dict[str, set[str]] = {}
+    for package, table in export_tables(src).items():
+        for name, module in table.items():
+            if module not in defined:
+                path = module_path(module, src)
+                defined[module] = top_level_names(path) if path else set()
+            if name not in defined[module]:
+                problems.append(
+                    f"{package}._EXPORTS: {name!r} -> {module!r}, which does "
+                    "not define it"
+                )
+    return problems
 
 
 def allowed_modules() -> set[str]:
@@ -97,6 +138,8 @@ def main() -> int:
                         f"{path.relative_to(ROOT)}:{lineno}: {module!r} is not "
                         "a documented public module (tools/gen_api_docs.py)"
                     )
+
+    problems.extend(undefined_exports())
 
     import repro
 
