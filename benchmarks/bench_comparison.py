@@ -112,10 +112,10 @@ def test_e8_null_reads_under_partial_writes(benchmark):
             value = ("client:evil", index, None)
             vh = hash_value(value)
             echo_sigs = tuple(
-                config.scheme.sign_statement(rid, phx_echo_statement(ts, vh))
+                config.scheme.sign(rid, phx_echo_statement(ts, vh))
                 for rid in rids[:4]
             )
-            wsig = config.scheme.sign_statement(
+            wsig = config.scheme.sign(
                 "client:evil", phx_write_request_statement(value, ts)
             )
             phx.replicas[rids[index]].handle(

@@ -36,7 +36,7 @@ def prepare_cert(config):
     vh = hash_value(("v", 1))
     statement = prepare_reply_statement(ts, vh)
     sigs = tuple(
-        config.scheme.sign_statement(f"replica:{i}", statement) for i in range(3)
+        config.scheme.sign(f"replica:{i}", statement) for i in range(3)
     )
     return PrepareCertificate(ts=ts, value_hash=vh, signatures=sigs)
 
@@ -60,24 +60,24 @@ def test_canonical_round_trip(benchmark):
 
 def test_hmac_sign(benchmark, config):
     statement = prepare_reply_statement(Timestamp(1, "client:a"), b"\x02" * 32)
-    benchmark(config.scheme.sign_statement, "replica:0", statement)
+    benchmark(config.scheme.sign, "replica:0", statement)
 
 
 def test_hmac_verify(benchmark, config):
     statement = prepare_reply_statement(Timestamp(1, "client:a"), b"\x02" * 32)
-    sig = config.scheme.sign_statement("replica:0", statement)
-    benchmark(config.scheme.verify_statement, sig, statement)
+    sig = config.scheme.sign("replica:0", statement)
+    benchmark(config.scheme.verify, sig, statement)
 
 
 def test_rsa_sign(benchmark, rsa_config):
     statement = prepare_reply_statement(Timestamp(1, "client:a"), b"\x02" * 32)
-    benchmark(rsa_config.scheme.sign_statement, "replica:0", statement)
+    benchmark(rsa_config.scheme.sign, "replica:0", statement)
 
 
 def test_rsa_verify(benchmark, rsa_config):
     statement = prepare_reply_statement(Timestamp(1, "client:a"), b"\x02" * 32)
-    sig = rsa_config.scheme.sign_statement("replica:0", statement)
-    benchmark(rsa_config.scheme.verify_statement, sig, statement)
+    sig = rsa_config.scheme.sign("replica:0", statement)
+    benchmark(rsa_config.scheme.verify, sig, statement)
 
 
 def test_prepare_certificate_validation(benchmark, config, prepare_cert):

@@ -63,8 +63,8 @@ class BqsReplica:
         self.writer_sig: Optional[Signature] = None
         self.stats = BqsReplicaStats()
 
-    def _sign(self, statement: Any) -> Signature:
-        return self.config.scheme.sign_statement(self.node_id, statement)
+    def _sign(self, statement: bytes) -> Signature:
+        return self.config.scheme.sign(self.node_id, statement)
 
     def handle(self, sender: str, message: Message) -> Optional[Message]:
         self.stats.handled[message.KIND] += 1
@@ -97,7 +97,7 @@ class BqsReplica:
             self.stats.discards["unauthorized"] += 1
             return None
         statement = bqs_write_statement(message.ts, hash_value(message.value))
-        if not self.config.verifier.verify_statement(message.writer_sig, statement):
+        if not self.config.verifier.verify(message.writer_sig, statement):
             self.stats.discards["bad-signature"] += 1
             return None
         # NOTE the vulnerability this baseline exists to demonstrate: the
@@ -142,7 +142,7 @@ class BqsWriteOperation(Operation):
         if message.signature.signer != sender:
             return None
         statement = bqs_read_ts_reply_statement(message.ts, message.nonce)
-        if not self.config.verifier.verify_statement(message.signature, statement):
+        if not self.config.verifier.verify(message.signature, statement):
             return None
         return message.ts
 
@@ -154,7 +154,7 @@ class BqsWriteOperation(Operation):
         if message.signature.signer != sender:
             return None
         statement = bqs_write_reply_statement(message.ts)
-        if not self.config.verifier.verify_statement(message.signature, statement):
+        if not self.config.verifier.verify(message.signature, statement):
             return None
         return message.signature
 
@@ -207,14 +207,14 @@ class BqsReadOperation(Operation):
         if message.signature.signer != sender:
             return None
         statement = bqs_read_reply_statement(message.value, message.ts, message.nonce)
-        if not self.config.verifier.verify_statement(message.signature, statement):
+        if not self.config.verifier.verify(message.signature, statement):
             return None
         if message.ts == ZERO_TS:
             return message if message.value is None else None
         if message.writer_sig is None:
             return None
         writer_statement = bqs_write_statement(message.ts, hash_value(message.value))
-        if not self.config.verifier.verify_statement(
+        if not self.config.verifier.verify(
             message.writer_sig, writer_statement
         ):
             return None
@@ -227,7 +227,7 @@ class BqsReadOperation(Operation):
         if message.signature.signer != sender:
             return None
         statement = bqs_write_reply_statement(message.ts)
-        if not self.config.verifier.verify_statement(message.signature, statement):
+        if not self.config.verifier.verify(message.signature, statement):
             return None
         return message.signature
 

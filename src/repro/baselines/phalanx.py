@@ -82,8 +82,8 @@ class PhalanxReplica:
         self.echo_log: dict[tuple[str, tuple], bytes] = {}
         self.stats = PhalanxReplicaStats()
 
-    def _sign(self, statement: Any) -> Signature:
-        return self.config.scheme.sign_statement(self.node_id, statement)
+    def _sign(self, statement: bytes) -> Signature:
+        return self.config.scheme.sign(self.node_id, statement)
 
     def handle(self, sender: str, message: Message) -> Optional[Message]:
         self.stats.handled[message.KIND] += 1
@@ -117,7 +117,7 @@ class PhalanxReplica:
             self.stats.discards["unauthorized"] += 1
             return None
         statement = phx_echo_request_statement(message.ts, message.value_hash)
-        if not self.config.verifier.verify_statement(message.signature, statement):
+        if not self.config.verifier.verify(message.signature, statement):
             self.stats.discards["bad-signature"] += 1
             return None
         key = (client, message.ts.to_wire())
@@ -142,7 +142,7 @@ class PhalanxReplica:
             self.stats.discards["unauthorized"] += 1
             return None
         statement = phx_write_request_statement(message.value, message.ts)
-        if not self.config.verifier.verify_statement(message.signature, statement):
+        if not self.config.verifier.verify(message.signature, statement):
             self.stats.discards["bad-signature"] += 1
             return None
         value_hash = hash_value(message.value)
@@ -151,7 +151,7 @@ class PhalanxReplica:
         for sig in message.echo_sigs:
             if not self.config.quorums.is_replica(sig.signer):
                 continue
-            if not self.config.verifier.verify_statement(sig, echo_statement):
+            if not self.config.verifier.verify(sig, echo_statement):
                 continue
             signers.add(sig.signer)
         if len(signers) < self.config.quorum_size:
@@ -194,7 +194,7 @@ class PhalanxWriteOperation(Operation):
         if message.signature.signer != sender:
             return None
         statement = phx_read_ts_reply_statement(message.ts, message.nonce)
-        if not self.config.verifier.verify_statement(message.signature, statement):
+        if not self.config.verifier.verify(message.signature, statement):
             return None
         return message.ts
 
@@ -206,7 +206,7 @@ class PhalanxWriteOperation(Operation):
         if message.signature.signer != sender:
             return None
         statement = phx_echo_statement(message.ts, message.value_hash)
-        if not self.config.verifier.verify_statement(message.signature, statement):
+        if not self.config.verifier.verify(message.signature, statement):
             return None
         return message.signature
 
@@ -218,7 +218,7 @@ class PhalanxWriteOperation(Operation):
         if message.signature.signer != sender:
             return None
         statement = phx_write_reply_statement(message.ts)
-        if not self.config.verifier.verify_statement(message.signature, statement):
+        if not self.config.verifier.verify(message.signature, statement):
             return None
         return message.signature
 
@@ -279,7 +279,7 @@ class PhalanxReadOperation(Operation):
         if message.signature.signer != sender:
             return None
         statement = phx_read_reply_statement(message.value, message.ts, message.nonce)
-        if not self.config.verifier.verify_statement(message.signature, statement):
+        if not self.config.verifier.verify(message.signature, statement):
             return None
         return message
 

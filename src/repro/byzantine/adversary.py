@@ -167,7 +167,7 @@ class Adversary:
         self,
         request: Any,
         reply_cls: type,
-        statement: Any,
+        statement: bytes,
         targets: Optional[tuple[str, ...]] = None,
     ) -> QuorumRound:
         """``request`` asks each replica to sign ``statement`` for its
@@ -205,10 +205,10 @@ class Adversary:
 
     # -- signing (legitimate, with keys the adversary owns) ----------------------
 
-    def sign(self, statement: Any, signer: Optional[str] = None) -> Signature:
-        return self.config.scheme.sign_statement(signer or self.node_id, statement)
+    def sign(self, statement: bytes, signer: Optional[str] = None) -> Signature:
+        return self.config.scheme.sign(signer or self.node_id, statement)
 
-    def _signed_by(self, src: str, signature: Signature, statement: Any) -> bool:
-        return signature.signer == src and self.config.scheme.verify_statement(
+    def _signed_by(self, src: str, signature: Signature, statement: bytes) -> bool:
+        return signature.signer == src and self.config.scheme.verify(
             signature, statement
         )

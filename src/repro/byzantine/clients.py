@@ -46,6 +46,7 @@ from repro.core.statements import (
 )
 from repro.core.timestamp import Timestamp
 from repro.crypto.hashing import hash_value
+from repro.encoding import canonical_encode
 from repro.errors import KeyRevokedError
 
 __all__ = [
@@ -98,7 +99,7 @@ class _SignedPrepares(Adversary):
         def valid(src: str, message: Message) -> Optional[ReadTsReply]:
             if not isinstance(message, ReadTsReply) or message.nonce != nonce:
                 return None
-            statement = read_ts_reply_statement(message.cert.to_wire(), nonce)
+            statement = read_ts_reply_statement(message.cert, nonce)
             signed = self._signed_by(src, message.signature, statement)
             return message if signed else None
 
@@ -131,10 +132,7 @@ class _SignedPrepares(Adversary):
         """A signed PREPARE for ``(ts, h(value))`` on top of ``prev``; the
         round's votes are the PREPARE-REPLY signatures."""
         value_hash = hash_value(value)
-        justify_wire = None if justify is None else justify.to_wire()
-        statement = prepare_request_statement(
-            prev.to_wire(), ts, value_hash, None, justify_wire
-        )
+        statement = prepare_request_statement(prev, ts, value_hash, None, justify)
         request = PrepareRequest(
             prev_cert=prev,
             ts=ts,
@@ -369,7 +367,7 @@ class Colluder(Adversary):
 def sign_after_revocation_fails(actor: Adversary) -> bool:
     """Helper for tests: a stopped client can no longer produce signatures."""
     try:
-        actor.sign(("probe",))
+        actor.sign(canonical_encode(("probe",)))
     except KeyRevokedError:
         return True
     return False
@@ -435,7 +433,7 @@ class CollusionChainAttack(_SignedPrepares):
 
         def linked() -> list[Send]:
             cert = self._certificate(round_)
-            statement = write_request_statement(value, cert.to_wire())
+            statement = write_request_statement(value, cert)
             request = WriteRequest(
                 value=value, prepare_cert=cert, signature=self.sign(statement, member)
             )

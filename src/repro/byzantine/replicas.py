@@ -80,7 +80,7 @@ class PromiscuousReplica(BftBcReplica):
     """
 
     def _handle_prepare(self, message: PrepareRequest) -> Optional[PrepareReply]:
-        signature = self.config.scheme.sign_statement(
+        signature = self.config.scheme.sign(
             self.node_id,
             prepare_reply_statement(message.ts, message.value_hash),
         )
@@ -96,8 +96,7 @@ class CorruptingReplica(BftBcReplica):
 
     def _handle_read(self, message: ReadRequest) -> ReadReply:
         garbage = ("corrupt", self.node_id)
-        cert_wire = self.pcert.to_wire()
-        signature = self._sign(read_reply_statement(garbage, cert_wire, message.nonce))
+        signature = self._sign(read_reply_statement(garbage, self.pcert, message.nonce))
         return ReadReply(
             value=garbage,
             cert=self.pcert,
@@ -122,9 +121,7 @@ class ForgingReplica(BftBcReplica):
         fake_cert = PrepareCertificate(
             ts=fake_ts, value_hash=fake_hash, signatures=fake_sigs
         )
-        signature = self._sign(
-            read_ts_reply_statement(fake_cert.to_wire(), message.nonce)
-        )
+        signature = self._sign(read_ts_reply_statement(fake_cert, message.nonce))
         return ReadTsReply(
             cert=fake_cert,
             nonce=message.nonce,
@@ -173,7 +170,7 @@ class TwoFacedReplica(BftBcReplica):
         if self._previous is not None and self._flip % 2 == 0:
             old_data, old_cert = self._previous
             signature = self._sign(
-                read_reply_statement(old_data, old_cert.to_wire(), message.nonce)
+                read_reply_statement(old_data, old_cert, message.nonce)
             )
             return ReadReply(
                 value=old_data,

@@ -11,7 +11,9 @@ stream (delays, dropped-and-reset chunks, mid-frame truncations, garbage
 frames).  Mid-episode, one replica suffers a ``crash_restart``: the group
 crashes it (listener stopped, store closed) and recovers it from the same
 data directory on the same port — the moral equivalent of ``kill -9``
-plus supervised restart.
+plus supervised restart.  Each fault fired is recorded as a catalogue spec
+(:class:`~repro.sim.faults.FaultSchedule`), which the oracle battery reads
+and the episode summary lists.
 
 Each episode records a §4.1 verifiable history at the client boundary
 (wall-clock timestamps) and is judged by the same oracle battery as the
@@ -99,6 +101,8 @@ class TcpEpisodeResult:
     operations: int
     reconnects: int
     proxy_stats: dict[str, dict[str, int]]
+    #: The catalogue specs of the faults the episode fired, in firing order.
+    faults: tuple[dict[str, Any], ...] = ()
     #: Self-stabilization counters summed over the replicas.
     quarantines: int = 0
     repairs: int = 0
@@ -122,6 +126,7 @@ class TcpEpisodeResult:
             "violations": list(self.violations),
             "operations": self.operations,
             "reconnects": self.reconnects,
+            "faults": [dict(spec) for spec in self.faults],
             "quarantines": self.quarantines,
             "repairs": self.repairs,
             "corrupt_records": self.corrupt_records,
@@ -156,11 +161,19 @@ async def _client_workload(
     return operations
 
 
+#: Wall-clock seconds into the episode at which the crash_restart fires.
+_CRASH_AT = 0.15
+
+
 async def _crash_restart(
-    group: ReplicaGroup, victim: str, config: TcpChaosConfig
+    group: ReplicaGroup,
+    victim: str,
+    config: TcpChaosConfig,
+    injected: FaultSchedule,
 ) -> None:
     """Kill ``victim`` process-style, then recover it in place."""
-    await asyncio.sleep(0.15)
+    await asyncio.sleep(_CRASH_AT)
+    injected.crash_restart(_CRASH_AT, victim, config.down_for)
     await group.crash(victim)
     await asyncio.sleep(config.down_for)
     await group.recover(victim)
@@ -256,14 +269,14 @@ async def _run_episode(
             await client.connect()
             clients.append(client)
 
+        injected = FaultSchedule()
         crash_victim: Optional[str] = None
         if config.crash_restart:
             crash_victim = rng.choice(group.node_ids)
             chaos_task = asyncio.create_task(
-                _crash_restart(group, crash_victim, config)
+                _crash_restart(group, crash_victim, config, injected)
             )
 
-        injected = FaultSchedule()
         if config.corruption:
             candidates = [rid for rid in group.node_ids if rid != crash_victim]
             corruption_task = asyncio.create_task(
@@ -319,6 +332,7 @@ async def _run_episode(
             verdicts=verdicts,
             operations=operations,
             reconnects=sum(client.reconnects for client in clients),
+            faults=tuple(injected.specs),
             proxy_stats={
                 rid: proxy.stats.as_dict() for rid, proxy in proxies.items()
             },

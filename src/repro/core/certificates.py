@@ -48,6 +48,7 @@ from repro.core.timestamp import ZERO_TS, Timestamp
 from repro.crypto.commitments import ProofOfWriting
 from repro.crypto.hashing import hash_value
 from repro.crypto.signatures import Signature, SignatureScheme
+from repro.encoding import canonical_encode, encode_once
 from repro.errors import CertificateError
 
 __all__ = [
@@ -59,6 +60,10 @@ __all__ = [
 
 #: The value every replica holds before the first write.
 GENESIS_VALUE = None
+
+
+def _encode_wire(cert: Any) -> bytes:
+    return canonical_encode(cert.to_wire())
 
 
 def _signatures_from_wire(wire: Any) -> tuple[Signature, ...]:
@@ -123,6 +128,15 @@ class PrepareCertificate:
         assert self.proof is not None
         return ("proof", self.ts.to_wire(), self.value_hash, self.proof.to_wire())
 
+    @property
+    def encoded(self) -> bytes:
+        """``canonical_encode(self.to_wire())``, computed once per instance.
+
+        Every statement and message that carries this certificate splices
+        these bytes instead of encoding the certificate again.
+        """
+        return encode_once(self, _encode_wire)
+
     @classmethod
     def from_wire(cls, wire: Any) -> "PrepareCertificate":
         """Parse the wire form; raises CertificateError when malformed."""
@@ -160,9 +174,10 @@ class PrepareCertificate:
     def validate(self, scheme: SignatureScheme, quorums: QuorumSystem) -> None:
         """Check well-formedness and all signatures.
 
-        ``scheme`` may be any object exposing ``verify_statement`` — protocol
-        code passes the memoizing :class:`~repro.core.verification.Verifier`
-        so per-signature checks hit its cache.
+        ``scheme`` may be any object exposing ``verify(signature, bytes)`` —
+        protocol code passes the memoizing
+        :class:`~repro.core.verification.Verifier` so per-signature checks
+        hit its cache.
 
         Raises:
             CertificateError: if the certificate does not contain a quorum of
@@ -193,7 +208,7 @@ class PrepareCertificate:
             )
         statement = prepare_reply_statement(self.ts, self.value_hash)
         for sig in self.signatures:
-            if not scheme.verify_statement(sig, statement):
+            if not scheme.verify(sig, statement):
                 raise CertificateError(
                     f"invalid prepare-certificate signature from {sig.signer}"
                 )
@@ -219,9 +234,9 @@ class PrepareCertificate:
             raise CertificateError(
                 f"vouch certificate has {len(signers)} signers; needs f+1"
             )
-        statement = fast_vouch_statement(self.ts.to_wire(), self.value_hash)
+        statement = fast_vouch_statement(self.ts, self.value_hash)
         for sig in self.signatures:
-            if not scheme.verify_statement(sig, statement):
+            if not scheme.verify(sig, statement):
                 raise CertificateError(
                     f"invalid vouch signature from {sig.signer}"
                 )
@@ -266,6 +281,11 @@ class WriteCertificate:
             return ("proof", self.ts.to_wire(), self.rows)
         return (self.ts.to_wire(), tuple(sig.to_wire() for sig in self.signatures))
 
+    @property
+    def encoded(self) -> bytes:
+        """``canonical_encode(self.to_wire())``, computed once per instance."""
+        return encode_once(self, _encode_wire)
+
     @classmethod
     def from_wire(cls, wire: Any) -> "WriteCertificate":
         """Parse the wire form; raises CertificateError when malformed."""
@@ -306,7 +326,7 @@ class WriteCertificate:
             )
         statement = write_reply_statement(self.ts)
         for sig in self.signatures:
-            if not scheme.verify_statement(sig, statement):
+            if not scheme.verify(sig, statement):
                 raise CertificateError(
                     f"invalid write-certificate signature from {sig.signer}"
                 )

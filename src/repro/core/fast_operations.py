@@ -64,7 +64,6 @@ from repro.core.statements import (
     fast_write_request_statement,
     read_reply_statement,
     read_ts_reply_statement,
-    statement_bytes,
 )
 from repro.core.timestamp import Timestamp
 from repro.crypto.commitments import (
@@ -90,9 +89,7 @@ def _vouch_sig_valid(
     """Is ``sig`` ``sender``'s signature over ``<FAST-VOUCH, ts, h>``?"""
     if sig.signer != sender:
         return False
-    return config.verifier.verify_statement(
-        sig, fast_vouch_statement(ts.to_wire(), h)
-    )
+    return config.verifier.verify(sig, fast_vouch_statement(ts, h))
 
 
 class FastWriteOperation(WriteOperation):
@@ -141,14 +138,8 @@ class FastWriteOperation(WriteOperation):
         # previous write certificate — it is what clears this client's
         # prepare-list entries (Figure 1 phase 2, not the §3.3.1 option).
         wcert = self.prev_write_cert
-        request_stmt = statement_bytes(
-            fast_prep_request_statement(
-                self.client_id,
-                self.value_hash,
-                self.commitment,
-                None if wcert is None else wcert.to_wire(),
-                self.nonce,
-            )
+        request_stmt = fast_prep_request_statement(
+            self.client_id, self.value_hash, self.commitment, wcert, self.nonce
         )
         request = FastPrepRequest(
             client=self.client_id,
@@ -172,17 +163,13 @@ class FastWriteOperation(WriteOperation):
             return None
         if message.replica != sender:
             return None
-        envelope = statement_bytes(
-            fast_prep_reply_statement(
-                sender,
-                self.client_id,
-                None
-                if message.prepared_ts is None
-                else message.prepared_ts.to_wire(),
-                self.value_hash,
-                self.commitment,
-                self.nonce,
-            )
+        envelope = fast_prep_reply_statement(
+            sender,
+            self.client_id,
+            message.prepared_ts,
+            self.value_hash,
+            self.commitment,
+            self.nonce,
         )
         if not self._auth.check(sender, self.client_id, envelope, message.mac):
             return None
@@ -210,14 +197,8 @@ class FastWriteOperation(WriteOperation):
         proof = ProofOfWriting(
             commitment=self.commitment, opening=self.opening, rows=rows
         )
-        request_stmt = statement_bytes(
-            fast_write_request_statement(
-                self.client_id,
-                ts.to_wire(),
-                self.value_hash,
-                self.commitment,
-                self._write_nonce,
-            )
+        request_stmt = fast_write_request_statement(
+            self.client_id, ts, self.value_hash, self.commitment, self._write_nonce
         )
         request = FastWriteRequest(
             client=self.client_id,
@@ -243,10 +224,8 @@ class FastWriteOperation(WriteOperation):
             return None
         if message.ts != self._target_ts:
             return None
-        envelope = statement_bytes(
-            fast_write_reply_statement(
-                sender, self.client_id, message.ts.to_wire(), self._write_nonce
-            )
+        envelope = fast_write_reply_statement(
+            sender, self.client_id, message.ts, self._write_nonce
         )
         if not self._auth.check(sender, self.client_id, envelope, message.mac):
             return None
@@ -277,8 +256,8 @@ class FastWriteOperation(WriteOperation):
             return None
         if message.signature.signer != sender:
             return None
-        envelope = read_ts_reply_statement(message.cert.to_wire(), message.nonce)
-        if not self.config.verifier.verify_statement(message.signature, envelope):
+        envelope = read_ts_reply_statement(message.cert, message.nonce)
+        if not self.config.verifier.verify(message.signature, envelope):
             return None
         cert = message.cert
         key = (cert.ts, cert.value_hash)
@@ -435,9 +414,9 @@ class FastReadOperation(ReadOperation):
         if message.signature.signer != sender:
             return None
         statement = read_reply_statement(
-            message.value, message.cert.to_wire(), message.nonce
+            message.value, message.cert, message.nonce
         )
-        if not self.config.verifier.verify_statement(message.signature, statement):
+        if not self.config.verifier.verify(message.signature, statement):
             return None
         cert = message.cert
         if cert.h != hash_value(message.value):

@@ -58,11 +58,10 @@ from repro.core.statements import (
     fast_write_ack_statement,
     fast_write_reply_statement,
     fast_write_request_statement,
-    statement_bytes,
 )
 from repro.core.timestamp import Timestamp
 from repro.crypto.commitments import make_mac_row, row_mac_for
-from repro.crypto.hashing import hash_value
+from repro.crypto.hashing import digest, hash_value
 from repro.crypto.signatures import Signature
 from repro.obs.instrumentation import Instrumentation
 from repro.storage import ReplicaStore
@@ -184,14 +183,10 @@ class FastBftBcReplica(OptimizedBftBcReplica):
         proof = cert.proof
         if proof is None or not proof.opens():
             return False
-        key = hash_value(("pcert", cert.to_wire()))
+        key = digest(b"pcert", cert.encoded)
         if key in self._proof_ok:
             return True
-        ack = statement_bytes(
-            fast_prep_ack_statement(
-                cert.ts.to_wire(), cert.value_hash, proof.commitment
-            )
-        )
+        ack = fast_prep_ack_statement(cert.ts, cert.value_hash, proof.commitment)
         if self._count_own_column(proof.rows, ack) < self.config.quorum_size:
             return False
         self._proof_ok[key] = cert.ts
@@ -200,10 +195,10 @@ class FastBftBcReplica(OptimizedBftBcReplica):
     def _write_certificate_valid(self, wcert: WriteCertificate) -> bool:
         if wcert.evidence != "proof":
             return super()._write_certificate_valid(wcert)
-        key = hash_value(("wcert", wcert.to_wire()))
+        key = digest(b"wcert", wcert.encoded)
         if key in self._proof_ok:
             return True
-        ack = statement_bytes(fast_write_ack_statement(wcert.ts.to_wire()))
+        ack = fast_write_ack_statement(wcert.ts)
         if self._count_own_column(wcert.rows, ack) < self.config.quorum_size:
             return False
         self._proof_ok[key] = wcert.ts
@@ -225,9 +220,9 @@ class FastBftBcReplica(OptimizedBftBcReplica):
         cached = self._pvouch_cache.get(key)
         if cached is not None:
             return cached
-        signature = self.config.scheme.sign_statement(
+        signature = self.config.scheme.sign(
             self.node_id,
-            fast_vouch_statement(self.pcert.ts.to_wire(), self.pcert.value_hash),
+            fast_vouch_statement(self.pcert.ts, self.pcert.value_hash),
         )
         self.stats.vouch_signs += 1
         self._pvouch_cache[key] = signature
@@ -241,16 +236,12 @@ class FastBftBcReplica(OptimizedBftBcReplica):
         client = message.client
         if not self._fast_client_ok(client):
             return None
-        request = statement_bytes(
-            fast_prep_request_statement(
-                client,
-                message.value_hash,
-                message.commitment,
-                None
-                if message.write_cert is None
-                else message.write_cert.to_wire(),
-                message.nonce,
-            )
+        request = fast_prep_request_statement(
+            client,
+            message.value_hash,
+            message.commitment,
+            message.write_cert,
+            message.nonce,
         )
         if not self._request_mac_ok(client, message.macs, request):
             return None
@@ -283,26 +274,20 @@ class FastBftBcReplica(OptimizedBftBcReplica):
                 self._auth,
                 self.node_id,
                 self._replica_ids,
-                statement_bytes(
-                    fast_prep_ack_statement(
-                        predicted.to_wire(),
-                        message.value_hash,
-                        message.commitment,
-                    )
+                fast_prep_ack_statement(
+                    predicted, message.value_hash, message.commitment
                 ),
             )
         envelope = self._auth.mac(
             self.node_id,
             client,
-            statement_bytes(
-                fast_prep_reply_statement(
-                    self.node_id,
-                    client,
-                    None if prepared_ts is None else prepared_ts.to_wire(),
-                    message.value_hash,
-                    message.commitment,
-                    message.nonce,
-                )
+            fast_prep_reply_statement(
+                self.node_id,
+                client,
+                prepared_ts,
+                message.value_hash,
+                message.commitment,
+                message.nonce,
             ),
         )
         return FastPrepReply(
@@ -341,14 +326,8 @@ class FastBftBcReplica(OptimizedBftBcReplica):
         if not self._fast_client_ok(client):
             return None
         value_hash = hash_value(message.value)
-        request = statement_bytes(
-            fast_write_request_statement(
-                client,
-                message.ts.to_wire(),
-                value_hash,
-                message.proof.commitment,
-                message.nonce,
-            )
+        request = fast_write_request_statement(
+            client, message.ts, value_hash, message.proof.commitment, message.nonce
         )
         if not self._request_mac_ok(client, message.macs, request):
             return None
@@ -374,15 +353,13 @@ class FastBftBcReplica(OptimizedBftBcReplica):
             self._auth,
             self.node_id,
             self._replica_ids,
-            statement_bytes(fast_write_ack_statement(message.ts.to_wire())),
+            fast_write_ack_statement(message.ts),
         )
         envelope = self._auth.mac(
             self.node_id,
             client,
-            statement_bytes(
-                fast_write_reply_statement(
-                    self.node_id, client, message.ts.to_wire(), message.nonce
-                )
+            fast_write_reply_statement(
+                self.node_id, client, message.ts, message.nonce
             ),
         )
         return FastWriteReply(

@@ -34,7 +34,7 @@ from repro.core.certificates import PrepareCertificate, WriteCertificate
 from repro.core.timestamp import Timestamp
 from repro.crypto.commitments import ProofOfWriting
 from repro.crypto.signatures import Signature
-from repro.encoding import canonical_encode
+from repro.encoding import Encoded, canonical_encode, encode_dict, encode_once
 from repro.errors import ProtocolError
 
 __all__ = [
@@ -96,13 +96,19 @@ class WireType:
     """One member of the closed set of types a message field may declare.
 
     ``decode`` turns a wire value into the field value and raises on any
-    malformed shape; ``encode`` is its inverse.  A field the set cannot
-    express grows the set by one named type here, never a per-class codec.
+    malformed shape; ``encode`` is its inverse.  ``splice``, when set, is
+    what :func:`message_wire_bytes` encodes instead of ``encode``'s result:
+    the certificate types hand over their stashed canonical bytes.  A field
+    the set cannot express grows the set by one named type here, never a
+    per-class codec.
     """
 
     name: str
     decode: Callable[[Any], Any] = dataclasses.field(repr=False)
     encode: Callable[[Any], Any] = dataclasses.field(repr=False, default=_same)
+    splice: Optional[Callable[[Any], Any]] = dataclasses.field(
+        repr=False, default=None
+    )
 
 
 def _leaf(name: str, python_type: type) -> WireType:
@@ -137,10 +143,15 @@ def _macvec(value: Any) -> tuple[tuple[str, bytes], ...]:
 
 def optional(item: WireType) -> WireType:
     """``None`` or an ``item``."""
+
+    def splice(value: Any) -> Any:
+        return None if value is None else item.splice(value)
+
     return WireType(
         f"optional {item.name}",
         lambda value: None if value is None else item.decode(value),
         lambda value: None if value is None else item.encode(value),
+        None if item.splice is None else splice,
     )
 
 
@@ -164,13 +175,25 @@ DICT = _leaf("dict", dict)
 VALUE = WireType("value", _same)
 TIMESTAMP = WireType("timestamp", Timestamp.from_wire, Timestamp.to_wire)
 SIGNATURE = WireType("signature", Signature.from_wire, Signature.to_wire)
+
+
+def _stashed(value: Any) -> Encoded:
+    """A certificate's (or proof's) canonical bytes, encoded once per instance."""
+    return Encoded(value.encoded)
+
+
 PREPARE_CERT = WireType(
-    "prepare certificate", PrepareCertificate.from_wire, PrepareCertificate.to_wire
+    "prepare certificate",
+    PrepareCertificate.from_wire,
+    PrepareCertificate.to_wire,
+    _stashed,
 )
 WRITE_CERT = WireType(
-    "write certificate", WriteCertificate.from_wire, WriteCertificate.to_wire
+    "write certificate", WriteCertificate.from_wire, WriteCertificate.to_wire, _stashed
 )
-PROOF = WireType("proof of writing", ProofOfWriting.from_wire, ProofOfWriting.to_wire)
+PROOF = WireType(
+    "proof of writing", ProofOfWriting.from_wire, ProofOfWriting.to_wire, _stashed
+)
 MAC_VECTOR = WireType("MAC vector", _macvec)
 
 
@@ -209,6 +232,11 @@ class Message:
     KIND: ClassVar[str] = ""
     #: The declaration, collected once by :func:`register_message`.
     WIRE_FIELDS: ClassVar[tuple[WireField, ...]] = ()
+    #: The wire dict's keys (``kind`` included), encoded, in canonical order.
+    WIRE_KEYS: ClassVar[tuple[bytes, ...]] = ()
+    #: Per entry of ``WIRE_KEYS``, the function of the message that gives
+    #: the value :func:`message_wire_bytes` encodes under that key.
+    WIRE_VALUES: ClassVar[tuple[Callable[["Message"], Any], ...]] = ()
 
     def to_wire(self) -> dict[str, Any]:
         """The wire dict (without the ``kind`` tag), per the declaration."""
@@ -262,8 +290,22 @@ def register_message(cls: M) -> M:
     if undeclared:
         raise ProtocolError(f"{cls.__name__} fields without wire_field(): {undeclared}")
     cls.WIRE_FIELDS = tuple(WireField(f.name, *f.metadata["wire"]) for f in fields)
+    layout = sorted(
+        [("kind", lambda _message, kind=cls.KIND: kind)]
+        + [(field.key, _field_value(field)) for field in cls.WIRE_FIELDS],
+        key=lambda entry: entry[0].encode(),
+    )
+    cls.WIRE_KEYS = tuple(canonical_encode(key) for key, _ in layout)
+    cls.WIRE_VALUES = tuple(value for _, value in layout)
     _REGISTRY[cls.KIND] = cls
     return cls
+
+
+def _field_value(field: WireField) -> Callable[[Message], Any]:
+    """What a message's bytes carry for ``field``: its wire value, or the
+    spliced bytes of a certificate."""
+    name, encode = field.name, field.wire_type.splice or field.wire_type.encode
+    return lambda message: encode(getattr(message, name))
 
 
 def _load_declared_messages() -> None:
@@ -326,8 +368,6 @@ class WireCacheStats:
 
 
 _WIRE_STATS = WireCacheStats()
-#: Attribute slot used to stash a message's canonical bytes on the instance.
-_WIRE_ATTR = "_cached_wire_bytes"
 
 
 def wire_cache_stats() -> WireCacheStats:
@@ -345,20 +385,31 @@ def message_wire_bytes(message: Message) -> bytes:
 
     Messages are frozen dataclasses, so an instance's wire form never
     changes; the bytes are stashed on the instance the first time they are
-    needed and every later send — each leg of a 3f+1 fan-out, every
-    retransmission — reuses them.  Transports and the simulated network all
-    serialise through here, so a message crosses the encoder exactly once no
-    matter how many links carry it.
+    needed (:func:`repro.encoding.encode_once`) and every later send — each
+    leg of a 3f+1 fan-out, every retransmission — reuses them.  Transports
+    and the simulated network all serialise through here, so a message
+    crosses the encoder exactly once no matter how many links carry it.
+
+    The bytes are assembled from the kind's pre-sorted, pre-encoded keys,
+    and a certificate field splices the certificate's own stashed bytes, so
+    a reply carrying the certificate a replica holds does not encode it
+    again.  They equal ``canonical_encode(message_to_wire(message))``.
     """
-    cached = message.__dict__.get(_WIRE_ATTR)
-    if cached is not None:
-        _WIRE_STATS.hits += 1
-        _WIRE_STATS.bytes_saved += len(cached)
-        return cached
-    encoded = canonical_encode(message_to_wire(message))
+    stats = _WIRE_STATS
+    misses = stats.misses
+    encoded = encode_once(message, _encode_message)
+    if stats.misses == misses:
+        stats.hits += 1
+        stats.bytes_saved += len(encoded)
+    return encoded
+
+
+def _encode_message(message: Message) -> bytes:
+    encoded = encode_dict(
+        message.WIRE_KEYS, [value(message) for value in message.WIRE_VALUES]
+    )
     _WIRE_STATS.misses += 1
     _WIRE_STATS.bytes_encoded += len(encoded)
-    object.__setattr__(message, _WIRE_ATTR, encoded)
     return encoded
 
 

@@ -151,8 +151,8 @@ class Operation:
         self._obs_op.end()
         return []
 
-    def _sign(self, statement: Any) -> Signature:
-        return self.config.scheme.sign_statement(self.client_id, statement)
+    def _sign(self, statement: bytes) -> Signature:
+        return self.config.scheme.sign(self.client_id, statement)
 
 
 class WriteOperation(Operation):
@@ -200,8 +200,8 @@ class WriteOperation(Operation):
             return None
         if message.signature.signer != sender:
             return None
-        statement = read_ts_reply_statement(message.cert.to_wire(), message.nonce)
-        if not self.config.verifier.verify_statement(message.signature, statement):
+        statement = read_ts_reply_statement(message.cert, message.nonce)
+        if not self.config.verifier.verify(message.signature, statement):
             return None
         if not self.config.verifier.certificate_valid(message.cert):
             return None
@@ -228,11 +228,7 @@ class WriteOperation(Operation):
         justify: Optional[WriteCertificate],
     ) -> PrepareRequest:
         statement = prepare_request_statement(
-            prev.to_wire(),
-            ts,
-            self.value_hash,
-            None if self.prev_write_cert is None else self.prev_write_cert.to_wire(),
-            None if justify is None else justify.to_wire(),
+            prev, ts, self.value_hash, self.prev_write_cert, justify
         )
         return PrepareRequest(
             prev_cert=prev,
@@ -253,7 +249,7 @@ class WriteOperation(Operation):
         if message.signature.signer != sender:
             return None
         statement = prepare_reply_statement(message.ts, message.value_hash)
-        if not self.config.verifier.verify_statement(message.signature, statement):
+        if not self.config.verifier.verify(message.signature, statement):
             return None
         return message.signature
 
@@ -262,7 +258,7 @@ class WriteOperation(Operation):
     def _begin_write(self, prepare_cert: PrepareCertificate) -> list[Send]:
         self._phase = 3
         self._prepare_cert = prepare_cert
-        statement = write_request_statement(self.value, prepare_cert.to_wire())
+        statement = write_request_statement(self.value, prepare_cert)
         request = WriteRequest(
             value=self.value,
             prepare_cert=prepare_cert,
@@ -278,7 +274,7 @@ class WriteOperation(Operation):
         if message.signature.signer != sender:
             return None
         statement = write_reply_statement(message.ts)
-        if not self.config.verifier.verify_statement(message.signature, statement):
+        if not self.config.verifier.verify(message.signature, statement):
             return None
         return message.signature
 
@@ -351,9 +347,9 @@ class ReadOperation(Operation):
         if message.signature.signer != sender:
             return None
         statement = read_reply_statement(
-            message.value, message.cert.to_wire(), message.nonce
+            message.value, message.cert, message.nonce
         )
-        if not self.config.verifier.verify_statement(message.signature, statement):
+        if not self.config.verifier.verify(message.signature, statement):
             return None
         if not self.config.verifier.certificate_valid(message.cert):
             return None
@@ -405,7 +401,7 @@ class ReadOperation(Operation):
         laggards.
         """
         self._phase = 2
-        statement = write_request_statement(best.value, best.cert.to_wire())
+        statement = write_request_statement(best.value, best.cert)
         request = WriteRequest(
             value=best.value,
             prepare_cert=best.cert,
@@ -430,6 +426,6 @@ class ReadOperation(Operation):
         if message.signature.signer != sender:
             return None
         statement = write_reply_statement(message.ts)
-        if not self.config.verifier.verify_statement(message.signature, statement):
+        if not self.config.verifier.verify(message.signature, statement):
             return None
         return message.signature

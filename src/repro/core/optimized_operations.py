@@ -57,9 +57,7 @@ class OptimizedWriteOperation(WriteOperation):
     def start(self) -> list[Send]:
         self._phase = 1
         statement = read_ts_prep_request_statement(
-            self.value_hash,
-            None if self.prev_write_cert is None else self.prev_write_cert.to_wire(),
-            self.nonce,
+            self.value_hash, self.prev_write_cert, self.nonce
         )
         request = ReadTsPrepRequest(
             value_hash=self.value_hash,
@@ -77,11 +75,9 @@ class OptimizedWriteOperation(WriteOperation):
         if message.signature.signer != sender:
             return None
         envelope = read_ts_prep_reply_statement(
-            message.cert.to_wire(),
-            None if message.prepared_ts is None else message.prepared_ts.to_wire(),
-            message.nonce,
+            message.cert, message.prepared_ts, message.nonce
         )
-        if not self.config.verifier.verify_statement(message.signature, envelope):
+        if not self.config.verifier.verify(message.signature, envelope):
             return None
         if not self.config.verifier.certificate_valid(message.cert):
             return None
@@ -89,7 +85,7 @@ class OptimizedWriteOperation(WriteOperation):
             if message.prep_sig is None or message.prep_sig.signer != sender:
                 return None
             inner = prepare_reply_statement(message.prepared_ts, self.value_hash)
-            if not self.config.verifier.verify_statement(message.prep_sig, inner):
+            if not self.config.verifier.verify(message.prep_sig, inner):
                 return None
             self._opt_prep_sigs[sender] = (message.prepared_ts, message.prep_sig)
         return message

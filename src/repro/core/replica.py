@@ -323,9 +323,9 @@ class BftBcReplica:
 
     # -- helpers ----------------------------------------------------------
 
-    def _sign(self, statement: object) -> Signature:
+    def _sign(self, statement: bytes) -> Signature:
         self.stats.foreground_signs += 1
-        return self.config.scheme.sign_statement(self.node_id, statement)
+        return self.config.scheme.sign(self.node_id, statement)
 
     def _write_reply_signature(self, ts: Timestamp) -> Signature:
         """Signature for ``<WRITE-REPLY, ts>``, using the §3.3.2 cache."""
@@ -341,7 +341,7 @@ class BftBcReplica:
             # it leaves the replica only when the phase-3 request arrives
             # (via _write_reply_signature), which is what Lemma 1's
             # signature-counting argument is about.
-            self._presigned[ts] = self.config.scheme.sign_statement(
+            self._presigned[ts] = self.config.scheme.sign(
                 self.node_id, write_reply_statement(ts)
             )
             self.stats.background_signs += 1
@@ -476,8 +476,7 @@ class BftBcReplica:
         # read itself is still served).
         if message.write_cert is not None:
             self._apply_write_certificate(message.write_cert)
-        cert_wire = self.pcert.to_wire()
-        signature = self._sign(read_ts_reply_statement(cert_wire, message.nonce))
+        signature = self._sign(read_ts_reply_statement(self.pcert, message.nonce))
         return ReadTsReply(
             cert=self.pcert,
             nonce=message.nonce,
@@ -493,13 +492,13 @@ class BftBcReplica:
         if not self._client_request_ok(client, message.signature):
             return None
         statement = prepare_request_statement(
-            message.prev_cert.to_wire(),
+            message.prev_cert,
             message.ts,
             message.value_hash,
-            None if message.write_cert is None else message.write_cert.to_wire(),
-            None if message.justify_cert is None else message.justify_cert.to_wire(),
+            message.write_cert,
+            message.justify_cert,
         )
-        if not self.verifier.verify_statement(message.signature, statement):
+        if not self.verifier.verify(message.signature, statement):
             self.stats.discard("bad-signature")
             return None
         if not self._certificate_valid(message.prev_cert):
@@ -546,10 +545,8 @@ class BftBcReplica:
         client = message.signature.signer
         if not self._client_request_ok(client, message.signature):
             return None
-        statement = write_request_statement(
-            message.value, message.prepare_cert.to_wire()
-        )
-        if not self.verifier.verify_statement(message.signature, statement):
+        statement = write_request_statement(message.value, message.prepare_cert)
+        if not self.verifier.verify(message.signature, statement):
             self.stats.discard("bad-signature")
             return None
         cert = message.prepare_cert
@@ -574,9 +571,8 @@ class BftBcReplica:
     def _handle_read(self, message: ReadRequest) -> ReadReply:
         if message.write_cert is not None:
             self._apply_write_certificate(message.write_cert)  # §3.3.1 hint
-        cert_wire = self.pcert.to_wire()
         signature = self._sign(
-            read_reply_statement(self.data, cert_wire, message.nonce)
+            read_reply_statement(self.data, self.pcert, message.nonce)
         )
         return ReadReply(
             value=self.data,
@@ -627,11 +623,9 @@ class OptimizedBftBcReplica(BftBcReplica):
         if not self._client_request_ok(client, message.signature):
             return None
         statement = read_ts_prep_request_statement(
-            message.value_hash,
-            None if message.write_cert is None else message.write_cert.to_wire(),
-            message.nonce,
+            message.value_hash, message.write_cert, message.nonce
         )
-        if not self.verifier.verify_statement(message.signature, statement):
+        if not self.verifier.verify(message.signature, statement):
             self.stats.discard("bad-signature")
             return None
         if not self._apply_write_certificate(message.write_cert):
@@ -652,13 +646,8 @@ class OptimizedBftBcReplica(BftBcReplica):
             prep_sig = self._sign(
                 prepare_reply_statement(predicted, message.value_hash)
             )
-        cert_wire = self.pcert.to_wire()
         signature = self._sign(
-            read_ts_prep_reply_statement(
-                cert_wire,
-                None if prepared_ts is None else prepared_ts.to_wire(),
-                message.nonce,
-            )
+            read_ts_prep_reply_statement(self.pcert, prepared_ts, message.nonce)
         )
         return ReadTsPrepReply(
             cert=self.pcert,

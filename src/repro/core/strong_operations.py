@@ -84,7 +84,7 @@ class StrongWriteOperation(WriteOperation):
         if vouch is None or vouch.signer != sender:
             return False
         statement = write_reply_statement(cert.ts)
-        return self.config.verifier.verify_statement(vouch, statement)
+        return self.config.verifier.verify(vouch, statement)
 
     # -- transitions --------------------------------------------------------
 
@@ -134,9 +134,9 @@ class StrongWriteOperation(WriteOperation):
         if message.signature.signer != sender:
             return None
         statement = read_reply_statement(
-            message.value, message.cert.to_wire(), message.nonce
+            message.value, message.cert, message.nonce
         )
-        if not self.config.verifier.verify_statement(message.signature, statement):
+        if not self.config.verifier.verify(message.signature, statement):
             return None
         if not self.config.verifier.certificate_valid(message.cert):
             return None
@@ -166,7 +166,7 @@ class StrongWriteOperation(WriteOperation):
         self, best: ReadReply, vouches: dict[str, Signature]
     ) -> list[Send]:
         self._phase = _PHASE_WRITE_BACK
-        statement = write_request_statement(best.value, best.cert.to_wire())
+        statement = write_request_statement(best.value, best.cert)
         request = WriteRequest(
             value=best.value,
             prepare_cert=best.cert,
@@ -194,7 +194,7 @@ class StrongWriteOperation(WriteOperation):
         if message.signature.signer != sender:
             return None
         statement = write_reply_statement(message.ts)
-        if not self.config.verifier.verify_statement(message.signature, statement):
+        if not self.config.verifier.verify(message.signature, statement):
             return None
         return message.signature
 

@@ -10,8 +10,9 @@ a client and a replica share a process in the simulator.
 :class:`Verifier` wraps a :class:`~repro.crypto.signatures.SignatureScheme`
 with two bounded LRU memos:
 
-* a **signature memo** keyed by ``(statement_bytes, signer, signature)``, and
-* a **certificate memo** keyed by a digest of the certificate's wire form,
+* a **signature memo** keyed by ``(statement bytes, signer, signature)``, and
+* a **certificate memo** keyed by the certificate's class and a digest of
+  its canonical bytes (``cert.encoded``, stashed once per instance),
 
 so a certificate seen twice verifies in O(1) instead of O(|Q|) backend calls.
 
@@ -38,7 +39,6 @@ from typing import Any, Protocol, runtime_checkable
 
 from repro.crypto.hashing import digest_bytes
 from repro.crypto.signatures import Signature, SignatureScheme
-from repro.encoding import intern_encode
 from repro.errors import CertificateError
 
 __all__ = ["VerificationStats", "Verifier"]
@@ -48,7 +48,8 @@ __all__ = ["VerificationStats", "Verifier"]
 class _Certificate(Protocol):
     """Structural type for certificates (avoids importing ``core.certificates``)."""
 
-    def to_wire(self) -> tuple:  # pragma: no cover - protocol declaration
+    @property
+    def encoded(self) -> bytes:  # pragma: no cover - protocol declaration
         ...
 
     def validate(self, scheme: Any, quorums: Any) -> None:  # pragma: no cover
@@ -123,10 +124,10 @@ class Verifier:
 
     All protocol code verifies through one of these instead of calling the
     scheme directly; signing is unaffected.  The verifier deliberately
-    mirrors the scheme's ``verify_statement`` interface so certificate
-    ``validate`` implementations accept either (duck typing), which routes a
-    certificate's per-signature loop through the signature memo on a
-    certificate-level miss.
+    mirrors the scheme's ``verify(signature, bytes)`` interface so
+    certificate ``validate`` implementations accept either (duck typing),
+    which routes a certificate's per-signature loop through the signature
+    memo on a certificate-level miss.
 
     Args:
         scheme: the wrapped signature backend.
@@ -157,22 +158,15 @@ class Verifier:
         self._signature_memo: OrderedDict[tuple[bytes, str, bytes], bool] = (
             OrderedDict()
         )
-        self._certificate_memo: OrderedDict[bytes, bool] = OrderedDict()
+        self._certificate_memo: OrderedDict[tuple[type, bytes], bool] = (
+            OrderedDict()
+        )
         # Per-signer index into the signature memo: signer -> its memo keys
         # in insertion order.  Lets the per-identity budget evict that
         # signer's oldest entry in O(1) instead of scanning the whole memo.
         self._by_signer: dict[str, "OrderedDict[tuple[bytes, str, bytes], None]"] = {}
 
     # -- signature layer ---------------------------------------------------
-
-    def verify_statement(self, signature: Signature, statement: Any) -> bool:
-        """Memoized equivalent of ``scheme.verify_statement``.
-
-        Statement bytes come from the interning cache shared with
-        ``sign_statement``, so a statement signed once and verified at many
-        roles is canonically encoded once per process.
-        """
-        return self.verify(signature, intern_encode(statement))
 
     def verify(self, signature: Signature, message: bytes) -> bool:
         """Memoized equivalent of ``scheme.verify`` over raw bytes."""
@@ -202,9 +196,7 @@ class Verifier:
                 only short-circuits certificates previously proven valid.
         """
         self.stats.certificate_checks += 1
-        key = digest_bytes(
-            intern_encode((type(cert).__name__, cert.to_wire()))
-        )
+        key = (cert.__class__, digest_bytes(cert.encoded))
         if self._certificate_memo.get(key):
             self._certificate_memo.move_to_end(key)
             self.stats.certificate_hits += 1

@@ -35,6 +35,7 @@ from typing import Any, Iterable
 
 from repro.crypto.authenticators import MacAuthenticator
 from repro.crypto.hashing import DIGEST_SIZE, digest
+from repro.encoding import canonical_encode, encode_once
 from repro.errors import CertificateError
 
 __all__ = [
@@ -98,6 +99,10 @@ def row_mac_for(
     return None
 
 
+def _encode_wire(value: Any) -> bytes:
+    return canonical_encode(value.to_wire())
+
+
 @dataclass(frozen=True)
 class ProofOfWriting:
     """Commitment, its opening, and the ackers' MAC rows over one statement.
@@ -143,6 +148,11 @@ class ProofOfWriting:
 
     def to_wire(self) -> tuple[Any, ...]:
         return (self.commitment, self.opening, self.rows)
+
+    @property
+    def encoded(self) -> bytes:
+        """``canonical_encode(self.to_wire())``, computed once per instance."""
+        return encode_once(self, _encode_wire)
 
     @classmethod
     def from_wire(cls, wire: Any) -> "ProofOfWriting":

@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 from typing import Any
 
-from repro.encoding import intern_encode
+from repro.encoding import canonical_encode
 
 __all__ = ["DIGEST_SIZE", "digest", "digest_bytes", "hash_value"]
 
@@ -38,9 +38,5 @@ def digest(*parts: bytes) -> bytes:
 
 
 def hash_value(value: Any) -> bytes:
-    """The paper's ``h(val)``: digest of the canonical encoding of ``value``.
-
-    Encodes through the interning cache so a value hashed at the client and
-    re-hashed at every replica is serialised once per process.
-    """
-    return digest_bytes(intern_encode(value))
+    """The paper's ``h(val)``: digest of the canonical encoding of ``value``."""
+    return digest_bytes(canonical_encode(value))

@@ -8,8 +8,7 @@ revocations, and hands out :class:`PrivateCredential` objects that are the
 
 Secrets are pure functions of ``(master_seed, node_id)``, so the registry
 never has to *store* them: derivation is lazy and results sit in a bounded
-LRU (the same eviction discipline as ``encoding/interning.intern_encode``).
-An evicted secret is simply re-derived on next use.  Membership likewise
+LRU.  An evicted secret is simply re-derived on next use.  Membership likewise
 does not require a million-entry set — identities can be admitted wholesale
 by :meth:`open_namespace` prefix, keeping resident state O(active clients)
 instead of O(ever-seen clients).
@@ -34,7 +33,7 @@ from repro.errors import KeyRevokedError, UnknownSignerError
 
 __all__ = ["PrivateCredential", "KeyRegistryStats", "KeyRegistry"]
 
-#: Default capacity of the derived-secret LRU; mirrors the interning memo.
+#: Default capacity of the derived-secret LRU.
 SECRET_CACHE_CAPACITY = 8192
 
 

@@ -12,9 +12,11 @@ Two interchangeable backends implement :class:`SignatureScheme`:
   key material only, exercising a genuine public-key verify path at higher
   cost.  Useful for the signature-cost experiments (E4).
 
-Both schemes count sign/verify operations (:class:`SchemeStats`) so
-benchmarks can report authentication costs per protocol operation, matching
-§3.3.2's accounting of which phases need public-key signatures.
+Schemes sign and verify bytes, never a value to be encoded: a statement
+reaches them already encoded by its builder.  Both schemes count sign/verify
+operations (:class:`SchemeStats`) so benchmarks can report authentication
+costs per protocol operation, matching §3.3.2's accounting of which phases
+need public-key signatures.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ import hmac
 from typing import TYPE_CHECKING, Any, Optional
 
 from repro.crypto.keys import KeyRegistry
-from repro.encoding import intern_encode
 from repro.errors import CryptoError
 
 if TYPE_CHECKING:
@@ -84,27 +85,19 @@ class SchemeStats:
 
 
 class SignatureScheme(ABC):
-    """Common interface for signing canonical-encodable statements."""
+    """Common interface for signing statement bytes.
+
+    Both methods take bytes only: every protocol statement is encoded once,
+    by its builder in :mod:`repro.core.statements` (or the baselines' and
+    shard layer's own), before it reaches a scheme.
+    """
 
     def __init__(self, registry: KeyRegistry) -> None:
         self.registry = registry
         self.stats = SchemeStats()
 
-    def sign_statement(self, node_id: str, statement: Any) -> Signature:
-        """Sign a protocol statement (any canonically encodable value).
-
-        Statement bytes come from the interning cache, so the signer, every
-        verifier, and every certificate validator share one encoding of each
-        distinct statement.
-        """
-        return self.sign(node_id, intern_encode(statement))
-
-    def verify_statement(self, signature: Signature, statement: Any) -> bool:
-        """Verify a signature over a protocol statement (interned encoding)."""
-        return self.verify(signature, intern_encode(statement))
-
     def sign(self, node_id: str, message: bytes) -> Signature:
-        """Sign raw bytes as ``node_id``.
+        """Sign ``message`` as ``node_id``.
 
         Raises:
             KeyRevokedError: if ``node_id``'s key has been revoked — a

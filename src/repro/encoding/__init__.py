@@ -8,9 +8,11 @@ value always encodes to the same bytes, on every node.
 :mod:`repro.encoding.canonical` provides that canonical encoding (a
 bencoding-style, self-delimiting, fully round-trippable format),
 :mod:`repro.encoding.codec` provides length-prefixed framing for stream
-transports, and :mod:`repro.encoding.interning` memoizes the encodings of
-repeatedly-encoded values (protocol statements, hashed values) so sign,
-verify, and hash all share one serialisation per distinct value.
+transports.  :func:`encode_once` stashes an immutable object's canonical
+bytes on the instance, and :class:`Encoded` splices such bytes into a
+larger value, so a certificate is encoded once however many statements and
+messages embed it.  :mod:`repro.encoding.interning` is a counted
+pass-through kept for the benchmark's trace target.
 """
 
 from repro._exports import lazy_exports
@@ -18,6 +20,9 @@ from repro._exports import lazy_exports
 _EXPORTS = {
     "canonical_encode": "repro.encoding.canonical",
     "canonical_decode": "repro.encoding.canonical",
+    "Encoded": "repro.encoding.canonical",
+    "encode_once": "repro.encoding.canonical",
+    "encode_dict": "repro.encoding.canonical",
     "EncodeStats": "repro.encoding.canonical",
     "encode_stats": "repro.encoding.canonical",
     "encode_frame": "repro.encoding.codec",

@@ -42,11 +42,19 @@ codec refuses, in either direction, raises :class:`~repro.errors.EncodingError`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable, Sequence
 
 from repro.errors import EncodingError
 
-__all__ = ["canonical_encode", "canonical_decode", "EncodeStats", "encode_stats"]
+__all__ = [
+    "canonical_encode",
+    "canonical_decode",
+    "Encoded",
+    "encode_once",
+    "encode_dict",
+    "EncodeStats",
+    "encode_stats",
+]
 
 # A conservative bound that protects decoders from hostile length prefixes.
 _MAX_LENGTH = 1 << 30
@@ -62,9 +70,10 @@ class EncodeStats:
     """Process-wide ``canonical_encode`` counters.
 
     perfbench and the pinned kernel counts read these to count how many
-    times the system actually serialises anything; every cache layer above
-    (wire cache, statement interning) shows up here as calls that never
-    happen.
+    times the system actually serialises anything; bytes stashed by
+    :func:`encode_once` show up here as calls that never happen, and
+    :class:`Encoded` pieces spliced into a larger value count in its
+    ``bytes_out`` but cost no call of their own.
     """
 
     calls: int = 0
@@ -83,6 +92,41 @@ def encode_stats() -> EncodeStats:
     return _STATS
 
 
+class Encoded:
+    """Bytes already in canonical form, spliced verbatim by :func:`canonical_encode`.
+
+    The format is self-delimiting, so ``canonical_encode(("tag", Encoded(
+    canonical_encode(x))))`` equals ``canonical_encode(("tag", x))``: a
+    statement embedding a certificate splices the certificate's stashed
+    bytes instead of re-encoding it.  Only code that holds the canonical
+    bytes of a value wraps them; the decoder never produces one.
+    """
+
+    __slots__ = ("data",)
+
+    def __init__(self, data: bytes) -> None:
+        self.data = data
+
+
+#: The instance attribute :func:`encode_once` stashes bytes under.
+_STASH = "_canonical_bytes"
+
+
+def encode_once(instance: Any, encode: Callable[[Any], bytes]) -> bytes:
+    """``encode(instance)``, computed once per instance and stashed on it.
+
+    For immutable objects whose canonical bytes are needed repeatedly (a
+    message sent on every link of a fan-out, a certificate embedded in every
+    reply a replica sends): the first call stores the bytes in the
+    instance's ``__dict__``, which a frozen dataclass's own ``__setattr__``
+    does not guard and its ``__eq__``, ``__hash__`` and ``repr`` never read.
+    """
+    stashed = instance.__dict__.get(_STASH)
+    if stashed is None:
+        stashed = instance.__dict__[_STASH] = encode(instance)
+    return stashed
+
+
 def canonical_encode(value: Any) -> bytes:
     """Encode ``value`` to its unique canonical byte representation.
 
@@ -96,6 +140,30 @@ def canonical_encode(value: Any) -> bytes:
         _encode_into(value, parts)
     except ValueError as exc:  # a lone surrogate; an int past str()'s digit limit
         raise EncodingError(f"cannot canonically encode: {exc}") from exc
+    return _counted(parts)
+
+
+def encode_dict(keys: Sequence[bytes], values: Sequence[Any]) -> bytes:
+    """The canonical bytes of a dict with a fixed key set.
+
+    ``keys`` are the keys' canonical encodings, already in canonical (UTF-8
+    sorted) order, and ``values`` the matching values.  A record type whose
+    keys never change — a message kind's wire layout — sorts and encodes
+    them once, where :func:`canonical_encode` of the dict would redo both on
+    every call.  The result is the same bytes.
+    """
+    parts: list[bytes] = [b"d"]
+    try:
+        for key, value in zip(keys, values):
+            parts.append(key)
+            _encode_into(value, parts)
+    except ValueError as exc:
+        raise EncodingError(f"cannot canonically encode: {exc}") from exc
+    parts.append(b"e")
+    return _counted(parts)
+
+
+def _counted(parts: list[bytes]) -> bytes:
     encoded = b"".join(parts)
     _STATS.calls += 1
     _STATS.bytes_out += len(encoded)
@@ -125,8 +193,11 @@ def _encode_into(value: Any, parts: list[bytes]) -> None:
 
 
 def _encode_rare(value: Any, parts: list[bytes]) -> None:
-    """None, bools, dicts, lists, floats, subclasses and other bytes-likes."""
-    if value is None:
+    """Spliced pieces, None, bools, dicts, lists, floats, subclasses and
+    other bytes-likes."""
+    if value.__class__ is Encoded:
+        parts.append(value.data)
+    elif value is None:
         parts.append(b"n")
     elif value is True:
         parts.append(b"t")

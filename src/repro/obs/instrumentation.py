@@ -315,10 +315,10 @@ class _TimedVerifier:
         self._statement_hist = instr.histogram("verify.statement")
         self._certificate_hist = instr.histogram("verify.certificate")
 
-    def verify_statement(self, signature: Any, statement: Any) -> bool:
+    def verify(self, signature: Any, message: bytes) -> bool:
         clock = self._instr.clock
         started = clock()
-        ok = self._inner.verify_statement(signature, statement)
+        ok = self._inner.verify(signature, message)
         self._statement_hist.record(clock() - started)
         return ok
 

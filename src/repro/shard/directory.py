@@ -53,12 +53,11 @@ class ShardConfig:
     def quorum_size(self) -> int:
         return 2 * self.f + 1
 
-    def statement(self) -> tuple[Any, ...]:
-        """The canonical statement members sign to endorse this config."""
-        return ("shard-config", self.shard, self.epoch, self.f, self.members)
-
     def statement_bytes(self) -> bytes:
-        return canonical_encode(self.statement())
+        """The canonical statement members sign to endorse this config."""
+        return canonical_encode(
+            ("shard-config", self.shard, self.epoch, self.f, self.members)
+        )
 
     def quorums(self, extra_signers: Iterable[str] = ()) -> QuorumSystem:
         """The quorum system protocol traffic runs under at this epoch.

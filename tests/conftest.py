@@ -48,7 +48,7 @@ def make_prepare_cert(config, ts, value_hash):
 
     statement = prepare_reply_statement(ts, value_hash)
     sigs = tuple(
-        config.scheme.sign_statement(replica_id(i), statement)
+        config.scheme.sign(replica_id(i), statement)
         for i in range(config.quorum_size)
     )
     return PrepareCertificate(ts=ts, value_hash=value_hash, signatures=sigs)
@@ -61,7 +61,7 @@ def make_write_cert(config, ts):
 
     statement = write_reply_statement(ts)
     sigs = tuple(
-        config.scheme.sign_statement(replica_id(i), statement)
+        config.scheme.sign(replica_id(i), statement)
         for i in range(config.quorum_size)
     )
     return WriteCertificate(ts=ts, signatures=sigs)

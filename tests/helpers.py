@@ -51,11 +51,11 @@ class ProtocolKit:
     ) -> PrepareRequest:
         vh = value_hash if value_hash is not None else hash_value(value)
         statement = prepare_request_statement(
-            prev_cert.to_wire(),
+            prev_cert,
             ts,
             vh,
-            None if write_cert is None else write_cert.to_wire(),
-            None if justify_cert is None else justify_cert.to_wire(),
+            write_cert,
+            justify_cert,
         )
         return PrepareRequest(
             prev_cert=prev_cert,
@@ -63,15 +63,15 @@ class ProtocolKit:
             value_hash=vh,
             write_cert=write_cert,
             justify_cert=justify_cert,
-            signature=self.config.scheme.sign_statement(self.client, statement),
+            signature=self.config.scheme.sign(self.client, statement),
         )
 
     def write_request(self, value: Any, cert: PrepareCertificate) -> WriteRequest:
-        statement = write_request_statement(value, cert.to_wire())
+        statement = write_request_statement(value, cert)
         return WriteRequest(
             value=value,
             prepare_cert=cert,
-            signature=self.config.scheme.sign_statement(self.client, statement),
+            signature=self.config.scheme.sign(self.client, statement),
         )
 
     # -- direct protocol drives -----------------------------------------------

@@ -94,7 +94,7 @@ class TestReplicaValidation:
         config.authorized_writers = set()  # nobody may write
         replica = BqsReplica("replica:0", config)
         ts = Timestamp(1, "client:a")
-        sig = config.scheme.sign_statement(
+        sig = config.scheme.sign(
             "client:a", bqs_write_statement(ts, hash_value(("v", 1)))
         )
         request = BqsWriteRequest(value=("v", 1), ts=ts, writer_sig=sig)
@@ -113,7 +113,7 @@ class TestReplicaValidation:
 
         def write(ts_val, value):
             ts = Timestamp(ts_val, "client:a")
-            sig = config.scheme.sign_statement(
+            sig = config.scheme.sign(
                 "client:a", bqs_write_statement(ts, hash_value(value))
             )
             return replica.handle(

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.core.messages import message_wire_bytes
-from repro.encoding import canonical_decode, canonical_encode, intern_encode
+from repro.encoding import canonical_decode, canonical_encode
 from repro.errors import EncodingError
 from tests.test_wire_schema import SAMPLES
 
@@ -293,7 +293,6 @@ def test_mutated_encodings_are_rejected_or_canonical():
             continue
         verdicts["accepted"] += 1
         assert canonical_encode(decoded) == data, data
-        assert intern_encode(decoded) == data, data
     # Both verdicts are exercised in bulk, so neither half is vacuous.
     assert min(verdicts.values()) > 2000, verdicts
 

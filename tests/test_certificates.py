@@ -176,7 +176,7 @@ class TestCertificateProperties:
 
         statement = prepare_reply_statement(TS, VHASH)
         all_sigs = tuple(
-            f2_config.scheme.sign_statement(f"replica:{i}", statement)
+            f2_config.scheme.sign(f"replica:{i}", statement)
             for i in range(f2_config.n)
         )
         quorum = f2_config.quorum_size

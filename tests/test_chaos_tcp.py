@@ -140,6 +140,21 @@ class TestTcpCampaignAcceptance:
             assert meddling > 0
             assert ep["reconnects"] > 0
 
+    def test_crash_restart_is_a_catalogue_fault(self, tmp_path):
+        """The mid-episode crash is recorded as a ``crash_restart`` spec the
+        oracle battery reads and the summary lists; the verdicts are the
+        same all-pass battery an unrecorded crash got."""
+        result = run_tcp_episode(
+            TcpChaosConfig(seed=9, corruption=False), "base", tmp_path
+        )
+        assert result.ok, (result.violations, result.error)
+        assert set(result.verdicts) == set(ORACLES)
+        [spec] = result.faults
+        assert spec["op"] == "crash_restart"
+        assert spec["down_for"] == TcpChaosConfig().down_for
+        assert spec["node"] in result.proxy_stats
+        assert result.to_summary()["faults"] == [spec]
+
     def test_single_episode_runner(self, tmp_path):
         result = run_tcp_episode(
             TcpChaosConfig(seed=9, crash_restart=False), "base", tmp_path

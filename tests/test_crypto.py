@@ -5,6 +5,8 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.statements import prepare_reply_statement
+from repro.core.timestamp import Timestamp
 from repro.crypto import (
     DIGEST_SIZE,
     HmacSignatureScheme,
@@ -106,10 +108,12 @@ class TestSignatureSchemes:
         assert not scheme.verify(sig, b"message")
 
     def test_statement_signing(self, scheme):
-        statement = ("PREPARE-REPLY", (1, "client:a"), b"hash")
-        sig = scheme.sign_statement("alice", statement)
-        assert scheme.verify_statement(sig, statement)
-        assert not scheme.verify_statement(sig, ("PREPARE-REPLY", (2, "x"), b"hash"))
+        statement = prepare_reply_statement(Timestamp(1, "client:a"), b"hash")
+        sig = scheme.sign("alice", statement)
+        assert scheme.verify(sig, statement)
+        assert not scheme.verify(
+            sig, prepare_reply_statement(Timestamp(2, "x"), b"hash")
+        )
 
     def test_revoked_signer_cannot_sign(self, scheme):
         scheme.registry.revoke("alice")

@@ -241,7 +241,7 @@ class TestOptimizedOnlyDiscards:
             value_hash=hash_value(("other", 2)),  # statement mismatch
             write_cert=None,
             nonce=nonce,
-            signature=config.scheme.sign_statement(kit.client, statement),
+            signature=config.scheme.sign(kit.client, statement),
         )
         assert replica.handle(kit.client, message) is None
         assert replica.stats.discards["bad-signature"] == 1

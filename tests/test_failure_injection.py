@@ -173,7 +173,7 @@ class TestDuplicatedDelayedReplies:
         # A duplicate WRITE-REPLY arriving after completion is ignored.
         duplicate = WriteReply(
             ts=op.result,
-            signature=config.scheme.sign_statement(
+            signature=config.scheme.sign(
                 replicas[0].node_id, write_reply_statement(op.result)
             ),
         )

@@ -29,7 +29,6 @@ from repro.core.statements import (
     fast_prep_request_statement,
     fast_vouch_statement,
     fast_write_request_statement,
-    statement_bytes,
 )
 from repro.core.timestamp import Timestamp
 from repro.crypto.commitments import (
@@ -66,14 +65,8 @@ def make_fast_prep(config, value, nonce, *, client=CLIENT, write_cert=None):
     value_hash = hash_value(value)
     opening = make_opening(client, value_hash, nonce)
     commitment = make_commitment(opening)
-    statement = statement_bytes(
-        fast_prep_request_statement(
-            client,
-            value_hash,
-            commitment,
-            None if write_cert is None else write_cert.to_wire(),
-            nonce,
-        )
+    statement = fast_prep_request_statement(
+        client, value_hash, commitment, write_cert, nonce
     )
     request = FastPrepRequest(
         client=client,
@@ -89,10 +82,8 @@ def make_fast_prep(config, value, nonce, *, client=CLIENT, write_cert=None):
 
 
 def make_fast_write(config, ts, value, proof, nonce, *, client=CLIENT):
-    statement = statement_bytes(
-        fast_write_request_statement(
-            client, ts.to_wire(), hash_value(value), proof.commitment, nonce
-        )
+    statement = fast_write_request_statement(
+        client, ts, hash_value(value), proof.commitment, nonce
     )
     return FastWriteRequest(
         client=client,
@@ -517,9 +508,7 @@ class TestProofEvidence:
         for replica in replicas.values():
             sig = replica._pvouch()
             assert sig is not None
-            assert config.scheme.verify_statement(
-                sig, fast_vouch_statement(ts.to_wire(), value_hash)
-            )
+            assert config.scheme.verify(sig, fast_vouch_statement(ts, value_hash))
             vouches.append(sig)
         cert = PrepareCertificate(
             ts=ts,

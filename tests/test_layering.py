@@ -362,6 +362,31 @@ def test_checker_flags_a_hand_written_fault_spec(tmp_path):
     ]
 
 
+def test_checker_flags_a_statement_built_at_its_call(tmp_path):
+    """Signed bytes come from a statement builder: a tuple display passed to
+    ``sign`` / ``verify`` / ``mac`` / ``check`` is a statement assembled at
+    its call, and any call of ``intern_encode`` routes one through the
+    deleted memo.  Builder results, names and bytes literals stay free."""
+    (tmp_path / "repro" / "core").mkdir(parents=True)
+    (tmp_path / "repro" / "byzantine").mkdir()
+    (tmp_path / "repro" / "core" / "ok.py").write_text(
+        "sig = scheme.sign(node, prepare_reply_statement(ts, h))\n"
+        "ok = verifier.verify(sig, statement)\n"
+        "mac = auth.mac(a, b, b'probe')\n"
+        "seen = check(replicas, clients)\n"
+    )
+    (tmp_path / "repro" / "byzantine" / "bad.py").write_text(
+        "sig = actor.sign(('probe',))\n"
+        "ok = scheme.verify(sig, ('WRITE-REPLY', ts))\n"
+        "tag = auth.mac(a, b, intern_encode(('FAST-WRITE-ACK', ts)))\n"
+        "good = auth.check(a, b, (x, y), mac)\n"
+    )
+    found = check_layering.find_duplication(tmp_path)
+    assert sorted((module, line) for module, line, _ in found) == [
+        ("repro.byzantine.bad", line) for line in (1, 2, 3, 4)
+    ]
+
+
 def test_checker_cli_passes():
     result = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "check_layering.py")],

@@ -188,11 +188,11 @@ class TestCrossObjectReplayDefence:
         from repro.core.messages import WriteRequest
 
         scoped_a = ScopedSignatureScheme(config.scheme, "a")
-        statement = write_request_statement(("client:kv", 1, "A-data"), cert_a.to_wire())
+        statement = write_request_statement(("client:kv", 1, "A-data"), cert_a)
         request = WriteRequest(
             value=("client:kv", 1, "A-data"),
             prepare_cert=cert_a,
-            signature=scoped_a.sign("client:kv", __import__("repro.encoding", fromlist=["canonical_encode"]).canonical_encode(statement)),
+            signature=scoped_a.sign("client:kv", statement),
         )
         replay = ObjectMessage(obj="b", payload=message_to_wire(request))
         reply = replica.handle("client:kv", replay)
@@ -236,14 +236,13 @@ class TestCrossObjectReplayDefence:
         # scope-"a" request signature is silently discarded by object "b".
         from repro.core.messages import WriteRequest
         from repro.core.statements import write_request_statement
-        from repro.encoding import canonical_encode
 
         value = ("client:kv", 1, "A-data")
-        statement = write_request_statement(value, cert_a.to_wire())
+        statement = write_request_statement(value, cert_a)
         request = WriteRequest(
             value=value,
             prepare_cert=cert_a,
-            signature=scoped_a.sign("client:kv", canonical_encode(statement)),
+            signature=scoped_a.sign("client:kv", statement),
         )
         replay = ObjectMessage(obj="b", payload=message_to_wire(request))
         assert replica.handle("client:kv", replay) is None

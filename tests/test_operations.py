@@ -124,8 +124,8 @@ class TestWriteOperation:
             ),
         )
         # replica:0 signs the envelope honestly but the cert inside is junk.
-        envelope_sig = config.scheme.sign_statement(
-            "replica:0", read_ts_reply_statement(fake_cert.to_wire(), nonce)
+        envelope_sig = config.scheme.sign(
+            "replica:0", read_ts_reply_statement(fake_cert, nonce)
         )
         reply = ReadTsReply(cert=fake_cert, nonce=nonce, signature=envelope_sig)
         client.deliver("replica:0", reply)
@@ -174,9 +174,9 @@ class TestReadOperation:
         sends = client.begin_read()
         nonce = sends[0].message.nonce
         genuine_cert = replicas[0].pcert
-        bad_sig = config.scheme.sign_statement(
+        bad_sig = config.scheme.sign(
             "replica:0",
-            read_reply_statement(("garbage",), genuine_cert.to_wire(), nonce),
+            read_reply_statement(("garbage",), genuine_cert, nonce),
         )
         reply = ReadReply(
             value=("garbage",), cert=genuine_cert, nonce=nonce, signature=bad_sig

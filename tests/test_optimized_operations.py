@@ -223,7 +223,7 @@ class TestOptimizedReads:
                         value_hash=vh,
                         write_cert=None,
                         nonce=nonce,
-                        signature=config.scheme.sign_statement(kit.client, statement),
+                        signature=config.scheme.sign(kit.client, statement),
                     )
                     reply = replica.handle(kit.client, req)
                     if reply is not None and reply.prep_sig is not None:

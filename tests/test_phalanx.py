@@ -58,7 +58,7 @@ class TestEchoProtocol:
         from repro.crypto.hashing import hash_value
 
         vh = hash_value(value)
-        sig = config.scheme.sign_statement(
+        sig = config.scheme.sign(
             "client:a", phx_echo_request_statement(ts, vh)
         )
         return replica.handle(
@@ -91,7 +91,7 @@ class TestEchoProtocol:
 
         config, replica = setup
         ts = Timestamp(1, "client:a")
-        sig = config.scheme.sign_statement(
+        sig = config.scheme.sign(
             "client:a", phx_write_request_statement(("v", 1), ts)
         )
         request = PhxWriteRequest(
@@ -124,7 +124,7 @@ class TestNullReads:
         ts = Timestamp(1, "client:evil")
         value = ("client:evil", 1, None)
         vh = hash_value(value)
-        echo_sig = lambda rid: config.scheme.sign_statement(  # noqa: E731
+        echo_sig = lambda rid: config.scheme.sign(  # noqa: E731
             rid,
             __import__(
                 "repro.baselines.statements", fromlist=["phx_echo_statement"]
@@ -133,7 +133,7 @@ class TestNullReads:
         echo_sigs = tuple(
             echo_sig(rid) for rid in config.quorums.replica_ids[:4]
         )
-        wsig = config.scheme.sign_statement(
+        wsig = config.scheme.sign(
             "client:evil", phx_write_request_statement(value, ts)
         )
         request = PhxWriteRequest(
@@ -176,10 +176,10 @@ class TestNullReads:
             value = ("client:evil", index, None)
             vh = hash_value(value)
             echo_sigs = tuple(
-                config.scheme.sign_statement(rid, phx_echo_statement(ts, vh))
+                config.scheme.sign(rid, phx_echo_statement(ts, vh))
                 for rid in rids[:4]
             )
-            wsig = config.scheme.sign_statement(
+            wsig = config.scheme.sign(
                 "client:evil", phx_write_request_statement(value, ts)
             )
             request = PhxWriteRequest(

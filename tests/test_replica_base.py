@@ -55,8 +55,8 @@ class TestPhase1:
 
         nonce = kit.nonce()
         reply = replica.handle(kit.client, ReadTsRequest(nonce=nonce))
-        statement = read_ts_reply_statement(reply.cert.to_wire(), nonce)
-        assert config.scheme.verify_statement(reply.signature, statement)
+        statement = read_ts_reply_statement(reply.cert, nonce)
+        assert config.scheme.verify(reply.signature, statement)
 
     def test_answers_unconditionally(self, kit, replica):
         """§5.1 liveness: phase-1 requests are answered unconditionally."""

@@ -49,13 +49,13 @@ def make_rtsp(kit, value, write_cert=None):
     vh = hash_value(value)
     nonce = kit.nonce()
     statement = read_ts_prep_request_statement(
-        vh, None if write_cert is None else write_cert.to_wire(), nonce
+        vh, write_cert, nonce
     )
     return ReadTsPrepRequest(
         value_hash=vh,
         write_cert=write_cert,
         nonce=nonce,
-        signature=kit.config.scheme.sign_statement(kit.client, statement),
+        signature=kit.config.scheme.sign(kit.client, statement),
     )
 
 
@@ -67,7 +67,7 @@ class TestMergedPhase:
         assert reply.prepared_ts == ZERO_TS.succ(kit.client)
         assert reply.prep_sig is not None
         inner = prepare_reply_statement(reply.prepared_ts, hash_value(("v", 1)))
-        assert config.scheme.verify_statement(reply.prep_sig, inner)
+        assert config.scheme.verify(reply.prep_sig, inner)
         assert kit.client in replica.optlist
         assert kit.client not in replica.plist  # normal list untouched
 

@@ -108,13 +108,13 @@ class TestOptimizedRecovery:
         nonce = kit.nonce()
         vh = hash_value(value)
         statement = read_ts_prep_request_statement(
-            vh, None if write_cert is None else write_cert.to_wire(), nonce
+            vh, write_cert, nonce
         )
         message = ReadTsPrepRequest(
             value_hash=vh,
             write_cert=write_cert,
             nonce=nonce,
-            signature=kit.config.scheme.sign_statement(kit.client, statement),
+            signature=kit.config.scheme.sign(kit.client, statement),
         )
         reply = replica.handle(kit.client, message)
         assert reply is not None and reply.prepared_ts is not None

@@ -33,7 +33,7 @@ class TestVouches:
         reply = replica.handle(kit.client, ReadTsRequest(nonce=kit.nonce()))
         assert reply.ts_vouch is not None
         statement = write_reply_statement(reply.cert.ts)
-        assert strong_config.scheme.verify_statement(reply.ts_vouch, statement)
+        assert strong_config.scheme.verify(reply.ts_vouch, statement)
 
     def test_read_reply_carries_vouch(self, kit, replica, strong_config):
         reply = replica.handle(kit.client, ReadRequest(nonce=kit.nonce()))

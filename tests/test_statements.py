@@ -30,26 +30,27 @@ from repro.core.statements import (
     write_reply_statement,
     write_request_statement,
 )
+from repro.core.certificates import PrepareCertificate
 from repro.core.timestamp import Timestamp
-from repro.encoding import canonical_encode
+from repro.encoding import canonical_decode
 
 TS = Timestamp(1, "client:a")
 H = b"\x01" * 32
 NONCE = b"\x02" * 16
 VALUE = ("client:a", 1, None)
-CERT_WIRE = ((1, "client:a"), H, ())
+CERT = PrepareCertificate(ts=TS, value_hash=H, signatures=())
 
 
 def all_statements():
     return {
         "prepare_reply": prepare_reply_statement(TS, H),
         "write_reply": write_reply_statement(TS),
-        "read_ts_reply": read_ts_reply_statement(CERT_WIRE, NONCE),
-        "read_reply": read_reply_statement(VALUE, CERT_WIRE, NONCE),
-        "prepare_request": prepare_request_statement(CERT_WIRE, TS, H, None, None),
-        "write_request": write_request_statement(VALUE, CERT_WIRE),
+        "read_ts_reply": read_ts_reply_statement(CERT, NONCE),
+        "read_reply": read_reply_statement(VALUE, CERT, NONCE),
+        "prepare_request": prepare_request_statement(CERT, TS, H, None, None),
+        "write_request": write_request_statement(VALUE, CERT),
         "rtsp_request": read_ts_prep_request_statement(H, None, NONCE),
-        "rtsp_reply": read_ts_prep_reply_statement(CERT_WIRE, TS.to_wire(), NONCE),
+        "rtsp_reply": read_ts_prep_reply_statement(CERT, TS, NONCE),
         "bqs_write": bqs_write_statement(TS, H),
         "bqs_read_ts_reply": bqs_read_ts_reply_statement(TS, NONCE),
         "bqs_write_reply": bqs_write_reply_statement(TS),
@@ -64,7 +65,7 @@ def all_statements():
 
 
 def test_all_statement_types_pairwise_distinct():
-    encoded = {name: canonical_encode(stmt) for name, stmt in all_statements().items()}
+    encoded = all_statements()
     names = list(encoded)
     for i, a in enumerate(names):
         for b in names[i + 1:]:
@@ -75,13 +76,14 @@ def test_statements_start_with_type_tag():
     """Each statement leads with its distinct type string — the mechanism
     behind the pairwise-distinctness guarantee."""
     tags = set()
-    for name, stmt in all_statements().items():
+    for name, encoded in all_statements().items():
+        stmt = canonical_decode(encoded)
         assert isinstance(stmt, tuple) and isinstance(stmt[0], str), name
         assert stmt[0] not in tags, (name, stmt[0])
         tags.add(stmt[0])
 
 
 def test_parameter_changes_change_encoding():
-    base = canonical_encode(prepare_reply_statement(TS, H))
-    assert canonical_encode(prepare_reply_statement(TS.succ("client:a"), H)) != base
-    assert canonical_encode(prepare_reply_statement(TS, b"\x03" * 32)) != base
+    base = prepare_reply_statement(TS, H)
+    assert prepare_reply_statement(TS.succ("client:a"), H) != base
+    assert prepare_reply_statement(TS, b"\x03" * 32) != base

@@ -25,13 +25,14 @@ from repro.core.timestamp import ZERO_TS
 from repro.core.verification import Verifier
 from repro.crypto.hashing import hash_value
 from repro.crypto.signatures import Signature
+from repro.encoding import canonical_encode
 
 #: (scheme name, number of randomized operations) — RSA is slower, so fewer.
 BACKENDS = [("hmac", 200), ("rsa", 30)]
 
 
 def _statement_pool(rng: random.Random) -> list:
-    pool = [("stmt", i, rng.randbytes(8)) for i in range(12)]
+    pool = [canonical_encode(("stmt", i, rng.randbytes(8))) for i in range(12)]
     pool += [prepare_reply_statement(ZERO_TS.succ(f"client:{i}"), hash_value(i))
              for i in range(4)]
     return pool
@@ -46,7 +47,7 @@ def test_signature_verdicts_match_uncached_backend(scheme_name, ops):
     statements = _statement_pool(rng)
 
     signatures = [
-        config.scheme.sign_statement(rng.choice(signers), rng.choice(statements))
+        config.scheme.sign(rng.choice(signers), rng.choice(statements))
         for _ in range(10)
     ]
 
@@ -69,10 +70,10 @@ def test_signature_verdicts_match_uncached_backend(scheme_name, ops):
         else:
             # Unknown signer.
             sig = Signature(signer=f"ghost:{rng.randrange(3)}", value=rng.randbytes(16))
-        expected = config.scheme.verify_statement(sig, statement)
-        assert config.verifier.verify_statement(sig, statement) == expected
+        expected = config.scheme.verify(sig, statement)
+        assert config.verifier.verify(sig, statement) == expected
         # Repeat immediately (duplicate/retransmission): still identical.
-        assert config.verifier.verify_statement(sig, statement) == expected
+        assert config.verifier.verify(sig, statement) == expected
 
 
 @pytest.mark.parametrize("scheme_name,ops", BACKENDS)
@@ -86,7 +87,7 @@ def test_certificate_verdicts_match_uncached_backend(scheme_name, ops):
         h = hash_value(value)
         statement = prepare_reply_statement(ts, h)
         sigs = tuple(
-            config.scheme.sign_statement(r, statement) for r in signer_pool
+            config.scheme.sign(r, statement) for r in signer_pool
         )
         return PrepareCertificate(ts=ts, value_hash=h, signatures=sigs)
 
@@ -114,7 +115,7 @@ def test_certificate_verdicts_match_uncached_backend(scheme_name, ops):
     )
     # Write certificates too (both valid and truncated).
     wstmt = write_reply_statement(ts)
-    wsigs = tuple(config.scheme.sign_statement(r, wstmt) for r in replicas[:quorum])
+    wsigs = tuple(config.scheme.sign(r, wstmt) for r in replicas[:quorum])
     certs.append(WriteCertificate(ts=ts, signatures=wsigs))
     certs.append(WriteCertificate(ts=ts, signatures=wsigs[:-1]))
 
@@ -131,17 +132,17 @@ def test_unregistered_signer_verdict_not_stuck_after_registration():
     config_a = make_system()
     config_b = make_system()  # same master seed -> same derived keys
     config_b.registry.register("client:late")
-    sig = config_b.scheme.sign_statement("client:late", "hello")
+    sig = config_b.scheme.sign("client:late", b"hello")
 
     # Before registration in A: both cached and uncached say False.
-    assert config_a.scheme.verify_statement(sig, "hello") is False
-    assert config_a.verifier.verify_statement(sig, "hello") is False
+    assert config_a.scheme.verify(sig, b"hello") is False
+    assert config_a.verifier.verify(sig, b"hello") is False
 
     config_a.registry.register("client:late")
 
     # After registration the very same signature must now verify.
-    assert config_a.scheme.verify_statement(sig, "hello") is True
-    assert config_a.verifier.verify_statement(sig, "hello") is True
+    assert config_a.scheme.verify(sig, b"hello") is True
+    assert config_a.verifier.verify(sig, b"hello") is True
 
 
 def test_negative_certificate_verdicts_not_cached_across_registration():
@@ -153,7 +154,7 @@ def test_negative_certificate_verdicts_not_cached_across_registration():
     h = hash_value("v")
     statement = prepare_reply_statement(ts, h)
     sigs = tuple(
-        config_b.scheme.sign_statement(r, statement)
+        config_b.scheme.sign(r, statement)
         for r in config_b.quorums.replica_ids[: config_b.quorum_size]
     )
     cert = PrepareCertificate(ts=ts, value_hash=h, signatures=sigs)
@@ -172,26 +173,26 @@ def test_signature_memo_is_bounded():
     )
     replica = config.quorums.replica_ids[0]
     for i in range(10):
-        sig = config.scheme.sign_statement(replica, ("bounded", i))
-        assert verifier.verify_statement(sig, ("bounded", i)) is True
+        sig = config.scheme.sign(replica, b"bounded %d" % i)
+        assert verifier.verify(sig, b"bounded %d" % i) is True
     assert len(verifier._signature_memo) <= 4
     # Evicted entries re-verify correctly (just a miss, not an error).
-    sig0 = config.scheme.sign_statement(replica, ("bounded", 0))
-    assert verifier.verify_statement(sig0, ("bounded", 0)) is True
+    sig0 = config.scheme.sign(replica, b"bounded 0")
+    assert verifier.verify(sig0, b"bounded 0") is True
 
 
 def test_stats_count_hits_and_misses():
     config = make_system()
     verifier = config.verifier
     replica = config.quorums.replica_ids[0]
-    sig = config.scheme.sign_statement(replica, "counted")
+    sig = config.scheme.sign(replica, b"counted")
 
-    assert verifier.verify_statement(sig, "counted") is True
+    assert verifier.verify(sig, b"counted") is True
     assert verifier.stats.signature_checks == 1
     assert verifier.stats.signature_hits == 0
     assert verifier.stats.backend_verifies == 1
 
-    assert verifier.verify_statement(sig, "counted") is True
+    assert verifier.verify(sig, b"counted") is True
     assert verifier.stats.signature_checks == 2
     assert verifier.stats.signature_hits == 1
     assert verifier.stats.backend_verifies == 1
@@ -199,7 +200,7 @@ def test_stats_count_hits_and_misses():
     ts = ZERO_TS.succ("client:w")
     stmt = prepare_reply_statement(ts, hash_value("v"))
     sigs = tuple(
-        config.scheme.sign_statement(r, stmt)
+        config.scheme.sign(r, stmt)
         for r in config.quorums.replica_ids[: config.quorum_size]
     )
     cert = PrepareCertificate(ts=ts, value_hash=hash_value("v"), signatures=sigs)

@@ -20,8 +20,9 @@ into transports or the simulator.  ``repro.storage`` sits *below*
 layer 0) and never see protocol types — the translation lives in
 ``repro.core.persistence`` (layer 3), which is what lets the same store
 back every replica variant.  The wire fast path keeps the same shape:
-``encoding.interning`` lives at layer 0 so ``crypto`` and ``core`` can share
-interned statement bytes.  ``repro.shard`` (placement, directory,
+``encoding.encode_once`` and ``encoding.Encoded`` live at layer 0 so
+``crypto`` and ``core`` can stash and splice a certificate's canonical
+bytes.  ``repro.shard`` (placement, directory,
 reconfiguration) composes ``core`` protocol machines but stays
 transport-agnostic: the simulator, asyncio transport, and chaos engine
 (layer 5) host shard roles, never the reverse.  Imports are discovered by parsing every
@@ -33,7 +34,7 @@ table (name -> defining module, resolved on first access by
 module, and an entry naming a module that does not exist is flagged
 (:func:`find_dangling_exports`).
 
-Thirteen further rules keep deleted duplication from growing back
+Fourteen further rules keep deleted duplication from growing back
 (:func:`find_duplication`): the TCP client stack lives in one module, so
 ``asyncio.open_connection`` may be called only from ``repro.net.mux`` (and
 the chaos proxy's upstream leg); the variant-to-class mapping lives on
@@ -82,7 +83,12 @@ of the declaration growing back; and each fault op is declared once, by a
 ``FaultOp`` in ``repro.sim.faults``, so outside that module nothing may
 write a dict display with an ``"op"`` key or compare against a declared
 fault-op name (``op == "wal_bitflip"``) — a hand-written spec or a
-per-op branch is a second fault vocabulary growing back.
+per-op branch is a second fault vocabulary growing back; and signed bytes
+are built only by statement builders, which encode each statement once and
+splice the certificates it embeds, so no tuple display may be passed to
+``sign`` / ``verify`` / ``mac`` / ``check`` and nothing may call
+``intern_encode`` — a statement assembled at its call site, or routed
+through a process-wide memo, is a second encoding path growing back.
 
 Run:  python tools/check_layering.py   (exits 1 and lists violations)
 The tier-1 test ``tests/test_layering.py`` runs this on every suite run.
@@ -195,6 +201,12 @@ VARIANT_NAMES = frozenset({"base", "optimized", "strong", "fastpath"})
 #: The one module that spells the fault vocabulary: each op's name,
 #: parameters and spec shape.  Everyone else builds specs through it.
 FAULT_SITE = "repro.sim.faults"
+
+
+#: What takes statement bytes: those bytes come from a statement builder
+#: (``repro.core.statements`` and its baseline and shard peers), never from
+#: a tuple assembled at the call.
+AUTH_CALLS = frozenset({"sign", "verify", "mac", "check"})
 
 
 def _compares_against(node: ast.Compare, names: frozenset[str]) -> bool:
@@ -448,6 +460,18 @@ def find_duplication(src: pathlib.Path = SRC) -> list[tuple[str, int, str]]:
                         (module, node.lineno, f"calls {callee} outside "
                          + DURABLE_SITE + "; replay goes through the field table")
                     )
+                if callee in AUTH_CALLS and any(
+                    isinstance(arg, ast.Tuple) for arg in node.args
+                ):
+                    found.append(
+                        (module, node.lineno, f"passes a tuple to {callee}; "
+                         "sign the bytes a statement builder returns")
+                    )
+                if callee == "intern_encode":
+                    found.append(
+                        (module, node.lineno, "calls intern_encode; a statement "
+                         "builder encodes once and splices cert.encoded")
+                    )
                 if callee == "WireType" and module != WIRE_SCHEMA_SITE:
                     found.append(
                         (module, node.lineno, "grows the wire type table outside "
@@ -545,7 +569,7 @@ def main() -> int:
             "one wire schema / one barrier site / the sans-I/O adversary / "
             "the socket front door / one decode per frame / the durable field "
             "table / the always-on caches / the declared protocol / the fault "
-            "catalogue replaced:"
+            "catalogue / the statement builders replaced:"
         )
         for module, line, what in duplication:
             print(f"  {module}:{line} {what}")
