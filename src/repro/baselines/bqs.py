@@ -36,6 +36,7 @@ from repro.baselines.statements import (
 from repro.core.config import SystemConfig
 from repro.core.messages import Message
 from repro.core.operations import Operation, Send
+from repro.core.phases import Validator, signed_by, signed_reply
 from repro.core.timestamp import ZERO_TS, Timestamp
 from repro.crypto.hashing import hash_value
 from repro.crypto.nonces import NonceSource
@@ -116,6 +117,11 @@ class BqsReplica:
         )
 
 
+def _acks(config: SystemConfig, ts: Timestamp) -> Validator:
+    """Votes of a write or write-back at ``ts``: signed BQS-WRITE-REPLYs."""
+    return signed_reply(config, BqsWriteReply, bqs_write_reply_statement(ts), ts=ts)
+
+
 class BqsWriteOperation(Operation):
     """Two-phase write: read the highest timestamp, then store."""
 
@@ -139,24 +145,10 @@ class BqsWriteOperation(Operation):
     def _validate_read_ts(self, sender: str, message: Message) -> Optional[Timestamp]:
         if not isinstance(message, BqsReadTsReply) or message.nonce != self.nonce:
             return None
-        if message.signature.signer != sender:
-            return None
         statement = bqs_read_ts_reply_statement(message.ts, message.nonce)
-        if not self.config.verifier.verify(message.signature, statement):
+        if not signed_by(self.config, sender, message.signature, statement):
             return None
         return message.ts
-
-    def _validate_write_reply(
-        self, sender: str, message: Message
-    ) -> Optional[Signature]:
-        if not isinstance(message, BqsWriteReply) or message.ts != self._target_ts:
-            return None
-        if message.signature.signer != sender:
-            return None
-        statement = bqs_write_reply_statement(message.ts)
-        if not self.config.verifier.verify(message.signature, statement):
-            return None
-        return message.signature
 
     def _advance(self) -> list[Send]:
         assert self._collector is not None
@@ -172,7 +164,7 @@ class BqsWriteOperation(Operation):
                 ts=self._target_ts,
                 writer_sig=self._sign(statement),
             )
-            return self._broadcast(request, self._validate_write_reply)
+            return self._broadcast(request, _acks(self.config, self._target_ts))
         if self._phase == 2:
             return self._finish(self._target_ts)
         raise AssertionError(f"unexpected phase {self._phase}")
@@ -204,10 +196,8 @@ class BqsReadOperation(Operation):
     def _validate_read(self, sender: str, message: Message) -> Optional[BqsReadReply]:
         if not isinstance(message, BqsReadReply) or message.nonce != self.nonce:
             return None
-        if message.signature.signer != sender:
-            return None
         statement = bqs_read_reply_statement(message.value, message.ts, message.nonce)
-        if not self.config.verifier.verify(message.signature, statement):
+        if not signed_by(self.config, sender, message.signature, statement):
             return None
         if message.ts == ZERO_TS:
             return message if message.value is None else None
@@ -219,17 +209,6 @@ class BqsReadOperation(Operation):
         ):
             return None
         return message
-
-    def _validate_write_back(self, sender: str, message: Message) -> Optional[Signature]:
-        assert self._best is not None
-        if not isinstance(message, BqsWriteReply) or message.ts != self._best.ts:
-            return None
-        if message.signature.signer != sender:
-            return None
-        statement = bqs_write_reply_statement(message.ts)
-        if not self.config.verifier.verify(message.signature, statement):
-            return None
-        return message.signature
 
     def _advance(self) -> list[Send]:
         assert self._collector is not None
@@ -263,7 +242,7 @@ class BqsReadOperation(Operation):
             )
             return self._broadcast(
                 request,
-                self._validate_write_back,
+                _acks(self.config, best.ts),
                 targets,
                 prefill={r: None for r in up_to_date},
             )

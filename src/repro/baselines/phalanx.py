@@ -43,6 +43,7 @@ from repro.baselines.statements import (
 from repro.core.config import SystemConfig
 from repro.core.messages import Message
 from repro.core.operations import Operation, Send
+from repro.core.phases import signed_by, signed_reply
 from repro.core.timestamp import ZERO_TS, Timestamp
 from repro.crypto.hashing import hash_value
 from repro.crypto.nonces import NonceSource
@@ -191,36 +192,10 @@ class PhalanxWriteOperation(Operation):
     def _validate_read_ts(self, sender: str, message: Message) -> Optional[Timestamp]:
         if not isinstance(message, PhxReadTsReply) or message.nonce != self.nonce:
             return None
-        if message.signature.signer != sender:
-            return None
         statement = phx_read_ts_reply_statement(message.ts, message.nonce)
-        if not self.config.verifier.verify(message.signature, statement):
+        if not signed_by(self.config, sender, message.signature, statement):
             return None
         return message.ts
-
-    def _validate_echo(self, sender: str, message: Message) -> Optional[Signature]:
-        if not isinstance(message, PhxEchoReply):
-            return None
-        if message.ts != self._target_ts or message.value_hash != self.value_hash:
-            return None
-        if message.signature.signer != sender:
-            return None
-        statement = phx_echo_statement(message.ts, message.value_hash)
-        if not self.config.verifier.verify(message.signature, statement):
-            return None
-        return message.signature
-
-    def _validate_write_reply(
-        self, sender: str, message: Message
-    ) -> Optional[Signature]:
-        if not isinstance(message, PhxWriteReply) or message.ts != self._target_ts:
-            return None
-        if message.signature.signer != sender:
-            return None
-        statement = phx_write_reply_statement(message.ts)
-        if not self.config.verifier.verify(message.signature, statement):
-            return None
-        return message.signature
 
     def _advance(self) -> list[Send]:
         assert self._collector is not None
@@ -230,13 +205,20 @@ class PhalanxWriteOperation(Operation):
             max_ts: Timestamp = max(self._collector.replies.values())
             self._target_ts = max_ts.succ(self.client_id)
             self._phase = 2
-            statement = phx_echo_request_statement(self._target_ts, self.value_hash)
+            ts, value_hash = self._target_ts, self.value_hash
             request = PhxEchoRequest(
-                ts=self._target_ts,
-                value_hash=self.value_hash,
-                signature=self._sign(statement),
+                ts=ts,
+                value_hash=value_hash,
+                signature=self._sign(phx_echo_request_statement(ts, value_hash)),
             )
-            return self._broadcast(request, self._validate_echo)
+            echoes = signed_reply(
+                self.config,
+                PhxEchoReply,
+                phx_echo_statement(ts, value_hash),
+                ts=ts,
+                value_hash=value_hash,
+            )
+            return self._broadcast(request, echoes)
         if self._phase == 2:
             echo_sigs = tuple(self._collector.replies.values())
             self._phase = 3
@@ -248,7 +230,13 @@ class PhalanxWriteOperation(Operation):
                 echo_sigs=echo_sigs,
                 signature=self._sign(statement),
             )
-            return self._broadcast(request, self._validate_write_reply)
+            acks = signed_reply(
+                self.config,
+                PhxWriteReply,
+                phx_write_reply_statement(self._target_ts),
+                ts=self._target_ts,
+            )
+            return self._broadcast(request, acks)
         if self._phase == 3:
             return self._finish(self._target_ts)
         raise AssertionError(f"unexpected phase {self._phase}")
@@ -270,16 +258,10 @@ class PhalanxReadOperation(Operation):
         return self._broadcast(PhxReadRequest(nonce=self.nonce), self._validate_read)
 
     def _validate_read(self, sender: str, message: Message) -> Optional[PhxReadReply]:
-        if not isinstance(message, PhxReadRequest) and not isinstance(
-            message, PhxReadReply
-        ):
-            return None
         if not isinstance(message, PhxReadReply) or message.nonce != self.nonce:
             return None
-        if message.signature.signer != sender:
-            return None
         statement = phx_read_reply_statement(message.value, message.ts, message.nonce)
-        if not self.config.verifier.verify(message.signature, statement):
+        if not signed_by(self.config, sender, message.signature, statement):
             return None
         return message
 

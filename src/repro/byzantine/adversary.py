@@ -10,8 +10,10 @@ the simulator, ``net.mux.drive`` on a socket, ``ScheduleExplorer`` in its
 ``clients`` dict.  Waiting for replies that will not come is a budget counted
 in retransmit ticks.  A step is either an inner ``Operation`` whose outgoing
 sends are filtered (how a final write is withheld) or a set of concurrent
-quorum rounds, so one vote per replica, sender checks and retransmission to
-the silent set are the engine's for every attack alike.
+quorum rounds, so one vote per replica, retransmission to the silent set and
+the sender-bound signature check (:func:`~repro.core.phases.signed_by`,
+:func:`~repro.core.phases.signed_reply`) are the phase engine's for every
+attack and every correct client alike.
 """
 
 from __future__ import annotations
@@ -163,26 +165,6 @@ class Adversary:
 
     # -- rounds every attack shares ---------------------------------------------
 
-    def _signature_round(
-        self,
-        request: Any,
-        reply_cls: type,
-        statement: bytes,
-        targets: Optional[tuple[str, ...]] = None,
-    ) -> QuorumRound:
-        """``request`` asks each replica to sign ``statement`` for its
-        ``(ts, value_hash)``; the votes are those signatures."""
-
-        def valid(src: str, message: Message) -> Optional[Signature]:
-            if not isinstance(message, reply_cls) or message.ts != request.ts:
-                return None
-            if message.value_hash != request.value_hash:
-                return None
-            signed = self._signed_by(src, message.signature, statement)
-            return message.signature if signed else None
-
-        return QuorumRound(self.config, request, valid, targets=targets)
-
     def _ack_round(
         self,
         request: Message,
@@ -207,8 +189,3 @@ class Adversary:
 
     def sign(self, statement: bytes, signer: Optional[str] = None) -> Signature:
         return self.config.scheme.sign(signer or self.node_id, statement)
-
-    def _signed_by(self, src: str, signature: Signature, statement: bytes) -> bool:
-        return signature.signer == src and self.config.scheme.verify(
-            signature, statement
-        )

@@ -34,7 +34,7 @@ from repro.baselines.statements import (
 from repro.byzantine.adversary import Adversary
 from repro.core.config import SystemConfig
 from repro.core.messages import Message
-from repro.core.phases import QuorumRound, Send
+from repro.core.phases import QuorumRound, Send, signed_by, signed_reply
 from repro.core.timestamp import Timestamp
 from repro.crypto.hashing import hash_value
 
@@ -78,7 +78,7 @@ class BqsEquivocationAttack(Adversary):
             if not isinstance(message, BqsReadTsReply) or message.nonce != nonce:
                 return None
             statement = bqs_read_ts_reply_statement(message.ts, nonce)
-            signed = self._signed_by(src, message.signature, statement)
+            signed = signed_by(self.config, src, message.signature, statement)
             return message.ts if signed else None
 
         round_ = QuorumRound(self.config, BqsReadTsRequest(nonce=nonce), valid)
@@ -131,9 +131,14 @@ def _echo_round(
         value_hash=value_hash,
         signature=adversary.sign(phx_echo_request_statement(ts, value_hash)),
     )
-    return adversary._signature_round(
-        request, PhxEchoReply, phx_echo_statement(ts, value_hash), targets
+    votes = signed_reply(
+        adversary.config,
+        PhxEchoReply,
+        phx_echo_statement(ts, value_hash),
+        ts=ts,
+        value_hash=value_hash,
     )
+    return QuorumRound(adversary.config, request, votes, targets=targets)
 
 
 class PhalanxTimestampExhaustionAttack(Adversary):

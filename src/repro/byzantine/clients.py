@@ -37,7 +37,7 @@ from repro.core.messages import (
     WriteRequest,
 )
 from repro.core.operations import Operation, Send, WriteOperation
-from repro.core.phases import QuorumRound
+from repro.core.phases import QuorumRound, signed_by, signed_reply
 from repro.core.statements import (
     prepare_reply_statement,
     prepare_request_statement,
@@ -100,7 +100,7 @@ class _SignedPrepares(Adversary):
             if not isinstance(message, ReadTsReply) or message.nonce != nonce:
                 return None
             statement = read_ts_reply_statement(message.cert, nonce)
-            signed = self._signed_by(src, message.signature, statement)
+            signed = signed_by(self.config, src, message.signature, statement)
             return message if signed else None
 
         round_ = QuorumRound(self.config, ReadTsRequest(nonce=nonce), valid)
@@ -141,9 +141,14 @@ class _SignedPrepares(Adversary):
             justify_cert=justify,
             signature=self.sign(statement, signer),
         )
-        return self._signature_round(
-            request, PrepareReply, prepare_reply_statement(ts, value_hash), targets
+        votes = signed_reply(
+            self.config,
+            PrepareReply,
+            prepare_reply_statement(ts, value_hash),
+            ts=ts,
+            value_hash=value_hash,
         )
+        return QuorumRound(self.config, request, votes, targets=targets)
 
     @staticmethod
     def _certificate(round_: QuorumRound) -> PrepareCertificate:

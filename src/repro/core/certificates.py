@@ -48,7 +48,7 @@ from repro.core.timestamp import ZERO_TS, Timestamp
 from repro.crypto.commitments import ProofOfWriting
 from repro.crypto.hashing import hash_value
 from repro.crypto.signatures import Signature, SignatureScheme
-from repro.encoding import canonical_encode, encode_once
+from repro.encoding import Encoded, canonical_encode, encode_once
 from repro.errors import CertificateError
 
 __all__ = [
@@ -64,6 +64,16 @@ GENESIS_VALUE = None
 
 def _encode_wire(cert: Any) -> bytes:
     return canonical_encode(cert.to_wire())
+
+
+def _encode_prepare(cert: "PrepareCertificate") -> bytes:
+    """Proof evidence splices the proof's stashed bytes: replicas wrapping
+    one shared proof in certificates of their own encode its rows once."""
+    if cert.evidence != "proof" or cert.proof is None:
+        return _encode_wire(cert)
+    return canonical_encode(
+        ("proof", cert.ts.to_wire(), cert.value_hash, Encoded(cert.proof.encoded))
+    )
 
 
 def _signatures_from_wire(wire: Any) -> tuple[Signature, ...]:
@@ -135,7 +145,7 @@ class PrepareCertificate:
         Every statement and message that carries this certificate splices
         these bytes instead of encoding the certificate again.
         """
-        return encode_once(self, _encode_wire)
+        return encode_once(self, _encode_prepare)
 
     @classmethod
     def from_wire(cls, wire: Any) -> "PrepareCertificate":

@@ -55,15 +55,14 @@ from repro.core.messages import (
     ReadTsReply,
     ReadTsRequest,
 )
-from repro.core.operations import ReadOperation, Send, WriteOperation
+from repro.core.operations import Operation, ReadOperation, Send, WriteOperation
+from repro.core.phases import signed_by
 from repro.core.statements import (
     fast_prep_reply_statement,
     fast_prep_request_statement,
     fast_vouch_statement,
     fast_write_reply_statement,
     fast_write_request_statement,
-    read_reply_statement,
-    read_ts_reply_statement,
 )
 from repro.core.timestamp import Timestamp
 from repro.crypto.commitments import (
@@ -72,7 +71,7 @@ from repro.crypto.commitments import (
     make_mac_row,
     make_opening,
 )
-from repro.crypto.hashing import digest, hash_value
+from repro.crypto.hashing import digest
 from repro.crypto.signatures import Signature
 
 __all__ = ["FastWriteOperation", "FastReadOperation", "DEMOTION_TICKS"]
@@ -83,13 +82,29 @@ __all__ = ["FastWriteOperation", "FastReadOperation", "DEMOTION_TICKS"]
 DEMOTION_TICKS = 3
 
 
-def _vouch_sig_valid(
-    config: SystemConfig, sig: Signature, sender: str, ts: Timestamp, h: bytes
-) -> bool:
-    """Is ``sig`` ``sender``'s signature over ``<FAST-VOUCH, ts, h>``?"""
-    if sig.signer != sender:
-        return False
-    return config.verifier.verify(sig, fast_vouch_statement(ts, h))
+def _accept_proof_evidence(op: Operation, cert: PrepareCertificate) -> bool:
+    """Proof evidence is not third-party verifiable, but the signed envelope
+    authenticates the reply; its ``(ts, h)`` group becomes eligible only
+    through pvouches or another replica's transferable certificate."""
+    return cert.evidence == "proof" or op.config.verifier.certificate_valid(cert)
+
+
+def _record_pvouch(
+    op: Operation,
+    pvouches: dict[tuple[Timestamp, bytes], dict[str, Signature]],
+    sender: str,
+    reply: Any,
+) -> None:
+    """File ``reply``'s pvouch under its ``(ts, h)`` group if its sender
+    signed ``<FAST-VOUCH, ts, h>``."""
+    cert = reply.cert
+    if reply.pvouch is not None and signed_by(
+        op.config,
+        sender,
+        reply.pvouch,
+        fast_vouch_statement(cert.ts, cert.value_hash),
+    ):
+        pvouches.setdefault((cert.ts, cert.value_hash), {})[sender] = reply.pvouch
 
 
 class FastWriteOperation(WriteOperation):
@@ -102,6 +117,7 @@ class FastWriteOperation(WriteOperation):
     """
 
     op_name = "write"
+    _certificate_ok = _accept_proof_evidence
 
     def __init__(
         self,
@@ -252,29 +268,14 @@ class FastWriteOperation(WriteOperation):
     def _validate_fallback_read_ts_reply(
         self, sender: str, message: Message
     ) -> Optional[ReadTsReply]:
-        if not isinstance(message, ReadTsReply) or message.nonce != self._fb_nonce:
+        reply = self._read_ts_reply(sender, message, self._fb_nonce)
+        if reply is None:
             return None
-        if message.signature.signer != sender:
-            return None
-        envelope = read_ts_reply_statement(message.cert, message.nonce)
-        if not self.config.verifier.verify(message.signature, envelope):
-            return None
-        cert = message.cert
-        key = (cert.ts, cert.value_hash)
-        if cert.evidence == "proof":
-            # Not third-party verifiable; the reply is kept (the envelope
-            # authenticates it) and the group becomes eligible only through
-            # pvouches or a transferable certificate from another replica.
-            pass
-        else:
-            if not self.config.verifier.certificate_valid(cert):
-                return None
-            self._fb_certs.setdefault(key, cert)
-        if message.pvouch is not None and _vouch_sig_valid(
-            self.config, message.pvouch, sender, cert.ts, cert.value_hash
-        ):
-            self._pvouches.setdefault(key, {})[sender] = message.pvouch
-        return message
+        cert = reply.cert
+        if cert.evidence != "proof":
+            self._fb_certs.setdefault((cert.ts, cert.value_hash), cert)
+        _record_pvouch(self, self._pvouches, sender, reply)
+        return reply
 
     def _choose_fallback_pmax(self) -> Optional[PrepareCertificate]:
         """Apply the three ordering rules to the fallback candidates."""
@@ -385,6 +386,7 @@ class FastReadOperation(ReadOperation):
     """
 
     op_name = "read"
+    _certificate_ok = _accept_proof_evidence
 
     def __init__(
         self,
@@ -409,28 +411,14 @@ class FastReadOperation(ReadOperation):
     def _validate_read_reply(
         self, sender: str, message: Message
     ) -> Optional[ReadReply]:
-        if not isinstance(message, ReadReply) or message.nonce != self.nonce:
+        reply = super()._validate_read_reply(sender, message)
+        if reply is None:
             return None
-        if message.signature.signer != sender:
-            return None
-        statement = read_reply_statement(
-            message.value, message.cert, message.nonce
-        )
-        if not self.config.verifier.verify(message.signature, statement):
-            return None
-        cert = message.cert
-        if cert.h != hash_value(message.value):
-            return None
-        key = (cert.ts, cert.value_hash)
+        cert = reply.cert
         if cert.evidence != "proof":
-            if not self.config.verifier.certificate_valid(cert):
-                return None
-            self._group_certs.setdefault(key, cert)
-        if message.pvouch is not None and _vouch_sig_valid(
-            self.config, message.pvouch, sender, cert.ts, cert.value_hash
-        ):
-            self._pvouches.setdefault(key, {})[sender] = message.pvouch
-        return message
+            self._group_certs.setdefault((cert.ts, cert.value_hash), cert)
+        _record_pvouch(self, self._pvouches, sender, reply)
+        return reply
 
     def _transferable_cert(
         self, key: tuple[Timestamp, bytes]

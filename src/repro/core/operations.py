@@ -7,9 +7,10 @@ paper's only liveness mechanism ("clients retransmit their requests ...; they
 stop retransmitting once they collect a quorum of valid replies").
 
 Every phase is a :class:`~repro.core.phases.QuorumRound`; this module keeps
-only the transitions and per-phase validators.  Keeping operations sans-I/O
-lets exactly the same protocol logic run on the deterministic simulator and
-on the asyncio TCP transport.
+only the transitions and per-phase validators, and every validator binds a
+reply's signature to its sender through :func:`~repro.core.phases.signed_by`.
+Keeping operations sans-I/O lets exactly the same protocol logic run on the
+deterministic simulator and on the asyncio TCP transport.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from repro.core.messages import (
     WriteReply,
     WriteRequest,
 )
-from repro.core.phases import QuorumRound, Send
+from repro.core.phases import QuorumRound, Send, signed_by, signed_reply
 from repro.core.statements import (
     prepare_reply_statement,
     prepare_request_statement,
@@ -154,6 +155,48 @@ class Operation:
     def _sign(self, statement: bytes) -> Signature:
         return self.config.scheme.sign(self.client_id, statement)
 
+    def _certificate_ok(self, cert: PrepareCertificate) -> bool:
+        """Does this client accept the certificate a reply carries?"""
+        return self.config.verifier.certificate_valid(cert)
+
+    def _read_reply(
+        self, sender: str, message: Message, nonce: bytes
+    ) -> Optional[ReadReply]:
+        """A READ-REPLY to ``nonce`` that its sender signed, whose certificate
+        this client accepts and vouches for the value returned."""
+        if not isinstance(message, ReadReply) or message.nonce != nonce:
+            return None
+        statement = read_reply_statement(message.value, message.cert, nonce)
+        if not signed_by(self.config, sender, message.signature, statement):
+            return None
+        if not self._certificate_ok(message.cert):
+            return None
+        # The certificate vouches for h(data): a Byzantine replica cannot
+        # return a fabricated value under a genuine certificate.
+        if message.cert.h != hash_value(message.value):
+            return None
+        return message
+
+    def _write_phase(
+        self,
+        value: Any,
+        cert: PrepareCertificate,
+        targets: Optional[tuple[str, ...]] = None,
+        *,
+        prefill: Optional[Mapping[str, Any]] = None,
+    ) -> list[Send]:
+        """Begin a WRITE of ``value`` under ``cert``: phase 3 of a write, or
+        a write-back.  A vote is a WRITE-REPLY signature for ``cert.ts``."""
+        request = WriteRequest(
+            value=value,
+            prepare_cert=cert,
+            signature=self._sign(write_request_statement(value, cert)),
+        )
+        valid = signed_reply(
+            self.config, WriteReply, write_reply_statement(cert.ts), ts=cert.ts
+        )
+        return self._broadcast(request, valid, targets, prefill=prefill)
+
 
 class WriteOperation(Operation):
     """The three-phase base write protocol (Figure 1)."""
@@ -196,14 +239,19 @@ class WriteOperation(Operation):
     def _validate_read_ts_reply(
         self, sender: str, message: Message
     ) -> Optional[ReadTsReply]:
-        if not isinstance(message, ReadTsReply) or message.nonce != self.nonce:
+        return self._read_ts_reply(sender, message, self.nonce)
+
+    def _read_ts_reply(
+        self, sender: str, message: Message, nonce: bytes
+    ) -> Optional[ReadTsReply]:
+        """A READ-TS-REPLY to ``nonce`` that its sender signed, carrying a
+        certificate this client accepts."""
+        if not isinstance(message, ReadTsReply) or message.nonce != nonce:
             return None
-        if message.signature.signer != sender:
+        statement = read_ts_reply_statement(message.cert, nonce)
+        if not signed_by(self.config, sender, message.signature, statement):
             return None
-        statement = read_ts_reply_statement(message.cert, message.nonce)
-        if not self.config.verifier.verify(message.signature, statement):
-            return None
-        if not self.config.verifier.certificate_valid(message.cert):
+        if not self._certificate_ok(message.cert):
             return None
         return message
 
@@ -215,7 +263,15 @@ class WriteOperation(Operation):
         self._target_ts = p_max.ts.succ(self.client_id)
         justify = self._justify_cert()
         request = self._make_prepare_request(p_max, self._target_ts, justify)
-        return self._broadcast(request, self._validate_prepare_reply)
+        statement = prepare_reply_statement(self._target_ts, self.value_hash)
+        valid = signed_reply(
+            self.config,
+            PrepareReply,
+            statement,
+            ts=self._target_ts,
+            value_hash=self.value_hash,
+        )
+        return self._broadcast(request, valid)
 
     def _justify_cert(self) -> Optional[WriteCertificate]:
         """Hook for the §7 strong variant; the base protocol sends none."""
@@ -239,44 +295,12 @@ class WriteOperation(Operation):
             signature=self._sign(statement),
         )
 
-    def _validate_prepare_reply(
-        self, sender: str, message: Message
-    ) -> Optional[Signature]:
-        if not isinstance(message, PrepareReply):
-            return None
-        if message.ts != self._target_ts or message.value_hash != self.value_hash:
-            return None
-        if message.signature.signer != sender:
-            return None
-        statement = prepare_reply_statement(message.ts, message.value_hash)
-        if not self.config.verifier.verify(message.signature, statement):
-            return None
-        return message.signature
-
     # -- phase 3: WRITE ----------------------------------------------------------
 
     def _begin_write(self, prepare_cert: PrepareCertificate) -> list[Send]:
         self._phase = 3
         self._prepare_cert = prepare_cert
-        statement = write_request_statement(self.value, prepare_cert)
-        request = WriteRequest(
-            value=self.value,
-            prepare_cert=prepare_cert,
-            signature=self._sign(statement),
-        )
-        return self._broadcast(request, self._validate_write_reply)
-
-    def _validate_write_reply(
-        self, sender: str, message: Message
-    ) -> Optional[Signature]:
-        if not isinstance(message, WriteReply) or message.ts != self._target_ts:
-            return None
-        if message.signature.signer != sender:
-            return None
-        statement = write_reply_statement(message.ts)
-        if not self.config.verifier.verify(message.signature, statement):
-            return None
-        return message.signature
+        return self._write_phase(self.value, prepare_cert)
 
     # -- transitions ----------------------------------------------------------
 
@@ -342,22 +366,7 @@ class ReadOperation(Operation):
         )
 
     def _validate_read_reply(self, sender: str, message: Message) -> Optional[ReadReply]:
-        if not isinstance(message, ReadReply) or message.nonce != self.nonce:
-            return None
-        if message.signature.signer != sender:
-            return None
-        statement = read_reply_statement(
-            message.value, message.cert, message.nonce
-        )
-        if not self.config.verifier.verify(message.signature, statement):
-            return None
-        if not self.config.verifier.certificate_valid(message.cert):
-            return None
-        # The certificate vouches for h(data): a Byzantine replica cannot
-        # return a fabricated value under a genuine certificate.
-        if message.cert.h != hash_value(message.value):
-            return None
-        return message
+        return self._read_reply(sender, message, self.nonce)
 
     def _rank(self, reply: ReadReply) -> tuple:
         if self.hash_tie_break:
@@ -401,31 +410,9 @@ class ReadOperation(Operation):
         laggards.
         """
         self._phase = 2
-        statement = write_request_statement(best.value, best.cert)
-        request = WriteRequest(
-            value=best.value,
-            prepare_cert=best.cert,
-            signature=self._sign(statement),
-        )
         targets = tuple(
             r for r in self.config.quorums.replica_ids if r not in up_to_date
         )
-        return self._broadcast(
-            request,
-            self._validate_write_back_reply,
-            targets,
-            prefill={r: None for r in up_to_date},
+        return self._write_phase(
+            best.value, best.cert, targets, prefill={r: None for r in up_to_date}
         )
-
-    def _validate_write_back_reply(
-        self, sender: str, message: Message
-    ) -> Optional[Signature]:
-        assert self._best is not None
-        if not isinstance(message, WriteReply) or message.ts != self._best.cert.ts:
-            return None
-        if message.signature.signer != sender:
-            return None
-        statement = write_reply_statement(message.ts)
-        if not self.config.verifier.verify(message.signature, statement):
-            return None
-        return message.signature

@@ -23,6 +23,7 @@ from repro.core.certificates import PrepareCertificate, WriteCertificate
 from repro.core.config import SystemConfig
 from repro.core.messages import Message, ReadTsPrepReply, ReadTsPrepRequest
 from repro.core.operations import Send, WriteOperation
+from repro.core.phases import signed_by
 from repro.core.statements import (
     prepare_reply_statement,
     read_ts_prep_reply_statement,
@@ -72,20 +73,18 @@ class OptimizedWriteOperation(WriteOperation):
     ) -> Optional[ReadTsPrepReply]:
         if not isinstance(message, ReadTsPrepReply) or message.nonce != self.nonce:
             return None
-        if message.signature.signer != sender:
-            return None
         envelope = read_ts_prep_reply_statement(
             message.cert, message.prepared_ts, message.nonce
         )
-        if not self.config.verifier.verify(message.signature, envelope):
+        if not signed_by(self.config, sender, message.signature, envelope):
             return None
-        if not self.config.verifier.certificate_valid(message.cert):
+        if not self._certificate_ok(message.cert):
             return None
         if message.prepared_ts is not None:
-            if message.prep_sig is None or message.prep_sig.signer != sender:
-                return None
             inner = prepare_reply_statement(message.prepared_ts, self.value_hash)
-            if not self.config.verifier.verify(message.prep_sig, inner):
+            if message.prep_sig is None or not signed_by(
+                self.config, sender, message.prep_sig, inner
+            ):
                 return None
             self._opt_prep_sigs[sender] = (message.prepared_ts, message.prep_sig)
         return message

@@ -9,6 +9,12 @@ shape once so the variant modules keep only their genuinely variant logic,
 and so the one-valid-vote-per-replica guard lives in exactly one place (a
 Byzantine replica can never get two votes in any phase of any variant).
 
+The vote's other half lives here too: a reply is a vote only if the replica
+that sent it signed it (the quorum arguments count distinct replicas'
+signatures).  :func:`signed_by` is that one check for every client, baseline,
+adversary and reconfigurator, and :func:`signed_reply` validates a round
+whose replies all sign one statement, encoded once when the round begins.
+
 The engine is sans-I/O: it emits :class:`Send` batches and consumes replies,
 so identical code runs under the deterministic simulator and the asyncio TCP
 transport.
@@ -20,14 +26,44 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Mapping, Optional
 
 from repro.core.messages import Message
+from repro.crypto.signatures import Signature
 from repro.obs.spans import NULL_SPAN, SpanHandle
 
 if TYPE_CHECKING:  # avoid an import cycle: config imports nothing from here
     from repro.core.config import SystemConfig
 
-__all__ = ["Send", "QuorumRound"]
+__all__ = ["Send", "QuorumRound", "signed_by", "signed_reply"]
 
 Validator = Callable[[str, Message], Optional[Any]]
+
+
+def signed_by(
+    config: SystemConfig, sender: str, signature: Signature, statement: bytes
+) -> bool:
+    """Is ``signature`` the sender's own, over ``statement``?  A Byzantine
+    replica relaying another's signed reply must earn no vote."""
+    return signature.signer == sender and config.verifier.verify(
+        signature, statement
+    )
+
+
+def signed_reply(
+    config: SystemConfig, reply_cls: type, statement: bytes, **expected: Any
+) -> Validator:
+    """The validator of a round whose replies all sign ``statement``: a vote
+    is the signature of a ``reply_cls`` whose attributes equal ``expected``
+    (``ts=..., value_hash=...``) and which its sender signed."""
+
+    def valid(sender: str, message: Message) -> Optional[Signature]:
+        if not isinstance(message, reply_cls):
+            return None
+        if any(getattr(message, name) != want for name, want in expected.items()):
+            return None
+        if not signed_by(config, sender, message.signature, statement):
+            return None
+        return message.signature
+
+    return valid
 
 
 @dataclass(frozen=True)

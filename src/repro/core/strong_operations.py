@@ -21,23 +21,12 @@ from __future__ import annotations
 
 from typing import Any, Optional
 
-from repro.core.certificates import PrepareCertificate, WriteCertificate
+from repro.core.certificates import WriteCertificate
 from repro.core.config import SystemConfig
-from repro.core.messages import (
-    Message,
-    ReadReply,
-    ReadRequest,
-    ReadTsReply,
-    WriteReply,
-    WriteRequest,
-)
+from repro.core.messages import Message, ReadReply, ReadRequest, ReadTsReply
 from repro.core.operations import Send, WriteOperation
-from repro.core.statements import (
-    read_reply_statement,
-    write_reply_statement,
-    write_request_statement,
-)
-from repro.crypto.hashing import hash_value
+from repro.core.phases import signed_by
+from repro.core.statements import write_reply_statement
 from repro.crypto.signatures import Signature
 
 __all__ = ["StrongWriteOperation"]
@@ -71,20 +60,17 @@ class StrongWriteOperation(WriteOperation):
     def _validate_read_ts_reply(
         self, sender: str, message: Message
     ) -> Optional[ReadTsReply]:
-        reply = super()._validate_read_ts_reply(sender, message)
-        if reply is None:
+        return self._vouched(sender, super()._validate_read_ts_reply(sender, message))
+
+    def _vouched(self, sender: str, reply: Any) -> Any:
+        """``reply`` if its sender also signed ``<WRITE-REPLY, ts>`` for the
+        certificate it returned (the timestamp vouch), else ``None``."""
+        if reply is None or reply.ts_vouch is None:
             return None
-        if not self._check_vouch(sender, reply.ts_vouch, reply.cert):
+        statement = write_reply_statement(reply.cert.ts)
+        if not signed_by(self.config, sender, reply.ts_vouch, statement):
             return None
         return reply
-
-    def _check_vouch(
-        self, sender: str, vouch: Optional[Signature], cert: PrepareCertificate
-    ) -> bool:
-        if vouch is None or vouch.signer != sender:
-            return False
-        statement = write_reply_statement(cert.ts)
-        return self.config.verifier.verify(vouch, statement)
 
     # -- transitions --------------------------------------------------------
 
@@ -129,22 +115,7 @@ class StrongWriteOperation(WriteOperation):
         )
 
     def _validate_fetch_reply(self, sender: str, message: Message) -> Optional[ReadReply]:
-        if not isinstance(message, ReadReply) or message.nonce != self.nonce:
-            return None
-        if message.signature.signer != sender:
-            return None
-        statement = read_reply_statement(
-            message.value, message.cert, message.nonce
-        )
-        if not self.config.verifier.verify(message.signature, statement):
-            return None
-        if not self.config.verifier.certificate_valid(message.cert):
-            return None
-        if message.cert.h != hash_value(message.value):
-            return None
-        if not self._check_vouch(sender, message.ts_vouch, message.cert):
-            return None
-        return message
+        return self._vouched(sender, self._read_reply(sender, message, self.nonce))
 
     def _after_fetch(self) -> list[Send]:
         assert self._collector is not None
@@ -166,12 +137,6 @@ class StrongWriteOperation(WriteOperation):
         self, best: ReadReply, vouches: dict[str, Signature]
     ) -> list[Send]:
         self._phase = _PHASE_WRITE_BACK
-        statement = write_request_statement(best.value, best.cert)
-        request = WriteRequest(
-            value=best.value,
-            prepare_cert=best.cert,
-            signature=self._sign(statement),
-        )
         targets = tuple(
             r for r in self.config.quorums.replica_ids if r not in vouches
         )
@@ -179,24 +144,7 @@ class StrongWriteOperation(WriteOperation):
         # the quorum and are excluded from retransmission, and the combined
         # replies (vouches + WRITE-REPLY signatures) form the justify
         # certificate once a quorum is reached.
-        return self._broadcast(
-            request, self._validate_write_back_reply, targets, prefill=vouches
-        )
-
-    def _validate_write_back_reply(
-        self, sender: str, message: Message
-    ) -> Optional[Signature]:
-        assert self._fetch_best is not None
-        if not isinstance(message, WriteReply):
-            return None
-        if message.ts != self._fetch_best.cert.ts:
-            return None
-        if message.signature.signer != sender:
-            return None
-        statement = write_reply_statement(message.ts)
-        if not self.config.verifier.verify(message.signature, statement):
-            return None
-        return message.signature
+        return self._write_phase(best.value, best.cert, targets, prefill=vouches)
 
     def _make_justify(
         self, best: ReadReply, vouches: dict[str, Signature]

@@ -32,6 +32,7 @@ from typing import Any, Optional
 from repro.core.config import SystemConfig
 from repro.core.messages import Message
 from repro.core.operations import Send
+from repro.core.phases import signed_by
 from repro.crypto.signatures import Signature
 from repro.errors import CryptoError, ProtocolError, UnknownSignerError
 from repro.shard.directory import DirectoryEntry, ShardConfig, ShardDirectory
@@ -146,9 +147,8 @@ class Reconfigurator:
             signature = Signature.from_wire(message.signature)
         except (CryptoError, TypeError, ValueError):
             return []
-        if signature.signer != sender or not self._template.scheme.verify(
-            signature, self._proposal.statement_bytes()
-        ):
+        statement = self._proposal.statement_bytes()
+        if not signed_by(self._template, sender, signature, statement):
             return []
         self._signatures[sender] = signature
         if len(self._signatures) < self._old.quorum_size:

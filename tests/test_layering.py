@@ -387,6 +387,32 @@ def test_checker_flags_a_statement_built_at_its_call(tmp_path):
     ]
 
 
+def test_checker_flags_a_hand_written_sender_check(tmp_path):
+    """A reply is a vote only if its sender signed it, and
+    ``repro.core.phases.signed_by`` is the one place that says so: outside
+    it, comparing a reply's ``.signer`` with ``sender`` / ``src`` is a second
+    copy of the vote rule.  A replica checking a request's signer against
+    its client, and the engine itself, stay free."""
+    (tmp_path / "repro" / "core").mkdir(parents=True)
+    (tmp_path / "repro" / "baselines").mkdir()
+    (tmp_path / "repro" / "core" / "phases.py").write_text(
+        "ok = signature.signer == sender and verifier.verify(signature, s)\n"
+    )
+    (tmp_path / "repro" / "core" / "replica.py").write_text(
+        "if signature.signer != client:\n    pass\n"
+        "signers = {sig.signer for sig in cert.signatures}\n"
+    )
+    (tmp_path / "repro" / "baselines" / "bad.py").write_text(
+        "if message.signature.signer != sender:\n    pass\n"
+        "ok = src == vouch.signer\n"
+        "if sig is None or sig.signer != sender:\n    pass\n"
+    )
+    found = check_layering.find_duplication(tmp_path)
+    assert sorted((module, line) for module, line, _ in found) == [
+        ("repro.baselines.bad", line) for line in (1, 3, 4)
+    ]
+
+
 def test_checker_cli_passes():
     result = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "check_layering.py")],

@@ -34,7 +34,7 @@ table (name -> defining module, resolved on first access by
 module, and an entry naming a module that does not exist is flagged
 (:func:`find_dangling_exports`).
 
-Fourteen further rules keep deleted duplication from growing back
+Fifteen further rules keep deleted duplication from growing back
 (:func:`find_duplication`): the TCP client stack lives in one module, so
 ``asyncio.open_connection`` may be called only from ``repro.net.mux`` (and
 the chaos proxy's upstream leg); the variant-to-class mapping lives on
@@ -88,7 +88,13 @@ are built only by statement builders, which encode each statement once and
 splice the certificates it embeds, so no tuple display may be passed to
 ``sign`` / ``verify`` / ``mac`` / ``check`` and nothing may call
 ``intern_encode`` — a statement assembled at its call site, or routed
-through a process-wide memo, is a second encoding path growing back.
+through a process-wide memo, is a second encoding path growing back; and a
+reply is a vote only if the replica that sent it signed it, a check
+``repro.core.phases.signed_by`` owns, so outside that module no reply's
+``.signer`` may be compared with its sender (``sig.signer != sender``,
+``signature.signer == src``) — a hand-written sender check is a second copy
+of the vote rule growing back (a replica's check that a request's signer is
+its client is not this rule's business).
 
 Run:  python tools/check_layering.py   (exits 1 and lists violations)
 The tier-1 test ``tests/test_layering.py`` runs this on every suite run.
@@ -207,6 +213,25 @@ FAULT_SITE = "repro.sim.faults"
 #: (``repro.core.statements`` and its baseline and shard peers), never from
 #: a tuple assembled at the call.
 AUTH_CALLS = frozenset({"sign", "verify", "mac", "check"})
+
+
+#: The one module that binds a reply's signature to its sender, and the
+#: names a reply's sender goes by in a validator.
+VOTE_SITE = "repro.core.phases"
+SENDER_NAMES = frozenset({"sender", "src"})
+
+
+def _binds_signer_to_sender(node: ast.Compare) -> bool:
+    """``x.signer != sender``, ``src == sig.signer`` and kin."""
+    if not all(isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops):
+        return False
+    operands = (node.left, *node.comparators)
+    return any(
+        isinstance(item, ast.Attribute) and item.attr == "signer"
+        for item in operands
+    ) and any(
+        isinstance(item, ast.Name) and item.id in SENDER_NAMES for item in operands
+    )
 
 
 def _compares_against(node: ast.Compare, names: frozenset[str]) -> bool:
@@ -493,6 +518,15 @@ def find_duplication(src: pathlib.Path = SRC) -> list[tuple[str, int, str]]:
                     (module, node.lineno, "compares against a variant name; "
                      "read the variant's declared Protocol")
                 )
+            if (
+                isinstance(node, ast.Compare)
+                and module != VOTE_SITE
+                and _binds_signer_to_sender(node)
+            ):
+                found.append(
+                    (module, node.lineno, "compares a reply's signer with its "
+                     "sender; call repro.core.phases.signed_by")
+                )
             if module != FAULT_SITE and (
                 (
                     isinstance(node, ast.Dict)
@@ -569,7 +603,8 @@ def main() -> int:
             "one wire schema / one barrier site / the sans-I/O adversary / "
             "the socket front door / one decode per frame / the durable field "
             "table / the always-on caches / the declared protocol / the fault "
-            "catalogue / the statement builders replaced:"
+            "catalogue / the statement builders / the phase engine's vote "
+            "check replaced:"
         )
         for module, line, what in duplication:
             print(f"  {module}:{line} {what}")
