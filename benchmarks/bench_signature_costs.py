@@ -8,8 +8,8 @@ public-key signature on a write's critical path.
 
 We count signing operations per write under both policies, and measure the
 RSA backend's verify-heavy profile for comparison.  E4d measures the
-memoizing verification pipeline: backend verifications per operation and
-cache hit rates, cached vs uncached, under a retransmission-heavy network.
+verification pipeline under a retransmission-heavy network: backend
+verifications per operation and the certificate memo's hit rate.
 """
 
 from __future__ import annotations
@@ -144,10 +144,9 @@ def test_e4c_background_signing_latency(benchmark):
 
 
 def test_e4d_verification_memo(benchmark):
-    """The memoizing verification pipeline under a retransmission-heavy
-    network: every retransmitted request/reply re-presents the same
-    signatures and certificates, and the memo answers the repeats without
-    calling the backend."""
+    """The verification pipeline under a retransmission-heavy network:
+    every signature check reaches the backend, and the certificate memo
+    answers the certificates that retransmissions re-present."""
 
     #: Drops and duplicates force plenty of retransmission traffic.
     PROFILE = LinkProfile(drop_rate=0.15, duplicate_rate=0.2, max_delay=0.02)
@@ -161,39 +160,25 @@ def test_e4d_verification_memo(benchmark):
         stats = cluster.config.verifier.stats
         cached = {
             "backend_per_op": cluster.config.scheme.stats.verifies / OPS,
-            "sig_hit_rate": stats.signature_hit_rate,
             "cert_hit_rate": stats.certificate_hit_rate,
             "metrics_per_op": cluster.metrics.verified_signatures_per_op(),
-            "metrics_hit_rate": cluster.metrics.verification_hit_rate(),
         }
         print()
         print(
             format_table(
-                [
-                    "pipeline",
-                    "backend verifies/write",
-                    "sig-memo hit rate",
-                    "cert-memo hit rate",
-                ],
+                ["pipeline", "backend verifies/write", "cert-memo hit rate"],
                 [
                     [
-                        "memoizing verifier",
+                        "verifier",
                         f"{cached['backend_per_op']:.1f}",
-                        f"{cached['sig_hit_rate']:.0%}",
                         f"{cached['cert_hit_rate']:.0%}",
                     ]
                 ],
-                title="E4d: verification caching under 15% drop / 20% dup "
-                "(10 writes)",
+                title="E4d: verification under 15% drop / 20% dup (10 writes)",
             )
         )
         return cached
 
     cached = run_once(benchmark, experiment)
-    # More than half the signature checks are memo hits, so the backend
-    # sees fewer than half of them: at least the 2x saving over a verifier
-    # that sends every check to the backend.
-    assert cached["sig_hit_rate"] > 0.5
-    # The metrics surface reports the same counters.
-    assert cached["metrics_hit_rate"] == cached["sig_hit_rate"]
-    assert cached["metrics_per_op"] > 0
+    # The metrics surface reports the backend's count.
+    assert cached["metrics_per_op"] == cached["backend_per_op"]

@@ -149,17 +149,22 @@ class CostModel:
     # -- verification counts ------------------------------------------------
 
     def write_verify_calls(self) -> int:
-        """Backend verifications per steady-state base write, one shared memo.
+        """Backend verifications per steady-state base write, one shared
+        certificate memo.
 
         Each message is verified by the handler that uses it.  The client
-        verifies the ``q`` replies each of its three rounds waits for; the
-        first replica to handle each signed request (PREPARE and WRITE)
-        verifies its signature, and the shared memo absorbs the other
-        ``n - 1`` and every certificate the client already validated.
-        ``3q + 2`` in total.
+        verifies the ``q`` replies each of its three rounds waits for, and
+        all ``n`` replicas verify each signed request (PREPARE and WRITE).
+        The replies of each signed round become a certificate that a later
+        message carries; the first role to validate it verifies its ``q``
+        signatures and the shared memo answers every other.  ``5q + 2n`` in
+        total.
         """
-        q, write = self.quorums.quorum_size, Variant.BASE.protocol.write
-        return sum(q * phase.replica_signs + phase.client_signs for phase in write)
+        q, n = self.quorums.quorum_size, self.quorums.n
+        return sum(
+            q * phase.replica_signs + (n + q) * phase.client_signs
+            for phase in Variant.BASE.protocol.write
+        )
 
     # -- durability counts (write-ahead logging, E16) -------------------------
 

@@ -11,10 +11,8 @@ campaign and the TCP load harness all start one.  Two layers:
   crashed workers), and tears the fleet down cleanly.
 * :mod:`repro.cluster.deploy` — :func:`deploy` turns a declarative
   :class:`DeploymentSpec` into a uniform :class:`Deployment` handle over
-  any of the three transports (``sim`` | ``tcp`` | ``process``), replacing
-  the four divergent construction paths (sim ``ClusterOptions``, ad-hoc
-  ``ReplicaServer`` wiring, ``shard_cluster``, the load harness) for the
-  common single-group case.
+  any of the three transports (``sim`` | ``tcp`` | ``process``) for one
+  replica group.
 """
 
 from repro._exports import lazy_exports

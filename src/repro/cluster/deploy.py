@@ -1,9 +1,7 @@
 """``deploy()``: one declarative spec, one uniform handle, three transports.
 
-Before this module the repo had four divergent ways to stand up a system —
-sim ``ClusterOptions``, hand-wired ``ReplicaServer`` + ``AsyncClient``,
-``shard_cluster``, and the load harness.  ``deploy(DeploymentSpec(...))``
-covers the common single-group case uniformly:
+``deploy(DeploymentSpec(...))`` stands up one replica group on any of three
+transports and returns the same handle for each:
 
 * ``transport="sim"``      — the deterministic virtual-time simulator.
 * ``transport="tcp"``      — in-process asyncio servers over loopback,

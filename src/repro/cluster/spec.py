@@ -1,12 +1,12 @@
 """The declarative deployment specification.
 
-One frozen dataclass names everything the previous four construction paths
-took as ad-hoc keyword soup: protocol shape (``f``, ``variant``,
-``scheme``), transport (``sim`` | ``tcp`` | ``process``), durability
-(``store``, ``data_dir``, ``fsync``), and the pipeline width.  :func:`repro.cluster.deploy.deploy` turns a spec into a running
-deployment; every transport derives its key material from the same
-deterministic seed, which is what lets separate worker processes (and the
-offline fingerprint recovery pass) agree on signatures.
+One frozen dataclass names everything a deployment is built from:
+protocol shape (``f``, ``variant``, ``scheme``), transport (``sim`` |
+``tcp`` | ``process``), durability (``store``, ``data_dir``, ``fsync``),
+and the pipeline width.  :func:`repro.cluster.deploy.deploy` turns a spec
+into a running deployment; every transport derives its key material from
+the same deterministic seed, which is what lets separate worker processes
+(and the offline fingerprint recovery pass) agree on signatures.
 """
 
 from __future__ import annotations

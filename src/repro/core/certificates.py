@@ -185,9 +185,8 @@ class PrepareCertificate:
         """Check well-formedness and all signatures.
 
         ``scheme`` may be any object exposing ``verify(signature, bytes)`` —
-        protocol code passes the memoizing
-        :class:`~repro.core.verification.Verifier` so per-signature checks
-        hit its cache.
+        protocol code passes its :class:`~repro.core.verification.Verifier`
+        so per-signature checks are counted.
 
         Raises:
             CertificateError: if the certificate does not contain a quorum of
@@ -320,7 +319,7 @@ class WriteCertificate:
     def validate(self, scheme: SignatureScheme, quorums: QuorumSystem) -> None:
         """Check well-formedness and all signatures (see PrepareCertificate).
 
-        As there, ``scheme`` may be the memoizing verifier; proof evidence
+        As there, ``scheme`` may be the verifier; proof evidence
         always raises (own-column checks live in the fast replica).
         """
         if self.evidence == "proof":

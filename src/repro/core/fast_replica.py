@@ -61,7 +61,7 @@ from repro.core.statements import (
 )
 from repro.core.timestamp import Timestamp
 from repro.crypto.commitments import make_mac_row, row_mac_for
-from repro.crypto.hashing import digest, hash_value
+from repro.crypto.hashing import hash_value
 from repro.crypto.signatures import Signature
 from repro.obs.instrumentation import Instrumentation
 from repro.storage import ReplicaStore
@@ -90,10 +90,7 @@ class FastBftBcReplica(OptimizedBftBcReplica):
         self._state.open("fastc")
         self._auth = config.authenticator
         self._replica_ids = tuple(config.quorums.replica_ids)
-        # Volatile caches: positive own-column verdicts (content-addressed,
-        # so stale entries are impossible; keyed to the certificate's ts so
-        # write-ts GC can prune them) and lazily signed vouches.
-        self._proof_ok: dict[bytes, Timestamp] = {}
+        # Volatile cache of lazily signed vouches.
         self._pvouch_cache: dict[tuple[Timestamp, bytes], Signature] = {}
 
     @property
@@ -103,7 +100,6 @@ class FastBftBcReplica(OptimizedBftBcReplica):
 
     def recover(self) -> None:
         super().recover()
-        self._proof_ok.clear()
         self._pvouch_cache.clear()
 
     # -- dispatch ----------------------------------------------------------
@@ -174,35 +170,23 @@ class FastBftBcReplica(OptimizedBftBcReplica):
     def _certificate_valid(self, cert: PrepareCertificate) -> bool:
         """Accept proof evidence by checking this replica's own MAC column.
 
-        Quorum and vouch evidence still go through the shared verifier.  The
-        positive verdict is memoized by content hash — MAC checks are cheap,
-        but retransmissions re-present identical certificates.
+        Quorum and vouch evidence still go through the shared verifier.  A
+        proof is re-checked each time it is presented: its MAC checks are
+        cheap and nothing is kept per certificate.
         """
         if cert.evidence != "proof":
             return super()._certificate_valid(cert)
         proof = cert.proof
         if proof is None or not proof.opens():
             return False
-        key = digest(b"pcert", cert.encoded)
-        if key in self._proof_ok:
-            return True
         ack = fast_prep_ack_statement(cert.ts, cert.value_hash, proof.commitment)
-        if self._count_own_column(proof.rows, ack) < self.config.quorum_size:
-            return False
-        self._proof_ok[key] = cert.ts
-        return True
+        return self._count_own_column(proof.rows, ack) >= self.config.quorum_size
 
     def _write_certificate_valid(self, wcert: WriteCertificate) -> bool:
         if wcert.evidence != "proof":
             return super()._write_certificate_valid(wcert)
-        key = digest(b"wcert", wcert.encoded)
-        if key in self._proof_ok:
-            return True
         ack = fast_write_ack_statement(wcert.ts)
-        if self._count_own_column(wcert.rows, ack) < self.config.quorum_size:
-            return False
-        self._proof_ok[key] = wcert.ts
-        return True
+        return self._count_own_column(wcert.rows, ack) >= self.config.quorum_size
 
     # -- vouching ----------------------------------------------------------
 
@@ -375,9 +359,3 @@ class FastBftBcReplica(OptimizedBftBcReplica):
     def _gc_prepare_lists(self) -> None:
         super()._gc_prepare_lists()
         self.fastc.gc_stale(self.write_ts)
-        # Only positive verdicts are memoized, so forgetting one for a
-        # certificate older than write_ts costs at most a re-check.
-        cutoff = self.write_ts
-        self._proof_ok = {
-            key: ts for key, ts in self._proof_ok.items() if ts >= cutoff
-        }

@@ -62,7 +62,6 @@ __all__ = [
     "message_wire_bytes",
     "WireCacheStats",
     "wire_cache_stats",
-    "reset_wire_cache_stats",
     "ReadTsRequest",
     "ReadTsReply",
     "PrepareRequest",
@@ -373,11 +372,6 @@ _WIRE_STATS = WireCacheStats()
 def wire_cache_stats() -> WireCacheStats:
     """The process-wide encode-once cache counters."""
     return _WIRE_STATS
-
-
-def reset_wire_cache_stats() -> None:
-    """Zero the cache counters (benchmark isolation)."""
-    _WIRE_STATS.reset()
 
 
 def message_wire_bytes(message: Message) -> bytes:

@@ -1,30 +1,26 @@
-"""Memoizing verification pipeline shared by every protocol role.
+"""Verification pipeline shared by every protocol role.
 
 BFT-BC's dominant cost is signature and certificate checking: every PREPARE
 and WRITE carries a quorum certificate of 2f+1 signatures, and the paper
-(§3, §6) counts these verifications as the protocol's main overhead.  The
-same certificate is routinely verified many times — on retransmission, during
-a read's write-back, when validating phase-1 replies, and once per role when
-a client and a replica share a process in the simulator.
+(§3, §6) counts these verifications as the protocol's main overhead.
 
-:class:`Verifier` wraps a :class:`~repro.crypto.signatures.SignatureScheme`
-with two bounded LRU memos:
+:class:`Verifier` wraps a :class:`~repro.crypto.signatures.SignatureScheme`:
+:meth:`Verifier.verify` is a counted ``scheme.verify``, so each role pays for
+each signature it checks, and :meth:`Verifier.validate_certificate` keeps a
+bounded LRU memo of the certificates it has proven valid, keyed by the
+certificate's class and a digest of its canonical bytes (``cert.encoded``,
+stashed once per instance).  A certificate seen again (a retransmission, a
+read's write-back, a phase-1 reply carrying the certificate this replica
+already accepted) is answered in O(1) instead of O(|Q|) backend calls.
 
-* a **signature memo** keyed by ``(statement bytes, signer, signature)``, and
-* a **certificate memo** keyed by the certificate's class and a digest of
-  its canonical bytes (``cert.encoded``, stashed once per instance),
-
-so a certificate seen twice verifies in O(1) instead of O(|Q|) backend calls.
-
-Caching cannot weaken the §4 safety argument: a verdict is a pure function of
-the signed bytes, the signer's key material, and the signature value — all of
-which are part of the memo key or immutable once the signer is registered
+The memo cannot weaken the §4 safety argument: it holds only positive
+verdicts, a valid certificate's verdict is a pure function of its bytes and
+its signers' key material, and neither changes once a signer is registered
 (:class:`~repro.crypto.keys.KeyRegistry` derives keys deterministically and
 never changes a secret after registration; revocation deliberately does not
-affect verification, per §4.1.1's lurking-write semantics).  The only mutable
-input is *whether* the signer is registered, and registration only grows —
-so the memo declines to cache verdicts for unregistered signers, the one case
-where a later registration could flip the answer.
+affect verification, per §4.1.1's lurking-write semantics).  An invalid
+certificate is never memoized, because registering a signer later can make
+it valid.
 
 This module sits between ``repro.crypto`` and the rest of ``repro.core`` in
 the layering (``crypto`` → ``core.verification`` → ``core.*`` → ``net``/
@@ -43,6 +39,9 @@ from repro.errors import CertificateError
 
 __all__ = ["VerificationStats", "Verifier"]
 
+#: Certificate-memo capacity; the least recently used verdict goes beyond it.
+MAX_CERTIFICATES = 2048
+
 
 @runtime_checkable
 class _Certificate(Protocol):
@@ -58,47 +57,32 @@ class _Certificate(Protocol):
 
 @dataclass
 class VerificationStats:
-    """Hit/miss counters for the verification pipeline.
+    """Counters for the verification pipeline.
 
     Attributes:
-        signature_checks: calls answered at the signature layer (cached or
-            not), including those made while validating certificates.
-        signature_hits: signature checks answered from the memo.
-        backend_verifies: calls that reached the wrapped scheme's ``verify``.
+        signature_checks: signature verifications, each one call of the
+            wrapped scheme's ``verify`` (including those made while
+            validating certificates).
         certificate_checks: certificate validations requested.
         certificate_hits: certificate validations answered from the memo.
-        signature_evictions: signature-memo entries dropped by the global
-            LRU capacity.
-        signer_evictions: signature-memo entries dropped because one signer
-            exceeded its per-identity budget (E21 memory accounting).
         certificate_evictions: certificate-memo entries dropped by capacity.
     """
 
     signature_checks: int = 0
-    signature_hits: int = 0
-    backend_verifies: int = 0
     certificate_checks: int = 0
     certificate_hits: int = 0
-    signature_evictions: int = 0
-    signer_evictions: int = 0
     certificate_evictions: int = 0
 
     # Kept readable for external counter readers (perfbench): every check
-    # is verified alone, so a verification pass is one backend verify and
-    # no batch pass ever runs.
+    # is verified alone and none is memoized, so a verification pass is one
+    # backend verify, no batch pass ever runs and no signature check hits.
     batch_calls = 0
     batched_signatures = 0
+    signature_hits = 0
 
     @property
     def verify_calls(self) -> int:
-        return self.backend_verifies
-
-    @property
-    def signature_hit_rate(self) -> float:
-        """Fraction of signature checks served from the memo (0 when idle)."""
-        if not self.signature_checks:
-            return 0.0
-        return self.signature_hits / self.signature_checks
+        return self.signature_checks
 
     @property
     def certificate_hit_rate(self) -> float:
@@ -110,81 +94,39 @@ class VerificationStats:
     def reset(self) -> None:
         """Zero every counter (used between benchmark runs)."""
         self.signature_checks = 0
-        self.signature_hits = 0
-        self.backend_verifies = 0
         self.certificate_checks = 0
         self.certificate_hits = 0
-        self.signature_evictions = 0
-        self.signer_evictions = 0
         self.certificate_evictions = 0
 
 
 class Verifier:
-    """Bounded-LRU memoizing front-end over a signature scheme.
+    """Counted signature checks and a memo of valid certificates.
 
     All protocol code verifies through one of these instead of calling the
-    scheme directly; signing is unaffected.  The verifier deliberately
-    mirrors the scheme's ``verify(signature, bytes)`` interface so
-    certificate ``validate`` implementations accept either (duck typing),
-    which routes a certificate's per-signature loop through the signature
-    memo on a certificate-level miss.
+    scheme directly; signing is unaffected.  The verifier mirrors the
+    scheme's ``verify(signature, bytes)`` interface so certificate
+    ``validate`` implementations accept either (duck typing), which counts
+    a certificate's per-signature checks on a certificate-level miss.
 
     Args:
         scheme: the wrapped signature backend.
         quorums: quorum system certificates are validated against.
-        max_signatures: signature-memo capacity (LRU eviction beyond it).
-        max_certificates: certificate-memo capacity.
-        max_signatures_per_signer: per-identity budget within the signature
-            memo; one chatty (or Byzantine) client cannot monopolise the
-            memo by churning distinct statements.  ``None`` disables the
-            per-signer budget, leaving only the global capacity.
     """
 
-    def __init__(
-        self,
-        scheme: SignatureScheme,
-        quorums: Any,
-        *,
-        max_signatures: int = 8192,
-        max_certificates: int = 2048,
-        max_signatures_per_signer: "int | None" = 512,
-    ) -> None:
+    def __init__(self, scheme: SignatureScheme, quorums: Any) -> None:
         self.scheme = scheme
         self.quorums = quorums
         self.stats = VerificationStats()
-        self._max_signatures = max_signatures
-        self._max_certificates = max_certificates
-        self._max_per_signer = max_signatures_per_signer
-        self._signature_memo: OrderedDict[tuple[bytes, str, bytes], bool] = (
-            OrderedDict()
-        )
         self._certificate_memo: OrderedDict[tuple[type, bytes], bool] = (
             OrderedDict()
         )
-        # Per-signer index into the signature memo: signer -> its memo keys
-        # in insertion order.  Lets the per-identity budget evict that
-        # signer's oldest entry in O(1) instead of scanning the whole memo.
-        self._by_signer: dict[str, "OrderedDict[tuple[bytes, str, bytes], None]"] = {}
 
     # -- signature layer ---------------------------------------------------
 
     def verify(self, signature: Signature, message: bytes) -> bool:
-        """Memoized equivalent of ``scheme.verify`` over raw bytes."""
+        """Counted ``scheme.verify`` over raw bytes."""
         self.stats.signature_checks += 1
-        key = (message, signature.signer, signature.value)
-        cached = self._signature_memo.get(key)
-        if cached is not None:
-            self._signature_memo.move_to_end(key)
-            self.stats.signature_hits += 1
-            return cached
-        self.stats.backend_verifies += 1
-        verdict = self.scheme.verify(signature, message)
-        # A verdict for an unregistered signer is the one non-pure case:
-        # registering the signer later would flip False to the real answer,
-        # so never memoize it.
-        if self.scheme.registry.is_registered(signature.signer):
-            self._remember_signature(key, verdict)
-        return verdict
+        return self.scheme.verify(signature, message)
 
     # -- certificate layer -------------------------------------------------
 
@@ -202,12 +144,8 @@ class Verifier:
             self.stats.certificate_hits += 1
             return
         cert.validate(self, self.quorums)
-        # Only positive verdicts are cached: an invalid certificate can
-        # become valid once its signers register, and revalidating garbage
-        # is cheap because its signature checks still hit the memo.
         self._certificate_memo[key] = True
-        self._certificate_memo.move_to_end(key)
-        while len(self._certificate_memo) > self._max_certificates:
+        while len(self._certificate_memo) > MAX_CERTIFICATES:
             self._certificate_memo.popitem(last=False)
             self.stats.certificate_evictions += 1
 
@@ -229,40 +167,3 @@ class Verifier:
         ``extra_signers`` precisely so those certificates remain valid.
         """
         self.quorums = quorums
-
-    # -- internals ---------------------------------------------------------
-
-    def _remember_signature(
-        self, key: tuple[bytes, str, bytes], verdict: bool
-    ) -> None:
-        memo = self._signature_memo
-        memo[key] = verdict
-        memo.move_to_end(key)
-        signer = key[1]
-        per_signer = self._by_signer.setdefault(signer, OrderedDict())
-        per_signer[key] = None
-        per_signer.move_to_end(key)
-        if self._max_per_signer is not None:
-            while len(per_signer) > self._max_per_signer:
-                old_key, _ = per_signer.popitem(last=False)
-                memo.pop(old_key, None)
-                self.stats.signer_evictions += 1
-        while len(memo) > self._max_signatures:
-            old_key, _ = memo.popitem(last=False)
-            self.stats.signature_evictions += 1
-            index = self._by_signer.get(old_key[1])
-            if index is not None:
-                index.pop(old_key, None)
-                if not index:
-                    del self._by_signer[old_key[1]]
-
-    @property
-    def resident_signature_entries(self) -> int:
-        """How many signature verdicts are currently memoized."""
-        return len(self._signature_memo)
-
-    def clear(self) -> None:
-        """Drop both memos (counters are kept; use ``stats.reset()`` too)."""
-        self._signature_memo.clear()
-        self._certificate_memo.clear()
-        self._by_signer.clear()

@@ -16,7 +16,6 @@ _EXPORTS = {
     "KeyRegistry": "repro.crypto.keys",
     "PrivateCredential": "repro.crypto.keys",
     "NonceSource": "repro.crypto.nonces",
-    "NonceTracker": "repro.crypto.nonces",
     "Signature": "repro.crypto.signatures",
     "SignatureScheme": "repro.crypto.signatures",
     "SchemeStats": "repro.crypto.signatures",

@@ -95,8 +95,6 @@ class KeyRegistry:
         #: registry compare it to detect that the revocation set moved.
         self.revocation_epoch = 0
         self.stats = KeyRegistryStats()
-        self._registered_view: Optional[frozenset[str]] = None
-        self._revoked_view: frozenset[str] = frozenset()
 
     # -- membership ----------------------------------------------------------
 
@@ -109,13 +107,11 @@ class KeyRegistry:
         """
         if prefix not in self._namespaces:
             self._namespaces = self._namespaces + (prefix,)
-            self._registered_view = None
 
     def register(self, node_id: str) -> PrivateCredential:
         """Admit ``node_id`` (idempotent) and hand back its credential."""
         if not self._in_namespace(node_id) and node_id not in self._explicit:
             self._explicit.add(node_id)
-            self._registered_view = None
         return PrivateCredential(node_id=node_id, secret=self._derive(node_id))
 
     def is_registered(self, node_id: str) -> bool:
@@ -170,7 +166,6 @@ class KeyRegistry:
         if node_id not in self._revoked:
             self._revoked.add(node_id)
             self.revocation_epoch += 1
-            self._revoked_view = frozenset(self._revoked)
 
     def is_revoked(self, node_id: str) -> bool:
         return node_id in self._revoked
@@ -183,26 +178,6 @@ class KeyRegistry:
             raise KeyRevokedError(f"key for {node_id!r} has been revoked")
 
     # -- views ---------------------------------------------------------------
-
-    @property
-    def registered_nodes(self) -> frozenset[str]:
-        """The *explicitly* registered identities, as a cached view.
-
-        Namespace-admitted identities are deliberately not enumerated: the
-        whole point of :meth:`open_namespace` is that the admitted population
-        never materialises.  The view is rebuilt only after a mutation, so
-        repeated reads on the verify path are free (they previously built a
-        fresh frozenset per call).
-        """
-        view = self._registered_view
-        if view is None:
-            view = self._registered_view = frozenset(self._explicit)
-        return view
-
-    @property
-    def revoked_nodes(self) -> frozenset[str]:
-        """Cached view of the (exact, compact) revocation set."""
-        return self._revoked_view
 
     @property
     def namespaces(self) -> tuple[str, ...]:

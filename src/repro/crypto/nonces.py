@@ -1,4 +1,4 @@
-"""Nonce generation and replay tracking.
+"""Nonce generation.
 
 §2: "To avoid replay attacks we tag certain messages with nonces that are
 signed in the replies.  We assume that when clients pick nonces they will
@@ -6,16 +6,16 @@ not choose a repeated nonce."
 
 :class:`NonceSource` produces nonces that are unique per (node, counter) and
 unpredictable to other nodes (derived from the node's secret), satisfying
-that assumption deterministically.  :class:`NonceTracker` is the matching
-receiver-side replay filter.
+that assumption deterministically.  Replay protection is the nonce each
+reply signs: a client accepts only replies that sign the nonce of its own
+request.
 """
 
 from __future__ import annotations
 
 import hashlib
-from collections import OrderedDict
 
-__all__ = ["NonceSource", "NonceTracker"]
+__all__ = ["NonceSource"]
 
 
 class NonceSource:
@@ -43,28 +43,3 @@ class NonceSource:
         """Number of nonces issued so far."""
         return self._counter
 
-
-class NonceTracker:
-    """Bounded-memory set of recently seen nonces for replay detection."""
-
-    def __init__(self, capacity: int = 65536) -> None:
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        self._capacity = capacity
-        self._seen: OrderedDict[bytes, None] = OrderedDict()
-
-    def check_and_record(self, nonce: bytes) -> bool:
-        """Record ``nonce``; return True if fresh, False if a replay."""
-        if nonce in self._seen:
-            self._seen.move_to_end(nonce)
-            return False
-        self._seen[nonce] = None
-        if len(self._seen) > self._capacity:
-            self._seen.popitem(last=False)
-        return True
-
-    def __contains__(self, nonce: bytes) -> bool:
-        return nonce in self._seen
-
-    def __len__(self) -> int:
-        return len(self._seen)

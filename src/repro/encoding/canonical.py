@@ -69,11 +69,12 @@ _LIST, _DICT, _END = b"lde"
 class EncodeStats:
     """Process-wide ``canonical_encode`` counters.
 
-    perfbench and the pinned kernel counts read these to count how many
-    times the system actually serialises anything; bytes stashed by
-    :func:`encode_once` show up here as calls that never happen, and
-    :class:`Encoded` pieces spliced into a larger value count in its
-    ``bytes_out`` but cost no call of their own.
+    perfbench and the pinned kernel counts read these to count how much
+    the system actually serialises: ``calls`` encodes, and ``bytes_out``
+    the bytes those encodes produced themselves.  Bytes stashed by
+    :func:`encode_once` show up here as calls that never happen, and an
+    :class:`Encoded` piece spliced into a larger value is counted once, by
+    the encode that produced it, not again by each encode that splices it.
     """
 
     calls: int = 0
@@ -108,6 +109,9 @@ class Encoded:
         self.data = data
 
 
+#: Bytes the encode in progress spliced from :class:`Encoded` pieces.
+_spliced = 0
+
 #: The instance attribute :func:`encode_once` stashes bytes under.
 _STASH = "_canonical_bytes"
 
@@ -135,6 +139,8 @@ def canonical_encode(value: Any) -> bytes:
             of the supported types, a dict has non-string keys, or a string
             cannot be encoded as UTF-8 (a lone surrogate).
     """
+    global _spliced
+    _spliced = 0
     parts: list[bytes] = []
     try:
         _encode_into(value, parts)
@@ -152,6 +158,8 @@ def encode_dict(keys: Sequence[bytes], values: Sequence[Any]) -> bytes:
     them once, where :func:`canonical_encode` of the dict would redo both on
     every call.  The result is the same bytes.
     """
+    global _spliced
+    _spliced = 0
     parts: list[bytes] = [b"d"]
     try:
         for key, value in zip(keys, values):
@@ -166,7 +174,7 @@ def encode_dict(keys: Sequence[bytes], values: Sequence[Any]) -> bytes:
 def _counted(parts: list[bytes]) -> bytes:
     encoded = b"".join(parts)
     _STATS.calls += 1
-    _STATS.bytes_out += len(encoded)
+    _STATS.bytes_out += len(encoded) - _spliced
     return encoded
 
 
@@ -195,8 +203,10 @@ def _encode_into(value: Any, parts: list[bytes]) -> None:
 def _encode_rare(value: Any, parts: list[bytes]) -> None:
     """Spliced pieces, None, bools, dicts, lists, floats, subclasses and
     other bytes-likes."""
+    global _spliced
     if value.__class__ is Encoded:
         parts.append(value.data)
+        _spliced += len(value.data)
     elif value is None:
         parts.append(b"n")
     elif value is True:

@@ -405,12 +405,10 @@ class SimLoadHarness(SimHarness):
         """Total *resident* identity-layer entries, all caches, right now.
 
         The quantity the budgeted-vs-unbounded differential compares:
-        registry secrets + verifier signature memos + MAC session keys +
-        per-client protocol state held hot at replicas.
+        registry secrets + MAC session keys + per-client protocol state
+        held hot at replicas.
         """
         total = self.config.registry.resident_secrets
-        assert self.config.verifier is not None
-        total += self.config.verifier.resident_signature_entries
         if self.config.authenticator is not None:
             total += self.config.authenticator.resident_sessions
         total += self.client_state_totals()["resident"]
@@ -418,18 +416,11 @@ class SimLoadHarness(SimHarness):
 
     def identity_accounting(self) -> dict[str, int]:
         registry = self.config.registry
-        verifier = self.config.verifier
-        assert verifier is not None
         state = self.client_state_totals()
         out = {
             "registry_resident": registry.resident_secrets,
             "registry_derivations": registry.stats.derivations,
             "registry_evictions": registry.stats.evictions,
-            "verifier_resident": verifier.resident_signature_entries,
-            "verifier_evictions": (
-                verifier.stats.signature_evictions
-                + verifier.stats.signer_evictions
-            ),
             "client_state_resident": state["resident"],
             "client_state_spilled": state["spilled"],
             "client_state_spills": state["spills"],

@@ -190,7 +190,7 @@ class LoadReport:
 
     ``identity`` holds the E21 memory accounting: resident entries and
     eviction counters for every identity-layer cache (registry secrets,
-    verifier memos, MAC session keys, per-client replica state).
+    MAC session keys, per-client replica state).
     ``ops_digest`` is a running hash over (client, object, kind, result)
     in completion order — two runs that behaved identically have equal
     digests, which is how the budgeted/unbounded differential test checks

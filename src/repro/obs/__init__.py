@@ -27,7 +27,6 @@ _EXPORTS = {
     "DEFAULT_GROWTH": "repro.obs.histograms",
     "DEFAULT_BUCKETS": "repro.obs.histograms",
     "spans_to_jsonl": "repro.obs.export",
-    "write_spans_jsonl": "repro.obs.export",
     "render_prometheus": "repro.obs.export",
     "render_phase_table": "repro.obs.export",
 }

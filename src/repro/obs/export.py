@@ -11,14 +11,13 @@ functions.
 from __future__ import annotations
 
 import json
-from typing import IO, Iterable, Mapping, Optional
+from typing import Iterable, Mapping, Optional
 
 from repro.obs.histograms import LatencyHistogram
 from repro.obs.spans import Span
 
 __all__ = [
     "spans_to_jsonl",
-    "write_spans_jsonl",
     "render_prometheus",
     "render_phase_table",
 ]
@@ -29,15 +28,6 @@ def spans_to_jsonl(spans: Iterable[Span]) -> str:
     return "".join(
         json.dumps(span.to_dict(), sort_keys=True) + "\n" for span in spans
     )
-
-
-def write_spans_jsonl(spans: Iterable[Span], stream: IO[str]) -> int:
-    """Write spans to ``stream`` as JSON lines; returns the span count."""
-    count = 0
-    for span in spans:
-        stream.write(json.dumps(span.to_dict(), sort_keys=True) + "\n")
-        count += 1
-    return count
 
 
 def _metric_name(series: str) -> str:

@@ -3,8 +3,8 @@
 The benchmark harness reports exactly the quantities the paper's evaluation
 discusses: phases per operation (E1), messages and bytes per operation (E2),
 latency in network round-trips, fast-path rates for the optimized protocol
-(E10), signature counts (E4), verification-cache hit rates (E4d), and the
-wire fast path's encode-cache counters (E15).
+(E10), signature counts (E4), verified signatures per operation (E4d) and
+storage counters (E16).
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.core.messages import WireCacheStats
 from repro.core.verification import VerificationStats
 from repro.obs.instrumentation import Instrumentation
 from repro.storage import StorageStats
@@ -69,9 +68,8 @@ def _percentile(ordered: list[float], q: float) -> float:
 class MetricsCollector:
     """Accumulates operation samples for one simulation run.
 
-    Stats sources (verification, wire cache, storage) are
-    attached through, and read back from, the collector's
-    :class:`~repro.obs.Instrumentation` handle.
+    Stats sources (verification, storage) are attached through, and read
+    back from, the collector's :class:`~repro.obs.Instrumentation` handle.
     """
 
     samples: list[OperationSample] = field(default_factory=list)
@@ -87,11 +85,6 @@ class MetricsCollector:
         return self.instrumentation.source("verification")
 
     @property
-    def wire_cache(self) -> Optional[WireCacheStats]:
-        """Encode-once wire-cache counters (process-wide)."""
-        return self.instrumentation.source("wire_cache")
-
-    @property
     def storage(self) -> dict[str, StorageStats]:
         """Per-replica storage counters (log appends, fsyncs, snapshots)."""
         return self.instrumentation.source("storage") or {}
@@ -99,31 +92,11 @@ class MetricsCollector:
     def record(self, sample: OperationSample) -> None:
         self.samples.append(sample)
 
-    def verification_hit_rate(self) -> float:
-        """Signature-memo hit rate of the attached verifier (0 when absent)."""
-        if self.verification is None:
-            return 0.0
-        return self.verification.signature_hit_rate
-
     def verified_signatures_per_op(self) -> float:
         """Backend signature verifications per completed operation (E4d)."""
         if self.verification is None or not self.samples:
             return 0.0
-        return self.verification.backend_verifies / len(self.samples)
-
-    # -- wire fast path (E15) --------------------------------------------
-
-    def encode_cache_hit_rate(self) -> float:
-        """Fraction of wire serialisations served from the encode-once cache."""
-        if self.wire_cache is None:
-            return 0.0
-        return self.wire_cache.hit_rate
-
-    def encodes_per_op(self) -> float:
-        """Actual canonical encodes of wire frames per completed operation."""
-        if self.wire_cache is None or not self.samples:
-            return 0.0
-        return self.wire_cache.misses / len(self.samples)
+        return self.verification.signature_checks / len(self.samples)
 
     # -- storage / durability (E16) ---------------------------------------
 

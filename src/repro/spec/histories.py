@@ -151,9 +151,6 @@ class History:
     def clients(self) -> frozenset[str]:
         return frozenset(e.client for e in self.events)
 
-    def stop_events(self) -> list[StopEvent]:
-        return [e for e in self.events if isinstance(e, StopEvent)]
-
     def stop_time(self, client: str) -> Optional[float]:
         for event in self.events:
             if isinstance(event, StopEvent) and event.client == client:

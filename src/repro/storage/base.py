@@ -210,18 +210,9 @@ class ReplicaStore(ABC):
 
     # -- state transfer ----------------------------------------------------
 
-    def export_state(self) -> dict[str, Any]:
-        """A portable copy of everything :meth:`load` would return.
-
-        The payload is canonically encodable (snapshot and records already
-        are, per the store contract), so it can travel in a state-transfer
-        frame between replicas.
-        """
-        snapshot, records = self.load()
-        return {"snapshot": snapshot, "records": list(records)}
-
     def import_state(self, payload: dict[str, Any]) -> None:
-        """Replace this store's contents with an exported payload.
+        """Replace this store's contents with a ``{"snapshot": ..., "records":
+        [...]}`` payload, the shape of what :meth:`load` returns.
 
         Used when a replica bootstraps from peers: the snapshot is installed
         first (which also truncates any pre-existing log), the records are

@@ -25,7 +25,7 @@ GOLDEN = {
     ),
     "load --rate 200 --duration 2 --identities 5000 "
     "--service-delay 0.0005 --json": (
-        "cccb43f39eee5b615a3f707308e2532cc839dcc34526ec1f82e0e766a6228d09"
+        "c03cec44388dd101729feb248be1b4dbcf4eb46dd4baadc87e932cf2e1531800"
     ),
     "attacks": (
         "7a60af068ea450ce93872128b431e092aabe79785aa1511bec7bae0c9741dfb5"

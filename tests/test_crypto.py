@@ -13,7 +13,6 @@ from repro.crypto import (
     KeyRegistry,
     MacAuthenticator,
     NonceSource,
-    NonceTracker,
     RsaSignatureScheme,
     Signature,
     digest,
@@ -226,26 +225,7 @@ class TestNonces:
     def test_different_nodes_different_nonces(self):
         assert NonceSource("a", b"s").next() != NonceSource("b", b"s").next()
 
-    def test_tracker_detects_replay(self):
-        tracker = NonceTracker()
-        nonce = b"\x01" * 16
-        assert tracker.check_and_record(nonce)
-        assert not tracker.check_and_record(nonce)
 
-    def test_tracker_eviction(self):
-        tracker = NonceTracker(capacity=2)
-        tracker.check_and_record(b"a")
-        tracker.check_and_record(b"b")
-        tracker.check_and_record(b"c")
-        assert len(tracker) == 2
-        assert b"a" not in tracker
-
-    def test_tracker_zero_capacity_rejected(self):
-        with pytest.raises(ValueError):
-            NonceTracker(capacity=0)
-
-
-# Mark InvalidSignatureError as part of the public error surface.
 def test_error_hierarchy():
     assert issubclass(KeyRevokedError, CryptoError)
     assert issubclass(UnknownSignerError, CryptoError)

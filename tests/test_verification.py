@@ -14,7 +14,7 @@ import random
 
 import pytest
 
-from repro.core import make_system
+from repro.core import make_system, verification
 from repro.core.certificates import (
     PrepareCertificate,
     WriteCertificate,
@@ -166,19 +166,28 @@ def test_negative_certificate_verdicts_not_cached_across_registration():
     assert config_a.verifier.certificate_valid(cert) is True
 
 
-def test_signature_memo_is_bounded():
-    config = make_system()
-    verifier = Verifier(
-        config.scheme, config.quorums, max_signatures=4, max_certificates=2
+def _prepare_cert(config, value):
+    ts = ZERO_TS.succ("client:w")
+    stmt = prepare_reply_statement(ts, hash_value(value))
+    sigs = tuple(
+        config.scheme.sign(r, stmt)
+        for r in config.quorums.replica_ids[: config.quorum_size]
     )
-    replica = config.quorums.replica_ids[0]
-    for i in range(10):
-        sig = config.scheme.sign(replica, b"bounded %d" % i)
-        assert verifier.verify(sig, b"bounded %d" % i) is True
-    assert len(verifier._signature_memo) <= 4
-    # Evicted entries re-verify correctly (just a miss, not an error).
-    sig0 = config.scheme.sign(replica, b"bounded 0")
-    assert verifier.verify(sig0, b"bounded 0") is True
+    return PrepareCertificate(ts=ts, value_hash=hash_value(value), signatures=sigs)
+
+
+def test_certificate_memo_is_bounded(monkeypatch):
+    monkeypatch.setattr(verification, "MAX_CERTIFICATES", 2)
+    config = make_system()
+    verifier = Verifier(config.scheme, config.quorums)
+    certs = [_prepare_cert(config, i) for i in range(5)]
+    for cert in certs:
+        assert verifier.certificate_valid(cert) is True
+    assert len(verifier._certificate_memo) == 2
+    assert verifier.stats.certificate_evictions == 3
+    # An evicted certificate re-validates correctly (just a miss, not an error).
+    assert verifier.certificate_valid(certs[0]) is True
+    assert verifier.stats.certificate_hits == 0
 
 
 def test_stats_count_hits_and_misses():
@@ -187,29 +196,19 @@ def test_stats_count_hits_and_misses():
     replica = config.quorums.replica_ids[0]
     sig = config.scheme.sign(replica, b"counted")
 
+    # Every signature check reaches the backend.
     assert verifier.verify(sig, b"counted") is True
-    assert verifier.stats.signature_checks == 1
-    assert verifier.stats.signature_hits == 0
-    assert verifier.stats.backend_verifies == 1
-
     assert verifier.verify(sig, b"counted") is True
     assert verifier.stats.signature_checks == 2
-    assert verifier.stats.signature_hits == 1
-    assert verifier.stats.backend_verifies == 1
+    assert config.scheme.stats.verifies == 2
 
-    ts = ZERO_TS.succ("client:w")
-    stmt = prepare_reply_statement(ts, hash_value("v"))
-    sigs = tuple(
-        config.scheme.sign(r, stmt)
-        for r in config.quorums.replica_ids[: config.quorum_size]
-    )
-    cert = PrepareCertificate(ts=ts, value_hash=hash_value("v"), signatures=sigs)
+    cert = _prepare_cert(config, "v")
     assert verifier.certificate_valid(cert) is True
     assert verifier.certificate_valid(cert) is True
     assert verifier.stats.certificate_checks == 2
     assert verifier.stats.certificate_hits == 1
-    # The second validation did not re-verify the inner signatures either.
-    assert verifier.stats.backend_verifies == 1 + config.quorum_size
+    # The second validation did not re-verify the inner signatures.
+    assert verifier.stats.signature_checks == 2 + config.quorum_size
 
     verifier.stats.reset()
     assert verifier.stats.signature_checks == 0
