@@ -57,11 +57,8 @@ _EXPORTS = {
     "ProofOfWriting": "repro.crypto.commitments",
     "MultiObjectClient": "repro.core.multiobject",
     "MultiObjectReplica": "repro.core.multiobject",
-    # identity-layer scale: access policies and per-client state budgets
-    "AccessPolicy": "repro.core.config",
-    "ExplicitWriters": "repro.core.config",
+    # identity-layer scale: the writer ACL and per-client state budgets
     "NamespaceWriters": "repro.core.config",
-    "PredicateWriters": "repro.core.config",
     "ClientStateBudget": "repro.core.persistence",
     "ClientStateTable": "repro.core.persistence",
     # open-loop production load harness (E21)

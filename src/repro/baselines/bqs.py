@@ -3,8 +3,8 @@
 
 This is the paper's "does not handle Byzantine clients" baseline:
 
-* 3f + 1 replicas, quorums of 2f + 1, one-phase reads (plus optional
-  write-back), two-phase writes.
+* 3f + 1 replicas, quorums of 2f + 1, one-phase reads (plus a write-back
+  when the quorum disagrees), two-phase writes.
 * A replica stores ``(data, ts, writer-signature)``; the writer's signature
   binds the value to the timestamp, so a Byzantine *replica* cannot
   fabricate values — but a Byzantine *client* can: write different values
@@ -33,15 +33,14 @@ from repro.baselines.statements import (
     bqs_write_reply_statement,
     bqs_write_statement,
 )
+from repro.core.client import BftBcClient
 from repro.core.config import SystemConfig
 from repro.core.messages import Message
 from repro.core.operations import Operation, Send
 from repro.core.phases import Validator, signed_by, signed_reply
 from repro.core.timestamp import ZERO_TS, Timestamp
 from repro.crypto.hashing import hash_value
-from repro.crypto.nonces import NonceSource
 from repro.crypto.signatures import Signature
-from repro.errors import ProtocolError
 
 __all__ = ["BqsReplica", "BqsClient", "BqsWriteOperation", "BqsReadOperation"]
 
@@ -171,21 +170,13 @@ class BqsWriteOperation(Operation):
 
 
 class BqsReadOperation(Operation):
-    """One-phase read; optional write-back for atomicity (Phalanx [10])."""
+    """One-phase read, then a write-back for atomicity (Phalanx [10])."""
 
     op_name = "read"
 
-    def __init__(
-        self,
-        client_id: str,
-        config: SystemConfig,
-        nonce: bytes,
-        *,
-        write_back: bool = True,
-    ) -> None:
+    def __init__(self, client_id: str, config: SystemConfig, nonce: bytes) -> None:
         super().__init__(client_id, config)
         self.nonce = nonce
-        self.write_back = write_back
         self._phase = 0
         self._best: Optional[BqsReadReply] = None
 
@@ -223,11 +214,7 @@ class BqsReadOperation(Operation):
                 for sender, r in self._collector.replies.items()
                 if r.ts == best.ts
             )
-            if (
-                not self.write_back
-                or len(up_to_date) >= self.config.quorum_size
-                or best.ts == ZERO_TS
-            ):
+            if len(up_to_date) >= self.config.quorum_size or best.ts == ZERO_TS:
                 return self._finish(best.value)
             # Write back the highest value (re-signed by its writer already);
             # the up-to-date replicas are credited into the round so quorum
@@ -254,63 +241,11 @@ class BqsReadOperation(Operation):
         raise AssertionError(f"unexpected phase {self._phase}")
 
 
-class BqsClient:
-    """Client front-end with the same driving interface as BftBcClient."""
+class BqsClient(BftBcClient):
+    """BQS client: :class:`BftBcClient`'s driving half with BQS operations."""
 
-    def __init__(
-        self,
-        node_id: str,
-        config: SystemConfig,
-        *,
-        write_back: bool = True,
-        instrumentation=None,
-    ) -> None:
-        self.node_id = node_id
-        self.config = config
-        self.write_back = write_back
-        self.instrumentation = instrumentation
-        credential = config.registry.register(node_id)
-        self._nonces = NonceSource(node_id, secret=credential.secret)
-        self.op: Optional[Operation] = None
-        self.completed_ops = 0
+    def _write_op(self, value: Any, nonce: bytes) -> Operation:
+        return BqsWriteOperation(self.node_id, self.config, value, nonce)
 
-    def begin_write(self, value: Any) -> list[Send]:
-        self._check_idle()
-        self.op = BqsWriteOperation(
-            self.node_id, self.config, value, self._nonces.next()
-        )
-        self.op.instrument(self.instrumentation)
-        return self.op.start()
-
-    def begin_read(self) -> list[Send]:
-        self._check_idle()
-        self.op = BqsReadOperation(
-            self.node_id, self.config, self._nonces.next(), write_back=self.write_back
-        )
-        self.op.instrument(self.instrumentation)
-        return self.op.start()
-
-    def _check_idle(self) -> None:
-        if self.op is not None and not self.op.done:
-            raise ProtocolError(f"client {self.node_id} already busy")
-
-    def deliver(self, sender: str, message: Message) -> list[Send]:
-        if self.op is None or self.op.done:
-            return []
-        sends = self.op.on_message(sender, message)
-        if self.op.done:
-            self.completed_ops += 1
-        return sends
-
-    def retransmit(self) -> list[Send]:
-        if self.op is None or self.op.done:
-            return []
-        return self.op.on_retransmit()
-
-    @property
-    def busy(self) -> bool:
-        return self.op is not None and not self.op.done
-
-    @property
-    def last_result(self) -> Any:
-        return None if self.op is None else self.op.result
+    def _read_op(self, nonce: bytes) -> Operation:
+        return BqsReadOperation(self.node_id, self.config, nonce)

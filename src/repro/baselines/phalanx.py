@@ -40,15 +40,14 @@ from repro.baselines.statements import (
     phx_write_reply_statement,
     phx_write_request_statement,
 )
+from repro.core.client import BftBcClient
 from repro.core.config import SystemConfig
 from repro.core.messages import Message
 from repro.core.operations import Operation, Send
 from repro.core.phases import signed_by, signed_reply
 from repro.core.timestamp import ZERO_TS, Timestamp
 from repro.crypto.hashing import hash_value
-from repro.crypto.nonces import NonceSource
 from repro.crypto.signatures import Signature
-from repro.errors import ProtocolError
 
 __all__ = [
     "NULL_READ",
@@ -286,58 +285,19 @@ class PhalanxReadOperation(Operation):
         return self._finish(values[best])
 
 
-class PhalanxClient:
-    """Client front-end with the same driving interface as BftBcClient."""
+class PhalanxClient(BftBcClient):
+    """Phalanx client: :class:`BftBcClient`'s driving half with Phalanx
+    operations; counts the reads that returned :data:`NULL_READ`."""
 
-    def __init__(
-        self, node_id: str, config: SystemConfig, *, instrumentation=None
-    ) -> None:
-        self.node_id = node_id
-        self.config = config
-        self.instrumentation = instrumentation
-        credential = config.registry.register(node_id)
-        self._nonces = NonceSource(node_id, secret=credential.secret)
-        self.op: Optional[Operation] = None
-        self.completed_ops = 0
-        self.null_reads = 0
+    null_reads: int = 0
 
-    def begin_write(self, value: Any) -> list[Send]:
-        self._check_idle()
-        self.op = PhalanxWriteOperation(
-            self.node_id, self.config, value, self._nonces.next()
-        )
-        self.op.instrument(self.instrumentation)
-        return self.op.start()
+    def _write_op(self, value: Any, nonce: bytes) -> Operation:
+        return PhalanxWriteOperation(self.node_id, self.config, value, nonce)
 
-    def begin_read(self) -> list[Send]:
-        self._check_idle()
-        self.op = PhalanxReadOperation(self.node_id, self.config, self._nonces.next())
-        self.op.instrument(self.instrumentation)
-        return self.op.start()
+    def _read_op(self, nonce: bytes) -> Operation:
+        return PhalanxReadOperation(self.node_id, self.config, nonce)
 
-    def _check_idle(self) -> None:
-        if self.op is not None and not self.op.done:
-            raise ProtocolError(f"client {self.node_id} already busy")
-
-    def deliver(self, sender: str, message: Message) -> list[Send]:
-        if self.op is None or self.op.done:
-            return []
-        sends = self.op.on_message(sender, message)
-        if self.op.done:
-            self.completed_ops += 1
-            if isinstance(self.op, PhalanxReadOperation) and self.op.returned_null:
-                self.null_reads += 1
-        return sends
-
-    def retransmit(self) -> list[Send]:
-        if self.op is None or self.op.done:
-            return []
-        return self.op.on_retransmit()
-
-    @property
-    def busy(self) -> bool:
-        return self.op is not None and not self.op.done
-
-    @property
-    def last_result(self) -> Any:
-        return None if self.op is None else self.op.result
+    def _on_op_complete(self, op: Operation) -> None:
+        super()._on_op_complete(op)
+        if isinstance(op, PhalanxReadOperation) and op.returned_null:
+            self.null_reads += 1

@@ -13,7 +13,7 @@ from typing import Callable, Optional
 
 from repro.baselines.bqs import BqsClient, BqsReplica
 from repro.baselines.phalanx import PhalanxClient, PhalanxReplica
-from repro.core.config import SystemConfig, make_system
+from repro.core.config import make_system
 from repro.core.quorum import QuorumSystem
 from repro.net.simnet import LinkProfile
 from repro.obs.instrumentation import Instrumentation
@@ -28,15 +28,11 @@ def build_bqs_cluster(
     scheme: str = "hmac",
     seed: int = 0,
     profile: Optional[LinkProfile] = None,
-    write_back: bool = True,
     replica_overrides: Optional[dict[int, Callable]] = None,
     instrumentation: Optional[Instrumentation] = None,
 ) -> Cluster:
     """A BQS register deployment: 3f+1 replicas, quorums of 2f+1."""
     config = make_system(f, scheme=scheme, seed=b"bqs-seed-%d" % seed)
-
-    def client_cls(node_id: str, cfg: SystemConfig, **kwargs) -> BqsClient:
-        return BqsClient(node_id, cfg, write_back=write_back, **kwargs)
 
     options = ClusterOptions(
         f=f,
@@ -47,7 +43,7 @@ def build_bqs_cluster(
         instrumentation=instrumentation,
     )
     return Cluster(
-        options, config=config, replica_factory=BqsReplica, client_factory=client_cls
+        options, config=config, replica_factory=BqsReplica, client_factory=BqsClient
     )
 
 

@@ -177,9 +177,7 @@ def _check_recovery(replicas: Mapping[str, Any]) -> OracleVerdict:
     """A twin recovered from each labelled replica's store must match it."""
     mismatched = []
     for label, replica in replicas.items():
-        twin = type(replica)(replica.node_id, replica.config, store=replica.store)
-        twin.recover()
-        if twin.state_fingerprint() != replica.state_fingerprint():
+        if replica.replayed_fingerprint() != replica.state_fingerprint():
             mismatched.append(label)
     return OracleVerdict(
         "recovery-fingerprint",

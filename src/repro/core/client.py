@@ -1,4 +1,4 @@
-"""Client front-ends for the three protocol variants.
+"""Client front-ends for the four protocol variants.
 
 A client owns at most one in-flight operation (the model of §4.1 makes client
 histories sequential), its last write certificate (needed in the next
@@ -15,6 +15,10 @@ Variants:
   configuration with ``strong=True``).
 * :class:`FastBftBcClient` — signature-free proofs of writing with a
   verified fallback to the signed protocol.
+
+The BQS and Phalanx baselines' clients subclass :class:`BftBcClient` too and
+override only the two hooks that build an operation, ``_write_op`` and
+``_read_op``: one front-end drives every protocol here.
 """
 
 from __future__ import annotations
@@ -71,31 +75,36 @@ class BftBcClient:
 
     def begin_write(self, value: Any) -> list[Send]:
         """Start a write; returns the first batch of requests to send."""
-        self._check_idle()
-        self.op = self.write_op_cls(
-            self.node_id, self.config, value, self._nonces.next(), self.write_cert
-        )
-        self.op.instrument(self.instrumentation)
-        return self.op.start()
+        return self._begin(self._write_op(value, self._nonces.next()))
 
     def begin_read(self) -> list[Send]:
         """Start a read; returns the first batch of requests to send."""
-        self._check_idle()
-        self.op = self.read_op_cls(
+        return self._begin(self._read_op(self._nonces.next()))
+
+    def _write_op(self, value: Any, nonce: bytes) -> Operation:
+        """The write operation this client's protocol runs."""
+        return self.write_op_cls(
+            self.node_id, self.config, value, nonce, self.write_cert
+        )
+
+    def _read_op(self, nonce: bytes) -> Operation:
+        """The read operation this client's protocol runs."""
+        return self.read_op_cls(
             self.node_id,
             self.config,
-            self._nonces.next(),
+            nonce,
             hash_tie_break=self.hash_tie_break,
             write_cert=self.write_cert,
         )
-        self.op.instrument(self.instrumentation)
-        return self.op.start()
 
-    def _check_idle(self) -> None:
+    def _begin(self, op: Operation) -> list[Send]:
         if self.op is not None and not self.op.done:
             raise ProtocolError(
                 f"client {self.node_id} already has an operation in flight"
             )
+        self.op = op
+        op.instrument(self.instrumentation)
+        return op.start()
 
     # -- driving ------------------------------------------------------------
 

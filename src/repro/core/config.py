@@ -18,9 +18,8 @@ that declaration instead of comparing variant names.
 from __future__ import annotations
 
 import enum
-from abc import ABC, abstractmethod
-from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Optional, Union
+from dataclasses import dataclass, replace
+from typing import Iterable, Optional, Union
 
 from repro.core import messages as msg
 from repro.core.persistence import ClientStateBudget
@@ -41,70 +40,28 @@ __all__ = [
     "Phase",
     "Protocol",
     "READ_OPERATION",
-    "AccessPolicy",
-    "ExplicitWriters",
     "NamespaceWriters",
-    "PredicateWriters",
     "SystemConfig",
     "make_system",
 ]
 
 
-class AccessPolicy(ABC):
-    """Pluggable write-authorisation rule behind ``authorized_writers``.
+class NamespaceWriters:
+    """The write-authorisation rule behind ``authorized_writers`` (§4.1.1).
 
-    The paper's ACL (§4.1.1) is a set of principals, but a million-writer
-    deployment cannot materialise a million-entry set.  A policy answers
-    membership queries instead: :class:`ExplicitWriters` is the classic set,
-    :class:`NamespaceWriters` admits whole id prefixes in O(1) memory, and
-    :class:`PredicateWriters` wraps an arbitrary callable.  All three keep
-    *denials* exact — like key revocation, retraction is rare and must never
-    be evicted or approximated.
-    """
-
-    @abstractmethod
-    def allows(self, client: str) -> bool:
-        """Whether ``client`` may write."""
-
-    @abstractmethod
-    def authorize(self, client: str) -> None:
-        """Grant ``client`` write access (idempotent)."""
-
-    @abstractmethod
-    def retract(self, client: str) -> None:
-        """Withdraw ``client``'s write access (idempotent)."""
-
-
-class ExplicitWriters(AccessPolicy, set):
-    """The classic explicit ACL: a real ``set`` of authorised ids.
-
-    Subclasses ``set`` so existing code (and tests) that compare
-    ``config.authorized_writers == {"client:a"}`` or mutate it with
-    ``add``/``discard`` keep working unchanged.
-    """
-
-    def allows(self, client: str) -> bool:
-        return client in self
-
-    def authorize(self, client: str) -> None:
-        self.add(client)
-
-    def retract(self, client: str) -> None:
-        self.discard(client)
-
-
-class NamespaceWriters(AccessPolicy):
-    """Authorise every id starting with one of the given prefixes.
-
-    Resident memory is O(prefixes + exceptions), not O(writers): a load
-    harness admitting ``load:w000000`` … ``load:w999999`` holds one prefix.
-    Explicit grants outside the namespaces land in ``extra``; retractions
-    land in the exact ``denied`` set, which always wins.
+    The paper's ACL is a set of principals: ``NamespaceWriters(extra=ids)``
+    is exactly that.  A million-writer deployment cannot materialise a
+    million-entry set, so whole id prefixes may be admitted too, in
+    O(prefixes + exceptions) memory: a load harness admitting
+    ``load:w000000`` … ``load:w999999`` holds one prefix.  Explicit grants
+    outside the namespaces land in ``extra``; retractions land in the exact
+    ``denied`` set, which always wins — like key revocation, retraction is
+    rare and is never approximated.
     """
 
     def __init__(
         self,
-        prefixes: Union[str, Iterable[str]],
+        prefixes: Union[str, Iterable[str]] = (),
         *,
         extra: Iterable[str] = (),
         denied: Iterable[str] = (),
@@ -116,6 +73,7 @@ class NamespaceWriters(AccessPolicy):
         self.denied: set[str] = set(denied)
 
     def allows(self, client: str) -> bool:
+        """Whether ``client`` may write."""
         if client in self.denied:
             return False
         if client in self.extra:
@@ -123,11 +81,13 @@ class NamespaceWriters(AccessPolicy):
         return bool(self.prefixes) and client.startswith(self.prefixes)
 
     def authorize(self, client: str) -> None:
+        """Grant ``client`` write access (idempotent)."""
         self.denied.discard(client)
         if not (self.prefixes and client.startswith(self.prefixes)):
             self.extra.add(client)
 
     def retract(self, client: str) -> None:
+        """Withdraw ``client``'s write access (idempotent)."""
         self.extra.discard(client)
         self.denied.add(client)
 
@@ -136,30 +96,6 @@ class NamespaceWriters(AccessPolicy):
             f"NamespaceWriters(prefixes={self.prefixes!r}, "
             f"extra={len(self.extra)}, denied={len(self.denied)})"
         )
-
-
-class PredicateWriters(AccessPolicy):
-    """Authorise by arbitrary predicate, with exact grant/denial overrides."""
-
-    def __init__(self, predicate: Callable[[str], bool]) -> None:
-        self.predicate = predicate
-        self.extra: set[str] = set()
-        self.denied: set[str] = set()
-
-    def allows(self, client: str) -> bool:
-        if client in self.denied:
-            return False
-        if client in self.extra:
-            return True
-        return bool(self.predicate(client))
-
-    def authorize(self, client: str) -> None:
-        self.denied.discard(client)
-        self.extra.add(client)
-
-    def retract(self, client: str) -> None:
-        self.extra.discard(client)
-        self.denied.add(client)
 
 
 class Variant(str, enum.Enum):
@@ -393,11 +329,10 @@ class SystemConfig:
             O(|Q|) message count assumes ("three RPCs to a quorum of
             replicas"); off by default because broadcasting to all 3f+1 is
             more robust to slow replicas.
-        authorized_writers: the write-authorisation rule.  ``None``
-            authorises every registered client.  Accepts a plain ``set`` /
-            ``frozenset`` (the classic ACL), an :class:`AccessPolicy`
-            (explicit, namespace, or predicate), or a bare callable
-            ``client_id -> bool``.
+        authorized_writers: the write-authorisation rule, a
+            :class:`NamespaceWriters`.  ``None`` authorises every registered
+            client; :meth:`authorize_writer` creates an empty ACL on its
+            first grant.
         client_state_budget: optional per-replica budget for per-client
             protocol state (``plist``/``optlist``/``fastc``); inactive
             clients spill to the WAL-backed store and rehydrate on demand.
@@ -417,9 +352,7 @@ class SystemConfig:
     strict_stop: bool = False
     piggyback_write_certs: bool = False
     prefer_quorum: bool = False
-    authorized_writers: Optional[
-        Union[AccessPolicy, set[str], frozenset[str], Callable[[str], bool]]
-    ] = field(default=None)
+    authorized_writers: Optional[NamespaceWriters] = None
     client_state_budget: Optional[ClientStateBudget] = None
     verifier: Optional[Verifier] = None
     #: Pairwise MAC authenticator for the fast path's signature-free
@@ -453,41 +386,22 @@ class SystemConfig:
         funnels through here, so swapping the policy object changes the rule
         everywhere at once.
         """
-        if not self.registry.is_registered(client):
-            return False
         policy = self.authorized_writers
-        if policy is None:
-            return True
-        if isinstance(policy, AccessPolicy):
-            return policy.allows(client)
-        if isinstance(policy, (set, frozenset)):
-            return client in policy
-        if callable(policy):
-            return bool(policy(client))
-        return client in policy
+        return self.registry.is_registered(client) and (
+            policy is None or policy.allows(client)
+        )
 
     def authorize_writer(self, client: str) -> None:
+        """Grant ``client`` write access, creating the ACL if there is none."""
         if self.authorized_writers is None:
-            self.authorized_writers = ExplicitWriters()
-        policy = self.authorized_writers
-        if isinstance(policy, AccessPolicy):
-            policy.authorize(client)
-        elif isinstance(policy, set):
-            policy.add(client)
-        else:
-            raise QuorumConfigError(
-                "cannot grant into a read-only writer policy "
-                f"({type(policy).__name__}); use an AccessPolicy"
-            )
+            self.authorized_writers = NamespaceWriters()
+        self.authorized_writers.authorize(client)
 
     def revoke_writer(self, client: str) -> None:
         """Administrative stop: revoke the key and retract write access."""
         self.registry.revoke(client)
-        policy = self.authorized_writers
-        if isinstance(policy, AccessPolicy):
-            policy.retract(client)
-        elif isinstance(policy, set):
-            policy.discard(client)
+        if self.authorized_writers is not None:
+            self.authorized_writers.retract(client)
 
 
 def make_system(
@@ -502,9 +416,7 @@ def make_system(
     strict_stop: bool = False,
     piggyback_write_certs: bool = False,
     prefer_quorum: bool = False,
-    authorized_writers: Optional[
-        Union[AccessPolicy, set[str], frozenset[str], Callable[[str], bool]]
-    ] = None,
+    authorized_writers: Optional[NamespaceWriters] = None,
     client_state_budget: Optional[ClientStateBudget] = None,
     secret_cache: Optional[int] = None,
 ) -> SystemConfig:

@@ -205,6 +205,23 @@ class BftBcReplica:
         """Digest of the durable state, for differential recovery tests."""
         return self._state.fingerprint(include_signing_logs=include_signing_logs)
 
+    def replayed_fingerprint(self, *, include_signing_logs: bool = False) -> bytes:
+        """Fingerprint of a scratch twin recovered from this replica's store.
+
+        The twin shares the store, and recovering rebinds the store's
+        snapshot source to the twin; the live replica's binding is put back
+        whatever the replay does, so later compactions still snapshot the
+        live state.
+        """
+        store = self.store
+        saved_source = store.snapshot_source
+        try:
+            twin = type(self)(self.node_id, self.config, store=store)
+            twin.recover()
+            return twin.state_fingerprint(include_signing_logs=include_signing_logs)
+        finally:
+            store.snapshot_source = saved_source
+
     def snapshot_wire(self) -> dict[str, Any]:
         """The full durable state as one canonical wire value.
 
@@ -238,23 +255,15 @@ class BftBcReplica:
         enters quarantine and should repair from peers.
         """
         self.stats.self_audits += 1
-        store = self.store
-        saved_source = store.snapshot_source
         try:
-            twin = type(self)(self.node_id, self.config, store=store)
-            try:
-                twin.recover()
-            except Exception:
-                self.enter_quarantine("audit-replay-failed")
-                return False
-        finally:
-            store.snapshot_source = saved_source
-        if getattr(store, "suspect", False):
+            replayed = self.replayed_fingerprint(include_signing_logs=True)
+        except Exception:
+            self.enter_quarantine("audit-replay-failed")
+            return False
+        if getattr(self.store, "suspect", False):
             self.enter_quarantine("corrupt-storage")
             return False
-        live = self.state_fingerprint(include_signing_logs=True)
-        replayed = twin.state_fingerprint(include_signing_logs=True)
-        if live != replayed:
+        if self.state_fingerprint(include_signing_logs=True) != replayed:
             self.enter_quarantine("audit-mismatch")
             return False
         return True

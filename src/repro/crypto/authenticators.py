@@ -19,13 +19,12 @@ import hashlib
 import hmac
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.crypto.keys import KeyRegistry
 
 __all__ = ["MacAuthenticatorStats", "MacAuthenticator"]
 
-#: Default capacity of the pairwise session-key LRU.
+#: Capacity of the pairwise session-key LRU.
 SESSION_CACHE_CAPACITY = 4096
 
 
@@ -51,21 +50,14 @@ class MacAuthenticatorStats:
 class MacAuthenticator:
     """Compute and check pairwise MACs between registered nodes.
 
-    Args:
-        registry: source of per-node secrets.
-        max_sessions: LRU capacity for cached pairwise session keys;
-            ``None`` keeps every pair resident (the unbounded baseline).
+    Pairwise session keys derive from the registry's per-node secrets and
+    are cached in an LRU of :data:`SESSION_CACHE_CAPACITY` pairs; an evicted
+    key re-derives to the same bytes on its next use.
     """
 
-    def __init__(
-        self,
-        registry: KeyRegistry,
-        *,
-        max_sessions: Optional[int] = SESSION_CACHE_CAPACITY,
-    ) -> None:
+    def __init__(self, registry: KeyRegistry) -> None:
         self._registry = registry
         self._session_keys: "OrderedDict[tuple[str, str], bytes]" = OrderedDict()
-        self._max_sessions = max_sessions
         self.macs_computed = 0
         self.macs_checked = 0
         self.stats = MacAuthenticatorStats()
@@ -87,10 +79,9 @@ class MacAuthenticator:
         key = hashlib.sha256(material).digest()
         self.stats.session_keys_derived += 1
         self._session_keys[pair] = key
-        if self._max_sessions is not None:
-            while len(self._session_keys) > self._max_sessions:
-                self._session_keys.popitem(last=False)
-                self.stats.session_key_evictions += 1
+        while len(self._session_keys) > SESSION_CACHE_CAPACITY:
+            self._session_keys.popitem(last=False)
+            self.stats.session_key_evictions += 1
         return key
 
     @property

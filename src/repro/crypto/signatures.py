@@ -25,7 +25,7 @@ from abc import ABC, abstractmethod
 from collections import OrderedDict
 from dataclasses import dataclass, field
 import hmac
-from typing import TYPE_CHECKING, Any, Optional
+from typing import TYPE_CHECKING, Any
 
 from repro.crypto.keys import KeyRegistry
 from repro.errors import CryptoError
@@ -150,22 +150,21 @@ class HmacSignatureScheme(SignatureScheme):
         return hmac.compare_digest(expected, signature.value)
 
 
+#: Capacity of :class:`RsaSignatureScheme`'s per-node keypair LRU.
+KEYPAIR_CACHE_CAPACITY = 1024
+
+
 class RsaSignatureScheme(SignatureScheme):
     """Textbook RSA-FDH signatures; verification is public-key only.
 
     Keypairs are derived deterministically from the registry secret, so the
-    per-node cache is a bounded LRU: an evicted keypair regenerates to the
-    identical key material on next use (eviction is invisible except in
-    time), keeping resident key state O(active signers).
+    per-node cache is an LRU of :data:`KEYPAIR_CACHE_CAPACITY` keypairs: an
+    evicted keypair regenerates to the identical key material on next use
+    (eviction is invisible except in time), keeping resident key state
+    O(active signers).
     """
 
-    def __init__(
-        self,
-        registry: KeyRegistry,
-        bits: int = 512,
-        *,
-        max_cached_keys: Optional[int] = 1024,
-    ) -> None:
+    def __init__(self, registry: KeyRegistry, bits: int = 512) -> None:
         # The RSA arithmetic is loaded only by a deployment that signs with it.
         from repro.crypto import rsa
 
@@ -173,7 +172,6 @@ class RsaSignatureScheme(SignatureScheme):
         self._rsa = rsa
         self._bits = bits
         self._private: "OrderedDict[str, RsaPrivateKey]" = OrderedDict()
-        self._max_cached_keys = max_cached_keys
         self.keypair_evictions = 0
 
     def _keypair(self, node_id: str) -> RsaPrivateKey:
@@ -182,10 +180,9 @@ class RsaSignatureScheme(SignatureScheme):
             seed = self.registry.secret_for(node_id)
             key = self._rsa.generate_rsa_keypair(seed, bits=self._bits)
             self._private[node_id] = key
-            if self._max_cached_keys is not None:
-                while len(self._private) > self._max_cached_keys:
-                    self._private.popitem(last=False)
-                    self.keypair_evictions += 1
+            while len(self._private) > KEYPAIR_CACHE_CAPACITY:
+                self._private.popitem(last=False)
+                self.keypair_evictions += 1
         else:
             self._private.move_to_end(node_id)
         return key

@@ -56,7 +56,6 @@ from repro.load.profile import (
 )
 from repro.net.simnet import LinkProfile
 from repro.obs.histograms import LatencyHistogram
-from repro.obs.instrumentation import Instrumentation
 from repro.sim.nodes import MachineHost, ReplicaHost
 from repro.sim.runner import SimHarness
 
@@ -212,7 +211,6 @@ class SimLoadOptions:
     #: Virtual time allowed after the arrival window for in-flight
     #: operations to drain before they count as failed.
     drain: float = 30.0
-    instrumentation: Optional[Instrumentation] = None
 
     def __post_init__(self) -> None:
         self.variant = Variant.coerce(self.variant)
@@ -299,12 +297,7 @@ class SimLoadHarness(SimHarness):
         # under the namespace is known to the registry, secrets derive
         # lazily into the bounded cache on first use.
         self.config.registry.open_namespace(profile.namespace)
-        super().__init__(
-            profile=self.options.link,
-            seed=profile.seed,
-            instrumentation=self.options.instrumentation
-            or Instrumentation(enabled=True),
-        )
+        super().__init__(profile=self.options.link, seed=profile.seed)
         self.replicas = [
             ReplicaHost(
                 MultiObjectReplica(
@@ -356,11 +349,9 @@ class SimLoadHarness(SimHarness):
     # -- completion / parking ----------------------------------------------
 
     def _complete(self, arrival: Arrival, result: object) -> None:
-        latency = self.scheduler.now - arrival.at
-        self.instrumentation.observe(f"load.{arrival.kind}", latency)
         self.tally.complete(
             arrival,
-            latency,
+            self.scheduler.now - arrival.at,
             f"{arrival.index}|{arrival.client}|{arrival.obj}|"
             f"{arrival.kind}|{result!r}\n",
         )

@@ -79,7 +79,6 @@ class ReplicaServer:
         port: int = 0,
         replica_cls: type[BftBcReplica] = BftBcReplica,
         fsync: str = "always",
-        snapshot_interval: Optional[int] = 1024,
         instrumentation: Optional[Instrumentation] = None,
     ) -> "ReplicaServer":
         """Build a server whose replica journals to ``data_dir``.
@@ -89,9 +88,7 @@ class ReplicaServer:
         from the pre-crash Figure-2 state.  An instrumentation handle times
         handlers and store calls on the wall clock.
         """
-        store = FileLogStore(
-            data_dir, fsync=fsync, snapshot_interval=snapshot_interval
-        )
+        store = FileLogStore(data_dir, fsync=fsync)
         replica = replica_cls(
             node_id, config, store=store, instrumentation=instrumentation
         )

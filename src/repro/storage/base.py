@@ -208,26 +208,6 @@ class ReplicaStore(ABC):
             "corrupt_snapshots": 0,
         }
 
-    # -- state transfer ----------------------------------------------------
-
-    def import_state(self, payload: dict[str, Any]) -> None:
-        """Replace this store's contents with a ``{"snapshot": ..., "records":
-        [...]}`` payload, the shape of what :meth:`load` returns.
-
-        Used when a replica bootstraps from peers: the snapshot is installed
-        first (which also truncates any pre-existing log), the records are
-        re-appended in order under one group, and the result is forced to
-        stable storage (whatever the sync policy) so a crash immediately
-        after bootstrap does not silently lose the transferred state.
-        """
-        if not isinstance(payload, dict) or not {"snapshot", "records"} <= set(payload):
-            raise ValueError(f"malformed state-transfer payload: {payload!r}")
-        with self.group():
-            self.write_snapshot(payload["snapshot"])
-            for record in payload["records"]:
-                self.append(record)
-            self.sync()
-
     # -- compaction --------------------------------------------------------
 
     def _note_append(self) -> None:

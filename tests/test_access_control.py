@@ -4,12 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro import (
-    ExplicitWriters,
-    NamespaceWriters,
-    PredicateWriters,
-    build_cluster,
-)
+from repro import NamespaceWriters, build_cluster
 from repro.core import make_system
 from repro.errors import KeyRevokedError
 from repro.sim import read_script
@@ -21,7 +16,7 @@ class TestAcl:
         assert not config.is_authorized_writer("client:ghost")  # unregistered
 
     def test_explicit_acl_restricts(self, config):
-        config.authorized_writers = {"client:alice"}
+        config.authorized_writers = NamespaceWriters(extra={"client:alice"})
         assert config.is_authorized_writer("client:alice")
         assert not config.is_authorized_writer("client:bob")
 
@@ -29,7 +24,7 @@ class TestAcl:
         cfg = make_system(f=1, seed=b"acl")
         cfg.registry.register("client:x")
         cfg.authorize_writer("client:x")
-        assert cfg.authorized_writers == {"client:x"}
+        assert cfg.authorized_writers.extra == {"client:x"}
         assert cfg.is_authorized_writer("client:x")
         # Registering alone no longer suffices once an ACL exists.
         cfg.registry.register("client:y")
@@ -41,7 +36,7 @@ class TestAcl:
         cfg.authorize_writer("client:x")
         cfg.revoke_writer("client:x")
         assert cfg.registry.is_revoked("client:x")
-        assert "client:x" not in (cfg.authorized_writers or set())
+        assert not cfg.authorized_writers.allows("client:x")
         with pytest.raises(KeyRevokedError):
             cfg.scheme.sign("client:x", b"m")
 
@@ -109,16 +104,7 @@ class TestStopNotions:
 
 
 class TestAccessPolicies:
-    """The pluggable AccessPolicy rules behind ``authorized_writers``."""
-
-    def test_explicit_writers_is_a_set(self):
-        policy = ExplicitWriters({"client:a"})
-        assert policy == {"client:a"}  # set-equality compatibility
-        policy.authorize("client:b")
-        assert policy.allows("client:b")
-        policy.retract("client:b")
-        assert not policy.allows("client:b")
-        assert policy == {"client:a"}
+    """The NamespaceWriters rule behind ``authorized_writers``."""
 
     def test_namespace_admits_prefix_in_constant_memory(self):
         policy = NamespaceWriters("load:")
@@ -141,15 +127,6 @@ class TestAccessPolicies:
         policy.retract("client:admin")
         assert not policy.allows("client:admin")
 
-    def test_predicate_with_overrides(self):
-        policy = PredicateWriters(lambda c: c.endswith(":writer"))
-        assert policy.allows("a:writer")
-        assert not policy.allows("a:reader")
-        policy.authorize("a:reader")
-        assert policy.allows("a:reader")
-        policy.retract("a:writer")
-        assert not policy.allows("a:writer")
-
     def test_config_funnels_through_policy(self):
         cfg = make_system(f=1, seed=b"policy")
         cfg.authorized_writers = NamespaceWriters("load:")
@@ -163,15 +140,3 @@ class TestAccessPolicies:
         assert not cfg.is_authorized_writer("load:42")
         with pytest.raises(KeyRevokedError):
             cfg.scheme.sign("load:42", b"m")
-
-    def test_callable_policy_is_read_only(self):
-        from repro.errors import QuorumConfigError
-
-        cfg = make_system(f=1, seed=b"policy2")
-        cfg.authorized_writers = lambda client: client.startswith("x:")
-        cfg.registry.register("x:1")
-        cfg.registry.register("y:1")
-        assert cfg.is_authorized_writer("x:1")
-        assert not cfg.is_authorized_writer("y:1")
-        with pytest.raises(QuorumConfigError):
-            cfg.authorize_writer("y:1")

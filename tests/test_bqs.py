@@ -87,11 +87,12 @@ class TestReplicaValidation:
         from repro.baselines.messages import BqsWriteRequest
         from repro.baselines.statements import bqs_write_statement
         from repro.core import make_system
+        from repro.core.config import NamespaceWriters
         from repro.crypto.hashing import hash_value
 
         config = make_system(f=1, seed=b"bqs-unit2")
         config.registry.register("client:a")
-        config.authorized_writers = set()  # nobody may write
+        config.authorized_writers = NamespaceWriters()  # nobody may write
         replica = BqsReplica("replica:0", config)
         ts = Timestamp(1, "client:a")
         sig = config.scheme.sign(

@@ -427,3 +427,32 @@ class TestStabilization:
         detected = sum(r.quarantines for r in campaign.results)
         repaired = sum(r.repairs for r in campaign.results)
         assert detected == repaired
+
+    def test_recovery_oracle_leaves_the_live_store_compacting(self, tmp_path):
+        """The recovery oracle replays each store into a twin; the live
+        replica's later compactions must still snapshot the live replica,
+        not the twin collected after the check."""
+        import gc
+
+        from repro.chaos.oracles import _check_recovery
+        from repro.sim.runner import build_cluster
+        from repro.storage import FileLogStore
+
+        cluster = build_cluster(
+            f=1,
+            seed=3,
+            store_factory=lambda rid: FileLogStore(
+                tmp_path / rid, snapshot_interval=4, fsync="never"
+            ),
+        )
+        cluster.run_scripts(
+            {"alice": [("write", ("v", i)) for i in range(3)]}, max_time=60
+        )
+        assert _check_recovery(cluster.replicas).ok
+        gc.collect()
+        cluster.run_scripts(
+            {"bob": [("write", ("w", i)) for i in range(9)]}, max_time=60
+        )
+        assert _check_recovery(cluster.replicas).ok
+        for replica in cluster.replicas.values():
+            assert replica.store.stats.snapshots > 0

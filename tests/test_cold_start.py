@@ -116,7 +116,7 @@ def test_the_facade_resolves_each_name_to_its_defining_module():
     )
     same, bound, undir, unknown = fresh(code)
     assert same
-    assert len(repro.__all__) == 105
+    assert len(repro.__all__) == 102
     assert bound == sorted(repro.__all__)
     assert undir == []
     assert unknown == "AttributeError"

@@ -8,8 +8,7 @@ the change*; these tests pin the window that batching the barrier opens:
   retransmission completes the write;
 * ``ReplicaServer._handle_chunk`` writes no reply byte before the barrier
   covering its records has returned;
-* a handler that raises still leaves everything it appended durable;
-* state import pays one WAL barrier, however many records it replays.
+* a handler that raises still leaves everything it appended durable.
 """
 
 from __future__ import annotations
@@ -298,25 +297,6 @@ def test_handler_that_raises_after_appending_is_synced(tmp_path):
     # The in-memory state moved, so the records must survive a power cut.
     store.crash()
     assert len(store.load()[1]) == 2
-
-
-# -- (4) state import: one WAL barrier ----------------------------------------
-
-
-@pytest.mark.parametrize("fsync", ["always", "never"])
-@pytest.mark.parametrize("n_records", [0, 1, 7])
-def test_import_state_issues_one_wal_barrier(fsync, n_records, tmp_path):
-    plain = FileLogStore(tmp_path / "plain", fsync=fsync)
-    plain.write_snapshot({"s": 1})
-    snapshot_fsyncs = plain.stats.fsyncs
-
-    store = FileLogStore(tmp_path / "imported", fsync=fsync)
-    records = [("r", i) for i in range(n_records)]
-    store.import_state({"snapshot": {"s": 1}, "records": records})
-
-    assert store.stats.fsyncs == snapshot_fsyncs + 1
-    store.crash()  # forced to stable storage whatever the policy
-    assert store.load() == ({"s": 1}, records)
 
 
 # -- the scope itself ----------------------------------------------------------

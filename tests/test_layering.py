@@ -413,6 +413,31 @@ def test_checker_flags_a_hand_written_sender_check(tmp_path):
     ]
 
 
+def test_checker_flags_a_client_that_mints_its_own_nonces(tmp_path):
+    """``BftBcClient`` is the one client front-end: a baseline client that
+    builds its own ``NonceSource`` is the copied front-end growing back.
+    The front-end itself and the adversary base stay free."""
+    (tmp_path / "repro" / "core").mkdir(parents=True)
+    (tmp_path / "repro" / "byzantine").mkdir()
+    (tmp_path / "repro" / "baselines").mkdir()
+    (tmp_path / "repro" / "core" / "client.py").write_text(
+        "nonces = NonceSource(node_id, secret=secret)\n"
+    )
+    (tmp_path / "repro" / "byzantine" / "adversary.py").write_text(
+        "nonces = NonceSource(node_id, secret=secret)\n"
+    )
+    (tmp_path / "repro" / "baselines" / "bad.py").write_text(
+        "from repro.crypto.nonces import NonceSource\n"
+        "nonces = NonceSource(node_id, secret=secret)\n"
+        "other = nonces_module.NonceSource(node_id)\n"
+    )
+    found = check_layering.find_duplication(tmp_path)
+    assert sorted((module, line) for module, line, _ in found) == [
+        ("repro.baselines.bad", 2),
+        ("repro.baselines.bad", 3),
+    ]
+
+
 def test_checker_cli_passes():
     result = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "check_layering.py")],

@@ -9,7 +9,7 @@ import pytest
 
 from repro.core import Timestamp, ZERO_TS
 from repro.core.certificates import genesis_prepare_certificate
-from repro.core.config import Variant
+from repro.core.config import NamespaceWriters, Variant
 from repro.core.messages import (
     PrepareReply,
     ReadReply,
@@ -121,7 +121,8 @@ class TestPhase2:
         assert replica.stats.discards["bad-prepare-cert"] == 1
 
     def test_unauthorized_client_discarded(self, kit, replica, config):
-        config.authorized_writers = {"client:bob"}  # alice no longer allowed
+        # alice no longer allowed
+        config.authorized_writers = NamespaceWriters(extra={"client:bob"})
         genesis = genesis_prepare_certificate()
         request = kit.prepare_request(genesis, ZERO_TS.succ(kit.client), ("v", 1))
         assert replica.handle(kit.client, request) is None

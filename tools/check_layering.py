@@ -34,7 +34,7 @@ table (name -> defining module, resolved on first access by
 module, and an entry naming a module that does not exist is flagged
 (:func:`find_dangling_exports`).
 
-Fifteen further rules keep deleted duplication from growing back
+Sixteen further rules keep deleted duplication from growing back
 (:func:`find_duplication`): the TCP client stack lives in one module, so
 ``asyncio.open_connection`` may be called only from ``repro.net.mux`` (and
 the chaos proxy's upstream leg); the variant-to-class mapping lives on
@@ -94,7 +94,11 @@ reply is a vote only if the replica that sent it signed it, a check
 ``.signer`` may be compared with its sender (``sig.signer != sender``,
 ``signature.signer == src``) — a hand-written sender check is a second copy
 of the vote rule growing back (a replica's check that a request's signer is
-its client is not this rule's business).
+its client is not this rule's business); and one client front-end,
+``repro.core.client.BftBcClient``, drives every protocol's operations, the
+baselines' included, so ``NonceSource(`` may be constructed only in
+``repro.core.client`` and ``repro.byzantine.adversary`` — a client that
+mints its own nonces is a copied front-end growing back.
 
 Run:  python tools/check_layering.py   (exits 1 and lists violations)
 The tier-1 test ``tests/test_layering.py`` runs this on every suite run.
@@ -219,6 +223,10 @@ AUTH_CALLS = frozenset({"sign", "verify", "mac", "check"})
 #: names a reply's sender goes by in a validator.
 VOTE_SITE = "repro.core.phases"
 SENDER_NAMES = frozenset({"sender", "src"})
+
+#: The modules that mint request nonces: the one client front-end and the
+#: adversary base.
+NONCE_SITES = frozenset({"repro.core.client", "repro.byzantine.adversary"})
 
 
 def _binds_signer_to_sender(node: ast.Compare) -> bool:
@@ -497,6 +505,11 @@ def find_duplication(src: pathlib.Path = SRC) -> list[tuple[str, int, str]]:
                         (module, node.lineno, "calls intern_encode; a statement "
                          "builder encodes once and splices cert.encoded")
                     )
+                if callee == "NonceSource" and module not in NONCE_SITES:
+                    found.append(
+                        (module, node.lineno, "mints nonces outside the client "
+                         "front-end; subclass BftBcClient")
+                    )
                 if callee == "WireType" and module != WIRE_SCHEMA_SITE:
                     found.append(
                         (module, node.lineno, "grows the wire type table outside "
@@ -604,7 +617,7 @@ def main() -> int:
             "the socket front door / one decode per frame / the durable field "
             "table / the always-on caches / the declared protocol / the fault "
             "catalogue / the statement builders / the phase engine's vote "
-            "check replaced:"
+            "check / the one client front-end replaced:"
         )
         for module, line, what in duplication:
             print(f"  {module}:{line} {what}")
