@@ -38,7 +38,7 @@ from repro.core.config import SystemConfig, Variant
 from repro.core.replica import BftBcReplica
 from repro.core.verification import VerificationStats
 from repro.errors import QuorumConfigError
-from repro.net.asyncio_transport import ReplicaServer
+from repro.net.asyncio_transport import ReplicaServer, SharedDecode
 from repro.net.mux import OpRecord, PipelinedClient
 from repro.obs.instrumentation import Instrumentation
 
@@ -207,7 +207,10 @@ class ReplicaGroup:
     The only code that builds a ``ReplicaServer``.  A file-store replica
     journals under :func:`~repro.cluster.process.replica_data_dir` of
     ``spec.data_dir``; a memory one keeps its state machine in the object.
-    Loop-agnostic: every method is a coroutine on the caller's loop.
+    Loop-agnostic: every method is a coroutine on the caller's loop.  The
+    servers share one :class:`~repro.net.asyncio_transport.SharedDecode`,
+    so a client frame that reaches several of them in one loop turn is
+    decoded once.
     """
 
     def __init__(
@@ -220,6 +223,7 @@ class ReplicaGroup:
             Instrumentation() if spec.instrumentation else None
         )
         self.servers: dict[str, ReplicaServer] = {}
+        self.decode = SharedDecode()
 
     @classmethod
     async def start(
@@ -255,11 +259,12 @@ class ReplicaGroup:
                 replica_cls=replica_cls,
                 fsync=spec.fsync,
                 instrumentation=self.instrumentation,
+                decode=self.decode,
             )
         replica = replica_cls(
             node_id, self.config, instrumentation=self.instrumentation
         )
-        return ReplicaServer(replica, host=spec.host, port=port)
+        return ReplicaServer(replica, host=spec.host, port=port, decode=self.decode)
 
     @property
     def addrs(self) -> dict[str, tuple[str, int]]:

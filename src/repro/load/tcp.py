@@ -72,12 +72,10 @@ async def _run_tcp_load(
                 if arrival.kind == "write"
                 else client.begin_read()
             )
-            inbox = endpoint.register(arrival.client)
             try:
                 await drive(
                     endpoint,
                     arrival.client,
-                    inbox,
                     sends,
                     done=lambda: not client.busy,
                     deliver=client.deliver,
@@ -87,8 +85,6 @@ async def _run_tcp_load(
                 )
             except Exception:
                 return  # counted: failed = arrivals - completed
-            finally:
-                endpoint.unregister(arrival.client)
         tally.complete(
             arrival,
             loop.time() - (started + arrival.at),

@@ -10,9 +10,12 @@ run here over real sockets:
 
 The wire format is :mod:`repro.net.envelope`; the client side is one
 logical client on its own :class:`~repro.net.mux.MuxEndpoint`, driven by
-the shared :func:`~repro.net.mux.drive` loop.  The transport tolerates
-connection loss: sends to broken connections are dropped and the
-protocol's retransmission recovers, matching the §2 fair-loss model.
+the shared :func:`~repro.net.mux.drive` loop.  Both ends are
+:class:`asyncio.Protocol` callbacks: a server handles every frame of one
+socket read inside ``data_received``, with no task or queue in between.
+The transport tolerates connection loss: sends to broken connections are
+dropped and the protocol's retransmission recovers, matching the §2
+fair-loss model.
 """
 
 from __future__ import annotations
@@ -37,7 +40,9 @@ if TYPE_CHECKING:
     from repro.core.client import BftBcClient
     from repro.core.phases import Send
 
-__all__ = ["ReplicaServer", "AsyncClient"]
+__all__ = ["ReplicaServer", "AsyncClient", "SharedDecode"]
+
+Envelope = tuple[str, Message, Optional[str]]
 
 #: Quiet interval and overall budget of one repair pull; the next audit
 #: tick starts another, so a loss here only costs latency.
@@ -45,20 +50,90 @@ REPAIR_RETRANSMIT = 0.5
 REPAIR_TIMEOUT = 2.0
 
 
+class SharedDecode:
+    """Decodes each distinct frame once per event-loop turn.
+
+    A client sends one request to every replica, so a worker hosting
+    several replicas of a group reads byte-identical frames once per
+    hosted replica, usually in the same loop turn.  The servers of one
+    :class:`~repro.cluster.deploy.ReplicaGroup` share one table from
+    payload bytes to the decoded ``(src, message, dst)``; the first insert
+    in a turn arms a ``call_soon`` that empties it, so the table holds at
+    most one turn's frames.  Receivers share the frozen message, as the
+    simulated network's in-flight table does.  Only successful decodes
+    are kept: a frame that fails to parse raises for every receiver, and
+    an equivocating client's different bytes are different keys.
+    """
+
+    def __init__(self) -> None:
+        self._frames: dict[bytes, Envelope] = {}
+
+    def __call__(self, payload: bytes) -> Envelope:
+        envelope = self._frames.get(payload)
+        if envelope is None:
+            envelope = decode_envelope(payload)
+            if not self._frames:
+                asyncio.get_running_loop().call_soon(self._frames.clear)
+            self._frames[payload] = envelope
+        return envelope
+
+
+class _Connection(asyncio.Protocol):
+    """One client connection of a :class:`ReplicaServer`."""
+
+    transport: asyncio.Transport
+
+    def __init__(self, server: "ReplicaServer") -> None:
+        self._server = server
+        self._decoder = FrameDecoder()
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self.transport = transport  # type: ignore[assignment]
+        self._server._connections.add(self.transport)
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self._server._connections.discard(self.transport)
+
+    def data_received(self, data: bytes) -> None:
+        try:
+            payloads = list(self._decoder.feed(data))
+        except EncodingError:
+            # Bad magic or an oversized length: drop the connection.
+            self.transport.close()
+            return
+        if payloads:
+            self._server._handle_frames(payloads, self.transport)
+
+    # A client that does not read its replies stops being read: the
+    # buffered replies bound what its requests can make this server hold.
+    def pause_writing(self) -> None:
+        self.transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        self.transport.resume_reading()
+
+
 class ReplicaServer:
-    """Hosts one replica state machine behind a TCP listener."""
+    """Hosts one replica state machine behind a TCP listener.
+
+    Servers of one group pass the group's :class:`SharedDecode` as
+    ``decode``; a lone server decodes through a table of its own.
+    """
 
     def __init__(
         self,
         replica: BftBcReplica,
         host: str = "127.0.0.1",
         port: int = 0,
+        *,
+        decode: Optional[SharedDecode] = None,
     ) -> None:
         self.replica = replica
         self.host = host
         self.port = port
+        self._decode = decode if decode is not None else SharedDecode()
         self._server: Optional[asyncio.base_events.Server] = None
-        self._connections: set[asyncio.StreamWriter] = set()
+        self._connections: set[asyncio.Transport] = set()
         #: Frames dropped before reaching the replica, by the simulated
         #: network's reason names (``parse-failure``).
         self.dropped_by_reason: Counter[str] = Counter()
@@ -80,6 +155,7 @@ class ReplicaServer:
         replica_cls: type[BftBcReplica] = BftBcReplica,
         fsync: str = "always",
         instrumentation: Optional[Instrumentation] = None,
+        decode: Optional[SharedDecode] = None,
     ) -> "ReplicaServer":
         """Build a server whose replica journals to ``data_dir``.
 
@@ -93,12 +169,12 @@ class ReplicaServer:
             node_id, config, store=store, instrumentation=instrumentation
         )
         replica.recover()
-        return cls(replica, host=host, port=port)
+        return cls(replica, host=host, port=port, decode=decode)
 
     async def start(self) -> tuple[str, int]:
         """Start listening; returns the bound (host, port)."""
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
+        self._server = await asyncio.get_running_loop().create_server(
+            lambda: _Connection(self), self.host, self.port
         )
         sockname = self._server.sockets[0].getsockname()
         self.host, self.port = sockname[0], sockname[1]
@@ -135,7 +211,6 @@ class ReplicaServer:
             await drive(
                 endpoint,
                 replica.node_id,
-                endpoint.register(replica.node_id),
                 sends,
                 done=lambda: not replica.quarantined,
                 deliver=deliver,
@@ -177,61 +252,37 @@ class ReplicaServer:
     async def stop(self) -> None:
         """Stop listening and drop every established connection — the
         moral equivalent of killing the replica process."""
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        for writer in list(self._connections):
-            writer.close()
+        server, self._server = self._server, None
+        if server is not None:
+            server.close()
+        for transport in list(self._connections):
+            transport.abort()
         self._connections.clear()
+        if server is not None:
+            await server.wait_closed()
 
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        decoder = FrameDecoder()
-        self._connections.add(writer)
-        try:
-            while True:
-                chunk = await reader.read(65536)
-                if not chunk:
-                    break
-                await self._handle_chunk(list(decoder.feed(chunk)), writer)
-        except (ConnectionError, EncodingError, asyncio.IncompleteReadError):
-            pass
-        except asyncio.CancelledError:
-            # Loop shutdown cancels handler tasks blocked in read();
-            # completing normally keeps the streams machinery from logging
-            # a spurious "exception was never retrieved" at teardown.
-            pass
-        finally:
-            # Close without awaiting: at interpreter shutdown the surrounding
-            # task may already be cancelled, and waiting here would raise.
-            self._connections.discard(writer)
-            writer.close()
-
-    async def _handle_chunk(
-        self, payloads: list[bytes], writer: asyncio.StreamWriter
+    def _handle_frames(
+        self, payloads: list[bytes], transport: asyncio.Transport
     ) -> None:
         """Handle every frame one socket read produced, in arrival order.
 
         A busy connection (the client-side mux, or a pipelining client)
         lands several frames per read; their replies share one WAL barrier
-        and a single flow-control drain.  Each reply is
+        and go out in one write once it has closed.  Each reply is
         tagged ``dst=<request src>`` so a multiplexer on the far end can
         route it to the right logical client; plain clients ignore the tag.
         """
-        frames: list[tuple[str, Message, Optional[str]]] = []
+        frames: list[Envelope] = []
         for payload in payloads:
             try:
-                frames.append(decode_envelope(payload))
+                frames.append(self._decode(payload))
             except (EncodingError, ProtocolError):
                 # Corrupted or malformed input is discarded without a reply.
                 self.dropped_by_reason["parse-failure"] += 1
         # One barrier for the whole read: the replies are collected while
-        # the scope is open and written only after it has closed (no
-        # ``await`` in between, so nothing else can run on the loop).  A
-        # shard replica has no store of its own; its per-object replicas
-        # open their own scope inside ``handle``.
+        # the scope is open and written only after it has closed.  A shard
+        # replica has no store of its own; its per-object replicas open
+        # their own scope inside ``handle``.
         store = getattr(self.replica, "store", None)
         replies: list[bytes] = []
         with store.group() if store is not None else nullcontext():
@@ -241,10 +292,8 @@ class ReplicaServer:
                     replies.append(
                         encode_envelope(self.replica.node_id, reply, dst=src)
                     )
-        for data in replies:
-            writer.write(data)
         if replies:
-            await writer.drain()
+            transport.write(b"".join(replies))
 
 
 class AsyncClient:

@@ -5,8 +5,8 @@ need one socket per operation.  :class:`MuxEndpoint` holds **one TCP
 connection per replica**, shared by any number of *logical* clients:
 requests go out tagged with the logical client's id as the envelope
 ``src``; the server tags each reply with ``dst=<that id>`` (see
-``repro.net.asyncio_transport``) and the endpoint's read loops route it to
-the owning client's inbox.
+``repro.net.asyncio_transport``) and the endpoint's read callback hands it
+straight to the handler of the operation running under that id.
 
 :class:`PipelinedClient` builds on the endpoint to pipeline a FIFO of
 operations.  The protocol requires each client identity's operations to be
@@ -17,14 +17,14 @@ made of k logical clients: submitted operations are dealt to whichever
 logical client is idle, giving k operations in flight per process over just
 3f+1 sockets.  Requests arriving back-to-back land in the same socket read
 at the replica, where their replies share one WAL barrier
-(``ReplicaServer._handle_chunk``).
+(``ReplicaServer._handle_frames``).
 """
 
 from __future__ import annotations
 
 import asyncio
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional, Sequence
 
 from repro.encoding import FrameDecoder
 from repro.errors import EncodingError, NetworkError, OperationFailedError, ProtocolError
@@ -36,136 +36,140 @@ if TYPE_CHECKING:
 
 __all__ = ["MuxEndpoint", "drive", "PipelinedClient", "OpRecord"]
 
+Handler = Callable[[str, Any], None]
+
+
+class _Link(asyncio.Protocol):
+    """The endpoint's connection to one replica."""
+
+    transport: asyncio.Transport
+
+    def __init__(self, endpoint: "MuxEndpoint", node_id: str) -> None:
+        self._endpoint = endpoint
+        self._node_id = node_id
+        self._decoder = FrameDecoder()
+        #: Set while the transport's write buffer is over its high-water
+        #: mark: frames to this replica are dropped until it drains.
+        self.paused = False
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self.transport = transport  # type: ignore[assignment]
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        links = self._endpoint._links
+        if links.get(self._node_id) is self:
+            del links[self._node_id]
+
+    def pause_writing(self) -> None:
+        self.paused = True
+
+    def resume_writing(self) -> None:
+        self.paused = False
+
+    def data_received(self, data: bytes) -> None:
+        route = self._endpoint._route
+        try:
+            for payload in self._decoder.feed(data):
+                route(payload)
+        except EncodingError:
+            self.transport.close()
+
 
 class MuxEndpoint:
-    """One TCP connection per replica, shared by many logical clients."""
+    """One TCP connection per replica, shared by many logical clients.
+
+    Nothing here awaits a write: a frame goes into its connection's
+    buffer, or is lost if that connection is missing or paused (a replica
+    that stops reading is a silent one, §2), and the protocol's
+    retransmission recovers.
+    """
 
     def __init__(self, replica_addrs: dict[str, tuple[str, int]]) -> None:
         self.replica_addrs = dict(replica_addrs)
-        self._writers: dict[str, asyncio.StreamWriter] = {}
-        self._locks: dict[str, asyncio.Lock] = {}
-        #: Live read loops only: a finished task drops itself, so an
-        #: endpoint behind a flapping link does not grow per re-dial.
-        self._reader_tasks: set[asyncio.Task] = set()
-        self._inboxes: dict[str, asyncio.Queue] = {}
+        #: Live connections only: a lost one drops itself, so an endpoint
+        #: behind a flapping link holds at most one per replica.
+        self._links: dict[str, _Link] = {}
+        self._handlers: dict[str, Handler] = {}
         #: Successful re-dials of previously broken replica connections.
         self.reconnects = 0
         self._ever_connected: set[str] = set()
         #: Replies whose demux tag named no registered client.
         self.unroutable = 0
 
-    def register(self, client_id: str) -> "asyncio.Queue[tuple[str, Any]]":
-        """Claim a logical client id; returns its reply inbox."""
-        if client_id in self._inboxes:
+    def register(self, client_id: str, handler: Handler) -> None:
+        """Route replies tagged ``client_id`` to ``handler(src, message)``."""
+        if client_id in self._handlers:
             raise ValueError(f"logical client {client_id!r} already registered")
-        queue: asyncio.Queue = asyncio.Queue()
-        self._inboxes[client_id] = queue
-        return queue
+        self._handlers[client_id] = handler
 
     def unregister(self, client_id: str) -> None:
         """Release a logical client id; later replies to it are unroutable."""
-        self._inboxes.pop(client_id, None)
+        self._handlers.pop(client_id, None)
+
+    def _route(self, payload: bytes) -> None:
+        try:
+            src, message, dst = decode_envelope(payload)
+        except (EncodingError, ProtocolError):
+            return
+        handler = self._handlers.get(dst)  # type: ignore[arg-type]
+        if handler is None:
+            self.unroutable += 1
+        else:
+            handler(src, message)
 
     async def connect(self) -> None:
         """Open the shared connection to every reachable replica."""
         await self.reconnect_broken()
-        if not self._writers:
+        if not self._links:
             raise NetworkError("could not connect to any replica")
-
-    async def _try_connect(self, node_id: str, host: str, port: int) -> bool:
-        try:
-            reader, writer = await asyncio.open_connection(host, port)
-        except OSError:
-            return False
-        self._writers[node_id] = writer
-        if node_id in self._ever_connected:
-            self.reconnects += 1
-        self._ever_connected.add(node_id)
-        task = asyncio.create_task(self._read_loop(node_id, reader, writer))
-        self._reader_tasks.add(task)
-        task.add_done_callback(self._reader_tasks.discard)
-        return True
-
-    async def _read_loop(
-        self,
-        node_id: str,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-    ) -> None:
-        decoder = FrameDecoder()
-        try:
-            while True:
-                chunk = await reader.read(65536)
-                if not chunk:
-                    break
-                for payload in decoder.feed(chunk):
-                    try:
-                        src, message, dst = decode_envelope(payload)
-                    except (EncodingError, ProtocolError):
-                        continue
-                    queue = self._inboxes.get(dst)
-                    if queue is None:
-                        self.unroutable += 1
-                        continue
-                    await queue.put((src, message))
-        except (ConnectionError, EncodingError):
-            pass
-        finally:
-            if self._writers.get(node_id) is writer:
-                self._writers.pop(node_id, None)
 
     async def reconnect_broken(self) -> None:
         """Re-dial every replica whose shared connection is missing or dead."""
+        loop = asyncio.get_running_loop()
         for node_id, (host, port) in self.replica_addrs.items():
-            writer = self._writers.get(node_id)
-            if writer is not None and not writer.is_closing():
+            link = self._links.get(node_id)
+            if link is not None:
+                if not link.transport.is_closing():
+                    continue
+                del self._links[node_id]
+                link.transport.abort()
+            try:
+                _, link = await loop.create_connection(
+                    lambda: _Link(self, node_id), host, port
+                )
+            except OSError:
                 continue
-            if writer is not None:
-                self._writers.pop(node_id, None)
-                writer.close()
-            await self._try_connect(node_id, host, port)
+            if node_id in self._links:  # a concurrent re-dial won the race
+                link.transport.abort()
+                continue
+            self._links[node_id] = link
+            if node_id in self._ever_connected:
+                self.reconnects += 1
+            self._ever_connected.add(node_id)
 
     async def send(self, client_id: str, sends: Iterable[Send]) -> None:
-        """Write each send on its replica's shared connection.
+        """:meth:`write`, for callers on a task; it never suspends."""
+        self.write(client_id, sends)
 
-        Per-replica locks keep concurrent logical clients' write+drain
-        sequences from interleaving mid-frame; a dead connection is
-        re-dialled lazily, and a failed dial is just message loss (the
-        protocol's retransmission recovers, per the §2 fair-loss model).
-        """
+    def write(self, client_id: str, sends: Iterable[Send]) -> None:
+        """Buffer each send on its replica's shared connection, if live."""
         for send in sends:
-            lock = self._locks.setdefault(send.dest, asyncio.Lock())
-            async with lock:
-                writer = self._writers.get(send.dest)
-                if writer is None or writer.is_closing():
-                    addr = self.replica_addrs.get(send.dest)
-                    if addr is None or not await self._try_connect(
-                        send.dest, *addr
-                    ):
-                        continue
-                    writer = self._writers[send.dest]
-                try:
-                    writer.write(encode_envelope(client_id, send.message))
-                    await writer.drain()
-                except (OSError, RuntimeError):
-                    self._writers.pop(send.dest, None)
+            link = self._links.get(send.dest)
+            if link is not None and not link.paused:
+                link.transport.write(encode_envelope(client_id, send.message))
 
     async def close(self) -> None:
-        for task in list(self._reader_tasks):
-            task.cancel()
-        for writer in list(self._writers.values()):
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, asyncio.CancelledError):
-                pass
-        self._writers.clear()
+        links = list(self._links.values())
+        self._links.clear()
+        for link in links:
+            link.transport.abort()
+        if links:
+            await asyncio.sleep(0)  # let each connection_lost run
 
 
 async def drive(
     endpoint: MuxEndpoint,
     node_id: str,
-    inbox: "asyncio.Queue[tuple[str, Any]]",
     initial_sends: Iterable[Send],
     *,
     done: Callable[[], bool],
@@ -176,43 +180,66 @@ async def drive(
 ) -> None:
     """Run one sans-I/O round trip over sockets: the paper's §3 pattern.
 
-    Send ``initial_sends``, feed every reply routed to ``inbox`` through
-    ``deliver`` (sending whatever it returns) until ``done()``.  A quiet
-    ``interval`` is when broken connections matter — without a live socket
-    the retransmission would be a no-op against a restarted replica — so
-    the endpoint re-dials first and then ``retransmit()`` goes out.  Raises
-    :class:`~repro.errors.OperationFailedError` after ``timeout`` seconds.
+    Registers ``node_id`` on the endpoint for the duration, re-dials any
+    broken connection, sends ``initial_sends``, and feeds every reply
+    through ``deliver`` (sending whatever it returns) from the endpoint's
+    read callback until ``done()``.  The coroutine waits on one future per quiet ``interval``,
+    armed by a ``call_later`` timer; an interval in which no reply arrived
+    is when broken connections matter — without a live socket the
+    retransmission would be a no-op against a restarted replica — so the
+    endpoint re-dials first and then ``retransmit()`` goes out.  Raises
+    :class:`~repro.errors.OperationFailedError` ``timeout`` seconds after
+    the call.
 
     Every client-side role (core clients, the shard router, the
     reconfigurator, a joining replica's state transfer, quarantine repair)
     is driven by this one loop.
     """
-    await endpoint.send(node_id, initial_sends)
     loop = asyncio.get_running_loop()
     deadline = loop.time() + timeout
-    while not done():
-        remaining = deadline - loop.time()
-        if remaining <= 0:
-            raise OperationFailedError(f"operation timed out after {timeout}s")
+    heard = False
+    failure: Optional[BaseException] = None
+    wake: asyncio.Future = loop.create_future()
+
+    def on_reply(src: str, message: Any) -> None:
+        nonlocal heard, failure
+        if failure is not None or done():
+            return  # a straggler: this operation already has its quorum
+        heard = True
         try:
-            src, message = await asyncio.wait_for(
-                inbox.get(), timeout=min(interval, remaining)
-            )
-        except asyncio.TimeoutError:
-            await endpoint.reconnect_broken()
-            await endpoint.send(node_id, retransmit())
-            continue
-        # A quorum's replies land nearly simultaneously; drain whatever
-        # else has already arrived, so a straggler reaches this operation
-        # (which ignores it once done) rather than the next one.
-        batch = [(src, message)]
-        while True:
+            endpoint.write(node_id, deliver(src, message))
+        except Exception as exc:
+            failure = exc
+        if (failure is not None or done()) and not wake.done():
+            wake.set_result(None)
+
+    endpoint.register(node_id, on_reply)
+    try:
+        await endpoint.reconnect_broken()
+        await endpoint.send(node_id, initial_sends)
+        while not done():
+            if failure is not None:
+                raise failure
+            remaining = deadline - loop.time()
+            if remaining <= 0:
+                raise OperationFailedError(f"operation timed out after {timeout}s")
+            heard = False
+            wake = loop.create_future()
+            timer = loop.call_later(min(interval, remaining), _wake, wake)
             try:
-                batch.append(inbox.get_nowait())
-            except asyncio.QueueEmpty:
-                break
-        for src, message in batch:
-            await endpoint.send(node_id, deliver(src, message))
+                await wake
+            finally:
+                timer.cancel()
+            if not heard and failure is None and not done():
+                await endpoint.reconnect_broken()
+                await endpoint.send(node_id, retransmit())
+    finally:
+        endpoint.unregister(node_id)
+
+
+def _wake(future: asyncio.Future) -> None:
+    if not future.done():
+        future.set_result(None)
 
 
 @dataclass
@@ -255,11 +282,9 @@ class PipelinedClient:
         self.clients = list(clients)
         self.retransmit_interval = retransmit_interval
         self.op_timeout = op_timeout
+        if len({client.node_id for client in self.clients}) < len(self.clients):
+            raise ValueError("PipelinedClient needs distinct logical client ids")
         self.endpoint = MuxEndpoint(replica_addrs)
-        self._inboxes = {
-            client.node_id: self.endpoint.register(client.node_id)
-            for client in self.clients
-        }
 
     @property
     def window(self) -> int:
@@ -317,7 +342,6 @@ class PipelinedClient:
         await drive(
             self.endpoint,
             client.node_id,
-            self._inboxes[client.node_id],
             sends,
             done=lambda: not client.busy,
             deliver=client.deliver,

@@ -16,9 +16,9 @@ three additions:
   operational flows — a joining replica's state transfer from 2f+1 old
   members, and the sign/install epoch change — against live servers.
 
-Connection handling is inherited wholesale: each role registers under its
-own node id on a :class:`~repro.net.mux.MuxEndpoint` and is driven by the
-shared :func:`~repro.net.mux.drive` loop, so frames to broken connections
+Connection handling is inherited wholesale: each role is driven by the
+shared :func:`~repro.net.mux.drive` loop under its own node id on a
+:class:`~repro.net.mux.MuxEndpoint`, so frames to broken connections
 are dropped and retransmission recovers, per the §2 fair-loss model.
 """
 
@@ -89,7 +89,6 @@ class AsyncShardRouter:
         self.retransmit_interval = retransmit_interval
         self.op_timeout = op_timeout
         self._endpoint = MuxEndpoint(addrs)
-        self._inbox = self._endpoint.register(router.node_id)
 
     async def write(self, obj: str, value: Any) -> Any:
         """Perform one write on ``obj``; returns the committed timestamp."""
@@ -108,7 +107,6 @@ class AsyncShardRouter:
         await drive(
             self._endpoint,
             self.router.node_id,
-            self._inbox,
             initial_sends,
             done=lambda: not self.router.busy(obj),
             deliver=self.router.deliver,
@@ -132,7 +130,6 @@ class AsyncReconfigurator:
         self.reconfigurator = reconfigurator
         self.retransmit_interval = retransmit_interval
         self._endpoint = MuxEndpoint(addrs)
-        self._inbox = self._endpoint.register(reconfigurator.node_id)
 
     async def replace(
         self, remove: str, add: str, *, timeout: float = 30.0
@@ -143,7 +140,6 @@ class AsyncReconfigurator:
             await drive(
                 self._endpoint,
                 reconfigurator.node_id,
-                self._inbox,
                 reconfigurator.begin_replace(remove, add),
                 done=lambda: reconfigurator.done,
                 deliver=reconfigurator.deliver,
@@ -186,7 +182,6 @@ async def bootstrap_over_tcp(
         await drive(
             endpoint,
             replica.node_id,
-            endpoint.register(replica.node_id),
             replica.begin_bootstrap(),
             done=lambda: replica.ready,
             deliver=deliver,

@@ -25,7 +25,7 @@ Durability model — one barrier per released reply batch:
   acknowledged state change survives any crash.  The scope is opened by
   :meth:`repro.core.replica.BftBcReplica.handle`, so every host gets the
   barrier by construction, and widened by the host that releases several
-  replies at once: ``ReplicaServer._handle_chunk`` (all frames of one
+  replies at once: ``ReplicaServer._handle_frames`` (all frames of one
   socket read).
   An append outside any scope is a group of one.
 * ``fsync="never"`` hands each group to the OS with one flush and leaves

@@ -2,9 +2,9 @@
 endpoint under it.
 
 * fake-role unit tests of the loop itself: the quiet-interval re-dial +
-  retransmit, the deadline, and delivery of a queued burst;
-* endpoint bookkeeping: live-reader-task bound under reconnect churn,
-  ``unregister``;
+  retransmit, the deadline, and delivery of a burst;
+* endpoint bookkeeping: at most one open transport per live connection
+  under reconnect churn, ``unregister``;
 * parity: the same seeded script through every client stack built on the
   loop commits the same timestamps and leaves the same register state.
 """
@@ -12,6 +12,7 @@ endpoint under it.
 from __future__ import annotations
 
 import asyncio
+import gc
 import random
 import time
 
@@ -22,7 +23,7 @@ from repro.core import BftBcClient, BftBcReplica, make_system
 from repro.core.operations import Send
 from repro.errors import OperationFailedError
 from repro.net.asyncio_transport import AsyncClient
-from repro.net.mux import MuxEndpoint, PipelinedClient, drive
+from repro.net.mux import MuxEndpoint, PipelinedClient, _Link, drive
 from repro.net.shard_transport import AsyncShardRouter, ShardReplicaServer
 from repro.shard import (
     HashRing,
@@ -39,20 +40,35 @@ def run(coro):
 
 class FakeEndpoint:
     """Records what the loop asks of its endpoint; ``answer`` decides which
-    sends come back as replies on the inbox."""
+    replies each send brings back.  Like a socket's read callback, the
+    endpoint hands them to the registered handler on a later loop turn."""
 
-    def __init__(self, inbox, answer=lambda send: None):
-        self.inbox = inbox
+    def __init__(self, answer=lambda send: []):
         self.answer = answer
         self.log: list[str] = []
+        self.handlers = {}
+
+    def register(self, client_id, handler):
+        self.handlers[client_id] = handler
+
+    def unregister(self, client_id):
+        self.handlers.pop(client_id, None)
 
     async def send(self, node_id, sends):
+        self.write(node_id, sends)
+
+    def write(self, node_id, sends):
         sends = list(sends)
         self.log.append(f"send:{len(sends)}")
+        loop = asyncio.get_running_loop()
         for send in sends:
-            reply = self.answer(send)
-            if reply is not None:
-                self.inbox.put_nowait(reply)
+            for src, message in self.answer(send):
+                loop.call_soon(self.route, node_id, src, message)
+
+    def route(self, client_id, src, message):
+        handler = self.handlers.get(client_id)
+        if handler is not None:
+            handler(src, message)
 
     async def reconnect_broken(self):
         self.log.append("reconnect")
@@ -86,7 +102,6 @@ async def drive_fake(endpoint, role, **kwargs):
     await drive(
         endpoint,
         "client:fake",
-        endpoint.inbox,
         role.begin(),
         done=role.done,
         deliver=role.deliver,
@@ -100,14 +115,16 @@ class TestDriveLoop:
         async def main():
             # The first request is lost; only the retransmission is answered.
             endpoint = FakeEndpoint(
-                asyncio.Queue(),
-                answer=lambda send: ("replica:0", "reply")
+                answer=lambda send: [("replica:0", "reply")]
                 if send.message == "again"
-                else None,
+                else [],
             )
             role = FakeRole()
             await drive_fake(endpoint, role, interval=0.02, timeout=5.0)
-            assert endpoint.log == ["send:1", "reconnect", "send:1", "send:0"]
+            assert endpoint.log == [
+                "reconnect", "send:1", "reconnect", "send:1", "send:0"
+            ]
+            assert not endpoint.handlers  # released when the op ends
             assert role.retransmits == 1
             assert role.delivered == [("replica:0", "reply")]
 
@@ -115,20 +132,21 @@ class TestDriveLoop:
 
     def test_deadline_raises_operation_failed(self):
         async def main():
-            endpoint = FakeEndpoint(asyncio.Queue())  # nobody ever answers
+            endpoint = FakeEndpoint()  # nobody ever answers
             role = FakeRole()
             with pytest.raises(OperationFailedError, match="timed out"):
                 await drive_fake(endpoint, role, interval=0.01, timeout=0.05)
             assert role.retransmits >= 1
             assert not role.delivered
+            assert not endpoint.handlers
 
         run(main())
 
     def test_done_before_start_sends_and_returns(self):
         async def main():
-            endpoint = FakeEndpoint(asyncio.Queue())
+            endpoint = FakeEndpoint()
             await drive_fake(endpoint, FakeRole(need=0), interval=1, timeout=1)
-            assert endpoint.log == ["send:1"]
+            assert endpoint.log == ["reconnect", "send:1"]
 
         run(main())
 
@@ -141,9 +159,11 @@ class TestDriveLoop:
             reply = replica.handle(
                 "client:a", BftBcClient("client:a", config).begin_read()[0].message
             )
-            endpoint = FakeEndpoint(asyncio.Queue())
-            endpoint.inbox.put_nowait(("replica:0", reply))
-            endpoint.inbox.put_nowait(("replica:0", reply))
+            # One request brings a burst of three replies in one turn: two
+            # complete the role, the third is a straggler it never sees.
+            endpoint = FakeEndpoint(
+                answer=lambda send: [("replica:0", reply)] * 3
+            )
             await drive_fake(endpoint, role, interval=1.0, timeout=5.0)
             assert len(role.delivered) == 2
             assert config.verifier.stats.batch_calls == 0
@@ -157,9 +177,16 @@ async def start_cluster(config):
 
 
 class TestEndpointBookkeeping:
-    def test_reader_tasks_stay_bounded_under_reconnect_churn(self):
-        """A flapping link costs one reader task per *live* connection,
-        not one per re-dial ever made."""
+    def test_transports_stay_bounded_under_reconnect_churn(self):
+        """A flapping link leaves at most one open transport per *live*
+        connection, not one per re-dial ever made."""
+
+        def open_transports():
+            return sum(
+                1
+                for obj in gc.get_objects()
+                if isinstance(obj, _Link) and not obj.transport.is_closing()
+            )
 
         async def main():
             config = make_system(f=1, seed=b"mux-churn")
@@ -170,15 +197,16 @@ class TestEndpointBookkeeping:
             flaps = 12
             for _ in range(flaps):
                 await group.crash(victim)
-                await asyncio.sleep(0.01)  # the read loop sees EOF and exits
+                await asyncio.sleep(0.01)  # connection_lost drops the link
+                assert len(endpoint._links) == len(addrs) - 1
                 await group.recover(victim)
                 await endpoint.reconnect_broken()
-                assert len(endpoint._reader_tasks) <= len(addrs)
+                assert open_transports() <= len(addrs)
             assert endpoint.reconnects == flaps
-            assert len(endpoint._reader_tasks) == len(addrs)
+            assert len(endpoint._links) == open_transports() == len(addrs)
             await endpoint.close()
-            await asyncio.sleep(0)
-            assert not endpoint._reader_tasks
+            assert not endpoint._links
+            assert open_transports() == 0
             await group.stop()
 
         run(main())
@@ -190,9 +218,10 @@ class TestEndpointBookkeeping:
             group, addrs = await start_cluster(config)
             endpoint = MuxEndpoint(addrs)
             await endpoint.connect()
-            endpoint.register("client:a")
+            got = []
+            endpoint.register("client:a", lambda src, message: got.append(src))
             with pytest.raises(ValueError):
-                endpoint.register("client:a")
+                endpoint.register("client:a", got.append)
             endpoint.unregister("client:a")
             endpoint.unregister("client:a")  # idempotent
             # Replies to a released id are counted, not delivered.
@@ -203,8 +232,8 @@ class TestEndpointBookkeeping:
                     break
                 await asyncio.sleep(0.01)
             assert endpoint.unroutable == len(addrs)
-            inbox = endpoint.register("client:a")  # the id is free again
-            assert inbox.empty()
+            assert not got
+            endpoint.register("client:a", got.append)  # the id is free again
             await endpoint.close()
             await group.stop()
 
@@ -365,13 +394,11 @@ async def drive_adversary(addrs, machine, *, interval=0.01, timeout=30.0):
     """Host a sans-I/O adversary on sockets: ``drive`` unchanged, its
     ``done`` / ``deliver`` / ``retransmit`` are the machine's."""
     endpoint = MuxEndpoint(addrs)
-    inbox = endpoint.register(machine.node_id)
     await endpoint.connect()
     try:
         await drive(
             endpoint,
             machine.node_id,
-            inbox,
             machine.start(),
             done=lambda: machine.done,
             deliver=machine.deliver,

@@ -6,8 +6,9 @@ the change*; these tests pin the window that batching the barrier opens:
 * a power cut after any append inside one ``handle`` loses the whole
   message cleanly (state before it, no reply), and the client's
   retransmission completes the write;
-* ``ReplicaServer._handle_chunk`` writes no reply byte before the barrier
-  covering its records has returned;
+* a server connection's read callback writes no reply byte before the
+  barrier covering its records has returned, and writes all of one
+  read's replies at once;
 * a handler that raises still leaves everything it appended durable.
 """
 
@@ -21,8 +22,8 @@ import pytest
 from repro.core import make_system
 from repro.core.config import Variant
 from repro.core.messages import ReadRequest, ReadTsRequest
-from repro.encoding import decode_frame
-from repro.net.asyncio_transport import ReplicaServer
+from repro.encoding import FrameDecoder
+from repro.net.asyncio_transport import ReplicaServer, _Connection
 from repro.net.envelope import encode_envelope
 from repro.storage import FileLogStore, MemoryStore
 
@@ -178,15 +179,17 @@ def test_power_cut_after_any_append_inside_a_handle(variant, tmp_path):
 # -- (2) no reply byte before its barrier -------------------------------------
 
 
-class RecordingWriter:
-    """Stands in for the ``StreamWriter``: notes what was durable at each
-    ``write``."""
+class RecordingTransport:
+    """Stands in for the connection's transport: notes what was durable at
+    each ``write`` and counts the reply frames written."""
 
     def __init__(self, store, events):
         self.store = store
         self.events = events
+        self.replies = 0
 
     def write(self, data):
+        self.replies += len(list(FrameDecoder().feed(data)))
         store = self.store
         store._wal.flush()
         self.events.append(
@@ -198,8 +201,6 @@ class RecordingWriter:
             )
         )
 
-    async def drain(self):
-        self.events.append(("drain", True))
 
 
 @pytest.fixture
@@ -215,10 +216,15 @@ def fsync_events(monkeypatch):
     return events
 
 
-def _payload(src, message):
-    payload, rest = decode_frame(encode_envelope(src, message))
-    assert not rest
-    return payload
+def _read(server, frames, transport):
+    """Deliver ``frames`` to ``server`` as the bytes of one socket read."""
+
+    async def main():
+        connection = _Connection(server)
+        connection.connection_made(transport)
+        connection.data_received(b"".join(frames))
+
+    asyncio.run(main())
 
 
 @pytest.mark.parametrize("clients", [1, 2])
@@ -230,7 +236,7 @@ def test_chunk_replies_wait_for_the_barrier(frames, clients, tmp_path, fsync_eve
     )
     server = ReplicaServer(replica)
     kits = [ProtocolKit(config, f"client:c{i}") for i in range(clients)]
-    payloads = []
+    data = []
     for i in range(frames):
         kit = kits[i % clients]
         if i < clients:  # each client's first frame logs (plist-set, spr)
@@ -238,18 +244,18 @@ def test_chunk_replies_wait_for_the_barrier(frames, clients, tmp_path, fsync_eve
             message = kit.prepare_request(replica.pcert, ts, ("v", i))
         else:
             message = ReadTsRequest(nonce=kit.nonce())
-        payloads.append(_payload(kit.client, message))
+        data.append(encode_envelope(kit.client, message))
     appends_before = replica.store.stats.appends
     del fsync_events[:]
 
-    asyncio.run(
-        server._handle_chunk(payloads, RecordingWriter(replica.store, fsync_events))
-    )
+    transport = RecordingTransport(replica.store, fsync_events)
+    _read(server, data, transport)
 
     assert replica.store.stats.appends - appends_before == 2 * min(frames, clients)
     kinds = [kind for kind, _ in fsync_events]
-    assert kinds == ["fsync"] + ["write"] * frames + ["drain"]
+    assert kinds == ["fsync", "write"]
     assert all(durable for _, durable in fsync_events)
+    assert transport.replies == frames
 
 
 def test_chunk_of_reads_issues_no_barrier(tmp_path, fsync_events):
@@ -258,16 +264,15 @@ def test_chunk_of_reads_issues_no_barrier(tmp_path, fsync_events):
         "replica:0", config, store=FileLogStore(tmp_path)
     )
     kit = ProtocolKit(config)
-    payloads = [
-        _payload(kit.client, ReadRequest(nonce=kit.nonce())) for _ in range(3)
+    data = [
+        encode_envelope(kit.client, ReadRequest(nonce=kit.nonce()))
+        for _ in range(3)
     ]
     del fsync_events[:]
-    asyncio.run(
-        ReplicaServer(replica)._handle_chunk(
-            payloads, RecordingWriter(replica.store, fsync_events)
-        )
-    )
-    assert [kind for kind, _ in fsync_events] == ["write"] * 3 + ["drain"]
+    transport = RecordingTransport(replica.store, fsync_events)
+    _read(ReplicaServer(replica), data, transport)
+    assert [kind for kind, _ in fsync_events] == ["write"]
+    assert transport.replies == 3
 
 
 # -- (3) a raising handler still pays its barrier ----------------------------

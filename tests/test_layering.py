@@ -438,6 +438,31 @@ def test_checker_flags_a_client_that_mints_its_own_nonces(tmp_path):
     ]
 
 
+def test_checker_flags_a_second_listener_or_dialer(tmp_path):
+    """Both TCP ends are Protocol callbacks in one module each: only
+    ``net.asyncio_transport`` listens and only ``net.mux`` dials (the chaos
+    proxy, a streams relay, does both)."""
+    (tmp_path / "repro" / "net").mkdir(parents=True)
+    (tmp_path / "repro" / "load").mkdir()
+    listen = "server = await loop.create_server(factory, host, port)\n"
+    dial = "link = await loop.create_connection(factory, host, port)\n"
+    (tmp_path / "repro" / "net" / "asyncio_transport.py").write_text(listen)
+    (tmp_path / "repro" / "net" / "mux.py").write_text(dial)
+    (tmp_path / "repro" / "net" / "chaos_proxy.py").write_text(
+        "server = await asyncio.start_server(handle, host, port)\n"
+        "up = await asyncio.open_connection(host, port)\n"
+    )
+    (tmp_path / "repro" / "load" / "bad.py").write_text(
+        listen + dial + "server = await asyncio.start_server(handle, host, port)\n"
+    )
+    found = check_layering.find_duplication(tmp_path)
+    assert sorted((module, line) for module, line, _ in found) == [
+        ("repro.load.bad", 1),
+        ("repro.load.bad", 2),
+        ("repro.load.bad", 3),
+    ]
+
+
 def test_checker_cli_passes():
     result = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "check_layering.py")],

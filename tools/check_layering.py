@@ -34,10 +34,10 @@ table (name -> defining module, resolved on first access by
 module, and an entry naming a module that does not exist is flagged
 (:func:`find_dangling_exports`).
 
-Sixteen further rules keep deleted duplication from growing back
+Seventeen further rules keep deleted duplication from growing back
 (:func:`find_duplication`): the TCP client stack lives in one module, so
-``asyncio.open_connection`` may be called only from ``repro.net.mux`` (and
-the chaos proxy's upstream leg); the variant-to-class mapping lives on
+``open_connection`` / ``create_connection`` may be named only in
+``repro.net.mux`` (and the chaos proxy's upstream leg); the variant-to-class mapping lives on
 ``repro.core.config.Variant``, so outside ``repro.core`` and the ``repro``
 facade the concrete variant classes may be named only as base classes, never
 in a dispatch; and the simulated run loop lives on
@@ -98,7 +98,12 @@ its client is not this rule's business); and one client front-end,
 ``repro.core.client.BftBcClient``, drives every protocol's operations, the
 baselines' included, so ``NonceSource(`` may be constructed only in
 ``repro.core.client`` and ``repro.byzantine.adversary`` — a client that
-mints its own nonces is a copied front-end growing back.
+mints its own nonces is a copied front-end growing back; and both ends of
+the TCP path are ``asyncio.Protocol`` callbacks that handle each frame in
+the read callback, so ``start_server`` / ``create_server`` may be named
+only in ``repro.net.asyncio_transport`` (and the chaos proxy, the one
+streams path left) — a second listener is a second frame loop growing
+back.
 
 Run:  python tools/check_layering.py   (exits 1 and lists violations)
 The tier-1 test ``tests/test_layering.py`` runs this on every suite run.
@@ -141,6 +146,11 @@ LAYERS: dict[str, int] = {
 
 #: The only modules that may open a client-side TCP connection.
 DIAL_SITES = frozenset({"repro.net.mux", "repro.net.chaos_proxy"})
+DIAL_CALLS = frozenset({"open_connection", "create_connection"})
+
+#: The only modules that may listen for TCP connections.
+LISTEN_SITES = frozenset({"repro.net.asyncio_transport", "repro.net.chaos_proxy"})
+LISTEN_CALLS = frozenset({"start_server", "create_server"})
 
 #: Concrete variant classes; ``Variant.replica_cls`` / ``.client_cls`` is the
 #: one place a variant name turns into one of them.
@@ -580,8 +590,13 @@ def find_duplication(src: pathlib.Path = SRC) -> list[tuple[str, int, str]]:
                 name = node.attr
             else:
                 continue
-            if name == "open_connection" and module not in DIAL_SITES:
+            if name in DIAL_CALLS and module not in DIAL_SITES:
                 found.append((module, node.lineno, "dials outside repro.net.mux"))
+            elif name in LISTEN_CALLS and module not in LISTEN_SITES:
+                found.append(
+                    (module, node.lineno, "listens outside "
+                     "repro.net.asyncio_transport; start a ReplicaGroup")
+                )
             elif (
                 name in DURABLE_PRIVATES
                 and isinstance(node, ast.Attribute)
@@ -617,7 +632,8 @@ def main() -> int:
             "the socket front door / one decode per frame / the durable field "
             "table / the always-on caches / the declared protocol / the fault "
             "catalogue / the statement builders / the phase engine's vote "
-            "check / the one client front-end replaced:"
+            "check / the one client front-end / the protocol listener "
+            "replaced:"
         )
         for module, line, what in duplication:
             print(f"  {module}:{line} {what}")
