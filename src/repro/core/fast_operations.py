@@ -89,22 +89,58 @@ def _accept_proof_evidence(op: Operation, cert: PrepareCertificate) -> bool:
     return cert.evidence == "proof" or op.config.verifier.certificate_valid(cert)
 
 
-def _record_pvouch(
-    op: Operation,
-    pvouches: dict[tuple[Timestamp, bytes], dict[str, Signature]],
-    sender: str,
-    reply: Any,
-) -> None:
-    """File ``reply``'s pvouch under its ``(ts, h)`` group if its sender
+def _record_group_evidence(op: Any, sender: str, reply: Any) -> None:
+    """File ``reply``'s evidence under its ``(ts, h)`` group: its
+    certificate when third-party verifiable, and its pvouch if its sender
     signed ``<FAST-VOUCH, ts, h>``."""
     cert = reply.cert
+    key = (cert.ts, cert.value_hash)
+    if cert.evidence != "proof":
+        op._group_certs.setdefault(key, cert)
     if reply.pvouch is not None and signed_by(
         op.config,
         sender,
         reply.pvouch,
         fast_vouch_statement(cert.ts, cert.value_hash),
     ):
-        pvouches.setdefault((cert.ts, cert.value_hash), {})[sender] = reply.pvouch
+        op._pvouches.setdefault(key, {})[sender] = reply.pvouch
+
+
+def _eligible_group(
+    op: Any,
+) -> Optional[tuple[tuple[Timestamp, bytes], PrepareCertificate]]:
+    """The highest ``(ts, h)`` group among ``op``'s collected replies that
+    the three ordering rules (module docstring) make eligible, with its
+    transferable certificate; None while the operation must wait.
+
+    ``op`` is a fast write's fallback or a fast read: both file evidence
+    through :func:`_record_group_evidence` and count ``_demote_ticks``.
+    """
+    replies = op._collector.replies
+    carriers: Counter = Counter(
+        (r.cert.ts, r.cert.value_hash) for r in replies.values()
+    )
+    count = len(replies)
+    need = op.config.quorum_size  # 2f+1 omissions prove non-completion
+    for key in sorted(carriers, reverse=True):
+        cert = op._group_certs.get(key)
+        if cert is not None:
+            return key, cert  # rule 1: transferable certificate
+        vouches = op._pvouches.get(key, {})
+        if len(vouches) >= op.config.f + 1:
+            ts, value_hash = key
+            return key, PrepareCertificate(  # rule 1: f+1 pvouches
+                ts=ts,
+                value_hash=value_hash,
+                signatures=tuple(vouches[s] for s in sorted(vouches)),
+                evidence="vouch",
+            )
+        if count - carriers[key] >= need:
+            continue  # rule 2: provably never completed
+        if op._demote_ticks >= DEMOTION_TICKS:
+            continue  # rule 3: liveness escape
+        return None  # keep waiting for vouches or more replies
+    return None
 
 
 class FastWriteOperation(WriteOperation):
@@ -143,7 +179,7 @@ class FastWriteOperation(WriteOperation):
         self._demote_ticks = 0
         # Fallback phase-1 bookkeeping: per candidate (ts, h) group, the
         # best transferable certificate seen and the pvouches collected.
-        self._fb_certs: dict[tuple[Timestamp, bytes], PrepareCertificate] = {}
+        self._group_certs: dict[tuple[Timestamp, bytes], PrepareCertificate] = {}
         self._pvouches: dict[tuple[Timestamp, bytes], dict[str, Signature]] = {}
 
     # -- fast phase 1: FAST-PREP -------------------------------------------
@@ -269,45 +305,9 @@ class FastWriteOperation(WriteOperation):
         self, sender: str, message: Message
     ) -> Optional[ReadTsReply]:
         reply = self._read_ts_reply(sender, message, self._fb_nonce)
-        if reply is None:
-            return None
-        cert = reply.cert
-        if cert.evidence != "proof":
-            self._fb_certs.setdefault((cert.ts, cert.value_hash), cert)
-        _record_pvouch(self, self._pvouches, sender, reply)
+        if reply is not None:
+            _record_group_evidence(self, sender, reply)
         return reply
-
-    def _choose_fallback_pmax(self) -> Optional[PrepareCertificate]:
-        """Apply the three ordering rules to the fallback candidates."""
-        assert self._collector is not None
-        replies: dict[str, ReadTsReply] = self._collector.replies
-        carriers: Counter = Counter(
-            (r.cert.ts, r.cert.value_hash) for r in replies.values()
-        )
-        count = len(replies)
-        need = self.config.quorum_size  # 2f+1 omissions prove non-completion
-        f = self.config.f
-        for key in sorted(carriers, reverse=True):
-            cert = self._fb_certs.get(key)
-            if cert is not None:
-                return cert
-            vouches = self._pvouches.get(key, {})
-            if len(vouches) >= f + 1:
-                ts, value_hash = key
-                return PrepareCertificate(
-                    ts=ts,
-                    value_hash=value_hash,
-                    signatures=tuple(
-                        vouches[s] for s in sorted(vouches)
-                    ),
-                    evidence="vouch",
-                )
-            if count - carriers[key] >= need:
-                continue  # rule 2: provably never completed
-            if self._demote_ticks >= DEMOTION_TICKS:
-                continue  # rule 3: liveness escape
-            return None  # keep waiting for vouches or more replies
-        return None
 
     # -- transitions --------------------------------------------------------
 
@@ -346,10 +346,10 @@ class FastWriteOperation(WriteOperation):
         if self._phase == 1:
             if not self._collector.have_quorum:
                 return []
-            p_max = self._choose_fallback_pmax()
-            if p_max is None:
+            chosen = _eligible_group(self)
+            if chosen is None:
                 return []
-            return self._begin_prepare(p_max)
+            return self._begin_prepare(chosen[1])
         return super()._advance()
 
     def on_retransmit(self) -> list[Send]:
@@ -412,30 +412,9 @@ class FastReadOperation(ReadOperation):
         self, sender: str, message: Message
     ) -> Optional[ReadReply]:
         reply = super()._validate_read_reply(sender, message)
-        if reply is None:
-            return None
-        cert = reply.cert
-        if cert.evidence != "proof":
-            self._group_certs.setdefault((cert.ts, cert.value_hash), cert)
-        _record_pvouch(self, self._pvouches, sender, reply)
+        if reply is not None:
+            _record_group_evidence(self, sender, reply)
         return reply
-
-    def _transferable_cert(
-        self, key: tuple[Timestamp, bytes]
-    ) -> Optional[PrepareCertificate]:
-        cert = self._group_certs.get(key)
-        if cert is not None:
-            return cert
-        vouches = self._pvouches.get(key, {})
-        if len(vouches) >= self.config.f + 1:
-            ts, value_hash = key
-            return PrepareCertificate(
-                ts=ts,
-                value_hash=value_hash,
-                signatures=tuple(vouches[s] for s in sorted(vouches)),
-                evidence="vouch",
-            )
-        return None
 
     def _advance(self) -> list[Send]:
         assert self._collector is not None
@@ -443,38 +422,26 @@ class FastReadOperation(ReadOperation):
             return super()._advance()
         if not self._collector.have_quorum:
             return []
-        replies: dict[str, ReadReply] = self._collector.replies
-        carriers: Counter = Counter(
-            (r.cert.ts, r.cert.value_hash) for r in replies.values()
-        )
-        count = len(replies)
-        need = self.config.quorum_size
-        for key in sorted(carriers, reverse=True):
-            cert = self._transferable_cert(key)
-            if cert is not None:
-                up_to_date = frozenset(
-                    sender
-                    for sender, r in replies.items()
-                    if (r.cert.ts, r.cert.value_hash) == key
-                )
-                best = next(
-                    r
-                    for r in replies.values()
-                    if (r.cert.ts, r.cert.value_hash) == key
-                )
-                # Write-back must present transferable evidence, so the
-                # chosen certificate replaces a proof-evidence one.
-                best = dataclass_replace(best, cert=cert)
-                self._best = best
-                if len(up_to_date) >= self.config.quorum_size:
-                    return self._finish(best.value)
-                return self._begin_write_back(best, up_to_date)
-            if count - carriers[key] >= need:
-                continue  # provably never completed
-            if self._demote_ticks >= DEMOTION_TICKS:
-                continue  # liveness escape (see module docstring)
+        chosen = _eligible_group(self)
+        if chosen is None:
             return []  # wait for vouches or more replies
-        return []
+        key, cert = chosen
+        replies: dict[str, ReadReply] = self._collector.replies
+        up_to_date = frozenset(
+            sender
+            for sender, r in replies.items()
+            if (r.cert.ts, r.cert.value_hash) == key
+        )
+        best = next(
+            r for r in replies.values() if (r.cert.ts, r.cert.value_hash) == key
+        )
+        # Write-back must present transferable evidence, so the chosen
+        # certificate replaces a proof-evidence one.
+        best = dataclass_replace(best, cert=cert)
+        self._best = best
+        if len(up_to_date) >= self.config.quorum_size:
+            return self._finish(best.value)
+        return self._begin_write_back(best, up_to_date)
 
     def on_retransmit(self) -> list[Send]:
         if (

@@ -8,6 +8,9 @@ quorum, and retransmit to the silent set.  :class:`QuorumRound` captures that
 shape once so the variant modules keep only their genuinely variant logic,
 and so the one-valid-vote-per-replica guard lives in exactly one place (a
 Byzantine replica can never get two votes in any phase of any variant).
+The replica-side quorum loops run on it too — quarantine repair
+(:mod:`repro.core.repair`), a shard joiner's state transfer and both phases
+of a shard reconfiguration — each naming its own voter set.
 
 The vote's other half lives here too: a reply is a vote only if the replica
 that sent it signed it (the quorum arguments count distinct replicas'
@@ -82,8 +85,8 @@ class QuorumRound:
     predicate, and the retransmit set.  The validator receives
     ``(sender, message)`` and returns the value to record (possibly a derived
     object, e.g. a signature) or ``None`` to reject.  Senders that are not
-    replicas, or that already voted, are ignored — one valid vote per replica
-    per round, enforced here for every variant.
+    voters (by default, not replicas), or that already voted, are ignored —
+    one valid vote per voter per round, enforced here for every variant.
 
     Args:
         config: the deployment configuration (quorum system, options).
@@ -100,6 +103,11 @@ class QuorumRound:
             signatures seeding the §6 fallback.
         span: the open phase span this round reports into (retransmit and
             vote counters); defaults to the no-op :data:`NULL_SPAN`.
+        voters: the nodes whose replies count and who get retransmits (and,
+            unless ``targets`` says otherwise, the first batch); defaults
+            to the configuration's replicas.  Rounds that are not a
+            client's — repair, shard bootstrap, reconfiguration — name
+            their peers, the previous members or the epoch's members here.
     """
 
     def __init__(
@@ -112,18 +120,28 @@ class QuorumRound:
         threshold: Optional[int] = None,
         prefill: Optional[Mapping[str, Any]] = None,
         span: SpanHandle = NULL_SPAN,
+        voters: Optional[tuple[str, ...]] = None,
     ) -> None:
         self._config = config
         self._validator = validator
+        self._voters = voters
+        self._is_voter: Callable[[str], bool] = (
+            config.quorums.is_replica
+            if voters is None
+            else frozenset(voters).__contains__
+        )
         self.request = request
         self.span = span
         self.threshold = (
             config.quorum_size if threshold is None else threshold
         )
         if targets is None:
-            targets = config.quorums.replica_ids
-            if config.prefer_quorum:
-                targets = targets[: config.quorum_size]
+            if voters is not None:
+                targets = voters
+            else:
+                targets = config.quorums.replica_ids
+                if config.prefer_quorum:
+                    targets = targets[: config.quorum_size]
         self.targets = targets
         self.replies: dict[str, Any] = {}
         if prefill:
@@ -153,7 +171,7 @@ class QuorumRound:
         """Record ``message`` if valid and novel; return True on acceptance."""
         if sender in self.replies:
             return False
-        if not self._config.quorums.is_replica(sender):
+        if not self._is_voter(sender):
             return False
         accepted = self._validator(sender, message)
         if accepted is None:
@@ -164,12 +182,12 @@ class QuorumRound:
     def credit(self, sender: str, vote: Any) -> bool:
         """Record a vote obtained outside this round (no message to validate).
 
-        Subject to the same guards as :meth:`add` — an unknown sender is
+        Subject to the same guards as :meth:`add` — a non-voter is
         rejected and a replica can never end up with two votes.
         """
         if sender in self.replies:
             return False
-        if not self._config.quorums.is_replica(sender):
+        if not self._is_voter(sender):
             return False
         self.replies[sender] = vote
         return True
@@ -185,11 +203,12 @@ class QuorumRound:
         return self.count >= self.threshold
 
     def responders(self) -> frozenset[str]:
-        """The replicas whose votes were accepted."""
+        """The voters whose votes were accepted."""
         return frozenset(self.replies)
 
     def missing(self) -> tuple[str, ...]:
-        """Replicas that have not yet validly replied (retransmit targets)."""
-        return tuple(
-            r for r in self._config.quorums.replica_ids if r not in self.replies
-        )
+        """Voters that have not yet validly replied (retransmit targets)."""
+        voters = self._voters
+        if voters is None:
+            voters = self._config.quorums.replica_ids
+        return tuple(r for r in voters if r not in self.replies)

@@ -9,26 +9,29 @@ QUARANTINED mode (every request is discarded with reason ``quarantined``)
 and rebuilds from its peers via the :class:`StateRepair` driver below.
 
 The driver is sans-I/O, exactly like the client operations in
-:mod:`repro.core.operations`: :meth:`StateRepair.begin` and
-:meth:`StateRepair.retransmit` return :class:`~repro.core.phases.Send`
-batches and :meth:`StateRepair.on_reply` consumes replies, so the same
-object runs on the deterministic simulator, over asyncio TCP, and inside
-:class:`~repro.cluster.process.ProcessCluster` workers.
+:mod:`repro.core.operations`, and counts its votes the same way: each pull
+is one :class:`~repro.core.phases.QuorumRound` whose voters are the peers.
+:meth:`StateRepair.begin` and :meth:`StateRepair.retransmit` return
+:class:`~repro.core.phases.Send` batches and :meth:`StateRepair.on_reply`
+consumes replies, so the same object runs on the deterministic simulator,
+over asyncio TCP, and inside :class:`~repro.cluster.process.ProcessCluster`
+workers.
 
 Safety (see PROTOCOL.md for the full argument):
 
-* Replies are collected from a **quorum (2f+1)** of peers, of which at
-  most *f* are Byzantine, so at least f+1 candidates come from correct
-  replicas — and any write that completed at a quorum is present in at
-  least one of them (quorum intersection).
+* Replies are collected from a **quorum (2f+1)** of distinct peers, of
+  which at most *f* are Byzantine, so at least f+1 candidates come from
+  correct replicas — and any write that completed at a quorum is present
+  in at least one of them (quorum intersection).
 * Nothing in a reply is trusted: each candidate snapshot is replayed
   through a scratch :class:`~repro.core.persistence.DurableReplicaState`,
   its fingerprint recomputed, and its embedded prepare certificate
   re-verified against the quorum system
-  (:func:`validate_repair_candidate`, shared with the PR-6 shard
-  bootstrap).  A Byzantine peer cannot mint a certified timestamp the
-  group never prepared, so "highest correctly-certified timestamp wins"
-  can only move the repaired replica *forward*.
+  (:func:`validate_repair_candidate`).  A Byzantine peer cannot mint a
+  certified timestamp the group never prepared, so "highest
+  correctly-certified timestamp wins" (:func:`best_repair_candidate`,
+  shared with the shard bootstrap) can only move the repaired replica
+  *forward*.
 * The repaired replica keeps its **own** surviving signing logs
   (``swr``/``spr``/``fastc``) instead of adopting a peer's: signing logs
   are records of what *this* replica signed, and importing another
@@ -40,16 +43,16 @@ Safety (see PROTOCOL.md for the full argument):
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, Iterable, Optional, Sequence
 
 from repro.core.messages import RepairReply, RepairRequest
 from repro.core.persistence import DurableReplicaState
-from repro.core.phases import Send
+from repro.core.phases import QuorumRound, Send
 from repro.crypto.hashing import hash_value
 from repro.errors import ProtocolError, StorageError
 from repro.storage.base import MemoryStore
 
-__all__ = ["validate_repair_candidate", "StateRepair"]
+__all__ = ["validate_repair_candidate", "best_repair_candidate", "StateRepair"]
 
 
 def validate_repair_candidate(
@@ -94,8 +97,41 @@ def validate_repair_candidate(
     return pcert.ts, snapshot
 
 
+def best_repair_candidate(
+    candidates: Iterable[tuple[Any, Any]],
+    scheme: Any,
+    quorums: Any,
+    *,
+    cert_check: Optional[Callable[[Any], bool]] = None,
+) -> tuple[Optional[Any], int]:
+    """The snapshot of the highest validly certified candidate, and the
+    number of candidates that failed :func:`validate_repair_candidate`.
+
+    ``candidates`` are ``(snapshot, claimed fingerprint)`` pairs; on a tie
+    the first one wins, so the caller's order decides (repair sorts by
+    sender, the shard bootstrap keeps arrival order).  The snapshot is
+    ``None`` when no candidate validates.
+    """
+    best: Optional[tuple[Any, Any]] = None
+    rejects = 0
+    for snapshot, fingerprint in candidates:
+        checked = validate_repair_candidate(
+            snapshot, fingerprint, scheme, quorums, cert_check=cert_check
+        )
+        if checked is None:
+            rejects += 1
+        elif best is None or best[0] < checked[0]:
+            best = checked
+    return (None if best is None else best[1]), rejects
+
+
 class StateRepair:
     """Sans-I/O driver rebuilding one replica's state from its peers.
+
+    Each pull is one :class:`~repro.core.phases.QuorumRound` whose voters
+    are the peers: the round keeps one reply per peer, ignores the
+    repairing replica itself and strangers, and retransmits to the silent
+    peers.  This driver adds the round's nonce and the completion rule.
 
     Args:
         node_id: the repairing replica's id (put in requests so peers can
@@ -133,7 +169,8 @@ class StateRepair:
         self.rounds = 0
         self.rejects = 0
         self._nonce: Optional[bytes] = None
-        self._replies: dict[str, RepairReply] = {}
+        #: The current pull's round (its ``replies`` are the peers' votes).
+        self.round: Optional[QuorumRound] = None
 
     @property
     def nonce(self) -> Optional[bytes]:
@@ -147,22 +184,21 @@ class StateRepair:
         """
         self.active = True
         self.rounds += 1
-        self._nonce = hash_value(("state-repair", self.node_id, self.rounds))[:16]
-        self._replies = {}
-        return self._requests(self.peers)
+        nonce = hash_value(("state-repair", self.node_id, self.rounds))[:16]
+        self._nonce = nonce
+        self.round = QuorumRound(
+            self.config,
+            RepairRequest(replica=self.node_id, nonce=nonce),
+            lambda sender, message: message if message.nonce == nonce else None,
+            voters=self.peers,
+        )
+        return self.round.begin()
 
     def retransmit(self) -> list[Send]:
         """Re-request from peers that have not answered this round yet."""
         if not self.active:
             return []
-        return self._requests(
-            [p for p in self.peers if p not in self._replies]
-        )
-
-    def _requests(self, peers: Sequence[str]) -> list[Send]:
-        assert self._nonce is not None
-        message = RepairRequest(replica=self.node_id, nonce=self._nonce)
-        return [Send(dest=peer, message=message) for peer in peers]
+        return self.round.retransmit()
 
     def on_reply(self, sender: str, message: RepairReply) -> bool:
         """Consume one peer's reply; True when the repair just completed.
@@ -172,45 +208,30 @@ class StateRepair:
         2f+1 quorum the latter always holds, but a defensive driver keeps
         collecting from the stragglers rather than trusting that bound.
         """
-        if (
-            not self.active
-            or message.nonce != self._nonce
-            or sender not in self.peers
-            or sender in self._replies
-        ):
+        if not self.active or not self.round.add(sender, message):
             return False
-        self._replies[sender] = message
-        if len(self._replies) < self.config.quorums.quorum_size:
+        if not self.round.have_quorum:
             return False
-        return self._try_finish()
-
-    def _try_finish(self) -> bool:
-        best: Optional[tuple[Any, Any]] = None
-        rejects = 0
-        # Sorted iteration keeps the winner deterministic when several
-        # peers hold the same (highest) certified timestamp.
-        for sender in sorted(self._replies):
-            reply = self._replies[sender]
-            checked = validate_repair_candidate(
-                reply.snapshot,
-                reply.fingerprint,
-                self.config.scheme,
-                self.config.quorums,
-                cert_check=self._cert_check,
-            )
-            if checked is None:
-                rejects += 1
-                continue
-            if best is None or best[0] < checked[0]:
-                best = checked
-        if best is None:
+        replies = self.round.replies
+        # Candidates are revalidated from scratch on every attempt, in
+        # sender order so the winner is deterministic when several peers
+        # hold the same (highest) certified timestamp.
+        snapshot, rejects = best_repair_candidate(
+            (
+                (replies[sender].snapshot, replies[sender].fingerprint)
+                for sender in sorted(replies)
+            ),
+            self.config.scheme,
+            self.config.quorums,
+            cert_check=self._cert_check,
+        )
+        if snapshot is None:
             # Every reply so far failed validation; stay active and let
             # late replies / the next retransmit round supply a good one.
             return False
-        # Candidates are revalidated from scratch on every attempt, so the
-        # reject counter is settled only once, at completion.
+        # The reject counter is settled only once, at completion.
         self.rejects += rejects
         self.active = False
-        self._replies = {}
-        self._install(best[1])
+        self.round = None
+        self._install(snapshot)
         return True

@@ -96,6 +96,7 @@ class LinkProfile:
 DROP_REASONS = (
     "link-loss",      # the stochastic drop_rate fired
     "partitioned",    # src/dst pair currently partitioned
+    "blocked-kind",   # the message's kind is blocked at its destination
     "crashed",        # src or dst crashed (at send or while in flight)
     "parse-failure",  # delivered bytes failed to decode (corruption)
     "unregistered",   # destination has no handler

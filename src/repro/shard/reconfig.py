@@ -20,19 +20,21 @@ both assemble a quorum: their signer sets would intersect in a correct
 replica.  The loser simply observes the winner's entry when refreshing and
 retries against ``e+1``.
 
-The class is sans-I/O like the protocol clients: ``begin()`` and
-``deliver()`` return :class:`~repro.core.operations.Send` batches for the
-caller's transport, and ``retransmit()`` re-issues the current phase.
+The class is sans-I/O like the protocol clients: ``begin_replace()`` and
+``deliver()`` return :class:`~repro.core.phases.Send` batches for the
+caller's transport, and ``retransmit()`` re-issues the current phase.  Each
+phase is one :class:`~repro.core.phases.QuorumRound`: the sign round's
+voters are the old members but the removed one, the install round's are
+the old and new members, and the round keeps one vote per voter.
 """
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Optional
 
 from repro.core.config import SystemConfig
 from repro.core.messages import Message
-from repro.core.operations import Send
-from repro.core.phases import signed_by
+from repro.core.phases import QuorumRound, Send, signed_by
 from repro.crypto.signatures import Signature
 from repro.errors import CryptoError, ProtocolError, UnknownSignerError
 from repro.shard.directory import DirectoryEntry, ShardConfig, ShardDirectory
@@ -67,9 +69,10 @@ class Reconfigurator:
         self._old: Optional[ShardConfig] = None
         self._proposal: Optional[ShardConfig] = None
         self._remove: Optional[str] = None
-        self._signatures: dict[str, Signature] = {}
         self._entry: Optional[DirectoryEntry] = None
-        self._acks: set[str] = set()
+        #: The current phase's round: endorsement signatures while
+        #: signing, install acks while installing.
+        self.round: Optional[QuorumRound] = None
 
     @property
     def done(self) -> bool:
@@ -99,110 +102,99 @@ class Reconfigurator:
         members = tuple(add if m == remove else m for m in old.members)
         self._old = old
         self._remove = remove
-        self._proposal = ShardConfig(
+        proposal = ShardConfig(
             shard=self.shard, epoch=old.epoch + 1, members=members, f=old.f
         )
+        self._proposal = proposal
         # Provision the joiner's key before anyone is asked to talk to it.
         self._template.registry.register(add)
+        statement = proposal.statement_bytes()
+
+        def endorsement(
+            sender: str, message: ConfigSignReply
+        ) -> Optional[Signature]:
+            if message.shard != self.shard or message.epoch != proposal.epoch:
+                return None
+            try:
+                signature = Signature.from_wire(message.signature)
+            except (CryptoError, TypeError, ValueError):
+                return None
+            if not signed_by(self._template, sender, signature, statement):
+                return None
+            return signature
+
         self.phase = "signing"
-        return self._sign_requests()
+        self.round = QuorumRound(
+            self._template,
+            ConfigSignRequest(config=proposal.to_wire()),
+            endorsement,
+            voters=tuple(m for m in old.members if m != remove),
+            threshold=old.quorum_size,
+        )
+        return self.round.begin()
 
     def deliver(self, sender: str, message: Message) -> list[Send]:
         if self.phase == "signing" and isinstance(message, ConfigSignReply):
-            return self._on_sign_reply(sender, message)
-        if self.phase == "installing" and isinstance(message, InstallEpochAck):
-            return self._on_ack(sender, message)
+            if self.round.add(sender, message) and self.round.have_quorum:
+                return self._begin_install()
+        elif self.phase == "installing" and isinstance(message, InstallEpochAck):
+            if self.round.add(sender, message) and self._new_quorum_acked():
+                self._finish()
         return []
 
     def retransmit(self) -> list[Send]:
-        if self.phase == "signing":
-            return self._sign_requests()
-        if self.phase == "installing":
-            return self._install_requests()
+        if self.phase in ("signing", "installing"):
+            return self.round.retransmit()
         return []
-
-    # -- signing phase -----------------------------------------------------
-
-    def _sign_requests(self) -> list[Send]:
-        assert self._old is not None and self._proposal is not None
-        request = ConfigSignRequest(config=self._proposal.to_wire())
-        return [
-            Send(dest=member, message=request)
-            for member in self._old.members
-            if member != self._remove and member not in self._signatures
-        ]
-
-    def _on_sign_reply(
-        self, sender: str, message: ConfigSignReply
-    ) -> list[Send]:
-        assert self._old is not None and self._proposal is not None
-        if (
-            message.shard != self.shard
-            or message.epoch != self._proposal.epoch
-            or sender not in self._old.members
-            or sender in self._signatures
-        ):
-            return []
-        try:
-            signature = Signature.from_wire(message.signature)
-        except (CryptoError, TypeError, ValueError):
-            return []
-        statement = self._proposal.statement_bytes()
-        if not signed_by(self._template, sender, signature, statement):
-            return []
-        self._signatures[sender] = signature
-        if len(self._signatures) < self._old.quorum_size:
-            return []
-        self._entry = DirectoryEntry(
-            config=self._proposal,
-            signatures=tuple(
-                self._signatures[m]
-                for m in self._old.members
-                if m in self._signatures
-            ),
-        )
-        self.phase = "installing"
-        return self._install_requests()
 
     # -- install phase -----------------------------------------------------
 
-    def _install_requests(self) -> list[Send]:
-        assert self._entry is not None and self._old is not None
-        request = InstallEpochRequest(entry=self._entry.to_wire())
-        targets = dict.fromkeys(
-            tuple(self._old.members) + self._entry.config.members
+    def _begin_install(self) -> list[Send]:
+        assert self._old is not None and self._proposal is not None
+        signatures = self.round.replies
+        self._entry = DirectoryEntry(
+            config=self._proposal,
+            signatures=tuple(
+                signatures[m] for m in self._old.members if m in signatures
+            ),
         )
-        return [
-            Send(dest=member, message=request)
-            for member in targets
-            if member not in self._acks
-        ]
+        epoch = self._proposal.epoch
 
-    def _on_ack(self, sender: str, message: InstallEpochAck) -> list[Send]:
-        assert self._entry is not None
-        config = self._entry.config
-        if (
-            message.shard != self.shard
-            or message.epoch < config.epoch
-            or sender in self._acks
-        ):
-            return []
-        self._acks.add(sender)
-        new_acks = self._acks & set(config.members)
-        if len(new_acks) < config.quorum_size:
-            return []
+        def ack(sender: str, message: InstallEpochAck) -> Optional[bool]:
+            if message.shard != self.shard or message.epoch < epoch:
+                return None
+            return True
+
+        self.phase = "installing"
+        self.round = QuorumRound(
+            self._template,
+            InstallEpochRequest(entry=self._entry.to_wire()),
+            ack,
+            voters=tuple(
+                dict.fromkeys(self._old.members + self._proposal.members)
+            ),
+        )
+        return self.round.begin()
+
+    def _new_quorum_acked(self) -> bool:
+        """A quorum of the *new* members acked (old members' acks only
+        stop their retransmits)."""
+        config = self._proposal
+        new_acks = self.round.responders() & frozenset(config.members)
+        return len(new_acks) >= config.quorum_size
+
+    def _finish(self) -> None:
         # A quorum of the new epoch serves it: the change is durable (any
         # later quorum intersects this one in a correct replica).
         self.directory.install(self.shard, self._entry)
         # Revocation is opt-in: right for a crashed or suspect member (it
-        # can then endorse no future configs and sign no fresh statements,
-        # while its past signatures keep verifying), wrong for a graceful
-        # drain — a removed-but-running member must still sign replies to
-        # old-epoch traffic until the handoff window closes.
+        # can then endorse no future configurations and sign no fresh
+        # statements, while its past signatures keep verifying), wrong for
+        # a graceful drain — a removed-but-running member must still sign
+        # replies to old-epoch traffic until the handoff window closes.
         if self._revoke_removed and self._remove is not None:
             try:
                 self._template.registry.revoke(self._remove)
             except UnknownSignerError:  # pragma: no cover - never registered
                 pass
         self.phase = "done"
-        return []

@@ -15,15 +15,18 @@ member of a reconfigurable group must do:
 * serve and perform state transfer (``XFER-REQ``/``XFER-REPLY``).
 
 Bootstrap safety: a joining replica pulls from a quorum (2f+1) of the
-previous members, so at least f+1 replies come from correct replicas and
-every write that reached a quorum of the old epoch is present in at least
-one reply.  Each candidate is revalidated locally — the snapshot's
-fingerprint is recomputed through a scratch
-:class:`~repro.core.persistence.DurableReplicaState` and the embedded
-prepare certificate is checked against the old membership — and the
-highest correctly-certified timestamp wins.  Until the transfer completes
-the replica answers no protocol traffic at all, so an empty state machine
-can never vouch for a stale (genesis) value.
+previous members — one :class:`~repro.core.phases.QuorumRound` whose voters
+are those members, so each counts once and nobody else counts — so at
+least f+1 replies come from correct replicas and every write that reached a
+quorum of the old epoch is present in at least one reply.  Each candidate
+is revalidated locally — the snapshot's fingerprint is recomputed through a
+scratch :class:`~repro.core.persistence.DurableReplicaState` and the
+embedded prepare certificate is checked against the old membership — and
+the highest correctly-certified timestamp wins
+(:func:`~repro.core.repair.best_repair_candidate`, shared with quarantine
+repair).  Until the transfer completes the replica answers no protocol
+traffic at all, so an empty state machine can never vouch for a stale
+(genesis) value.
 """
 
 from __future__ import annotations
@@ -40,8 +43,8 @@ from repro.core.multiobject import (
     ObjectMessage,
     ScopedSignatureScheme,
 )
-from repro.core.operations import Send
-from repro.core.repair import validate_repair_candidate
+from repro.core.phases import QuorumRound, Send
+from repro.core.repair import best_repair_candidate
 from repro.core.replica import BftBcReplica
 from repro.crypto.hashing import hash_value
 from repro.errors import ProtocolError
@@ -106,8 +109,9 @@ class ShardReplica:
         self.retired = False
         self._grace_deadline: Optional[float] = None
         self._boot_prev = bootstrap_from
-        self._boot_nonce: Optional[bytes] = None
-        self._boot_replies: dict[str, dict[str, Any]] = {}
+        #: The state-transfer round while bootstrapping (voters: the
+        #: previous members other than this replica).
+        self._boot_round: Optional[QuorumRound] = None
         #: epoch -> member set this replica endorsed (equivocation guard).
         self._signed_configs: dict[int, tuple[str, ...]] = {}
         self.sign_conflicts = 0
@@ -270,22 +274,27 @@ class ShardReplica:
         """
         if self._boot_prev is None:
             raise ProtocolError(f"{self.node_id} was not created as a joiner")
-        if self._boot_nonce is None:
-            # Deterministic per (replica, shard): replays in the simulator
-            # reproduce byte-identical transfers.
-            self._boot_nonce = hash_value(
-                ("shard-bootstrap", self.node_id, self.shard)
-            )[:16]
-        return [
-            Send(
-                dest=peer,
-                message=StateTransferRequest(
-                    shard=self.shard, nonce=self._boot_nonce
-                ),
-            )
-            for peer in self._boot_prev.members
-            if peer != self.node_id and peer not in self._boot_replies
-        ]
+        if self._boot_round is not None:
+            return self._boot_round.retransmit()
+        # Deterministic per (replica, shard): replays in the simulator
+        # reproduce byte-identical transfers.
+        nonce = hash_value(("shard-bootstrap", self.node_id, self.shard))[:16]
+
+        def valid(sender: str, message: StateTransferReply) -> Optional[dict]:
+            if message.shard != self.shard or message.nonce != nonce:
+                return None
+            return message.objects
+
+        self._boot_round = QuorumRound(
+            self.system,
+            StateTransferRequest(shard=self.shard, nonce=nonce),
+            valid,
+            voters=tuple(
+                peer for peer in self._boot_prev.members if peer != self.node_id
+            ),
+            threshold=self._boot_prev.quorum_size,
+        )
+        return self._boot_round.begin()
 
     def bootstrap_retransmit(self) -> list[Send]:
         """Re-request transfer from peers that have not answered yet."""
@@ -296,60 +305,34 @@ class ShardReplica:
     def _handle_transfer_reply(
         self, sender: str, message: StateTransferReply
     ) -> None:
-        if (
-            self.ready
-            or self._boot_prev is None
-            or message.shard != self.shard
-            or message.nonce != self._boot_nonce
-            or sender not in self._boot_prev.members
-            or sender in self._boot_replies
-        ):
+        round_ = self._boot_round
+        if self.ready or round_ is None or not round_.add(sender, message):
             return
-        self._boot_replies[sender] = message.objects
-        if len(self._boot_replies) >= self._boot_prev.quorum_size:
-            self._finish_bootstrap()
+        if round_.have_quorum:
+            self._finish_bootstrap(round_.replies)
 
-    def _finish_bootstrap(self) -> None:
-        assert self._boot_prev is not None
-        validation_quorums = self.system.quorums
+    def _finish_bootstrap(self, replies: dict[str, dict[str, Any]]) -> None:
         every_obj = sorted(
-            {obj for objects in self._boot_replies.values() for obj in objects}
+            {obj for objects in replies.values() for obj in objects}
         )
         for obj in every_obj:
-            best = None
-            for objects in self._boot_replies.values():
-                candidate = objects.get(obj)
-                if not isinstance(candidate, dict):
-                    continue
-                checked = self._validate_candidate(
-                    obj, candidate, validation_quorums
-                )
-                if checked is None:
-                    self.bootstrap_rejects += 1
-                    continue
-                ts, snapshot = checked
-                if best is None or best[0] < ts:
-                    best = (ts, snapshot)
-            if best is None:
+            # Arrival order: on a tie the first certified reply wins.
+            snapshot, rejects = best_repair_candidate(
+                (
+                    (candidate.get("snapshot"), candidate.get("fingerprint"))
+                    for candidate in (
+                        objects.get(obj) for objects in replies.values()
+                    )
+                    if isinstance(candidate, dict)
+                ),
+                ScopedSignatureScheme(self.system.scheme, obj),
+                self.system.quorums,
+            )
+            self.bootstrap_rejects += rejects
+            if snapshot is None:
                 continue  # nothing certifiable for this object
             state = self.inner.object_state(obj)
-            state.store.write_snapshot(best[1])
+            state.store.write_snapshot(snapshot)
             state.recover()
         self.ready = True
-        self._boot_replies.clear()
-
-    def _validate_candidate(
-        self, obj: str, candidate: dict[str, Any], quorums: Any
-    ):
-        """Revalidate one peer's snapshot; ``(write ts, snapshot)`` or None.
-
-        Delegates to the shared :func:`validate_repair_candidate` (also the
-        core of whole-state quarantine repair), scoping the signature
-        scheme to this object the way every other per-object check does.
-        """
-        return validate_repair_candidate(
-            candidate.get("snapshot"),
-            candidate.get("fingerprint"),
-            ScopedSignatureScheme(self.system.scheme, obj),
-            quorums,
-        )
+        self._boot_round = None

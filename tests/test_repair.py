@@ -120,7 +120,7 @@ def test_driver_ignores_stale_duplicate_and_foreign_replies() -> None:
     assert not repair.on_reply("replica:2", stale)
     outsider = _reply_from(replicas["replica:2"], nonce)
     assert not repair.on_reply("client:mallory", outsider)
-    assert len(repair._replies) == 1
+    assert len(repair.round.replies) == 1
 
 
 def test_driver_stays_active_until_a_candidate_validates() -> None:

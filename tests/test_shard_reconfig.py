@@ -417,8 +417,8 @@ class TestReconfigurator:
         rec.deliver(MEMBERS[0], ConfigSignReply(
             shard=SHARD, epoch=1, signature={"greetings": 1}
         ))
-        assert rec._signatures == {}
+        assert rec.round.replies == {}
         # The genuine reply from the genuine sender counts once.
         rec.deliver(MEMBERS[0], good)
         rec.deliver(MEMBERS[0], good)
-        assert set(rec._signatures) == {MEMBERS[0]}
+        assert set(rec.round.replies) == {MEMBERS[0]}

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.messages import ReadTsRequest
-from repro.net.simnet import LinkProfile, SimNetwork
+from repro.net.simnet import DROP_REASONS, LinkProfile, SimNetwork
 from repro.sim import Scheduler
 from repro.errors import NetworkError
 
@@ -278,6 +278,24 @@ class TestDropAccounting:
         assert net.stats.messages_dropped == sum(
             net.stats.dropped_by_kind.values()
         )
+
+    def test_every_recorded_reason_is_declared(self):
+        """An episode that blocks kinds, partitions, crashes and corrupts
+        records its drops only under the reasons DROP_REASONS lists."""
+        sched, net = make_net(
+            LinkProfile(drop_rate=0.1, corrupt_rate=0.5), seed=3
+        )
+        for node in ("b", "c", "d", "e"):
+            net.register(node, lambda s, m: None)
+        net.block_kinds("b", ("READ-TS",))
+        net.partition("a", "c")
+        net.crash("d")
+        for i in range(20):
+            message = ReadTsRequest(nonce=bytes([i]) * 16)
+            net.broadcast("a", ("b", "c", "d", "e", "ghost"), message)
+        sched.run_until_idle()
+        reasons = set(net.stats.dropped_by_reason)
+        assert reasons == set(DROP_REASONS)
 
     def test_reset_clears_split_counters(self):
         sched, net = make_net(LinkProfile(drop_rate=1.0))

@@ -12,12 +12,20 @@ Each case drives one operation, on sans-I/O replicas, to the round under
 test; then delivers (1) replica:0's genuine reply as if an impostor sent it,
 (2) replica:0's reply re-signed over other bytes, and (3) the genuine reply,
 which must vote so the first two prove something.
+
+The replica-side rounds — quarantine repair, a shard joiner's state
+transfer and both phases of a reconfiguration — count through the same
+:class:`~repro.core.phases.QuorumRound` with their own voter sets.  The
+last four tests check that a non-voter's reply (the repairing replica
+itself, the member being removed, a stranger) never counts and that a
+voter's second reply never replaces its first.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from typing import Callable, NamedTuple, Optional
+from unittest.mock import ANY
 
 import pytest
 
@@ -39,9 +47,21 @@ from repro.core.messages import (
     ReadRequest,
     ReadTsPrepRequest,
     ReadTsRequest,
+    RepairReply,
     WriteRequest,
 )
 from repro.core.quorum import QuorumSystem
+from repro.core.replica import BftBcReplica
+from repro.core.repair import StateRepair
+from repro.shard import (
+    ConfigSignReply,
+    InstallEpochAck,
+    Reconfigurator,
+    ShardConfig,
+    ShardDirectory,
+    ShardReplica,
+    StateTransferReply,
+)
 
 CLIENT = "client:alice"
 HONEST = "replica:0"
@@ -230,3 +250,132 @@ def test_only_the_senders_own_signature_votes(name):
         round_.replies.pop(HONEST, None)  # step 2's reply voted without it
     client.deliver(HONEST, genuine)
     assert _voted(client, round_, HONEST, case)
+
+
+# -- replica-side rounds ------------------------------------------------------
+
+
+def test_repair_counts_each_peer_once_and_never_itself():
+    config = make_system(1, scheme="hmac", seed=b"vote-guard-repair")
+    replicas = {
+        node: BftBcReplica(node, config) for node in config.quorums.replica_ids
+    }
+    installed: list = []
+    repair = StateRepair("replica:0", config, installed.append)
+    nonce = repair.begin()[0].message.nonce
+
+    def reply(node: str, fingerprint: Optional[bytes] = None) -> RepairReply:
+        return RepairReply(
+            replica=node,
+            nonce=nonce,
+            snapshot=replicas[node].snapshot_wire(),
+            fingerprint=fingerprint or replicas[node].state_fingerprint(),
+        )
+
+    first = reply("replica:1")
+    assert not repair.on_reply("replica:1", first)
+    assert not repair.on_reply("replica:1", reply("replica:1", b"\0" * 32))
+    assert not repair.on_reply("replica:0", reply("replica:0"))  # itself
+    assert not repair.on_reply("client:mallory", reply("replica:3"))
+    assert not repair.on_reply("replica:2", reply("replica:2"))
+    assert repair.round.replies == {"replica:1": first, "replica:2": ANY}
+    assert [s.dest for s in repair.retransmit()] == ["replica:3"]
+    assert not installed
+    assert repair.on_reply("replica:3", reply("replica:3"))
+    assert installed
+
+
+SHARD = "shard:0"
+MEMBERS = tuple(f"replica:g{i}" for i in range(4))
+
+
+def _shard_world():
+    template = make_system(f=1, seed=b"vote-guard-shard")
+    for node in MEMBERS + ("replica:gX", "replica:gY"):
+        template.registry.register(node)
+    genesis = ShardConfig(shard=SHARD, epoch=0, members=MEMBERS, f=1)
+    return template, genesis
+
+
+def _shard_replica(template, genesis, node, **kwargs) -> ShardReplica:
+    directory = ShardDirectory({SHARD: genesis}, template.scheme)
+    return ShardReplica(node, SHARD, directory, template, **kwargs)
+
+
+def test_bootstrap_counts_each_old_member_once_and_never_itself():
+    template, genesis = _shard_world()
+    joiner = _shard_replica(
+        template, genesis, "replica:gX", bootstrap_from=genesis
+    )
+    nonce = joiner.begin_bootstrap()[0].message.nonce
+
+    def transfer(objects: dict) -> StateTransferReply:
+        return StateTransferReply(
+            shard=SHARD, nonce=nonce, epoch=0, objects=objects
+        )
+
+    first = transfer({})
+    joiner.handle(MEMBERS[0], first)
+    joiner.handle(MEMBERS[0], transfer({"x": {}}))
+    joiner.handle("replica:gX", transfer({}))  # itself
+    joiner.handle("replica:gY", transfer({}))  # a stranger
+    joiner.handle(MEMBERS[1], transfer({}))
+    assert not joiner.ready
+    assert joiner._boot_round.replies == {MEMBERS[0]: {}, MEMBERS[1]: {}}
+    assert [s.dest for s in joiner.bootstrap_retransmit()] == list(MEMBERS[2:])
+    joiner.handle(MEMBERS[2], transfer({}))
+    assert joiner.ready
+
+
+def _signing(template, genesis):
+    replicas = {m: _shard_replica(template, genesis, m) for m in MEMBERS}
+    directory = ShardDirectory({SHARD: genesis}, template.scheme)
+    rec = Reconfigurator("admin:1", SHARD, directory, template)
+    sends = rec.begin_replace(MEMBERS[3], "replica:gX")
+    request = sends[0].message
+    signed = {m: replicas[m].handle("admin:1", request) for m in MEMBERS}
+    return rec, request, signed
+
+
+def test_sign_round_ignores_the_removed_member_strangers_and_repeats():
+    template, genesis = _shard_world()
+    rec, request, signed = _signing(template, genesis)
+    proposal = ShardConfig.from_wire(request.config)
+    # A stranger's own, valid signature over the proposal.
+    stranger = ConfigSignReply(
+        shard=SHARD,
+        epoch=1,
+        signature=template.scheme.sign(
+            "replica:gY", proposal.statement_bytes()
+        ).to_wire(),
+    )
+    rec.deliver(MEMBERS[0], signed[MEMBERS[0]])
+    rec.deliver(MEMBERS[0], signed[MEMBERS[0]])
+    rec.deliver(MEMBERS[3], signed[MEMBERS[3]])  # the member being removed
+    rec.deliver("replica:gY", stranger)
+    rec.deliver(MEMBERS[1], signed[MEMBERS[1]])
+    assert rec.phase == "signing"
+    assert set(rec.round.replies) == {MEMBERS[0], MEMBERS[1]}
+    assert [s.dest for s in rec.retransmit()] == [MEMBERS[2]]
+    rec.deliver(MEMBERS[2], signed[MEMBERS[2]])
+    assert rec.phase == "installing"
+    assert [sig.signer for sig in rec._entry.signatures] == list(MEMBERS[:3])
+
+
+def test_install_round_counts_new_members_once_and_no_stranger():
+    template, genesis = _shard_world()
+    rec, _, signed = _signing(template, genesis)
+    for member in MEMBERS[:3]:
+        rec.deliver(member, signed[member])
+    assert rec.phase == "installing"
+    ack = InstallEpochAck(shard=SHARD, epoch=1)
+    rec.deliver(MEMBERS[0], ack)
+    rec.deliver(MEMBERS[0], ack)
+    rec.deliver("replica:gY", ack)  # a stranger
+    rec.deliver(MEMBERS[3], ack)  # an old member: stops its retransmits only
+    rec.deliver("replica:gX", ack)
+    assert not rec.done
+    assert rec.round.responders() == {MEMBERS[0], MEMBERS[3], "replica:gX"}
+    assert [s.dest for s in rec.retransmit()] == [MEMBERS[1], MEMBERS[2]]
+    rec.deliver(MEMBERS[1], ack)
+    assert rec.done
