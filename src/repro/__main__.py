@@ -779,7 +779,8 @@ def build_parser() -> argparse.ArgumentParser:
     chaos_run = chaos_sub.add_parser(
         "run", help="sweep simulated episodes derived from one seed"
     )
-    chaos_run.add_argument("--seed", type=int, default=0)
+    # SUPPRESS: absent here, the pre-subcommand global --seed survives.
+    chaos_run.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     chaos_run.add_argument("--episodes", type=int, default=25)
     chaos_run.add_argument(
         "--variants",
@@ -802,7 +803,7 @@ def build_parser() -> argparse.ArgumentParser:
     chaos_tcp = chaos_sub.add_parser(
         "tcp", help="proxy campaign against the real TCP transport"
     )
-    chaos_tcp.add_argument("--seed", type=int, default=0)
+    chaos_tcp.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     chaos_tcp.add_argument("--json", action="store_true")
 
     shard = sub.add_parser(

@@ -6,6 +6,7 @@ of the paper's analytical claims), via :func:`format_table`.
 
 from __future__ import annotations
 
+import json
 from typing import Any, Mapping, Sequence
 
 __all__ = [
@@ -125,12 +126,34 @@ def format_campaign(summary: Mapping[str, Any]) -> str:
             ]
             for ep in summary["episodes"]
         ]
-        return format_table(
-            ["variant", "verdict", "ops", "redials", "dropped", "truncated",
-             "garbage", "resets"],
-            rows,
-            title=f"TCP chaos campaign (seed {summary['seed']})",
-        )
+        lines = [
+            format_table(
+                ["variant", "verdict", "ops", "redials", "dropped",
+                 "truncated", "garbage", "resets"],
+                rows,
+                title=f"TCP chaos campaign (seed {summary['seed']})",
+            )
+        ]
+        # A violating episode's evidence: the faults it fired and the
+        # client history the oracles judged.
+        for ep in summary["episodes"]:
+            if ep["ok"]:
+                continue
+            lines.append(f"{ep['variant']} violates {','.join(ep['violations'])}")
+            lines.extend(
+                f"  fault {json.dumps(spec, sort_keys=True)}"
+                for spec in ep["faults"]
+            )
+            lines.extend(
+                f"  {event['time']:.6f} {event['client']} "
+                + (
+                    f"invoke {event['invoke']} {event['arg']!r}"
+                    if "invoke" in event
+                    else f"return {event['return']!r}"
+                )
+                for event in ep["history"]
+            )
+        return "\n".join(lines)
 
     rows = [
         [

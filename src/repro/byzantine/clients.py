@@ -284,7 +284,7 @@ class EquivocationAttack(_SignedPrepares):
 
 class PartialWriteAttack(Adversary):
     """Issue-2 attack: run a legitimate write but install the value at only
-    one replica, leaving the system maximally unbalanced."""
+    one replica (the first), leaving the system maximally unbalanced."""
 
     #: Ticks to wait for the one replica's ack before giving up.
     ACK_TICKS = 10
@@ -294,12 +294,10 @@ class PartialWriteAttack(Adversary):
         node_id: str,
         config: SystemConfig,
         variant: Union[str, Variant] = "base",
-        *,
-        target_index: int = 0,
     ) -> None:
         super().__init__(node_id, config, variant)
         self.value = (node_id, 1, "partial")
-        self.installed_at = config.quorums.replica_ids[target_index]
+        self.installed_at = config.quorums.replica_ids[0]
 
     def start(self) -> list[Send]:
         op = self.variant.client_cls.write_op_cls(

@@ -153,14 +153,12 @@ def run_episode(
     *,
     replica_factory: Optional[ReplicaFactory] = None,
     instrumentation: Optional[Instrumentation] = None,
-    data_dir: Optional[str] = None,
 ) -> EpisodeResult:
     """Execute one plan and judge it with the full oracle battery.
 
     ``replica_factory`` substitutes every *correct* replica (the
     bug-injection hook; Byzantine indices keep their catalogue behaviour).
-    ``data_dir`` pins the durable stores' directory; by default a fresh
-    temporary directory is used and removed afterwards.
+    Durable stores live in a fresh temporary directory, removed afterwards.
     """
     try:
         overrides: dict[int, Any] = {
@@ -174,10 +172,8 @@ def run_episode(
     tmp: Optional[tempfile.TemporaryDirectory] = None
     store_factory = None
     if plan.store == "filelog":
-        if data_dir is None:
-            tmp = tempfile.TemporaryDirectory(prefix="repro-chaos-")
-            data_dir = tmp.name
-        base = Path(data_dir)
+        tmp = tempfile.TemporaryDirectory(prefix="repro-chaos-")
+        base = Path(tmp.name)
         store_factory = lambda node_id: FileLogStore(  # noqa: E731
             base / node_id.replace(":", "_"), fsync="always"
         )
@@ -353,13 +349,12 @@ def run_campaign(
     minimize: bool = True,
     artifact_dir: Optional[str] = None,
     minimize_budget: int = 120,
-    progress: Optional[Callable[[EpisodeResult], None]] = None,
 ) -> CampaignResult:
     """Run ``config.episodes`` seed-derived episodes; minimize any failure.
 
     When ``artifact_dir`` is given, each violating episode's minimized plan
     is written there as ``chaos-seed{S}-ep{E}.json`` (a replayable
-    artifact).  ``progress`` is called with each finished episode.
+    artifact).
     """
     from repro.chaos.artifact import save_artifact
     from repro.chaos.minimize import minimize_episode
@@ -369,8 +364,6 @@ def run_campaign(
         plan = generate_plan(config, episode)
         result = run_episode(plan, replica_factory=replica_factory)
         campaign.results.append(result)
-        if progress is not None:
-            progress(result)
         if result.ok or not minimize:
             continue
         minimized = minimize_episode(

@@ -137,8 +137,6 @@ class CampaignConfig:
     episodes: int = 25
     f: int = 1
     variants: tuple[str, ...] = ("base", "optimized", "strong", "fastpath")
-    ops_per_client: int = 4
-    max_clients: int = 3
     #: Store kinds the generator may draw ("memory", "filelog").
     stores: tuple[str, ...] = ("memory", "filelog")
     #: Allow Byzantine replica substitutions / client attacks.
@@ -147,7 +145,13 @@ class CampaignConfig:
     #: Allow state-corruption faults (WAL bit rot, snapshot truncation,
     #: in-memory perturbation); victims count against the same budget f.
     corruption: bool = True
-    max_time: float = 120.0
+
+
+#: Every episode's client count is drawn from 1..MAX_CLIENTS; each client
+#: issues OPS_PER_CLIENT operations within MAX_TIME virtual seconds.
+MAX_CLIENTS = 3
+OPS_PER_CLIENT = 4
+MAX_TIME = 120.0
 
 
 def _node(index: int) -> str:
@@ -241,7 +245,7 @@ def generate_plan(config: CampaignConfig, episode: int) -> EpisodePlan:
     # healed before the end so fair-loss liveness holds.
     if rng.random() < 0.5:
         a = _node(rng.choice(healthy))
-        b = f"client:w{rng.randrange(config.max_clients)}"
+        b = f"client:w{rng.randrange(MAX_CLIENTS)}"
         if rng.random() < 0.3 and len(healthy) > 1:
             b = _node(rng.choice([i for i in healthy if _node(i) != a]))
         start = rng.uniform(0.1, 1.0)
@@ -251,7 +255,7 @@ def generate_plan(config: CampaignConfig, episode: int) -> EpisodePlan:
     # Link degradation: make one directed link nastier than the ambient
     # profile for the rest of the episode.
     if rng.random() < 0.5:
-        src = f"client:w{rng.randrange(config.max_clients)}"
+        src = f"client:w{rng.randrange(MAX_CLIENTS)}"
         dst = _node(rng.choice(range(n)))
         if rng.random() < 0.5:
             src, dst = dst, src
@@ -297,11 +301,11 @@ def generate_plan(config: CampaignConfig, episode: int) -> EpisodePlan:
         faults=schedule.specs,
         byzantine_replicas=byzantine_replicas,
         attack=attack,
-        clients=rng.randint(1, config.max_clients),
-        ops_per_client=config.ops_per_client,
+        clients=rng.randint(1, MAX_CLIENTS),
+        ops_per_client=OPS_PER_CLIENT,
         write_fraction=rng.choice([0.4, 0.5, 0.6, 0.8]),
         think_time=rng.choice([0.0, 0.01]),
         stagger=rng.choice([0.0, 0.05, 0.1]),
-        max_time=config.max_time,
+        max_time=MAX_TIME,
     )
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 import asyncio
 import random
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Optional
 
@@ -43,6 +43,7 @@ from repro.net.chaos_proxy import ChaosProxy, ProxyProfile
 from repro.sim.faults import FaultSchedule
 from repro.sim.nodes import flip_wal_byte
 from repro.sim.recorder import HistoryRecorder
+from repro.spec.histories import History, Invocation
 
 __all__ = [
     "TcpChaosConfig",
@@ -52,44 +53,47 @@ __all__ = [
 ]
 
 
+#: The variants a campaign runs, one episode each, in ``Variant`` order.
+VARIANTS = tuple(variant.value for variant in Variant)
+#: Each episode runs CLIENTS clients of OPS_PER_CLIENT operations; an
+#: operation after the first is a write with probability WRITE_FRACTION.
+CLIENTS = 2
+OPS_PER_CLIENT = 3
+WRITE_FRACTION = 0.6
+#: Seconds the crash_restart victim stays down.
+DOWN_FOR = 0.25
+#: Wall-clock seconds between self-audit ticks while corruption chaos is
+#: active, and the budget for the corruption victim to stabilize.
+AUDIT_INTERVAL = 0.05
+STABILIZE_TIMEOUT = 15.0
+#: Byte-level fault rates applied by every replica's proxy.
+PROXY = ProxyProfile(
+    delay_rate=0.2,
+    max_delay=0.005,
+    drop_rate=0.04,
+    truncate_rate=0.03,
+    garbage_rate=0.05,
+    reset_rate=0.03,
+)
+RETRANSMIT_INTERVAL = 0.08
+OP_TIMEOUT = 30.0
+
+
 @dataclass
 class TcpChaosConfig:
-    """One TCP chaos episode's knobs (an episode per variant is typical)."""
+    """One TCP chaos campaign: its seed, fault threshold and fault kinds."""
 
     seed: int = 0
     f: int = 1
-    variants: tuple[str, ...] = ("base", "optimized", "strong", "fastpath")
-    clients: int = 2
-    ops_per_client: int = 3
-    write_fraction: float = 0.6
     #: Crash one replica mid-episode and recover it from its data
     #: directory on the same port.
     crash_restart: bool = True
-    down_for: float = 0.25
     #: Flip one byte of a live replica's on-disk WAL mid-episode and drive
     #: the self-audit / quarantine / rebuild-from-quorum loop over the real
     #: sockets until the victim stabilizes.  The victim is always distinct
     #: from the crash_restart victim and the faults are sequenced, so at
     #: most one replica is faulty at any instant (f = 1 budget).
     corruption: bool = True
-    #: Wall-clock seconds between self-audit ticks while corruption chaos
-    #: is active.
-    audit_interval: float = 0.05
-    #: Wall-clock budget for the corruption victim to stabilize.
-    stabilize_timeout: float = 15.0
-    #: Byte-level fault rates applied by every replica's proxy.
-    proxy: ProxyProfile = field(
-        default_factory=lambda: ProxyProfile(
-            delay_rate=0.2,
-            max_delay=0.005,
-            drop_rate=0.04,
-            truncate_rate=0.03,
-            garbage_rate=0.05,
-            reset_rate=0.03,
-        )
-    )
-    retransmit_interval: float = 0.08
-    op_timeout: float = 30.0
 
 
 @dataclass
@@ -108,6 +112,10 @@ class TcpEpisodeResult:
     repairs: int = 0
     corrupt_records: int = 0
     error: str = ""
+    #: The client history the oracles judged, one row per invocation or
+    #: response with its event-loop time; a violating episode's summary
+    #: row carries it as evidence.
+    history: tuple[dict[str, Any], ...] = ()
 
     @property
     def ok(self) -> bool:
@@ -120,7 +128,7 @@ class TcpEpisodeResult:
         )
 
     def to_summary(self) -> dict[str, Any]:
-        return {
+        row = {
             "variant": self.variant,
             "ok": self.ok,
             "violations": list(self.violations),
@@ -136,6 +144,20 @@ class TcpEpisodeResult:
             },
             "error": self.error,
         }
+        if not self.ok:
+            row["history"] = [dict(event) for event in self.history]
+        return row
+
+
+def _history_rows(history: History) -> tuple[dict[str, Any], ...]:
+    """``history``'s events as rows: ``invoke`` names an invocation's op,
+    ``return`` holds a response's value."""
+    return tuple(
+        {"time": e.time, "client": e.client, "invoke": e.op, "arg": e.arg}
+        if isinstance(e, Invocation)
+        else {"time": e.time, "client": e.client, "return": e.value}
+        for e in history.events
+    )
 
 
 async def _client_workload(
@@ -143,12 +165,11 @@ async def _client_workload(
     client: AsyncClient,
     recorder: HistoryRecorder,
     rng: random.Random,
-    config: TcpChaosConfig,
 ) -> int:
     """Run one client's mixed script, recording invocations/responses."""
     operations = 0
-    for seq in range(config.ops_per_client):
-        if seq == 0 or rng.random() < config.write_fraction:
+    for seq in range(OPS_PER_CLIENT):
+        if seq == 0 or rng.random() < WRITE_FRACTION:
             value = (name, seq, "tcp")
             recorder.record_invocation(name, "write", value)
             await client.write(value)
@@ -168,14 +189,13 @@ _CRASH_AT = 0.15
 async def _crash_restart(
     group: ReplicaGroup,
     victim: str,
-    config: TcpChaosConfig,
     injected: FaultSchedule,
 ) -> None:
     """Kill ``victim`` process-style, then recover it in place."""
     await asyncio.sleep(_CRASH_AT)
-    injected.crash_restart(_CRASH_AT, victim, config.down_for)
+    injected.crash_restart(_CRASH_AT, victim, DOWN_FOR)
     await group.crash(victim)
-    await asyncio.sleep(config.down_for)
+    await asyncio.sleep(DOWN_FOR)
     await group.recover(victim)
 
 
@@ -183,7 +203,6 @@ async def _corruption_chaos(
     group: ReplicaGroup,
     victim: str,
     addrs: dict[str, tuple[str, int]],
-    config: TcpChaosConfig,
     rng: random.Random,
     injected: FaultSchedule,
     crash_task: Optional[asyncio.Task],
@@ -204,16 +223,16 @@ async def _corruption_chaos(
         except Exception:  # noqa: BLE001 — the episode body re-raises it
             pass
     loop = asyncio.get_running_loop()
-    deadline = loop.time() + config.stabilize_timeout
+    deadline = loop.time() + STABILIZE_TIMEOUT
     while loop.time() < deadline:
         if flip_wal_byte(group.replicas[victim].store, rng.randrange, 0x80):
             injected.wal_bitflip(0.0, victim)
             break
-        await asyncio.sleep(config.audit_interval)
+        await asyncio.sleep(AUDIT_INTERVAL)
     else:
         return
     while loop.time() < deadline:
-        await asyncio.sleep(config.audit_interval)
+        await asyncio.sleep(AUDIT_INTERVAL)
         clean = [
             await server.audit_tick(lambda: addrs)
             for server in group.servers.values()
@@ -253,18 +272,18 @@ async def _run_episode(
             proxies[rid] = ChaosProxy(
                 host,
                 port,
-                profile=config.proxy,
+                profile=PROXY,
                 seed=config.seed * 1000 + index,
             )
             addrs[rid] = await proxies[rid].start()
 
-        names = [f"client:t{i}" for i in range(config.clients)]
+        names = [f"client:t{i}" for i in range(CLIENTS)]
         for name in names:
             client = AsyncClient(
                 client_cls(name, system),
                 addrs,
-                retransmit_interval=config.retransmit_interval,
-                op_timeout=config.op_timeout,
+                retransmit_interval=RETRANSMIT_INTERVAL,
+                op_timeout=OP_TIMEOUT,
             )
             await client.connect()
             clients.append(client)
@@ -274,7 +293,7 @@ async def _run_episode(
         if config.crash_restart:
             crash_victim = rng.choice(group.node_ids)
             chaos_task = asyncio.create_task(
-                _crash_restart(group, crash_victim, config, injected)
+                _crash_restart(group, crash_victim, injected)
             )
 
         if config.corruption:
@@ -284,7 +303,6 @@ async def _run_episode(
                     group,
                     rng.choice(candidates),
                     addrs,
-                    config,
                     rng,
                     injected,
                     chaos_task,
@@ -299,7 +317,6 @@ async def _run_episode(
                         client,
                         recorder,
                         random.Random(f"chaos-tcp/{config.seed}/{variant}/{name}"),
-                        config,
                     )
                     for name, client in zip(names, clients)
                 )
@@ -342,6 +359,7 @@ async def _run_episode(
                 r.store.stats.corrupt_records for r in replicas.values()
             ),
             error=error,
+            history=_history_rows(recorder.history),
         )
     finally:
         for task in (chaos_task, corruption_task):
@@ -382,7 +400,7 @@ def run_tcp_campaign(
     """
     config = config or TcpChaosConfig()
     episodes: list[TcpEpisodeResult] = []
-    for variant in config.variants:
+    for variant in VARIANTS:
         base = None if data_dir is None else Path(data_dir) / variant
         if base is not None:
             base.mkdir(parents=True, exist_ok=True)

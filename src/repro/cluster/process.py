@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import json
 import os
-import signal
 import subprocess
 import sys
 import threading
@@ -50,6 +49,9 @@ OPEN_NAMESPACES = ("client:",)
 #: recovers onto a corrupted data directory quarantines and repairs from
 #: the peers named in ``cluster.json``.
 AUDIT_INTERVAL = 1.0
+#: Seconds ``stop`` waits for the monitor and for each worker to exit
+#: after SIGTERM before it sends SIGKILL.
+STOP_GRACE = 5.0
 
 
 def _worker_env() -> dict[str, str]:
@@ -295,11 +297,11 @@ class ProcessCluster:
                 return worker
         raise KeyError(node_id)
 
-    def kill(self, node_id: str, *, sig: int = signal.SIGKILL) -> WorkerHandle:
-        """Send ``sig`` (default ``SIGKILL``) to the worker hosting a replica."""
+    def kill(self, node_id: str) -> WorkerHandle:
+        """``SIGKILL`` the worker hosting a replica."""
         worker = self.worker_for(node_id)
         if worker.process is not None and worker.alive:
-            worker.process.send_signal(sig)
+            worker.process.kill()
             worker.process.wait(timeout=10)
         return worker
 
@@ -310,11 +312,11 @@ class ProcessCluster:
             for row, worker in zip(self._worker_table(), self.workers)
         ]
 
-    def stop(self, *, grace: float = 5.0) -> None:
-        """Terminate every worker (SIGTERM, then SIGKILL after ``grace``)."""
+    def stop(self) -> None:
+        """Terminate every worker (SIGTERM, then SIGKILL after ``STOP_GRACE``)."""
         self._stopping.set()
         if self._monitor is not None:
-            self._monitor.join(timeout=grace)
+            self._monitor.join(timeout=STOP_GRACE)
             self._monitor = None
         with self._lock:
             for worker in self.workers:
@@ -327,10 +329,10 @@ class ProcessCluster:
                 if process is None:
                     continue
                 try:
-                    process.wait(timeout=grace)
+                    process.wait(timeout=STOP_GRACE)
                 except subprocess.TimeoutExpired:
                     process.kill()
-                    process.wait(timeout=grace)
+                    process.wait(timeout=STOP_GRACE)
         self._clear_state()
 
     # -- state file (CLI handoff) -------------------------------------------

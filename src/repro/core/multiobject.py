@@ -43,7 +43,6 @@ from repro.core.replica import BftBcReplica
 from repro.crypto.signatures import Signature, SignatureScheme
 from repro.encoding import canonical_encode
 from repro.errors import ProtocolError
-from repro.storage.base import ReplicaStore
 
 __all__ = [
     "ObjectMessage",
@@ -137,15 +136,10 @@ class MultiObjectReplica:
         node_id: str,
         config: SystemConfig,
         replica_cls: type[BftBcReplica] = BftBcReplica,
-        *,
-        store_factory: Optional[Callable[[str], ReplicaStore]] = None,
     ) -> None:
         self.node_id = node_id
         self.config = config
         self._replica_cls = replica_cls
-        #: Optional per-object store provider (``obj -> ReplicaStore``);
-        #: ``None`` keeps each state machine on its default in-memory store.
-        self._store_factory = store_factory
         self._objects: dict[str, BftBcReplica] = {}
         self.envelope_discards = 0
         #: When set, envelopes tagged with a different epoch are refused.
@@ -157,11 +151,8 @@ class MultiObjectReplica:
         """The per-object state machine (created on first use)."""
         state = self._objects.get(obj)
         if state is None:
-            kwargs: dict[str, Any] = {}
-            if self._store_factory is not None:
-                kwargs["store"] = self._store_factory(obj)
             state = self._replica_cls(
-                self.node_id, _scoped_config(self.config, obj), **kwargs
+                self.node_id, _scoped_config(self.config, obj)
             )
             self._objects[obj] = state
         return state

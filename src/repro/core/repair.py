@@ -43,7 +43,7 @@ Safety (see PROTOCOL.md for the full argument):
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Optional, Sequence
+from typing import Any, Callable, Iterable, Optional
 
 from repro.core.messages import RepairReply, RepairRequest
 from repro.core.persistence import DurableReplicaState
@@ -141,7 +141,6 @@ class StateRepair:
             revalidate candidates).
         install: callback receiving the winning snapshot wire value; the
             hosting replica installs it and exits quarantine.
-        peers: explicit peer ids; defaults to every other active replica.
         cert_check: the hosting replica's certificate-acceptance hook (see
             :func:`validate_repair_candidate`); None means third-party
             ``is_valid``.
@@ -153,17 +152,15 @@ class StateRepair:
         config: Any,
         install: Callable[[dict[str, Any]], None],
         *,
-        peers: Optional[Sequence[str]] = None,
         cert_check: Optional[Callable[[Any], bool]] = None,
     ) -> None:
         self.node_id = node_id
         self.config = config
         self._install = install
         self._cert_check = cert_check
+        #: Every other replica: the voters of each repair round.
         self.peers: tuple[str, ...] = tuple(
-            peers
-            if peers is not None
-            else (p for p in config.quorums.replica_ids if p != node_id)
+            p for p in config.quorums.replica_ids if p != node_id
         )
         self.active = False
         self.rounds = 0

@@ -196,7 +196,6 @@ class SimLoadOptions:
 
     f: int = 1
     variant: Variant = Variant.BASE
-    scheme: str = "hmac"
     #: Virtual-time cost of serving one inbound frame at a replica
     #: (single-server queue); 0 = infinitely fast replicas.
     service_delay: float = 0.0
@@ -286,7 +285,6 @@ class SimLoadHarness(SimHarness):
         self.options = options or SimLoadOptions()
         self.config: SystemConfig = make_system(
             self.options.f,
-            scheme=self.options.scheme,
             seed=b"load-seed-%d" % profile.seed,
             strong=self.options.variant.strong,
             client_state_budget=self.options.budget,

@@ -35,22 +35,20 @@ from repro.cluster.spec import DeploymentSpec
 from repro.core.config import NamespaceWriters, SystemConfig, Variant, make_system
 from repro.core.persistence import ClientStateBudget
 from repro.load.generator import Arrival, OpenLoopGenerator
-from repro.load.profile import DEFAULT_SLOS, LoadProfile, LoadReport, SloTarget
+from repro.load.profile import DEFAULT_SLOS, LoadProfile, LoadReport
 from repro.load.harness import LoadTally
 from repro.net.mux import MuxEndpoint, drive
 
 __all__ = ["run_tcp_load"]
 
 RETRANSMIT_INTERVAL = 0.2
+#: Operations in flight at once, and one operation's wall-clock budget.
+MAX_CONCURRENCY = 64
+OP_TIMEOUT = 10.0
 
 
 async def _run_tcp_load(
-    profile: LoadProfile,
-    spec: DeploymentSpec,
-    config: SystemConfig,
-    slos: tuple[SloTarget, ...],
-    max_concurrency: int,
-    op_timeout: float,
+    profile: LoadProfile, spec: DeploymentSpec, config: SystemConfig
 ) -> LoadReport:
     client_cls = Variant.coerce(spec.variant).client_cls
     group = await ReplicaGroup.start(spec, config)
@@ -59,7 +57,7 @@ async def _run_tcp_load(
 
     loop = asyncio.get_running_loop()
     started = loop.time()
-    semaphore = asyncio.Semaphore(max_concurrency)
+    semaphore = asyncio.Semaphore(MAX_CONCURRENCY)
     turns: dict[str, asyncio.Lock] = {}
     tally = LoadTally(profile)
 
@@ -81,7 +79,7 @@ async def _run_tcp_load(
                     deliver=client.deliver,
                     retransmit=client.retransmit,
                     interval=RETRANSMIT_INTERVAL,
-                    timeout=op_timeout,
+                    timeout=OP_TIMEOUT,
                 )
             except Exception:
                 return  # counted: failed = arrivals - completed
@@ -105,7 +103,7 @@ async def _run_tcp_load(
     await group.stop()
 
     return tally.report(
-        slos=slos,
+        slos=DEFAULT_SLOS,
         elapsed=loop.time() - started,
         identity={
             "registry_resident": config.registry.resident_secrets,
@@ -120,24 +118,17 @@ def run_tcp_load(
     *,
     f: int = 1,
     variant: "Variant | str" = Variant.BASE,
-    scheme: str = "hmac",
     budget: Optional[ClientStateBudget] = None,
-    slos: tuple[SloTarget, ...] = DEFAULT_SLOS,
-    max_concurrency: int = 64,
-    op_timeout: float = 10.0,
 ) -> LoadReport:
     """Run one open-loop profile against an in-process 3f+1 group over
     loopback TCP and return the report."""
-    spec = DeploymentSpec(f=f, variant=variant, scheme=scheme, transport="tcp")
+    spec = DeploymentSpec(f=f, variant=variant, transport="tcp")
     config = make_system(
         f,
-        scheme=scheme,
         seed=b"load-seed-%d" % profile.seed,
         strong=Variant.coerce(variant).strong,
         client_state_budget=budget,
         authorized_writers=NamespaceWriters(profile.namespace),
     )
     config.registry.open_namespace(profile.namespace)
-    return asyncio.run(
-        _run_tcp_load(profile, spec, config, slos, max_concurrency, op_timeout)
-    )
+    return asyncio.run(_run_tcp_load(profile, spec, config))

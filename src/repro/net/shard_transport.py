@@ -42,6 +42,11 @@ __all__ = [
     "bootstrap_over_tcp",
 ]
 
+#: Wall-clock seconds between retransmissions, and one flow's budget
+#: (an operation, an epoch change, or a joiner's state transfer).
+RETRANSMIT_INTERVAL = 0.2
+TIMEOUT = 30.0
+
 
 class ShardReplicaServer(ReplicaServer):
     """Hosts one shard member behind a TCP listener.
@@ -78,16 +83,9 @@ class AsyncShardRouter:
     """
 
     def __init__(
-        self,
-        router: ShardRouter,
-        addrs: dict[str, tuple[str, int]],
-        *,
-        retransmit_interval: float = 0.2,
-        op_timeout: float = 30.0,
+        self, router: ShardRouter, addrs: dict[str, tuple[str, int]]
     ) -> None:
         self.router = router
-        self.retransmit_interval = retransmit_interval
-        self.op_timeout = op_timeout
         self._endpoint = MuxEndpoint(addrs)
 
     async def write(self, obj: str, value: Any) -> Any:
@@ -111,8 +109,8 @@ class AsyncShardRouter:
             done=lambda: not self.router.busy(obj),
             deliver=self.router.deliver,
             retransmit=self.router.retransmit,
-            interval=self.retransmit_interval,
-            timeout=self.op_timeout,
+            interval=RETRANSMIT_INTERVAL,
+            timeout=TIMEOUT,
         )
         return self.router.result(obj)
 
@@ -121,19 +119,12 @@ class AsyncReconfigurator:
     """Runs one epoch change against live TCP servers."""
 
     def __init__(
-        self,
-        reconfigurator: Reconfigurator,
-        addrs: dict[str, tuple[str, int]],
-        *,
-        retransmit_interval: float = 0.2,
+        self, reconfigurator: Reconfigurator, addrs: dict[str, tuple[str, int]]
     ) -> None:
         self.reconfigurator = reconfigurator
-        self.retransmit_interval = retransmit_interval
         self._endpoint = MuxEndpoint(addrs)
 
-    async def replace(
-        self, remove: str, add: str, *, timeout: float = 30.0
-    ) -> None:
+    async def replace(self, remove: str, add: str) -> None:
         """Drive the sign + install phases to completion (or time out)."""
         reconfigurator = self.reconfigurator
         try:
@@ -144,24 +135,20 @@ class AsyncReconfigurator:
                 done=lambda: reconfigurator.done,
                 deliver=reconfigurator.deliver,
                 retransmit=reconfigurator.retransmit,
-                interval=self.retransmit_interval,
-                timeout=timeout,
+                interval=RETRANSMIT_INTERVAL,
+                timeout=TIMEOUT,
             )
         except OperationFailedError:
             raise OperationFailedError(
                 f"reconfiguration stuck in phase "
-                f"{reconfigurator.phase!r} after {timeout}s"
+                f"{reconfigurator.phase!r} after {TIMEOUT}s"
             ) from None
         finally:
             await self._endpoint.close()
 
 
 async def bootstrap_over_tcp(
-    replica: ShardReplica,
-    addrs: dict[str, tuple[str, int]],
-    *,
-    retransmit_interval: float = 0.2,
-    timeout: float = 30.0,
+    replica: ShardReplica, addrs: dict[str, tuple[str, int]]
 ) -> None:
     """Run a joining replica's state transfer against live servers.
 
@@ -186,13 +173,13 @@ async def bootstrap_over_tcp(
             done=lambda: replica.ready,
             deliver=deliver,
             retransmit=replica.bootstrap_retransmit,
-            interval=retransmit_interval,
-            timeout=timeout,
+            interval=RETRANSMIT_INTERVAL,
+            timeout=TIMEOUT,
         )
     except OperationFailedError:
         raise NetworkError(
             f"state transfer for {replica.node_id!r} incomplete "
-            f"after {timeout}s"
+            f"after {TIMEOUT}s"
         ) from None
     finally:
         await endpoint.close()

@@ -28,7 +28,6 @@ _EXPORTS = {
     "DEFAULT_BUCKETS": "repro.obs.histograms",
     "spans_to_jsonl": "repro.obs.export",
     "render_prometheus": "repro.obs.export",
-    "render_phase_table": "repro.obs.export",
 }
 
 __all__, __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -19,7 +19,6 @@ from repro.obs.spans import Span
 __all__ = [
     "spans_to_jsonl",
     "render_prometheus",
-    "render_phase_table",
 ]
 
 
@@ -90,35 +89,3 @@ def _numeric_attrs(stats: object) -> list[str]:
         and isinstance(getattr(stats, attr, None), (int, float))
         and not isinstance(getattr(stats, attr, None), bool)
     ]
-
-
-def render_phase_table(histograms: Mapping[str, LatencyHistogram]) -> str:
-    """A human-readable per-series latency table (mean/p50/p95/max).
-
-    Used by ``python -m repro metrics`` and the analysis report's phase
-    breakdown; series are the ``kind.name`` histogram keys, so protocol
-    phases appear as ``phase.READ-TS`` etc.
-    """
-    rows = [("series", "count", "mean", "p50", "p95", "max")]
-    for series in sorted(histograms):
-        hist = histograms[series]
-        maximum = hist.maximum if hist.maximum is not None else 0.0
-        rows.append(
-            (
-                series,
-                str(hist.count),
-                f"{hist.mean:.6f}",
-                f"{hist.quantile(0.5):.6f}",
-                f"{hist.quantile(0.95):.6f}",
-                f"{maximum:.6f}",
-            )
-        )
-    widths = [max(len(row[col]) for row in rows) for col in range(len(rows[0]))]
-    out = []
-    for index, row in enumerate(rows):
-        out.append(
-            "  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip()
-        )
-        if index == 0:
-            out.append("  ".join("-" * width for width in widths))
-    return "\n".join(out)

@@ -60,7 +60,6 @@ from repro.shard.messages import (
     StateTransferReply,
     StateTransferRequest,
 )
-from repro.storage.base import ReplicaStore
 
 __all__ = ["ShardReplica"]
 
@@ -76,7 +75,6 @@ class ShardReplica:
         template: SystemConfig,
         *,
         replica_cls: type[BftBcReplica] = BftBcReplica,
-        store_factory: Optional[Callable[[str], ReplicaStore]] = None,
         instrumentation: Optional[Instrumentation] = None,
         clock: Optional[Callable[[], float]] = None,
         handoff: float = 0.5,
@@ -96,10 +94,7 @@ class ShardReplica:
             template, quorums=directory.quorums(shard), verifier=None
         )
         self.inner = MultiObjectReplica(
-            node_id,
-            self.system,
-            replica_cls=replica_cls,
-            store_factory=store_factory,
+            node_id, self.system, replica_cls=replica_cls
         )
         self.instrumentation = instrumentation
         self.inner.set_epoch(self.config.epoch)

@@ -148,21 +148,9 @@ class ReplicaNode(ReplicaHost):
         scheduler: Optional[Scheduler] = None,
         *,
         sign_delay: float = 0.0,
-        replica_factory: Optional[Callable[[], BftBcReplica]] = None,
     ) -> None:
         super().__init__(replica, network, scheduler)
         self.sign_delay = sign_delay
-        #: Rebuilds a fresh (state-machine-only) replica on restart; the
-        #: default works for any replica whose constructor is
-        #: ``(node_id, config, store=...)``.
-        self._replica_factory = replica_factory or (
-            lambda: type(self.replica)(
-                self.replica.node_id,
-                self.replica.config,
-                store=self.replica.store,
-                instrumentation=self.replica.instrumentation,
-            )
-        )
         self.crashes = 0
         self.restarts = 0
         #: Corruption injections performed against this node (chaos).
@@ -184,8 +172,15 @@ class ReplicaNode(ReplicaHost):
         """Bring the replica back: a *fresh* state machine is built around
         the surviving store and :meth:`~repro.core.replica.BftBcReplica.recover`
         rebuilds the Figure-2 state from snapshot + log before the network
-        resumes delivery."""
-        replica = self._replica_factory()
+        resumes delivery.  The fresh machine is the same class, built from
+        the old one's node id, config, store and instrumentation."""
+        old = self.replica
+        replica = type(old)(
+            old.node_id,
+            old.config,
+            store=old.store,
+            instrumentation=old.instrumentation,
+        )
         replica.recover()
         self.replica = replica
         self.network.recover(self.node_id)

@@ -25,7 +25,7 @@ effect benchmark E19 measures.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.core.config import SystemConfig, Variant, make_system
 from repro.core.operations import Send
@@ -42,7 +42,6 @@ from repro.sim.nodes import DEFAULT_RETRANSMIT_INTERVAL, MachineHost, ReplicaHos
 from repro.sim.runner import SimHarness
 from repro.sim.scheduler import Scheduler
 from repro.spec.histories import History
-from repro.storage import ReplicaStore
 
 __all__ = [
     "ShardClusterOptions",
@@ -58,6 +57,10 @@ __all__ = [
 #: non-transferable proof certificates — so both are refused up front.
 SHARD_VARIANTS = (Variant.BASE, Variant.OPTIMIZED)
 
+#: Virtual nodes per shard on the placement ring (the ``shard rebalance``
+#: golden digest depends on this placement).
+VNODES = 32
+
 
 @dataclass
 class ShardClusterOptions:
@@ -66,19 +69,13 @@ class ShardClusterOptions:
     shards: int = 2
     f: int = 1
     variant: Variant = Variant.BASE
-    scheme: str = "hmac"
     seed: int = 0
     profile: LinkProfile = field(default_factory=LinkProfile.reliable)
-    vnodes: int = 32
     #: Seconds the superseded epoch stays serviceable after an install.
     handoff: float = 0.5
     #: Virtual-time service cost per frame at a replica (0 = infinitely
     #: fast replicas; set > 0 to model per-group capacity).
     service_delay: float = 0.0
-    retransmit_interval: float = DEFAULT_RETRANSMIT_INTERVAL
-    #: ``(node_id, obj) -> ReplicaStore`` for durable per-object state;
-    #: ``None`` keeps the in-memory default.
-    store_factory: Optional[Callable[[str, str], ReplicaStore]] = None
 
     def __post_init__(self) -> None:
         try:
@@ -109,27 +106,15 @@ class ShardReplicaNode(ReplicaHost):
     replica: ShardReplica
     scheduler: Scheduler
 
-    def __init__(
-        self,
-        replica: ShardReplica,
-        network: SimNetwork,
-        scheduler: Scheduler,
-        *,
-        service_delay: float = 0.0,
-        retransmit_interval: float = DEFAULT_RETRANSMIT_INTERVAL,
-    ) -> None:
-        super().__init__(replica, network, scheduler, service_delay=service_delay)
-        self.retransmit_interval = retransmit_interval
-
     def start_bootstrap(self) -> None:
         self._send_all(self.replica.begin_bootstrap())
-        self.scheduler.call_later(self.retransmit_interval, self._boot_tick)
+        self.scheduler.call_later(DEFAULT_RETRANSMIT_INTERVAL, self._boot_tick)
 
     def _boot_tick(self) -> None:
         if self.down or self.replica.ready:
             return
         self._send_all(self.replica.bootstrap_retransmit())
-        self.scheduler.call_later(self.retransmit_interval, self._boot_tick)
+        self.scheduler.call_later(DEFAULT_RETRANSMIT_INTERVAL, self._boot_tick)
 
 
 class ReconfiguratorNode(MachineHost):
@@ -149,13 +134,9 @@ class ReconfiguratorNode(MachineHost):
         *,
         remove: str,
         add: str,
-        joiner: Optional[ShardReplicaNode] = None,
-        retransmit_interval: float = DEFAULT_RETRANSMIT_INTERVAL,
+        joiner: ShardReplicaNode,
     ) -> None:
-        super().__init__(
-            reconfigurator, network, scheduler,
-            retransmit_interval=retransmit_interval,
-        )
+        super().__init__(reconfigurator, network, scheduler)
         self.remove = remove
         self.add = add
         self.joiner = joiner
@@ -168,7 +149,7 @@ class ReconfiguratorNode(MachineHost):
     def _retransmit(self) -> list[Send]:
         if self.machine.phase != "idle":
             return self.machine.retransmit()
-        if self.joiner is None or self.joiner.replica.ready:
+        if self.joiner.replica.ready:
             return self.machine.begin_replace(self.remove, self.add)
         return []
 
@@ -183,12 +164,10 @@ class ShardCluster(SimHarness):
         #: every role derives its per-shard config from this via
         #: ``dataclasses.replace``.
         self.template: SystemConfig = make_system(
-            options.f,
-            scheme=options.scheme,
-            seed=b"shard-cluster-seed-%d" % options.seed,
+            options.f, seed=b"shard-cluster-seed-%d" % options.seed
         )
         self.shard_ids = tuple(shard_id(i) for i in range(options.shards))
-        self.ring = HashRing(self.shard_ids, vnodes=options.vnodes)
+        self.ring = HashRing(self.shard_ids, vnodes=VNODES)
         genesis: dict[str, ShardConfig] = {}
         for s in range(options.shards):
             members = tuple(
@@ -227,17 +206,12 @@ class ShardCluster(SimHarness):
         *,
         bootstrap_from: Optional[ShardConfig] = None,
     ) -> ShardReplicaNode:
-        store_factory = None
-        if self.options.store_factory is not None:
-            outer = self.options.store_factory
-            store_factory = lambda obj, n=node_id: outer(n, obj)  # noqa: E731
         replica = ShardReplica(
             node_id,
             shard,
             self._fresh_directory(),
             self.template,
             replica_cls=self.options.variant.replica_cls,
-            store_factory=store_factory,
             clock=lambda: self.scheduler.now,
             handoff=self.options.handoff,
             bootstrap_from=bootstrap_from,
@@ -247,18 +221,11 @@ class ShardCluster(SimHarness):
             self.network,
             self.scheduler,
             service_delay=self.options.service_delay,
-            retransmit_interval=self.options.retransmit_interval,
         )
         self.replica_nodes[node_id] = node
         return node
 
-    def add_router(
-        self,
-        name: str,
-        *,
-        max_in_flight: int = 4,
-        record_history: bool = True,
-    ) -> MultiObjectClientNode:
+    def add_router(self, name: str) -> MultiObjectClientNode:
         self.template.registry.register(f"client:{name}")
         router = ShardRouter(
             f"client:{name}",
@@ -271,9 +238,7 @@ class ShardCluster(SimHarness):
             router,
             self.network,
             self.scheduler,
-            max_in_flight=max_in_flight,
-            record_history=record_history,
-            retransmit_interval=self.options.retransmit_interval,
+            record_history=True,
         )
         self.routers[router.node_id] = self._track(node)
         return node
@@ -309,7 +274,6 @@ class ShardCluster(SimHarness):
             remove=remove,
             add=add,
             joiner=joiner,
-            retransmit_interval=self.options.retransmit_interval,
         )
         self.reconfigurations.append(node)
         self._track(reconfigurator)
@@ -331,13 +295,10 @@ class ShardCluster(SimHarness):
         self,
         scripts: dict[str, Sequence[MultiScriptStep]],
         *,
-        max_in_flight: int = 4,
         max_time: float = 300.0,
     ) -> None:
         for name, script in scripts.items():
-            node = self.routers.get(f"client:{name}") or self.add_router(
-                name, max_in_flight=max_in_flight
-            )
+            node = self.routers.get(f"client:{name}") or self.add_router(name)
             node.run_script(script)
         self.run(max_time=max_time)
 

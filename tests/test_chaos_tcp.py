@@ -14,7 +14,12 @@ import asyncio
 import pytest
 
 from repro.chaos.oracles import ORACLES
-from repro.chaos.tcp import TcpChaosConfig, run_tcp_campaign, run_tcp_episode
+from repro.chaos.tcp import (
+    DOWN_FOR,
+    TcpChaosConfig,
+    run_tcp_campaign,
+    run_tcp_episode,
+)
 from repro.errors import SimulationError
 from repro.net.chaos_proxy import ChaosProxy, ProxyProfile
 
@@ -151,7 +156,7 @@ class TestTcpCampaignAcceptance:
         assert set(result.verdicts) == set(ORACLES)
         [spec] = result.faults
         assert spec["op"] == "crash_restart"
-        assert spec["down_for"] == TcpChaosConfig().down_for
+        assert spec["down_for"] == DOWN_FOR
         assert spec["node"] in result.proxy_stats
         assert result.to_summary()["faults"] == [spec]
 
@@ -161,3 +166,65 @@ class TestTcpCampaignAcceptance:
         )
         assert result.ok, (result.violations, result.error)
         assert set(result.verdicts) == set(ORACLES)
+
+
+class TestViolationEvidence:
+    def test_a_violating_row_carries_its_history_and_faults(
+        self, tmp_path, monkeypatch
+    ):
+        """An episode that fails an oracle keeps the client history the
+        battery judged, stamped with event-loop times, beside its fault
+        specs; ``format_campaign`` prints both under the table.  A passing
+        row carries no history."""
+        import repro.chaos.tcp as tcp_mod
+        from repro.analysis import format_campaign
+        from repro.chaos.oracles import OracleVerdict
+
+        real_battery = tcp_mod.run_oracle_battery
+        histories = []
+
+        def rigged_battery(histories_by_obj, *args, **kwargs):
+            histories.append(histories_by_obj[None])
+            verdicts = dict(real_battery(histories_by_obj, *args, **kwargs))
+            verdicts["lemma1"] = OracleVerdict("lemma1", False, "rigged")
+            return verdicts
+
+        monkeypatch.setattr(tcp_mod, "run_oracle_battery", rigged_battery)
+        result = run_tcp_episode(
+            TcpChaosConfig(seed=9, corruption=False), "base", tmp_path
+        )
+        assert result.violations == ("lemma1",)
+        row = result.to_summary()
+        [history] = histories
+        assert len(row["history"]) == len(history.events) > 0
+        for event, entry in zip(history.events, row["history"]):
+            assert entry["time"] == event.time
+            assert entry["client"] == event.client
+        invocations = [e for e in row["history"] if "invoke" in e]
+        responses = [e for e in row["history"] if "return" in e]
+        assert len(invocations) == len(responses) == result.operations
+        assert [e["time"] for e in row["history"]] == sorted(
+            e["time"] for e in row["history"]
+        )
+
+        text = format_campaign(
+            {"format": "repro-chaos-tcp/1", "seed": 9, "ok": False,
+             "episodes": [row]}
+        )
+        lines = text.splitlines()
+        assert "base violates lemma1" in lines
+        [fault_line] = [line for line in lines if line.startswith("  fault ")]
+        assert '"op": "crash_restart"' in fault_line
+        first = row["history"][0]
+        assert (
+            f"  {first['time']:.6f} {first['client']} invoke "
+            f"{first['invoke']} {first['arg']!r}"
+        ) in lines
+        assert sum(" return " in line for line in lines) == len(responses)
+
+        monkeypatch.setattr(tcp_mod, "run_oracle_battery", real_battery)
+        passing = run_tcp_episode(
+            TcpChaosConfig(seed=9, corruption=False), "base", tmp_path / "ok"
+        )
+        assert passing.ok
+        assert "history" not in passing.to_summary()

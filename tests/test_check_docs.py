@@ -1,6 +1,7 @@
 """Tier-1 gate for doc references (tools/check_docs.py): every backticked
 repo path and ``repro.``-dotted name in the prose docs resolves, and every
-numbered benchmark has its EXPERIMENTS.md section."""
+numbered benchmark has its EXPERIMENTS.md section, and every documented
+``python -m repro`` command parses."""
 
 from __future__ import annotations
 
@@ -55,3 +56,41 @@ def test_checker_flags_a_stale_bench_heading_and_a_missing_section(tmp_path):
     assert check_docs.missing_experiments(doc, bench_dir) == [
         ("bench_orphan.py", "E8"),
     ]
+
+
+def test_checker_flags_commands_the_cli_parser_rejects(tmp_path):
+    doc = tmp_path / "DOC.md"
+    doc.write_text(
+        "Run `python -m repro chaos soak --seed 3` or `python -m repro\n"
+        "chaos run --seed 3` (a span may wrap).\n"
+        "\n"
+        "```bash\n"
+        "PYTHONPATH=src python -m repro load --rps 5   # stale flag\n"
+        "python -m repro load --rate 400 --duration 5 \\\n"
+        "    --identities 100 \\\n"
+        "    --budget 8      # sim, virtual time\n"
+        "python -m repro --seed 5 chaos tcp --json | head  # piped\n"
+        "# python -m repro commented --out\n"
+        "```\n"
+        "```console\n"
+        "$ python -m repro shard demo --shards 3\n"
+        "$ python -m repro shard split\n"
+        "```\n"
+        "```\n"
+        "python -m repro --help (9 runs)      0.468 s\n"
+        "```\n"
+    )
+    assert check_docs.find_stale([doc]) == [
+        ("DOC.md", 1, "python -m repro chaos soak --seed 3"),
+        ("DOC.md", 5, "PYTHONPATH=src python -m repro load --rps 5"),
+        ("DOC.md", 14, "python -m repro shard split"),
+    ]
+    [continued] = [
+        line for number, line in check_docs.shell_lines(doc.read_text())
+        if number == 6
+    ]
+    assert continued.split() == [
+        "python", "-m", "repro", "load", "--rate", "400", "--duration", "5",
+        "--identities", "100", "--budget", "8",
+    ]
+    assert check_docs.command_parses(continued)

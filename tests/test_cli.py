@@ -128,6 +128,40 @@ class TestChaosCli:
         for variant in ("base", "optimized", "strong"):
             assert variant in out
 
+    @pytest.mark.parametrize("verb", ["run", "tcp"])
+    @pytest.mark.parametrize(
+        "argv, seed",
+        [
+            (["--seed", "5", "chaos", "{verb}"], 5),
+            (["--seed", "5", "chaos", "{verb}", "--seed", "7"], 7),
+            (["chaos", "{verb}"], 0),
+        ],
+    )
+    def test_chaos_verbs_read_the_global_seed(self, capsys, monkeypatch,
+                                              verb, argv, seed):
+        """A ``--seed`` before the verb reaches the campaign; one after the
+        verb wins over it."""
+        from types import SimpleNamespace
+
+        import repro.chaos as chaos_pkg
+        import repro.chaos.tcp as tcp_mod
+
+        seen = []
+
+        def fake_campaign(config, **kwargs):
+            seen.append(config.seed)
+            return SimpleNamespace(summary=lambda: {"violations": 0})
+
+        def fake_tcp_campaign(config):
+            seen.append(config.seed)
+            return {"ok": True}
+
+        monkeypatch.setattr(chaos_pkg, "run_campaign", fake_campaign)
+        monkeypatch.setattr(tcp_mod, "run_tcp_campaign", fake_tcp_campaign)
+        argv = [arg.format(verb=verb) for arg in argv] + ["--json"]
+        assert main(argv) == 0
+        assert seen == [seed]
+
 
 class TestLoadCli:
     def test_load_human_output(self, capsys):

@@ -32,6 +32,7 @@ from repro import (
     read_script,
     write_script,
 )
+from repro.analysis import format_phase_breakdown
 from repro.cluster import ReplicaGroup
 from repro.errors import ReproError
 from repro.obs import (
@@ -39,7 +40,6 @@ from repro.obs import (
     InMemorySpanRecorder,
     LatencyHistogram,
     ObservabilityError,
-    render_phase_table,
     render_prometheus,
     spans_to_jsonl,
 )
@@ -238,7 +238,7 @@ class TestExporters:
 
     def test_phase_table_lists_series(self):
         instr = self.make_instr()
-        table = render_phase_table(instr.histograms)
+        table = format_phase_breakdown(instr.histograms)
         for series in ("phase.READ-TS", "phase.PREPARE", "phase.WRITE"):
             assert series in table
 

@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Fail on doc references that no longer resolve.
 
-Three checks over the prose docs (``DOCS``), the first two on inline code
-spans (text between single backticks, outside fenced blocks):
+Four checks over the prose docs (``DOCS``), the first two on inline code
+spans (text between single backticks, outside fenced blocks; a span may
+wrap lines within a paragraph):
 
 1. **Repo paths exist.**  A span that is a path with a directory part,
    ending in ``.py``, ``.md`` or ``.json`` (after stripping a ``:line`` or
@@ -18,6 +19,11 @@ spans (text between single backticks, outside fenced blocks):
    whose docstring starts with an experiment number (``E19 — ...``) needs
    an EXPERIMENTS.md heading that starts with the same number and names
    the file.
+4. **CLI commands parse.**  Every documented ``python -m repro ...``
+   command, in an inline code span or on a line of a ``bash``, ``sh`` or
+   ``console`` fence (``#`` comments stripped, backslash continuations
+   joined, ``$`` prompts dropped), must be accepted by
+   ``repro.__main__.build_parser()``.  Untagged fences are not commands.
 
 Run:  python tools/check_docs.py
 Exit status 0 when clean, 1 with a per-reference listing otherwise.
@@ -26,14 +32,19 @@ Exit status 0 when clean, 1 with a per-reference listing otherwise.
 from __future__ import annotations
 
 import ast
+import contextlib
 import importlib
+import io
 import pathlib
 import re
+import shlex
 import sys
 from typing import Iterable, Iterator
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
+
+from repro.__main__ import build_parser  # noqa: E402
 
 DOCS = ("README.md", "DESIGN.md", "PROTOCOL.md", "EXPERIMENTS.md", "CONTRIBUTING.md")
 
@@ -41,27 +52,83 @@ DOCS = ("README.md", "DESIGN.md", "PROTOCOL.md", "EXPERIMENTS.md", "CONTRIBUTING
 PATH_ROOTS = (ROOT, ROOT / "src", ROOT / "src" / "repro")
 BENCH_DIR = ROOT / "benchmarks"
 
-_SPAN = re.compile(r"`([^`\n]+)`")
+_SPAN = re.compile(r"`([^`]+)`")
 _PATH = re.compile(r"(?:[\w.-]+/)+[\w.-]+\.(?:py|md|json)")
 _SUFFIX = re.compile(r"(?:::.*|:\d+(?:-\d+)?)$")
 _DOTTED = re.compile(r"repro(?:\.[A-Za-z_]\w*)+")
 _BENCH = re.compile(r"bench_\w+\.py")
 _EXPERIMENT = re.compile(r"E\d+[a-z]?\b")
 _SECTION = re.compile(r"#+\s+(E\d+[a-z]?)\b")
+_COMMAND = re.compile(r"\bpython3?\s+-m\s+repro\b(.*)")
+_SHELL_FENCES = ("bash", "sh", "console")
+_COMMENT = re.compile(r"(?:^|\s)#.*$")
+_SHELL_END = re.compile(r"\s(?:\||;|&&|\d?>)")
+
+
+def _paragraphs(text: str) -> Iterator[tuple[int, str, bool]]:
+    """``(first line number, text, is a heading)`` for each paragraph of
+    prose outside fences; a heading line is a paragraph of its own."""
+    fenced = False
+    block: list[tuple[int, str]] = []
+    for number, line in enumerate(text.splitlines() + [""], 1):
+        fence = line.lstrip().startswith("```")
+        fenced ^= fence
+        heading = line.startswith("#") and not fenced and not fence
+        if fence or fenced or heading or not line.strip():
+            if block:
+                yield block[0][0], "\n".join(row for _, row in block), False
+                block = []
+            if heading:
+                yield number, line, True
+            continue
+        block.append((number, line))
 
 
 def code_spans(text: str) -> Iterator[tuple[int, str, bool]]:
     """``(line number, span, in a heading)`` for every inline code span
-    outside fences."""
-    fenced = False
+    outside fences; a wrapped span's whitespace collapses to one space."""
+    for start, paragraph, heading in _paragraphs(text):
+        for match in _SPAN.finditer(paragraph):
+            number = start + paragraph.count("\n", 0, match.start())
+            yield number, " ".join(match.group(1).split()), heading
+
+
+def shell_lines(text: str) -> Iterator[tuple[int, str]]:
+    """``(line number, command line)`` for each logical line of a ``bash``,
+    ``sh`` or ``console`` fence."""
+    tag = None  # the open fence's tag; None outside fences
+    start, pending = 0, ""
     for number, line in enumerate(text.splitlines(), 1):
-        if line.lstrip().startswith("```"):
-            fenced = not fenced
+        if line.strip().startswith("```"):
+            tag = line.strip()[3:].strip() if tag is None else None
             continue
-        if not fenced:
-            heading = line.startswith("#")
-            for match in _SPAN.finditer(line):
-                yield number, match.group(1).strip(), heading
+        if tag not in _SHELL_FENCES:
+            continue
+        line = _COMMENT.sub("", line).rstrip()
+        if not pending:
+            start, line = number, line.strip().removeprefix("$ ")
+        pending += line
+        if pending.endswith("\\"):
+            pending = pending[:-1] + " "
+            continue
+        if pending.strip():
+            yield start, pending.strip()
+        pending = ""
+
+
+def command_parses(command: str) -> bool:
+    """Whether ``build_parser()`` accepts the arguments after
+    ``python -m repro`` in ``command`` (``--help`` counts as accepted)."""
+    rest = _SHELL_END.split(_COMMAND.search(command).group(1), 1)[0]
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+        try:
+            build_parser().parse_args(shlex.split(rest))
+        except SystemExit as exc:
+            return exc.code == 0
+        except ValueError:  # unbalanced quotes
+            return False
+    return True
 
 
 def path_exists(reference: str, roots: Iterable[pathlib.Path] = PATH_ROOTS) -> bool:
@@ -89,13 +156,17 @@ def find_stale(
     roots: Iterable[pathlib.Path] = PATH_ROOTS,
     bench_dir: pathlib.Path = BENCH_DIR,
 ) -> list[tuple[str, int, str]]:
-    """``(doc, line, reference)`` for every reference that does not resolve."""
+    """``(doc, line, reference)`` for every reference that does not resolve
+    and every documented command the CLI parser rejects."""
     roots = tuple(roots)
     stale = []
     for doc in docs:
-        for number, span, heading in code_spans(doc.read_text(encoding="utf-8")):
+        text = doc.read_text(encoding="utf-8")
+        for number, span, heading in code_spans(text):
             path = _SUFFIX.sub("", span)
-            if _PATH.fullmatch(path):
+            if _COMMAND.search(span):
+                ok = command_parses(span)
+            elif _PATH.fullmatch(path):
                 ok = path_exists(path.removeprefix("./"), roots)
             elif heading and _BENCH.fullmatch(path):
                 ok = (bench_dir / path).exists()
@@ -105,6 +176,11 @@ def find_stale(
                 continue
             if not ok:
                 stale.append((doc.name, number, span))
+        stale.extend(
+            (doc.name, number, line)
+            for number, line in shell_lines(text)
+            if _COMMAND.search(line) and not command_parses(line)
+        )
     return stale
 
 
@@ -134,7 +210,12 @@ def missing_experiments(
 def main() -> int:
     stale = find_stale()
     for doc, number, span in stale:
-        print(f"{doc}:{number}: `{span}` does not resolve")
+        verdict = (
+            "is rejected by the CLI parser"
+            if _COMMAND.search(span)
+            else "does not resolve"
+        )
+        print(f"{doc}:{number}: `{span}` {verdict}")
     missing = missing_experiments()
     for bench, number in missing:
         print(f"EXPERIMENTS.md: no {number} heading names {bench}")
